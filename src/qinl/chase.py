@@ -53,6 +53,14 @@ def initial_model(s: FqlSchema, generators: Mapping[str, str],
     rounds, for example when an unconstrained entity-to-entity operation
     keeps generating fresh elements.
     """
+    return materialize(saturate(s, generators, equations, fuel), s)[0]
+
+
+def saturate(s: FqlSchema, generators: Mapping[str, str],
+             equations: Sequence[tuple[Term, Term]] = (),
+             fuel: int = 32) -> EGraph:
+    """The chase itself: the saturated e-graph whose classes are the
+    elements of the initial model (see `initial_model`)."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     var_types: dict[str, TypeExpr] = {}
@@ -73,11 +81,11 @@ def initial_model(s: FqlSchema, generators: Mapping[str, str],
     builtin_ops = {name: s.builtins.ops[name]
                    for name in s.builtin_op_names() if name in s.builtins.ops}
     graph = EGraph(s.sig, builtin_ops)
-    for name in sorted(generators):
-        graph.add_node(("var", name), var_types[name])
+    nodes = {name: graph.add_node(("var", name), var_types[name])
+             for name in sorted(generators)}
     for lhs, rhs in equations:
-        graph.union(graph.add_term(lhs, var_types),
-                    graph.add_term(rhs, var_types), "seed equation")
+        graph.union(graph.add_instance(lhs, nodes),
+                    graph.add_instance(rhs, nodes), "seed equation")
 
     node_cap = fuel * 1000
     saturated = False
@@ -96,7 +104,7 @@ def initial_model(s: FqlSchema, generators: Mapping[str, str],
     if not saturated:
         size = len(_entity_roots(graph, s))
         raise FuelExhausted("chase did not saturate within fuel", size)
-    return _materialize(graph, s)
+    return graph
 
 
 def _apply_totality(graph: EGraph, s: FqlSchema) -> None:
@@ -125,7 +133,9 @@ def _row_name(term: Term) -> str:
     return format_term(term)
 
 
-def _materialize(graph: EGraph, s: FqlSchema) -> Instance:
+def materialize(graph: EGraph, s: FqlSchema) -> tuple[Instance, dict[str, int]]:
+    """Read the instance off a saturated e-graph, together with the class
+    of each of its rows."""
     reps = graph.extract()
     carriers: dict[str, list[str]] = {t: [] for t in sorted(s.entity_types)}
     row_of: dict[int, str] = {}
@@ -174,4 +184,5 @@ def _materialize(graph: EGraph, s: FqlSchema) -> Instance:
                         next_null += 1
                     table[row_of[root]] = null_of[result]
         functions[op] = table
-    return Instance.make(carriers, functions)
+    return (Instance.make(carriers, functions),
+            {row: root for root, row in row_of.items()})

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chase import FuelExhausted
-from .equality import Proved
+from .equality import Proved, Theory
 from .kernel import EngineError
 from .mapping import check_preservation
 from .migration import TooLarge, UnverifiedMapping, delta, enumerate_homs, pi, sigma
-from .nrc import BaseV, Value, nrc_eval, format_value
+from .nrc import nrc_eval, format_value
 from .query import eval_query
-from .schema import check_instance, default_builtins
+from .schema import FqlSchema, check_instance
 from .surface import (
     Diagnostic,
     Elaborated,
@@ -232,21 +232,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # eval
 
-def _builtin_nrc_ops() -> dict:
-    registry = default_builtins()
-    sig = builtin_signature()
-    ops = {}
-    for name in ("length", "reverse"):
-        cod = sig.op_type(name)[1]
-
-        def fn(v: Value, _name=name, _cod=cod.name) -> Value:
-            assert isinstance(v, BaseV)
-            return BaseV(_cod, registry.apply(_name, v.constant))
-
-        ops[name] = fn
-    return ops
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config(args)
     elab, code = _load(args.file, config)
@@ -263,10 +248,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         names = [args.name]
     else:
         names = list(elab.exprs)
-    ops = _builtin_nrc_ops()
+    sig = builtin_signature()
+    ops = FqlSchema(Theory.of(sig), frozenset(),
+                    sig.base_types).nrc_interpretations()
     results = {}
     for name in names:
-        value = nrc_eval(builtin_signature(), elab.exprs[name], {}, ops)
+        value = nrc_eval(sig, elab.exprs[name], {}, ops)
         results[name] = format_value(value)
     if config.format == "json":
         payload = _envelope("eval", args.file, config, "ok")

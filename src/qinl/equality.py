@@ -34,6 +34,7 @@ from .kernel import (
     format_type,
     infer_type,
     substitute_many,
+    subterms,
     term_key,
 )
 
@@ -220,29 +221,6 @@ class EGraph:
         self._table[key] = node
         self._version += 1
         return node
-
-    def add_term(self, e: Term, var_types: Mapping[str, TypeExpr]) -> int:
-        if isinstance(e, Var):
-            t = var_types.get(e.name)
-            if t is None:
-                raise IllTyped(f"variable '{e.name}' not in context")
-            return self.add_node(("var", e.name), t)
-        if isinstance(e, UnitTerm):
-            return self.add_node(("unit",))
-        if isinstance(e, Lit):
-            return self.add_node(("lit", e.base, e.value))
-        if isinstance(e, Pair):
-            left = self.add_term(e.fst, var_types)
-            right = self.add_term(e.snd, var_types)
-            return self.add_node(("pair", self.find(left), self.find(right)))
-        if isinstance(e, Proj1):
-            return self.add_node(("p1", self.find(self.add_term(e.of, var_types))))
-        if isinstance(e, Proj2):
-            return self.add_node(("p2", self.find(self.add_term(e.of, var_types))))
-        if isinstance(e, App):
-            arg = self.add_term(e.arg, var_types)
-            return self.add_node(("app", e.op, self.find(arg)))
-        raise EngineError(f"cannot add unknown construct {e!r}")
 
     def node_count(self) -> int:
         return len(self._nodes)
@@ -523,8 +501,12 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
 
     graph = EGraph(th.sig, builtin_ops)
     var_types = dict(ctx.bindings)
-    ida = graph.add_term(a, var_types)
-    idb = graph.add_term(b, var_types)
+    binding: dict[str, int] = {}
+    for sub in (*subterms(a), *subterms(b)):
+        if isinstance(sub, Var) and sub.name not in binding:
+            binding[sub.name] = graph.add_node(("var", sub.name), var_types[sub.name])
+    ida = graph.add_instance(a, binding)
+    idb = graph.add_instance(b, binding)
     node_cap = fuel * 1000
     rounds = 0
     for _ in range(fuel):

@@ -1,19 +1,20 @@
-"""The three data migration operations along a schema mapping, plus a
-brute-force homomorphism enumerator used as the adjunction oracle.
+"""The three data migration operations along a schema mapping, plus the
+homomorphism enumerator whose counts witness the adjunctions.
 
 delta pulls a target instance back by composition.  sigma pushes a source
-instance forward freely via the chase, and pi pushes forward via the limit
-formula over saturated classes of target terms.  Both adjoints are
-fuel-bounded and raise FuelExhausted rather than truncating silently.
+instance forward freely via the chase.  pi pushes forward as the right
+adjoint of delta: its rows at a target entity type are the homomorphisms
+into the source instance from delta of that type's representable, which the
+chase builds.  Both adjoints are fuel-bounded and raise FuelExhausted rather
+than truncating silently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .chase import FuelExhausted, initial_model
-from .equality import Proved, decide_equal
+from .chase import FuelExhausted, initial_model, materialize, saturate
+from .equality import EGraph, Proved
 from .kernel import (
     App,
     Base,
@@ -22,7 +23,6 @@ from .kernel import (
     Lit,
     Term,
     Var,
-    format_term,
     substitute,
 )
 from .mapping import SchemaMapping, apply_to_term, check_preservation
@@ -33,6 +33,7 @@ from .schema import (
     LabelledNull,
     OpApplied,
     eval_term,
+    search_homs,
 )
 
 
@@ -145,234 +146,134 @@ def _row_counts(s: FqlSchema, i: Instance) -> dict[str, int]:
 
 
 # --------------------------------------------------------------------------
-# pi: the limit-formula push-forward
-
-@dataclass(frozen=True)
-class MorphismClass:
-    """A target term out of a target entity type, landing at the image of a
-    source entity type, kept up to provable equality."""
-
-    rep: Term  # open in the variable "x"
-    target_type: str
-
+# pi: homomorphisms out of pulled-back representables
 
 def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
        allow_unverified: bool = False) -> Instance:
-    """Push a source instance forward along the limit formula.
+    """Push a source instance forward as the right adjoint of delta.
 
-    The carrier at a target type is the set of families choosing, for each
-    class of terms into the image of a source entity type, a row of that
-    source carrier, compatibly with the source operations and with the
-    determinations of target attribute operations.  Target operations act by
-    precomposition; undetermined attribute components become fresh nulls.
+    The rows at a target entity type t are the homomorphisms into `i` from
+    delta of the representable of t, the free target instance on one
+    generator x : t (Spivak and Wisnesky, "Relational Foundations for
+    Functorial Data Migration").  A row is named by the image of each row of
+    the pulled-back representable, e.g. `(x:Emp=e1, x.manager:Emp=e4)`.
+
+    Target operations act by precomposition: a row's image under f : t -> u
+    reads each row of u's representable at its image under the homomorphism
+    of representables that sends x to f(x).  A target attribute whose
+    class in t's representable holds a constant takes that constant; source
+    attribute terms whose images land in that class must agree with it and
+    with each other, or the homomorphism is dropped.  An attribute that no
+    source value determines becomes a fresh null.
     """
     require_verified(mapping, fuel, allow_unverified)
-    src, tgt = mapping.source, mapping.target
-    classes = {t: _saturate_classes(mapping, t, fuel)
-               for t in sorted(tgt.entity_types)}
-
-    # Index objects per target type: (source entity, class position).
-    index: dict[str, list[tuple[str, int]]] = {}
-    for t_prime in sorted(tgt.entity_types):
-        objs = []
-        for pos, mc in enumerate(classes[t_prime]):
-            for t in sorted(src.entity_types):
-                if mapping.type_map[t] == mc.target_type:
-                    objs.append((t, pos))
-        index[t_prime] = objs
-
-    attr_ops: dict[str, list[str]] = {t: [] for t in sorted(tgt.entity_types)}
-    fk_ops: dict[str, list[str]] = {t: [] for t in sorted(tgt.entity_types)}
-    for op in tgt.entity_dom_ops():
-        dom, cod = tgt.sig.op_type(op)
-        assert isinstance(dom, Base) and isinstance(cod, Base)
-        kind = fk_ops if cod.name in tgt.entity_types else attr_ops
-        kind[dom.name].append(op)
-
-    decomps = {
-        t_prime: {op: _attribute_decompositions(
-            mapping, op, t_prime, classes[t_prime], index[t_prime], fuel)
-            for op in attr_ops[t_prime]}
-        for t_prime in sorted(tgt.entity_types)}
-
-    families: dict[str, list[tuple[str, ...]]] = {}
-    attr_value: dict[str, dict[tuple[tuple[str, ...], str], Cell | None]] = {}
-    for t_prime in sorted(tgt.entity_types):
-        kept = []
-        values: dict[tuple[tuple[str, ...], str], Cell | None] = {}
-        for family in _limit_families(mapping, i, t_prime, classes[t_prime],
-                                      index[t_prime], fuel):
-            consistent = True
-            for op in attr_ops[t_prime]:
-                determined = [
-                    eval_term(src, i, {"y": family[pos]}, term)
-                    for pos, term in decomps[t_prime][op]]
-                if determined and any(v != determined[0] for v in determined):
-                    consistent = False
-                    break
-                values[(family, op)] = determined[0] if determined else None
-            if consistent:
-                kept.append(family)
-        families[t_prime] = kept
-        attr_value[t_prime] = values
-
-    row_of: dict[str, dict[tuple[str, ...], str]] = {}
-    carriers: dict[str, list[str]] = {}
-    for t_prime in sorted(tgt.entity_types):
-        rows = {}
-        for family in families[t_prime]:
-            name = "(" + ", ".join(
-                f"{format_term(classes[t_prime][pos].rep)}:{t}={row}"
-                for (t, pos), row in zip(index[t_prime], family)) + ")"
-            rows[family] = name
-        row_of[t_prime] = rows
-        carriers[t_prime] = sorted(rows.values())
+    tgt = mapping.target
+    limits = {t: _Limit.of(mapping, i, t, fuel) for t in sorted(tgt.entity_types)}
+    carriers = {t: sorted(limit.names.values()) for t, limit in limits.items()}
 
     functions: dict[str, dict[str, Cell]] = {}
     null_count = 0
     for op in tgt.entity_dom_ops():
         dom, cod = tgt.sig.op_type(op)
         assert isinstance(dom, Base) and isinstance(cod, Base)
-        t_prime = dom.name
+        limit = limits[dom.name]
         table: dict[str, Cell] = {}
         if cod.name in tgt.entity_types:
-            positions = _precompose_positions(mapping, op, t_prime, cod.name,
-                                              classes, index, fuel)
-            for family in families[t_prime]:
-                image = tuple(family[p] for p in positions)
-                if image not in row_of[cod.name]:
+            image = limits[cod.name]
+            start = limit.rep.functions[op]["x"]
+            along = next(maps for maps, _ in search_homs(tgt, image.rep, limit.rep)
+                         if maps[cod.name]["x"] == start)
+            positions = [limit.slots.index((s, along[mapping.type_map[s]][row]))
+                         for s, row in image.slots]
+            for key, name in limit.names.items():
+                moved = tuple(key[p] for p in positions)
+                if moved not in image.names:
                     raise FuelExhausted(
-                        f"image family under '{op}' escaped the computed limit",
-                        len(families[t_prime]))
-                table[row_of[t_prime][family]] = row_of[cod.name][image]
+                        f"image row under '{op}' escaped the computed limit",
+                        len(limit.names))
+                table[name] = image.names[moved]
         else:
-            ordered = sorted(families[t_prime],
-                             key=lambda f: row_of[t_prime][f])
-            for family in ordered:
-                value = attr_value[t_prime][(family, op)]
+            for name in sorted(limit.names.values()):
+                value = limit.values[name][op]
                 if value is None:
                     value = LabelledNull(str(null_count))
                     null_count += 1
-                table[row_of[t_prime][family]] = value
+                table[name] = value
         functions[op] = table
     return Instance.make(carriers, functions)
 
 
-def _saturate_classes(mapping: SchemaMapping, t_prime: str,
-                      fuel: int) -> list[MorphismClass]:
-    """Enumerate operation chains out of a target entity type by depth,
-    quotienting by provable equality, until a depth adds no new class."""
-    tgt = mapping.target
-    classes: list[MorphismClass] = [MorphismClass(Var("x"), t_prime)]
-    frontier = list(classes)
-    for _ in range(fuel):
-        fresh: list[MorphismClass] = []
-        for mc in frontier:
-            for op in tgt.ops_from(mc.target_type):
-                cod = tgt.sig.op_type(op)[1]
-                assert isinstance(cod, Base)
-                if cod.name not in tgt.entity_types:
-                    continue
-                cand = MorphismClass(App(op, mc.rep), cod.name)
-                if _find_class(mapping, t_prime, cand.rep, cod.name,
-                               classes, fuel) is None:
-                    classes.append(cand)
-                    fresh.append(cand)
-        if not fresh:
-            return classes
-        frontier = fresh
-    raise FuelExhausted(
-        f"term classes out of '{t_prime}' did not saturate", len(classes))
+@dataclass(frozen=True)
+class _Limit:
+    """pi at one target entity type t.  `rep` is t's representable, and
+    `slots` are the rows (source entity, row of rep) of its pullback.
+    `names` maps each kept homomorphism, as the tuple of its images of the
+    slots, to its row name; `values` holds each row's attribute cells (None
+    where undetermined)."""
+
+    rep: Instance
+    slots: list[tuple[str, str]]
+    names: dict[tuple[str, ...], str]
+    values: dict[str, dict[str, Cell | None]]
+
+    @classmethod
+    def of(cls, mapping: SchemaMapping, i: Instance, t: str, fuel: int) -> _Limit:
+        src, tgt = mapping.source, mapping.target
+        graph = saturate(tgt, {"x": t}, (), fuel)
+        rep, roots = materialize(graph, tgt)
+        pulled = delta(mapping, rep, allow_unverified=True)
+        slots = [(s, row) for s in sorted(src.entity_types)
+                 for row in pulled.rows(s)]
+        attributes = [op for op in tgt.ops_from(t)
+                      if tgt.classify_op(op) == "attribute"]
+        decomps = {op: _attribute_decompositions(mapping, graph, roots, slots, op)
+                   for op in attributes}
+        constants = {op: [rep.functions[op]["x"]] for op in attributes
+                     if not isinstance(rep.functions[op]["x"], LabelledNull)}
+
+        names: dict[tuple[str, ...], str] = {}
+        values: dict[str, dict[str, Cell | None]] = {}
+        for maps, _ in search_homs(src, pulled, i):
+            key = tuple(maps[s][row] for s, row in slots)
+            cells: dict[str, Cell | None] = {}
+            for op in attributes:
+                determined = constants.get(op, []) + [
+                    eval_term(src, i, {"y": key[pos]}, term)
+                    for pos, term in decomps[op]]
+                if any(v != determined[0] for v in determined):
+                    break
+                cells[op] = determined[0] if determined else None
+            else:
+                name = "(" + ", ".join(
+                    f"{row}:{s}={image}"
+                    for (s, row), image in zip(slots, key)) + ")"
+                names[key] = name
+                values[name] = cells
+        return cls(rep, slots, names, values)
 
 
-def _find_class(mapping: SchemaMapping, t_prime: str, term: Term,
-                target_type: str, classes: list[MorphismClass],
-                fuel: int) -> int | None:
-    ctx = Context.of(("x", Base(t_prime)))
-    for pos, mc in enumerate(classes):
-        if mc.target_type != target_type:
-            continue
-        verdict = decide_equal(mapping.target.theory, ctx, term, mc.rep, fuel)
-        if isinstance(verdict, Proved):
-            return pos
-    return None
-
-
-def _limit_families(mapping: SchemaMapping, i: Instance, t_prime: str,
-                    classes: list[MorphismClass],
-                    index: list[tuple[str, int]],
-                    fuel: int) -> list[tuple[str, ...]]:
-    """All choices of a source row per index object that commute with the
-    source operations acting between index objects."""
-    src = mapping.source
-    constraints = []  # (from position, op, to position)
-    for from_pos, (t, cls_pos) in enumerate(index):
-        for op in src.ops_from(t):
-            cod = src.sig.op_type(op)[1]
-            assert isinstance(cod, Base)
-            if cod.name not in src.entity_types:
-                continue
-            var, body = mapping.op_map[op]
-            composite = substitute(body, var, classes[cls_pos].rep)
-            target_cls = _find_class(mapping, t_prime, composite,
-                                     mapping.type_map[cod.name], classes, fuel)
-            if target_cls is None:
-                raise FuelExhausted(
-                    f"composite of '{op}' escaped the saturated classes of "
-                    f"'{t_prime}'", len(classes))
-            constraints.append((from_pos, op, index.index((cod.name, target_cls))))
-
-    out = []
-    for family in itertools.product(*[i.rows(t) for t, _ in index]):
-        if all(i.functions[op][family[a]] == family[b]
-               for a, op, b in constraints):
-            out.append(family)
-    return out
-
-
-def _precompose_positions(mapping: SchemaMapping, op: str, t_prime: str,
-                          cod_type: str, classes, index,
-                          fuel: int) -> list[int]:
-    """For a target operation out of t_prime, the positions in t_prime's
-    index realizing each index object of the codomain type after
-    precomposition."""
-    positions = []
-    for (u, cls_pos) in index[cod_type]:
-        composite = substitute(classes[cod_type][cls_pos].rep, "x",
-                               App(op, Var("x")))
-        found = _find_class(mapping, t_prime, composite,
-                            mapping.type_map[u], classes[t_prime], fuel)
-        if found is None:
-            raise FuelExhausted(
-                f"precomposition with '{op}' escaped the saturated classes",
-                len(classes[t_prime]))
-        positions.append(index[t_prime].index((u, found)))
-    return positions
-
-
-def _attribute_decompositions(mapping: SchemaMapping, op: str, t_prime: str,
-                              classes: list[MorphismClass],
-                              index: list[tuple[str, int]], fuel: int,
-                              max_depth: int = 4,
-                              ) -> list[tuple[int, Term]]:
+def _attribute_decompositions(mapping: SchemaMapping, graph: EGraph,
+                              roots: dict[str, int],
+                              slots: list[tuple[str, str]], op: str,
+                              max_depth: int = 4) -> list[tuple[int, Term]]:
     """Ways to express a target attribute operation as the image of a source
-    attribute term precomposed with an index class; these determine the
-    attribute components of the limit.  Every decomposition found is kept:
-    distinct source terms with one target image must agree on a family, or
-    the family is excluded."""
+    attribute term at a slot: the terms whose image, at the slot's row of
+    the representable, lies in the class of op(x) in the representable's
+    saturated e-graph.  Every decomposition found is kept: distinct source
+    terms with one target image must agree on a homomorphism, or the
+    homomorphism is excluded."""
     src = mapping.source
-    ctx = Context.of(("x", Base(t_prime)))
-    goal = App(op, Var("x"))
     attr_type = mapping.target.sig.op_type(op)[1]
     assert isinstance(attr_type, Base)
+    goal = graph.find(graph.add_instance(App(op, Var("x")), roots))
+    images = {
+        s: [(term, apply_to_term(mapping, Context.of(("y", Base(s))), term))
+            for term in _terms_to_type(src, s, attr_type.name, max_depth)]
+        for s in sorted(src.entity_types)}
     out = []
-    for pos, (t, cls_pos) in enumerate(index):
-        for term in _terms_to_type(src, t, attr_type.name, max_depth):
-            image = apply_to_term(mapping, Context.of(("y", Base(t))), term)
-            composite = substitute(image, "y", classes[cls_pos].rep)
-            verdict = decide_equal(mapping.target.theory, ctx, goal,
-                                   composite, fuel)
-            if isinstance(verdict, Proved):
+    for pos, (s, row) in enumerate(slots):
+        for term, image in images[s]:
+            if graph.find(graph.add_instance(image, {"y": roots[row]})) == goal:
                 out.append((pos, term))
     return out
 
@@ -402,6 +303,9 @@ def _terms_to_type(s: FqlSchema, start: str, goal: str,
 # --------------------------------------------------------------------------
 # Homomorphism enumeration: the adjunction oracle
 
+HOM_SEARCH_LIMIT = 10_000_000
+
+
 @dataclass(frozen=True)
 class Homomorphism:
     """Per-entity-type carrier maps commuting with every operation table.
@@ -415,84 +319,24 @@ class Homomorphism:
         return dict(dict(self.maps)[entity])[row]
 
 
-def enumerate_homs(s: FqlSchema, i: Instance, j: Instance,
-                   limit: int = 10_000_000) -> list[Homomorphism]:
-    """Exhaustively enumerate instance homomorphisms from i to j.
+def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> list[Homomorphism]:
+    """Enumerate the instance homomorphisms from i to j, complete and
+    duplicate-free, in lexicographic order of the images of i's rows.
 
-    Complete and duplicate-free; guarded by the product of the per-type
-    function-space sizes.
+    A backtracking search (`schema.search_homs`) finds them.  It is guarded
+    by the product of the per-type function-space sizes, which bounds the
+    length of the answer.
     """
     types = sorted(s.entity_types)
     space = 1
     for t in types:
         if len(i.rows(t)) > 0:
             space *= len(j.rows(t)) ** len(i.rows(t))
-        if space > limit:
-            raise TooLarge(f"homomorphism search space exceeds {limit}")
-
-    per_type = []
-    for t in types:
-        rows = i.rows(t)
-        choices = [dict(zip(rows, image))
-                   for image in itertools.product(j.rows(t), repeat=len(rows))]
-        per_type.append(choices)
-
-    out = []
-    for combo in itertools.product(*per_type):
-        maps = dict(zip(types, combo))
-        null_binding: dict[str, Cell] = {}
-        if _commutes(s, i, j, maps, null_binding):
-            out.append(Homomorphism(
-                tuple((t, tuple(sorted(m.items()))) for t, m in maps.items()),
-                tuple(sorted(null_binding.items()))))
-    return out
-
-
-def _commutes(s: FqlSchema, i: Instance, j: Instance,
-              maps: dict[str, dict[str, str]],
-              null_binding: dict[str, Cell]) -> bool:
-    for op in s.entity_dom_ops():
-        dom, cod = s.sig.op_type(op)
-        assert isinstance(dom, Base) and isinstance(cod, Base)
-        entity_cod = cod.name in s.entity_types
-        for row in i.rows(dom.name):
-            vi = i.functions[op][row]
-            vj = j.functions[op][maps[dom.name][row]]
-            if entity_cod:
-                if maps[cod.name][vi] != vj:
-                    return False
-            elif not _match_attr(s, vi, vj, null_binding):
-                return False
-    return True
-
-
-def _match_attr(s: FqlSchema, vi: Cell, vj: Cell,
-                binding: dict[str, Cell]) -> bool:
-    """Match a source attribute cell against a target cell, binding source
-    nulls on first use and checking consistency afterwards.  Symbolic values
-    match structurally, or by computing once their null is bound to a
-    constant."""
-    if isinstance(vi, LabelledNull):
-        if vi.label in binding:
-            return binding[vi.label] == vj
-        binding[vi.label] = vj
-        return True
-    if isinstance(vi, OpApplied):
-        ground = _try_ground(s, vi, binding)
-        if ground is not None:
-            return ground == vj
-        return (isinstance(vj, OpApplied) and vi.op == vj.op
-                and _match_attr(s, vi.arg, vj.arg, binding))
-    return type(vi) is type(vj) and vi == vj
-
-
-def _try_ground(s: FqlSchema, v: Cell, binding: dict[str, Cell]) -> Cell | None:
-    if isinstance(v, LabelledNull):
-        bound = binding.get(v.label)
-        if bound is None or isinstance(bound, (LabelledNull, OpApplied)):
-            return None
-        return bound
-    if isinstance(v, OpApplied):
-        arg = _try_ground(s, v.arg, binding)
-        return None if arg is None else s.builtins.apply(v.op, arg)
-    return v
+        if space > HOM_SEARCH_LIMIT:
+            raise TooLarge(
+                f"homomorphism search space exceeds {HOM_SEARCH_LIMIT}")
+    return [Homomorphism(
+        tuple((t, tuple((row, maps[t][row]) for row in i.rows(t)))
+              for t in types),
+        tuple(sorted(binding.items())))
+        for maps, binding in search_homs(s, i, j)]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .equality import Theory, check_theory
@@ -492,81 +492,155 @@ def _attribute_domain(s: FqlSchema, i: Instance, base: str,
 
 
 # --------------------------------------------------------------------------
-# Isomorphism of instances
+# Homomorphism search
+
+def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
+                bijective: bool = False,
+                ) -> Iterator[tuple[dict[str, dict[str, str]], dict[str, Cell]]]:
+    """Yield every homomorphism from i to j as carrier maps plus the binding
+    of i's labelled nulls, in lexicographic order of the images of i's rows
+    (types sorted, then rows; candidates in j's order).  The yielded dicts
+    are reused: copy them before the next step.
+
+    A homomorphism commutes with every operation table and fixes builtin
+    constants.  A null of i maps to one value of j at all its occurrences.
+    Symbolic cells are matched last, by computing once their null is bound
+    to a constant, or else structurally.  With `bijective`, carrier maps are
+    bijections and nulls map injectively to nulls.
+
+    The search backtracks over the rows of i.  Assigning a row forces the
+    images of its foreign-key images and checks its other cells at once.
+    """
+    types = sorted(s.entity_types)
+    if bijective and any(len(i.rows(t)) != len(j.rows(t)) for t in types):
+        return
+    slots = [(t, r) for t in types for r in i.rows(t)]
+    fks: dict[str, list[tuple[str, str]]] = {t: [] for t in types}
+    attrs: dict[str, list[str]] = {t: [] for t in types}
+    symbolic = []  # cells of i matched once all rows are assigned
+    for op in s.entity_dom_ops():
+        dom, cod = (_base_name(x) for x in s.sig.op_type(op))
+        if cod in s.entity_types:
+            fks[dom].append((op, cod))
+            continue
+        attrs[dom].append(op)
+        symbolic += [(op, dom, r) for r in i.rows(dom)
+                     if isinstance(i.functions[op][r], OpApplied)]
+    maps: dict[str, dict[str, str]] = {t: {} for t in types}
+    taken: dict[str, dict[str, str]] = {t: {} for t in types}  # if bijective
+    binding: dict[str, Cell] = {}
+    bound: dict[Cell, str] = {}  # inverse of binding, if bijective
+
+    def match(vi: Cell, vj: Cell, binding: dict[str, Cell],
+              bound: dict[Cell, str], trail: list) -> bool:
+        """Match a cell of i against one of j, binding i's nulls on first
+        use (recorded on `trail`) and checking them afterwards."""
+        if isinstance(vi, LabelledNull):
+            if vi.label in binding:
+                return binding[vi.label] == vj
+            if bijective:
+                if not isinstance(vj, LabelledNull) or vj in bound:
+                    return False
+                bound[vj] = vi.label
+                trail.append((bound, vj))
+            binding[vi.label] = vj
+            trail.append((binding, vi.label))
+            return True
+        if isinstance(vi, OpApplied):
+            ground = None if bijective else _ground(s, vi, binding)
+            if ground is not None:
+                return ground == vj
+            return (isinstance(vj, OpApplied) and vi.op == vj.op
+                    and match(vi.arg, vj.arg, binding, bound, trail))
+        return type(vi) is type(vj) and vi == vj
+
+    def assign(t: str, r: str, r2: str, trail: list) -> bool:
+        work = [(t, r, r2)]
+        while work:
+            t, r, r2 = work.pop()
+            have = maps[t].get(r)
+            if have is not None:
+                if have != r2:
+                    return False
+                continue
+            if bijective:
+                if r2 in taken[t]:
+                    return False
+                taken[t][r2] = r
+                trail.append((taken[t], r2))
+            maps[t][r] = r2
+            trail.append((maps[t], r))
+            for op in attrs[t]:
+                vi = i.functions[op][r]
+                if not isinstance(vi, OpApplied) and not match(
+                        vi, j.functions[op][r2], binding, bound, trail):
+                    return False
+            work += [(cod, i.functions[op][r], j.functions[op][r2])
+                     for op, cod in fks[t]]
+        return True
+
+    def undo(trail: list) -> None:
+        for table, key in reversed(trail):
+            del table[key]
+        trail.clear()
+
+    def complete() -> dict[str, Cell] | None:
+        if not symbolic:
+            return binding
+        full, inverse = dict(binding), dict(bound)
+        for op, t, r in symbolic:
+            vj = j.functions[op][maps[t][r]]
+            if not match(i.functions[op][r], vj, full, inverse, []):
+                return None
+        return full
+
+    # Each frame is an open slot, its remaining candidates, and the trail
+    # of the candidate currently assigned to it.
+    if not slots:
+        yield maps, binding
+        return
+    stack = [(0, iter(j.rows(slots[0][0])), [])]
+    while stack:
+        k, candidates, trail = stack[-1]
+        undo(trail)
+        t, r = slots[k]
+        for r2 in candidates:
+            if assign(t, r, r2, trail):
+                break
+            undo(trail)
+        else:
+            stack.pop()
+            continue
+        k += 1
+        while k < len(slots) and slots[k][1] in maps[slots[k][0]]:
+            k += 1  # already forced
+        if k < len(slots):
+            stack.append((k, iter(j.rows(slots[k][0])), []))
+        else:
+            full = complete()
+            if full is not None:
+                yield maps, full
+
+
+def _ground(s: FqlSchema, v: Cell, binding: Mapping[str, Cell]) -> Cell | None:
+    """The value of a cell once its nulls are replaced by their bindings, or
+    None while one of them is unbound or bound to an unknown."""
+    if isinstance(v, LabelledNull):
+        bound = binding.get(v.label)
+        if bound is None or isinstance(bound, (LabelledNull, OpApplied)):
+            return None
+        return bound
+    if isinstance(v, OpApplied):
+        arg = _ground(s, v.arg, binding)
+        return None if arg is None else s.builtins.apply(v.op, arg)
+    return v
+
 
 def instance_equal_upto_iso(s: FqlSchema, i: Instance, j: Instance,
                             ) -> dict[str, dict[str, str]] | None:
     """Search for a bijective, operation-commuting family of carrier maps
     fixing builtin constants; labelled nulls may be renamed bijectively.
     Returns the carrier maps, or None."""
-    for t in sorted(s.entity_types):
-        if len(i.rows(t)) != len(j.rows(t)):
-            return None
-    slots = [(t, r) for t in sorted(s.entity_types) for r in i.rows(t)]
-    mapping: dict[str, dict[str, str]] = {t: {} for t in sorted(s.entity_types)}
-    used: dict[str, set[str]] = {t: set() for t in sorted(s.entity_types)}
-    null_map: dict[str, str] = {}
-    null_rev: dict[str, str] = {}
-
-    def attr_match(vi: Cell, vj: Cell, trail: list[str]) -> bool:
-        if isinstance(vi, LabelledNull):
-            if not isinstance(vj, LabelledNull):
-                return False
-            if vi.label in null_map:
-                return null_map[vi.label] == vj.label
-            if vj.label in null_rev:
-                return False
-            null_map[vi.label] = vj.label
-            null_rev[vj.label] = vi.label
-            trail.append(vi.label)
-            return True
-        if isinstance(vi, OpApplied):
-            return (isinstance(vj, OpApplied) and vi.op == vj.op
-                    and attr_match(vi.arg, vj.arg, trail))
-        return type(vi) is type(vj) and vi == vj
-
-    def consistent(t: str, r: str, r2: str, trail: list[str]) -> bool:
-        for op in s.ops_from(t):
-            cod = s.sig.op_type(op)[1]
-            vi = i.functions[op][r]
-            vj = j.functions[op][r2]
-            if _base_name(cod) in s.entity_types:
-                cod_name = _base_name(cod)
-                if vi in mapping[cod_name]:
-                    if mapping[cod_name][vi] != vj:
-                        return False
-            elif not attr_match(vi, vj, trail):
-                return False
-        # also re-check earlier rows whose images land on r under some op
-        for t2 in sorted(s.entity_types):
-            for op in s.ops_from(t2):
-                cod = s.sig.op_type(op)[1]
-                if _base_name(cod) != t:
-                    continue
-                for r0, r0img in mapping[t2].items():
-                    if i.functions[op][r0] == r and j.functions[op][r0img] != r2:
-                        return False
-        return True
-
-    def search(k: int) -> bool:
-        if k == len(slots):
-            return True
-        t, r = slots[k]
-        for r2 in j.rows(t):
-            if r2 in used[t]:
-                continue
-            trail: list[str] = []
-            if consistent(t, r, r2, trail):
-                mapping[t][r] = r2
-                used[t].add(r2)
-                if search(k + 1):
-                    return True
-                del mapping[t][r]
-                used[t].remove(r2)
-            for label in trail:
-                del null_rev[null_map.pop(label)]
-        return False
-
-    if search(0):
-        return {t: dict(m) for t, m in mapping.items()}
+    for maps, _ in search_homs(s, i, j, bijective=True):
+        return {t: dict(m) for t, m in maps.items()}
     return None

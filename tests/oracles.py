@@ -37,6 +37,7 @@ from qinl.nrc import (
     TrueLit,
     Union,
 )
+from qinl.schema import LabelledNull, OpApplied
 
 # --------------------------------------------------------------------------
 # Naive set-semantics evaluator over hashable python values.
@@ -343,3 +344,102 @@ def ground_closure(sig: Signature, generators: Mapping[str, str],
                         and union(a, b)):
                     changed = True
     return universe, find
+
+
+# --------------------------------------------------------------------------
+# Brute-force homomorphisms between finite instances: every function from
+# the rows of i to the rows of j, kept when it commutes with the tables.
+# Attribute cells are compared by substituting the null binding built so
+# far and computing what the builtins can; bare nulls are bound first, and
+# symbolic cells are then unified in (operation, row) order.
+
+
+def brute_force_homs(s, i, j) -> list[tuple[dict, dict]]:
+    """Every (carrier maps, null binding) from i to j, in lexicographic order
+    of the images of i's rows (types sorted, rows sorted, j's order)."""
+    types = sorted(s.entity_types)
+    spaces = [[dict(zip(i.rows(t), images))
+               for images in itertools.product(j.rows(t), repeat=len(i.rows(t)))]
+              for t in types]
+    out = []
+    for combo in itertools.product(*spaces):
+        maps = dict(zip(types, combo))
+        binding = _attribute_binding(s, i, j, maps, bijective=False)
+        if _fks_commute(s, i, j, maps) and binding is not None:
+            out.append((maps, binding))
+    return out
+
+
+def brute_force_iso(s, i, j) -> bool:
+    """Whether some bijection of carriers commutes with the tables while
+    renaming nulls injectively to nulls."""
+    types = sorted(s.entity_types)
+    if any(len(i.rows(t)) != len(j.rows(t)) for t in types):
+        return False
+    spaces = [[dict(zip(i.rows(t), perm))
+               for perm in itertools.permutations(j.rows(t))] for t in types]
+    for combo in itertools.product(*spaces):
+        maps = dict(zip(types, combo))
+        if (_fks_commute(s, i, j, maps)
+                and _attribute_binding(s, i, j, maps, bijective=True) is not None):
+            return True
+    return False
+
+
+def _fks_commute(s, i, j, maps) -> bool:
+    for op in s.entity_dom_ops():
+        dom, cod = s.sig.op_type(op)
+        if cod.name in s.entity_types:
+            for row in i.rows(dom.name):
+                if maps[cod.name][i.functions[op][row]] != \
+                        j.functions[op][maps[dom.name][row]]:
+                    return False
+    return True
+
+
+def _attribute_binding(s, i, j, maps, bijective: bool):
+    pairs = []
+    for op in s.entity_dom_ops():
+        dom, cod = s.sig.op_type(op)
+        if cod.name not in s.entity_types:
+            pairs += [(i.functions[op][row], j.functions[op][maps[dom.name][row]])
+                      for row in i.rows(dom.name)]
+    binding: dict = {}
+    # Stable sort: bare cells first, each group in (operation, row) order.
+    for vi, vj in sorted(pairs, key=lambda p: isinstance(p[0], OpApplied)):
+        if isinstance(vi, OpApplied) and not bijective:
+            vi = _substitute(s, vi, binding)
+        if not _unify(vi, vj, binding, bijective):
+            return None
+    if bijective and len(set(binding.values())) != len(binding):
+        return None
+    return binding
+
+
+def _substitute(s, v, binding):
+    """Replace nulls bound to constants by them and compute the builtins
+    whose argument became a constant."""
+    if isinstance(v, LabelledNull):
+        bound = binding.get(v.label)
+        symbolic = bound is None or isinstance(bound, (LabelledNull, OpApplied))
+        return v if symbolic else bound
+    if isinstance(v, OpApplied):
+        arg = _substitute(s, v.arg, binding)
+        if isinstance(arg, (LabelledNull, OpApplied)):
+            return OpApplied(v.op, arg)
+        return s.builtins.ops[v.op](arg)
+    return v
+
+
+def _unify(vi, vj, binding, bijective) -> bool:
+    if isinstance(vi, LabelledNull) and vi.label in binding:
+        return binding[vi.label] == vj
+    if isinstance(vi, LabelledNull):
+        if bijective and not isinstance(vj, LabelledNull):
+            return False
+        binding[vi.label] = vj
+        return True
+    if isinstance(vi, OpApplied):
+        return (isinstance(vj, OpApplied) and vi.op == vj.op
+                and _unify(vi.arg, vj.arg, binding, bijective))
+    return type(vi) is type(vj) and vi == vj

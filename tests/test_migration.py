@@ -4,7 +4,7 @@ import pytest
 
 from qinl.chase import FuelExhausted
 from qinl.equality import Equation, Theory
-from qinl.kernel import App, Base, Context, Signature, Var
+from qinl.kernel import App, Base, Context, Lit, Signature, Var
 from qinl.mapping import SchemaMapping, compose, identity_mapping
 from qinl.migration import (
     TooLarge,
@@ -18,6 +18,7 @@ from qinl.schema import (
     FqlSchema,
     Instance,
     LabelledNull,
+    OpApplied,
     check_instance,
     instance_equal_upto_iso,
 )
@@ -218,6 +219,73 @@ def test_pi_determined_attributes():
     assert instance_equal_upto_iso(src, projected, i) is not None
 
 
+def _string_schema(entity: str, ops: dict[str, tuple[str, str]],
+                   equations=()) -> FqlSchema:
+    """One entity type plus String and Int, with `length` as a builtin."""
+    sig = Signature.of(
+        {entity, "String", "Int"},
+        {"length": (Base("String"), Base("Int")),
+         **{name: (Base(dom), Base(cod)) for name, (dom, cod) in ops.items()}})
+    return FqlSchema(Theory.of(sig, equations), frozenset({entity}),
+                     frozenset({"String", "Int"}))
+
+
+_X_U = Context.of(("x", Base("U")))
+_W_IS_K = Equation(_X_U, App("w", Var("x")), Lit("String", "k"))
+
+
+def test_pi_drops_rows_that_contradict_a_target_constant():
+    """w(x) = "k" holds in the target, so a source row whose image of w is
+    "z" has no homomorphism out of the representable and is no pi row."""
+    src = _string_schema("A", {"u": ("A", "String")})
+    tgt = _string_schema("U", {"w": ("U", "String")}, [_W_IS_K])
+    mapping = SchemaMapping(src, tgt, {"A": "U"},
+                            {"u": ("x", App("w", Var("x")))})
+    i = Instance.make({"A": ["a", "b"]}, {"u": {"a": "k", "b": "z"}})
+    projected = pi(mapping, i, fuel=8)
+    assert check_instance(tgt, projected).all_ok
+    assert list(projected.functions["w"].values()) == ["k"]
+
+
+def test_pi_takes_a_target_constant_no_source_value_reaches():
+    src = entity_schema({"A"}, {})
+    tgt = _string_schema("U", {"w": ("U", "String")}, [_W_IS_K])
+    mapping = SchemaMapping(src, tgt, {"A": "U"}, {})
+    projected = pi(mapping, Instance.make({"A": ["a"]}, {}), fuel=8)
+    assert list(projected.functions["w"].values()) == ["k"]
+    assert check_instance(tgt, projected).all_ok
+
+
+def _length_mapping(with_n: bool) -> SchemaMapping:
+    """Target: len(x) = length(w(x)).  Source u goes to w, and n to len."""
+    ops = {"u": ("A", "String")}
+    op_map = {"u": ("x", App("w", Var("x")))}
+    if with_n:
+        ops["n"] = ("A", "Int")
+        op_map["n"] = ("x", App("len", Var("x")))
+    tgt = _string_schema(
+        "U", {"w": ("U", "String"), "len": ("U", "Int")},
+        [Equation(_X_U, App("len", Var("x")),
+                  App("length", App("w", Var("x"))))])
+    return SchemaMapping(_string_schema("A", ops), tgt, {"A": "U"}, op_map)
+
+
+def test_pi_computes_an_attribute_through_a_builtin():
+    mapping = _length_mapping(with_n=False)
+    i = Instance.make({"A": ["a"]}, {"u": {"a": "pq"}})
+    projected = pi(mapping, i, fuel=8)
+    assert list(projected.functions["len"].values()) == [2]
+
+
+def test_pi_drops_rows_whose_attribute_images_disagree():
+    mapping = _length_mapping(with_n=True)
+    i = Instance.make({"A": ["a", "b"]},
+                      {"u": {"a": "pq", "b": "pq"}, "n": {"a": 3, "b": 2}})
+    projected = pi(mapping, i, fuel=8)
+    assert len(projected.rows("U")) == 1
+    assert list(projected.functions["len"].values()) == [2]
+
+
 # --------------------------------------------------------------------------
 # homomorphism enumeration
 
@@ -279,6 +347,108 @@ def test_homs_null_binds_consistently():
     j_diff = Instance.make({"A": ["1"]}, {"t1": {"1": "v"}, "t2": {"1": "w"}})
     assert len(enumerate_homs(s, i, j_same)) == 1
     assert enumerate_homs(s, i, j_diff) == []
+
+
+def _hom_oracle_schema() -> FqlSchema:
+    """Self-loop foreign keys on both entity types, one between them, and a
+    String attribute on each, with `reverse` for symbolic cells."""
+    sig = Signature.of(
+        {"A", "B", "String"},
+        {"m": (Base("A"), Base("A")), "f": (Base("A"), Base("B")),
+         "n": (Base("B"), Base("B")), "tag": (Base("A"), Base("String")),
+         "label": (Base("B"), Base("String")),
+         "reverse": (Base("String"), Base("String"))})
+    return FqlSchema(Theory.of(sig), frozenset({"A", "B"}),
+                     frozenset({"String"}))
+
+
+def _random_cell(rng):
+    roll = rng.randrange(4)
+    if roll == 0:
+        return rng.choice(["a", "ab", "ba"])
+    null = LabelledNull(str(rng.randrange(3)))
+    return OpApplied("reverse", null) if roll == 1 else null
+
+
+def _random_oracle_instance(rng, prefix: str) -> Instance:
+    rows_a = [f"{prefix}a{k}" for k in range(rng.randint(0, 3))]
+    rows_b = [f"{prefix}b{k}" for k in range(rng.randint(1 if rows_a else 0, 2))]
+    return Instance.make(
+        {"A": rows_a, "B": rows_b},
+        {"m": {r: rng.choice(rows_a) for r in rows_a},
+         "f": {r: rng.choice(rows_b) for r in rows_a},
+         "n": {r: rng.choice(rows_b) for r in rows_b},
+         "tag": {r: _random_cell(rng) for r in rows_a},
+         "label": {r: _random_cell(rng) for r in rows_b}})
+
+
+def _renamed(s: FqlSchema, i: Instance, rng, nulls_to_nulls: bool) -> Instance:
+    """i with its rows renamed by a random bijection and its nulls replaced
+    by other nulls, some of them merged (or, unless `nulls_to_nulls`,
+    sometimes by constants), so that i maps onto the result."""
+    rows = {t: list(i.rows(t)) for t in ("A", "B")}
+    for t in rows:
+        rng.shuffle(rows[t])
+    rename = {t: {r: f"j{t}{k}" for k, r in enumerate(rows[t])} for t in rows}
+    replace = {str(k): LabelledNull(str(rng.randrange(5, 8)))
+               if nulls_to_nulls or rng.random() < 0.5
+               else rng.choice(["a", "ab"]) for k in range(3)}
+
+    def cell(v):
+        if isinstance(v, LabelledNull):
+            return replace[v.label]
+        if isinstance(v, OpApplied):
+            return s.builtins.apply(v.op, cell(v.arg))
+        return v
+
+    functions = {}
+    for op in s.entity_dom_ops():
+        dom, cod = (t.name for t in s.sig.op_type(op))
+        functions[op] = {
+            rename[dom][r]: rename[cod][v] if cod in rename else cell(v)
+            for r, v in i.functions[op].items()}
+    return Instance.make({t: rename[t].values() for t in rows}, functions)
+
+
+def test_hom_search_matches_brute_force_oracle():
+    """enumerate_homs returns exactly the oracle's homomorphisms in the
+    oracle's order, and instance_equal_upto_iso agrees with a brute-force
+    bijection check, on small random instances with self-loop foreign keys,
+    shared nulls and symbolic cells."""
+    import random
+
+    from oracles import brute_force_homs, brute_force_iso
+
+    s = _hom_oracle_schema()
+    rng = random.Random(2024)
+    found = isomorphic = 0
+    for trial in range(300):
+        i = _random_oracle_instance(rng, "i")
+        if trial % 3 == 0:
+            j = _random_oracle_instance(rng, "j")
+        else:
+            j = _renamed(s, i, rng, nulls_to_nulls=trial % 3 == 1)
+        homs = enumerate_homs(s, i, j)
+        expected = brute_force_homs(s, i, j)
+        assert [({t: dict(pairs) for t, pairs in h.maps}, dict(h.null_map))
+                for h in homs] == expected
+        iso = instance_equal_upto_iso(s, i, j)
+        assert (iso is not None) == brute_force_iso(s, i, j)
+        found += bool(homs)
+        isomorphic += iso is not None
+    assert found > 100 and isomorphic > 50
+
+
+def test_homs_bind_bare_nulls_before_symbolic_cells():
+    """length(?0) can only be checked once ?0 is bound, and ?0 is bound by
+    the cell of `b` even though `a` comes first by name."""
+    s = _string_schema("A", {"a": ("A", "Int"), "b": ("A", "String")})
+    i = Instance.make({"A": ["x"]},
+                      {"a": {"x": OpApplied("length", LabelledNull("0"))},
+                       "b": {"x": LabelledNull("0")}})
+    j = Instance.make({"A": ["y"]}, {"a": {"y": 2}, "b": {"y": "pq"}})
+    homs = enumerate_homs(s, i, j)
+    assert [h.null_map for h in homs] == [(("0", "pq"),)]
 
 
 # --------------------------------------------------------------------------
@@ -361,8 +531,8 @@ def _random_idem_instance(s, type_name, op, rng):
 
 
 def test_adjunctions_hold_under_collapsing_theories():
-    """With idempotence axioms on both sides, class saturation and the chase
-    both route through the prover; the hom counts must still match."""
+    """With idempotence axioms on both sides, sigma's chase and pi's chased
+    representables both collapse terms; the hom counts must still match."""
     import random
 
     src = _idem_schema("A", "f")

@@ -89,9 +89,12 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
 
     node_cap = fuel * 1000
     saturated = False
+    totality_from = 0
     for _ in range(fuel):
         before = graph.version
-        _apply_totality(graph, s)
+        start = graph.node_count()
+        _apply_totality(graph, s, totality_from)
+        totality_from = start
         graph.apply_product_axioms()
         graph.apply_equations_enumerated(s.theory.equations)
         graph.fold_builtins()
@@ -107,10 +110,15 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
     return graph
 
 
-def _apply_totality(graph: EGraph, s: FqlSchema) -> None:
+def _apply_totality(graph: EGraph, s: FqlSchema, since: int) -> None:
     """Every operation with an entity domain must be defined on every entity
-    class, so create the application nodes that are still missing."""
-    for root in graph.class_roots():
+    class, so create the application nodes that are still missing.  A root
+    older than node `since` (where the previous pass began) already got its
+    application nodes from that pass, and their keys are still canonical,
+    so only younger roots are visited."""
+    for root in range(since, graph.node_count()):
+        if graph.find(root) != root:
+            continue
         t = graph.class_type(root)
         if isinstance(t, Base) and t.name in s.entity_types:
             for op in s.ops_from(t.name):

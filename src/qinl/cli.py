@@ -89,11 +89,25 @@ def _envelope(command: str, path: str, config: RunConfig, status: str) -> dict:
     }
 
 
+def _text_position(before: str) -> tuple[int, int]:
+    """The 1-based line and column just past `before`, with newlines
+    counted as text-mode reading translates them."""
+    lines = before.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
 def _load(path: str, config: RunConfig) -> tuple[Elaborated | None, int]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)
+        return None, ERRORS
+    except UnicodeDecodeError as exc:
+        # Text-mode reading decodes the whole file at once, so `exc.object`
+        # is the file's bytes and `exc.start` the first invalid one.
+        line, col = _text_position(exc.object[:exc.start].decode("utf-8"))
+        print(f"{path}:{line}:{col}: error: invalid UTF-8 byte "
+              f"0x{exc.object[exc.start]:02x}", file=sys.stderr)
         return None, ERRORS
     try:
         unit = parse(text)

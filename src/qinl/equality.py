@@ -140,15 +140,60 @@ class TypeMismatchError(IllTyped):
 
 NodeKey = tuple
 
+# How many union reasons a graph keeps; `Proved.trace` lists them.
+LOG_LIMIT = 30
+
+
+def _operations(e: Term) -> set[str]:
+    return {sub.op for sub in subterms(e) if isinstance(sub, App)}
+
+
+def _children(key: NodeKey) -> tuple[int, ...]:
+    tag = key[0]
+    if tag in ("p1", "p2", "app"):
+        return (key[-1],)
+    if tag == "pair":
+        return (key[1], key[2])
+    return ()
+
 
 @dataclass
 class EGraph:
+    """Hash-consed nodes over a union-find of classes, with indexes kept up
+    to date by `add_node` and `union`, so that reading a class, the roots or
+    the stale keys never sweeps the whole graph:
+
+    * `_members` maps each root to its sorted member nodes; its keys are in
+      ascending order, because new nodes get the highest id and a union
+      keeps the lower root.  A union replaces the merged list rather than
+      mutating either, so a shallow copy of the dict is a snapshot.
+    * `_roots_by_type` maps each type to its roots, in the same order.
+    * `_uses` lists, per root, the nodes with a child in the class;
+      `union` moves the absorbed root's list onto the worklist `_pending`,
+      which `rebuild` recanonicalises.
+    * `_nodes` holds each node's key; `rebuild` makes a key canonical
+      again when one of its child classes is merged away.
+    * `_projections` and `_builtin_apps` list the p1/p2 nodes and the
+      applications of operations with builtin semantics, by id; `_ops` is
+      the set of operations that some node applies.
+    * `_axioms_from` is the node count when `apply_product_axioms` last
+      began.
+    """
+
     sig: Signature
     builtin_ops: Mapping[str, Callable[[object], object]] | None = None
     _nodes: list[NodeKey] = field(default_factory=list)
     _types: list[TypeExpr] = field(default_factory=list)
     _parent: list[int] = field(default_factory=list)
     _table: dict[NodeKey, int] = field(default_factory=dict)
+    _members: dict[int, list[int]] = field(default_factory=dict)
+    _roots_by_type: dict[TypeExpr, dict[int, None]] = field(default_factory=dict)
+    _uses: list[list[int]] = field(default_factory=list)
+    _pending: list[int] = field(default_factory=list)
+    _projections: list[int] = field(default_factory=list)
+    _builtin_apps: list[int] = field(default_factory=list)
+    _ops: set[str] = field(default_factory=set)
+    _axioms_from: int = 0
     _version: int = 0
     log: list[str] = field(default_factory=list)
 
@@ -168,16 +213,23 @@ class EGraph:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
-        if self._types[rx] != self._types[ry]:
+        t = self._types[rx]
+        if t != self._types[ry]:
             raise IllTyped(
                 f"congruence would merge classes of different types "
-                f"{format_type(self._types[rx])} and {format_type(self._types[ry])}")
+                f"{format_type(t)} and {format_type(self._types[ry])}")
         # keep the lower id as root for determinism
         if ry < rx:
             rx, ry = ry, rx
         self._parent[ry] = rx
+        self._members[rx] = sorted(self._members[rx] + self._members.pop(ry))
+        del self._roots_by_type[t][ry]
+        moved = self._uses[ry]
+        self._uses[ry] = []
+        self._uses[rx].extend(moved)
+        self._pending.extend(moved)
         self._version += 1
-        if reason:
+        if reason and len(self.log) < LOG_LIMIT:
             self.log.append(reason)
         return True
 
@@ -215,10 +267,22 @@ class EGraph:
         if existing is not None:
             return existing
         node = len(self._nodes)
+        t = var_type if key[0] == "var" else self._node_type(key)
         self._nodes.append(key)
-        self._types.append(var_type if key[0] == "var" else self._node_type(key))
+        self._types.append(t)
         self._parent.append(node)
         self._table[key] = node
+        self._members[node] = [node]
+        self._roots_by_type.setdefault(t, {})[node] = None
+        self._uses.append([])
+        for child in _children(key):
+            self._uses[child].append(node)
+        if key[0] in ("p1", "p2"):
+            self._projections.append(node)
+        elif key[0] == "app":
+            self._ops.add(key[1])
+            if self.builtin_ops and key[1] in self.builtin_ops:
+                self._builtin_apps.append(node)
         self._version += 1
         return node
 
@@ -232,48 +296,60 @@ class EGraph:
     # -- views --------------------------------------------------------------
 
     def members(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for node in range(len(self._nodes)):
-            out.setdefault(self.find(node), []).append(node)
-        return out
+        """Each root's sorted member nodes.  The dict is a copy; the lists
+        are shared with the graph and must not be mutated."""
+        return dict(self._members)
 
     def class_roots(self) -> list[int]:
-        return sorted({self.find(n) for n in range(len(self._nodes))})
+        return list(self._members)
 
     def class_type(self, root: int) -> TypeExpr:
         return self._types[self.find(root)]
 
     def classes_of_type(self, t: TypeExpr) -> list[int]:
-        return [r for r in self.class_roots() if self._types[r] == t]
+        return list(self._roots_by_type.get(t, ()))
 
     # -- congruence ---------------------------------------------------------
 
     def rebuild(self) -> bool:
-        """Recanonicalize every node until no two nodes share a canonical key
-        without sharing a class."""
+        """Restore congruence closure after unions: recanonicalise the nodes
+        whose child classes were merged (the worklist), merging any two
+        that come to share a key, until no key is stale.  Afterwards the
+        table maps each node's canonical key to the lowest node holding it,
+        exactly as a sweep over the whole graph would leave it."""
         changed = False
-        while True:
-            table: dict[NodeKey, int] = {}
-            dirty = False
-            for node, key in enumerate(self._nodes):
-                ck = self._canon(key)
-                other = table.get(ck)
-                if other is None:
-                    table[ck] = node
-                elif not self.equal(other, node):
-                    self.union(other, node, "congruence")
-                    dirty = True
-            if not dirty:
-                self._table = table
-                return changed
-            changed = True
+        nodes, table = self._nodes, self._table
+        while self._pending:
+            todo, self._pending = self._pending, []
+            for node in todo:
+                old = nodes[node]
+                new = self._canon(old)
+                if new == old:
+                    continue
+                nodes[node] = new
+                # A key holding a merged-away root is stale for every node
+                # with that key, and each of those nodes is on the worklist.
+                table.pop(old, None)
+                other = table.get(new)
+                if other is None or node < other:
+                    table[new] = node
+                if other is not None and self.union(other, node, "congruence"):
+                    changed = True
+        return changed
 
     # -- axiom schemas -------------------------------------------------------
 
     def apply_product_axioms(self) -> None:
         """Unit uniqueness, surjective pairing, and the projection laws,
-        applied schematically by class type."""
+        applied schematically by class type.
+
+        Called once per round, after a rebuild: a root that was already a
+        root when the previous call began has its unit or pairing node from
+        that call, so only younger roots are visited."""
+        start, self._axioms_from = self._axioms_from, len(self._nodes)
         for root in self.class_roots():
+            if root < start:
+                continue
             t = self.class_type(root)
             if t == UNIT:
                 unit = self.add_node(("unit",))
@@ -283,10 +359,11 @@ class EGraph:
                 p2 = self.add_node(("p2", self.find(root)))
                 pr = self.add_node(("pair", self.find(p1), self.find(p2)))
                 self.union(pr, root, "surjective pairing")
+        if not self._projections:
+            return
         members = self.members()
-        for node, key in list(enumerate(self._nodes)):
-            if key[0] not in ("p1", "p2"):
-                continue
+        for node in self._projections:
+            key = self._nodes[node]
             for member in members.get(self.find(key[1]), ()):
                 mkey = self._nodes[member]
                 if mkey[0] == "pair":
@@ -295,12 +372,11 @@ class EGraph:
 
     def fold_builtins(self) -> None:
         """Compute operations with registered semantics on literal classes."""
-        if not self.builtin_ops:
+        if not self._builtin_apps:
             return
         members = self.members()
-        for node, key in list(enumerate(self._nodes)):
-            if key[0] != "app" or key[1] not in self.builtin_ops:
-                continue
+        for node in self._builtin_apps:
+            key = self._nodes[node]
             for member in members.get(self.find(key[2]), ()):
                 mkey = self._nodes[member]
                 if mkey[0] == "lit":
@@ -328,9 +404,7 @@ class EGraph:
             new[pattern.name] = root
             return [new]
         results = []
-        for node in range(len(self._nodes)):
-            if self.find(node) != root:
-                continue
+        for node in self._members[root]:
             key = self._nodes[node]
             if isinstance(pattern, UnitTerm) and key[0] == "unit":
                 results.append(binding)
@@ -388,28 +462,32 @@ class EGraph:
         """Apply each equation by matching one side against existing classes
         and adding the instantiated other side.  A side that is a bare
         variable is not used as a match anchor (its partner direction covers
-        the derivation without inventing terms)."""
+        the derivation without inventing terms).  A side applying an
+        operation that no node applies yet matches nothing, and then its
+        pass adds nothing either, so it is skipped."""
         for eq in equations:
             if isinstance(eq.lhs, Var) and isinstance(eq.rhs, Var):
                 self._apply_var_var(eq)
                 continue
+            reason = eq.render()
+            needed = eq.ctx.names()
             for pat, other in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-                if isinstance(pat, Var):
+                if isinstance(pat, Var) or not _operations(pat) <= self._ops:
                     continue
-                needed = [v for v, _ in eq.ctx]
                 for root in self.class_roots():
                     for binding in self._match(pat, root, {}, eq.ctx):
                         for full in self._complete_binding(binding, needed, eq.ctx):
                             inst = self.add_instance(other, full)
-                            self.union(inst, root, eq.render())
+                            self.union(inst, root, reason)
 
     def _apply_var_var(self, eq: Equation) -> None:
         if eq.lhs == eq.rhs:
             return
         t = eq.ctx.lookup(eq.lhs.name)  # sides are same-typed when well-formed
         roots = self.classes_of_type(t)
+        reason = eq.render()
         for other in roots[1:]:
-            self.union(roots[0], other, eq.render())
+            self.union(roots[0], other, reason)
 
     def apply_equations_enumerated(self, equations: Iterable[Equation]) -> None:
         """Instantiate each equation at every tuple of existing classes whose
@@ -423,10 +501,11 @@ class EGraph:
                 bindings = [dict(b, **{var: c}) for b in bindings for c in candidates]
                 if not bindings:
                     break
+            reason = eq.render()
             for binding in bindings:
                 left = self.add_instance(eq.lhs, binding)
                 right = self.add_instance(eq.rhs, binding)
-                self.union(left, right, eq.render())
+                self.union(left, right, reason)
 
     # -- extraction ----------------------------------------------------------
 
@@ -526,6 +605,6 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
         summary = (
             f"proved {format_term(a)} = {format_term(b)} "
             f"in {rounds} round(s) over {graph.node_count()} node(s)",
-        ) + tuple(graph.log[:30])
+        ) + tuple(graph.log)
         return Proved(summary)
     return Unknown(rounds, fuel, node_cap)

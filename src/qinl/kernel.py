@@ -4,7 +4,7 @@ types, unary operations, contexts, and syntax-directed type inference."""
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 
 class EngineError(Exception):
@@ -214,6 +214,12 @@ class Context:
     binding of a name, so shadowing is permitted."""
 
     bindings: tuple[tuple[str, TypeExpr], ...] = ()
+    _types: dict[str, TypeExpr] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Later pairs overwrite earlier ones, so the rightmost binding wins.
+        self._types.update(self.bindings)
 
     @classmethod
     def of(cls, *pairs: tuple[str, TypeExpr]) -> Context:
@@ -223,10 +229,7 @@ class Context:
         return Context(self.bindings + ((name, t),))
 
     def lookup(self, name: str) -> TypeExpr | None:
-        for var, t in reversed(self.bindings):
-            if var == name:
-                return t
-        return None
+        return self._types.get(name)
 
     def names(self) -> tuple[str, ...]:
         return tuple(var for var, _ in self.bindings)

@@ -443,3 +443,45 @@ def _unify(vi, vj, binding, bijective) -> bool:
         return (isinstance(vj, OpApplied) and vi.op == vj.op
                 and _unify(vi.arg, vj.arg, binding, bijective))
     return type(vi) is type(vj) and vi == vj
+
+
+# --------------------------------------------------------------------------
+# E-graph indexes recomputed from the union-find alone.
+
+def _canonical_key(key: tuple, find) -> tuple:
+    tag = key[0]
+    if tag in ("p1", "p2", "app"):
+        return (*key[:-1], find(key[-1]))
+    if tag == "pair":
+        return ("pair", find(key[1]), find(key[2]))
+    return key
+
+
+def egraph_indexes(graph) -> dict:
+    """What the indexes of a rebuilt e-graph must hold, recomputed by a
+    sweep over every node with full canonicalisation through `find`: each
+    root's sorted members, the roots in ascending order, the roots of each
+    type, and the hash-cons table (each canonical key mapped to the lowest
+    node holding it)."""
+    members: dict[int, list[int]] = {}
+    for node in range(graph.node_count()):
+        members.setdefault(graph.find(node), []).append(node)
+    roots = sorted(members)
+    by_type: dict[TypeExpr, list[int]] = {}
+    for root in roots:
+        by_type.setdefault(graph.class_type(root), []).append(root)
+    table: dict[tuple, int] = {}
+    for node in range(graph.node_count()):
+        table.setdefault(_canonical_key(graph._nodes[node], graph.find), node)
+    return {"members": members, "roots": roots, "by_type": by_type,
+            "table": table}
+
+
+def check_egraph_indexes(graph) -> None:
+    """Assert that the graph's maintained indexes equal `egraph_indexes`."""
+    want = egraph_indexes(graph)
+    assert graph.members() == want["members"]
+    assert graph.class_roots() == want["roots"]
+    for t in set(graph._types):
+        assert graph.classes_of_type(t) == want["by_type"].get(t, [])
+    assert graph._table == want["table"]

@@ -75,6 +75,16 @@ def test_each_round_grows_the_unconstrained_chain():
     assert sizes[0] < sizes[1] < sizes[2]
 
 
+def test_unconstrained_next_chain_message_at_fuel_24():
+    """The message (and so the partial model size) the unindexed chase
+    gave: one fresh element per round."""
+    s = entity_schema({"P"}, {"next": ("P", "P")})
+    with pytest.raises(FuelExhausted) as exc:
+        initial_model(s, {"p": "P"}, [], fuel=24)
+    assert str(exc.value) == (
+        "chase did not saturate within fuel (partial model size 25)")
+
+
 def test_ground_attribute_values_are_used():
     s = company_schema()
     model = initial_model(

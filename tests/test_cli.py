@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qinl.cli import main
 from qinl.surface import parse, elaborate
 
@@ -47,6 +49,31 @@ def test_check_malformed_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "bad.qinl:1:" in err
+
+
+@pytest.mark.parametrize("command, args", [
+    ("check", ()),
+    ("eval", ()),
+    ("query", ("q", "i")),
+    ("migrate", ("delta", "m", "i", "--out", "out.qinl")),
+    ("homs", ("i", "j")),
+])
+def test_non_utf8_file_exits_2_at_the_first_invalid_byte(capsys, tmp_path,
+                                                         command, args):
+    bad = tmp_path / "bad.qinl"
+    bad.write_bytes(b"schema s = {\xff}\n")
+    code, out, err = run(capsys, command, str(bad), *args)
+    assert code == 2
+    assert err == f"{bad}:1:13: error: invalid UTF-8 byte 0xff\n"
+    assert out == ""
+
+
+def test_non_utf8_position_counts_characters_and_text_newlines(capsys, tmp_path):
+    bad = tmp_path / "bad.qinl"
+    bad.write_bytes("-- café\r\nab".encode("utf-8") + b" \xe9x\n")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err == f"{bad}:2:4: error: invalid UTF-8 byte 0xe9\n"
 
 
 def test_check_missing_file_exits_2(capsys):
@@ -136,6 +163,48 @@ def test_migrate_sigma_identity_isomorphic(capsys, tmp_path):
     assert instance_equal_upto_iso(
         elab.schemas["org"], elab.instances["orgData_sigma"],
         elab.instances["orgData"]) is not None
+
+
+# Bytes printed by the unindexed e-graph: the chase behind sigma and pi must
+# keep producing them.
+MIGRATE_GOLDEN = {
+    ("sigma", "toPeople", "orgData"): (
+        "orgData_sigma : people", 5,
+        "instance orgData_sigma : people = {\n"
+        "  Person = { e1, e2, e3 };\n"
+        "  Unit = { d1, d2 };\n"
+        '  uname = { d1 -> "sales", d2 -> "ops" };\n'
+        "  unitOf = { e1 -> d1, e2 -> d1, e3 -> d2 };\n"
+        "}\n"),
+    ("pi", "toPeople", "orgData"): (
+        "orgData_pi : people", 5,
+        "instance orgData_pi : people = {\n"
+        '  Person = { "(x.unitOf:Dept=d1, x:Emp=e1)", '
+        '"(x.unitOf:Dept=d1, x:Emp=e2)", "(x.unitOf:Dept=d2, x:Emp=e3)" };\n'
+        '  Unit = { "(x:Dept=d1)", "(x:Dept=d2)" };\n'
+        '  uname = { "(x:Dept=d1)" -> "sales", "(x:Dept=d2)" -> "ops" };\n'
+        '  unitOf = { "(x.unitOf:Dept=d1, x:Emp=e1)" -> "(x:Dept=d1)", '
+        '"(x.unitOf:Dept=d1, x:Emp=e2)" -> "(x:Dept=d1)", '
+        '"(x.unitOf:Dept=d2, x:Emp=e3)" -> "(x:Dept=d2)" };\n'
+        "}\n"),
+    ("pi", "collapse", "ab"): (
+        "ab_pi : blob", 6,
+        "instance ab_pi : blob = {\n"
+        '  Node = { "(x:A=a1, x:B=b1)", "(x:A=a1, x:B=b2)", "(x:A=a1, x:B=b3)", '
+        '"(x:A=a2, x:B=b1)", "(x:A=a2, x:B=b2)", "(x:A=a2, x:B=b3)" };\n'
+        "}\n"),
+}
+
+
+@pytest.mark.parametrize("direction, mapping, instance", sorted(MIGRATE_GOLDEN))
+def test_migrate_sigma_and_pi_print_golden_bytes(capsys, tmp_path, direction,
+                                                 mapping, instance):
+    name, rows, text = MIGRATE_GOLDEN[direction, mapping, instance]
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", MIGRATION, direction, mapping,
+                               instance, "--out", str(out))
+    assert (code, stdout, stderr) == (0, f"wrote {name} to {out} ({rows} rows)\n", "")
+    assert out.read_text() == text
 
 
 def test_migrate_nonsaturating_pi_exits_1(capsys, tmp_path):

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from qinl.chase import FuelExhausted, saturate
 from qinl.equality import (
+    EGraph,
     Equation,
     IllTyped,
     Proved,
@@ -18,6 +20,7 @@ from qinl.kernel import (
     App,
     Base,
     Context,
+    Lit,
     Pair,
     Prod,
     Proj1,
@@ -26,10 +29,17 @@ from qinl.kernel import (
     UNIT,
     UNIT_TERM,
     Var,
+    format_term,
 )
+from qinl.schema import FqlSchema
 
 from conftest import company_schema
-from oracles import find_countermodel, rewrite_reachable, true_in_all_models
+from oracles import (
+    check_egraph_indexes,
+    find_countermodel,
+    rewrite_reachable,
+    true_in_all_models,
+)
 
 
 @pytest.fixture
@@ -277,3 +287,95 @@ def test_fuel_monotonicity_on_random_theories():
                 upgraded += 1
                 break
     assert upgraded >= 15
+
+
+def test_indexes_match_a_full_sweep_after_every_round(monkeypatch):
+    """After every round of the prover and of the chase, the class index,
+    the root lists and the hash-cons table equal what a sweep over the
+    union-find recomputes: on the random theories of the fuel test, and on
+    goals that exercise the product, unit and builtin axioms."""
+    rebuild = EGraph.rebuild
+    rounds = []
+
+    def checked(graph):
+        changed = rebuild(graph)
+        check_egraph_indexes(graph)
+        rounds.append(graph.node_count())
+        return changed
+
+    monkeypatch.setattr(EGraph, "rebuild", checked)
+    rng = random.Random(41)
+    for _ in range(80):
+        th = _random_theory(rng)
+        t = rng.choice(sorted(th.sig.base_types))
+        a = _random_chain(rng, th.sig, t, rng.randint(0, 3))
+        b = _random_chain(rng, th.sig, t, rng.randint(0, 3))
+        if a is None or b is None or a[1] != b[1]:
+            continue
+        decide_equal(th, Context.of(("v", Base(t))), a[0], b[0], 6)
+        schema = FqlSchema(th, frozenset(th.sig.base_types), frozenset())
+        try:
+            saturate(schema, {"g": t, "h": t}, [(Var("g"), Var("h"))], 6)
+        except FuelExhausted:
+            pass
+    sig = Signature.of({"T1", "T2"}, {})
+    pairs = Context.of(("e", Prod(Base("T1"), Base("T2"))),
+                       ("x1", Base("T1")), ("x2", Base("T2")), ("u", UNIT))
+    for a, b in ((Var("e"), Pair(Proj1(Var("e")), Proj2(Var("e")))),
+                 (Proj2(Pair(Var("x1"), Var("x2"))), Var("x2")),
+                 (Var("u"), UNIT_TERM)):
+        decide_equal(Theory.of(sig), pairs, a, b, 4)
+    company = company_schema()
+    builtins = {name: company.builtins.ops[name]
+                for name in company.builtin_op_names()}
+    word = Lit("String", "abc")
+    decide_equal(company.theory, Context(),
+                 App("length", rev(rev(word))), Lit("Int", 3), 8, builtins)
+    assert len(rounds) > 300
+
+
+# --------------------------------------------------------------------------
+# Golden verdicts: the exact answers the prover gave before its e-graph kept
+# indexes.  Indexing must not change a round count, a node count or a reason.
+
+WORKS_IN = "forall x: Emp . worksIn(x) = worksIn(manager(x))"
+
+
+def _managers(k: int, t):
+    for _ in range(k):
+        t = App("manager", t)
+    return t
+
+
+@pytest.mark.parametrize("fuel", (32, 64))
+@pytest.mark.parametrize("k, rounds, nodes, reasons", [
+    (6, 3, 20, 9), (16, 8, 50, 24), (25, 13, 78, 30), (33, 17, 102, 30),
+    (64, 32, 194, 30)])
+def test_deep_manager_proofs_keep_their_traces(company_theory, fuel, k,
+                                               rounds, nodes, reasons):
+    a = App("worksIn", _managers(k, Var("x")))
+    b = App("worksIn", Var("x"))
+    verdict = decide_equal(company_theory, Context.of(("x", Base("Emp"))),
+                           a, b, fuel)
+    summary = (f"proved {format_term(a)} = {format_term(b)} "
+               f"in {rounds} round(s) over {nodes} node(s)")
+    assert verdict == Proved((summary,) + (WORKS_IN,) * reasons)
+
+
+# The false claims of the benchmark's generated `check` files:
+#   forall x: Emp . manager(x) = x;
+#   forall x: Emp . manager(manager(x)) = manager(x);
+#   forall x: Emp . ename(manager(x)) = ename(x);
+FALSE_CLAIMS = [
+    (_managers(1, Var("x")), Var("x")),
+    (_managers(2, Var("x")), _managers(1, Var("x"))),
+    (App("ename", _managers(1, Var("x"))), App("ename", Var("x"))),
+]
+
+
+@pytest.mark.parametrize("fuel", (32, 64))
+@pytest.mark.parametrize("lhs, rhs", FALSE_CLAIMS)
+def test_false_claims_keep_their_unknown_verdicts(company_theory, fuel, lhs, rhs):
+    verdict = decide_equal(company_theory, Context.of(("x", Base("Emp"))),
+                           lhs, rhs, fuel)
+    assert verdict == Unknown(1, fuel, fuel * 1000, saturated=True)

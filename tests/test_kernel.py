@@ -83,6 +83,15 @@ def test_shadowing_resolves_rightmost(sig):
     assert infer_type(sig, ctx, Var("x")) == Base("String")
 
 
+def test_context_lookup_takes_the_rightmost_binding():
+    ctx = Context.of(("x", Base("Emp")), ("x", Base("String")))
+    assert ctx.lookup("x") == Base("String")
+    assert ctx.extend("x", Base("Dept")).lookup("x") == Base("Dept")
+    assert ctx.extend("y", Base("Dept")).lookup("x") == Base("String")
+    assert ctx.lookup("y") is None
+    assert ctx == Context(ctx.bindings) and hash(ctx) == hash(Context(ctx.bindings))
+
+
 def test_empty_context_is_valid(sig):
     check_context(sig, Context())
 

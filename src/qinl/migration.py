@@ -160,11 +160,14 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
 
     Target operations act by precomposition: a row's image under f : t -> u
     reads each row of u's representable at its image under the homomorphism
-    of representables that sends x to f(x).  A target attribute whose
-    class in t's representable holds a constant takes that constant; source
-    attribute terms whose images land in that class must agree with it and
-    with each other, or the homomorphism is dropped.  An attribute that no
-    source value determines becomes a fresh null.
+    of representables that sends x to f(x).  Every attribute cell of t's
+    representable, at x or at any row reached from it, is checked: if its
+    class holds a constant, source attribute terms whose images land in that
+    class must agree with it, and they must agree with each other, or the
+    homomorphism is dropped.  So a row is kept only if its images under
+    target operations are kept too.  A target attribute of x whose class
+    holds a constant takes that constant; one that no source value
+    determines becomes a fresh null.
     """
     require_verified(mapping, fuel, allow_unverified)
     tgt = mapping.target
@@ -224,25 +227,33 @@ class _Limit:
         pulled = delta(mapping, rep, allow_unverified=True)
         slots = [(s, row) for s in sorted(src.entity_types)
                  for row in pulled.rows(s)]
-        attributes = [op for op in tgt.ops_from(t)
-                      if tgt.classify_op(op) == "attribute"]
-        decomps = {op: _attribute_decompositions(mapping, graph, roots, slots, op)
-                   for op in attributes}
-        constants = {op: [rep.functions[op]["x"]] for op in attributes
-                     if not isinstance(rep.functions[op]["x"], LabelledNull)}
+        cells_of_rep = [(row, op) for u in sorted(tgt.entity_types)
+                        for op in tgt.ops_from(u)
+                        if tgt.classify_op(op) == "attribute"
+                        for row in rep.rows(u)]
+        decomps = _attribute_decompositions(mapping, graph, roots, slots,
+                                            cells_of_rep)
+        constants = {(row, op): [rep.functions[op][row]]
+                     for row, op in cells_of_rep
+                     if not isinstance(rep.functions[op][row], LabelledNull)}
+        # A cell away from x with one determining value cannot disagree.
+        checked = [(row, op) for row, op in cells_of_rep
+                   if row == "x" or len(constants.get((row, op), []))
+                   + len(decomps[row, op]) > 1]
 
         names: dict[tuple[str, ...], str] = {}
         values: dict[str, dict[str, Cell | None]] = {}
         for maps, _ in search_homs(src, pulled, i):
             key = tuple(maps[s][row] for s, row in slots)
             cells: dict[str, Cell | None] = {}
-            for op in attributes:
-                determined = constants.get(op, []) + [
+            for row, op in checked:
+                determined = constants.get((row, op), []) + [
                     eval_term(src, i, {"y": key[pos]}, term)
-                    for pos, term in decomps[op]]
+                    for pos, term in decomps[row, op]]
                 if any(v != determined[0] for v in determined):
                     break
-                cells[op] = determined[0] if determined else None
+                if row == "x":
+                    cells[op] = determined[0] if determined else None
             else:
                 name = "(" + ", ".join(
                     f"{row}:{s}={image}"
@@ -254,34 +265,39 @@ class _Limit:
 
 def _attribute_decompositions(mapping: SchemaMapping, graph: EGraph,
                               roots: dict[str, int],
-                              slots: list[tuple[str, str]], op: str,
-                              max_depth: int = 4) -> list[tuple[int, Term]]:
-    """Ways to express a target attribute operation as the image of a source
-    attribute term at a slot: the terms whose image, at the slot's row of
-    the representable, lies in the class of op(x) in the representable's
+                              slots: list[tuple[str, str]],
+                              cells: list[tuple[str, str]], max_depth: int = 4,
+                              ) -> dict[tuple[str, str], list[tuple[int, Term]]]:
+    """Ways to express each attribute cell op(row) of the representable as
+    the image of a source attribute term at a slot: the terms whose image,
+    at the slot's row, lies in the class of op(row) in the representable's
     saturated e-graph.  Every decomposition found is kept: distinct source
     terms with one target image must agree on a homomorphism, or the
     homomorphism is excluded."""
-    src = mapping.source
-    attr_type = mapping.target.sig.op_type(op)[1]
-    assert isinstance(attr_type, Base)
-    goal = graph.find(graph.add_instance(App(op, Var("x")), roots))
+    src, tgt = mapping.source, mapping.target
+    types = sorted({tgt.sig.op_type(op)[1].name for _, op in cells})
     images = {
         s: [(term, apply_to_term(mapping, Context.of(("y", Base(s))), term))
-            for term in _terms_to_type(src, s, attr_type.name, max_depth)]
+            for goal in types for term in _terms_to_type(src, s, goal, max_depth)]
         for s in sorted(src.entity_types)}
-    out = []
+    by_class: dict[int, list[tuple[int, Term]]] = {}
     for pos, (s, row) in enumerate(slots):
         for term, image in images[s]:
-            if graph.find(graph.add_instance(image, {"y": roots[row]})) == goal:
-                out.append((pos, term))
-    return out
+            root = graph.find(graph.add_instance(image, {"y": roots[row]}))
+            by_class.setdefault(root, []).append((pos, term))
+    return {(row, op): by_class.get(graph.find(graph.add_instance(
+                App(op, Var("y")), {"y": roots[row]})), [])
+            for row, op in cells}
 
 
 def _terms_to_type(s: FqlSchema, start: str, goal: str,
                    max_depth: int) -> list[Term]:
     """Operation chains from a source entity type to a given base type, in
-    the variable 'y', up to a small depth bound."""
+    the variable 'y', up to a small depth bound: an attribute, then builtin
+    operations.  Chains through foreign keys are left out, as homomorphisms
+    commute with foreign keys: such a chain's value at a slot is that of its
+    attribute suffix at the slot the keys lead to, a decomposition of the
+    same class."""
     level: list[tuple[Term, str]] = [(Var("y"), start)]
     found = []
     for _ in range(max_depth):
@@ -289,9 +305,9 @@ def _terms_to_type(s: FqlSchema, start: str, goal: str,
         for term, t in level:
             for op in sorted(s.sig.operations):
                 dom, cod = s.sig.op_type(op)
-                if dom != Base(t):
-                    continue
                 assert isinstance(cod, Base)
+                if dom != Base(t) or cod.name in s.entity_types:
+                    continue
                 chained = App(op, term)
                 if cod.name == goal:
                     found.append(chained)

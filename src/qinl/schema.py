@@ -115,17 +115,15 @@ def cell_key(v: Cell) -> tuple:
 @dataclass(frozen=True)
 class BuiltinRegistry:
     """Carriers and total semantics for attribute types and their
-    operations; also the source of pseudo-random sample values."""
+    operations; also each carrier's finite sample space, canonically
+    ordered, from which satisfaction checks draw values."""
 
     carriers: Mapping[str, type]
     ops: Mapping[str, Callable[[object], object]]
-    samplers: Mapping[str, Callable[[random.Random], object]]
+    sample_spaces: Mapping[str, tuple]
 
     def has_carrier(self, base: str) -> bool:
         return base in self.carriers
-
-    def sample(self, base: str, rng: random.Random) -> object:
-        return self.samplers[base](rng)
 
     def apply(self, op: str, value: Cell) -> Cell:
         if op not in self.ops:
@@ -135,24 +133,16 @@ class BuiltinRegistry:
         return self.ops[op](value)
 
 
-def _sample_string(rng: random.Random) -> str:
-    return "".join(rng.choice("ab") for _ in range(rng.randrange(0, 6)))
-
-
-def _sample_int(rng: random.Random) -> int:
-    return rng.randrange(-50, 51)
-
-
-def _sample_bool(rng: random.Random) -> bool:
-    return rng.random() < 0.5
+_STRINGS = tuple("".join(p) for n in range(6)
+                 for p in itertools.product("ab", repeat=n))
 
 
 def default_builtins() -> BuiltinRegistry:
     return BuiltinRegistry(
         carriers={"String": str, "Int": int, "Bool": bool},
         ops={"length": len, "reverse": lambda s: s[::-1]},
-        samplers={"String": _sample_string, "Int": _sample_int,
-                  "Bool": _sample_bool},
+        sample_spaces={"String": _STRINGS, "Int": tuple(range(-50, 51)),
+                       "Bool": (False, True)},
     )
 
 
@@ -412,18 +402,27 @@ def check_instance(s: FqlSchema, i: Instance, *,
     Entity-typed context variables are enumerated exhaustively over the
     carriers.  Attribute-typed variables range over the instance's active
     domain plus a seeded pseudo-random sample, and such equations report
-    `sampled-only` rather than `satisfied`.
+    `sampled-only` rather than `satisfied`.  Each attribute type's domain is
+    drawn once and shared by every variable of that type.
     """
     problems = validate_instance(s, i)
     if problems:
         raise InvalidInstance(problems)
     rng = random.Random(seed)
+    attribute_domains: dict[str, list[Cell]] = {}
+
+    def attribute_domain(base: str) -> list[Cell]:
+        if base not in attribute_domains:
+            attribute_domains[base] = _attribute_domain(
+                s, i, base, rng, sample_size)
+        return attribute_domains[base]
+
     checks = []
     for eq in s.theory.equations:
         domains = []
         sampled = False
         for _, t in eq.ctx:
-            values, was_sampled = _type_domain(s, i, t, rng, sample_size)
+            values, was_sampled = _type_domain(s, i, t, attribute_domain)
             sampled = sampled or was_sampled
             domains.append(values)
         witness = None
@@ -444,23 +443,25 @@ def check_instance(s: FqlSchema, i: Instance, *,
 
 
 def _type_domain(s: FqlSchema, i: Instance, t: TypeExpr,
-                 rng: random.Random, sample_size: int) -> tuple[list[Cell], bool]:
+                 attribute_domain: Callable[[str], list[Cell]],
+                 ) -> tuple[list[Cell], bool]:
     if t == UNIT:
         return [UNIT_CELL], False
     if isinstance(t, Prod):
-        left, ls = _type_domain(s, i, t.left, rng, sample_size)
-        right, rs = _type_domain(s, i, t.right, rng, sample_size)
+        left, ls = _type_domain(s, i, t.left, attribute_domain)
+        right, rs = _type_domain(s, i, t.right, attribute_domain)
         return [(a, b) for a in left for b in right], ls or rs
     assert isinstance(t, Base)
     if t.name in s.entity_types:
         return list(i.rows(t.name)), False
-    return _attribute_domain(s, i, t.name, rng, sample_size), True
+    return attribute_domain(t.name), True
 
 
 def _attribute_domain(s: FqlSchema, i: Instance, base: str,
                       rng: random.Random, sample_size: int) -> list[Cell]:
-    """Active-domain constants of an attribute type plus sampled carrier
-    values.  Labelled nulls denote unknown-but-fixed values and are not
+    """Active-domain constants of an attribute type, in `cell_key` order,
+    then up to `sample_size` other values of its sample space, drawn without
+    replacement.  Labelled nulls denote unknown-but-fixed values and are not
     quantified over."""
     active: dict[tuple, Cell] = {}
 
@@ -478,17 +479,10 @@ def _attribute_domain(s: FqlSchema, i: Instance, base: str,
             for sub in subterms(side):
                 if isinstance(sub, Lit) and sub.base == base:
                     put(sub.value)
-    values = [active[k] for k in sorted(active)]
-    seen = set(active)
-    attempts = 0
-    while len(values) < len(active) + sample_size and attempts < sample_size * 4:
-        attempts += 1
-        v = s.builtins.sample(base, rng)
-        k = cell_key(v)
-        if k not in seen:
-            seen.add(k)
-            values.append(v)
-    return values
+    fresh = [v for v in s.builtins.sample_spaces[base]
+             if cell_key(v) not in active]
+    return ([active[k] for k in sorted(active)]
+            + rng.sample(fresh, min(sample_size, len(fresh))))
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Files use the `.qinl` extension; comments run from `--` to end of line.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .chase import FuelExhausted
@@ -74,6 +75,13 @@ _IDENT_CHARS = _IDENT_START | set("0123456789_")
 _PUNCT2 = ("->", "=>")
 _PUNCT1 = set("{}()[],;:.*=")
 
+# The deepest nesting of terms, expressions and types the parser accepts.
+# Every recursive walker over parsed trees (printing, substitution,
+# evaluation, type inference, the e-graph) takes a few stack frames per
+# level, and a parenthesised expression takes four in the parser itself, so
+# this keeps all of them well inside Python's default recursion limit.
+MAX_NESTING = 100
+
 
 class ParseError(EngineError):
     def __init__(self, message: str, line: int, col: int,
@@ -128,10 +136,10 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(kind, word, word, start_line, start_col))
             advance(end - pos)
             continue
-        if c.isdigit() or (c == "-" and pos + 1 < n and source[pos + 1].isdigit()
+        if c.isdecimal() or (c == "-" and pos + 1 < n and source[pos + 1].isdecimal()
                            and not source.startswith("->", pos)):
             end = pos + 1
-            while end < n and source[end].isdigit():
+            while end < n and source[end].isdecimal():
                 end += 1
             text = source[pos:end]
             tokens.append(Token("int", text, int(text), start_line, start_col))
@@ -328,6 +336,12 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # `depth` is the level of the node being parsed, `base` that of the
+        # construct being parsed, and `peak` the deepest level the construct
+        # has reached: a binary node built around it (a union, an equality
+        # test, a projection, the pair of an application's arguments) pushes
+        # all of it one level down.
+        self.depth = self.base = self.peak = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -374,6 +388,36 @@ class _Parser:
             raise self.fail("unexpected token", f"'{word}'")
         return self.next()
 
+    def begin(self, down: int) -> tuple[int, int, int]:
+        """Start a construct `down` levels below the current node; `end`
+        takes what this returns."""
+        saved = (self.depth, self.base, self.peak)
+        self.depth += down
+        self.base = self.peak = self.depth
+        self._check_nesting(self.depth)
+        return saved
+
+    def wrap(self) -> None:
+        """Put what the construct has parsed so far under a new binary node
+        at its level; the node's other operand, if any, sits just below."""
+        self.peak += 1
+        self.depth = self.base + 1
+        self._check_nesting(self.peak)
+
+    def down(self) -> None:
+        """Parse the next item of a right-nested sequence one level down."""
+        self.depth += 1
+        self.peak = max(self.peak, self.depth)
+        self._check_nesting(self.depth)
+
+    def end(self, saved: tuple[int, int, int]) -> None:
+        depth, base, peak = saved
+        self.depth, self.base, self.peak = depth, base, max(peak, self.peak)
+
+    def _check_nesting(self, level: int) -> None:
+        if level > MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
+
     def expect_ident(self, what: str = "an identifier") -> Token:
         tok = self.peek()
         if tok.kind != "ident":
@@ -408,9 +452,14 @@ class _Parser:
     # -- types ----------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
+        saved = self.begin(1)
         factors = [self.type_atom()]
         while self.accept_punct("*"):
+            if len(factors) == 1:
+                self.wrap()
+            self.down()
             factors.append(self.type_atom())
+        self.end(saved)
         result = factors[-1]
         for factor in reversed(factors[:-1]):
             result = Prod(factor, result)
@@ -424,7 +473,10 @@ class _Parser:
         if self.accept_keyword("Bool"):
             return BOOL
         if self.accept_keyword("Set"):
-            return SetT(self.type_atom())
+            saved = self.begin(1)
+            t = SetT(self.type_atom())
+            self.end(saved)
+            return t
         if tok.kind == "ident":
             self.next()
             return Base(tok.text)
@@ -437,10 +489,29 @@ class _Parser:
     # -- core terms -------------------------------------------------------------
 
     def term(self) -> Term:
+        saved = self.begin(1)
         t = self.term_atom()
         while self.at_punct("."):
+            self.wrap()
             t = self._projection(t)
+        self.end(saved)
         return t
+
+    def _pairs(self, item: Callable[[], Term], wrap_first: bool = False) -> Term:
+        """Comma-separated items up to ')', nested to the right in pairs.
+        With `wrap_first` the pairs sit one level below the node being
+        parsed (an application's arguments), so a comma moves the first item
+        under them."""
+        saved = self.begin(0)
+        parts = [item()]
+        while self.accept_punct(","):
+            if wrap_first and len(parts) == 1:
+                self.wrap()
+            self.down()
+            parts.append(item())
+        self.expect_punct(")")
+        self.end(saved)
+        return _nest_pairs(parts)
 
     def _projection(self, t: Term) -> Term:
         self.expect_punct(".")
@@ -455,11 +526,7 @@ class _Parser:
         if self.accept_punct("("):
             if self.accept_punct(")"):
                 return UNIT_TERM
-            parts = [self.term()]
-            while self.accept_punct(","):
-                parts.append(self.term())
-            self.expect_punct(")")
-            return _nest_pairs(parts)
+            return self._pairs(self.term)
         if tok.kind == "string":
             self.next()
             return Lit("String", tok.value)
@@ -475,32 +542,37 @@ class _Parser:
             if self.accept_punct("("):
                 if self.accept_punct(")"):
                     return App(tok.text, UNIT_TERM)
-                parts = [self.term()]
-                while self.accept_punct(","):
-                    parts.append(self.term())
-                self.expect_punct(")")
-                return App(tok.text, _nest_pairs(parts))
+                return App(tok.text, self._pairs(self.term, wrap_first=True))
             return Var(tok.text)
         raise self.fail("expected a term")
 
     # -- set-calculus expressions -------------------------------------------------
 
     def nrc_expr(self) -> Term:
-        left = self.nrc_union()
+        saved = self.begin(1)
+        e = self.nrc_union()
         if self.accept_punct("="):
-            return EqTest(left, self.nrc_union())
-        return left
+            self.wrap()
+            e = EqTest(e, self.nrc_union())
+        self.end(saved)
+        return e
 
     def nrc_union(self) -> Term:
+        saved = self.begin(0)
         e = self.nrc_postfix()
         while self.accept_keyword("union"):
+            self.wrap()
             e = Union(e, self.nrc_postfix())
+        self.end(saved)
         return e
 
     def nrc_postfix(self) -> Term:
+        saved = self.begin(0)
         e = self.nrc_atom()
         while self.at_punct("."):
+            self.wrap()
             e = self._projection(e)
+        self.end(saved)
         return e
 
     def nrc_atom(self) -> Term:
@@ -508,11 +580,7 @@ class _Parser:
         if self.accept_punct("("):
             if self.accept_punct(")"):
                 return UNIT_TERM
-            parts = [self.nrc_expr()]
-            while self.accept_punct(","):
-                parts.append(self.nrc_expr())
-            self.expect_punct(")")
-            return _nest_pairs(parts)
+            return self._pairs(self.nrc_expr)
         if self.accept_punct("{"):
             e = self.nrc_expr()
             self.expect_punct("}")
@@ -549,11 +617,7 @@ class _Parser:
             if self.accept_punct("("):
                 if self.accept_punct(")"):
                     return App(tok.text, UNIT_TERM)
-                parts = [self.nrc_expr()]
-                while self.accept_punct(","):
-                    parts.append(self.nrc_expr())
-                self.expect_punct(")")
-                return App(tok.text, _nest_pairs(parts))
+                return App(tok.text, self._pairs(self.nrc_expr, wrap_first=True))
             return Var(tok.text)
         raise self.fail("expected an expression")
 

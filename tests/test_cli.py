@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qinl.cli import main
-from qinl.surface import parse, elaborate
+from qinl.surface import MAX_NESTING, parse, elaborate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COMPANY = str(FIXTURES / "company.qinl")
@@ -66,6 +66,60 @@ def test_non_utf8_file_exits_2_at_the_first_invalid_byte(capsys, tmp_path,
     assert code == 2
     assert err == f"{bad}:1:13: error: invalid UTF-8 byte 0xff\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("command, args", [
+    ("check", ()),
+    ("eval", ()),
+    ("query", ("q", "i")),
+    ("migrate", ("delta", "m", "i", "--out", "out.qinl")),
+    ("homs", ("i", "j")),
+])
+@pytest.mark.parametrize("text, col, char", [
+    ("\u00b2", 10, "\u00b2"), ("1\u00b2", 11, "\u00b2"), ("-\u00b2", 10, "-")])
+def test_non_decimal_digit_exits_2_at_its_position(capsys, tmp_path, command,
+                                                   args, text, col, char):
+    """Superscripts are digits to str.isdigit but not decimal: they are
+    unexpected characters, not integer literals."""
+    bad = tmp_path / "bad.qinl"
+    bad.write_text(f"schema s = {{ entities A; }}\nexpr e = {text};\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, command, str(bad), *args)
+    assert code == 2
+    assert err == f"{bad}:2:{col}: error: 2:{col}: unexpected character {char!r}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1, 3000])
+def test_nesting_past_the_limit_exits_2_at_the_first_token_past_it(
+        capsys, tmp_path, levels):
+    """f(f(...f(x)...)) with `levels` nodes: at the limit it is checked; past
+    it, the diagnostic points at the first token past the limit, the node at
+    level MAX_NESTING + 1 (an 'f', or the 'x' just past the limit)."""
+    body = "x"
+    for _ in range(levels - 1):
+        body = f"f({body})"
+    deep = tmp_path / "deep.qinl"
+    deep.write_text(
+        "schema s = {\n  entities A;\n  operations f : A -> A;\n  equations\n"
+        f"    forall x: A . {body} = x;\n}}\n"
+        "instance i : s = { A = { a }; f = { a -> a }; }\n")
+    code, out, err = run(capsys, "check", str(deep))
+    if levels <= MAX_NESTING:
+        assert (code, err) == (0, "")
+        return
+    col = 19 + 2 * MAX_NESTING
+    found = "x" if levels == MAX_NESTING + 1 else "f"
+    assert code == 2
+    assert err == (f"{deep}:5:{col}: error: 5:{col}: nesting deeper than "
+                   f"{MAX_NESTING} levels, found {found!r}\n")
+    assert out == ""
+
+
+def test_decimal_digits_of_other_scripts_lex_as_integers(capsys, tmp_path):
+    arabic = tmp_path / "arabic.qinl"
+    arabic.write_text("expr e = \u0663\u0660;\n", encoding="utf-8")
+    assert run(capsys, "eval", str(arabic)) == (0, "e = 30\n", "")
 
 
 def test_non_utf8_position_counts_characters_and_text_newlines(capsys, tmp_path):

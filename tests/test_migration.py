@@ -219,14 +219,14 @@ def test_pi_determined_attributes():
     assert instance_equal_upto_iso(src, projected, i) is not None
 
 
-def _string_schema(entity: str, ops: dict[str, tuple[str, str]],
+def _string_schema(entities: set[str], ops: dict[str, tuple[str, str]],
                    equations=()) -> FqlSchema:
-    """One entity type plus String and Int, with `length` as a builtin."""
+    """Entity types plus String and Int, with `length` as a builtin."""
     sig = Signature.of(
-        {entity, "String", "Int"},
+        {*entities, "String", "Int"},
         {"length": (Base("String"), Base("Int")),
          **{name: (Base(dom), Base(cod)) for name, (dom, cod) in ops.items()}})
-    return FqlSchema(Theory.of(sig, equations), frozenset({entity}),
+    return FqlSchema(Theory.of(sig, equations), frozenset(entities),
                      frozenset({"String", "Int"}))
 
 
@@ -237,8 +237,8 @@ _W_IS_K = Equation(_X_U, App("w", Var("x")), Lit("String", "k"))
 def test_pi_drops_rows_that_contradict_a_target_constant():
     """w(x) = "k" holds in the target, so a source row whose image of w is
     "z" has no homomorphism out of the representable and is no pi row."""
-    src = _string_schema("A", {"u": ("A", "String")})
-    tgt = _string_schema("U", {"w": ("U", "String")}, [_W_IS_K])
+    src = _string_schema({"A"}, {"u": ("A", "String")})
+    tgt = _string_schema({"U"}, {"w": ("U", "String")}, [_W_IS_K])
     mapping = SchemaMapping(src, tgt, {"A": "U"},
                             {"u": ("x", App("w", Var("x")))})
     i = Instance.make({"A": ["a", "b"]}, {"u": {"a": "k", "b": "z"}})
@@ -249,7 +249,7 @@ def test_pi_drops_rows_that_contradict_a_target_constant():
 
 def test_pi_takes_a_target_constant_no_source_value_reaches():
     src = entity_schema({"A"}, {})
-    tgt = _string_schema("U", {"w": ("U", "String")}, [_W_IS_K])
+    tgt = _string_schema({"U"}, {"w": ("U", "String")}, [_W_IS_K])
     mapping = SchemaMapping(src, tgt, {"A": "U"}, {})
     projected = pi(mapping, Instance.make({"A": ["a"]}, {}), fuel=8)
     assert list(projected.functions["w"].values()) == ["k"]
@@ -264,10 +264,10 @@ def _length_mapping(with_n: bool) -> SchemaMapping:
         ops["n"] = ("A", "Int")
         op_map["n"] = ("x", App("len", Var("x")))
     tgt = _string_schema(
-        "U", {"w": ("U", "String"), "len": ("U", "Int")},
+        {"U"}, {"w": ("U", "String"), "len": ("U", "Int")},
         [Equation(_X_U, App("len", Var("x")),
                   App("length", App("w", Var("x"))))])
-    return SchemaMapping(_string_schema("A", ops), tgt, {"A": "U"}, op_map)
+    return SchemaMapping(_string_schema({"A"}, ops), tgt, {"A": "U"}, op_map)
 
 
 def test_pi_computes_an_attribute_through_a_builtin():
@@ -284,6 +284,27 @@ def test_pi_drops_rows_whose_attribute_images_disagree():
     projected = pi(mapping, i, fuel=8)
     assert len(projected.rows("U")) == 1
     assert list(projected.functions["len"].values()) == [2]
+
+
+def test_pi_drops_rows_whose_foreign_key_image_is_dropped():
+    """t1's image a1 has no homomorphism at U (n = 3 but length(u) = 2), so
+    t1 has none at Tt either: the check covers the attribute cells of f(x)
+    in Tt's representable, not only those of x."""
+    src = _string_schema({"St", "A"}, {"g": ("St", "A"), "u": ("A", "String"),
+                                       "n": ("A", "Int")})
+    tgt = _string_schema(
+        {"Tt", "U"},
+        {"f": ("Tt", "U"), "w": ("U", "String"), "len": ("U", "Int")},
+        [Equation(_X_U, App("len", Var("x")),
+                  App("length", App("w", Var("x"))))])
+    mapping = SchemaMapping(
+        src, tgt, {"St": "Tt", "A": "U"},
+        {"g": ("x", App("f", Var("x"))), "u": ("x", App("w", Var("x"))),
+         "n": ("x", App("len", Var("x")))})
+    i = Instance.make({"St": ["t1"], "A": ["a1"]},
+                      {"g": {"t1": "a1"}, "u": {"a1": "pq"}, "n": {"a1": 3}})
+    projected = pi(mapping, i, fuel=8)
+    assert projected.rows("Tt") == () and projected.rows("U") == ()
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +463,7 @@ def test_hom_search_matches_brute_force_oracle():
 def test_homs_bind_bare_nulls_before_symbolic_cells():
     """length(?0) can only be checked once ?0 is bound, and ?0 is bound by
     the cell of `b` even though `a` comes first by name."""
-    s = _string_schema("A", {"a": ("A", "Int"), "b": ("A", "String")})
+    s = _string_schema({"A"}, {"a": ("A", "Int"), "b": ("A", "String")})
     i = Instance.make({"A": ["x"]},
                       {"a": {"x": OpApplied("length", LabelledNull("0"))},
                        "b": {"x": LabelledNull("0")}})

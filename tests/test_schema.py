@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from qinl.equality import Theory
-from qinl.kernel import App, Base, Signature, Var
+from qinl.equality import Equation, Theory
+from qinl.kernel import App, Base, Context, Lit, Signature, Var
 from qinl.schema import (
+    BuiltinRegistry,
     FqlSchema,
     Instance,
     InvalidInstance,
@@ -240,6 +243,85 @@ def test_sampling_is_seed_deterministic(company, staff):
     r1 = check_instance(company, staff, sample_size=64, seed=9)
     r2 = check_instance(company, staff, sample_size=64, seed=9)
     assert r1 == r2
+
+
+STRINGS = default_builtins().sample_spaces["String"]
+
+
+def _recording(variables: int):
+    """A schema whose one equation, over `variables` String variables,
+    records the values each variable takes: seen(v) records v and returns
+    "", so the equation holds everywhere and every combination is tried.
+    Its instance names rows "abba" and "abc" (and the literal "ba"); "abc"
+    lies outside the sample space."""
+    log: list[str] = []
+    reg = default_builtins()
+    reg = BuiltinRegistry(reg.carriers,
+                          {**reg.ops, "seen": lambda v: log.append(v) or ""},
+                          reg.sample_spaces)
+    sig = Signature.of({"E", "String"}, {"name": (Base("E"), Base("String")),
+                                          "seen": (Base("String"), Base("String"))})
+    names = ["x", "y"][:variables]
+    ctx = Context.of(*((v, Base("String")) for v in names))
+    eq = Equation(ctx, App("seen", Var(names[0])), App("seen", Var(names[-1])))
+    literal = Equation(Context.of(("e", Base("E"))), Lit("String", "ba"),
+                       Lit("String", "ba"))
+    schema = FqlSchema(Theory.of(sig, [literal, eq]), frozenset({"E"}),
+                       frozenset({"String"}), reg)
+    inst = Instance.make({"E": ["r1", "r2"]}, {"name": {"r1": "abba", "r2": "abc"}})
+    return schema, inst, log
+
+
+ACTIVE = ["abba", "abc", "ba"]  # in cell_key order
+
+
+def test_string_domain_is_the_active_domain_then_the_whole_sample_space():
+    schema, inst, log = _recording(1)
+    check_instance(schema, inst, sample_size=63)
+    domain = log[::2]
+    assert domain[:3] == ACTIVE
+    assert len(domain) == 1 + 63
+    assert set(domain) == {"abc", *STRINGS}
+    check_instance(schema, inst, sample_size=1000)
+    assert log[::2][len(domain):] == domain
+
+
+def test_sample_draws_exactly_sample_size_fresh_values_per_seed():
+    schema, inst, log = _recording(1)
+    check_instance(schema, inst, sample_size=8, seed=5)
+    first = log[::2]
+    fresh = [v for v in STRINGS if v not in ACTIVE]
+    assert first == ACTIVE + random.Random(5).sample(fresh, 8)
+    log.clear()
+    check_instance(schema, inst, sample_size=8, seed=5)
+    assert log[::2] == first
+    log.clear()
+    check_instance(schema, inst, sample_size=8, seed=6)
+    assert log[::2][3:] != first[3:]
+
+
+def test_variables_of_one_attribute_type_share_its_domain():
+    schema, inst, log = _recording(2)
+    check_instance(schema, inst, sample_size=8, seed=5)
+    domain = ACTIVE + random.Random(5).sample(
+        [v for v in STRINGS if v not in ACTIVE], 8)
+    pairs = list(zip(log[::2], log[1::2]))
+    assert pairs == [(x, y) for x in domain for y in domain]
+
+
+def test_sampled_value_outside_the_active_domain_violates():
+    """Every name is a palindrome, so only a sampled string can refute
+    reverse(x) = x; the first non-palindrome of the seeded sample does."""
+    sig = Signature.of({"E", "String"}, {"name": (Base("E"), Base("String")),
+                                          "reverse": (Base("String"), Base("String"))})
+    eq = Equation(Context.of(("x", Base("String"))),
+                  App("reverse", Var("x")), Var("x"))
+    schema = FqlSchema(Theory.of(sig, [eq]), frozenset({"E"}),
+                       frozenset({"String"}))
+    inst = Instance.make({"E": ["r1", "r2"]}, {"name": {"r1": "abba", "r2": "aba"}})
+    check, = check_instance(schema, inst, sample_size=8, seed=0).checks
+    assert check.status == "violated"
+    assert check.witness == (("x", "bbaab"),)
 
 
 def test_default_builtins_cover_needed_ops():

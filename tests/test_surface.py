@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from qinl.kernel import App, Base, Pair, Prod, Proj1, Proj2, UNIT, UNIT_TERM, Lit, Var
 from qinl.nrc import BOOL, Empty, EqTest, For, If, SetT, Singleton, TRUE, FALSE, Union
 from qinl.surface import (
+    MAX_NESTING,
     EquationDecl,
     ExprDecl,
     InstanceDecl,
@@ -249,6 +251,75 @@ def test_generated_roundtrip_depth6():
             for k in range(rng.randint(1, 3))))
         printed = print_unit(unit)
         assert parse(printed) == unit, printed
+
+
+def levels(node) -> int:
+    """Nodes on the longest path from the root of a tree to a leaf."""
+    children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    return 1 + max((levels(c) for c in children if dataclasses.is_dataclass(c)),
+                   default=0)
+
+
+def deepest_accepted(leaf, declare, wrap) -> int:
+    """The most levels of wrap(wrap(...leaf...)) that parse back unchanged."""
+    tree, deepest = leaf, 0
+    while levels(tree) <= MAX_NESTING + 5:
+        try:
+            unit = parse(print_unit(SourceUnit((declare(tree),))))
+        except ParseError as exc:
+            assert f"nesting deeper than {MAX_NESTING} levels" in str(exc)
+        else:
+            assert unit.decls == (declare(tree),)
+            deepest = levels(tree)
+        tree = wrap(tree)
+    return deepest
+
+
+TYPE = (Base("A"), lambda t: SchemaDecl("S", (), (), (OpDecl("op", t, Base("A")),), ()))
+TERM = (Var("x"), lambda t: MappingDecl("F", "S0", "S1", (), (OpEntry("op", "v", t),)))
+EXPR = (Var("x"), lambda e: ExprDecl("e", e))
+
+
+@pytest.mark.parametrize("kind, wrap, deepest", [
+    (TERM, lambda t: App("f", t), MAX_NESTING),
+    (TERM, Proj1, MAX_NESTING),
+    (EXPR, Proj1, MAX_NESTING),
+    (EXPR, lambda e: Union(e, TRUE), MAX_NESTING),
+    (EXPR, Singleton, MAX_NESTING),
+    (EXPR, lambda e: If(TRUE, e, FALSE), MAX_NESTING),
+    (TERM, lambda t: Pair(t, Var("y")), 99),
+    (TERM, lambda t: App("f", Pair(t, Var("y"))), 99),
+    (TERM, lambda t: App("f", Pair(Var("y"), Pair(t, Var("y")))), 73),
+    (EXPR, lambda e: App("f", Pair(TRUE, Pair(e, TRUE))), 73),
+    (TERM, lambda t: Pair(Var("y"), t), 50),
+    (EXPR, lambda e: Pair(TRUE, e), 50),
+    (EXPR, lambda e: Union(TRUE, e), 51),
+    (EXPR, lambda e: EqTest(e, TRUE), 51),
+    (EXPR, lambda e: EqTest(TRUE, e), 51),
+    (EXPR, lambda e: For("x", e, TRUE), 51),
+    (TYPE, SetT, 51),
+    (TYPE, lambda t: Prod(t, Base("B")), 50),
+    (TYPE, lambda t: Prod(Base("B"), Prod(t, Base("B"))), 39),
+])
+def test_what_parses_is_within_the_nesting_limit(kind, wrap, deepest):
+    """Whatever parses is at most MAX_NESTING levels deep, the bound the
+    recursive walkers downstream rely on.  Each chain is printed and parsed
+    back at growing depth; the deepest that parses pins how levels are
+    counted.  Chains without brackets are counted exactly.  A bracket counts
+    as a level, and so does the last item of a pair or product, so chains
+    that print a bracket at every level stop near half the limit."""
+    assert deepest_accepted(*kind, wrap) == deepest
+
+
+def test_nesting_counts_the_pair_of_an_applications_arguments():
+    """f(a, y) is App(f, Pair(a, y)): a sits two levels below f.  The
+    printer writes it f((a, y)), so the chains above do not reach this."""
+    def chain(n: int) -> str:
+        return "expr e = " + "f(" * n + "h(x)" + ", y)" * n + "\n"
+    n = (MAX_NESTING - 2) // 2
+    assert levels(parse(chain(n)).decls[0].body) == MAX_NESTING
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(chain(n + 1))
 
 
 # --------------------------------------------------------------------------

@@ -309,6 +309,20 @@ class EGraph:
     def classes_of_type(self, t: TypeExpr) -> list[int]:
         return list(self._roots_by_type.get(t, ()))
 
+    def builtin_applications(self) -> list[tuple[int, str, int]]:
+        """Each builtin application, as sorted (class, op, argument class)."""
+        nodes = self._nodes
+        return sorted({(self.find(node), nodes[node][1], self.find(nodes[node][2]))
+                       for node in self._builtin_apps})
+
+    def literals(self) -> dict[int, object]:
+        """The literal each class holds (its first, by node id)."""
+        found: dict[int, object] = {}
+        for node, key in enumerate(self._nodes):
+            if key[0] == "lit":
+                found.setdefault(self.find(node), key[2])
+        return found
+
     # -- congruence ---------------------------------------------------------
 
     def rebuild(self) -> bool:

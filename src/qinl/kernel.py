@@ -7,6 +7,14 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields
 
 
+# The deepest nesting of terms, expressions and types the parser accepts.
+# Every recursive walker over parsed trees (printing, substitution,
+# evaluation, type inference, the e-graph) takes a few stack frames per
+# level, and a parenthesised expression takes four in the parser itself, so
+# this keeps all of them well inside Python's default recursion limit.
+MAX_NESTING = 100
+
+
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -85,17 +93,13 @@ def format_type(t: TypeExpr) -> str:
         return t.name
     if isinstance(t, Prod):
         return f"{_type_factor(t.left)} * {_type_factor(t.right)}"
-    return _format_type_ext(t)
+    # Extension constructors (set/bool layer) render themselves via __str__.
+    return str(t)
 
 
 def _type_factor(t: TypeExpr) -> str:
     s = format_type(t)
     return f"({s})" if isinstance(t, Prod) else s
-
-
-def _format_type_ext(t: TypeExpr) -> str:
-    # Extension constructors (set/bool layer) render themselves via __str__.
-    return str(t)
 
 
 # --------------------------------------------------------------------------
@@ -241,9 +245,6 @@ class Context:
         return len(self.bindings)
 
 
-EMPTY_CONTEXT = Context()
-
-
 @dataclass(frozen=True)
 class Signature:
     """Declared base types plus unary operations between types.
@@ -353,7 +354,3 @@ def substitute_many(e: Term, mapping: Mapping[str, Term]) -> Term:
     if isinstance(e, App):
         return App(e.op, substitute_many(e.arg, mapping))
     return e
-
-
-def free_vars(e: Term) -> set[str]:
-    return {t.name for t in subterms(e) if isinstance(t, Var)}

@@ -9,6 +9,7 @@ from collections.abc import Mapping
 
 from .equality import Equation, IllTyped, Proved, Verdict, decide_equal
 from .kernel import (
+    MAX_NESTING,
     App,
     Base,
     Context,
@@ -90,6 +91,15 @@ class SchemaMapping:
                 problems.append(
                     f"image of '{op}' has type {format_type(got)}, "
                     f"expected {format_type(want)}")
+        # Translated equations can nest deeper than anything parsed.  Twice
+        # the parser's limit keeps the preservation check's walkers (type
+        # inference takes two frames a level) inside the recursion limit.
+        limit = 2 * MAX_NESTING
+        for eq in src.theory.equations:
+            if max(_translated_levels(self, side, {})
+                   for side in (eq.lhs, eq.rhs)) > limit:
+                problems.append(f"translated equation '{eq.render()}' nests "
+                                f"deeper than {limit} levels")
         return problems
 
 
@@ -147,6 +157,27 @@ def _translate(mapping: SchemaMapping, e: Term) -> Term:
             return App(e.op, arg)
         raise UnknownOperation(e.op)
     raise UnknownOperation(str(e))
+
+
+def _translated_levels(mapping: SchemaMapping | None, e: Term,
+                       var_levels: Mapping[str, int]) -> int:
+    """The levels of `e` translated along `mapping` (`e` itself when None),
+    each variable standing for a term of the given levels, without building
+    the translation."""
+    if isinstance(e, Var):
+        return var_levels.get(e.name, 1)
+    if isinstance(e, App) and mapping is not None and e.op in mapping.op_map:
+        var, body = mapping.op_map[e.op]
+        return _translated_levels(
+            None, body, {var: _translated_levels(mapping, e.arg, var_levels)})
+    if isinstance(e, Pair):
+        return 1 + max(_translated_levels(mapping, e.fst, var_levels),
+                       _translated_levels(mapping, e.snd, var_levels))
+    if isinstance(e, (Proj1, Proj2)):
+        return 1 + _translated_levels(mapping, e.of, var_levels)
+    if isinstance(e, App):
+        return 1 + _translated_levels(mapping, e.arg, var_levels)
+    return 1
 
 
 def check_preservation(mapping: SchemaMapping, fuel: int = 32,

@@ -14,18 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chase import FuelExhausted, initial_model, materialize, saturate
-from .equality import EGraph, Proved
-from .kernel import (
-    App,
-    Base,
-    Context,
-    EngineError,
-    Lit,
-    Term,
-    Var,
-    substitute,
-)
-from .mapping import SchemaMapping, apply_to_term, check_preservation
+from .equality import Proved
+from .kernel import App, Base, EngineError, Lit, Term, Var, substitute
+from .mapping import SchemaMapping, check_preservation
 from .schema import (
     Cell,
     FqlSchema,
@@ -160,14 +151,14 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
 
     Target operations act by precomposition: a row's image under f : t -> u
     reads each row of u's representable at its image under the homomorphism
-    of representables that sends x to f(x).  Every attribute cell of t's
-    representable, at x or at any row reached from it, is checked: if its
-    class holds a constant, source attribute terms whose images land in that
-    class must agree with it, and they must agree with each other, or the
-    homomorphism is dropped.  So a row is kept only if its images under
-    target operations are kept too.  A target attribute of x whose class
-    holds a constant takes that constant; one that no source value
-    determines becomes a fresh null.
+    of representables that sends x to f(x).  Attribute values come from the
+    representable's saturated e-graph: each class takes its literal, or the
+    source value the homomorphism binds its cell's null to, and values are
+    carried along the builtin applications the target's equations put
+    there.  A homomorphism is dropped when that gives a class two values the
+    output could not state as one, so a row is kept only if its images under
+    target operations are kept too.  A target attribute of x takes the value
+    of its class, or a fresh null when no source value determines it.
     """
     require_verified(mapping, fuel, allow_unverified)
     tgt = mapping.target
@@ -211,8 +202,8 @@ class _Limit:
     """pi at one target entity type t.  `rep` is t's representable, and
     `slots` are the rows (source entity, row of rep) of its pullback.
     `names` maps each kept homomorphism, as the tuple of its images of the
-    slots, to its row name; `values` holds each row's attribute cells (None
-    where undetermined)."""
+    slots, to its row name; `values` holds each row's attribute cells at x
+    (None where undetermined)."""
 
     rep: Instance
     slots: list[tuple[str, str]]
@@ -227,93 +218,88 @@ class _Limit:
         pulled = delta(mapping, rep, allow_unverified=True)
         slots = [(s, row) for s in sorted(src.entity_types)
                  for row in pulled.rows(s)]
-        cells_of_rep = [(row, op) for u in sorted(tgt.entity_types)
-                        for op in tgt.ops_from(u)
-                        if tgt.classify_op(op) == "attribute"
-                        for row in rep.rows(u)]
-        decomps = _attribute_decompositions(mapping, graph, roots, slots,
-                                            cells_of_rep)
-        constants = {(row, op): [rep.functions[op][row]]
-                     for row, op in cells_of_rep
-                     if not isinstance(rep.functions[op][row], LabelledNull)}
-        # A cell away from x with one determining value cannot disagree.
-        checked = [(row, op) for row, op in cells_of_rep
-                   if row == "x" or len(constants.get((row, op), []))
-                   + len(decomps[row, op]) > 1]
+        # Each attribute cell of rep is a class of the graph, which holds a
+        # literal or stands for the cell's null.  A null that pulled does not
+        # hold is open: no source value fills its cell.
+        null_class: dict[str, int] = {}
+        at_x: dict[str, int] = {}
+        for u in sorted(tgt.entity_types):
+            for op in tgt.ops_from(u):
+                if tgt.classify_op(op) != "attribute":
+                    continue
+                for row in rep.rows(u):
+                    root = graph.find(graph.add_node(
+                        ("app", op, graph.find(roots[row]))))
+                    cell = rep.functions[op][row]
+                    if isinstance(cell, LabelledNull):
+                        null_class[cell.label] = root
+                    if row == "x":
+                        at_x[op] = root
+        bound = {null.label for null in pulled.nulls()}
+        open_cells = {root for label, root in null_class.items()
+                      if label not in bound}
+        literals = graph.literals()
+        applications = graph.builtin_applications()
 
         names: dict[tuple[str, ...], str] = {}
         values: dict[str, dict[str, Cell | None]] = {}
-        for maps, _ in search_homs(src, pulled, i):
+        for maps, binding in search_homs(src, pulled, i):
+            known = dict(literals)
+            known.update((null_class[label], v) for label, v in binding.items())
+            if not _carry_builtins(tgt, applications, known, open_cells):
+                continue
             key = tuple(maps[s][row] for s, row in slots)
-            cells: dict[str, Cell | None] = {}
-            for row, op in checked:
-                determined = constants.get((row, op), []) + [
-                    eval_term(src, i, {"y": key[pos]}, term)
-                    for pos, term in decomps[row, op]]
-                if any(v != determined[0] for v in determined):
-                    break
-                if row == "x":
-                    cells[op] = determined[0] if determined else None
-            else:
-                name = "(" + ", ".join(
-                    f"{row}:{s}={image}"
-                    for (s, row), image in zip(slots, key)) + ")"
-                names[key] = name
-                values[name] = cells
+            name = "(" + ", ".join(
+                f"{row}:{s}={image}" for (s, row), image in zip(slots, key)) + ")"
+            names[key] = name
+            values[name] = {op: None if isinstance(known.get(root), _Fresh)
+                            else known.get(root) for op, root in at_x.items()}
         return cls(rep, slots, names, values)
 
 
-def _attribute_decompositions(mapping: SchemaMapping, graph: EGraph,
-                              roots: dict[str, int],
-                              slots: list[tuple[str, str]],
-                              cells: list[tuple[str, str]], max_depth: int = 4,
-                              ) -> dict[tuple[str, str], list[tuple[int, Term]]]:
-    """Ways to express each attribute cell op(row) of the representable as
-    the image of a source attribute term at a slot: the terms whose image,
-    at the slot's row, lies in the class of op(row) in the representable's
-    saturated e-graph.  Every decomposition found is kept: distinct source
-    terms with one target image must agree on a homomorphism, or the
-    homomorphism is excluded."""
-    src, tgt = mapping.source, mapping.target
-    types = sorted({tgt.sig.op_type(op)[1].name for _, op in cells})
-    images = {
-        s: [(term, apply_to_term(mapping, Context.of(("y", Base(s))), term))
-            for goal in types for term in _terms_to_type(src, s, goal, max_depth)]
-        for s in sorted(src.entity_types)}
-    by_class: dict[int, list[tuple[int, Term]]] = {}
-    for pos, (s, row) in enumerate(slots):
-        for term, image in images[s]:
-            root = graph.find(graph.add_instance(image, {"y": roots[row]}))
-            by_class.setdefault(root, []).append((pos, term))
-    return {(row, op): by_class.get(graph.find(graph.add_instance(
-                App(op, Var("y")), {"y": roots[row]})), [])
-            for row, op in cells}
-
-
-def _terms_to_type(s: FqlSchema, start: str, goal: str,
-                   max_depth: int) -> list[Term]:
-    """Operation chains from a source entity type to a given base type, in
-    the variable 'y', up to a small depth bound: an attribute, then builtin
-    operations.  Chains through foreign keys are left out, as homomorphisms
-    commute with foreign keys: such a chain's value at a slot is that of its
-    attribute suffix at the slot the keys lead to, a decomposition of the
-    same class."""
-    level: list[tuple[Term, str]] = [(Var("y"), start)]
-    found = []
-    for _ in range(max_depth):
-        nxt = []
-        for term, t in level:
-            for op in sorted(s.sig.operations):
-                dom, cod = s.sig.op_type(op)
-                assert isinstance(cod, Base)
-                if dom != Base(t) or cod.name in s.entity_types:
+def _carry_builtins(s: FqlSchema, applications: list[tuple[int, str, int]],
+                    known: dict[int, Cell], open_cells: set[int]) -> bool:
+    """Give each class (class, op, argument class) of `applications` the
+    value of op at its argument's value until nothing changes, a class
+    keeping its first value; then give each open cell still without one the
+    fresh null pi writes there, and carry again.  False when a class would
+    get another value but the same null in another form (`reverse(reverse(
+    ?u))` for `?u`), or an open cell a value of a source null."""
+    if not applications:
+        return True
+    for fill in (False, True):
+        if fill:
+            for root in open_cells:
+                known.setdefault(root, _Fresh(str(root)))
+        changed = True
+        while changed:
+            changed = False
+            for root, op, arg in applications:
+                if arg not in known:
                     continue
-                chained = App(op, term)
-                if cod.name == goal:
-                    found.append(chained)
-                nxt.append((chained, cod.name))
-        level = nxt
-    return found
+                value = s.builtins.apply(op, known[arg])
+                null = _null_under(value)
+                if root not in known:
+                    if null is not None and root in open_cells:
+                        return False
+                    known[root] = value
+                    changed = True
+                elif known[root] != value and (
+                        null is None or null != _null_under(known[root])):
+                    return False
+    return True
+
+
+@dataclass(frozen=True)
+class _Fresh(LabelledNull):
+    """The fresh null pi writes in an open cell; never a source null."""
+
+
+def _null_under(v: Cell) -> LabelledNull | None:
+    """The null a value is computed from, or None for a constant."""
+    while isinstance(v, OpApplied):
+        v = v.arg
+    return v if isinstance(v, LabelledNull) else None
 
 
 # --------------------------------------------------------------------------

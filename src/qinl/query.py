@@ -50,14 +50,6 @@ class Comprehension:
     def context(self) -> Context:
         return Context(tuple((v, Base(t)) for v, t in self.bindings))
 
-    def render(self) -> str:
-        binds = ", ".join(f"{v}: {t}" for v, t in self.bindings)
-        text = f"for {binds}"
-        if self.wheres:
-            text += " where " + " and ".join(
-                f"{format_term(l)} = {format_term(r)}" for l, r in self.wheres)
-        return f"{text} return {format_term(self.returns)}"
-
 
 def typecheck_query(s: FqlSchema, q: Comprehension) -> TypeExpr:
     """Check bindings name entity types, each where clause type-balances,

@@ -9,7 +9,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
-from .equality import Theory, check_theory
+from .equality import Theory
 from .kernel import (
     App,
     Base,
@@ -125,6 +125,17 @@ class BuiltinRegistry:
     def has_carrier(self, base: str) -> bool:
         return base in self.carriers
 
+    def in_carrier(self, base: str, value: object) -> bool:
+        """Whether a constant belongs to the carrier of an attribute type,
+        with booleans kept apart from integers; never for a type with no
+        carrier."""
+        carrier = self.carriers.get(base)
+        if carrier is None:
+            return False
+        if carrier is bool:
+            return isinstance(value, bool)
+        return isinstance(value, carrier) and not isinstance(value, bool)
+
     def apply(self, op: str, value: Cell) -> Cell:
         if op not in self.ops:
             raise UninterpretedOperation(op)
@@ -218,9 +229,6 @@ class FqlSchema:
             if dom.name in self.attribute_types and name not in self.builtins.ops:
                 problems.append(f"builtin operation '{name}' has no registered semantics")
         return problems
-
-    def theory_problems(self):
-        return check_theory(self.theory)
 
     def nrc_interpretations(self) -> dict[str, Callable[[Value], Value]]:
         """Builtin operations wrapped for the set-semantics evaluator."""
@@ -321,16 +329,11 @@ def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
                         f"table '{op}' sends '{row}' outside the "
                         f"'{cod_name}' carrier: {render_cell(table[row])}")
         else:
-            carrier = s.builtins.carriers.get(cod_name)
             for row in sorted(table):
                 v = table[row]
                 if isinstance(v, (LabelledNull, OpApplied)):
                     continue
-                if carrier is bool:
-                    ok = isinstance(v, bool)
-                else:
-                    ok = isinstance(v, carrier) and not isinstance(v, bool)
-                if not ok:
+                if not s.builtins.in_carrier(cod_name, v):
                     problems.append(
                         f"ill-typed cell {op}({row}) = {render_cell(v)}: "
                         f"not a {cod_name}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .chase import FuelExhausted
 from .equality import Equation, Theory, check_theory
 from .kernel import (
+    MAX_NESTING,
     App,
     Base,
     Context,
@@ -74,13 +75,6 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _IDENT_CHARS = _IDENT_START | set("0123456789_")
 _PUNCT2 = ("->", "=>")
 _PUNCT1 = set("{}()[],;:.*=")
-
-# The deepest nesting of terms, expressions and types the parser accepts.
-# Every recursive walker over parsed trees (printing, substitution,
-# evaluation, type inference, the e-graph) takes a few stack frames per
-# level, and a parenthesised expression takes four in the parser itself, so
-# this keeps all of them well inside Python's default recursion limit.
-MAX_NESTING = 100
 
 
 class ParseError(EngineError):
@@ -845,21 +839,11 @@ def parse(text: str) -> SourceUnit:
 # --------------------------------------------------------------------------
 # Printer
 
-_IDENT_OK = _IDENT_START
-
-
-def _print_row_id(row: str) -> str:
-    if row and row[0] in _IDENT_START and all(c in _IDENT_CHARS for c in row) \
-            and row not in KEYWORDS:
-        return row
-    return format_literal(row)
-
-
 def print_raw_value(v: RawValue) -> str:
-    if v.kind == "name":
-        return _print_row_id(str(v.value))
     if v.kind == "null":
         return f"?{v.value}"
+    if v.kind == "name":  # the parser and `_row_raw` make only plain ones
+        return str(v.value)
     return format_literal(v.value)
 
 
@@ -1192,18 +1176,10 @@ def _resolve_cell(schema: FqlSchema, cod: TypeExpr, value: RawValue, err):
     if value.kind == "name":
         err(value.loc, f"'{value.value}' is not a {cod.name} literal")
         return _BAD
-    carrier = schema.builtins.carriers.get(cod.name)
-    python_value = value.value
-    if carrier is bool:
-        ok = isinstance(python_value, bool)
-    elif carrier is None:
-        ok = False
-    else:
-        ok = isinstance(python_value, carrier) and not isinstance(python_value, bool)
-    if not ok:
+    if not schema.builtins.in_carrier(cod.name, value.value):
         err(value.loc, f"literal {print_raw_value(value)} is not a {cod.name}")
         return _BAD
-    return python_value
+    return value.value
 
 
 def _elab_mapping(decl: MappingDecl, out: Elaborated, err) -> None:

@@ -116,6 +116,48 @@ def test_nesting_past_the_limit_exits_2_at_the_first_token_past_it(
     assert out == ""
 
 
+# A translated equation may nest twice as deep as a parsed one.
+TRANSLATED_LIMIT = 2 * MAX_NESTING
+
+
+def _deep_mapping(tmp_path: Path, k: int) -> tuple[Path, str]:
+    """A schema with forall x: A . f^k(x) = f^k(x), mapped along
+    f -> f^5(x), so the translated equation has 5k + 1 levels."""
+    def f(n: int) -> str:
+        return "f(" * n + "x" + ")" * n
+    path = tmp_path / "deep.qinl"
+    path.write_text(
+        "schema s = { entities A; operations f : A -> A;\n"
+        f"  equations forall x: A . {f(k)} = {f(k)}; }}\n"
+        "schema t = { entities A; operations f : A -> A; }\n"
+        "instance i : s = { A = { a }; f = { a -> a }; }\n"
+        f"mapping m : s -> t = {{ A -> A; f -> (x => {f(5)}); }}\n")
+    return path, f"forall x: A . {f(k)} = {f(k)}"
+
+
+@pytest.mark.parametrize("command, args", [
+    ("check", ()),
+    ("migrate", ("sigma", "m", "i", "--out", "out.qinl")),
+])
+def test_translated_equation_past_its_nesting_limit_exits_2_at_the_mapping(
+        capsys, tmp_path, command, args):
+    """f^99 along f -> f^5 is 496 levels deep: the mapping is rejected where
+    it is declared, before any walker recurses through the translation."""
+    path, equation = _deep_mapping(tmp_path, 99)
+    code, out, err = run(capsys, command, str(path), *args)
+    assert code == 2
+    assert err == (f"{path}:5:1: error: mapping 'm': translated equation "
+                   f"'{equation}' nests deeper than {TRANSLATED_LIMIT} "
+                   f"levels\n")
+
+
+def test_translated_equation_within_its_nesting_limit_checks(capsys, tmp_path):
+    path, _ = _deep_mapping(tmp_path, (TRANSLATED_LIMIT - 1) // 5)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert "mapping m : s -> t: preservation 1/1 proved" in out
+
+
 def test_decimal_digits_of_other_scripts_lex_as_integers(capsys, tmp_path):
     arabic = tmp_path / "arabic.qinl"
     arabic.write_text("expr e = \u0663\u0660;\n", encoding="utf-8")
@@ -274,6 +316,31 @@ mapping F : S -> T = { A -> C; }
                          "--out", str(tmp_path / "never.qinl"), "--fuel", "4")
     assert code == 1
     assert "did not saturate" in err
+
+
+def test_migrate_pi_drops_a_row_whose_open_attribute_is_a_value_of_a_null(
+        capsys, tmp_path):
+    """m(x) = length(w(x)) in the target and nothing goes to m: b's m would
+    be length(?ub), which no cell can hold, so b is dropped rather than the
+    migration failing as if the input were malformed."""
+    text = """
+schema S = { entities A; attributes String, Int;
+  operations length : String -> Int, u : A -> String; }
+schema T = { entities U; attributes String, Int;
+  operations length : String -> Int, w : U -> String, m : U -> Int;
+  equations forall x: U . m(x) = length(w(x)); }
+instance I : S = { A = { a, b }; u = { a -> "pq", b -> ?ub }; }
+mapping F : S -> T = { A -> U; u -> (x => w(x)); }
+"""
+    f = tmp_path / "open.qinl"
+    f.write_text(text)
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", str(f), "pi", "F", "I",
+                               "--out", str(out))
+    assert (code, stdout, stderr) == (0, f"wrote I_pi : T to {out} (1 rows)\n", "")
+    assert out.read_text() == (
+        'instance I_pi : T = {\n  U = { "(x:A=a)" };\n'
+        '  m = { "(x:A=a)" -> 2 };\n  w = { "(x:A=a)" -> "pq" };\n}\n')
 
 
 def test_migrate_unverified_requires_flag(capsys, tmp_path):

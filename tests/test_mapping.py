@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from qinl.equality import Equation, Proved, Theory, Unknown
 from qinl.kernel import (
+    MAX_NESTING,
     App,
     Base,
     Context,
@@ -86,6 +89,32 @@ def test_ill_typed_image_reported(company):
     f = identity_mapping(company)
     f.op_map = dict(f.op_map, worksIn=("x", App("manager", Var("x"))))
     assert any("image of 'worksIn' has type" in p for p in f.validate())
+
+
+# A translated equation may nest twice as deep as a parsed one.
+TRANSLATED_LIMIT = 2 * MAX_NESTING
+
+
+@pytest.mark.parametrize("image, per_level, k", [
+    (App("g", Var("y")), 1, TRANSLATED_LIMIT - 1),
+    (App("g", Var("y")), 1, TRANSLATED_LIMIT),
+    (Proj1(Pair(App("g", Var("y")), Var("y"))), 3, 66),
+    (Proj1(Pair(App("g", Var("y")), Var("y"))), 3, 67),
+])
+def test_translated_equation_nesting_is_bounded(image, per_level, k):
+    """f^k(x) = x translates to a term of per_level * k + 1 levels, and a
+    mapping whose translation nests past the limit is reported."""
+    lhs = Var("x")
+    for _ in range(k):
+        lhs = App("f", lhs)
+    eq = Equation(Context.of(("x", Base("A"))), lhs, Var("x"))
+    src = entity_schema({"A"}, {"f": ("A", "A")}, [eq])
+    tgt = entity_schema({"A"}, {"g": ("A", "A")})
+    mapping = SchemaMapping(src, tgt, {"A": "A"}, {"f": ("y", image)})
+    past = per_level * k + 1 > TRANSLATED_LIMIT
+    assert mapping.validate() == (
+        [f"translated equation '{eq.render()}' nests deeper than "
+         f"{TRANSLATED_LIMIT} levels"] if past else [])
 
 
 def test_apply_to_type_structural():

@@ -219,12 +219,17 @@ def test_pi_determined_attributes():
     assert instance_equal_upto_iso(src, projected, i) is not None
 
 
+_BUILTINS = {"length": (Base("String"), Base("Int")),
+             "reverse": (Base("String"), Base("String"))}
+
+
 def _string_schema(entities: set[str], ops: dict[str, tuple[str, str]],
-                   equations=()) -> FqlSchema:
-    """Entity types plus String and Int, with `length` as a builtin."""
+                   equations=(), builtins=("length",)) -> FqlSchema:
+    """Entity types plus String and Int, with `builtins` (by default
+    `length`) declared."""
     sig = Signature.of(
         {*entities, "String", "Int"},
-        {"length": (Base("String"), Base("Int")),
+        {**{b: _BUILTINS[b] for b in builtins},
          **{name: (Base(dom), Base(cod)) for name, (dom, cod) in ops.items()}})
     return FqlSchema(Theory.of(sig, equations), frozenset(entities),
                      frozenset({"String", "Int"}))
@@ -286,12 +291,13 @@ def test_pi_drops_rows_whose_attribute_images_disagree():
     assert list(projected.functions["len"].values()) == [2]
 
 
-def test_pi_drops_rows_whose_foreign_key_image_is_dropped():
-    """t1's image a1 has no homomorphism at U (n = 3 but length(u) = 2), so
-    t1 has none at Tt either: the check covers the attribute cells of f(x)
-    in Tt's representable, not only those of x."""
+def _fk_length_pi(source_builtins: tuple[str, ...]) -> tuple[FqlSchema, Instance]:
+    """The target of pi, and pi of one source row a1 with u = "pq" and
+    n = 3, which breaks the target's len(x) = length(w(x)), plus one row t1
+    whose image under g is a1."""
     src = _string_schema({"St", "A"}, {"g": ("St", "A"), "u": ("A", "String"),
-                                       "n": ("A", "Int")})
+                                       "n": ("A", "Int")},
+                         builtins=source_builtins)
     tgt = _string_schema(
         {"Tt", "U"},
         {"f": ("Tt", "U"), "w": ("U", "String"), "len": ("U", "Int")},
@@ -303,8 +309,105 @@ def test_pi_drops_rows_whose_foreign_key_image_is_dropped():
          "n": ("x", App("len", Var("x")))})
     i = Instance.make({"St": ["t1"], "A": ["a1"]},
                       {"g": {"t1": "a1"}, "u": {"a1": "pq"}, "n": {"a1": 3}})
-    projected = pi(mapping, i, fuel=8)
+    return tgt, pi(mapping, i, fuel=8)
+
+
+def test_pi_drops_rows_whose_foreign_key_image_is_dropped():
+    """t1's image a1 has no homomorphism at U (n = 3 but length(u) = 2), so
+    t1 has none at Tt either: the check covers the attribute cells of f(x)
+    in Tt's representable, not only those of x."""
+    tgt, projected = _fk_length_pi(("length",))
     assert projected.rows("Tt") == () and projected.rows("U") == ()
+    assert check_instance(tgt, projected).all_ok
+
+
+def test_pi_reads_builtins_the_source_does_not_declare():
+    """The check reads the target's builtin applications, so the row is
+    dropped also when the source schema has no `length`."""
+    tgt, projected = _fk_length_pi(())
+    assert projected.rows("Tt") == () and projected.rows("U") == ()
+    assert check_instance(tgt, projected).all_ok
+
+
+def test_pi_carries_values_along_builtin_chains_of_any_depth():
+    """n(x) = length(reverse^4(w(x))) holds in the target but not in the
+    source: b ("abc", 4) breaks it and is dropped, a ("pq", 2) is kept."""
+    w_x = App("w", Var("x"))
+    for _ in range(4):
+        w_x = App("reverse", w_x)
+    both = ("length", "reverse")
+    src = _string_schema({"A"}, {"u": ("A", "String"), "n": ("A", "Int")},
+                         builtins=both)
+    tgt = _string_schema(
+        {"U"}, {"w": ("U", "String"), "n": ("U", "Int")},
+        [Equation(_X_U, App("n", Var("x")), App("length", w_x))], builtins=both)
+    mapping = SchemaMapping(src, tgt, {"A": "U"},
+                            {"u": ("x", App("w", Var("x"))),
+                             "n": ("x", App("n", Var("x")))})
+    i = Instance.make({"A": ["a", "b"]},
+                      {"u": {"a": "pq", "b": "abc"}, "n": {"a": 2, "b": 4}})
+    projected = pi(mapping, i, fuel=8)
+    assert projected.rows("U") == ("(x:A=a)",)
+    assert projected.functions["w"] == {"(x:A=a)": "pq"}
+    assert check_instance(tgt, projected).all_ok
+
+
+def _app(op: str, arg=Var("x")) -> App:
+    """An application, by default to the variable x."""
+    return App(op, arg)
+
+
+_FOR_ALL_S = Context.of(("s", Base("String")))
+_REVERSE_TWICE = Equation(_FOR_ALL_S, _app("reverse", _app("reverse", Var("s"))),
+                          Var("s"))
+_LENGTH_OF_REVERSE = Equation(_FOR_ALL_S, _app("length", _app("reverse", Var("s"))),
+                              _app("length", Var("s")))
+
+
+@pytest.mark.parametrize("equations, images, rows, kept", [
+    # Identities for every String hold of a source null in any form.
+    ([_REVERSE_TWICE], ("w", None), {"a": (LabelledNull("u"), None)}, ["a"]),
+    ([_REVERSE_TWICE, _LENGTH_OF_REVERSE], ("w", None),
+     {"a": (LabelledNull("u"), None)}, ["a"]),
+    # A literal in a class that is no cell is compared too.
+    ([Equation(_X_U, _app("length", _app("w")), Lit("Int", 3))], ("w", None),
+     {"a": ("pq", None), "b": ("abc", None), "c": (LabelledNull("u"), None)},
+     ["b"]),
+    # m is open: it takes length(w2(x)) when that is a constant, and the row
+    # is dropped when it is a value of a null, which no cell can hold.
+    ([Equation(_X_U, _app("m"), _app("length", _app("w2")))], ("w2", None),
+     {"a": ("pq", None), "b": (LabelledNull("u"), None)}, ["a"]),
+    # w2 is open and gets a fresh null, whose length cannot be 1.
+    ([Equation(_X_U, _app("m"), _app("length", _app("w2")))], ("w", "m"),
+     {"a": ("cc", 1)}, []),
+    # A constant against a value of a null, or two different nulls.
+    ([Equation(_X_U, _app("n"), _app("length", _app("w")))], ("w", "n"),
+     {"a": (LabelledNull("u"), LabelledNull("k")), "b": ("pq", 2),
+      "c": (LabelledNull("v"), 2), "d": ("pq", LabelledNull("j"))}, ["b"]),
+], ids=["reverse-twice", "length-of-reverse", "literal", "open-cell-of-null",
+        "open-cell-fresh-null", "constant-against-null"])
+def test_pi_keeps_only_rows_an_instance_with_nulls_can_state(
+        equations, images, rows, kept):
+    """u goes to a String attribute, and k, if mapped, to an Int one; each
+    kept row's output satisfies the target's equations as `check` reads
+    them, and the same rows are kept whichever builtins the source has."""
+    strings, ints = ("w", "w2"), ("n", "m")
+    tgt = _string_schema({"U"}, {**{op: ("U", "String") for op in strings},
+                                 **{op: ("U", "Int") for op in ints}},
+                         equations, builtins=("length", "reverse"))
+    u_image, k_image = images
+    for builtins in ((), ("length", "reverse")):
+        ops, op_map = {"u": ("A", "String")}, {"u": ("x", _app(u_image))}
+        functions = {"u": {row: u for row, (u, _) in rows.items()}}
+        if k_image is not None:
+            ops["k"], op_map["k"] = ("A", "Int"), ("x", _app(k_image))
+            functions["k"] = {row: k for row, (_, k) in rows.items()}
+        mapping = SchemaMapping(_string_schema({"A"}, ops, builtins=builtins),
+                                tgt, {"A": "U"}, op_map)
+        projected = pi(mapping, Instance.make({"A": list(rows)}, functions),
+                       fuel=8)
+        assert projected.rows("U") == tuple(f"(x:A={row})" for row in kept)
+        assert check_instance(tgt, projected).all_ok
 
 
 # --------------------------------------------------------------------------

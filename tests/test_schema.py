@@ -77,6 +77,18 @@ def test_instance_validation_catches_ill_typed_cell(company):
                for p in validate_instance(company, broken))
 
 
+def test_instance_validation_reports_cells_of_a_type_with_no_carrier():
+    """An attribute type the registry has no carrier for holds no constant:
+    its cells are reported, not a crash."""
+    sig = Signature.of({"E", "Color"}, {"hue": (Base("E"), Base("Color"))})
+    s = FqlSchema(Theory.of(sig), frozenset({"E"}), frozenset({"Color"}))
+    assert s.validate() == ["attribute type 'Color' has no builtin carrier"]
+    i = Instance.make({"E": ["e1", "e2"]},
+                      {"hue": {"e1": "red", "e2": LabelledNull("0")}})
+    assert validate_instance(s, i) == [
+        "ill-typed cell hue(e1) = red: not a Color"]
+
+
 def test_instance_validation_catches_escaping_value(company):
     broken = Instance.make(
         {"Emp": ["e1"], "Dept": ["d1"]},

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .equality import EGraph, IllTyped
+from .equality import EGraph, IllTyped, node_cap
 from .kernel import (
     App,
     Base,
@@ -87,7 +87,7 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
         graph.union(graph.add_instance(lhs, nodes),
                     graph.add_instance(rhs, nodes), "seed equation")
 
-    node_cap = fuel * 1000
+    cap = node_cap(fuel)
     saturated = False
     totality_from = 0
     for _ in range(fuel):
@@ -99,7 +99,7 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
         graph.apply_equations_enumerated(s.theory.equations)
         graph.fold_builtins()
         graph.rebuild()
-        if graph.node_count() > node_cap:
+        if graph.node_count() > cap:
             break
         if graph.version == before:
             saturated = True

@@ -57,23 +57,14 @@ class RunConfig:
 
 
 def default_fuel() -> int:
-    env = os.environ.get("QINL_FUEL")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 32
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        fuel=args.fuel if args.fuel is not None else default_fuel(),
-        sample_size=args.sample,
-        seed=args.seed,
-        format=args.format,
-        allow_unverified=args.allow_unverified,
-    )
+    """QINL_FUEL, or 32 when it is unset."""
+    try:
+        fuel = int(os.environ.get("QINL_FUEL", "32"))
+    except ValueError:
+        fuel = 0
+    if fuel < 1:
+        raise EngineError("QINL_FUEL must be a positive integer")
+    return fuel
 
 
 def _emit_json(payload: dict) -> None:
@@ -96,27 +87,45 @@ def _text_position(before: str) -> tuple[int, int]:
     return len(lines), len(lines[-1]) + 1
 
 
-def _load(path: str, config: RunConfig) -> tuple[Elaborated | None, int]:
+def _load(args: argparse.Namespace, clean: bool = True,
+          ) -> tuple[RunConfig, Elaborated | None, int]:
+    """The run configuration and the elaborated file, or None and the exit
+    code once an error is printed (with `clean`, any elaboration error)."""
+    config = RunConfig(
+        fuel=args.fuel if args.fuel is not None else default_fuel(),
+        sample_size=args.sample, seed=args.seed, format=args.format,
+        allow_unverified=args.allow_unverified)
+    path = args.file
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)
-        return None, ERRORS
+        return config, None, ERRORS
     except UnicodeDecodeError as exc:
         # Text-mode reading decodes the whole file at once, so `exc.object`
         # is the file's bytes and `exc.start` the first invalid one.
         line, col = _text_position(exc.object[:exc.start].decode("utf-8"))
         print(f"{path}:{line}:{col}: error: invalid UTF-8 byte "
               f"0x{exc.object[exc.start]:02x}", file=sys.stderr)
-        return None, ERRORS
+        return config, None, ERRORS
     try:
         unit = parse(text)
     except ParseError as exc:
         print(f"{path}:{exc.line}:{exc.col}: error: {exc}", file=sys.stderr)
-        return None, ERRORS
+        return config, None, ERRORS
     elab = elaborate(unit, fuel=config.fuel,
                      allow_unverified=config.allow_unverified)
-    return elab, OK
+    if clean and elab.errors():
+        _print_diagnostics(path, elab.errors())
+        return config, None, ERRORS
+    return config, elab, OK
+
+
+def _named(path: str, kind: str, name: str, table) -> bool:
+    """Whether `table` has `name`; if not, the error is printed."""
+    if name not in table:
+        print(f"{path}: error: no {kind} named '{name}'", file=sys.stderr)
+    return name in table
 
 
 def _print_diagnostics(path: str, diagnostics: list[Diagnostic]) -> None:
@@ -133,8 +142,7 @@ def _diagnostic_json(d: Diagnostic) -> dict:
 # check
 
 def cmd_check(args: argparse.Namespace) -> int:
-    config = _config(args)
-    elab, code = _load(args.file, config)
+    config, elab, code = _load(args, clean=False)
     if elab is None:
         return code
     diagnostics = list(elab.diagnostics)
@@ -247,21 +255,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 # eval
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config(args)
-    elab, code = _load(args.file, config)
+    config, elab, code = _load(args)
     if elab is None:
         return code
-    if elab.errors():
-        _print_diagnostics(args.file, elab.errors())
+    if args.name is not None and not _named(args.file, "expression",
+                                            args.name, elab.exprs):
         return ERRORS
-    if args.name is not None:
-        if args.name not in elab.exprs:
-            print(f"{args.file}: error: no expression named '{args.name}'",
-                  file=sys.stderr)
-            return ERRORS
-        names = [args.name]
-    else:
-        names = list(elab.exprs)
+    names = list(elab.exprs) if args.name is None else [args.name]
     sig = builtin_signature()
     ops = FqlSchema(Theory.of(sig), frozenset(),
                     sig.base_types).nrc_interpretations()
@@ -283,20 +283,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # query
 
 def cmd_query(args: argparse.Namespace) -> int:
-    config = _config(args)
-    elab, code = _load(args.file, config)
+    config, elab, code = _load(args)
     if elab is None:
         return code
-    if elab.errors():
-        _print_diagnostics(args.file, elab.errors())
-        return ERRORS
-    if args.query not in elab.queries:
-        print(f"{args.file}: error: no query named '{args.query}'",
-              file=sys.stderr)
-        return ERRORS
-    if args.instance not in elab.instances:
-        print(f"{args.file}: error: no instance named '{args.instance}'",
-              file=sys.stderr)
+    if not (_named(args.file, "query", args.query, elab.queries)
+            and _named(args.file, "instance", args.instance, elab.instances)):
         return ERRORS
     schema_name = elab.query_schema[args.query]
     if elab.instance_schema[args.instance] != schema_name:
@@ -327,20 +318,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 # migrate
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    elab, code = _load(args.file, config)
+    config, elab, code = _load(args)
     if elab is None:
         return code
-    if elab.errors():
-        _print_diagnostics(args.file, elab.errors())
-        return ERRORS
-    if args.mapping not in elab.mappings:
-        print(f"{args.file}: error: no mapping named '{args.mapping}'",
-              file=sys.stderr)
-        return ERRORS
-    if args.instance not in elab.instances:
-        print(f"{args.file}: error: no instance named '{args.instance}'",
-              file=sys.stderr)
+    if not (_named(args.file, "mapping", args.mapping, elab.mappings)
+            and _named(args.file, "instance", args.instance, elab.instances)):
         return ERRORS
     source_name, target_name = elab.mapping_schemas[args.mapping]
     expected = target_name if args.direction == "delta" else source_name
@@ -388,18 +370,12 @@ def cmd_migrate(args: argparse.Namespace) -> int:
 # homs
 
 def cmd_homs(args: argparse.Namespace) -> int:
-    config = _config(args)
-    elab, code = _load(args.file, config)
+    config, elab, code = _load(args)
     if elab is None:
         return code
-    if elab.errors():
-        _print_diagnostics(args.file, elab.errors())
+    if not all(_named(args.file, "instance", name, elab.instances)
+               for name in (args.instance_a, args.instance_b)):
         return ERRORS
-    for name in (args.instance_a, args.instance_b):
-        if name not in elab.instances:
-            print(f"{args.file}: error: no instance named '{name}'",
-                  file=sys.stderr)
-            return ERRORS
     schema_a = elab.instance_schema[args.instance_a]
     schema_b = elab.instance_schema[args.instance_b]
     if schema_a != schema_b:

@@ -140,12 +140,39 @@ class TypeMismatchError(IllTyped):
 
 NodeKey = tuple
 
+# Operation images, op -> (variable, body), as in a schema mapping.
+Images = Mapping[str, tuple[str, Term]]
+
 # How many union reasons a graph keeps; `Proved.trace` lists them.
 LOG_LIMIT = 30
+
+# The most nodes a saturation may build, whatever its fuel.
+NODE_LIMIT = 1_000_000
+
+
+def node_cap(fuel: int) -> int:
+    """The node budget of saturating with `fuel` rounds."""
+    return min(fuel * 1000, NODE_LIMIT)
 
 
 def _operations(e: Term) -> set[str]:
     return {sub.op for sub in subterms(e) if isinstance(sub, App)}
+
+
+def _variables(e: Term, images: Images | None = None) -> dict[str, None]:
+    """The variables of `e` translated along `images`, in order of first
+    occurrence: none under a body that ignores its variable."""
+    if isinstance(e, Var):
+        return {e.name: None}
+    if isinstance(e, Pair):
+        return _variables(e.fst, images) | _variables(e.snd, images)
+    if isinstance(e, (Proj1, Proj2)):
+        return _variables(e.of, images)
+    if isinstance(e, App):
+        image = images.get(e.op) if images else None
+        if image is None or image[0] in _variables(image[1]):
+            return _variables(e.arg, images)
+    return {}
 
 
 def _children(key: NodeKey) -> tuple[int, ...]:
@@ -435,8 +462,12 @@ class EGraph:
                 results.extend(self._match(pattern.arg, key[2], binding, ctx))
         return results
 
-    def add_instance(self, e: Term, binding: Mapping[str, int]) -> int:
-        """Add a term whose variables are already bound to classes."""
+    def add_instance(self, e: Term, binding: Mapping[str, int],
+                     images: Images | None = None) -> int:
+        """Add a term whose variables are already bound to classes.  An
+        application of an operation in `images` adds the image's body, with
+        its variable bound to the argument's class (the argument is added
+        only if the body uses it); bodies are added with no images."""
         if isinstance(e, Var):
             return binding[e.name]
         if isinstance(e, UnitTerm):
@@ -444,15 +475,21 @@ class EGraph:
         if isinstance(e, Lit):
             return self.add_node(("lit", e.base, e.value))
         if isinstance(e, Pair):
-            left = self.add_instance(e.fst, binding)
-            right = self.add_instance(e.snd, binding)
+            left = self.add_instance(e.fst, binding, images)
+            right = self.add_instance(e.snd, binding, images)
             return self.add_node(("pair", self.find(left), self.find(right)))
-        if isinstance(e, Proj1):
-            return self.add_node(("p1", self.find(self.add_instance(e.of, binding))))
-        if isinstance(e, Proj2):
-            return self.add_node(("p2", self.find(self.add_instance(e.of, binding))))
+        if isinstance(e, (Proj1, Proj2)):
+            inner = self.find(self.add_instance(e.of, binding, images))
+            return self.add_node(("p1" if isinstance(e, Proj1) else "p2", inner))
         if isinstance(e, App):
-            arg = self.add_instance(e.arg, binding)
+            image = images.get(e.op) if images else None
+            if image is not None:
+                var, body = image
+                if var not in _variables(body):
+                    return self.add_instance(body, {})
+                return self.add_instance(
+                    body, {var: self.find(self.add_instance(e.arg, binding, images))})
+            arg = self.add_instance(e.arg, binding, images)
             return self.add_node(("app", e.op, self.find(arg)))
         raise EngineError(f"cannot instantiate unknown construct {e!r}")
 
@@ -574,33 +611,41 @@ class EGraph:
 def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
                  fuel: int = 32,
                  builtin_ops: Mapping[str, Callable[[object], object]] | None = None,
+                 images: Images | None = None,
+                 goal: str | None = None,
                  ) -> Verdict:
     """Prove two terms equal modulo a theory plus the unit/product axioms.
 
     Context variables act as fresh constants.  Saturation runs for at most
-    `fuel` rounds over a universe capped at `fuel * 1000` nodes; exceeding
-    either cap yields `Unknown`, which is not a refutation.
+    `fuel` rounds over a universe capped at `node_cap(fuel)` nodes;
+    exceeding either cap yields `Unknown`, which is not a refutation.
+
+    With `images`, `a` and `b` are terms of another signature, to be proved
+    equal translated along the images (see `EGraph.add_instance`), which
+    is never built as a term; `ctx` types them in `th`, and the caller
+    guarantees that the translations are well typed at one type.  The
+    first `Proved` trace line is `proved <goal> in N round(s) over M
+    node(s)`, the goal defaulting to `a = b`; union reasons follow.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    try:
-        ta = infer_type(th.sig, ctx, a)
-        tb = infer_type(th.sig, ctx, b)
-    except EngineError as err:
-        raise IllTyped(str(err)) from err
-    if ta != tb:
-        raise IllTyped(
-            f"terms have different types: {format_type(ta)} vs {format_type(tb)}")
+    if images is None:
+        try:
+            ta = infer_type(th.sig, ctx, a)
+            tb = infer_type(th.sig, ctx, b)
+        except EngineError as err:
+            raise IllTyped(str(err)) from err
+        if ta != tb:
+            raise IllTyped(
+                f"terms have different types: {format_type(ta)} vs {format_type(tb)}")
 
     graph = EGraph(th.sig, builtin_ops)
     var_types = dict(ctx.bindings)
-    binding: dict[str, int] = {}
-    for sub in (*subterms(a), *subterms(b)):
-        if isinstance(sub, Var) and sub.name not in binding:
-            binding[sub.name] = graph.add_node(("var", sub.name), var_types[sub.name])
-    ida = graph.add_instance(a, binding)
-    idb = graph.add_instance(b, binding)
-    node_cap = fuel * 1000
+    binding = {name: graph.add_node(("var", name), var_types[name])
+               for name in _variables(Pair(a, b), images)}
+    ida = graph.add_instance(a, binding, images)
+    idb = graph.add_instance(b, binding, images)
+    cap = node_cap(fuel)
     rounds = 0
     for _ in range(fuel):
         if graph.equal(ida, idb):
@@ -611,14 +656,12 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
         graph.apply_equations_matched(th.equations)
         graph.fold_builtins()
         graph.rebuild()
-        if graph.node_count() > node_cap:
-            return Unknown(rounds, fuel, node_cap)
+        if graph.node_count() > cap:
+            return Unknown(rounds, fuel, cap)
         if graph.version == before:
-            return Unknown(rounds, fuel, node_cap, saturated=True)
+            return Unknown(rounds, fuel, cap, saturated=True)
     if graph.equal(ida, idb):
-        summary = (
-            f"proved {format_term(a)} = {format_term(b)} "
-            f"in {rounds} round(s) over {graph.node_count()} node(s)",
-        ) + tuple(graph.log)
-        return Proved(summary)
-    return Unknown(rounds, fuel, node_cap)
+        goal = goal or f"{format_term(a)} = {format_term(b)}"
+        return Proved((f"proved {goal} in {rounds} round(s) over "
+                       f"{graph.node_count()} node(s)", *graph.log))
+    return Unknown(rounds, fuel, cap)

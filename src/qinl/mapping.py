@@ -7,9 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from .equality import Equation, IllTyped, Proved, Verdict, decide_equal
+from .equality import Equation, IllTyped, Proved, Verdict, check_theory, decide_equal
 from .kernel import (
-    MAX_NESTING,
     App,
     Base,
     Context,
@@ -91,15 +90,6 @@ class SchemaMapping:
                 problems.append(
                     f"image of '{op}' has type {format_type(got)}, "
                     f"expected {format_type(want)}")
-        # Translated equations can nest deeper than anything parsed.  Twice
-        # the parser's limit keeps the preservation check's walkers (type
-        # inference takes two frames a level) inside the recursion limit.
-        limit = 2 * MAX_NESTING
-        for eq in src.theory.equations:
-            if max(_translated_levels(self, side, {})
-                   for side in (eq.lhs, eq.rhs)) > limit:
-                problems.append(f"translated equation '{eq.render()}' nests "
-                                f"deeper than {limit} levels")
         return problems
 
 
@@ -159,47 +149,33 @@ def _translate(mapping: SchemaMapping, e: Term) -> Term:
     raise UnknownOperation(str(e))
 
 
-def _translated_levels(mapping: SchemaMapping | None, e: Term,
-                       var_levels: Mapping[str, int]) -> int:
-    """The levels of `e` translated along `mapping` (`e` itself when None),
-    each variable standing for a term of the given levels, without building
-    the translation."""
-    if isinstance(e, Var):
-        return var_levels.get(e.name, 1)
-    if isinstance(e, App) and mapping is not None and e.op in mapping.op_map:
-        var, body = mapping.op_map[e.op]
-        return _translated_levels(
-            None, body, {var: _translated_levels(mapping, e.arg, var_levels)})
-    if isinstance(e, Pair):
-        return 1 + max(_translated_levels(mapping, e.fst, var_levels),
-                       _translated_levels(mapping, e.snd, var_levels))
-    if isinstance(e, (Proj1, Proj2)):
-        return 1 + _translated_levels(mapping, e.of, var_levels)
-    if isinstance(e, App):
-        return 1 + _translated_levels(mapping, e.arg, var_levels)
-    return 1
-
-
 def check_preservation(mapping: SchemaMapping, fuel: int = 32,
                        ) -> tuple[tuple[Equation, Verdict], ...]:
-    """Run the equality engine on every translated source equation over the
-    target theory.  The mapping is certified only if all come back Proved."""
+    """Prove each source equation, translated along the mapping, in the
+    target theory; the mapping is certified only if all come back Proved.
+    `decide_equal` adds each operation image at its argument's class, so
+    the translation is never built, and its trace names the source equation.
+
+    The translations are well typed, as `apply_to_term` asserts of a built
+    one, by induction on the source term: `validate` types each image at
+    its operation's translated type, builtins and attribute types are the
+    same in both schemas, and `check_theory` types both sides alike."""
     cached = mapping._preservation.get(fuel)
     if cached is not None:
         return cached
-    results = []
-    for eq in mapping.source.theory.equations:
-        ctx = apply_to_context(mapping, eq.ctx)
-        lhs = apply_to_term(mapping, eq.ctx, eq.lhs)
-        rhs = apply_to_term(mapping, eq.ctx, eq.rhs)
-        builtin_ops = {
-            name: mapping.target.builtins.ops[name]
-            for name in mapping.target.builtin_op_names()
-            if name in mapping.target.builtins.ops}
-        verdict = decide_equal(mapping.target.theory, ctx, lhs, rhs, fuel,
-                               builtin_ops=builtin_ops)
-        results.append((eq, verdict))
-    out = tuple(results)
+    problems = mapping.validate() + [
+        f"'{p.equation}': {p.message}" for p in check_theory(mapping.source.theory)]
+    if problems:
+        raise IllTyped(f"mapping is not well formed: {problems[0]}")
+    builtin_ops = {
+        name: mapping.target.builtins.ops[name]
+        for name in mapping.target.builtin_op_names()
+        if name in mapping.target.builtins.ops}
+    out = tuple(
+        (eq, decide_equal(mapping.target.theory, apply_to_context(mapping, eq.ctx),
+                          eq.lhs, eq.rhs, fuel, builtin_ops=builtin_ops,
+                          images=mapping.op_map, goal=eq.render()))
+        for eq in mapping.source.theory.equations)
     mapping._preservation[fuel] = out
     return out
 

@@ -116,39 +116,47 @@ def test_nesting_past_the_limit_exits_2_at_the_first_token_past_it(
     assert out == ""
 
 
-# A translated equation may nest twice as deep as a parsed one.
+# Twice the parser's limit: a depth that only translated equations reach.
 TRANSLATED_LIMIT = 2 * MAX_NESTING
 
 
-def _deep_mapping(tmp_path: Path, k: int) -> tuple[Path, str]:
+def _mapped_file(tmp_path: Path, k: int, image: str) -> tuple[Path, str]:
     """A schema with forall x: A . f^k(x) = f^k(x), mapped along
-    f -> f^5(x), so the translated equation has 5k + 1 levels."""
-    def f(n: int) -> str:
-        return "f(" * n + "x" + ")" * n
+    f -> (x => image)."""
     path = tmp_path / "deep.qinl"
     path.write_text(
         "schema s = { entities A; operations f : A -> A;\n"
-        f"  equations forall x: A . {f(k)} = {f(k)}; }}\n"
+        f"  equations forall x: A . {_f(k)} = {_f(k)}; }}\n"
         "schema t = { entities A; operations f : A -> A; }\n"
         "instance i : s = { A = { a }; f = { a -> a }; }\n"
-        f"mapping m : s -> t = {{ A -> A; f -> (x => {f(5)}); }}\n")
-    return path, f"forall x: A . {f(k)} = {f(k)}"
+        f"mapping m : s -> t = {{ A -> A; f -> (x => {image}); }}\n")
+    return path, f"forall x: A . {_f(k)} = {_f(k)}"
+
+
+def _f(n: int) -> str:
+    return "f(" * n + "x" + ")" * n
+
+
+def _deep_mapping(tmp_path: Path, k: int) -> tuple[Path, str]:
+    """f^k(x) = f^k(x) along f -> f^5(x): the translated equation has
+    5k + 1 levels."""
+    return _mapped_file(tmp_path, k, _f(5))
 
 
 @pytest.mark.parametrize("command, args", [
     ("check", ()),
     ("migrate", ("sigma", "m", "i", "--out", "out.qinl")),
 ])
-def test_translated_equation_past_its_nesting_limit_exits_2_at_the_mapping(
-        capsys, tmp_path, command, args):
-    """f^99 along f -> f^5 is 496 levels deep: the mapping is rejected where
-    it is declared, before any walker recurses through the translation."""
-    path, equation = _deep_mapping(tmp_path, 99)
+def test_translated_equation_nests_past_the_parser_limit_and_is_proved(
+        capsys, tmp_path, monkeypatch, command, args):
+    """f^99 along f -> f^5 translates to 496 levels; the translation is
+    never built, so nothing recurses through it."""
+    monkeypatch.chdir(tmp_path)
+    path, _ = _deep_mapping(tmp_path, 99)
     code, out, err = run(capsys, command, str(path), *args)
-    assert code == 2
-    assert err == (f"{path}:5:1: error: mapping 'm': translated equation "
-                   f"'{equation}' nests deeper than {TRANSLATED_LIMIT} "
-                   f"levels\n")
+    assert (code, err) == (0, "")
+    if command == "check":
+        assert "mapping m : s -> t: preservation 1/1 proved" in out
 
 
 def test_translated_equation_within_its_nesting_limit_checks(capsys, tmp_path):
@@ -156,6 +164,23 @@ def test_translated_equation_within_its_nesting_limit_checks(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert (code, err) == (0, "")
     assert "mapping m : s -> t: preservation 1/1 proved" in out
+
+
+def test_image_using_its_variable_twice_is_proved_with_a_short_trace(
+        capsys, tmp_path):
+    """f -> (x => (f(x), f(x)).1) doubles the translated tree at every
+    level, 2^40 leaves at k = 40; the e-graph holds each level once, and
+    the trace names the source equation, not the translation."""
+    path, equation = _mapped_file(tmp_path, 40, "(f(x), f(x)).1")
+    code, out, err = run(capsys, "check", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    [mapping] = [d for d in json.loads(out)["report"]["declarations"]
+                 if d["kind"] == "mapping"]
+    [entry] = mapping["preservation"]
+    assert entry["verdict"] == "proved"
+    first = entry["trace"][0]
+    assert first.startswith(f"proved {equation} in 0 round(s) over ")
+    assert len(first.encode("utf-8")) < 1024
 
 
 def test_decimal_digits_of_other_scripts_lex_as_integers(capsys, tmp_path):
@@ -417,6 +442,46 @@ def test_flag_overrides_env_fuel(capsys, monkeypatch):
 def test_nonpositive_fuel_rejected(capsys):
     code, _, err = run(capsys, "check", COMPANY, "--fuel", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, args", [
+    ("check", (COMPANY,)),
+    ("eval", (COMPANY,)),
+    ("query", (COMPANY, "palindromeDepts", "staff")),
+    ("migrate", (MIGRATION, "sigma", "toPeople", "orgData", "--out", "out.qinl")),
+    ("homs", (MIGRATION, "twoNodes", "threeNodes")),
+])
+@pytest.mark.parametrize("value", ["0", "-3", "abc", ""])
+def test_invalid_env_fuel_exits_2(capsys, monkeypatch, tmp_path, command,
+                                  args, value):
+    """QINL_FUEL is checked like --fuel by every subcommand, which all read
+    it; a flag given alongside it wins."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QINL_FUEL", value)
+    assert run(capsys, command, *args) == (
+        2, "", "error: QINL_FUEL must be a positive integer\n")
+    assert not (tmp_path / "out.qinl").exists()
+    code, _, err = run(capsys, command, *args, "--fuel", "8")
+    assert (code, err) == (0, "")
+
+
+def test_huge_fuel_keeps_the_node_cap(capsys, tmp_path):
+    """The node budget is capped, however large the fuel: an unprovable
+    obligation that saturates at once reports the capped budget."""
+    path = tmp_path / "free.qinl"
+    path.write_text(
+        "schema s = { entities A; operations f : A -> A, g : A -> A;\n"
+        "  equations forall x: A . f(x) = g(x); }\n"
+        "schema t = { entities A; operations f : A -> A, g : A -> A; }\n"
+        "mapping m : s -> t = { A -> A; f -> (x => f(x)); g -> (x => g(x)); }\n")
+    for fuel, cap in ((1000, 1_000_000), (10**9, 1_000_000), (7, 7000)):
+        code, out, _ = run(capsys, "check", str(path), "--format", "json",
+                           "--fuel", str(fuel))
+        assert code == 1
+        [mapping] = [d for d in json.loads(out)["report"]["declarations"]
+                     if d["kind"] == "mapping"]
+        [entry] = mapping["preservation"]
+        assert (entry["verdict"], entry["node_cap"]) == ("unknown", cap)
 
 
 def test_json_outputs_are_deterministic(capsys):

@@ -9,12 +9,14 @@ from qinl.equality import (
     EGraph,
     Equation,
     IllTyped,
+    NODE_LIMIT,
     Proved,
     Theory,
     Unknown,
     check_theory,
     decide_equal,
     instantiate,
+    node_cap,
 )
 from qinl.kernel import (
     App,
@@ -105,6 +107,19 @@ def test_unknown_reports_caps():
     verdict = decide_equal(th, ctx, Var("x"), Var("y"), 5)
     assert verdict.depth_cap == 5
     assert verdict.node_cap == 5000
+
+
+@pytest.mark.parametrize("fuel, cap", [
+    (1, 1000), (1000, 1_000_000), (1001, NODE_LIMIT), (10**9, NODE_LIMIT)])
+def test_node_cap_is_bounded_whatever_the_fuel(fuel, cap):
+    """A goal that saturates at once, run at a huge fuel, reports the one
+    capped budget; the chase uses the same one."""
+    assert NODE_LIMIT == 1_000_000
+    assert node_cap(fuel) == cap
+    th = Theory.of(Signature.of({"T1"}, {}))
+    ctx = Context.of(("x", Base("T1")), ("y", Base("T1")))
+    verdict = decide_equal(th, ctx, Var("x"), Var("y"), fuel)
+    assert verdict == Unknown(1, fuel, cap, saturated=True)
 
 
 def test_ill_typed_goal_rejected(company_theory):

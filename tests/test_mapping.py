@@ -4,21 +4,24 @@ import random
 
 import pytest
 
-from qinl.equality import Equation, Proved, Theory, Unknown
+from qinl.equality import Equation, IllTyped, Proved, Theory, Unknown, decide_equal
 from qinl.kernel import (
     MAX_NESTING,
     App,
     Base,
     Context,
+    Lit,
     Pair,
     Prod,
     Proj1,
+    Proj2,
     Signature,
     UNIT,
     Var,
 )
 from qinl.mapping import (
     SchemaMapping,
+    apply_to_context,
     apply_to_term,
     apply_to_type,
     check_preservation,
@@ -91,30 +94,164 @@ def test_ill_typed_image_reported(company):
     assert any("image of 'worksIn' has type" in p for p in f.validate())
 
 
-# A translated equation may nest twice as deep as a parsed one.
-TRANSLATED_LIMIT = 2 * MAX_NESTING
+def _applied(op: str, n: int, inner):
+    for _ in range(n):
+        inner = App(op, inner)
+    return inner
 
 
-@pytest.mark.parametrize("image, per_level, k", [
-    (App("g", Var("y")), 1, TRANSLATED_LIMIT - 1),
-    (App("g", Var("y")), 1, TRANSLATED_LIMIT),
-    (Proj1(Pair(App("g", Var("y")), Var("y"))), 3, 66),
-    (Proj1(Pair(App("g", Var("y")), Var("y"))), 3, 67),
+def _paired(n: int, inner):
+    """n levels of (g(inner), y).1: 3n + 1 levels, each using y again."""
+    for _ in range(n):
+        inner = Proj1(Pair(App("g", inner), Var("y")))
+    return inner
+
+
+@pytest.mark.parametrize("image", [
+    _applied("g", MAX_NESTING - 1, Var("y")),
+    _paired((MAX_NESTING - 1) // 3, Var("y")),
 ])
-def test_translated_equation_nesting_is_bounded(image, per_level, k):
-    """f^k(x) = x translates to a term of per_level * k + 1 levels, and a
-    mapping whose translation nests past the limit is reported."""
-    lhs = Var("x")
-    for _ in range(k):
-        lhs = App("f", lhs)
-    eq = Equation(Context.of(("x", Base("A"))), lhs, Var("x"))
+def test_deep_source_along_deep_image_is_proved(image):
+    """A 100-level source along a 100-level image translates to some 10,000
+    levels.  Preservation adds it to the e-graph image by image, so no walk
+    recurses through the translation; the trace names the source equation."""
+    lhs = _applied("f", MAX_NESTING - 1, Var("x"))
+    eq = Equation(Context.of(("x", Base("A"))), lhs, lhs)
     src = entity_schema({"A"}, {"f": ("A", "A")}, [eq])
     tgt = entity_schema({"A"}, {"g": ("A", "A")})
     mapping = SchemaMapping(src, tgt, {"A": "A"}, {"f": ("y", image)})
-    past = per_level * k + 1 > TRANSLATED_LIMIT
-    assert mapping.validate() == (
-        [f"translated equation '{eq.render()}' nests deeper than "
-         f"{TRANSLATED_LIMIT} levels"] if past else [])
+    assert mapping.validate() == []
+    [(got, verdict)] = check_preservation(mapping, fuel=4)
+    assert got == eq
+    assert isinstance(verdict, Proved)
+    assert verdict.trace[0].startswith(f"proved {eq.render()} in 0 round(s) ")
+
+
+def test_preservation_rejects_an_ill_typed_mapping(company):
+    f = identity_mapping(company)
+    f.op_map = dict(f.op_map, worksIn=("x", App("manager", Var("x"))))
+    with pytest.raises(IllTyped, match="image of 'worksIn' has type"):
+        check_preservation(f, fuel=4)
+
+
+def test_preservation_rejects_an_unbalanced_source_equation():
+    eq = Equation(Context.of(("x", Base("A"))), App("f", Var("x")), Var("x"))
+    src = entity_schema({"A", "B"}, {"f": ("A", "B")}, [eq])
+    mapping = SchemaMapping(src, src, {"A": "A", "B": "B"},
+                            {"f": ("x", App("f", Var("x")))})
+    with pytest.raises(IllTyped, match="different types: B vs A"):
+        check_preservation(mapping, fuel=4)
+
+
+def _random_image(rng: random.Random, sig: Signature, want, depth: int):
+    """A target term over y: Emp of the wanted type, often using y more than
+    once, through pairs, projections and the String builtins."""
+    ctx = Context.of(("y", Base("Emp")))
+    roll = rng.random()
+    if roll < 0.1 and want == Base("String"):
+        return Lit("String", rng.choice(["", "ab", "aba"]))
+    if roll < 0.45 and depth > 0:
+        inner = _random_image(rng, sig, want, depth - 1)
+        other = _random_image(rng, sig, rng.choice(
+            [Base("Emp"), Base("Dept"), Base("String"), Base("Int")]), depth - 1)
+        if rng.random() < 0.5:
+            return Proj1(Pair(inner, other))
+        return Proj2(Pair(other, inner))
+    if roll < 0.6 and want == Base("String") and depth > 0:
+        return App("reverse", _random_image(rng, sig, want, depth - 1))
+    if roll < 0.7 and want == Base("Int") and depth > 0:
+        return App("length", _random_image(rng, sig, Base("String"), depth - 1))
+    term = None
+    while term is None:
+        term = random_term(rng, sig, ctx, want, depth=3)
+    return term
+
+
+def _random_side(rng: random.Random, sig: Signature, ctx: Context, want):
+    term = None
+    while term is None:
+        term = random_term(rng, sig, ctx, want, depth=4)
+    return term
+
+
+def _related(rng: random.Random, sig: Signature, ctx: Context, lhs, want):
+    """A term equal to lhs in the company theory, or an unrelated one."""
+    roll = rng.random()
+    if roll < 0.2:
+        return lhs
+    if roll < 0.4:
+        return Proj1(Pair(lhs, _random_side(rng, sig, ctx, Base("Dept"))))
+    if roll < 0.55 and want == Base("String"):
+        return App("reverse", App("reverse", lhs))
+    if roll < 0.7 and want == Base("Dept"):
+        return App("worksIn", App("manager", _random_side(rng, sig, ctx, Base("Emp"))))
+    return _random_side(rng, sig, ctx, want)
+
+
+def _reference(mapping: SchemaMapping, eq: Equation, fuel: int):
+    """Preservation the way it was first written: translate both sides into
+    terms and prove them equal."""
+    builtin_ops = {name: mapping.target.builtins.ops[name]
+                   for name in mapping.target.builtin_op_names()}
+    return decide_equal(
+        mapping.target.theory, apply_to_context(mapping, eq.ctx),
+        apply_to_term(mapping, eq.ctx, eq.lhs),
+        apply_to_term(mapping, eq.ctx, eq.rhs), fuel, builtin_ops=builtin_ops)
+
+
+def test_image_ignoring_its_variable_adds_neither_argument_nor_variable(company):
+    """ename -> "ab" drops manager(x), and with it x, from the translation
+    of length(ename(manager(x))) = 2; the graph holds neither."""
+    x_emp = Context.of(("x", Base("Emp")))
+    eq = Equation(x_emp, App("length", App("ename", App("manager", Var("x")))),
+                  Lit("Int", 2))
+    source = FqlSchema(Theory.of(company.sig, [eq]), company.entity_types,
+                       company.attribute_types)
+    mapping = identity_mapping(company)
+    mapping = SchemaMapping(source, company, mapping.type_map,
+                            dict(mapping.op_map, ename=("y", Lit("String", "ab"))))
+    [(_, verdict)] = check_preservation(mapping, fuel=4)
+    want = _reference(mapping, eq, 4)
+    assert want.trace[0] == "proved length(\"ab\") = 2 in 1 round(s) over 6 node(s)"
+    assert verdict.trace == (f"proved {eq.render()} in 1 round(s) over 6 node(s)",
+                             *want.trace[1:])
+
+
+def test_preservation_agrees_with_translated_terms():
+    """On random company mappings whose images reuse their variable, and on
+    random source equations, adding images at argument classes gives the
+    verdict, round count, node count and union log that proving the
+    translated terms gives."""
+    rng = random.Random(20260601)
+    company = company_schema()
+    sig = company.sig
+    ctx = Context.of(("x", Base("Emp")), ("s", Base("String")))
+    proved = unknown = 0
+    for _ in range(40):
+        equations = []
+        for _ in range(5):
+            want = rng.choice([Base("Emp"), Base("Dept"), Base("String"),
+                               Base("Int"), Prod(Base("Dept"), Base("String"))])
+            lhs = _random_side(rng, sig, ctx, want)
+            equations.append(Equation(ctx, lhs, _related(rng, sig, ctx, lhs, want)))
+        source = FqlSchema(Theory.of(sig, equations), company.entity_types,
+                           company.attribute_types)
+        mapping = SchemaMapping(source, company, {"Emp": "Emp", "Dept": "Dept"}, {
+            op: ("y", _random_image(rng, sig, sig.op_type(op)[1], 3))
+            for op in source.entity_dom_ops()})
+        assert mapping.validate() == []
+        for eq, verdict in check_preservation(mapping, fuel=4):
+            want = _reference(mapping, eq, 4)
+            if isinstance(want, Proved):
+                proved += 1
+                assert isinstance(verdict, Proved)
+                counts = want.trace[0].rpartition(" in ")[2]
+                assert verdict.trace[0] == f"proved {eq.render()} in {counts}"
+                assert verdict.trace[1:] == want.trace[1:]
+            else:
+                unknown += 1
+                assert verdict == want
+    assert proved > 50 and unknown > 20
 
 
 def test_apply_to_type_structural():

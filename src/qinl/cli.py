@@ -4,7 +4,8 @@ Subcommands: check, eval, query, migrate, homs.  Output is a human table or
 JSON (with the run configuration echoed for reproducibility); identical
 inputs and configuration produce byte-identical output.  Exit codes: 0 all
 checks pass, 1 semantic failures (violations, unproved preservation, fuel
-exhaustion, oversized searches), 2 malformed input or usage.
+exhaustion, oversized searches) or a closed stdout, 2 malformed input or
+usage.
 """
 
 from __future__ import annotations
@@ -489,10 +490,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{count_flag} must be positive", file=sys.stderr)
             return ERRORS
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERRORS
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so that the
+        # flush at exit cannot fail again (the recipe of the `signal` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return FAILURES
 
 
 if __name__ == "__main__":

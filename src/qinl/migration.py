@@ -23,8 +23,10 @@ from .schema import (
     Instance,
     LabelledNull,
     OpApplied,
+    TooLarge,
     eval_term,
     search_homs,
+    slot_order,
 )
 
 
@@ -33,10 +35,6 @@ class UnverifiedMapping(EngineError):
         super().__init__(
             "mapping preservation not proved for: " + "; ".join(unproved))
         self.unproved = unproved
-
-
-class TooLarge(EngineError):
-    pass
 
 
 def require_verified(mapping: SchemaMapping, fuel: int,
@@ -305,7 +303,7 @@ def _null_under(v: Cell) -> LabelledNull | None:
 # --------------------------------------------------------------------------
 # Homomorphism enumeration: the adjunction oracle
 
-HOM_SEARCH_LIMIT = 10_000_000
+HOM_SEARCH_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -323,22 +321,23 @@ class Homomorphism:
 
 def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> list[Homomorphism]:
     """Enumerate the instance homomorphisms from i to j, complete and
-    duplicate-free, in lexicographic order of the images of i's rows.
+    duplicate-free, in lexicographic order of the images of i's rows (types
+    sorted, then rows; candidates in j's order).
 
-    A backtracking search (`schema.search_homs`) finds them.  It is guarded
-    by the product of the per-type function-space sizes, which bounds the
-    length of the answer.
+    A backtracking search (`schema.search_homs`) finds them in the order of
+    its slots, and they are sorted back when its `slot_order` is not the
+    order of the type names.  The search is guarded by the number of search
+    nodes it visits, HOM_SEARCH_NODES, which also bounds the length of the
+    answer; past it, TooLarge is raised.
     """
     types = sorted(s.entity_types)
-    space = 1
-    for t in types:
-        if len(i.rows(t)) > 0:
-            space *= len(j.rows(t)) ** len(i.rows(t))
-        if space > HOM_SEARCH_LIMIT:
-            raise TooLarge(
-                f"homomorphism search space exceeds {HOM_SEARCH_LIMIT}")
-    return [Homomorphism(
+    homs = [Homomorphism(
         tuple((t, tuple((row, maps[t][row]) for row in i.rows(t)))
               for t in types),
         tuple(sorted(binding.items())))
-        for maps, binding in search_homs(s, i, j)]
+        for maps, binding in search_homs(s, i, j, max_nodes=HOM_SEARCH_NODES)]
+    if slot_order(s) != types:
+        position = {t: {row: k for k, row in enumerate(j.rows(t))} for t in types}
+        homs.sort(key=lambda h: tuple(position[t][image] for t, pairs in h.maps
+                                      for _, image in pairs))
+    return homs

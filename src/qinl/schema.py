@@ -491,13 +491,35 @@ def _attribute_domain(s: FqlSchema, i: Instance, base: str,
 # --------------------------------------------------------------------------
 # Homomorphism search
 
+class TooLarge(EngineError):
+    pass
+
+
+def slot_order(s: FqlSchema) -> list[str]:
+    """The entity types with each foreign key's source before its target,
+    ties and cycles broken by name.  Assigning a source row forces the rows
+    its keys point to, so targets are mostly filled before their turn."""
+    sources: dict[str, set[str]] = {t: set() for t in s.entity_types}
+    for op in s.entity_dom_ops():
+        dom, cod = (_base_name(x) for x in s.sig.op_type(op))
+        if cod in s.entity_types and cod != dom:
+            sources[cod].add(dom)
+    order: list[str] = []
+    left = sorted(s.entity_types)
+    while left:
+        t = next((t for t in left if not sources[t] & set(left)), left[0])
+        order.append(t)
+        left.remove(t)
+    return order
+
+
 def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
-                bijective: bool = False,
+                bijective: bool = False, max_nodes: int | None = None,
                 ) -> Iterator[tuple[dict[str, dict[str, str]], dict[str, Cell]]]:
     """Yield every homomorphism from i to j as carrier maps plus the binding
     of i's labelled nulls, in lexicographic order of the images of i's rows
-    (types sorted, then rows; candidates in j's order).  The yielded dicts
-    are reused: copy them before the next step.
+    with the types in `slot_order`, rows in i's order and candidates in j's
+    order.  The yielded dicts are reused: copy them before the next step.
 
     A homomorphism commutes with every operation table and fixes builtin
     constants.  A null of i maps to one value of j at all its occurrences.
@@ -507,8 +529,10 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
 
     The search backtracks over the rows of i.  Assigning a row forces the
     images of its foreign-key images and checks its other cells at once.
+    Each row tried for a slot is a search node; past `max_nodes` of them,
+    the search raises TooLarge.
     """
-    types = sorted(s.entity_types)
+    types = slot_order(s)
     if bijective and any(len(i.rows(t)) != len(j.rows(t)) for t in types):
         return
     slots = [(t, r) for t in types for r in i.rows(t)]
@@ -596,12 +620,17 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     if not slots:
         yield maps, binding
         return
+    budget = -1 if max_nodes is None else max_nodes  # -1 never reaches 0
     stack = [(0, iter(j.rows(slots[0][0])), [])]
     while stack:
         k, candidates, trail = stack[-1]
         undo(trail)
         t, r = slots[k]
         for r2 in candidates:
+            if budget == 0:
+                raise TooLarge(
+                    f"homomorphism search exceeds {max_nodes} search nodes")
+            budget -= 1
             if assign(t, r, r2, trail):
                 break
             undo(trail)

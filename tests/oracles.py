@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the engine's own evaluation, saturation,
 and chase code paths: the set evaluator works on plain frozensets, the
-equality oracle is a breadth-first rewrite closure over syntax trees, and
-the model checker enumerates entire finite models by brute force.
+equality oracle is a breadth-first rewrite closure over syntax trees, the
+model checker enumerates entire finite models by brute force, and the query
+oracle scans the whole cartesian product of the carriers (it shares only the
+engine's term evaluator, not its search).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from qinl.kernel import (
     UNIT,
     UnitTerm,
     Var,
+    format_term,
 )
 from qinl.nrc import (
     Empty,
@@ -37,7 +40,7 @@ from qinl.nrc import (
     TrueLit,
     Union,
 )
-from qinl.schema import LabelledNull, OpApplied
+from qinl.schema import LabelledNull, OpApplied, cell_key, eval_term, render_cell
 
 # --------------------------------------------------------------------------
 # Naive set-semantics evaluator over hashable python values.
@@ -485,3 +488,50 @@ def check_egraph_indexes(graph) -> None:
     for t in set(graph._types):
         assert graph.classes_of_type(t) == want["by_type"].get(t, [])
     assert graph._table == want["table"]
+
+
+# --------------------------------------------------------------------------
+# Comprehension queries by a filtered cartesian scan: every binding tuple,
+# in lexicographic order over the carriers, kept when each where clause
+# evaluates equal on both sides.
+
+
+def scan_query(s, i, q) -> tuple[tuple, tuple, tuple[str, ...]]:
+    """(values, witnesses, warnings) of a comprehension, laid out as in
+    `QueryResult`.  The warnings are every null-valued comparison the scan
+    evaluates, uncapped: clauses are evaluated in order and a tuple's first
+    failing clause ends its scan."""
+    warnings: list[str] = []
+    kept = []
+    carriers = [i.rows(t) for _, t in q.bindings]
+    for combo in itertools.product(*carriers):
+        env = {var: row for (var, _), row in zip(q.bindings, combo)}
+        ok = True
+        for lhs, rhs in q.wheres:
+            vl = eval_term(s, i, env, lhs)
+            vr = eval_term(s, i, env, rhs)
+            if _has_unknown(vl) or _has_unknown(vr):
+                warnings.append(
+                    f"null-valued comparison {format_term(lhs)} = "
+                    f"{format_term(rhs)} at "
+                    + ", ".join(f"{v}={r}" for v, r in sorted(env.items())))
+            if vl != vr:
+                ok = False
+                break
+        if ok:
+            kept.append((env, eval_term(s, i, env, q.returns)))
+    unique = {cell_key(v): v for _, v in kept}
+    values = tuple(unique[k] for k in sorted(unique))
+    witnesses = tuple(
+        (tuple(sorted((var, str(row)) for var, row in env.items())),
+         render_cell(value))
+        for env, value in kept)
+    return values, witnesses, tuple(warnings)
+
+
+def _has_unknown(v) -> bool:
+    if isinstance(v, (LabelledNull, OpApplied)):
+        return True
+    if isinstance(v, tuple):
+        return any(_has_unknown(c) for c in v)
+    return False

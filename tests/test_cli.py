@@ -501,6 +501,26 @@ def test_console_entrypoint_runs():
     assert result.stdout == "d1\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_closed_stdout_exits_1_without_a_traceback(fmt):
+    """The reader of stdout is gone before the command writes: it exits 1
+    and prints nothing on stderr, at exit either."""
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "qinl.cli", "check", COMPANY,
+             "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr
+    assert result.stderr == ""
+    assert result.returncode == 1
+
+
 # --------------------------------------------------------------------------
 # Every JSON output validates against the documented schema.
 

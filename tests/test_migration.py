@@ -448,6 +448,53 @@ def test_homs_guard_rejects_oversized():
         enumerate_homs(s, i, j)
 
 
+def test_homs_guard_counts_search_nodes_not_the_function_space():
+    """An 8-cycle maps onto an 8-cycle in 8 ways under next^8 = id, though
+    the function space has 8^8 = 16,777,216 members."""
+    body = Var("x")
+    for _ in range(8):
+        body = App("next", body)
+    s = entity_schema({"V"}, {"next": ("V", "V")},
+                      [Equation(Context.of(("x", Base("V"))), body, Var("x"))])
+
+    def ring(prefix: str) -> Instance:
+        rows = [f"{prefix}{k}" for k in range(8)]
+        return Instance.make(
+            {"V": rows}, {"next": {r: rows[(k + 1) % 8] for k, r in enumerate(rows)}})
+
+    homs = enumerate_homs(s, ring("a"), ring("b"))
+    assert [h.apply("V", "a0") for h in homs] == [f"b{k}" for k in range(8)]
+
+
+def test_homs_come_in_lexicographic_order_when_slots_are_reordered():
+    """With a key from Q to P the search assigns Q's rows before P's, and
+    enumerate_homs still lists the homomorphisms in the oracle's order,
+    types by name."""
+    import random
+
+    from oracles import brute_force_homs
+
+    s = entity_schema({"P", "Q"}, {"g": ("Q", "P"), "m": ("P", "P")})
+    rng = random.Random(1981)
+
+    def instance(prefix: str) -> Instance:
+        ps = [f"{prefix}p{k}" for k in range(rng.randint(1, 3))]
+        qs = [f"{prefix}q{k}" for k in range(rng.randint(0, 3))]
+        return Instance.make(
+            {"P": ps, "Q": qs},
+            {"g": {q: rng.choice(ps) for q in qs},
+             "m": {p: rng.choice(ps) for p in ps}})
+
+    found = 0
+    for _ in range(200):
+        i, j = instance("i"), instance("j")
+        homs = [{t: dict(pairs) for t, pairs in h.maps}
+                for h in enumerate_homs(s, i, j)]
+        assert homs == [maps for maps, _ in brute_force_homs(s, i, j)]
+        found += len(homs) > 1
+    assert found > 50
+
+
 def test_homs_with_attribute_constants():
     src_sig = Signature.of({"A", "String"},
                            {"tag": (Base("A"), Base("String"))})

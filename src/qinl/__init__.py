@@ -99,6 +99,7 @@ from .mapping import (
 from .migration import (
     Homomorphism,
     TooLarge,
+    UnstatedNull,
     UnverifiedMapping,
     delta,
     enumerate_homs,

@@ -78,9 +78,7 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
                 f"ground equation {format_term(lhs)} = {format_term(rhs)} "
                 f"relates different types")
 
-    builtin_ops = {name: s.builtins.ops[name]
-                   for name in s.builtin_op_names() if name in s.builtins.ops}
-    graph = EGraph(s.sig, builtin_ops)
+    graph = EGraph(s.sig, s.builtin_ops())
     nodes = {name: graph.add_node(("var", name), var_types[name])
              for name in sorted(generators)}
     for lhs, rhs in equations:

@@ -21,7 +21,15 @@ from .chase import FuelExhausted
 from .equality import Proved, Theory
 from .kernel import EngineError
 from .mapping import check_preservation
-from .migration import TooLarge, UnverifiedMapping, delta, enumerate_homs, pi, sigma
+from .migration import (
+    TooLarge,
+    UnstatedNull,
+    UnverifiedMapping,
+    delta,
+    enumerate_homs,
+    pi,
+    sigma,
+)
 from .nrc import nrc_eval, format_value
 from .query import eval_query
 from .schema import FqlSchema, check_instance
@@ -339,7 +347,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         result = operation(mapping, elab.instances[args.instance],
                            fuel=config.fuel,
                            allow_unverified=config.allow_unverified)
-    except (FuelExhausted, UnverifiedMapping) as exc:
+    except (FuelExhausted, UnverifiedMapping, UnstatedNull) as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
         return FAILURES
     result_schema = source_name if args.direction == "delta" else target_name

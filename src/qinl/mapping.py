@@ -167,10 +167,7 @@ def check_preservation(mapping: SchemaMapping, fuel: int = 32,
         f"'{p.equation}': {p.message}" for p in check_theory(mapping.source.theory)]
     if problems:
         raise IllTyped(f"mapping is not well formed: {problems[0]}")
-    builtin_ops = {
-        name: mapping.target.builtins.ops[name]
-        for name in mapping.target.builtin_op_names()
-        if name in mapping.target.builtins.ops}
+    builtin_ops = mapping.target.builtin_ops()
     out = tuple(
         (eq, decide_equal(mapping.target.theory, apply_to_context(mapping, eq.ctx),
                           eq.lhs, eq.rhs, fuel, builtin_ops=builtin_ops,

@@ -11,11 +11,22 @@ than truncating silently.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .chase import FuelExhausted, initial_model, materialize, saturate
-from .equality import Proved
-from .kernel import App, Base, EngineError, Lit, Term, Var, substitute
+from .chase import FuelExhausted, materialize, saturate
+from .equality import EGraph, Proved, decide_equal
+from .kernel import (
+    App,
+    Base,
+    Context,
+    EngineError,
+    Lit,
+    Term,
+    Var,
+    format_literal,
+    substitute,
+)
 from .mapping import SchemaMapping, check_preservation
 from .schema import (
     Cell,
@@ -25,6 +36,7 @@ from .schema import (
     OpApplied,
     TooLarge,
     eval_term,
+    render_cell,
     search_homs,
     slot_order,
 )
@@ -35,6 +47,17 @@ class UnverifiedMapping(EngineError):
         super().__init__(
             "mapping preservation not proved for: " + "; ".join(unproved))
         self.unproved = unproved
+
+
+class UnstatedNull(EngineError):
+    """sigma's free model ties a labelled null to a value that no cell can
+    state, such as `length(?0) = 2`."""
+
+    def __init__(self, value: Cell, other: Cell):
+        text = [render_cell(v) if isinstance(v, (LabelledNull, OpApplied))
+                else format_literal(v) for v in (value, other)]
+        super().__init__(f"the free model ties a labelled null to a value no "
+                         f"cell can state: {text[0]} = {text[1]}")
 
 
 def require_verified(mapping: SchemaMapping, fuel: int,
@@ -80,7 +103,10 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     in) the operation's value.  The chase then builds the initial model.
 
     Labelled nulls of the input become attribute-typed generators, so they
-    stay unknown-but-fixed across their occurrences.
+    stay unknown-but-fixed across their occurrences.  An attribute cell
+    holds its class's literal, a builtin application of another cell's
+    null (`length(?0)`), or a fresh null; UnstatedNull is raised when the
+    model ties a null to more than that.
     """
     require_verified(mapping, fuel, allow_unverified)
     src = mapping.source
@@ -123,7 +149,57 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
             else:
                 rhs = cell_term(value, cod.name)
             equations.append((lhs, rhs))
-    return initial_model(mapping.target, generators, equations, fuel)
+    graph = saturate(mapping.target, generators, equations, fuel)
+    free, row_roots = materialize(graph, mapping.target)
+    return _state_nulls(graph, mapping.target, free, row_roots,
+                        _identities(mapping.target, fuel))
+
+
+def _state_nulls(graph: EGraph, s: FqlSchema, free: Instance,
+                 row_roots: dict[str, int],
+                 same: Callable[[Cell, Cell], bool]) -> Instance:
+    """Restate the attribute cells of a materialized free model.  Fresh
+    nulls go to cells whose class is no builtin application first, then to
+    the rest, each in table order, and every value is carried along the
+    graph's builtin applications at once.  UnstatedNull when an application
+    then computes another value than its class holds, unless `same` proves
+    the two equal."""
+    applications = graph.builtin_applications()
+    uses: dict[int, list[tuple[int, str]]] = {}
+    for root, op, arg in applications:
+        uses.setdefault(arg, []).append((root, op))
+    applied = {root for root, _, _ in applications}
+    known: dict[int, Cell] = graph.literals()
+    cells = [(op, row, graph.find(graph.add_node(
+        ("app", op, graph.find(row_roots[row])))))
+        for op in s.entity_dom_ops() if s.classify_op(op) == "attribute"
+        for row in free.functions[op]]
+
+    def carry(start: int, value: Cell) -> None:
+        known[start] = value
+        todo = [start]
+        while todo:
+            arg = todo.pop()
+            for root, op in uses.get(arg, ()):
+                if root not in known:
+                    known[root] = s.builtins.apply(op, known[arg])
+                    todo.append(root)
+
+    nulls = 0
+    for leaves_only in (True, False):
+        for _, _, root in cells:
+            if root not in known and not (leaves_only and root in applied):
+                carry(root, LabelledNull(str(nulls)))
+                nulls += 1
+    for root, op, arg in applications:
+        if arg in known:
+            value = s.builtins.apply(op, known[arg])
+            if value != known[root] and not same(known[root], value):
+                raise UnstatedNull(value, known[root])
+    functions = {op: dict(table) for op, table in free.functions.items()}
+    for op, row, root in cells:
+        functions[op][row] = known[root]
+    return Instance.make(free.carriers, functions)
 
 
 def _row_counts(s: FqlSchema, i: Instance) -> dict[str, int]:
@@ -154,13 +230,17 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     source value the homomorphism binds its cell's null to, and values are
     carried along the builtin applications the target's equations put
     there.  A homomorphism is dropped when that gives a class two values the
-    output could not state as one, so a row is kept only if its images under
-    target operations are kept too.  A target attribute of x takes the value
-    of its class, or a fresh null when no source value determines it.
+    output could not state as one (two forms of one null count as one only
+    if the target theory proves them equal), so a row is kept only if its
+    images under target operations are kept too.  A target attribute of x
+    takes the value of its class, or a fresh null when no source value
+    determines it.
     """
     require_verified(mapping, fuel, allow_unverified)
     tgt = mapping.target
-    limits = {t: _Limit.of(mapping, i, t, fuel) for t in sorted(tgt.entity_types)}
+    same = _identities(tgt, fuel)
+    limits = {t: _Limit.of(mapping, i, t, fuel, same)
+              for t in sorted(tgt.entity_types)}
     carriers = {t: sorted(limit.names.values()) for t, limit in limits.items()}
 
     functions: dict[str, dict[str, Cell]] = {}
@@ -209,7 +289,8 @@ class _Limit:
     values: dict[str, dict[str, Cell | None]]
 
     @classmethod
-    def of(cls, mapping: SchemaMapping, i: Instance, t: str, fuel: int) -> _Limit:
+    def of(cls, mapping: SchemaMapping, i: Instance, t: str, fuel: int,
+           same: Callable[[Cell, Cell], bool]) -> _Limit:
         src, tgt = mapping.source, mapping.target
         graph = saturate(tgt, {"x": t}, (), fuel)
         rep, roots = materialize(graph, tgt)
@@ -244,7 +325,7 @@ class _Limit:
         for maps, binding in search_homs(src, pulled, i):
             known = dict(literals)
             known.update((null_class[label], v) for label, v in binding.items())
-            if not _carry_builtins(tgt, applications, known, open_cells):
+            if not _carry_builtins(tgt, applications, known, open_cells, same):
                 continue
             key = tuple(maps[s][row] for s, row in slots)
             name = "(" + ", ".join(
@@ -256,13 +337,15 @@ class _Limit:
 
 
 def _carry_builtins(s: FqlSchema, applications: list[tuple[int, str, int]],
-                    known: dict[int, Cell], open_cells: set[int]) -> bool:
+                    known: dict[int, Cell], open_cells: set[int],
+                    same: Callable[[Cell, Cell], bool]) -> bool:
     """Give each class (class, op, argument class) of `applications` the
     value of op at its argument's value until nothing changes, a class
     keeping its first value; then give each open cell still without one the
     fresh null pi writes there, and carry again.  False when a class would
-    get another value but the same null in another form (`reverse(reverse(
-    ?u))` for `?u`), or an open cell a value of a source null."""
+    get another value, unless `same` proves the two equal (`reverse(reverse(
+    ?u))` and `?u` under `reverse(reverse(s)) = s`), or an open cell a
+    value of a source null."""
     if not applications:
         return True
     for fill in (False, True):
@@ -282,10 +365,38 @@ def _carry_builtins(s: FqlSchema, applications: list[tuple[int, str, int]],
                         return False
                     known[root] = value
                     changed = True
-                elif known[root] != value and (
-                        null is None or null != _null_under(known[root])):
+                elif known[root] != value and not same(known[root], value):
                     return False
     return True
+
+
+def _identities(s: FqlSchema, fuel: int) -> Callable[[Cell, Cell], bool]:
+    """Whether two values are forms of one null, e1(?u) and e2(?u), equal at
+    every value of its type T: decide_equal proves `forall v: T . e1(v) =
+    e2(v)` in the theory of `s`.  Each pair of forms is decided once."""
+    builtin_ops = s.builtin_ops()
+    proved: dict[tuple[Term, Term], bool] = {}
+
+    def same(a: Cell, b: Cell) -> bool:
+        null = _null_under(a)
+        if null is None or null != _null_under(b):
+            return False
+        (ea, ta), (eb, tb) = _form(s, a), _form(s, b)
+        if (ea, eb) not in proved:
+            verdict = decide_equal(s.theory, Context.of(("v", ta or tb)), ea, eb,
+                                   fuel, builtin_ops=builtin_ops)
+            proved[ea, eb] = isinstance(verdict, Proved)
+        return proved[ea, eb]
+    return same
+
+
+def _form(s: FqlSchema, v: Cell) -> tuple[Term, Base | None]:
+    """A value of a null as a term in the variable v, with the type of the
+    null (None for the bare null)."""
+    if not isinstance(v, OpApplied):
+        return Var("v"), None
+    arg, t = _form(s, v.arg)
+    return App(v.op, arg), t or s.sig.op_type(v.op)[0]
 
 
 @dataclass(frozen=True)

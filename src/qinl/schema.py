@@ -193,6 +193,11 @@ class FqlSchema:
             name for name, (dom, _) in self.sig.operations.items()
             if _base_name(dom) in self.attribute_types)
 
+    def builtin_ops(self) -> dict[str, Callable[[object], object]]:
+        """The registered semantics of this schema's builtin operations."""
+        return {name: self.builtins.ops[name] for name in self.builtin_op_names()
+                if name in self.builtins.ops}
+
     def ops_from(self, entity: str) -> list[str]:
         return sorted(
             name for name, (dom, _) in self.sig.operations.items()

@@ -4,12 +4,17 @@ pretty-printer satisfying parse(print(ast)) == ast, plus elaboration of
 parsed units into semantic objects.
 
 Files use the `.qinl` extension; comments run from `--` to end of line.
+One regular expression tokenizes, with a named group per token kind; the
+parser is recursive descent, and terms and set-calculus expressions share
+their atoms and projections.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chase import FuelExhausted
 from .equality import Equation, Theory, check_theory
@@ -36,7 +41,7 @@ from .kernel import (
     format_type,
 )
 from .mapping import SchemaMapping
-from .migration import UnverifiedMapping, delta, pi, sigma
+from .migration import UnstatedNull, UnverifiedMapping, delta, pi, sigma
 from .nrc import (
     BOOL,
     Bool,
@@ -59,6 +64,7 @@ from .schema import (
     FqlSchema,
     Instance,
     LabelledNull,
+    OpApplied,
     default_builtins,
     validate_instance,
 )
@@ -71,10 +77,20 @@ KEYWORDS = frozenset({
     "Set", "Bool",
 })
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CHARS = _IDENT_START | set("0123456789_")
-_PUNCT2 = ("->", "=>")
-_PUNCT1 = set("{}()[],;:.*=")
+# One alternative per token kind, tried in this order at each position.
+# Only `skip` can hold a newline, so it alone moves the line.  `\d` is
+# exactly `str.isdecimal`.
+_TOKEN = re.compile(r"""
+    (?P<skip>   (?:[ \t\r\n] | --[^\n]*)+ )
+  | (?P<ident>  [A-Za-z][A-Za-z0-9_]* )
+  | (?P<int>    -?\d+ )
+  | (?P<string> "(?:[^"\\\n] | \\["\\nt])*" )
+  | (?P<null>   \?[A-Za-z0-9_]+ )
+  | (?P<punct>  -> | => | [{}()\[\],;:.*=] )
+""", re.VERBOSE)
+_BAD_ESCAPE = re.compile(r'"(?:[^"\\\n]|\\["\\nt])*\\([^"\\nt])')
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
 class ParseError(EngineError):
@@ -87,8 +103,7 @@ class ParseError(EngineError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | int | string | null | punct | eof
     text: str
     value: object
@@ -98,100 +113,45 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal line, col, pos
-        for _ in range(count):
-            if source[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    while pos < n:
-        c = source[pos]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("--", pos):
-            while pos < n and source[pos] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if c in _IDENT_START:
-            end = pos
-            while end < n and source[end] in _IDENT_CHARS:
-                end += 1
-            word = source[pos:end]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, word, start_line, start_col))
-            advance(end - pos)
-            continue
-        if c.isdecimal() or (c == "-" and pos + 1 < n and source[pos + 1].isdecimal()
-                           and not source.startswith("->", pos)):
-            end = pos + 1
-            while end < n and source[end].isdecimal():
-                end += 1
-            text = source[pos:end]
-            tokens.append(Token("int", text, int(text), start_line, start_col))
-            advance(end - pos)
-            continue
-        if c == '"':
-            value, end = _scan_string(source, pos, start_line, start_col)
-            tokens.append(Token("string", source[pos:end], value,
-                                start_line, start_col))
-            advance(end - pos)
-            continue
-        if c == "?":
-            end = pos + 1
-            while end < n and source[end] in _IDENT_CHARS:
-                end += 1
-            if end == pos + 1:
-                raise ParseError("lone '?'", start_line, start_col,
-                                 "a null label like ?0")
-            tokens.append(Token("null", source[pos:end], source[pos + 1:end],
-                                start_line, start_col))
-            advance(end - pos)
-            continue
-        if source[pos:pos + 2] in _PUNCT2:
-            tokens.append(Token("punct", source[pos:pos + 2], None,
-                                start_line, start_col))
-            advance(2)
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("punct", c, None, start_line, start_col))
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(Token("eof", "", None, line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise _bad_token(source, pos, line, col)
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+        elif kind == "ident":
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident",
+                                text, text, line, col))
+        elif kind == "int":
+            tokens.append(Token(kind, text, int(text), line, col))
+        elif kind == "string":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+            tokens.append(Token(kind, text, value, line, col))
+        else:
+            tokens.append(Token(kind, text, text[1:] if kind == "null" else None,
+                                line, col))
+        pos = m.end()
+    tokens.append(Token("eof", "", None, line, pos - line_start + 1))
     return tokens
 
 
-def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, int]:
-    out = []
-    i = pos + 1
-    while i < len(source):
-        c = source[i]
-        if c == '"':
-            return "".join(out), i + 1
-        if c == "\n":
-            break
-        if c == "\\":
-            if i + 1 >= len(source):
-                break
-            esc = source[i + 1]
-            mapped = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}.get(esc)
-            if mapped is None:
-                raise ParseError(f"bad escape '\\{esc}'", line, col)
-            out.append(mapped)
-            i += 2
-            continue
-        out.append(c)
-        i += 1
-    raise ParseError("unterminated string literal", line, col)
+def _bad_token(source: str, pos: int, line: int, col: int) -> ParseError:
+    c = source[pos]
+    if c == '"':
+        bad = _BAD_ESCAPE.match(source, pos)
+        if bad:
+            return ParseError(f"bad escape '\\{bad[1]}'", line, col)
+        return ParseError("unterminated string literal", line, col)
+    if c == "?":
+        return ParseError("lone '?'", line, col, "a null label like ?0")
+    return ParseError(f"unexpected character {c!r}", line, col)
 
 
 # --------------------------------------------------------------------------
@@ -229,8 +189,8 @@ class SchemaDecl:
 
 @dataclass
 class RawValue:
-    kind: str  # name | str | int | bool | null
-    value: object
+    kind: str  # name | str | int | bool | null | app
+    value: object  # an app's value is (operation, argument RawValue)
     loc: Loc = field(default=NO_LOC, compare=False)
 
 
@@ -337,11 +297,11 @@ class _Parser:
         # all of it one level down.
         self.depth = self.base = self.peak = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
@@ -352,34 +312,19 @@ class _Parser:
         return ParseError(f"{message}, found {found!r}", tok.line, tok.col,
                           expected)
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    # A punctuation or keyword text is the text of no other kind of token.
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.text == word
-
-    def accept_punct(self, text: str) -> bool:
-        if self.at_punct(text):
+    def accept(self, text: str) -> bool:
+        if self.at(text):
             self.next()
             return True
         return False
 
-    def accept_keyword(self, word: str) -> bool:
-        if self.at_keyword(word):
-            self.next()
-            return True
-        return False
-
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
             raise self.fail("unexpected token", f"'{text}'")
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.fail("unexpected token", f"'{word}'")
         return self.next()
 
     def begin(self, down: int) -> tuple[int, int, int]:
@@ -422,25 +367,21 @@ class _Parser:
 
     def unit(self) -> SourceUnit:
         decls: list[Declaration] = []
+        declarations = {"schema": self.schema_decl,
+                        "instance": self.instance_decl,
+                        "mapping": self.mapping_decl,
+                        "query": self.query_decl, "expr": self.expr_decl,
+                        "migrate": self.migrate_decl}
         while self.peek().kind != "eof":
-            if self.accept_punct(";"):
+            if self.accept(";"):
                 continue
             tok = self.peek()
-            if self.accept_keyword("schema"):
-                decls.append(self.schema_decl((tok.line, tok.col)))
-            elif self.accept_keyword("instance"):
-                decls.append(self.instance_decl((tok.line, tok.col)))
-            elif self.accept_keyword("mapping"):
-                decls.append(self.mapping_decl((tok.line, tok.col)))
-            elif self.accept_keyword("query"):
-                decls.append(self.query_decl((tok.line, tok.col)))
-            elif self.accept_keyword("expr"):
-                decls.append(self.expr_decl((tok.line, tok.col)))
-            elif self.accept_keyword("migrate"):
-                decls.append(self.migrate_decl((tok.line, tok.col)))
-            else:
+            declaration = declarations.get(tok.text)
+            if declaration is None:
                 raise self.fail("expected a declaration",
                                 "schema/instance/mapping/query/expr/migrate")
+            self.next()
+            decls.append(declaration((tok.line, tok.col)))
         return SourceUnit(tuple(decls))
 
     # -- types ----------------------------------------------------------------
@@ -448,7 +389,7 @@ class _Parser:
     def type_expr(self) -> TypeExpr:
         saved = self.begin(1)
         factors = [self.type_atom()]
-        while self.accept_punct("*"):
+        while self.accept("*"):
             if len(factors) == 1:
                 self.wrap()
             self.down()
@@ -464,9 +405,9 @@ class _Parser:
         if tok.kind == "int" and tok.value == 1:
             self.next()
             return UNIT
-        if self.accept_keyword("Bool"):
+        if self.accept("Bool"):
             return BOOL
-        if self.accept_keyword("Set"):
+        if self.accept("Set"):
             saved = self.begin(1)
             t = SetT(self.type_atom())
             self.end(saved)
@@ -474,20 +415,26 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             return Base(tok.text)
-        if self.accept_punct("("):
+        if self.accept("("):
             t = self.type_expr()
-            self.expect_punct(")")
+            self.expect(")")
             return t
         raise self.fail("expected a type", "1, Bool, Set T, a base type, or (")
 
-    # -- core terms -------------------------------------------------------------
+    # -- terms and set-calculus expressions ---------------------------------------
 
-    def term(self) -> Term:
-        saved = self.begin(1)
-        t = self.term_atom()
-        while self.at_punct("."):
+    def _postfix(self, atom: Callable[[], Term], down: int) -> Term:
+        """An atom followed by projections `.1` and `.2`."""
+        saved = self.begin(down)
+        t = atom()
+        while self.at("."):
             self.wrap()
-            t = self._projection(t)
+            self.next()
+            tok = self.peek()
+            if tok.kind != "int" or tok.value not in (1, 2):
+                raise self.fail("bad projection", ".1 or .2")
+            self.next()
+            t = Proj1(t) if tok.value == 1 else Proj2(t)
         self.end(saved)
         return t
 
@@ -498,54 +445,52 @@ class _Parser:
         under them."""
         saved = self.begin(0)
         parts = [item()]
-        while self.accept_punct(","):
+        while self.accept(","):
             if wrap_first and len(parts) == 1:
                 self.wrap()
             self.down()
             parts.append(item())
-        self.expect_punct(")")
+        self.expect(")")
         self.end(saved)
         return _nest_pairs(parts)
 
-    def _projection(self, t: Term) -> Term:
-        self.expect_punct(".")
+    def _atom(self, item: Callable[[], Term], what: str) -> Term:
+        """The atoms terms and expressions share: unit, tuples of `item`,
+        string and integer literals, applications, and variables."""
         tok = self.peek()
-        if tok.kind != "int" or tok.value not in (1, 2):
-            raise self.fail("bad projection", ".1 or .2")
-        self.next()
-        return Proj1(t) if tok.value == 1 else Proj2(t)
-
-    def term_atom(self) -> Term:
-        tok = self.peek()
-        if self.accept_punct("("):
-            if self.accept_punct(")"):
+        if self.accept("("):
+            if self.accept(")"):
                 return UNIT_TERM
-            return self._pairs(self.term)
+            return self._pairs(item)
         if tok.kind == "string":
             self.next()
             return Lit("String", tok.value)
         if tok.kind == "int":
             self.next()
             return Lit("Int", tok.value)
-        if self.accept_keyword("true"):
-            return Lit("Bool", True)
-        if self.accept_keyword("false"):
-            return Lit("Bool", False)
         if tok.kind == "ident":
             self.next()
-            if self.accept_punct("("):
-                if self.accept_punct(")"):
+            if self.accept("("):
+                if self.accept(")"):
                     return App(tok.text, UNIT_TERM)
-                return App(tok.text, self._pairs(self.term, wrap_first=True))
+                return App(tok.text, self._pairs(item, wrap_first=True))
             return Var(tok.text)
-        raise self.fail("expected a term")
+        raise self.fail(what)
 
-    # -- set-calculus expressions -------------------------------------------------
+    def term(self) -> Term:
+        return self._postfix(self.term_atom, 1)
+
+    def term_atom(self) -> Term:
+        if self.accept("true"):
+            return Lit("Bool", True)
+        if self.accept("false"):
+            return Lit("Bool", False)
+        return self._atom(self.term, "expected a term")
 
     def nrc_expr(self) -> Term:
         saved = self.begin(1)
         e = self.nrc_union()
-        if self.accept_punct("="):
+        if self.accept("="):
             self.wrap()
             e = EqTest(e, self.nrc_union())
         self.end(saved)
@@ -553,164 +498,136 @@ class _Parser:
 
     def nrc_union(self) -> Term:
         saved = self.begin(0)
-        e = self.nrc_postfix()
-        while self.accept_keyword("union"):
+        e = self._postfix(self.nrc_atom, 0)
+        while self.accept("union"):
             self.wrap()
-            e = Union(e, self.nrc_postfix())
-        self.end(saved)
-        return e
-
-    def nrc_postfix(self) -> Term:
-        saved = self.begin(0)
-        e = self.nrc_atom()
-        while self.at_punct("."):
-            self.wrap()
-            e = self._projection(e)
+            e = Union(e, self._postfix(self.nrc_atom, 0))
         self.end(saved)
         return e
 
     def nrc_atom(self) -> Term:
-        tok = self.peek()
-        if self.accept_punct("("):
-            if self.accept_punct(")"):
-                return UNIT_TERM
-            return self._pairs(self.nrc_expr)
-        if self.accept_punct("{"):
+        if self.accept("{"):
             e = self.nrc_expr()
-            self.expect_punct("}")
+            self.expect("}")
             return Singleton(e)
-        if self.accept_keyword("empty"):
-            self.expect_punct("[")
+        if self.accept("empty"):
+            self.expect("[")
             t = self.type_expr()
-            self.expect_punct("]")
+            self.expect("]")
             return Empty(t)
-        if self.accept_keyword("true"):
+        if self.accept("true"):
             return TRUE
-        if self.accept_keyword("false"):
+        if self.accept("false"):
             return FALSE
-        if self.accept_keyword("if"):
+        if self.accept("if"):
             cond = self.nrc_expr()
-            self.expect_keyword("then")
+            self.expect("then")
             then = self.nrc_expr()
-            self.expect_keyword("else")
+            self.expect("else")
             return If(cond, then, self.nrc_expr())
-        if self.accept_keyword("for"):
+        if self.accept("for"):
             var = self.expect_ident("an iteration variable").text
-            self.expect_keyword("in")
+            self.expect("in")
             source = self.nrc_expr()
-            self.expect_keyword("return")
+            self.expect("return")
             return For(var, source, self.nrc_expr())
-        if tok.kind == "string":
-            self.next()
-            return Lit("String", tok.value)
-        if tok.kind == "int":
-            self.next()
-            return Lit("Int", tok.value)
-        if tok.kind == "ident":
-            self.next()
-            if self.accept_punct("("):
-                if self.accept_punct(")"):
-                    return App(tok.text, UNIT_TERM)
-                return App(tok.text, self._pairs(self.nrc_expr, wrap_first=True))
-            return Var(tok.text)
-        raise self.fail("expected an expression")
+        return self._atom(self.nrc_expr, "expected an expression")
 
     # -- declarations ---------------------------------------------------------
 
     def schema_decl(self, loc: Loc) -> SchemaDecl:
         name = self.expect_ident("a schema name").text
-        self.expect_punct("=")
-        self.expect_punct("{")
+        self.expect("=")
+        self.expect("{")
         entities: tuple[str, ...] = ()
         attributes: tuple[str, ...] = ()
         operations: tuple[OpDecl, ...] = ()
         equations: list[EquationDecl] = []
         seen: set[str] = set()
-        while not self.at_punct("}"):
-            tok = self.peek()
-            section = tok.text
+        while not self.at("}"):
+            section = self.peek().text
             if section in seen:
                 raise self.fail(f"duplicate section '{section}'")
-            if self.accept_keyword("entities"):
+            if self.accept("entities"):
                 entities = self._name_list()
-                self.expect_punct(";")
-            elif self.accept_keyword("attributes"):
+                self.expect(";")
+            elif self.accept("attributes"):
                 attributes = self._name_list()
-                self.expect_punct(";")
-            elif self.accept_keyword("operations"):
+                self.expect(";")
+            elif self.accept("operations"):
                 ops = [self._op_decl()]
-                while self.accept_punct(","):
+                while self.accept(","):
                     ops.append(self._op_decl())
-                self.expect_punct(";")
+                self.expect(";")
                 operations = tuple(ops)
-            elif self.accept_keyword("equations"):
-                while not self.at_punct("}"):
+            elif self.accept("equations"):
+                while not self.at("}"):
                     equations.append(self._equation_decl())
-                    self.expect_punct(";")
+                    self.expect(";")
             else:
                 raise self.fail(
                     "expected a schema section",
                     "entities, attributes, operations, or equations")
             seen.add(section)
-        self.expect_punct("}")
+        self.expect("}")
         return SchemaDecl(name, entities, attributes, operations,
                           tuple(equations), loc)
 
     def _name_list(self) -> tuple[str, ...]:
         names = [self.expect_ident("a type name").text]
-        while self.accept_punct(","):
+        while self.accept(","):
             names.append(self.expect_ident("a type name").text)
         return tuple(names)
 
     def _op_decl(self) -> OpDecl:
         tok = self.expect_ident("an operation name")
-        self.expect_punct(":")
+        self.expect(":")
         dom = self.type_expr()
-        self.expect_punct("->")
+        self.expect("->")
         cod = self.type_expr()
         return OpDecl(tok.text, dom, cod, (tok.line, tok.col))
 
     def _equation_decl(self) -> EquationDecl:
         tok = self.peek()
         ctx: list[tuple[str, TypeExpr]] = []
-        if self.accept_keyword("forall"):
+        if self.accept("forall"):
             ctx.append(self._binding())
-            while self.accept_punct(","):
+            while self.accept(","):
                 ctx.append(self._binding())
-            self.expect_punct(".")
+            self.expect(".")
         lhs = self.term()
-        self.expect_punct("=")
+        self.expect("=")
         rhs = self.term()
         return EquationDecl(tuple(ctx), lhs, rhs, (tok.line, tok.col))
 
     def _binding(self) -> tuple[str, TypeExpr]:
         name = self.expect_ident("a variable").text
-        self.expect_punct(":")
+        self.expect(":")
         return name, self.type_expr()
 
     def instance_decl(self, loc: Loc) -> InstanceDecl:
         name = self.expect_ident("an instance name").text
-        self.expect_punct(":")
+        self.expect(":")
         schema_name = self.expect_ident("a schema name").text
-        self.expect_punct("=")
-        self.expect_punct("{")
+        self.expect("=")
+        self.expect("{")
         items = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             items.append(self._instance_item())
-        self.expect_punct("}")
+        self.expect("}")
         return InstanceDecl(name, schema_name, tuple(items), loc)
 
     def _instance_item(self) -> InstanceItem:
         tok = self.expect_ident("a type or operation name")
-        self.expect_punct("=")
-        self.expect_punct("{")
+        self.expect("=")
+        self.expect("{")
         entries: list[tuple[RawValue, RawValue | None]] = []
-        if not self.at_punct("}"):
+        if not self.at("}"):
             entries.append(self._instance_entry())
-            while self.accept_punct(","):
+            while self.accept(","):
                 entries.append(self._instance_entry())
-        self.expect_punct("}")
-        self.expect_punct(";")
+        self.expect("}")
+        self.expect(";")
         kinds = {entry[1] is None for entry in entries}
         if len(kinds) > 1:
             raise ParseError(f"item '{tok.text}' mixes rows and arrows",
@@ -719,7 +636,7 @@ class _Parser:
 
     def _instance_entry(self) -> tuple[RawValue, RawValue | None]:
         key = self._raw_value()
-        if self.accept_punct("->"):
+        if self.accept("->"):
             return key, self._raw_value()
         return key, None
 
@@ -728,7 +645,13 @@ class _Parser:
         loc = (tok.line, tok.col)
         if tok.kind == "ident":
             self.next()
-            return RawValue("name", tok.text, loc)
+            if not self.accept("("):
+                return RawValue("name", tok.text, loc)
+            saved = self.begin(1)
+            arg = self._raw_value()
+            self.expect(")")
+            self.end(saved)
+            return RawValue("app", (tok.text, arg), loc)
         if tok.kind == "string":
             self.next()
             return RawValue("str", tok.value, loc)
@@ -738,85 +661,84 @@ class _Parser:
         if tok.kind == "null":
             self.next()
             return RawValue("null", tok.value, loc)
-        if self.accept_keyword("true"):
+        if self.accept("true"):
             return RawValue("bool", True, loc)
-        if self.accept_keyword("false"):
+        if self.accept("false"):
             return RawValue("bool", False, loc)
         raise self.fail("expected a row id, literal, or null")
 
     def mapping_decl(self, loc: Loc) -> MappingDecl:
         name = self.expect_ident("a mapping name").text
-        self.expect_punct(":")
+        self.expect(":")
         source = self.expect_ident("a schema name").text
-        self.expect_punct("->")
+        self.expect("->")
         target = self.expect_ident("a schema name").text
-        self.expect_punct("=")
-        self.expect_punct("{")
+        self.expect("=")
+        self.expect("{")
         type_entries: list[TypeEntry] = []
         op_entries: list[OpEntry] = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             tok = self.expect_ident("a type or operation name")
-            self.expect_punct("->")
-            if self.at_punct("("):
-                self.expect_punct("(")
+            self.expect("->")
+            if self.accept("("):
                 var = self.expect_ident("a bound variable").text
-                self.expect_punct("=>")
+                self.expect("=>")
                 body = self.term()
-                self.expect_punct(")")
+                self.expect(")")
                 op_entries.append(OpEntry(tok.text, var, body,
                                           (tok.line, tok.col)))
             else:
                 target_name = self.expect_ident("a target type").text
                 type_entries.append(TypeEntry(tok.text, target_name,
                                               (tok.line, tok.col)))
-            self.expect_punct(";")
-        self.expect_punct("}")
+            self.expect(";")
+        self.expect("}")
         return MappingDecl(name, source, target, tuple(type_entries),
                            tuple(op_entries), loc)
 
     def query_decl(self, loc: Loc) -> QueryDecl:
         name = self.expect_ident("a query name").text
-        self.expect_punct(":")
+        self.expect(":")
         schema_name = self.expect_ident("a schema name").text
-        self.expect_punct("=")
-        self.expect_keyword("for")
+        self.expect("=")
+        self.expect("for")
         bindings = [self._query_binding()]
-        while self.accept_punct(","):
+        while self.accept(","):
             bindings.append(self._query_binding())
         wheres: list[WhereClause] = []
-        if self.accept_keyword("where"):
+        if self.accept("where"):
             wheres.append(self._where_clause())
-            while self.accept_keyword("and"):
+            while self.accept("and"):
                 wheres.append(self._where_clause())
-        self.expect_keyword("return")
+        self.expect("return")
         returns = self.term()
         return QueryDecl(name, schema_name, tuple(bindings), tuple(wheres),
                          returns, loc)
 
     def _query_binding(self) -> QueryBinding:
         tok = self.expect_ident("a binding variable")
-        self.expect_punct(":")
+        self.expect(":")
         entity = self.expect_ident("an entity type").text
         return QueryBinding(tok.text, entity, (tok.line, tok.col))
 
     def _where_clause(self) -> WhereClause:
         tok = self.peek()
         lhs = self.term()
-        self.expect_punct("=")
+        self.expect("=")
         rhs = self.term()
         return WhereClause(lhs, rhs, (tok.line, tok.col))
 
     def expr_decl(self, loc: Loc) -> ExprDecl:
         name = self.expect_ident("an expression name").text
-        self.expect_punct("=")
+        self.expect("=")
         return ExprDecl(name, self.nrc_expr(), loc)
 
     def migrate_decl(self, loc: Loc) -> MigrateDecl:
         name = self.expect_ident("a result name").text
-        self.expect_punct("=")
+        self.expect("=")
         tok = self.peek()
         for direction in ("delta", "sigma", "pi"):
-            if self.accept_keyword(direction):
+            if self.accept(direction):
                 mapping_name = self.expect_ident("a mapping name").text
                 instance_name = self.expect_ident("an instance name").text
                 return MigrateDecl(name, direction, mapping_name,
@@ -844,6 +766,9 @@ def print_raw_value(v: RawValue) -> str:
         return f"?{v.value}"
     if v.kind == "name":  # the parser and `_row_raw` make only plain ones
         return str(v.value)
+    if v.kind == "app":
+        op, arg = v.value
+        return f"{op}({print_raw_value(arg)})"
     return format_literal(v.value)
 
 
@@ -1173,6 +1098,8 @@ def _resolve_cell(schema: FqlSchema, cod: TypeExpr, value: RawValue, err):
         return _BAD
     if value.kind == "null":
         return LabelledNull(str(value.value))
+    if value.kind == "app":
+        return _resolve_application(schema, cod, value, err)
     if value.kind == "name":
         err(value.loc, f"'{value.value}' is not a {cod.name} literal")
         return _BAD
@@ -1180,6 +1107,25 @@ def _resolve_cell(schema: FqlSchema, cod: TypeExpr, value: RawValue, err):
         err(value.loc, f"literal {print_raw_value(value)} is not a {cod.name}")
         return _BAD
     return value.value
+
+
+def _resolve_application(schema: FqlSchema, cod: Base, value: RawValue, err):
+    """A builtin of the schema applied to a null or to another such
+    application, giving `cod`."""
+    op, arg = value.value
+    if op not in schema.sig.operations or schema.classify_op(op) != "builtin":
+        err(value.loc, f"'{op}' is not a builtin operation of the schema")
+        return _BAD
+    dom, op_cod = schema.sig.op_type(op)
+    if op_cod != cod:
+        err(value.loc, f"'{op}' gives {format_type(op_cod)}, not {cod.name}")
+        return _BAD
+    if arg.kind not in ("null", "app"):
+        err(arg.loc, f"the argument of '{op}' must be a null or a builtin "
+                     f"application of one")
+        return _BAD
+    inner = _resolve_cell(schema, dom, arg, err)
+    return _BAD if inner is _BAD else OpApplied(op, inner)
 
 
 def _elab_mapping(decl: MappingDecl, out: Elaborated, err) -> None:
@@ -1268,7 +1214,7 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
     try:
         result = operation(mapping, instance, fuel=fuel,
                            allow_unverified=allow_unverified)
-    except (FuelExhausted, UnverifiedMapping) as exc:
+    except (FuelExhausted, UnverifiedMapping, UnstatedNull) as exc:
         failure(decl.loc, f"migrate '{decl.name}': {exc}")
         return
     out.instances[decl.name] = result
@@ -1282,8 +1228,8 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
 def _row_raw(row: str) -> RawValue:
     """Row ids that are not plain identifiers print quoted and reparse as
     strings, so build them with the kind the parser will produce."""
-    if row and row[0] in _IDENT_START and all(c in _IDENT_CHARS for c in row) \
-            and row not in KEYWORDS:
+    m = _TOKEN.fullmatch(row)
+    if m and m.lastgroup == "ident" and row not in KEYWORDS:
         return RawValue("name", row)
     return RawValue("str", row)
 
@@ -1314,11 +1260,10 @@ def _cell_to_raw(cell: object, entity_cod: bool) -> RawValue:
         return _row_raw(str(cell))
     if isinstance(cell, LabelledNull):
         return RawValue("null", cell.label)
+    if isinstance(cell, OpApplied):
+        return RawValue("app", (cell.op, _cell_to_raw(cell.arg, False)))
     if isinstance(cell, bool):
         return RawValue("bool", cell)
     if isinstance(cell, int):
         return RawValue("int", cell)
-    if isinstance(cell, str):
-        return RawValue("str", cell)
-    raise EngineError(
-        f"cell {cell!r} is symbolic and has no textual instance form")
+    return RawValue("str", cell)

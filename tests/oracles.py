@@ -5,7 +5,9 @@ and chase code paths: the set evaluator works on plain frozensets, the
 equality oracle is a breadth-first rewrite closure over syntax trees, the
 model checker enumerates entire finite models by brute force, and the query
 oracle scans the whole cartesian product of the carriers (it shares only the
-engine's term evaluator, not its search).
+engine's term evaluator, not its search), and the tokenizer oracle steps
+through the text one character at a time instead of matching a regular
+expression.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from qinl.nrc import (
     Union,
 )
 from qinl.schema import LabelledNull, OpApplied, cell_key, eval_term, render_cell
+from qinl.surface import KEYWORDS, ParseError, Token
 
 # --------------------------------------------------------------------------
 # Naive set-semantics evaluator over hashable python values.
@@ -535,3 +538,111 @@ def _has_unknown(v) -> bool:
     if isinstance(v, tuple):
         return any(_has_unknown(c) for c in v)
     return False
+
+
+# --------------------------------------------------------------------------
+# The character-stepping tokenizer `surface.tokenize` replaced: the same
+# tokens and the same ParseErrors, one character at a time.
+
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_IDENT_CHARS = _IDENT_START | set("0123456789_")
+_PUNCT2 = ("->", "=>")
+_PUNCT1 = set("{}()[],;:.*=")
+
+
+def scan_tokens(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col, pos = 1, 1, 0
+    n = len(source)
+
+    def advance(count: int) -> None:
+        nonlocal line, col, pos
+        for _ in range(count):
+            if source[pos] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            pos += 1
+
+    while pos < n:
+        c = source[pos]
+        if c in " \t\r\n":
+            advance(1)
+            continue
+        if source.startswith("--", pos):
+            while pos < n and source[pos] != "\n":
+                advance(1)
+            continue
+        start_line, start_col = line, col
+        if c in _IDENT_START:
+            end = pos
+            while end < n and source[end] in _IDENT_CHARS:
+                end += 1
+            word = source[pos:end]
+            kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, word, start_line, start_col))
+            advance(end - pos)
+            continue
+        if c.isdecimal() or (c == "-" and pos + 1 < n and source[pos + 1].isdecimal()
+                           and not source.startswith("->", pos)):
+            end = pos + 1
+            while end < n and source[end].isdecimal():
+                end += 1
+            text = source[pos:end]
+            tokens.append(Token("int", text, int(text), start_line, start_col))
+            advance(end - pos)
+            continue
+        if c == '"':
+            value, end = _scan_string(source, pos, start_line, start_col)
+            tokens.append(Token("string", source[pos:end], value,
+                                start_line, start_col))
+            advance(end - pos)
+            continue
+        if c == "?":
+            end = pos + 1
+            while end < n and source[end] in _IDENT_CHARS:
+                end += 1
+            if end == pos + 1:
+                raise ParseError("lone '?'", start_line, start_col,
+                                 "a null label like ?0")
+            tokens.append(Token("null", source[pos:end], source[pos + 1:end],
+                                start_line, start_col))
+            advance(end - pos)
+            continue
+        if source[pos:pos + 2] in _PUNCT2:
+            tokens.append(Token("punct", source[pos:pos + 2], None,
+                                start_line, start_col))
+            advance(2)
+            continue
+        if c in _PUNCT1:
+            tokens.append(Token("punct", c, None, start_line, start_col))
+            advance(1)
+            continue
+        raise ParseError(f"unexpected character {c!r}", start_line, start_col)
+    tokens.append(Token("eof", "", None, line, col))
+    return tokens
+
+
+def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, int]:
+    out = []
+    i = pos + 1
+    while i < len(source):
+        c = source[i]
+        if c == '"':
+            return "".join(out), i + 1
+        if c == "\n":
+            break
+        if c == "\\":
+            if i + 1 >= len(source):
+                break
+            esc = source[i + 1]
+            mapped = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}.get(esc)
+            if mapped is None:
+                raise ParseError(f"bad escape '\\{esc}'", line, col)
+            out.append(mapped)
+            i += 2
+            continue
+        out.append(c)
+        i += 1
+    raise ParseError("unterminated string literal", line, col)

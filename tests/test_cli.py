@@ -15,6 +15,7 @@ COMPANY = str(FIXTURES / "company.qinl")
 BROKEN = str(FIXTURES / "company_broken.qinl")
 VIOLATION = str(FIXTURES / "company_violation.qinl")
 MIGRATION = str(FIXTURES / "migration.qinl")
+NULLS = str(FIXTURES / "nulls.qinl")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -366,6 +367,84 @@ mapping F : S -> T = { A -> U; u -> (x => w(x)); }
     assert out.read_text() == (
         'instance I_pi : T = {\n  U = { "(x:A=a)" };\n'
         '  m = { "(x:A=a)" -> 2 };\n  w = { "(x:A=a)" -> "pq" };\n}\n')
+
+
+def test_migrate_delta_writes_builtin_applications_of_nulls(capsys, tmp_path):
+    """k -> length(w(x)) over a row with w = ?q gives k = length(?q), which
+    reads back: the output appended to its source file checks."""
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", NULLS, "delta", "lengths",
+                               "someWords", "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert out.read_text() == (
+        "instance someWords_delta : counts = {\n  A = { u1, u2 };\n"
+        "  k = { u1 -> length(?q), u2 -> 3 };\n}\n")
+    both = tmp_path / "both.qinl"
+    both.write_text(Path(NULLS).read_text() + "\n" + out.read_text())
+    code, stdout, stderr = run(capsys, "check", str(both))
+    assert (code, stderr) == (0, "")
+    assert "instance someWords_delta : counts: 2 rows" in stdout
+
+
+def test_migrate_pi_drops_a_row_whose_null_the_target_constrains(capsys, tmp_path):
+    """w(x) = reverse(w(x)) puts ?u and reverse(?u) in one class, which the
+    target does not prove equal, so row a goes and row b ("abba") stays."""
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", NULLS, "pi", "toPalindromes",
+                               "someDrafts", "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert out.read_text() == (
+        'instance someDrafts_pi : palindromes = {\n  U = { "(x:A=b)" };\n'
+        '  w = { "(x:A=b)" -> "abba" };\n}\n')
+    both = tmp_path / "both.qinl"
+    both.write_text(Path(NULLS).read_text() + "\n" + out.read_text())
+    assert run(capsys, "check", str(both))[0] == 0
+
+
+def test_migrate_sigma_fails_on_a_null_no_cell_can_state(capsys, tmp_path):
+    """sigma along the same mapping would need reverse(?0) = ?0 of a's
+    null; the parent wrote w = ?0, which `check` then rejected."""
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", NULLS, "sigma", "toPalindromes",
+                               "someDrafts", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"{NULLS}: failure: the free model ties a labelled null "
+                      f"to a value no cell can state: reverse(?0) = ?0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell, col, message", [
+    ("reverse(?q)", 49, "'reverse' is not a builtin operation of the schema"),
+    ("k(?q)", 49, "'k' is not a builtin operation of the schema"),
+    ("length(length(?q))", 56, "'length' gives Int, not String"),
+    ("length(3)", 56, "the argument of 'length' must be a null"),
+    ('length("ab")', 56, "the argument of 'length' must be a null"),
+    ("length(u1)", 56, "the argument of 'length' must be a null"),
+], ids=["undeclared", "not-builtin", "wrong-type", "int-argument",
+        "string-argument", "row-argument"])
+def test_malformed_builtin_application_cell_exits_2_at_its_position(
+        capsys, tmp_path, cell, col, message):
+    bad = tmp_path / "bad.qinl"
+    row = f"instance b : counts = {{ A = {{ u1 }}; k = {{ u1 -> {cell} }}; }}\n"
+    bad.write_text(Path(NULLS).read_text() + row)
+    line = Path(NULLS).read_text().count("\n") + 1
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert f"bad.qinl:{line}:{col}: error: {message}" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('expr e = "open', "1:10: error: 1:10: unterminated string literal"),
+    ('expr e = "\\q"', "1:10: error: 1:10: bad escape '\\q'"),
+    ("expr e = ?", "1:10: error: 1:10: lone '?'"),
+    ("expr e = \u00b2", "1:10: error: 1:10: unexpected character '\u00b2'"),
+], ids=["unterminated", "bad-escape", "lone-null-mark", "superscript"])
+def test_malformed_token_exits_2_at_its_position(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.qinl"
+    bad.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert f"bad.qinl:{message}" in err
 
 
 def test_migrate_unverified_requires_flag(capsys, tmp_path):

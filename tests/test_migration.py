@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from qinl.chase import FuelExhausted
+from qinl.chase import FuelExhausted, InconsistentConstants
 from qinl.equality import Equation, Theory
 from qinl.kernel import App, Base, Context, Lit, Signature, Var
 from qinl.mapping import SchemaMapping, compose, identity_mapping
 from qinl.migration import (
     TooLarge,
+    UnstatedNull,
     UnverifiedMapping,
     delta,
     enumerate_homs,
@@ -22,6 +25,7 @@ from qinl.schema import (
     check_instance,
     instance_equal_upto_iso,
 )
+from qinl.surface import SourceUnit, elaborate, instance_to_decl, parse, print_unit
 
 from conftest import entity_schema
 
@@ -144,6 +148,32 @@ def test_sigma_fills_new_target_attributes_with_nulls():
     values = list(pushed.functions["tag"].values())
     assert all(isinstance(v, LabelledNull) for v in values)
     assert values[0] != values[1]  # unconstrained cells stay independent
+
+
+def test_sigma_writes_a_builtin_of_a_null_where_the_class_is_one():
+    """k(x) = length(w(x)) and nothing determines w: k is the length of
+    w's null, not a null of its own."""
+    tgt = _string_schema({"U"}, {"w": ("U", "String"), "k": ("U", "Int")},
+                         [Equation(_X_U, _app("k"), _app("length", _app("w")))])
+    mapping = SchemaMapping(entity_schema({"A"}, {}), tgt, {"A": "U"}, {})
+    pushed = sigma(mapping, Instance.make({"A": ["a1", "a2"]}, {}), fuel=8)
+    assert pushed.functions == {
+        "k": {"a1": OpApplied("length", LabelledNull("0")),
+              "a2": OpApplied("length", LabelledNull("1"))},
+        "w": {"a1": LabelledNull("0"), "a2": LabelledNull("1")}}
+    assert check_instance(tgt, pushed).all_ok
+
+
+def test_sigma_refuses_a_null_tied_to_a_constant():
+    """u -> k with u = 2 makes length(w(a)) = 2 of w's null, which no cell
+    can state; the parent wrote w = ?0 and k = 2, which break the equation."""
+    tgt = _string_schema({"U"}, {"w": ("U", "String"), "k": ("U", "Int")},
+                         [Equation(_X_U, _app("k"), _app("length", _app("w")))])
+    src = _string_schema({"A"}, {"u": ("A", "Int")})
+    mapping = SchemaMapping(src, tgt, {"A": "U"}, {"u": ("x", _app("k"))})
+    i = Instance.make({"A": ["a"]}, {"u": {"a": 2}})
+    with pytest.raises(UnstatedNull, match=r"length\(\?0\) = 2"):
+        sigma(mapping, i, fuel=8)
 
 
 def test_sigma_row_name_collision_across_types():
@@ -384,8 +414,12 @@ _LENGTH_OF_REVERSE = Equation(_FOR_ALL_S, _app("length", _app("reverse", Var("s"
     ([Equation(_X_U, _app("n"), _app("length", _app("w")))], ("w", "n"),
      {"a": (LabelledNull("u"), LabelledNull("k")), "b": ("pq", 2),
       "c": (LabelledNull("v"), 2), "d": ("pq", LabelledNull("j"))}, ["b"]),
+    # w(x) = reverse(w(x)) constrains w, so ?u and reverse(?u) are two
+    # forms of one null that the target does not prove equal.
+    ([Equation(_X_U, _app("w"), _app("reverse", _app("w")))], ("w", None),
+     {"a": (LabelledNull("u"), None), "b": ("abba", None)}, ["b"]),
 ], ids=["reverse-twice", "length-of-reverse", "literal", "open-cell-of-null",
-        "open-cell-fresh-null", "constant-against-null"])
+        "open-cell-fresh-null", "constant-against-null", "palindrome"])
 def test_pi_keeps_only_rows_an_instance_with_nulls_can_state(
         equations, images, rows, kept):
     """u goes to a String attribute, and k, if mapped, to an Int one; each
@@ -756,3 +790,82 @@ def test_pi_excludes_families_with_conflicting_attribute_images():
     for i in (agreeing, clashing):
         assert len(enumerate_homs(src, delta(mapping, j), i)) == \
             len(enumerate_homs(tgt, j, pi(mapping, i, fuel=8)))
+
+
+# --------------------------------------------------------------------------
+# Migrations with nulls write models that read back
+
+_NULL_TEMPLATES = ("forall s: String . length(reverse(s)) = length(s);",
+                   "forall x: U . length(w(x)) = k(x);",
+                   "forall x: U . n(x) = length(w(x));",
+                   "forall x: U . w(x) = reverse(w(x));")
+_TEXT_BUILTINS = "length : String -> Int, reverse : String -> String"
+
+
+def _nulls_case(rng: random.Random) -> tuple[str, str]:
+    """Schemas S and T as text, then a mapping M : S -> T and an instance I
+    on S, 30% of whose cells are nulls.  T states a random subset of the
+    templates; S states the String identity when T does, so M is proved."""
+    equations = [t for t in _NULL_TEMPLATES if rng.random() < 0.5]
+    identity = _NULL_TEMPLATES[0] if _NULL_TEMPLATES[0] in equations else ""
+    schemas = (
+        "schema S = { entities A; attributes String, Int;\n"
+        f"  operations u : A -> String, v : A -> Int, {_TEXT_BUILTINS};\n"
+        f"  equations {identity} }}\n"
+        "schema T = { entities U; attributes String, Int;\n"
+        "  operations w : U -> String, w2 : U -> String, k : U -> Int, "
+        f"n : U -> Int, {_TEXT_BUILTINS};\n"
+        f"  equations {' '.join(equations)} }}\n")
+    rows = [f"a{j}" for j in range(rng.randint(1, 4))]
+
+    def table(values, labels):
+        return ", ".join(
+            f"{row} -> "
+            + (f"?{rng.choice(labels)}" if rng.random() < 0.3 else rng.choice(values))
+            for row in rows)
+
+    u = rng.choice(["w(x)", "w2(x)", "reverse(w(x))"])
+    v = rng.choice(["k(x)", "n(x)", "length(w(x))", "length(w2(x))"])
+    strings = ['""', '"a"', '"ab"', '"aba"', '"abba"']
+    rest = (f"mapping M : S -> T = {{ A -> U; u -> (x => {u}); v -> (x => {v}); }}\n"
+            f"instance I : S = {{ A = {{ {', '.join(rows)} }}; "
+            f"u = {{ {table(strings, 'pqr')} }}; "
+            f"v = {{ {table(['0', '1', '2', '3'], 'ij')} }}; }}\n")
+    return schemas, rest
+
+
+def test_migrations_with_nulls_write_models_that_read_back():
+    """Every delta, sigma and pi output passes check_instance on its schema,
+    and its text parses and elaborates back to an equal instance.  A chase
+    over reverse of a null can diverge (FuelExhausted); sigma refuses a
+    model that ties a null to a value no cell states (UnstatedNull), or an
+    input whose constants the target equates (InconsistentConstants)."""
+    rng = random.Random(5)
+    written = {"delta": 0, "sigma": 0, "pi": 0}
+    symbolic = with_nulls = 0
+    for _ in range(400):
+        schemas, rest = _nulls_case(rng)
+        elab = elaborate(parse(schemas + rest))
+        assert not elab.diagnostics, schemas + rest
+        s, t = elab.schemas["S"], elab.schemas["T"]
+        mapping, i = elab.mappings["M"], elab.instances["I"]
+        outputs = []
+        for direction, migrate in (("sigma", sigma), ("pi", pi)):
+            try:
+                outputs.append((direction, t, "T", migrate(mapping, i, fuel=8)))
+            except (FuelExhausted, UnstatedNull, InconsistentConstants) as exc:
+                assert direction == "sigma" or isinstance(exc, FuelExhausted)
+        for _, _, _, j in list(outputs):
+            outputs.append(("delta", s, "S", delta(mapping, j)))
+        for direction, schema, name, out in outputs:
+            assert check_instance(schema, out).all_ok, (schemas + rest, direction)
+            unit = SourceUnit((instance_to_decl("O", name, schema, out),))
+            text = print_unit(unit)
+            assert parse(text) == unit, text
+            back = elaborate(parse(schemas + text))
+            assert not back.diagnostics and back.instances["O"] == out, text
+            written[direction] += 1
+            cells = [c for table in out.functions.values() for c in table.values()]
+            symbolic += any(isinstance(c, OpApplied) for c in cells)
+            with_nulls += bool(out.nulls())
+    assert min(written.values()) >= 30 and symbolic >= 10 and with_nulls >= 100

@@ -29,7 +29,10 @@ from qinl.surface import (
     elaborate,
     parse,
     print_unit,
+    tokenize,
 )
+
+from oracles import scan_tokens
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -111,10 +114,77 @@ def test_quoted_row_ids():
 # Roundtrip on the corpus
 
 @pytest.mark.parametrize("name", ["company.qinl", "company_broken.qinl",
-                                  "company_violation.qinl", "migration.qinl"])
+                                  "company_violation.qinl", "migration.qinl",
+                                  "nulls.qinl"])
 def test_corpus_roundtrip(name):
     unit = parse((FIXTURES / name).read_text())
     assert parse(print_unit(unit)) == unit
+
+
+# --------------------------------------------------------------------------
+# The tokenizer against the character-stepping oracle
+
+
+def _scan(tokenizer, text: str):
+    try:
+        return [tuple(tok) for tok in tokenizer(text)]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col, exc.expected)
+
+
+def _instance_text(rng: random.Random) -> str:
+    """An instance declaration shaped like the benchmark's generated files:
+    carriers of row ids, foreign-key tables, and attribute tables of
+    strings, integers and nulls, with comments and blank lines."""
+    rows = [rng.choice(["e", "d", "r"]) + str(k) for k in range(rng.randint(1, 5))]
+    strings = ['""', '"ab"', '"a b"', '"q\\"q"', '"t\\tn"']
+    cells = [rng.choice(strings), str(rng.randint(-99, 99)),
+             f"?{rng.randint(0, 9)}", rng.choice(rows),
+             f"length(?{rng.choice('qu')})"]
+    lines = [f"-- instance {rng.random()}", "instance I : S = {",
+             f"  E = {{ {', '.join(rows)} }};"]
+    for op in ("f", "name"):
+        pairs = ", ".join(f"{row} -> {rng.choice(cells)}" for row in rows)
+        lines.append(f"  {op} = {{ {pairs} }};")
+    return rng.choice(["\n", "\r\n", "\n\n\t"]).join(lines) + "\n}\n"
+
+
+_ALPHABET = (list(" \r\t\n\"\\?٣²é{}()[],;:.*=-_>aZ09") +
+             ["--", "->", "=>", "\\n", "\\q", "?x", "schema", "union"])
+
+
+_ERRORS = ("bad escape", "unterminated string", "lone '?'", "unexpected character")
+
+
+def test_tokenizer_matches_the_character_stepping_oracle():
+    rng = random.Random(11)
+    fixtures = [path.read_text() for path in sorted(FIXTURES.glob("*.qinl"))]
+    instances = [_instance_text(rng) for _ in range(2000)]
+    randoms = ["".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 30)))
+               for _ in range(9000)]
+    seeds = fixtures + instances + randoms
+    mutated = []
+    for _ in range(9000):
+        text = rng.choice(seeds)
+        start = rng.randrange(len(text) + 1)
+        piece = text[start:start + rng.randint(0, 200)]
+        cut = rng.randrange(len(piece) + 1)
+        if rng.random() < 0.5:
+            piece = piece[:cut] + rng.choice(_ALPHABET) + piece[cut:]
+        else:
+            piece = piece[:cut] + piece[cut + rng.randint(1, 3):]
+        mutated.append(piece)
+    inputs = seeds + mutated
+    assert len(inputs) >= 20_000
+    scanned, errors = 0, set()
+    for text in inputs:
+        got = _scan(tokenize, text)
+        assert got == _scan(scan_tokens, text), repr(text)
+        if isinstance(got, list):
+            scanned += 1
+        else:
+            errors.update(kind for kind in _ERRORS if kind in got[0])
+    assert scanned > 1000 and errors == set(_ERRORS)
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,16 @@ generators, modulo a schema's theory.
 The term universe is grown by closing generators under operations with
 entity domains; the congruence is the closure of every ground instantiation
 of the theory's equations (attribute-quantified equations instantiate at
-attribute-typed terms already present).  Attribute classes holding no
-constant become labelled nulls.  The free model may be infinite, so the
+attribute-typed terms already present).  An attribute cell holds its
+class's constant, a builtin of another cell's labelled null (`length(?0)`),
+or a fresh labelled null.  The free model may be infinite, so the
 construction is fuel-bounded.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from itertools import count
 
 from .equality import EGraph, IllTyped, node_cap
 from .kernel import (
@@ -26,7 +28,7 @@ from .kernel import (
     format_term,
     infer_type,
 )
-from .schema import FqlSchema, Instance, LabelledNull
+from .schema import Cell, FqlSchema, Instance, LabelledNull
 
 
 class FuelExhausted(EngineError):
@@ -139,9 +141,15 @@ def _row_name(term: Term) -> str:
     return format_term(term)
 
 
-def materialize(graph: EGraph, s: FqlSchema) -> tuple[Instance, dict[str, int]]:
-    """Read the instance off a saturated e-graph, together with the class
-    of each of its rows."""
+def materialize(graph: EGraph, s: FqlSchema
+                ) -> tuple[Instance, list[tuple[str, str, int]], dict[int, Cell]]:
+    """Read the instance off a saturated e-graph, together with its
+    attribute cells as (op, row, class) in table order and the value of
+    each attribute class.
+
+    A cell holds its class's literal, a value carried from another cell's
+    null along the graph's builtin applications (`length(?0)`), or a fresh
+    null, numbered in table order (see `fill`)."""
     reps = graph.extract()
     carriers: dict[str, list[str]] = {t: [] for t in sorted(s.entity_types)}
     row_of: dict[int, str] = {}
@@ -153,42 +161,72 @@ def materialize(graph: EGraph, s: FqlSchema) -> tuple[Instance, dict[str, int]]:
         row_of[root] = row
         carriers[graph.class_type(root).name].append(row)
 
+    roots = {row: root for root, row in row_of.items()}
     members = graph.members()
-
-    def constants_of(root: int) -> list[object]:
-        seen = {}
-        for node in members.get(graph.find(root), ()):
-            key = graph._nodes[node]
-            if key[0] == "lit":
-                seen.setdefault((key[1], repr(key[2])), key[2])
-        return [seen[k] for k in sorted(seen)]
-
-    null_of: dict[int, LabelledNull] = {}
-    next_null = 0
-    functions: dict[str, dict[str, object]] = {}
+    functions: dict[str, dict[str, Cell]] = {}
+    cells: list[tuple[str, str, int]] = []
     for op in s.entity_dom_ops():
         dom, cod = s.sig.op_type(op)
-        table: dict[str, object] = {}
+        table: dict[str, Cell] = {}
         assert isinstance(dom, Base)
-        dom_roots = sorted(
-            (r for r in _entity_roots(graph, s)
-             if graph.class_type(r) == dom),
-            key=lambda r: row_of[r])
-        for root in dom_roots:
-            result = graph.find(graph.add_node(("app", op, graph.find(root))))
+        for row in sorted(carriers[dom.name]):
+            result = graph.find(graph.add_node(("app", op, roots[row])))
             if isinstance(cod, Base) and cod.name in s.entity_types:
-                table[row_of[root]] = row_of[result]
-            else:
-                constants = constants_of(result)
-                if len(constants) > 1:
-                    raise InconsistentConstants(constants)
-                if constants:
-                    table[row_of[root]] = constants[0]
-                else:
-                    if result not in null_of:
-                        null_of[result] = LabelledNull(str(next_null))
-                        next_null += 1
-                    table[row_of[root]] = null_of[result]
+                table[row] = row_of[result]
+                continue
+            keys = [graph._nodes[node] for node in members.get(result, ())]
+            constants = {(k[1], repr(k[2])): k[2] for k in keys if k[0] == "lit"}
+            if len(constants) > 1:
+                raise InconsistentConstants([constants[k] for k in sorted(constants)])
+            cells.append((op, row, result))
         functions[op] = table
-    return (Instance.make(carriers, functions),
-            {row: root for root, row in row_of.items()})
+    known: dict[int, Cell] = graph.literals()
+    nulls = count()
+    fill(s, graph.builtin_applications(), known, [root for _, _, root in cells],
+         lambda _: LabelledNull(str(next(nulls))))
+    for op, row, root in cells:
+        functions[op][row] = known[root]
+    return Instance.make(carriers, functions), cells, known
+
+
+def fill(s: FqlSchema, applications: list[tuple[int, str, int]],
+         known: dict[int, Cell], cells: list[int],
+         fresh: Callable[[int], Cell]) -> None:
+    """Give values to classes in `known`, in place.  The values already
+    there are carried along `applications` (class, op, argument class);
+    then each class of `cells` still without a value gets `fresh(class)`,
+    first those that are no builtin application, then the rest, each in
+    order and carried at once.  A class keeps its first value."""
+    uses: dict[int, list[tuple[int, str]]] = {}
+    for root, op, arg in applications:
+        uses.setdefault(arg, []).append((root, op))
+    applied = {root for root, _, _ in applications}
+
+    def carry(todo: list[int]) -> None:
+        while todo:
+            arg = todo.pop()
+            for root, op in uses.get(arg, ()):
+                if root not in known:
+                    known[root] = s.builtins.apply(op, known[arg])
+                    todo.append(root)
+
+    carry([arg for arg in uses if arg in known])
+    for leaves_only in (True, False):
+        for root in cells:
+            if root not in known and not (leaves_only and root in applied):
+                known[root] = fresh(root)
+                carry([root])
+
+
+def conflict(s: FqlSchema, applications: list[tuple[int, str, int]],
+             known: dict[int, Cell], same: Callable[[Cell, Cell], bool]
+             ) -> tuple[Cell, Cell] | None:
+    """The first of `applications` whose op computes another value at its
+    argument's value than its class holds, as (computed, held), unless
+    `same` proves the two equal; None when there is none."""
+    for root, op, arg in applications:
+        if arg in known:
+            value = s.builtins.apply(op, known[arg])
+            if value != known[root] and not same(known[root], value):
+                return value, known[root]
+    return None

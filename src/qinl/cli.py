@@ -32,7 +32,7 @@ from .migration import (
 )
 from .nrc import nrc_eval, format_value
 from .query import eval_query
-from .schema import FqlSchema, check_instance
+from .schema import FqlSchema, InvalidInstance, check_instance
 from .surface import (
     Diagnostic,
     Elaborated,
@@ -347,7 +347,8 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         result = operation(mapping, elab.instances[args.instance],
                            fuel=config.fuel,
                            allow_unverified=config.allow_unverified)
-    except (FuelExhausted, UnverifiedMapping, UnstatedNull) as exc:
+    except (FuelExhausted, UnverifiedMapping, UnstatedNull,
+            InvalidInstance) as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
         return FAILURES
     result_schema = source_name if args.direction == "delta" else target_name

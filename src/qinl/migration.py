@@ -11,11 +11,12 @@ than truncating silently.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .chase import FuelExhausted, materialize, saturate
-from .equality import EGraph, Proved, decide_equal
+from .chase import FuelExhausted, conflict, fill, materialize, saturate
+from .equality import Proved, decide_equal
 from .kernel import (
     App,
     Base,
@@ -32,6 +33,7 @@ from .schema import (
     Cell,
     FqlSchema,
     Instance,
+    InvalidInstance,
     LabelledNull,
     OpApplied,
     TooLarge,
@@ -39,6 +41,7 @@ from .schema import (
     render_cell,
     search_homs,
     slot_order,
+    unstated_builtin,
 )
 
 
@@ -77,8 +80,23 @@ def delta(mapping: SchemaMapping, j: Instance, *, fuel: int = 32,
           allow_unverified: bool = False) -> Instance:
     """Pull a target instance back to the source: the carrier at each source
     entity type is the carrier at its image, and each source operation is
-    interpreted by evaluating its image expression in the target instance."""
+    interpreted by evaluating its image expression in the target instance.
+    InvalidInstance when that applies to a null a builtin the source schema
+    does not declare at that type, which no source instance can state."""
     require_verified(mapping, fuel, allow_unverified)
+    pulled = _pull(mapping, j)
+    for op, table in pulled.functions.items():
+        for row, value in table.items():
+            problem = (isinstance(value, OpApplied)
+                       and unstated_builtin(mapping.source, op, row, value))
+            if problem:
+                raise InvalidInstance([f"the source schema cannot state {problem}"])
+    return pulled
+
+
+def _pull(mapping: SchemaMapping, j: Instance) -> Instance:
+    """delta without its checks, for pi's representables, whose symbolic
+    cells the source schema need not state."""
     src = mapping.source
     carriers = {t: j.rows(mapping.type_map[t]) for t in sorted(src.entity_types)}
     functions: dict[str, dict[str, Cell]] = {}
@@ -112,8 +130,8 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     src = mapping.source
     generators: dict[str, str] = {}
     seed_name: dict[tuple[str, str], str] = {}
-    multiply_used = {
-        row for row, count in _row_counts(src, i).items() if count > 1}
+    counts = Counter(row for t in src.entity_types for row in i.rows(t))
+    multiply_used = {row for row, count in counts.items() if count > 1}
     for t in sorted(src.entity_types):
         for row in i.rows(t):
             name = f"{row}@{t}" if row in multiply_used else row
@@ -150,64 +168,12 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
                 rhs = cell_term(value, cod.name)
             equations.append((lhs, rhs))
     graph = saturate(mapping.target, generators, equations, fuel)
-    free, row_roots = materialize(graph, mapping.target)
-    return _state_nulls(graph, mapping.target, free, row_roots,
-                        _identities(mapping.target, fuel))
-
-
-def _state_nulls(graph: EGraph, s: FqlSchema, free: Instance,
-                 row_roots: dict[str, int],
-                 same: Callable[[Cell, Cell], bool]) -> Instance:
-    """Restate the attribute cells of a materialized free model.  Fresh
-    nulls go to cells whose class is no builtin application first, then to
-    the rest, each in table order, and every value is carried along the
-    graph's builtin applications at once.  UnstatedNull when an application
-    then computes another value than its class holds, unless `same` proves
-    the two equal."""
-    applications = graph.builtin_applications()
-    uses: dict[int, list[tuple[int, str]]] = {}
-    for root, op, arg in applications:
-        uses.setdefault(arg, []).append((root, op))
-    applied = {root for root, _, _ in applications}
-    known: dict[int, Cell] = graph.literals()
-    cells = [(op, row, graph.find(graph.add_node(
-        ("app", op, graph.find(row_roots[row])))))
-        for op in s.entity_dom_ops() if s.classify_op(op) == "attribute"
-        for row in free.functions[op]]
-
-    def carry(start: int, value: Cell) -> None:
-        known[start] = value
-        todo = [start]
-        while todo:
-            arg = todo.pop()
-            for root, op in uses.get(arg, ()):
-                if root not in known:
-                    known[root] = s.builtins.apply(op, known[arg])
-                    todo.append(root)
-
-    nulls = 0
-    for leaves_only in (True, False):
-        for _, _, root in cells:
-            if root not in known and not (leaves_only and root in applied):
-                carry(root, LabelledNull(str(nulls)))
-                nulls += 1
-    for root, op, arg in applications:
-        if arg in known:
-            value = s.builtins.apply(op, known[arg])
-            if value != known[root] and not same(known[root], value):
-                raise UnstatedNull(value, known[root])
-    functions = {op: dict(table) for op, table in free.functions.items()}
-    for op, row, root in cells:
-        functions[op][row] = known[root]
-    return Instance.make(free.carriers, functions)
-
-
-def _row_counts(s: FqlSchema, i: Instance) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for t in s.entity_types:
-        for row in i.rows(t):
-            counts[row] = counts.get(row, 0) + 1
-    return counts
+    free, _, known = materialize(graph, mapping.target)
+    clash = conflict(mapping.target, graph.builtin_applications(), known,
+                     _identities(mapping.target, fuel))
+    if clash is not None:
+        raise UnstatedNull(*clash)
+    return free
 
 
 # --------------------------------------------------------------------------
@@ -226,15 +192,16 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     Target operations act by precomposition: a row's image under f : t -> u
     reads each row of u's representable at its image under the homomorphism
     of representables that sends x to f(x).  Attribute values come from the
-    representable's saturated e-graph: each class takes its literal, or the
-    source value the homomorphism binds its cell's null to, and values are
-    carried along the builtin applications the target's equations put
-    there.  A homomorphism is dropped when that gives a class two values the
-    output could not state as one (two forms of one null count as one only
-    if the target theory proves them equal), so a row is kept only if its
-    images under target operations are kept too.  A target attribute of x
-    takes the value of its class, or a fresh null when no source value
-    determines it.
+    representable's saturated e-graph, searched with one null per
+    undetermined class: each class takes its literal or the source value
+    the homomorphism binds its null to, and `chase.fill` carries these
+    along the builtin applications the target's equations put there and
+    gives each open class a fresh null.  A homomorphism is dropped when an
+    application then computes another value than its class holds (two
+    forms of one null count as one only if the target theory proves them
+    equal), so a row is kept only if its images under target operations
+    are kept too.  The output has one null per row and open class, and a
+    builtin of it is written as such (`length(?0)`).
     """
     require_verified(mapping, fuel, allow_unverified)
     tgt = mapping.target
@@ -244,7 +211,7 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     carriers = {t: sorted(limit.names.values()) for t, limit in limits.items()}
 
     functions: dict[str, dict[str, Cell]] = {}
-    null_count = 0
+    nulls: dict[tuple[str, str, str], LabelledNull] = {}
     for op in tgt.entity_dom_ops():
         dom, cod = tgt.sig.op_type(op)
         assert isinstance(dom, Base) and isinstance(cod, Base)
@@ -266,108 +233,58 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
                 table[name] = image.names[moved]
         else:
             for name in sorted(limit.names.values()):
-                value = limit.values[name][op]
-                if value is None:
-                    value = LabelledNull(str(null_count))
-                    null_count += 1
-                table[name] = value
+                table[name] = _restate(limit.values[name][op], (dom.name, name),
+                                       nulls)
         functions[op] = table
     return Instance.make(carriers, functions)
 
 
 @dataclass(frozen=True)
 class _Limit:
-    """pi at one target entity type t.  `rep` is t's representable, and
-    `slots` are the rows (source entity, row of rep) of its pullback.
-    `names` maps each kept homomorphism, as the tuple of its images of the
-    slots, to its row name; `values` holds each row's attribute cells at x
-    (None where undetermined)."""
+    """pi at one target entity type t.  `rep` is t's representable with one
+    null per undetermined class, labelled by the class, and `slots` are the
+    rows (source entity, row of rep) of its pullback.  `names` maps each
+    kept homomorphism, as the tuple of its images of the slots, to its row
+    name; `values` holds each row's attribute cells at x, where a `_Fresh`
+    null stands for an open class."""
 
     rep: Instance
     slots: list[tuple[str, str]]
     names: dict[tuple[str, ...], str]
-    values: dict[str, dict[str, Cell | None]]
+    values: dict[str, dict[str, Cell]]
 
     @classmethod
     def of(cls, mapping: SchemaMapping, i: Instance, t: str, fuel: int,
            same: Callable[[Cell, Cell], bool]) -> _Limit:
         src, tgt = mapping.source, mapping.target
         graph = saturate(tgt, {"x": t}, (), fuel)
-        rep, roots = materialize(graph, tgt)
-        pulled = delta(mapping, rep, allow_unverified=True)
+        stated, cells, _ = materialize(graph, tgt)
+        literals = graph.literals()
+        functions = {op: dict(table) for op, table in stated.functions.items()}
+        for op, row, root in cells:
+            functions[op][row] = literals.get(root, LabelledNull(str(root)))
+        rep = Instance.make(stated.carriers, functions)
+        pulled = _pull(mapping, rep)
         slots = [(s, row) for s in sorted(src.entity_types)
                  for row in pulled.rows(s)]
-        # Each attribute cell of rep is a class of the graph, which holds a
-        # literal or stands for the cell's null.  A null that pulled does not
-        # hold is open: no source value fills its cell.
-        null_class: dict[str, int] = {}
-        at_x: dict[str, int] = {}
-        for u in sorted(tgt.entity_types):
-            for op in tgt.ops_from(u):
-                if tgt.classify_op(op) != "attribute":
-                    continue
-                for row in rep.rows(u):
-                    root = graph.find(graph.add_node(
-                        ("app", op, graph.find(roots[row]))))
-                    cell = rep.functions[op][row]
-                    if isinstance(cell, LabelledNull):
-                        null_class[cell.label] = root
-                    if row == "x":
-                        at_x[op] = root
-        bound = {null.label for null in pulled.nulls()}
-        open_cells = {root for label, root in null_class.items()
-                      if label not in bound}
-        literals = graph.literals()
         applications = graph.builtin_applications()
+        classes = [root for _, _, root in cells]
+        at_x = {op: root for op, row, root in cells if row == "x"}
 
         names: dict[tuple[str, ...], str] = {}
-        values: dict[str, dict[str, Cell | None]] = {}
+        values: dict[str, dict[str, Cell]] = {}
         for maps, binding in search_homs(src, pulled, i):
             known = dict(literals)
-            known.update((null_class[label], v) for label, v in binding.items())
-            if not _carry_builtins(tgt, applications, known, open_cells, same):
+            known.update((int(label), v) for label, v in binding.items())
+            fill(tgt, applications, known, classes, lambda root: _Fresh(str(root)))
+            if conflict(tgt, applications, known, same) is not None:
                 continue
             key = tuple(maps[s][row] for s, row in slots)
             name = "(" + ", ".join(
                 f"{row}:{s}={image}" for (s, row), image in zip(slots, key)) + ")"
             names[key] = name
-            values[name] = {op: None if isinstance(known.get(root), _Fresh)
-                            else known.get(root) for op, root in at_x.items()}
+            values[name] = {op: known[root] for op, root in at_x.items()}
         return cls(rep, slots, names, values)
-
-
-def _carry_builtins(s: FqlSchema, applications: list[tuple[int, str, int]],
-                    known: dict[int, Cell], open_cells: set[int],
-                    same: Callable[[Cell, Cell], bool]) -> bool:
-    """Give each class (class, op, argument class) of `applications` the
-    value of op at its argument's value until nothing changes, a class
-    keeping its first value; then give each open cell still without one the
-    fresh null pi writes there, and carry again.  False when a class would
-    get another value, unless `same` proves the two equal (`reverse(reverse(
-    ?u))` and `?u` under `reverse(reverse(s)) = s`), or an open cell a
-    value of a source null."""
-    if not applications:
-        return True
-    for fill in (False, True):
-        if fill:
-            for root in open_cells:
-                known.setdefault(root, _Fresh(str(root)))
-        changed = True
-        while changed:
-            changed = False
-            for root, op, arg in applications:
-                if arg not in known:
-                    continue
-                value = s.builtins.apply(op, known[arg])
-                null = _null_under(value)
-                if root not in known:
-                    if null is not None and root in open_cells:
-                        return False
-                    known[root] = value
-                    changed = True
-                elif known[root] != value and not same(known[root], value):
-                    return False
-    return True
 
 
 def _identities(s: FqlSchema, fuel: int) -> Callable[[Cell, Cell], bool]:
@@ -401,7 +318,20 @@ def _form(s: FqlSchema, v: Cell) -> tuple[Term, Base | None]:
 
 @dataclass(frozen=True)
 class _Fresh(LabelledNull):
-    """The fresh null pi writes in an open cell; never a source null."""
+    """The null of an open class of a representable, labelled by the class;
+    never a source null."""
+
+
+def _restate(value: Cell, where: tuple[str, str],
+             nulls: dict[tuple[str, str, str], LabelledNull]) -> Cell:
+    """`value` with its `_Fresh` null, if any, replaced by the output null
+    of `where` (target entity, row) and that null's class, numbered in
+    `nulls` by first use."""
+    if isinstance(value, OpApplied):
+        return OpApplied(value.op, _restate(value.arg, where, nulls))
+    if not isinstance(value, _Fresh):
+        return value
+    return nulls.setdefault((*where, value.label), LabelledNull(str(len(nulls))))
 
 
 def _null_under(v: Cell) -> LabelledNull | None:

@@ -337,12 +337,34 @@ def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
             for row in sorted(table):
                 v = table[row]
                 if isinstance(v, (LabelledNull, OpApplied)):
+                    problem = unstated_builtin(s, op, row, v)
+                    if problem is not None:
+                        problems.append(f"symbolic cell {problem}")
                     continue
                 if not s.builtins.in_carrier(cod_name, v):
                     problems.append(
                         f"ill-typed cell {op}({row}) = {render_cell(v)}: "
                         f"not a {cod_name}")
     return problems
+
+
+def unstated_builtin(s: FqlSchema, op: str, row: str, v: Cell) -> str | None:
+    """Why instance text of `s` cannot state `v` as the cell op(row): a
+    symbolic cell applies only builtins `s` declares, each at the type it
+    gives.  None when it can, and for every cell that is not symbolic."""
+    cod, inner = _base_name(s.sig.op_type(op)[1]), v
+    while isinstance(inner, OpApplied):
+        if inner.op not in s.sig.operations or s.classify_op(inner.op) != "builtin":
+            problem = f"'{inner.op}' is not a builtin operation of the schema"
+            break
+        dom, op_cod = s.sig.op_type(inner.op)
+        if _base_name(op_cod) != cod:
+            problem = f"'{inner.op}' gives {format_type(op_cod)}, not {cod}"
+            break
+        cod, inner = _base_name(dom), inner.arg
+    else:
+        return None
+    return f"{op}({row}) = {render_cell(v)}: {problem}"
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from qinl.chase import FuelExhausted, InconsistentConstants, initial_model
 from qinl.equality import Equation, IllTyped, Theory
 from qinl.kernel import App, Base, Context, Lit, Signature, Var
-from qinl.schema import LabelledNull, check_instance
+from qinl.schema import FqlSchema, LabelledNull, OpApplied, check_instance
 
 from conftest import company_schema, entity_schema
 from oracles import ground_closure
@@ -22,6 +22,25 @@ def test_self_manager_generator_saturates(company=None):
     assert model.functions["manager"]["e"] == "e"
     assert model.functions["worksIn"]["e"] == "e.worksIn"
     assert model.functions["ename"]["e"] == LabelledNull("0")
+
+
+def test_initial_model_carries_a_fresh_null_along_builtins():
+    """n(x) = length(w(x)): the fresh null goes to w, the cell that is no
+    builtin application, and n holds its length, so the model satisfies
+    its own equation (one null per class gave n and w unrelated nulls)."""
+    sig = Signature.of({"U", "String", "Int"},
+                       {"w": (Base("U"), Base("String")),
+                        "n": (Base("U"), Base("Int")),
+                        "length": (Base("String"), Base("Int"))})
+    x = Var("x")
+    equation = Equation(Context.of(("x", Base("U"))), App("n", x),
+                        App("length", App("w", x)))
+    s = FqlSchema(Theory.of(sig, [equation]), frozenset({"U"}),
+                  frozenset({"String", "Int"}))
+    model = initial_model(s, {"x": "U"}, fuel=8)
+    assert model.functions["w"] == {"x": LabelledNull("0")}
+    assert model.functions["n"] == {"x": OpApplied("length", LabelledNull("0"))}
+    assert check_instance(s, model).all_ok
 
 
 def test_chase_example_matches_ground_closure_oracle():

@@ -344,11 +344,11 @@ mapping F : S -> T = { A -> C; }
     assert "did not saturate" in err
 
 
-def test_migrate_pi_drops_a_row_whose_open_attribute_is_a_value_of_a_null(
+def test_migrate_pi_keeps_a_row_whose_open_attribute_is_a_value_of_a_null(
         capsys, tmp_path):
-    """m(x) = length(w(x)) in the target and nothing goes to m: b's m would
-    be length(?ub), which no cell can hold, so b is dropped rather than the
-    migration failing as if the input were malformed."""
+    """m(x) = length(w(x)) in the target and nothing goes to m: b's m is
+    length(?ub), which instance text states, so b is kept and the output
+    appended to its source file checks."""
     text = """
 schema S = { entities A; attributes String, Int;
   operations length : String -> Int, u : A -> String; }
@@ -363,10 +363,16 @@ mapping F : S -> T = { A -> U; u -> (x => w(x)); }
     out = tmp_path / "o.qinl"
     code, stdout, stderr = run(capsys, "migrate", str(f), "pi", "F", "I",
                                "--out", str(out))
-    assert (code, stdout, stderr) == (0, f"wrote I_pi : T to {out} (1 rows)\n", "")
+    assert (code, stdout, stderr) == (0, f"wrote I_pi : T to {out} (2 rows)\n", "")
     assert out.read_text() == (
-        'instance I_pi : T = {\n  U = { "(x:A=a)" };\n'
-        '  m = { "(x:A=a)" -> 2 };\n  w = { "(x:A=a)" -> "pq" };\n}\n')
+        'instance I_pi : T = {\n  U = { "(x:A=a)", "(x:A=b)" };\n'
+        '  m = { "(x:A=a)" -> 2, "(x:A=b)" -> length(?ub) };\n'
+        '  w = { "(x:A=a)" -> "pq", "(x:A=b)" -> ?ub };\n}\n')
+    both = tmp_path / "both.qinl"
+    both.write_text(text + out.read_text())
+    code, stdout, stderr = run(capsys, "check", str(both))
+    assert (code, stderr) == (0, "")
+    assert "instance I_pi : T: 2 rows; 1 satisfied" in stdout
 
 
 def test_migrate_delta_writes_builtin_applications_of_nulls(capsys, tmp_path):
@@ -384,6 +390,40 @@ def test_migrate_delta_writes_builtin_applications_of_nulls(capsys, tmp_path):
     code, stdout, stderr = run(capsys, "check", str(both))
     assert (code, stderr) == (0, "")
     assert "instance someWords_delta : counts: 2 rows" in stdout
+
+
+def test_migrate_delta_fails_on_a_builtin_its_source_does_not_declare(
+        capsys, tmp_path):
+    """Along `lengthsBare` the source `countsBare` declares no `length`, so
+    `length(?q)` is no cell of it: exit 1 naming the op, row and builtin,
+    rather than an output that does not read back."""
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", NULLS, "delta", "lengthsBare",
+                               "someWords", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"{NULLS}: failure: the source schema cannot state "
+                      f"k(u1) = length(?q): 'length' is not a builtin "
+                      f"operation of the schema\n")
+    assert not out.exists()
+
+
+def test_migrate_pi_writes_one_fresh_null_per_open_class(capsys, tmp_path):
+    """w(x) = w2(x) in `twins` and nothing goes to either: each row holds
+    one fresh null in both cells, and the output reads back and checks."""
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", NULLS, "pi", "toTwins",
+                               "someDrafts", "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert out.read_text() == (
+        'instance someDrafts_pi : twins = {\n  U = { "(x:A=a)", "(x:A=b)" };\n'
+        '  u2 = { "(x:A=a)" -> ?u, "(x:A=b)" -> "abba" };\n'
+        '  w = { "(x:A=a)" -> ?0, "(x:A=b)" -> ?1 };\n'
+        '  w2 = { "(x:A=a)" -> ?0, "(x:A=b)" -> ?1 };\n}\n')
+    both = tmp_path / "both.qinl"
+    both.write_text(Path(NULLS).read_text() + "\n" + out.read_text())
+    code, stdout, stderr = run(capsys, "check", str(both))
+    assert (code, stderr) == (0, "")
+    assert "instance someDrafts_pi : twins: 2 rows; 1 satisfied" in stdout
 
 
 def test_migrate_pi_drops_a_row_whose_null_the_target_constrains(capsys, tmp_path):

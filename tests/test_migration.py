@@ -20,6 +20,7 @@ from qinl.migration import (
 from qinl.schema import (
     FqlSchema,
     Instance,
+    InvalidInstance,
     LabelledNull,
     OpApplied,
     check_instance,
@@ -403,10 +404,9 @@ _LENGTH_OF_REVERSE = Equation(_FOR_ALL_S, _app("length", _app("reverse", Var("s"
     ([Equation(_X_U, _app("length", _app("w")), Lit("Int", 3))], ("w", None),
      {"a": ("pq", None), "b": ("abc", None), "c": (LabelledNull("u"), None)},
      ["b"]),
-    # m is open: it takes length(w2(x)) when that is a constant, and the row
-    # is dropped when it is a value of a null, which no cell can hold.
+    # m is open: it takes length(w2(x)), a constant or `length(?u)`.
     ([Equation(_X_U, _app("m"), _app("length", _app("w2")))], ("w2", None),
-     {"a": ("pq", None), "b": (LabelledNull("u"), None)}, ["a"]),
+     {"a": ("pq", None), "b": (LabelledNull("u"), None)}, ["a", "b"]),
     # w2 is open and gets a fresh null, whose length cannot be 1.
     ([Equation(_X_U, _app("m"), _app("length", _app("w2")))], ("w", "m"),
      {"a": ("cc", 1)}, []),
@@ -442,6 +442,107 @@ def test_pi_keeps_only_rows_an_instance_with_nulls_can_state(
                        fuel=8)
         assert projected.rows("U") == tuple(f"(x:A={row})" for row in kept)
         assert check_instance(tgt, projected).all_ok
+
+
+def test_pi_gives_one_fresh_null_to_an_open_class():
+    """w(x) = w2(x) and nothing goes to either: both cells of a row are one
+    class, so they hold one fresh null (one null per cell broke w = w2)."""
+    tgt = _string_schema({"U"}, {op: ("U", "String") for op in ("w", "w2", "u2")},
+                         [Equation(_X_U, _app("w"), _app("w2"))])
+    mapping = SchemaMapping(_string_schema({"A"}, {"u": ("A", "String")}), tgt,
+                            {"A": "U"}, {"u": ("x", _app("u2"))})
+    projected = pi(mapping, Instance.make({"A": ["a"]}, {"u": {"a": "pq"}}),
+                   fuel=8)
+    assert projected.functions["w"] == {"(x:A=a)": LabelledNull("0")}
+    assert projected.functions["w2"] == {"(x:A=a)": LabelledNull("0")}
+    assert projected.functions["u2"] == {"(x:A=a)": "pq"}
+    assert check_instance(tgt, projected).all_ok
+
+
+_OPEN_LENGTH = """
+schema S = { entities A; attributes String, Int;
+  operations u : A -> String, v : A -> Int, length : String -> Int; }
+schema T = { entities U; attributes String, Int;
+  operations w : U -> String, w2 : U -> String, k : U -> Int, n : U -> Int,
+    length : String -> Int;
+  equations forall x: U . n(x) = length(w(x)); }
+mapping M : S -> T = { A -> U; u -> (x => w2(x)); v -> (x => k(x)); }
+instance I : S = { A = { a0, a1 }; u = { a0 -> "", a1 -> "abba" };
+  v = { a0 -> 0, a1 -> 1 }; }
+"""
+
+
+def test_pi_keeps_rows_whose_open_cells_are_builtins_of_a_fresh_null():
+    """n(x) = length(w(x)) with w and n open: w takes a fresh null and n its
+    length, so both rows are kept (both were dropped before)."""
+    elab = elaborate(parse(_OPEN_LENGTH))
+    tgt = elab.schemas["T"]
+    projected = pi(elab.mappings["M"], elab.instances["I"], fuel=8)
+    rows = ("(x:A=a0)", "(x:A=a1)")
+    assert projected.rows("U") == rows
+    nulls = [LabelledNull("0"), LabelledNull("1")]
+    assert projected.functions["w"] == dict(zip(rows, nulls))
+    assert projected.functions["n"] == {
+        row: OpApplied("length", null) for row, null in zip(rows, nulls)}
+    assert check_instance(tgt, projected).all_ok
+
+
+_REVERSE_CYCLE = """
+schema S = { entities A; SOURCE }
+schema T = { entities Tt, U; attributes String;
+  operations f : Tt -> U, a : Tt -> String, w : U -> String,
+    w2 : U -> String, reverse : String -> String;
+  equations
+    forall y: U . w(y) = reverse(w2(y));
+    forall y: U . w2(y) = reverse(w(y));
+    forall x: Tt . a(x) = w2(f(x)); }
+mapping M : S -> T = { A -> U; IMAGE }
+instance I : S = { A = { p, q }; CELLS }
+"""
+
+
+def test_pi_across_a_foreign_key_with_a_builtin_cycle():
+    """w and w2 are reverses of each other, and Tt's a reads w2 across f.
+    p ("ab") is kept at U and at Tt; q (?z) is dropped, since the target
+    does not prove reverse(reverse(?z)) = ?z.  With no source attribute,
+    every row is dropped, and the search along f still runs."""
+    source = "attributes String; operations u : A -> String;"
+    text = (_REVERSE_CYCLE.replace("SOURCE", source)
+            .replace("IMAGE", "u -> (x => w(x));")
+            .replace("CELLS", 'u = { p -> "ab", q -> ?z };'))
+    elab = elaborate(parse(text))
+    projected = pi(elab.mappings["M"], elab.instances["I"], fuel=8)
+    assert projected.carriers == {"Tt": ("(x.f:A=p)",), "U": ("(x:A=p)",)}
+    assert projected.functions["a"] == {"(x.f:A=p)": "ba"}
+    assert projected.functions["w"] == {"(x:A=p)": "ab"}
+    assert projected.functions["w2"] == {"(x:A=p)": "ba"}
+    assert check_instance(elab.schemas["T"], projected).all_ok
+    bare = elaborate(parse(_REVERSE_CYCLE.replace("SOURCE", "")
+                           .replace("IMAGE", "").replace("CELLS", "")))
+    empty = pi(bare.mappings["M"], bare.instances["I"], fuel=8)
+    assert empty.carriers == {"Tt": (), "U": ()}
+
+
+def test_delta_refuses_a_builtin_its_source_does_not_declare():
+    """k -> length(w(x)) over w = ?q computes length(?q), which a source
+    without `length` cannot state; with `length` it is the cell.  pi pulls
+    such cells back inside, and keeps the same rows either way."""
+    tgt = _string_schema({"U"}, {"w": ("U", "String")})
+    j = Instance.make({"U": ["u1", "u2"]},
+                      {"w": {"u1": LabelledNull("q"), "u2": "abc"}})
+    i = Instance.make({"A": ["a"]}, {"k": {"a": 2}})
+    kept = []
+    for builtins in ((), ("length",)):
+        src = _string_schema({"A"}, {"k": ("A", "Int")}, builtins=builtins)
+        mapping = SchemaMapping(src, tgt, {"A": "U"},
+                                {"k": ("x", _app("length", _app("w")))})
+        kept.append(pi(mapping, i, fuel=8).rows("U"))
+        if not builtins:
+            with pytest.raises(InvalidInstance, match=r"k\(u1\) = length\(\?q\)"):
+                delta(mapping, j)
+    assert delta(mapping, j).functions["k"] == {
+        "u1": OpApplied("length", LabelledNull("q")), "u2": 3}
+    assert kept[0] == kept[1]
 
 
 # --------------------------------------------------------------------------

@@ -89,6 +89,24 @@ def test_instance_validation_reports_cells_of_a_type_with_no_carrier():
         "ill-typed cell hue(e1) = red: not a Color"]
 
 
+def test_instance_validation_reads_symbolic_cells_as_instance_text_does():
+    """A symbolic cell applies only builtins the schema declares, each at
+    the type it gives: what the `.qinl` reader already requires."""
+    sig = Signature.of({"E", "String", "Int"},
+                       {"k": (Base("E"), Base("Int")),
+                        "length": (Base("String"), Base("Int"))})
+    s = FqlSchema(Theory.of(sig), frozenset({"E"}), frozenset({"String", "Int"}))
+    q = LabelledNull("q")
+    table = {"e1": OpApplied("length", q), "e2": OpApplied("reverse", q),
+             "e3": OpApplied("length", OpApplied("length", q))}
+    i = Instance.make({"E": list(table)}, {"k": table})
+    assert validate_instance(s, i) == [
+        "symbolic cell k(e2) = reverse(?q): 'reverse' is not a builtin "
+        "operation of the schema",
+        "symbolic cell k(e3) = length(length(?q)): 'length' gives Int, "
+        "not String"]
+
+
 def test_instance_validation_catches_escaping_value(company):
     broken = Instance.make(
         {"Emp": ["e1"], "Dept": ["d1"]},

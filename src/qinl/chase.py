@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from itertools import count
 
-from .equality import EGraph, IllTyped, node_cap
+from .equality import EGraph, IllTyped, Proved, decide_equal, node_cap
 from .kernel import (
     App,
     Base,
@@ -28,7 +28,7 @@ from .kernel import (
     format_term,
     infer_type,
 )
-from .schema import Cell, FqlSchema, Instance, LabelledNull
+from .schema import Cell, FqlSchema, Instance, LabelledNull, OpApplied, render_cell
 
 
 class FuelExhausted(EngineError):
@@ -44,6 +44,17 @@ class InconsistentConstants(EngineError):
         self.values = values
 
 
+class UnstatedNull(EngineError):
+    """The free model ties a labelled null to a value that no cell can
+    state, such as `length(?0) = 2`."""
+
+    def __init__(self, value: Cell, other: Cell):
+        text = [render_cell(v) if isinstance(v, (LabelledNull, OpApplied))
+                else format_literal(v) for v in (value, other)]
+        super().__init__(f"the free model ties a labelled null to a value no "
+                         f"cell can state: {text[0]} = {text[1]}")
+
+
 def initial_model(s: FqlSchema, generators: Mapping[str, str],
                   equations: Sequence[tuple[Term, Term]] = (),
                   fuel: int = 32) -> Instance:
@@ -53,9 +64,13 @@ def initial_model(s: FqlSchema, generators: Mapping[str, str],
 
     Raises FuelExhausted when saturation is not reached within `fuel`
     rounds, for example when an unconstrained entity-to-entity operation
-    keeps generating fresh elements.
+    keeps generating fresh elements, and UnstatedNull when the model ties a
+    null to a value no cell can state (see `require_stated`).
     """
-    return materialize(saturate(s, generators, equations, fuel), s)[0]
+    graph = saturate(s, generators, equations, fuel)
+    model, _, known = materialize(graph, s)
+    require_stated(graph, s, known, fuel)
+    return model
 
 
 def saturate(s: FqlSchema, generators: Mapping[str, str],
@@ -89,14 +104,16 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
 
     cap = node_cap(fuel)
     saturated = False
-    totality_from = 0
+    totality_from = enumerated_from = 0
     for _ in range(fuel):
         before = graph.version
         start = graph.node_count()
         _apply_totality(graph, s, totality_from)
         totality_from = start
         graph.apply_product_axioms()
-        graph.apply_equations_enumerated(s.theory.equations)
+        start = graph.node_count()
+        graph.apply_equations_enumerated(s.theory.equations, enumerated_from)
+        enumerated_from = start
         graph.fold_builtins()
         graph.rebuild()
         if graph.node_count() > cap:
@@ -116,13 +133,12 @@ def _apply_totality(graph: EGraph, s: FqlSchema, since: int) -> None:
     older than node `since` (where the previous pass began) already got its
     application nodes from that pass, and their keys are still canonical,
     so only younger roots are visited."""
+    ops = {Base(t): s.ops_from(t) for t in s.entity_types}
     for root in range(since, graph.node_count()):
         if graph.find(root) != root:
             continue
-        t = graph.class_type(root)
-        if isinstance(t, Base) and t.name in s.entity_types:
-            for op in s.ops_from(t.name):
-                graph.add_node(("app", op, graph.find(root)))
+        for op in ops.get(graph.class_type(root), ()):
+            graph.add_node(("app", op, graph.find(root)))
 
 
 def _entity_roots(graph: EGraph, s: FqlSchema) -> list[int]:
@@ -163,6 +179,7 @@ def materialize(graph: EGraph, s: FqlSchema
 
     roots = {row: root for root, row in row_of.items()}
     members = graph.members()
+    consistent: set[int] = set()
     functions: dict[str, dict[str, Cell]] = {}
     cells: list[tuple[str, str, int]] = []
     for op in s.entity_dom_ops():
@@ -174,10 +191,13 @@ def materialize(graph: EGraph, s: FqlSchema
             if isinstance(cod, Base) and cod.name in s.entity_types:
                 table[row] = row_of[result]
                 continue
-            keys = [graph._nodes[node] for node in members.get(result, ())]
-            constants = {(k[1], repr(k[2])): k[2] for k in keys if k[0] == "lit"}
-            if len(constants) > 1:
-                raise InconsistentConstants([constants[k] for k in sorted(constants)])
+            if result not in consistent:
+                keys = [graph._nodes[node] for node in members.get(result, ())]
+                constants = {(k[1], repr(k[2])): k[2] for k in keys if k[0] == "lit"}
+                if len(constants) > 1:
+                    raise InconsistentConstants(
+                        [constants[k] for k in sorted(constants)])
+                consistent.add(result)
             cells.append((op, row, result))
         functions[op] = table
     known: dict[int, Cell] = graph.literals()
@@ -230,3 +250,49 @@ def conflict(s: FqlSchema, applications: list[tuple[int, str, int]],
             if value != known[root] and not same(known[root], value):
                 return value, known[root]
     return None
+
+
+def require_stated(graph: EGraph, s: FqlSchema, known: dict[int, Cell],
+                   fuel: int) -> None:
+    """Raise UnstatedNull when the values `materialize` gave a saturated
+    graph's classes break one of its builtin applications, unless the
+    theory proves the two values forms of one null (see `identities`)."""
+    clash = conflict(s, graph.builtin_applications(), known, identities(s, fuel))
+    if clash is not None:
+        raise UnstatedNull(*clash)
+
+
+def identities(s: FqlSchema, fuel: int) -> Callable[[Cell, Cell], bool]:
+    """Whether two values are forms of one null, e1(?u) and e2(?u), equal at
+    every value of its type T: decide_equal proves `forall v: T . e1(v) =
+    e2(v)` in the theory of `s`.  Each pair of forms is decided once."""
+    builtin_ops = s.builtin_ops()
+    proved: dict[tuple[Term, Term], bool] = {}
+
+    def same(a: Cell, b: Cell) -> bool:
+        null = _null_under(a)
+        if null is None or null != _null_under(b):
+            return False
+        (ea, ta), (eb, tb) = _form(s, a), _form(s, b)
+        if (ea, eb) not in proved:
+            verdict = decide_equal(s.theory, Context.of(("v", ta or tb)), ea, eb,
+                                   fuel, builtin_ops=builtin_ops)
+            proved[ea, eb] = isinstance(verdict, Proved)
+        return proved[ea, eb]
+    return same
+
+
+def _form(s: FqlSchema, v: Cell) -> tuple[Term, Base | None]:
+    """A value of a null as a term in the variable v, with the type of the
+    null (None for the bare null)."""
+    if not isinstance(v, OpApplied):
+        return Var("v"), None
+    arg, t = _form(s, v.arg)
+    return App(v.op, arg), t or s.sig.op_type(v.op)[0]
+
+
+def _null_under(v: Cell) -> LabelledNull | None:
+    """The null a value is computed from, or None for a constant."""
+    while isinstance(v, OpApplied):
+        v = v.arg
+    return v if isinstance(v, LabelledNull) else None

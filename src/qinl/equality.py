@@ -10,8 +10,10 @@ absence of proof within fuel yields `Unknown`, never a refutation.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import product
 
 from .kernel import (
     App,
@@ -30,12 +32,12 @@ from .kernel import (
     UNIT_TERM,
     UnitTerm,
     Var,
+    format_literal,
     format_term,
     format_type,
     infer_type,
     substitute_many,
     subterms,
-    term_key,
 )
 
 
@@ -540,20 +542,28 @@ class EGraph:
         for other in roots[1:]:
             self.union(roots[0], other, reason)
 
-    def apply_equations_enumerated(self, equations: Iterable[Equation]) -> None:
+    def apply_equations_enumerated(self, equations: Iterable[Equation],
+                                   since: int = 0) -> None:
         """Instantiate each equation at every tuple of existing classes whose
         types match the equation context, adding both sides.  Unlike matched
         application this invents terms; the chase uses it to impose every
-        ground instance of a theory."""
+        ground instance of a theory.
+
+        Semi-naive: with `since` the node count when the previous call
+        began, a tuple of roots all older than `since` is skipped while
+        every node's key is canonical (no union since the last rebuild has
+        left a key stale).  That call, or an earlier one, instantiated the
+        tuple, so both its sides are nodes of one class, and adding them
+        again would find those nodes and merge nothing.  So the nodes and
+        unions are those of visiting every tuple.  An equation with an
+        empty context has one tuple, which counts as old after the first
+        call."""
         for eq in equations:
-            bindings: list[dict[str, int]] = [{}]
-            for var, t in eq.ctx:
-                candidates = self.classes_of_type(t)
-                bindings = [dict(b, **{var: c}) for b in bindings for c in candidates]
-                if not bindings:
-                    break
+            names = [var for var, _ in eq.ctx]
+            pools = [self.classes_of_type(t) for _, t in eq.ctx]
             reason = eq.render()
-            for binding in bindings:
+            for roots in _tuples_since(pools, since, lambda: bool(self._pending)):
+                binding = dict(zip(names, roots))
                 left = self.add_instance(eq.lhs, binding)
                 right = self.add_instance(eq.rhs, binding)
                 self.union(left, right, reason)
@@ -563,46 +573,90 @@ class EGraph:
     def extract(self) -> dict[int, Term]:
         """Minimal representative term per class, by (size, text) order.
         Classes with no leaf-grounded member (possible in cyclic graphs) are
-        absent from the result."""
+        absent from the result.
+
+        Every node is offered to its class, sweep after sweep, until no class
+        improves.  A node's (size, text) key is composed from its children's
+        best keys, as `term_key` of the term it stands for would compute it
+        (`op(t)` is one larger than `t`, and its text is `op(` + text + `)`),
+        and the term itself is built only when the key beats the class's."""
         best: dict[int, tuple[tuple[int, str], Term]] = {}
-
-        def offer(root: int, term: Term) -> bool:
-            key = term_key(term)
-            cur = best.get(root)
-            if cur is None or key < cur[0]:
-                best[root] = (key, term)
-                return True
-            return False
-
+        find = self.find
         changed = True
         while changed:
             changed = False
             for node, key in enumerate(self._nodes):
-                root = self.find(node)
-                term: Term | None = None
                 tag = key[0]
-                if tag == "var":
+                if tag == "app" or tag == "p1" or tag == "p2":
+                    inner = best.get(find(key[-1]))
+                    if inner is None:
+                        continue
+                    size = inner[0][0] + 1
+                elif tag == "pair":
+                    left = best.get(find(key[1]))
+                    right = best.get(find(key[2]))
+                    if left is None or right is None:
+                        continue
+                    size = left[0][0] + right[0][0] + 1
+                else:
+                    size = 1
+                root = find(node)
+                current = best.get(root)
+                if current is not None and size > current[0][0]:
+                    continue
+                if tag == "app":
+                    text = f"{key[1]}({inner[0][1]})"
+                elif tag == "p1" or tag == "p2":
+                    text = f"{inner[0][1]}.{tag[1]}"
+                elif tag == "pair":
+                    text = f"({left[0][1]}, {right[0][1]})"
+                elif tag == "var":
+                    text = key[1]
+                elif tag == "unit":
+                    text = "()"
+                else:
+                    text = format_literal(key[2])
+                if current is not None and (size, text) >= current[0]:
+                    continue
+                if tag == "app":
+                    term: Term = App(key[1], inner[1])
+                elif tag == "p1":
+                    term = Proj1(inner[1])
+                elif tag == "p2":
+                    term = Proj2(inner[1])
+                elif tag == "pair":
+                    term = Pair(left[1], right[1])
+                elif tag == "var":
                     term = Var(key[1])
                 elif tag == "unit":
                     term = UNIT_TERM
-                elif tag == "lit":
+                else:
                     term = Lit(key[1], key[2])
-                elif tag == "pair":
-                    l = best.get(self.find(key[1]))
-                    r = best.get(self.find(key[2]))
-                    if l and r:
-                        term = Pair(l[1], r[1])
-                elif tag in ("p1", "p2"):
-                    inner = best.get(self.find(key[1]))
-                    if inner:
-                        term = (Proj1 if tag == "p1" else Proj2)(inner[1])
-                elif tag == "app":
-                    inner = best.get(self.find(key[2]))
-                    if inner:
-                        term = App(key[1], inner[1])
-                if term is not None and offer(root, term):
-                    changed = True
+                best[root] = ((size, text), term)
+                changed = True
         return {root: term for root, (_, term) in best.items()}
+
+
+def _tuples_since(pools: list[list[int]], since: int,
+                  stale: Callable[[], bool]) -> Iterator[tuple[int, ...]]:
+    """The product of `pools`, each an ascending list of roots, in
+    lexicographic order, less each tuple of roots all older than `since`
+    met while `stale()` is false.  Those tuples come in runs, the older
+    roots of the last pool after an older prefix, and skipping a run
+    changes nothing, so `stale` is asked once per run."""
+    if not pools:
+        if since == 0 or stale():
+            yield ()
+        return
+    *firsts, last = pools
+    newer = last[bisect_left(last, since):]
+    for prefix in product(*firsts):
+        if (prefix and max(prefix) >= since) or stale():
+            for root in last:
+                yield (*prefix, root)
+        else:
+            for root in newer:
+                yield (*prefix, root)
 
 
 # --------------------------------------------------------------------------

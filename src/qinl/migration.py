@@ -15,17 +15,24 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .chase import FuelExhausted, conflict, fill, materialize, saturate
-from .equality import Proved, decide_equal
+from .chase import (
+    FuelExhausted,
+    UnstatedNull,
+    conflict,
+    fill,
+    identities,
+    materialize,
+    require_stated,
+    saturate,
+)
+from .equality import Proved
 from .kernel import (
     App,
     Base,
-    Context,
     EngineError,
     Lit,
     Term,
     Var,
-    format_literal,
     substitute,
 )
 from .mapping import SchemaMapping, check_preservation
@@ -38,7 +45,6 @@ from .schema import (
     OpApplied,
     TooLarge,
     eval_term,
-    render_cell,
     search_homs,
     slot_order,
     unstated_builtin,
@@ -50,17 +56,6 @@ class UnverifiedMapping(EngineError):
         super().__init__(
             "mapping preservation not proved for: " + "; ".join(unproved))
         self.unproved = unproved
-
-
-class UnstatedNull(EngineError):
-    """sigma's free model ties a labelled null to a value that no cell can
-    state, such as `length(?0) = 2`."""
-
-    def __init__(self, value: Cell, other: Cell):
-        text = [render_cell(v) if isinstance(v, (LabelledNull, OpApplied))
-                else format_literal(v) for v in (value, other)]
-        super().__init__(f"the free model ties a labelled null to a value no "
-                         f"cell can state: {text[0]} = {text[1]}")
 
 
 def require_verified(mapping: SchemaMapping, fuel: int,
@@ -169,10 +164,7 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
             equations.append((lhs, rhs))
     graph = saturate(mapping.target, generators, equations, fuel)
     free, _, known = materialize(graph, mapping.target)
-    clash = conflict(mapping.target, graph.builtin_applications(), known,
-                     _identities(mapping.target, fuel))
-    if clash is not None:
-        raise UnstatedNull(*clash)
+    require_stated(graph, mapping.target, known, fuel)
     return free
 
 
@@ -200,18 +192,21 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     application then computes another value than its class holds (two
     forms of one null count as one only if the target theory proves them
     equal), so a row is kept only if its images under target operations
-    are kept too.  The output has one null per row and open class, and a
-    builtin of it is written as such (`length(?0)`).
+    are kept too.  The output has one null per row and open class,
+    numbered past every numeric label of `i`'s nulls, and a builtin of it
+    is written as such (`length(?0)`).
     """
     require_verified(mapping, fuel, allow_unverified)
     tgt = mapping.target
-    same = _identities(tgt, fuel)
+    same = identities(tgt, fuel)
     limits = {t: _Limit.of(mapping, i, t, fuel, same)
               for t in sorted(tgt.entity_types)}
     carriers = {t: sorted(limit.names.values()) for t, limit in limits.items()}
 
     functions: dict[str, dict[str, Cell]] = {}
     nulls: dict[tuple[str, str, str], LabelledNull] = {}
+    first = max((int(null.label) + 1 for null in i.nulls()
+                 if null.label.isdecimal()), default=0)
     for op in tgt.entity_dom_ops():
         dom, cod = tgt.sig.op_type(op)
         assert isinstance(dom, Base) and isinstance(cod, Base)
@@ -234,7 +229,7 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
         else:
             for name in sorted(limit.names.values()):
                 table[name] = _restate(limit.values[name][op], (dom.name, name),
-                                       nulls)
+                                       nulls, first)
         functions[op] = table
     return Instance.make(carriers, functions)
 
@@ -287,35 +282,6 @@ class _Limit:
         return cls(rep, slots, names, values)
 
 
-def _identities(s: FqlSchema, fuel: int) -> Callable[[Cell, Cell], bool]:
-    """Whether two values are forms of one null, e1(?u) and e2(?u), equal at
-    every value of its type T: decide_equal proves `forall v: T . e1(v) =
-    e2(v)` in the theory of `s`.  Each pair of forms is decided once."""
-    builtin_ops = s.builtin_ops()
-    proved: dict[tuple[Term, Term], bool] = {}
-
-    def same(a: Cell, b: Cell) -> bool:
-        null = _null_under(a)
-        if null is None or null != _null_under(b):
-            return False
-        (ea, ta), (eb, tb) = _form(s, a), _form(s, b)
-        if (ea, eb) not in proved:
-            verdict = decide_equal(s.theory, Context.of(("v", ta or tb)), ea, eb,
-                                   fuel, builtin_ops=builtin_ops)
-            proved[ea, eb] = isinstance(verdict, Proved)
-        return proved[ea, eb]
-    return same
-
-
-def _form(s: FqlSchema, v: Cell) -> tuple[Term, Base | None]:
-    """A value of a null as a term in the variable v, with the type of the
-    null (None for the bare null)."""
-    if not isinstance(v, OpApplied):
-        return Var("v"), None
-    arg, t = _form(s, v.arg)
-    return App(v.op, arg), t or s.sig.op_type(v.op)[0]
-
-
 @dataclass(frozen=True)
 class _Fresh(LabelledNull):
     """The null of an open class of a representable, labelled by the class;
@@ -323,22 +289,16 @@ class _Fresh(LabelledNull):
 
 
 def _restate(value: Cell, where: tuple[str, str],
-             nulls: dict[tuple[str, str, str], LabelledNull]) -> Cell:
+             nulls: dict[tuple[str, str, str], LabelledNull], first: int) -> Cell:
     """`value` with its `_Fresh` null, if any, replaced by the output null
     of `where` (target entity, row) and that null's class, numbered in
-    `nulls` by first use."""
+    `nulls` by first use from `first`."""
     if isinstance(value, OpApplied):
-        return OpApplied(value.op, _restate(value.arg, where, nulls))
+        return OpApplied(value.op, _restate(value.arg, where, nulls, first))
     if not isinstance(value, _Fresh):
         return value
-    return nulls.setdefault((*where, value.label), LabelledNull(str(len(nulls))))
-
-
-def _null_under(v: Cell) -> LabelledNull | None:
-    """The null a value is computed from, or None for a constant."""
-    while isinstance(v, OpApplied):
-        v = v.arg
-    return v if isinstance(v, LabelledNull) else None
+    return nulls.setdefault((*where, value.label),
+                            LabelledNull(str(first + len(nulls))))
 
 
 # --------------------------------------------------------------------------

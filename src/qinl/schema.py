@@ -322,8 +322,9 @@ def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
         for row in dom_rows:
             if row not in table:
                 problems.append(f"partial function '{op}': no entry for '{row}'")
+        dom_set = set(dom_rows)
         for row in sorted(table):
-            if row not in dom_rows:
+            if row not in dom_set:
                 problems.append(f"table '{op}' has entry for unknown row '{row}'")
         cod_name = _base_name(cod)
         if cod_name in s.entity_types:

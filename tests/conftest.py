@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from qinl.equality import Equation, Theory
@@ -59,3 +61,45 @@ def company():
 @pytest.fixture
 def staff():
     return staff_instance()
+
+
+# --------------------------------------------------------------------------
+# Migrations with nulls through builtin equations, as text
+
+_NULL_TEMPLATES = ("forall s: String . length(reverse(s)) = length(s);",
+                   "forall x: U . length(w(x)) = k(x);",
+                   "forall x: U . n(x) = length(w(x));",
+                   "forall x: U . w(x) = reverse(w(x));")
+_TEXT_BUILTINS = "length : String -> Int, reverse : String -> String"
+
+
+def nulls_case(rng: random.Random) -> tuple[str, str]:
+    """Schemas S and T as text, then a mapping M : S -> T and an instance I
+    on S, 30% of whose cells are nulls.  T states a random subset of the
+    templates; S states the String identity when T does, so M is proved."""
+    equations = [t for t in _NULL_TEMPLATES if rng.random() < 0.5]
+    identity = _NULL_TEMPLATES[0] if _NULL_TEMPLATES[0] in equations else ""
+    schemas = (
+        "schema S = { entities A; attributes String, Int;\n"
+        f"  operations u : A -> String, v : A -> Int, {_TEXT_BUILTINS};\n"
+        f"  equations {identity} }}\n"
+        "schema T = { entities U; attributes String, Int;\n"
+        "  operations w : U -> String, w2 : U -> String, k : U -> Int, "
+        f"n : U -> Int, {_TEXT_BUILTINS};\n"
+        f"  equations {' '.join(equations)} }}\n")
+    rows = [f"a{j}" for j in range(rng.randint(1, 4))]
+
+    def table(values, labels):
+        return ", ".join(
+            f"{row} -> "
+            + (f"?{rng.choice(labels)}" if rng.random() < 0.3 else rng.choice(values))
+            for row in rows)
+
+    u = rng.choice(["w(x)", "w2(x)", "reverse(w(x))"])
+    v = rng.choice(["k(x)", "n(x)", "length(w(x))", "length(w2(x))"])
+    strings = ['""', '"a"', '"ab"', '"aba"', '"abba"']
+    rest = (f"mapping M : S -> T = {{ A -> U; u -> (x => {u}); v -> (x => {v}); }}\n"
+            f"instance I : S = {{ A = {{ {', '.join(rows)} }}; "
+            f"u = {{ {table(strings, 'pqr')} }}; "
+            f"v = {{ {table(['0', '1', '2', '3'], 'ij')} }}; }}\n")
+    return schemas, rest

@@ -5,9 +5,10 @@ and chase code paths: the set evaluator works on plain frozensets, the
 equality oracle is a breadth-first rewrite closure over syntax trees, the
 model checker enumerates entire finite models by brute force, and the query
 oracle scans the whole cartesian product of the carriers (it shares only the
-engine's term evaluator, not its search), and the tokenizer oracle steps
-through the text one character at a time instead of matching a regular
-expression.
+engine's term evaluator, not its search), the chase's enumeration pass and
+extraction visit every tuple and every node on every sweep, and the tokenizer
+oracle steps through the text one character at a time instead of matching a
+regular expression.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from qinl.kernel import (
     UnitTerm,
     Var,
     format_term,
+    term_key,
 )
 from qinl.nrc import (
     Empty,
@@ -491,6 +493,68 @@ def check_egraph_indexes(graph) -> None:
     for t in set(graph._types):
         assert graph.classes_of_type(t) == want["by_type"].get(t, [])
     assert graph._table == want["table"]
+
+
+# --------------------------------------------------------------------------
+# The chase's enumeration pass and extraction, each by a sweep over all
+# of its candidates.
+
+
+def enumerate_all_tuples(graph, equations, since: int = 0) -> None:
+    """`EGraph.apply_equations_enumerated` visiting every tuple of classes
+    of the context's types, whatever `since` is: the whole cartesian product,
+    built as a list of bindings before any is instantiated."""
+    for eq in equations:
+        bindings: list[dict[str, int]] = [{}]
+        for var, t in eq.ctx:
+            candidates = graph.classes_of_type(t)
+            bindings = [dict(b, **{var: c}) for b in bindings for c in candidates]
+            if not bindings:
+                break
+        reason = eq.render()
+        for binding in bindings:
+            left = graph.add_instance(eq.lhs, binding)
+            right = graph.add_instance(eq.rhs, binding)
+            graph.union(left, right, reason)
+
+
+def sweep_extract(graph) -> dict[int, Term]:
+    """`EGraph.extract` building the term of every node on every sweep and
+    ordering terms by `term_key`, until no class improves."""
+    best: dict[int, tuple[tuple[int, str], Term]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for node, key in enumerate(graph._nodes):
+            term = None
+            tag = key[0]
+            if tag == "var":
+                term = Var(key[1])
+            elif tag == "unit":
+                term = UnitTerm()
+            elif tag == "lit":
+                term = Lit(key[1], key[2])
+            elif tag == "pair":
+                left = best.get(graph.find(key[1]))
+                right = best.get(graph.find(key[2]))
+                if left and right:
+                    term = Pair(left[1], right[1])
+            elif tag in ("p1", "p2"):
+                inner = best.get(graph.find(key[1]))
+                if inner:
+                    term = (Proj1 if tag == "p1" else Proj2)(inner[1])
+            elif tag == "app":
+                inner = best.get(graph.find(key[2]))
+                if inner:
+                    term = App(key[1], inner[1])
+            if term is None:
+                continue
+            root = graph.find(node)
+            current = best.get(root)
+            if current is None or term_key(term) < current[0]:
+                best[root] = (term_key(term), term)
+                changed = True
+    return {root: term for root, (_, term) in best.items()}
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,43 @@
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
-from qinl.chase import FuelExhausted, InconsistentConstants, initial_model
-from qinl.equality import Equation, IllTyped, Theory
-from qinl.kernel import App, Base, Context, Lit, Signature, Var
+from qinl import migration
+from qinl.chase import (
+    FuelExhausted,
+    InconsistentConstants,
+    UnstatedNull,
+    initial_model,
+    saturate,
+)
+from qinl.equality import EGraph, Equation, IllTyped, Theory
+from qinl.kernel import (
+    UNIT,
+    UNIT_TERM,
+    App,
+    Base,
+    Context,
+    EngineError,
+    Lit,
+    Pair,
+    Proj1,
+    Proj2,
+    Prod,
+    Signature,
+    Var,
+    format_term,
+)
+from qinl.migration import pi, sigma
 from qinl.schema import FqlSchema, LabelledNull, OpApplied, check_instance
+from qinl.surface import elaborate, parse
 
-from conftest import company_schema, entity_schema
-from oracles import ground_closure
+from conftest import company_schema, entity_schema, nulls_case
+from oracles import enumerate_all_tuples, ground_closure, sweep_extract
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_self_manager_generator_saturates(company=None):
@@ -198,12 +227,9 @@ def test_universal_property_desk_scale():
         assert all(len(group) == 1 for group in by_seed.values())
 
 
-def test_randomized_chase_outputs_satisfy_their_theories():
-    """Free models over varied collapsing schemas always pass the
-    satisfaction check when the chase saturates."""
-    import random
-    from qinl.chase import FuelExhausted
-
+def _random_chases():
+    """(schema, generators, ground equations) over varied collapsing
+    schemas, 40 of them, from a fixed seed."""
     rng = random.Random(77)
     idem = lambda op: Equation(Context.of(("x", Base("E"))),
                                App(op, App(op, Var("x"))), App(op, Var("x")))
@@ -214,7 +240,6 @@ def test_randomized_chase_outputs_satisfy_their_theories():
         entity_schema({"E", "F"}, {"f": ("E", "F"), "g": ("E", "E")},
                       [idem("g")]),
     ]
-    saturated = 0
     for _ in range(40):
         s = rng.choice(schemas)
         gen_count = rng.randint(0, 3)
@@ -222,6 +247,14 @@ def test_randomized_chase_outputs_satisfy_their_theories():
         equations = []
         if gen_count >= 2 and rng.random() < 0.5:
             equations.append((Var("e0"), Var("e1")))
+        yield s, generators, equations
+
+
+def test_randomized_chase_outputs_satisfy_their_theories():
+    """Free models over varied collapsing schemas always pass the
+    satisfaction check when the chase saturates."""
+    saturated = 0
+    for s, generators, equations in _random_chases():
         try:
             model = initial_model(s, generators, equations, fuel=12)
         except FuelExhausted:
@@ -229,3 +262,223 @@ def test_randomized_chase_outputs_satisfy_their_theories():
         saturated += 1
         assert check_instance(s, model).all_ok
     assert saturated >= 30
+
+
+def test_initial_model_refuses_a_null_tied_to_a_constant():
+    """length(w(x)) = 2 ties w's null to strings of length 2, which no cell
+    can state; initial_model raises what sigma raises instead of returning
+    `w = ?0`, which breaks the equation."""
+    sig = Signature.of({"U", "String", "Int"},
+                       {"w": (Base("U"), Base("String")),
+                        "length": (Base("String"), Base("Int"))})
+    x = Var("x")
+    equation = Equation(Context.of(("x", Base("U"))),
+                        App("length", App("w", x)), Lit("Int", 2))
+    s = FqlSchema(Theory.of(sig, [equation]), frozenset({"U"}),
+                  frozenset({"String", "Int"}))
+    with pytest.raises(UnstatedNull, match=r"length\(\?0\) = 2"):
+        initial_model(s, {"x": "U"}, fuel=8)
+
+
+# --------------------------------------------------------------------------
+# The semi-naive chase against its all-tuples loop, and extraction against
+# the sweep that builds every term.
+
+
+def _chase_with(enumerate_pass, s, generators, equations, fuel):
+    """`saturate` with `enumerate_pass` as the e-graph's enumeration pass:
+    the graph it ends with, its round count, and its FuelExhausted message
+    (None when it saturates)."""
+    graphs = []
+
+    def spy(graph, eqs, since=0):
+        graphs.append(graph)
+        enumerate_pass(graph, eqs, since)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EGraph, "apply_equations_enumerated", spy)
+        try:
+            saturate(s, generators, equations, fuel)
+            error = None
+        except FuelExhausted as exc:
+            error = str(exc)
+    return graphs[-1], len(graphs), error
+
+
+def _partition(graph) -> list[int]:
+    return [graph.find(node) for node in range(graph.node_count())]
+
+
+def assert_chase_matches_oracles(s, generators, equations=(), fuel=8) -> None:
+    """The semi-naive chase ends with the nodes, classes, round count and
+    outcome of the all-tuples loop, and extraction agrees with the sweep."""
+    graph, rounds, error = _chase_with(
+        EGraph.apply_equations_enumerated, s, generators, equations, fuel)
+    want, want_rounds, want_error = _chase_with(
+        enumerate_all_tuples, s, generators, equations, fuel)
+    assert (rounds, error) == (want_rounds, want_error)
+    assert graph._nodes == want._nodes
+    assert _partition(graph) == _partition(want)
+    assert graph.extract() == sweep_extract(graph)
+
+
+def _migration_chases(run) -> list[tuple]:
+    """The arguments of every `saturate` call `run()` makes through the
+    migrations; a migration that fails is left failed."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return saturate(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(migration, "saturate", record)
+        try:
+            run()
+        except EngineError:
+            pass
+    return calls
+
+
+def test_semi_naive_chase_matches_all_tuples_on_fixture_migrations():
+    calls = []
+    for path in sorted(FIXTURES.glob("*.qinl")):
+        elab = elaborate(parse(path.read_text(encoding="utf-8")))
+        for mapping in elab.mappings.values():
+            for name, i in elab.instances.items():
+                if elab.schemas.get(elab.instance_schema[name]) != mapping.source:
+                    continue
+                for migrate in (sigma, pi):
+                    calls += _migration_chases(lambda: migrate(mapping, i))
+    assert len(calls) >= 10
+    for args in calls:
+        assert_chase_matches_oracles(*args)
+
+
+def test_semi_naive_chase_matches_all_tuples_on_random_chases():
+    for s, generators, equations in _random_chases():
+        assert_chase_matches_oracles(s, generators, equations, fuel=12)
+
+
+def test_semi_naive_chase_matches_all_tuples_on_migrations_with_nulls():
+    rng = random.Random(5)
+    calls = []
+    for _ in range(50):
+        schemas, rest = nulls_case(rng)
+        elab = elaborate(parse(schemas + rest))
+        mapping, i = elab.mappings["M"], elab.instances["I"]
+        for migrate in (sigma, pi):
+            calls += _migration_chases(lambda: migrate(mapping, i, fuel=8))
+    assert len(calls) >= 100
+    for args in calls:
+        assert_chase_matches_oracles(*args)
+
+
+@pytest.mark.parametrize("order", ["xy", "yx"])
+def test_semi_naive_chase_matches_all_tuples_on_two_variables_and_none(order):
+    """g(x) = h(y) for all x, y: the chain equation makes new F classes
+    in the first pass, which the second pass pairs with the older E root,
+    whichever variable comes first.  The equation with an empty context is
+    instantiated in the first pass only; its string literals need escapes
+    in the extracted text."""
+    sig = Signature.of({"E", "F", "G", "String"},
+                       {"g": (Base("E"), Base("G")),
+                        "h": (Base("F"), Base("G")),
+                        "s": (Base("F"), Base("F")),
+                        "name": (Base("G"), Base("String")),
+                        "reverse": (Base("String"), Base("String"))})
+    x, y = Var("x"), Var("y")
+    binders = {"x": ("x", Base("E")), "y": ("y", Base("F"))}
+    two = Equation(Context.of(*(binders[v] for v in order)), App("g", x), App("h", y))
+    chain = Equation(Context.of(("y", Base("F"))),
+                     App("s", App("s", App("s", y))), App("s", App("s", y)))
+    closed = Equation(Context(), App("reverse", Lit("String", 'a"b')),
+                      Lit("String", 'b"a'))
+    s = FqlSchema(Theory.of(sig, [two, chain, closed]),
+                  frozenset({"E", "F", "G"}), frozenset({"String"}))
+    assert_chase_matches_oracles(s, {"a": "E", "b": "F"})
+    assert_chase_matches_oracles(s, {"a": "E", "b": "F", "c": "F"})
+    graph, _, error = _chase_with(
+        EGraph.apply_equations_enumerated, s, {"a": "E", "b": "F"}, (), 8)
+    assert error is None
+    assert len(graph.classes_of_type(Base("G"))) == 1
+    texts = {format_term(t) for t in graph.extract().values()}
+    assert {'"a\\"b"', '"b\\"a"', "g(a)", "name(g(a))"} <= texts
+
+
+def test_enumeration_visits_only_tuples_with_a_new_root(monkeypatch):
+    """On a rebuilt graph, a pass adds no instance of its equations at old
+    roots; a new root gets the tuples it is in, in the order of the full
+    product, and the equation with an empty context gets none."""
+    sig = Signature.of({"E", "String"}, {"f": (Base("E"), Base("E")),
+                                         "reverse": (Base("String"), Base("String"))})
+    x, y = Var("x"), Var("y")
+    equations = [
+        Equation(Context.of(("x", Base("E")), ("y", Base("E"))),
+                 App("f", x), App("f", y)),
+        Equation(Context(), App("reverse", Lit("String", "ab")), Lit("String", "ba"))]
+    graph = EGraph(sig)
+    a = graph.add_node(("var", "a"), Base("E"))
+    b = graph.add_node(("var", "b"), Base("E"))
+    graph.apply_equations_enumerated(equations)
+    graph.rebuild()
+    fa = graph.find(graph.add_node(("app", "f", a)))
+
+    visited = []
+    add_instance = EGraph.add_instance
+
+    def spy(self, e, binding, images=None):
+        if any(e is eq.lhs for eq in equations):
+            visited.append(tuple(binding.values()))
+        return add_instance(self, e, binding, images)
+
+    monkeypatch.setattr(EGraph, "add_instance", spy)
+    since = graph.node_count()
+    graph.apply_equations_enumerated(equations, since)
+    assert visited == []
+    c = graph.add_node(("var", "c"), Base("E"))
+    graph.apply_equations_enumerated(equations, since)
+    assert visited == [(a, c), (b, c), (fa, c), (c, a), (c, b), (c, fa), (c, c)]
+
+
+def test_semi_naive_chase_visits_old_tuples_while_a_key_is_stale():
+    """o1(x) = x merges classes in the second pass before the second
+    equation reaches the older roots; their instances then meet stale
+    keys and add nodes, so they are visited, as the all-tuples loop does."""
+    x = Var("x")
+    x_e = Context.of(("x", Base("E")))
+    s = entity_schema({"E"}, {"o0": ("E", "E"), "o1": ("E", "E"), "o2": ("E", "E")},
+                      [Equation(x_e, App("o1", x), x),
+                       Equation(x_e, App("o1", App("o2", x)),
+                                App("o2", App("o1", App("o0", x))))])
+    ground = [(Var("g1"), Var("g0")), (App("o2", Var("g1")), Var("g1"))]
+    assert_chase_matches_oracles(s, {"g0": "E", "g1": "E"}, ground, fuel=2)
+
+
+def test_extract_matches_the_sweep_on_products():
+    """Pairs, projections and the unit, after the product axioms: each
+    class gets the term the sweep over every node picks."""
+    prod = Prod(Base("E"), Base("E"))
+    sig = Signature.of({"E"}, {"f": (Base("E"), Base("E")),
+                               "swap": (prod, prod),
+                               "drop": (Base("E"), UNIT)})
+    graph = EGraph(sig)
+    a = graph.add_node(("var", "a"), Base("E"))
+    p = graph.add_node(("var", "p"), prod)
+    binding = {"a": a, "p": p}
+    for term in (App("swap", Pair(Var("a"), App("f", Var("a")))),
+                 Proj2(App("swap", Var("p"))),
+                 Pair(Proj1(Var("p")), App("drop", Var("a")))):
+        graph.add_instance(term, binding)
+    graph.union(graph.add_instance(Proj1(App("swap", Var("p"))), binding),
+                graph.add_instance(Proj2(Var("p")), binding))
+    # (a, a) loses to swap(p) by size (3 to 2), not by text.
+    graph.union(graph.add_instance(App("swap", Var("p")), binding),
+                graph.add_instance(Pair(Var("a"), Var("a")), binding))
+    for _ in range(3):
+        graph.apply_product_axioms()
+        graph.rebuild()
+    reps = graph.extract()
+    assert reps == sweep_extract(graph)
+    assert len(reps) == len(graph.class_roots())
+    assert UNIT_TERM in reps.values() and App("swap", Var("p")) in reps.values()

@@ -28,7 +28,7 @@ from qinl.schema import (
 )
 from qinl.surface import SourceUnit, elaborate, instance_to_decl, parse, print_unit
 
-from conftest import entity_schema
+from conftest import entity_schema, nulls_case
 
 
 def dag_schema():
@@ -456,6 +456,19 @@ def test_pi_gives_one_fresh_null_to_an_open_class():
     assert projected.functions["w"] == {"(x:A=a)": LabelledNull("0")}
     assert projected.functions["w2"] == {"(x:A=a)": LabelledNull("0")}
     assert projected.functions["u2"] == {"(x:A=a)": "pq"}
+    assert check_instance(tgt, projected).all_ok
+
+
+def test_pi_numbers_fresh_nulls_past_the_source_nulls():
+    """A source null ?0 reaches u2 while w is open: w's fresh null is ?1,
+    since a fresh ?0 would state w = u2, which nothing forces."""
+    tgt = _string_schema({"U"}, {op: ("U", "String") for op in ("w", "u2")})
+    mapping = SchemaMapping(_string_schema({"A"}, {"u": ("A", "String")}), tgt,
+                            {"A": "U"}, {"u": ("x", _app("u2"))})
+    source = Instance.make({"A": ["a"]}, {"u": {"a": LabelledNull("0")}})
+    projected = pi(mapping, source, fuel=8)
+    assert projected.functions["u2"] == {"(x:A=a)": LabelledNull("0")}
+    assert projected.functions["w"] == {"(x:A=a)": LabelledNull("1")}
     assert check_instance(tgt, projected).all_ok
 
 
@@ -896,45 +909,6 @@ def test_pi_excludes_families_with_conflicting_attribute_images():
 # --------------------------------------------------------------------------
 # Migrations with nulls write models that read back
 
-_NULL_TEMPLATES = ("forall s: String . length(reverse(s)) = length(s);",
-                   "forall x: U . length(w(x)) = k(x);",
-                   "forall x: U . n(x) = length(w(x));",
-                   "forall x: U . w(x) = reverse(w(x));")
-_TEXT_BUILTINS = "length : String -> Int, reverse : String -> String"
-
-
-def _nulls_case(rng: random.Random) -> tuple[str, str]:
-    """Schemas S and T as text, then a mapping M : S -> T and an instance I
-    on S, 30% of whose cells are nulls.  T states a random subset of the
-    templates; S states the String identity when T does, so M is proved."""
-    equations = [t for t in _NULL_TEMPLATES if rng.random() < 0.5]
-    identity = _NULL_TEMPLATES[0] if _NULL_TEMPLATES[0] in equations else ""
-    schemas = (
-        "schema S = { entities A; attributes String, Int;\n"
-        f"  operations u : A -> String, v : A -> Int, {_TEXT_BUILTINS};\n"
-        f"  equations {identity} }}\n"
-        "schema T = { entities U; attributes String, Int;\n"
-        "  operations w : U -> String, w2 : U -> String, k : U -> Int, "
-        f"n : U -> Int, {_TEXT_BUILTINS};\n"
-        f"  equations {' '.join(equations)} }}\n")
-    rows = [f"a{j}" for j in range(rng.randint(1, 4))]
-
-    def table(values, labels):
-        return ", ".join(
-            f"{row} -> "
-            + (f"?{rng.choice(labels)}" if rng.random() < 0.3 else rng.choice(values))
-            for row in rows)
-
-    u = rng.choice(["w(x)", "w2(x)", "reverse(w(x))"])
-    v = rng.choice(["k(x)", "n(x)", "length(w(x))", "length(w2(x))"])
-    strings = ['""', '"a"', '"ab"', '"aba"', '"abba"']
-    rest = (f"mapping M : S -> T = {{ A -> U; u -> (x => {u}); v -> (x => {v}); }}\n"
-            f"instance I : S = {{ A = {{ {', '.join(rows)} }}; "
-            f"u = {{ {table(strings, 'pqr')} }}; "
-            f"v = {{ {table(['0', '1', '2', '3'], 'ij')} }}; }}\n")
-    return schemas, rest
-
-
 def test_migrations_with_nulls_write_models_that_read_back():
     """Every delta, sigma and pi output passes check_instance on its schema,
     and its text parses and elaborates back to an equal instance.  A chase
@@ -945,7 +919,7 @@ def test_migrations_with_nulls_write_models_that_read_back():
     written = {"delta": 0, "sigma": 0, "pi": 0}
     symbolic = with_nulls = 0
     for _ in range(400):
-        schemas, rest = _nulls_case(rng)
+        schemas, rest = nulls_case(rng)
         elab = elaborate(parse(schemas + rest))
         assert not elab.diagnostics, schemas + rest
         s, t = elab.schemas["S"], elab.schemas["T"]

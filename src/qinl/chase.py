@@ -2,12 +2,13 @@
 generators, modulo a schema's theory.
 
 The term universe is grown by closing generators under operations with
-entity domains; the congruence is the closure of every ground instantiation
-of the theory's equations (attribute-quantified equations instantiate at
-attribute-typed terms already present).  An attribute cell holds its
-class's constant, a builtin of another cell's labelled null (`length(?0)`),
-or a fresh labelled null.  The free model may be infinite, so the
-construction is fuel-bounded.
+entity domains (totality); the congruence is the closure of every ground
+instantiation of the theory's equations (attribute-quantified equations
+instantiate at attribute-typed terms already present).  Both run in the
+prover's round loop and instantiation pass (see `equality`).  An attribute
+cell holds its class's constant, a builtin of another cell's labelled null
+(`length(?0)`), or a fresh labelled null.  The free model may be infinite,
+so the construction is fuel-bounded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from itertools import count
 
-from .equality import EGraph, IllTyped, Proved, decide_equal, node_cap
+from .equality import EGraph, IllTyped, Images, Proved, decide_equal
 from .kernel import (
     App,
     Base,
@@ -57,27 +58,30 @@ class UnstatedNull(EngineError):
 
 def initial_model(s: FqlSchema, generators: Mapping[str, str],
                   equations: Sequence[tuple[Term, Term]] = (),
-                  fuel: int = 32) -> Instance:
+                  fuel: int = 32, images: Images | None = None) -> Instance:
     """Build the free instance on `generators` (name -> base type) subject to
     ground `equations` over the generator constants, then to every ground
-    instance of the schema's theory.
+    instance of the schema's theory (see `saturate` for `images`).
 
     Raises FuelExhausted when saturation is not reached within `fuel`
     rounds, for example when an unconstrained entity-to-entity operation
     keeps generating fresh elements, and UnstatedNull when the model ties a
-    null to a value no cell can state (see `require_stated`).
+    null to a value no cell can state (see `conflict` and `identities`).
     """
-    graph = saturate(s, generators, equations, fuel)
+    graph = saturate(s, generators, equations, fuel, images)
     model, _, known = materialize(graph, s)
-    require_stated(graph, s, known, fuel)
+    clash = conflict(s, graph.builtin_applications(), known, identities(s, fuel))
+    if clash is not None:
+        raise UnstatedNull(*clash)
     return model
 
 
 def saturate(s: FqlSchema, generators: Mapping[str, str],
              equations: Sequence[tuple[Term, Term]] = (),
-             fuel: int = 32) -> EGraph:
+             fuel: int = 32, images: Images | None = None) -> EGraph:
     """The chase itself: the saturated e-graph whose classes are the
-    elements of the initial model (see `initial_model`)."""
+    elements of the initial model (see `initial_model`).  With `images`,
+    each lhs is translated along them, as by `decide_equal`, and not typed."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     var_types: dict[str, TypeExpr] = {}
@@ -87,7 +91,7 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
             raise IllTyped(f"generator '{name}' has undeclared type '{base}'")
         var_types[name] = Base(base)
     ctx = Context(tuple(sorted(var_types.items())))
-    for lhs, rhs in equations:
+    for lhs, rhs in equations if images is None else ():
         tl = infer_type(s.sig, ctx, lhs)
         tr = infer_type(s.sig, ctx, rhs)
         if tl != tr:
@@ -99,29 +103,16 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
     nodes = {name: graph.add_node(("var", name), var_types[name])
              for name in sorted(generators)}
     for lhs, rhs in equations:
-        graph.union(graph.add_instance(lhs, nodes),
+        graph.union(graph.add_instance(lhs, nodes, images),
                     graph.add_instance(rhs, nodes), "seed equation")
 
-    cap = node_cap(fuel)
-    saturated = False
-    totality_from = enumerated_from = 0
-    for _ in range(fuel):
-        before = graph.version
-        start = graph.node_count()
-        _apply_totality(graph, s, totality_from)
-        totality_from = start
+    def step(since: int) -> None:
+        _apply_totality(graph, s, since)
         graph.apply_product_axioms()
-        start = graph.node_count()
-        graph.apply_equations_enumerated(s.theory.equations, enumerated_from)
-        enumerated_from = start
-        graph.fold_builtins()
-        graph.rebuild()
-        if graph.node_count() > cap:
-            break
-        if graph.version == before:
-            saturated = True
-            break
-    if not saturated:
+        graph.apply_equations_enumerated(s.theory.equations, since)
+
+    _, _, stop = graph.run_rounds(step, fuel)
+    if stop != "saturated":
         size = len(_entity_roots(graph, s))
         raise FuelExhausted("chase did not saturate within fuel", size)
     return graph
@@ -250,16 +241,6 @@ def conflict(s: FqlSchema, applications: list[tuple[int, str, int]],
             if value != known[root] and not same(known[root], value):
                 return value, known[root]
     return None
-
-
-def require_stated(graph: EGraph, s: FqlSchema, known: dict[int, Cell],
-                   fuel: int) -> None:
-    """Raise UnstatedNull when the values `materialize` gave a saturated
-    graph's classes break one of its builtin applications, unless the
-    theory proves the two values forms of one null (see `identities`)."""
-    clash = conflict(s, graph.builtin_applications(), known, identities(s, fuel))
-    if clash is not None:
-        raise UnstatedNull(*clash)
 
 
 def identities(s: FqlSchema, fuel: int) -> Callable[[Cell, Cell], bool]:

@@ -2,10 +2,11 @@
 procedure for provable equality.
 
 The prover saturates a congruence-closure structure (a small e-graph) over
-the term universe generated by the two goal terms.  Theory equations are
-applied by pattern matching against existing classes; the unit and product
-axioms are applied schematically by class type.  A `Proved` verdict is sound;
-absence of proof within fuel yields `Unknown`, never a refutation.
+the term universe generated by the two goal terms, matching equation sides
+against existing classes and applying the unit and product axioms by class
+type.  The chase runs the same round loop and instantiation pass with other
+rules (see `chase`).  A `Proved` verdict is sound; absence of proof within
+fuel yields `Unknown`, never a refutation.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class Proved:
 @dataclass(frozen=True)
 class Unknown:
     fuel_spent: int
-    depth_cap: int
+    fuel: int
     node_cap: int
     saturated: bool = False
 
@@ -318,10 +319,6 @@ class EGraph:
     def node_count(self) -> int:
         return len(self._nodes)
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     # -- views --------------------------------------------------------------
 
     def members(self) -> dict[int, list[int]]:
@@ -495,52 +492,20 @@ class EGraph:
             return self.add_node(("app", e.op, self.find(arg)))
         raise EngineError(f"cannot instantiate unknown construct {e!r}")
 
-    def _complete_binding(self, binding: dict[str, int],
-                          needed: Iterable[str], ctx: Context,
-                          ) -> list[dict[str, int]]:
-        """Extend a binding over variables the matched side did not mention,
-        enumerating existing classes of the right type."""
-        bindings = [binding]
-        for var in needed:
-            if var in binding:
-                continue
-            t = ctx.lookup(var)
-            candidates = self.classes_of_type(t)
-            bindings = [dict(b, **{var: c}) for b in bindings for c in candidates]
-            if not bindings:
-                return []
-        return bindings
-
     def apply_equations_matched(self, equations: Iterable[Equation]) -> None:
         """Apply each equation by matching one side against existing classes
         and adding the instantiated other side.  A side that is a bare
         variable is not used as a match anchor (its partner direction covers
-        the derivation without inventing terms).  A side applying an
-        operation that no node applies yet matches nothing, and then its
-        pass adds nothing either, so it is skipped."""
+        the derivation without inventing terms; `x = y` has none).  A side
+        applying an operation that no node applies yet matches nothing, and
+        then its pass adds nothing either, so it is skipped."""
         for eq in equations:
             if isinstance(eq.lhs, Var) and isinstance(eq.rhs, Var):
-                self._apply_var_var(eq)
+                self._instantiate(eq, None, 0)
                 continue
-            reason = eq.render()
-            needed = eq.ctx.names()
-            for pat, other in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-                if isinstance(pat, Var) or not _operations(pat) <= self._ops:
-                    continue
-                for root in self.class_roots():
-                    for binding in self._match(pat, root, {}, eq.ctx):
-                        for full in self._complete_binding(binding, needed, eq.ctx):
-                            inst = self.add_instance(other, full)
-                            self.union(inst, root, reason)
-
-    def _apply_var_var(self, eq: Equation) -> None:
-        if eq.lhs == eq.rhs:
-            return
-        t = eq.ctx.lookup(eq.lhs.name)  # sides are same-typed when well-formed
-        roots = self.classes_of_type(t)
-        reason = eq.render()
-        for other in roots[1:]:
-            self.union(roots[0], other, reason)
+            for anchor, side in enumerate((eq.lhs, eq.rhs)):
+                if not isinstance(side, Var) and _operations(side) <= self._ops:
+                    self._instantiate(eq, anchor, 0)
 
     def apply_equations_enumerated(self, equations: Iterable[Equation],
                                    since: int = 0) -> None:
@@ -549,24 +514,63 @@ class EGraph:
         application this invents terms; the chase uses it to impose every
         ground instance of a theory.
 
-        Semi-naive: with `since` the node count when the previous call
-        began, a tuple of roots all older than `since` is skipped while
-        every node's key is canonical (no union since the last rebuild has
-        left a key stale).  That call, or an earlier one, instantiated the
-        tuple, so both its sides are nodes of one class, and adding them
-        again would find those nodes and merge nothing.  So the nodes and
-        unions are those of visiting every tuple.  An equation with an
-        empty context has one tuple, which counts as old after the first
-        call."""
+        Semi-naive: with `since` no more than the node count when the
+        previous call began, a tuple of roots all older than `since` is
+        skipped while every node's key is canonical (no union since the
+        last rebuild has left a key stale).  That call, or an earlier one,
+        instantiated the tuple, so both its sides are nodes of one class,
+        and adding them again would find those nodes and merge nothing.  So
+        the nodes and unions are those of visiting every tuple.  An equation
+        with an empty context has one tuple, which counts as old after the
+        first call."""
         for eq in equations:
-            names = [var for var, _ in eq.ctx]
-            pools = [self.classes_of_type(t) for _, t in eq.ctx]
-            reason = eq.render()
-            for roots in _tuples_since(pools, since, lambda: bool(self._pending)):
-                binding = dict(zip(names, roots))
-                left = self.add_instance(eq.lhs, binding)
-                right = self.add_instance(eq.rhs, binding)
+            self._instantiate(eq, None, since)
+
+    def _instantiate(self, eq: Equation, anchor: int | None, since: int) -> None:
+        """Union the two sides of `eq` at each match of side `anchor` (0 or
+        1) at a root, which stands for that side, or with no anchor at the
+        empty match.  The variables a match leaves free range over the tuples
+        of roots of their types, read at the match, from `_tuples_since`."""
+        reason = eq.render()
+        matches: Iterable[tuple[int, dict[str, int]]] = ((-1, {}),)
+        if anchor is not None:
+            side = (eq.lhs, eq.rhs)[anchor]
+            matches = ((root, found) for root in self.class_roots()
+                       for found in self._match(side, root, {}, eq.ctx))
+        for root, found in matches:
+            bindings: Iterable[dict[str, int]] = (found,)
+            if anchor is None or len(found) < len(eq.ctx.bindings):
+                free = [(var, t) for var, t in eq.ctx if var not in found]
+                names = [var for var, _ in free]
+                pools = [self.classes_of_type(t) for _, t in free]
+                bindings = (dict(zip(names, roots), **found) for roots in
+                            _tuples_since(pools, since, lambda: bool(self._pending)))
+            for binding in bindings:
+                left = root if anchor == 0 else self.add_instance(eq.lhs, binding)
+                right = root if anchor == 1 else self.add_instance(eq.rhs, binding)
                 self.union(left, right, reason)
+
+    def run_rounds(self, step: Callable[[int], None], fuel: int,
+                   goal: Callable[[], bool] = lambda: False) -> tuple[int, int, str]:
+        """Saturate in at most `fuel` rounds over at most `node_cap(fuel)`
+        nodes: each calls `step(since)`, `since` the node count when the
+        previous round began, then folds builtins and rebuilds.  Returns the
+        rounds run, the cap, and why the run stopped: "goal" (tested before
+        each round and at the end), "saturated", "nodes" or "fuel"."""
+        cap, since = node_cap(fuel), 0
+        for rounds in range(fuel):
+            if goal():
+                return rounds, cap, "goal"
+            before, start = self._version, len(self._nodes)
+            step(since)
+            self.fold_builtins()
+            self.rebuild()
+            since = start
+            if len(self._nodes) > cap:
+                return rounds + 1, cap, "nodes"
+            if self._version == before:
+                return rounds + 1, cap, "saturated"
+        return fuel, cap, "goal" if goal() else "fuel"
 
     # -- extraction ----------------------------------------------------------
 
@@ -699,23 +703,14 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
                for name in _variables(Pair(a, b), images)}
     ida = graph.add_instance(a, binding, images)
     idb = graph.add_instance(b, binding, images)
-    cap = node_cap(fuel)
-    rounds = 0
-    for _ in range(fuel):
-        if graph.equal(ida, idb):
-            break
-        rounds += 1
-        before = graph.version
+
+    def step(since: int) -> None:
         graph.apply_product_axioms()
         graph.apply_equations_matched(th.equations)
-        graph.fold_builtins()
-        graph.rebuild()
-        if graph.node_count() > cap:
-            return Unknown(rounds, fuel, cap)
-        if graph.version == before:
-            return Unknown(rounds, fuel, cap, saturated=True)
-    if graph.equal(ida, idb):
+
+    rounds, cap, stop = graph.run_rounds(step, fuel, lambda: graph.equal(ida, idb))
+    if stop == "goal":
         goal = goal or f"{format_term(a)} = {format_term(b)}"
         return Proved((f"proved {goal} in {rounds} round(s) over "
                        f"{graph.node_count()} node(s)", *graph.log))
-    return Unknown(rounds, fuel, cap)
+    return Unknown(rounds, fuel, cap, stop == "saturated")

@@ -21,11 +21,11 @@ from .chase import (
     conflict,
     fill,
     identities,
+    initial_model,
     materialize,
-    require_stated,
     saturate,
 )
-from .equality import Proved
+from .equality import IllTyped, Proved
 from .kernel import (
     App,
     Base,
@@ -33,7 +33,6 @@ from .kernel import (
     Lit,
     Term,
     Var,
-    substitute,
 )
 from .mapping import SchemaMapping, check_preservation
 from .schema import (
@@ -61,6 +60,9 @@ class UnverifiedMapping(EngineError):
 def require_verified(mapping: SchemaMapping, fuel: int,
                      allow_unverified: bool) -> None:
     if allow_unverified:
+        problems = mapping.validate()
+        if problems:
+            raise IllTyped(f"mapping is not well formed: {problems[0]}")
         return
     unproved = [eq.render() for eq, v in check_preservation(mapping, fuel)
                 if not isinstance(v, Proved)]
@@ -113,7 +115,8 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     """Push a source instance forward freely: every source row seeds a
     generator of its image type, and for each source operation the image
     expression applied to the seed is equated with the seed of (or constant
-    in) the operation's value.  The chase then builds the initial model.
+    in) the operation's value.  The chase then builds the initial model,
+    adding each image at its seed's class (`initial_model`'s `images`).
 
     Labelled nulls of the input become attribute-typed generators, so they
     stay unknown-but-fixed across their occurrences.  An attribute cell
@@ -153,19 +156,15 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     for op in src.entity_dom_ops():
         dom, cod = src.sig.op_type(op)
         assert isinstance(dom, Base) and isinstance(cod, Base)
-        var, body = mapping.op_map[op]
         for row in i.rows(dom.name):
-            lhs = substitute(body, var, Var(seed_name[(dom.name, row)]))
+            lhs = App(op, Var(seed_name[(dom.name, row)]))
             value = i.functions[op][row]
             if cod.name in src.entity_types:
                 rhs: Term = Var(seed_name[(cod.name, value)])
             else:
                 rhs = cell_term(value, cod.name)
             equations.append((lhs, rhs))
-    graph = saturate(mapping.target, generators, equations, fuel)
-    free, _, known = materialize(graph, mapping.target)
-    require_stated(graph, mapping.target, known, fuel)
-    return free
+    return initial_model(mapping.target, generators, equations, fuel, mapping.op_map)
 
 
 # --------------------------------------------------------------------------

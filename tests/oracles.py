@@ -6,9 +6,10 @@ equality oracle is a breadth-first rewrite closure over syntax trees, the
 model checker enumerates entire finite models by brute force, and the query
 oracle scans the whole cartesian product of the carriers (it shares only the
 engine's term evaluator, not its search), the chase's enumeration pass and
-extraction visit every tuple and every node on every sweep, and the tokenizer
-oracle steps through the text one character at a time instead of matching a
-regular expression.
+extraction visit every tuple and every node on every sweep, `sigma`'s seeds
+are built as translated terms rather than added through the mapping's
+images, and the tokenizer oracle steps through the text one character at a
+time instead of matching a regular expression.
 """
 
 from __future__ import annotations
@@ -516,6 +517,17 @@ def enumerate_all_tuples(graph, equations, since: int = 0) -> None:
             left = graph.add_instance(eq.lhs, binding)
             right = graph.add_instance(eq.rhs, binding)
             graph.union(left, right, reason)
+
+
+def substitute_images(equations, images) -> list[tuple[Term, Term]]:
+    """Seed equations whose lhs `op(t)` is translated along `images` by
+    building the term, the image body with `t` for its variable, for
+    `chase.saturate` to type and add without `images`."""
+    out = []
+    for lhs, rhs in equations:
+        var, body = images[lhs.op]
+        out.append((_subst(body, {var: lhs.arg}), rhs))
+    return out
 
 
 def sweep_extract(graph) -> dict[int, Term]:

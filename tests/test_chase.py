@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qinl import migration
+from qinl import chase, migration
 from qinl.chase import (
     FuelExhausted,
     InconsistentConstants,
@@ -35,7 +35,7 @@ from qinl.schema import FqlSchema, LabelledNull, OpApplied, check_instance
 from qinl.surface import elaborate, parse
 
 from conftest import company_schema, entity_schema, nulls_case
-from oracles import enumerate_all_tuples, ground_closure, sweep_extract
+from oracles import enumerate_all_tuples, ground_closure, substitute_images, sweep_extract
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -285,7 +285,7 @@ def test_initial_model_refuses_a_null_tied_to_a_constant():
 # the sweep that builds every term.
 
 
-def _chase_with(enumerate_pass, s, generators, equations, fuel):
+def _chase_with(enumerate_pass, s, generators, equations, fuel, images=None):
     """`saturate` with `enumerate_pass` as the e-graph's enumeration pass:
     the graph it ends with, its round count, and its FuelExhausted message
     (None when it saturates)."""
@@ -298,7 +298,7 @@ def _chase_with(enumerate_pass, s, generators, equations, fuel):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EGraph, "apply_equations_enumerated", spy)
         try:
-            saturate(s, generators, equations, fuel)
+            saturate(s, generators, equations, fuel, images)
             error = None
         except FuelExhausted as exc:
             error = str(exc)
@@ -309,13 +309,14 @@ def _partition(graph) -> list[int]:
     return [graph.find(node) for node in range(graph.node_count())]
 
 
-def assert_chase_matches_oracles(s, generators, equations=(), fuel=8) -> None:
+def assert_chase_matches_oracles(s, generators, equations=(), fuel=8,
+                                 images=None) -> None:
     """The semi-naive chase ends with the nodes, classes, round count and
     outcome of the all-tuples loop, and extraction agrees with the sweep."""
     graph, rounds, error = _chase_with(
-        EGraph.apply_equations_enumerated, s, generators, equations, fuel)
+        EGraph.apply_equations_enumerated, s, generators, equations, fuel, images)
     want, want_rounds, want_error = _chase_with(
-        enumerate_all_tuples, s, generators, equations, fuel)
+        enumerate_all_tuples, s, generators, equations, fuel, images)
     assert (rounds, error) == (want_rounds, want_error)
     assert graph._nodes == want._nodes
     assert _partition(graph) == _partition(want)
@@ -324,7 +325,8 @@ def assert_chase_matches_oracles(s, generators, equations=(), fuel=8) -> None:
 
 def _migration_chases(run) -> list[tuple]:
     """The arguments of every `saturate` call `run()` makes through the
-    migrations; a migration that fails is left failed."""
+    migrations, directly or through `initial_model`; a migration that fails
+    is left failed."""
     calls = []
 
     def record(*args):
@@ -333,6 +335,7 @@ def _migration_chases(run) -> list[tuple]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(migration, "saturate", record)
+        patch.setattr(chase, "saturate", record)
         try:
             run()
         except EngineError:
@@ -372,6 +375,78 @@ def test_semi_naive_chase_matches_all_tuples_on_migrations_with_nulls():
     assert len(calls) >= 100
     for args in calls:
         assert_chase_matches_oracles(*args)
+
+
+# --------------------------------------------------------------------------
+# sigma seeds its chase through the mapping's images, against seeding with
+# the translated terms as typed ground equations.
+
+
+def _outcome(run):
+    try:
+        return run()
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_seeding_matches_substitution(mapping, i, fuel=32) -> None:
+    """The chase `sigma` seeds through the images ends with the nodes,
+    classes, round count and outcome of the chase seeded with
+    `substitute_images`, and `sigma` returns what `initial_model` gives (or
+    raises what it raises) for those seeds."""
+    (args,) = _migration_chases(lambda: sigma(mapping, i, fuel=fuel))
+    s, generators, equations, fuel, images = args
+    assert images is mapping.op_map
+    seeds = substitute_images(equations, images)
+    graph, rounds, error = _chase_with(
+        EGraph.apply_equations_enumerated, s, generators, equations, fuel, images)
+    want, want_rounds, want_error = _chase_with(
+        EGraph.apply_equations_enumerated, s, generators, seeds, fuel)
+    assert (rounds, error) == (want_rounds, want_error)
+    assert graph._nodes == want._nodes
+    assert _partition(graph) == _partition(want)
+    assert (_outcome(lambda: sigma(mapping, i, fuel=fuel))
+            == _outcome(lambda: initial_model(s, generators, seeds, fuel)))
+
+
+def test_sigma_seeds_through_images_on_fixture_mappings():
+    seen = 0
+    for path in sorted(FIXTURES.glob("*.qinl")):
+        elab = elaborate(parse(path.read_text(encoding="utf-8")))
+        for mapping in elab.mappings.values():
+            for name, i in elab.instances.items():
+                if elab.schemas.get(elab.instance_schema[name]) == mapping.source:
+                    assert_seeding_matches_substitution(mapping, i)
+                    seen += 1
+    assert seen >= 5
+
+
+def test_sigma_seeds_through_images_on_migrations_with_nulls():
+    rng = random.Random(5)
+    for _ in range(50):
+        schemas, rest = nulls_case(rng)
+        elab = elaborate(parse(schemas + rest))
+        assert_seeding_matches_substitution(elab.mappings["M"], elab.instances["I"], 8)
+
+
+@pytest.mark.parametrize("u", ['"a"', "name(f(g(x)))"])
+def test_sigma_seeds_through_constant_and_nested_images(u):
+    """`p` maps to a nested image, and `u` to a constant that ignores its
+    variable, so that its seeds equate "a" with a null and with "b", or to
+    a nested image, so that the cells are the source's values."""
+    elab = elaborate(parse(f"""
+        schema S = {{ entities A, B; attributes String;
+          operations p : A -> B, u : A -> String; }}
+        schema T = {{ entities C, D; attributes String;
+          operations g : C -> D, f : D -> C, name : C -> String;
+          equations forall x: C . f(g(f(g(x)))) = f(g(x)); }}
+        mapping M : S -> T = {{ A -> C; B -> C; p -> (x => f(g(x)));
+          u -> (x => {u}); }}
+        instance I : S = {{ A = {{ a1, a2, a3 }}; B = {{ b1, b2 }};
+          p = {{ a1 -> b1, a2 -> b1, a3 -> b2 }};
+          u = {{ a1 -> "a", a2 -> ?0, a3 -> "b" }}; }}
+        """))
+    assert_seeding_matches_substitution(elab.mappings["M"], elab.instances["I"])
 
 
 @pytest.mark.parametrize("order", ["xy", "yx"])

@@ -105,7 +105,7 @@ def test_unknown_reports_caps():
     th = Theory.of(Signature.of({"T1"}, {}))
     ctx = Context.of(("x", Base("T1")), ("y", Base("T1")))
     verdict = decide_equal(th, ctx, Var("x"), Var("y"), 5)
-    assert verdict.depth_cap == 5
+    assert verdict.fuel == 5
     assert verdict.node_cap == 5000
 
 
@@ -166,6 +166,28 @@ def test_var_var_equation_merges_type():
     ctx = Context.of(("a", Base("T")), ("b", Base("T")))
     assert isinstance(decide_equal(th, ctx, App("f", Var("a")), Var("b"), 8),
                       Proved)
+
+
+SAME_COMPANY = "forall x: Emp, y: Emp . company(x) = company(y)"
+
+
+@pytest.mark.parametrize("a, b", [
+    (App("company", Var("a")), App("company", App("manager", Var("b")))),
+    (App("company", App("manager", Var("a"))), App("company", Var("b")))])
+def test_matched_side_leaves_a_variable_free(a, b):
+    """Each side of `company(x) = company(y)` binds one variable; the other
+    ranges over every Emp class, so matching company(a) adds company(b)
+    before it meets company(manager(b)).  Without the equation the goal is
+    not provable."""
+    sig = Signature.of({"Emp", "Co"}, {"company": (Base("Emp"), Base("Co")),
+                                       "manager": (Base("Emp"), Base("Emp"))})
+    same = Equation(Context.of(("x", Base("Emp")), ("y", Base("Emp"))),
+                    App("company", Var("x")), App("company", Var("y")))
+    ctx = Context.of(("a", Base("Emp")), ("b", Base("Emp")))
+    verdict = decide_equal(Theory.of(sig, [same]), ctx, a, b, 8)
+    summary = f"proved {format_term(a)} = {format_term(b)} in 1 round(s) over 6 node(s)"
+    assert verdict == Proved((summary, SAME_COMPANY, SAME_COMPANY))
+    assert decide_equal(Theory.of(sig), ctx, a, b, 8) == Unknown(1, 8, 8000, saturated=True)
 
 
 def test_instantiate_renames_context_variable(company_theory):

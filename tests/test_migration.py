@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from qinl.chase import FuelExhausted, InconsistentConstants
-from qinl.equality import Equation, Theory
+from qinl.equality import Equation, IllTyped, Theory
 from qinl.kernel import App, Base, Context, Lit, Signature, Var
 from qinl.mapping import SchemaMapping, compose, identity_mapping
 from qinl.migration import (
@@ -29,6 +30,8 @@ from qinl.schema import (
 from qinl.surface import SourceUnit, elaborate, instance_to_decl, parse, print_unit
 
 from conftest import entity_schema, nulls_case
+
+FIXTURE_MIGRATION = Path(__file__).resolve().parent.parent / "fixtures" / "migration.qinl"
 
 
 def dag_schema():
@@ -83,6 +86,25 @@ def test_delta_requires_verified_mapping():
     with pytest.raises(UnverifiedMapping):
         delta(mapping, j, fuel=4)
     assert delta(mapping, j, fuel=4, allow_unverified=True).rows("A") == ("a",)
+
+
+@pytest.mark.parametrize("migrate", [delta, sigma, pi])
+@pytest.mark.parametrize("image, problem", [
+    (Lit("Int", 3), "does not typecheck: unknown base type 'Int'"),
+    (Lit("String", "a"), "has type String, expected Unit"),
+    (App("uname", Var("x")),
+     "does not typecheck: expected Unit, found Person at uname(x)")])
+def test_ill_formed_mapping_is_refused_even_when_unverified_is_allowed(
+        migrate, image, problem):
+    """toPeople with an ill-typed image of worksIn: each migration refuses
+    it with the problem `validate` finds, before it reads the instance."""
+    elab = elaborate(parse(FIXTURE_MIGRATION.read_text(encoding="utf-8")))
+    good = elab.mappings["toPeople"]
+    bad = SchemaMapping(good.source, good.target, good.type_map,
+                        {**good.op_map, "worksIn": ("x", image)})
+    with pytest.raises(IllTyped) as exc:
+        migrate(bad, elab.instances["orgData"], allow_unverified=True)
+    assert str(exc.value) == f"mapping is not well formed: image of 'worksIn' {problem}"
 
 
 def test_delta_composition_law():

@@ -16,7 +16,14 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from itertools import count
 
-from .equality import EGraph, IllTyped, Images, Proved, decide_equal
+from .equality import (
+    EGraph,
+    IllTyped,
+    Images,
+    InconsistentConstants,
+    Proved,
+    decide_equal,
+)
 from .kernel import (
     App,
     Base,
@@ -36,13 +43,6 @@ class FuelExhausted(EngineError):
     def __init__(self, message: str, partial_size: int):
         super().__init__(f"{message} (partial model size {partial_size})")
         self.partial_size = partial_size
-
-
-class InconsistentConstants(EngineError):
-    def __init__(self, values: list[object]):
-        rendered = ", ".join(format_literal(v) for v in values)
-        super().__init__(f"theory forces distinct constants equal: {rendered}")
-        self.values = values
 
 
 class UnstatedNull(EngineError):
@@ -65,8 +65,10 @@ def initial_model(s: FqlSchema, generators: Mapping[str, str],
 
     Raises FuelExhausted when saturation is not reached within `fuel`
     rounds, for example when an unconstrained entity-to-entity operation
-    keeps generating fresh elements, and UnstatedNull when the model ties a
-    null to a value no cell can state (see `conflict` and `identities`).
+    keeps generating fresh elements, InconsistentConstants when the
+    equations make two distinct constants equal, and UnstatedNull when the
+    model ties a null to a value no cell can state (see `conflict` and
+    `identities`).
     """
     graph = saturate(s, generators, equations, fuel, images)
     model, _, known = materialize(graph, s)
@@ -169,8 +171,6 @@ def materialize(graph: EGraph, s: FqlSchema
         carriers[graph.class_type(root).name].append(row)
 
     roots = {row: root for root, row in row_of.items()}
-    members = graph.members()
-    consistent: set[int] = set()
     functions: dict[str, dict[str, Cell]] = {}
     cells: list[tuple[str, str, int]] = []
     for op in s.entity_dom_ops():
@@ -182,13 +182,6 @@ def materialize(graph: EGraph, s: FqlSchema
             if isinstance(cod, Base) and cod.name in s.entity_types:
                 table[row] = row_of[result]
                 continue
-            if result not in consistent:
-                keys = [graph._nodes[node] for node in members.get(result, ())]
-                constants = {(k[1], repr(k[2])): k[2] for k in keys if k[0] == "lit"}
-                if len(constants) > 1:
-                    raise InconsistentConstants(
-                        [constants[k] for k in sorted(constants)])
-                consistent.add(result)
             cells.append((op, row, result))
         functions[op] = table
     known: dict[int, Cell] = graph.literals()

@@ -4,8 +4,8 @@ Subcommands: check, eval, query, migrate, homs.  Output is a human table or
 JSON (with the run configuration echoed for reproducibility); identical
 inputs and configuration produce byte-identical output.  Exit codes: 0 all
 checks pass, 1 semantic failures (violations, unproved preservation, fuel
-exhaustion, oversized searches) or a closed stdout, 2 malformed input or
-usage.
+exhaustion, constants forced equal, oversized searches) or a closed stdout,
+2 malformed input or usage.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chase import FuelExhausted
+from .chase import FuelExhausted, InconsistentConstants
 from .equality import Proved, Theory
 from .kernel import EngineError
 from .mapping import check_preservation
@@ -347,8 +347,8 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         result = operation(mapping, elab.instances[args.instance],
                            fuel=config.fuel,
                            allow_unverified=config.allow_unverified)
-    except (FuelExhausted, UnverifiedMapping, UnstatedNull,
-            InvalidInstance) as exc:
+    except (FuelExhausted, InconsistentConstants, UnverifiedMapping,
+            UnstatedNull, InvalidInstance) as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
         return FAILURES
     result_schema = source_name if args.direction == "delta" else target_name

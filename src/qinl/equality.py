@@ -46,6 +46,15 @@ class IllTyped(EngineError):
     """A term or equation failed to typecheck where typing is a precondition."""
 
 
+class InconsistentConstants(EngineError):
+    """The equations force distinct literals into one class."""
+
+    def __init__(self, values: list[object]):
+        rendered = ", ".join(format_literal(v) for v in values)
+        super().__init__(f"theory forces distinct constants equal: {rendered}")
+        self.values = values
+
+
 @dataclass(frozen=True)
 class Equation:
     ctx: Context
@@ -208,6 +217,8 @@ class EGraph:
       the set of operations that some node applies.
     * `_axioms_from` is the node count when `apply_product_axioms` last
       began.
+    * `_image_uses` holds, per operation, the image `add_instance` last
+      added for it and whether that image's body uses its variable.
     """
 
     sig: Signature
@@ -224,6 +235,8 @@ class EGraph:
     _builtin_apps: list[int] = field(default_factory=list)
     _ops: set[str] = field(default_factory=set)
     _axioms_from: int = 0
+    _image_uses: dict[str, tuple[tuple[str, Term], bool]] = field(
+        default_factory=dict)
     _version: int = 0
     log: list[str] = field(default_factory=list)
 
@@ -342,12 +355,17 @@ class EGraph:
                        for node in self._builtin_apps})
 
     def literals(self) -> dict[int, object]:
-        """The literal each class holds (its first, by node id)."""
-        found: dict[int, object] = {}
+        """The literal each class holds.  Raises InconsistentConstants,
+        naming the first such class's literals, when a class holds two."""
+        found: dict[int, list[NodeKey]] = {}
         for node, key in enumerate(self._nodes):
             if key[0] == "lit":
-                found.setdefault(self.find(node), key[2])
-        return found
+                found.setdefault(self.find(node), []).append(key)
+        for keys in found.values():
+            if len(keys) > 1:
+                keys.sort(key=lambda k: (k[1], repr(k[2])))
+                raise InconsistentConstants([k[2] for k in keys])
+        return {root: keys[0][2] for root, keys in found.items()}
 
     # -- congruence ---------------------------------------------------------
 
@@ -484,7 +502,10 @@ class EGraph:
             image = images.get(e.op) if images else None
             if image is not None:
                 var, body = image
-                if var not in _variables(body):
+                uses = self._image_uses.get(e.op)
+                if uses is None or uses[0] is not image:
+                    uses = self._image_uses[e.op] = (image, var in _variables(body))
+                if not uses[1]:
                     return self.add_instance(body, {})
                 return self.add_instance(
                     body, {var: self.find(self.add_instance(e.arg, binding, images))})

@@ -4,19 +4,24 @@ pretty-printer satisfying parse(print(ast)) == ast, plus elaboration of
 parsed units into semantic objects.
 
 Files use the `.qinl` extension; comments run from `--` to end of line.
-One regular expression tokenizes, with a named group per token kind; the
-parser is recursive descent, and terms and set-calculus expressions share
-their atoms and projections.
+The parser is recursive descent and pulls one token of lookahead at a time
+from a scanner: one regular-expression match skips blanks and comments and
+reads the next token.  A plain instance-table entry, `row -> value,`, is
+read in one match of its own; any other entry goes token by token.  A bad
+token anywhere in the text is reported before any syntax error, wherever
+the two stand.  Terms and set-calculus expressions share their atoms and
+projections.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .chase import FuelExhausted
+from .chase import FuelExhausted, InconsistentConstants
 from .equality import Equation, Theory, check_theory
 from .kernel import (
     MAX_NESTING,
@@ -77,17 +82,28 @@ KEYWORDS = frozenset({
     "Set", "Bool",
 })
 
-# One alternative per token kind, tried in this order at each position.
-# Only `skip` can hold a newline, so it alone moves the line.  `\d` is
-# exactly `str.isdecimal`.
-_TOKEN = re.compile(r"""
-    (?P<skip>   (?:[ \t\r\n] | --[^\n]*)+ )
-  | (?P<ident>  [A-Za-z][A-Za-z0-9_]* )
-  | (?P<int>    -?\d+ )
-  | (?P<string> "(?:[^"\\\n] | \\["\\nt])*" )
-  | (?P<null>   \?[A-Za-z0-9_]+ )
-  | (?P<punct>  -> | => | [{}()\[\],;:.*=] )
-""", re.VERBOSE)
+# The text between tokens: blanks, and comments, each running to its line's
+# end so that no pattern after one can backtrack into it.  Only this text
+# holds newlines.
+_SKIP = r"(?:[ \t\r\n]|--[^\n]*(?![^\n]))*"
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_INT = r"-?\d+"  # `\d` is exactly `str.isdecimal`
+_STRING = r'"(?:[^"\\\n]|\\["\\nt])*"'
+_NULL = r"\?[A-Za-z0-9_]+"
+_PUNCT = r"->|=>|[{}()\[\],;:.*=]"
+# Skip, then one token, with a group per kind: ident or keyword, int,
+# string, null, punct.  No group matches at the end of the text or before a
+# bad character.
+_SCAN = re.compile(
+    rf"{_SKIP}(?:({_IDENT})|({_INT})|({_STRING})|({_NULL})|({_PUNCT}))?")
+# One plain instance-table entry, `atom [-> atom]`, and the `,` after it or
+# the `}` that ends the table, which it leaves unread; the first skip is
+# that after the `,` before the entry.
+_ATOM = f"{_IDENT}|{_INT}|{_STRING}|{_NULL}"
+_ROW = re.compile(
+    rf"{_SKIP}({_ATOM}){_SKIP}(?:->{_SKIP}({_ATOM}){_SKIP})?(?:(,)|(?=\}}))")
+_IDENT_TEXT = re.compile(_IDENT)
+_NEWLINE = re.compile("\n")
 _BAD_ESCAPE = re.compile(r'"(?:[^"\\\n]|\\["\\nt])*\\([^"\\nt])')
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
@@ -112,34 +128,21 @@ class Token(NamedTuple):
 
 
 def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        col = pos - line_start + 1
-        if m is None:
-            raise _bad_token(source, pos, line, col)
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = pos + text.rindex("\n") + 1
-        elif kind == "ident":
-            tokens.append(Token("keyword" if text in KEYWORDS else "ident",
-                                text, text, line, col))
-        elif kind == "int":
-            tokens.append(Token(kind, text, int(text), line, col))
-        elif kind == "string":
-            value = text[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
-            tokens.append(Token(kind, text, value, line, col))
-        else:
-            tokens.append(Token(kind, text, text[1:] if kind == "null" else None,
-                                line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", None, line, pos - line_start + 1))
+    """Every token of `source`, up to and including `eof`: the parser's
+    scanner, run to the end."""
+    scanner = _Parser(source)
+    tokens = [scanner.next()]
+    while tokens[-1].kind != "eof":
+        tokens.append(scanner.next())
     return tokens
+
+
+def _unescape(text: str) -> str:
+    """The value of a string literal's text."""
+    value = text[1:-1]
+    if "\\" in value:
+        value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+    return value
 
 
 def _bad_token(source: str, pos: int, line: int, col: int) -> ParseError:
@@ -287,9 +290,17 @@ class SourceUnit:
 # Parser
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over `source`, pulling one token of lookahead at a
+    time from the scanner."""
+
+    def __init__(self, source: str):
+        self.source = source
+        # -1 and the offset of each newline: the line of an offset is the
+        # number of these before it.
+        self.newlines = [-1, *(m.start() for m in _NEWLINE.finditer(source))]
+        # `seek` sets the lookahead token `tok` and the offsets in `source`
+        # where it starts and ends, `tok_start` and `tok_end`.
+        self.seek(0)
         # `depth` is the level of the node being parsed, `base` that of the
         # construct being parsed, and `peak` the deepest level the construct
         # has reached: a binary node built around it (a union, an equality
@@ -297,13 +308,45 @@ class _Parser:
         # all of it one level down.
         self.depth = self.base = self.peak = 0
 
+    def loc(self, pos: int) -> Loc:
+        """The line and column of offset `pos`."""
+        line = bisect_left(self.newlines, pos)
+        return line, pos - self.newlines[line - 1]
+
+    def seek(self, pos: int) -> None:
+        """Scan the token after offset `pos` into the lookahead."""
+        m = _SCAN.match(self.source, pos)
+        index = m.lastindex
+        end = m.end()
+        start = m.start(index) if index else end
+        line, col = self.loc(start)
+        if index is None:
+            if end < len(self.source):
+                raise _bad_token(self.source, end, line, col)
+            self.tok = tuple.__new__(Token, ("eof", "", None, line, col))
+        else:
+            text = m[index]
+            if index == 1:
+                kind = "keyword" if text in KEYWORDS else "ident"
+                value = text
+            elif index == 2:
+                kind, value = "int", int(text)
+            elif index == 3:
+                kind, value = "string", _unescape(text)
+            elif index == 4:
+                kind, value = "null", text[1:]
+            else:
+                kind, value = "punct", None
+            self.tok = tuple.__new__(Token, (kind, text, value, line, col))
+        self.tok_start, self.tok_end = start, end
+
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self.tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok.kind != "eof":
-            self.pos += 1
+            self.seek(self.tok_end)
         return tok
 
     def fail(self, message: str, expected: str | None = None) -> ParseError:
@@ -314,7 +357,7 @@ class _Parser:
 
     # A punctuation or keyword text is the text of no other kind of token.
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tok.text == text
 
     def accept(self, text: str) -> bool:
         if self.at(text):
@@ -623,9 +666,28 @@ class _Parser:
         self.expect("{")
         entries: list[tuple[RawValue, RawValue | None]] = []
         if not self.at("}"):
-            entries.append(self._instance_entry())
-            while self.accept(","):
-                entries.append(self._instance_entry())
+            # A plain entry is read in one match, and the lookahead is
+            # scanned only where that fails: at an entry such as
+            # `length(?q)`, `true` or a malformed one, read token by token,
+            # and at the `}` after the last entry.
+            source, pos = self.source, self.tok_start
+            while True:
+                m = _ROW.match(source, pos)
+                if m and m[1] not in KEYWORDS and m[2] not in KEYWORDS:
+                    key = _plain_raw(m[1], self.loc(m.start(1)))
+                    value = (None if m[2] is None
+                             else _plain_raw(m[2], self.loc(m.start(2))))
+                    entries.append((key, value))
+                    pos = m.end()
+                    if m[3] is None:
+                        self.seek(pos)
+                        break
+                else:
+                    self.seek(pos)
+                    entries.append(self._instance_entry())
+                    if not self.accept(","):
+                        break
+                    pos = self.tok_start
         self.expect("}")
         self.expect(";")
         kinds = {entry[1] is None for entry in entries}
@@ -643,24 +705,15 @@ class _Parser:
     def _raw_value(self) -> RawValue:
         tok = self.peek()
         loc = (tok.line, tok.col)
-        if tok.kind == "ident":
+        if tok.kind in ("ident", "string", "int", "null"):
             self.next()
-            if not self.accept("("):
-                return RawValue("name", tok.text, loc)
+            if tok.kind != "ident" or not self.accept("("):
+                return _plain_raw(tok.text, loc)
             saved = self.begin(1)
             arg = self._raw_value()
             self.expect(")")
             self.end(saved)
             return RawValue("app", (tok.text, arg), loc)
-        if tok.kind == "string":
-            self.next()
-            return RawValue("str", tok.value, loc)
-        if tok.kind == "int":
-            self.next()
-            return RawValue("int", tok.value, loc)
-        if tok.kind == "null":
-            self.next()
-            return RawValue("null", tok.value, loc)
         if self.accept("true"):
             return RawValue("bool", True, loc)
         if self.accept("false"):
@@ -747,6 +800,18 @@ class _Parser:
                          "delta, sigma, or pi")
 
 
+def _plain_raw(text: str, loc: Loc) -> RawValue:
+    """The value of an identifier, integer, string or null token's text."""
+    c = text[0]
+    if c.isalpha():
+        return RawValue("name", text, loc)
+    if c == '"':
+        return RawValue("str", _unescape(text), loc)
+    if c == "?":
+        return RawValue("null", text[1:], loc)
+    return RawValue("int", int(text), loc)
+
+
 def _nest_pairs(parts: list[Term]) -> Term:
     result = parts[-1]
     for part in reversed(parts[:-1]):
@@ -755,7 +820,13 @@ def _nest_pairs(parts: list[Term]) -> Term:
 
 
 def parse(text: str) -> SourceUnit:
-    return _Parser(tokenize(text)).unit()
+    """The declarations of `text`.  A bad token anywhere in the text is
+    reported before any syntax error, wherever the two stand."""
+    try:
+        return _Parser(text).unit()
+    except ParseError:
+        tokenize(text)
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -1214,7 +1285,8 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
     try:
         result = operation(mapping, instance, fuel=fuel,
                            allow_unverified=allow_unverified)
-    except (FuelExhausted, UnverifiedMapping, UnstatedNull) as exc:
+    except (FuelExhausted, InconsistentConstants, UnverifiedMapping,
+            UnstatedNull) as exc:
         failure(decl.loc, f"migrate '{decl.name}': {exc}")
         return
     out.instances[decl.name] = result
@@ -1228,8 +1300,7 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
 def _row_raw(row: str) -> RawValue:
     """Row ids that are not plain identifiers print quoted and reparse as
     strings, so build them with the kind the parser will produce."""
-    m = _TOKEN.fullmatch(row)
-    if m and m.lastgroup == "ident" and row not in KEYWORDS:
+    if _IDENT_TEXT.fullmatch(row) and row not in KEYWORDS:
         return RawValue("name", row)
     return RawValue("str", row)
 

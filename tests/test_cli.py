@@ -453,6 +453,43 @@ def test_migrate_sigma_fails_on_a_null_no_cell_can_state(capsys, tmp_path):
     assert not out.exists()
 
 
+_FORCED_EQUAL = """schema S = {
+  entities A;
+  attributes String;
+  operations u : A -> String;
+}
+schema T = {
+  entities C;
+  attributes String;
+  operations name : C -> String;
+  equations forall x : C . name(x) = "a";
+}
+instance I : S = { A = { a1 }; u = { a1 -> "b" }; }
+"""
+
+
+@pytest.mark.parametrize("image", ['"a"', "name(x)"], ids=["seed", "cell"])
+def test_migrate_sigma_fails_on_constants_forced_equal(capsys, tmp_path, image):
+    """The seed u(a1) = "b" meets the image "a" outright, or through the
+    target equation in the cell name(a1).  The parent wrote the first as
+    name = { a1 -> ?0 } with exit 0, and exited 2 on the second."""
+    path = tmp_path / "forced.qinl"
+    path.write_text(_FORCED_EQUAL
+                    + f"mapping M : S -> T = {{ A -> C; u -> (x => {image}); }}\n")
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", str(path), "sigma", "M", "I",
+                               "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"{path}: failure: theory forces distinct constants "
+                      f'equal: "a", "b"\n')
+    assert not out.exists()
+    path.write_text(path.read_text() + "migrate J = sigma M I\n")
+    code, stdout, stderr = run(capsys, "check", str(path))
+    assert code == 1
+    assert (f"{path}:14:1: failure: migrate 'J': theory forces distinct "
+            f'constants equal: "a", "b"') in stderr
+
+
 @pytest.mark.parametrize("cell, col, message", [
     ("reverse(?q)", 49, "'reverse' is not a builtin operation of the schema"),
     ("k(?q)", 49, "'k' is not a builtin operation of the schema"),

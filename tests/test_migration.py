@@ -199,6 +199,30 @@ def test_sigma_refuses_a_null_tied_to_a_constant():
         sigma(mapping, i, fuel=8)
 
 
+def test_sigma_refuses_constants_forced_equal_off_any_cell():
+    """u -> (x => "a") with u(a1) = "b" seeds "a" = "b" in a class that no
+    attribute cell holds; the parent wrote name = ?0 and reported nothing."""
+    tgt = _string_schema({"C"}, {"name": ("C", "String")})
+    src = _string_schema({"A"}, {"u": ("A", "String")})
+    mapping = SchemaMapping(src, tgt, {"A": "C"},
+                            {"u": ("x", Lit("String", "a"))})
+    i = Instance.make({"A": ["a1"]}, {"u": {"a1": "b"}})
+    with pytest.raises(InconsistentConstants, match='"a", "b"'):
+        sigma(mapping, i, fuel=8)
+
+
+def test_sigma_refuses_constants_forced_equal_in_a_cell():
+    tgt = _string_schema({"C"}, {"name": ("C", "String")},
+                         [Equation(Context.of(("x", Base("C"))),
+                                   App("name", Var("x")), Lit("String", "a"))])
+    src = _string_schema({"A"}, {"u": ("A", "String")})
+    mapping = SchemaMapping(src, tgt, {"A": "C"},
+                            {"u": ("x", App("name", Var("x")))})
+    i = Instance.make({"A": ["a1"]}, {"u": {"a1": "b"}})
+    with pytest.raises(InconsistentConstants, match='"a", "b"'):
+        sigma(mapping, i, fuel=8)
+
+
 def test_sigma_row_name_collision_across_types():
     src = entity_schema({"A", "B"}, {})
     tgt = entity_schema({"C"}, {})

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+from qinl import surface
 from qinl.kernel import App, Base, Pair, Prod, Proj1, Proj2, UNIT, UNIT_TERM, Lit, Var
 from qinl.nrc import BOOL, Empty, EqTest, For, If, SetT, Singleton, TRUE, FALSE, Union
 from qinl.surface import (
@@ -185,6 +187,87 @@ def test_tokenizer_matches_the_character_stepping_oracle():
         else:
             errors.update(kind for kind in _ERRORS if kind in got[0])
     assert scanned > 1000 and errors == set(_ERRORS)
+
+
+# --------------------------------------------------------------------------
+# Instance tables: the row read in one match against the token path
+
+def _parsed(text: str):
+    """The parse with its locations, or the ParseError's fields."""
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col, exc.expected)
+
+
+def _benchmark_tables(rng: random.Random) -> str:
+    """An instance shaped like the benchmark's: carriers and foreign-key and
+    attribute tables, each on one line."""
+    emps = [f"e{k}" for k in range(rng.randint(1, 6))]
+    depts = [f"d{k}" for k in range(rng.randint(1, 4))]
+    return "\n".join([
+        "instance inst : company = {",
+        f"  Emp = {{ {', '.join(emps)} }};",
+        f"  Dept = {{ {', '.join(depts)} }};",
+        "  worksIn = { " + ", ".join(f"{e} -> {rng.choice(depts)}"
+                                     for e in emps) + " };",
+        "  ename = { " + ", ".join(f'{e} -> "n{rng.randint(-9, 9)}"'
+                                   for e in emps) + " };",
+        "  age = { " + ", ".join(f"{e} -> {rng.randint(-9, 9)}"
+                                 for e in emps) + " };",
+        "}\n"])
+
+
+# Edits that make the entries a table row cannot read: keywords as row ids,
+# `->` with no value, mixed rows and arrows, trailing commas, builtin
+# applications, negative integers before `->`, comments, CRLF line ends,
+# and bad tokens.
+_TABLE_EDITS = [",", ", ", " , }", " -> ", "->", " -7 -> ", "-7->", " true ",
+                " false", " for ", "schema ", " length(?q)", "length(", "?",
+                " ?0", "-- c\n", "--", "\r\n", "\n", "}", "{", ";", '"s',
+                ' "s" ', "@", "(", ")", " a", "1", " "]
+
+
+def test_table_rows_parse_as_the_token_path_does(monkeypatch):
+    """Every input parses to the same declarations with the same locations,
+    or fails with the same ParseError, whether plain table entries are read
+    in one match or, with that match disabled, token by token."""
+    rng = random.Random(12)
+    fixtures = [path.read_text() for path in sorted(FIXTURES.glob("*.qinl"))]
+    seeds = ([_instance_text(rng) for _ in range(300)]
+             + [_benchmark_tables(rng) for _ in range(300)])
+    inputs = fixtures + seeds
+    while len(inputs) < 20_000:
+        text = rng.choice(fixtures) if rng.random() < 0.02 else rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            cut = rng.randrange(len(text) + 1)
+            if rng.random() < 0.7:
+                text = text[:cut] + rng.choice(_TABLE_EDITS) + text[cut:]
+            else:
+                text = text[:cut] + text[cut + rng.randint(1, 4):]
+        inputs.append(text)
+    by_row = [_parsed(text) for text in inputs]
+    monkeypatch.setattr(surface, "_ROW", re.compile(r"(?!)"))
+    by_token = [_parsed(text) for text in inputs]
+    assert by_row == by_token
+    messages = " ".join(r[0] for r in by_row if isinstance(r, tuple))
+    assert sum(isinstance(r, str) for r in by_row) > 2000
+    for message in ("mixes rows and arrows", "expected a row id",
+                    "unexpected token", "unexpected character",
+                    "unterminated string"):
+        assert message in messages
+
+
+def test_a_bad_token_is_reported_before_an_earlier_syntax_error():
+    for text, error in [
+            ("instance I : S = { A = { a1 a2 }; }\n@\n",
+             ("2:1: unexpected character '@'", 2, 1, None)),
+            ('instance I : S = { f = { a -> , b }; }\n"open\n',
+             ("2:1: unterminated string literal", 2, 1, None)),
+            ("schema S = { entities for; } ?",
+             ("1:30: lone '?' (expected a null label like ?0)", 1, 30,
+              "a null label like ?0"))]:
+        assert _parsed(text) == error
 
 
 # --------------------------------------------------------------------------

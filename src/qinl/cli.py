@@ -208,13 +208,18 @@ def cmd_check(args: argparse.Namespace) -> int:
             else:
                 entry["fuel_spent"] = verdict.fuel_spent
                 entry["node_cap"] = verdict.node_cap
+                entry["stopped"] = verdict.stopped
             rendered.append(entry)
             if not ok:
                 line, col = elab.locs.get(f"mapping:{name}", (0, 0))
+                rounds = verdict.fuel_spent
+                why = {"saturated": f"saturated after {rounds} round{'s' * (rounds != 1)}",
+                       "nodes": f"node cap {verdict.node_cap}",
+                       "fuel": f"fuel {config.fuel}"}[verdict.stopped]
                 diagnostics.append(Diagnostic(
                     line, col, "failure",
                     f"mapping '{name}' preservation unknown for {eq.render()} "
-                    f"(fuel {config.fuel})"))
+                    f"({why})"))
         report["declarations"].append({
             "kind": "mapping", "name": name,
             "source": elab.mapping_schemas[name][0],

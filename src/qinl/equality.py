@@ -7,6 +7,16 @@ against existing classes and applying the unit and product axioms by class
 type.  The chase runs the same round loop and instantiation pass with other
 rules (see `chase`).  A `Proved` verdict is sound; absence of proof within
 fuel yields `Unknown`, never a refutation.
+
+Matching is semi-naive.  Each equation side is compiled once per graph into
+a matcher, and each node records the round in which it was last created,
+moved by a union or re-keyed by a rebuild.  After the first round, a match
+is instantiated only if it consumed a node touched in this round or the
+previous one, a key is stale, or the side leaves a variable free.  Any
+other match met the same nodes, keys and classes in the previous round and
+was instantiated then (or skipped for the same reason), so adding its other
+side again would find existing nodes and merge nothing: the skipped work
+never changes a node, a union or a trace.
 """
 
 from __future__ import annotations
@@ -14,7 +24,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+from math import inf
 
 from .kernel import (
     App,
@@ -76,6 +88,44 @@ class Theory:
     def of(cls, sig: Signature, equations: Iterable[Equation] = ()) -> Theory:
         return cls(sig, tuple(equations))
 
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """The equations as the prover applies them, in order: each side
+        that is not a bare variable is an anchor, and `x = y` has none.
+        Raises IllTyped when an anchor side does not typecheck."""
+        rules = []
+        for eq in self.equations:
+            reason = eq.render()
+            sides = (eq.lhs, eq.rhs)
+            if all(isinstance(side, Var) for side in sides):
+                rules.append(Rule(eq, None, None, frozenset(), False, reason))
+            for anchor, side in enumerate(sides):
+                if isinstance(side, Var):
+                    continue
+                try:
+                    t = infer_type(self.sig, eq.ctx, side)
+                except EngineError as err:
+                    raise IllTyped(f"equation '{reason}': {err}") from err
+                binds_all = {v for v, _ in eq.ctx} <= _variables(side).keys()
+                rules.append(Rule(eq, anchor, t, frozenset(_operations(side)),
+                                  binds_all, reason))
+        return tuple(rules)
+
+
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """One way the prover applies an equation: by matching side `anchor`
+    (0 or 1) at the roots of `type`, once every operation in `ops` is
+    applied by some node, or with no anchor (`x = y`) at every tuple of
+    roots.  `binds_all` says whether a match binds every context variable;
+    `reason` is the rendered equation."""
+    eq: Equation
+    anchor: int | None
+    type: TypeExpr | None
+    ops: frozenset[str]
+    binds_all: bool
+    reason: str
+
 
 @dataclass(frozen=True)
 class Proved:
@@ -91,9 +141,16 @@ class Unknown:
     fuel: int
     node_cap: int
     saturated: bool = False
+    capped: bool = False  # the node cap stopped the run
 
     def __bool__(self) -> bool:
         return False
+
+    @property
+    def stopped(self) -> str:
+        """Why the prover stopped: "saturated" (a round changed nothing),
+        "nodes" (the node cap) or "fuel"."""
+        return "saturated" if self.saturated else "nodes" if self.capped else "fuel"
 
 
 Verdict = Proved | Unknown
@@ -161,6 +218,15 @@ LOG_LIMIT = 30
 # The most nodes a saturation may build, whatever its fuel.
 NODE_LIMIT = 1_000_000
 
+# The matches of a pattern at a root: each one's classes for the pattern's
+# variables, in order of first occurrence, and the newest round in which
+# one of the nodes it consumed was touched (see `EGraph._touched`).
+Matcher = Callable[[int], list[tuple[tuple[int, ...], int]]]
+
+
+class _OverCap(Exception):
+    """`add_node` passed the node cap of the running `run_rounds`."""
+
 
 def node_cap(fuel: int) -> int:
     """The node budget of saturating with `fuel` rounds."""
@@ -219,6 +285,10 @@ class EGraph:
       began.
     * `_image_uses` holds, per operation, the image `add_instance` last
       added for it and whether that image's body uses its variable.
+    * `_touched` holds, per node, the round of `run_rounds` (`_round`, 0
+      outside it) in which the node was last created, moved to another
+      class by a union, or re-keyed by `rebuild`.
+    * `_matchers` holds the compiled matcher of each rule matched so far.
     """
 
     sig: Signature
@@ -238,6 +308,10 @@ class EGraph:
     _image_uses: dict[str, tuple[tuple[str, Term], bool]] = field(
         default_factory=dict)
     _version: int = 0
+    _touched: list[int] = field(default_factory=list)
+    _round: int = 0
+    _cap: float = inf
+    _matchers: dict[Rule, tuple[list[str], Matcher]] = field(default_factory=dict)
     log: list[str] = field(default_factory=list)
 
     # -- union-find ---------------------------------------------------------
@@ -265,7 +339,10 @@ class EGraph:
         if ry < rx:
             rx, ry = ry, rx
         self._parent[ry] = rx
-        self._members[rx] = sorted(self._members[rx] + self._members.pop(ry))
+        absorbed = self._members.pop(ry)
+        for node in absorbed:
+            self._touched[node] = self._round
+        self._members[rx] = sorted(self._members[rx] + absorbed)
         del self._roots_by_type[t][ry]
         moved = self._uses[ry]
         self._uses[ry] = []
@@ -318,6 +395,7 @@ class EGraph:
         self._members[node] = [node]
         self._roots_by_type.setdefault(t, {})[node] = None
         self._uses.append([])
+        self._touched.append(self._round)
         for child in _children(key):
             self._uses[child].append(node)
         if key[0] in ("p1", "p2"):
@@ -327,6 +405,8 @@ class EGraph:
             if self.builtin_ops and key[1] in self.builtin_ops:
                 self._builtin_apps.append(node)
         self._version += 1
+        if node >= self._cap:
+            raise _OverCap
         return node
 
     def node_count(self) -> int:
@@ -385,6 +465,7 @@ class EGraph:
                 if new == old:
                     continue
                 nodes[node] = new
+                self._touched[node] = self._round
                 # A key holding a merged-away root is stale for every node
                 # with that key, and each of those nodes is on the worklist.
                 table.pop(old, None)
@@ -448,36 +529,98 @@ class EGraph:
 
     # -- equation application -----------------------------------------------
 
-    def _match(self, pattern: Term, root: int,
-               binding: dict[str, int], ctx: Context) -> list[dict[str, int]]:
-        root = self.find(root)
-        if isinstance(pattern, Var):
-            want = ctx.lookup(pattern.name)
-            if want != self.class_type(root):
-                return []
-            bound = binding.get(pattern.name)
-            if bound is not None:
-                return [binding] if self.equal(bound, root) else []
-            new = dict(binding)
-            new[pattern.name] = root
-            return [new]
-        results = []
-        for node in self._members[root]:
-            key = self._nodes[node]
-            if isinstance(pattern, UnitTerm) and key[0] == "unit":
-                results.append(binding)
-            elif isinstance(pattern, Lit) and key == ("lit", pattern.base, pattern.value):
-                results.append(binding)
-            elif isinstance(pattern, Pair) and key[0] == "pair":
-                for b1 in self._match(pattern.fst, key[1], binding, ctx):
-                    results.extend(self._match(pattern.snd, key[2], b1, ctx))
-            elif isinstance(pattern, Proj1) and key[0] == "p1":
-                results.extend(self._match(pattern.of, key[1], binding, ctx))
-            elif isinstance(pattern, Proj2) and key[0] == "p2":
-                results.extend(self._match(pattern.of, key[1], binding, ctx))
-            elif isinstance(pattern, App) and key[0] == "app" and key[1] == pattern.op:
-                results.extend(self._match(pattern.arg, key[2], binding, ctx))
-        return results
+    def _matcher(self, pattern: Term, ctx: Context) -> tuple[list[str], Matcher]:
+        """The matches of `pattern` at a root, found by descending from the
+        root through the members of each class: at a member whose key has
+        the pattern's constructor, into its children; a variable binds the
+        class it meets when that has the variable's type, and a repeated
+        variable requires the class it first bound.  The matches come in the
+        order of that descent, members in ascending order, and the left
+        component of a pair before the right.  Also returns the variables,
+        in order of first occurrence."""
+        members, nodes, touched = self._members, self._nodes, self._touched
+        types, find = self._types, self.find
+        names: list[str] = []
+        env: list[int] = []  # the class bound to each variable
+        rights: list[int] = []  # the right child of the pair being matched
+        found: list[tuple[tuple[int, ...], int]] = []
+
+        # Each pattern position compiles to a function of a root and the
+        # newest round seen so far, calling `then` once per match.
+        def compile(p: Term, then: Callable[[int], None]) -> Callable[[int, int], None]:
+            if isinstance(p, Var):
+                if p.name in names:
+                    slot = names.index(p.name)
+
+                    def same(c: int, newest: int) -> None:
+                        if env[slot] == c:
+                            then(newest)
+                    return same
+                slot, want = len(names), ctx.lookup(p.name)
+                names.append(p.name)
+                env.append(-1)
+
+                def bind(c: int, newest: int) -> None:
+                    if types[c] == want:
+                        env[slot] = c
+                        then(newest)
+                return bind
+            if isinstance(p, Pair):
+                slot = len(rights)
+                rights.append(-1)
+
+                def right(newest: int) -> None:
+                    snd(find(rights[slot]), newest)
+                fst = compile(p.fst, right)
+                snd = compile(p.snd, then)
+
+                def pair(c: int, newest: int) -> None:
+                    for node in members[c]:
+                        key = nodes[node]
+                        if key[0] == "pair":
+                            rights[slot] = key[2]
+                            t = touched[node]
+                            fst(find(key[1]), t if t > newest else newest)
+                return pair
+            if isinstance(p, App):
+                op, arg = p.op, compile(p.arg, then)
+
+                def app(c: int, newest: int) -> None:
+                    for node in members[c]:
+                        key = nodes[node]
+                        if key[0] == "app" and key[1] == op:
+                            t = touched[node]
+                            arg(find(key[2]), t if t > newest else newest)
+                return app
+            if isinstance(p, (Proj1, Proj2)):
+                tag, of = ("p1" if isinstance(p, Proj1) else "p2"), compile(p.of, then)
+
+                def projection(c: int, newest: int) -> None:
+                    for node in members[c]:
+                        key = nodes[node]
+                        if key[0] == tag:
+                            t = touched[node]
+                            of(find(key[1]), t if t > newest else newest)
+                return projection
+            if isinstance(p, (UnitTerm, Lit)):
+                leaf = ("unit",) if isinstance(p, UnitTerm) else ("lit", p.base, p.value)
+
+                def constant(c: int, newest: int) -> None:
+                    for node in members[c]:
+                        if nodes[node] == leaf:
+                            t = touched[node]
+                            then(t if t > newest else newest)
+                return constant
+            raise EngineError(f"cannot match unknown construct {p!r}")
+
+        top = compile(pattern, lambda newest: found.append((tuple(env), newest)))
+
+        def match(root: int) -> list[tuple[tuple[int, ...], int]]:
+            top(find(root), 0)
+            out = found[:]
+            found.clear()
+            return out
+        return names, match
 
     def add_instance(self, e: Term, binding: Mapping[str, int],
                      images: Images | None = None) -> int:
@@ -513,20 +656,41 @@ class EGraph:
             return self.add_node(("app", e.op, self.find(arg)))
         raise EngineError(f"cannot instantiate unknown construct {e!r}")
 
-    def apply_equations_matched(self, equations: Iterable[Equation]) -> None:
+    def apply_equations_matched(self, th: Theory) -> None:
         """Apply each equation by matching one side against existing classes
         and adding the instantiated other side.  A side that is a bare
         variable is not used as a match anchor (its partner direction covers
         the derivation without inventing terms; `x = y` has none).  A side
         applying an operation that no node applies yet matches nothing, and
-        then its pass adds nothing either, so it is skipped."""
-        for eq in equations:
-            if isinstance(eq.lhs, Var) and isinstance(eq.rhs, Var):
-                self._instantiate(eq, None, 0)
+        then its pass adds nothing either, so it is skipped.
+
+        Semi-naive: in round R > 1 of `run_rounds`, a match is instantiated
+        only if one of the nodes it consumed was touched in round R - 1 or
+        R, a union since the last rebuild has left a key stale, or the side
+        leaves a context variable free (whose pools grow).  Any other match
+        was found at the same root in round R - 1, by the same descent
+        through the same keys into the same classes, and was instantiated
+        then or skipped for the same reason.  So its two sides are already
+        one class, and with every key canonical, adding the other side again
+        would find existing nodes and the union would merge nothing: the
+        nodes, unions and log are those of instantiating every match."""
+        for rule in th.rules:
+            if rule.anchor is None:
+                self._union_sides(rule.eq, {}, 0, rule.reason)
                 continue
-            for anchor, side in enumerate((eq.lhs, eq.rhs)):
-                if not isinstance(side, Var) and _operations(side) <= self._ops:
-                    self._instantiate(eq, anchor, 0)
+            if not rule.ops <= self._ops:
+                continue
+            compiled = self._matchers.get(rule)
+            if compiled is None:
+                side = (rule.eq.lhs, rule.eq.rhs)[rule.anchor]
+                compiled = self._matchers[rule] = self._matcher(side, rule.eq.ctx)
+            names, match = compiled
+            recent = self._round - 1 if self._round > 1 and rule.binds_all else 0
+            for root in self.classes_of_type(rule.type):
+                for classes, newest in match(root):
+                    if newest >= recent or self._pending:
+                        self._union_sides(rule.eq, dict(zip(names, classes)), 0,
+                                          rule.reason, rule.anchor, root)
 
     def apply_equations_enumerated(self, equations: Iterable[Equation],
                                    since: int = 0) -> None:
@@ -545,53 +709,56 @@ class EGraph:
         with an empty context has one tuple, which counts as old after the
         first call."""
         for eq in equations:
-            self._instantiate(eq, None, since)
+            self._union_sides(eq, {}, since, eq.render())
 
-    def _instantiate(self, eq: Equation, anchor: int | None, since: int) -> None:
-        """Union the two sides of `eq` at each match of side `anchor` (0 or
-        1) at a root, which stands for that side, or with no anchor at the
-        empty match.  The variables a match leaves free range over the tuples
-        of roots of their types, read at the match, from `_tuples_since`."""
-        reason = eq.render()
-        matches: Iterable[tuple[int, dict[str, int]]] = ((-1, {}),)
-        if anchor is not None:
-            side = (eq.lhs, eq.rhs)[anchor]
-            matches = ((root, found) for root in self.class_roots()
-                       for found in self._match(side, root, {}, eq.ctx))
-        for root, found in matches:
-            bindings: Iterable[dict[str, int]] = (found,)
-            if anchor is None or len(found) < len(eq.ctx.bindings):
-                free = [(var, t) for var, t in eq.ctx if var not in found]
-                names = [var for var, _ in free]
-                pools = [self.classes_of_type(t) for _, t in free]
-                bindings = (dict(zip(names, roots), **found) for roots in
-                            _tuples_since(pools, since, lambda: bool(self._pending)))
-            for binding in bindings:
-                left = root if anchor == 0 else self.add_instance(eq.lhs, binding)
-                right = root if anchor == 1 else self.add_instance(eq.rhs, binding)
-                self.union(left, right, reason)
+    def _union_sides(self, eq: Equation, found: dict[str, int], since: int,
+                     reason: str, anchor: int | None = None, root: int = -1) -> None:
+        """Union the two sides of `eq` at the match `found` of side `anchor`
+        (0 or 1) at `root`, which stands for that side, or with no anchor at
+        the empty match.  The variables a match leaves free range over the
+        tuples of roots of their types, read now, from `_tuples_since`."""
+        bindings: Iterable[dict[str, int]] = (found,)
+        if anchor is None or len(found) < len(eq.ctx.bindings):
+            free = [(var, t) for var, t in eq.ctx if var not in found]
+            names = [var for var, _ in free]
+            pools = [self.classes_of_type(t) for _, t in free]
+            bindings = (dict(zip(names, roots), **found) for roots in
+                        _tuples_since(pools, since, lambda: bool(self._pending)))
+        for binding in bindings:
+            left = root if anchor == 0 else self.add_instance(eq.lhs, binding)
+            right = root if anchor == 1 else self.add_instance(eq.rhs, binding)
+            self.union(left, right, reason)
 
     def run_rounds(self, step: Callable[[int], None], fuel: int,
                    goal: Callable[[], bool] = lambda: False) -> tuple[int, int, str]:
         """Saturate in at most `fuel` rounds over at most `node_cap(fuel)`
         nodes: each calls `step(since)`, `since` the node count when the
-        previous round began, then folds builtins and rebuilds.  Returns the
-        rounds run, the cap, and why the run stopped: "goal" (tested before
-        each round and at the end), "saturated", "nodes" or "fuel"."""
+        previous round began, then folds builtins and rebuilds.  A round
+        stops at the node that passes the cap.  Returns the rounds run, the
+        cap, and why the run stopped: "goal" (tested before each round and
+        at the end), "saturated", "nodes" or "fuel"."""
         cap, since = node_cap(fuel), 0
-        for rounds in range(fuel):
-            if goal():
-                return rounds, cap, "goal"
-            before, start = self._version, len(self._nodes)
-            step(since)
-            self.fold_builtins()
-            self.rebuild()
-            since = start
-            if len(self._nodes) > cap:
-                return rounds + 1, cap, "nodes"
-            if self._version == before:
-                return rounds + 1, cap, "saturated"
-        return fuel, cap, "goal" if goal() else "fuel"
+        self._cap = cap
+        try:
+            for rounds in range(fuel):
+                if goal():
+                    return rounds, cap, "goal"
+                before, start = self._version, len(self._nodes)
+                self._round = rounds + 1
+                try:
+                    step(since)
+                    self.fold_builtins()
+                    self.rebuild()
+                except _OverCap:
+                    return rounds + 1, cap, "nodes"
+                since = start
+                if len(self._nodes) > cap:
+                    return rounds + 1, cap, "nodes"
+                if self._version == before:
+                    return rounds + 1, cap, "saturated"
+            return fuel, cap, "goal" if goal() else "fuel"
+        finally:
+            self._cap = inf
 
     # -- extraction ----------------------------------------------------------
 
@@ -705,6 +872,8 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
     guarantees that the translations are well typed at one type.  The
     first `Proved` trace line is `proved <goal> in N round(s) over M
     node(s)`, the goal defaulting to `a = b`; union reasons follow.
+    Raises IllTyped when a goal term or a side of an equation of `th`
+    does not typecheck.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
@@ -727,11 +896,11 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
 
     def step(since: int) -> None:
         graph.apply_product_axioms()
-        graph.apply_equations_matched(th.equations)
+        graph.apply_equations_matched(th)
 
     rounds, cap, stop = graph.run_rounds(step, fuel, lambda: graph.equal(ida, idb))
     if stop == "goal":
         goal = goal or f"{format_term(a)} = {format_term(b)}"
         return Proved((f"proved {goal} in {rounds} round(s) over "
                        f"{graph.node_count()} node(s)", *graph.log))
-    return Unknown(rounds, fuel, cap, stop == "saturated")
+    return Unknown(rounds, fuel, cap, stop == "saturated", stop == "nodes")

@@ -867,7 +867,13 @@ def print_nrc(e: Term, level: int = 0) -> str:
     if isinstance(e, FalseLit):
         return "false"
     if isinstance(e, Pair):
-        return f"({print_nrc(e.fst)}, {print_nrc(e.snd)})"
+        # A right-nested chain is one tuple, as `_nest_pairs` builds it.
+        items = [e.fst]
+        while isinstance(e.snd, Pair):
+            e = e.snd
+            items.append(e.fst)
+        items.append(e.snd)
+        return "(" + ", ".join(print_nrc(item) for item in items) + ")"
     if isinstance(e, Proj1):
         return f"{print_nrc(e.of, 2)}.1"
     if isinstance(e, Proj2):

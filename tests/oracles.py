@@ -6,7 +6,9 @@ equality oracle is a breadth-first rewrite closure over syntax trees, the
 model checker enumerates entire finite models by brute force, and the query
 oracle scans the whole cartesian product of the carriers (it shares only the
 engine's term evaluator, not its search), the chase's enumeration pass and
-extraction visit every tuple and every node on every sweep, `sigma`'s seeds
+extraction visit every tuple and every node on every sweep, the prover's
+matched pass instantiates every match every round, found by a recursive
+descent rather than a compiled matcher, `sigma`'s seeds
 are built as translated terms rather than added through the mapping's
 images, and the tokenizer oracle steps through the text one character at a
 time instead of matching a regular expression.
@@ -33,6 +35,7 @@ from qinl.kernel import (
     UnitTerm,
     Var,
     format_term,
+    subterms,
     term_key,
 )
 from qinl.nrc import (
@@ -517,6 +520,66 @@ def enumerate_all_tuples(graph, equations, since: int = 0) -> None:
             left = graph.add_instance(eq.lhs, binding)
             right = graph.add_instance(eq.rhs, binding)
             graph.union(left, right, reason)
+
+
+def match_every_root(graph, th) -> None:
+    """`EGraph.apply_equations_matched` instantiating, every round, every
+    match of every anchor side at every root, each root's matches listed by
+    `match_class` before any is instantiated; a variable a match leaves free
+    ranges over every class of its type."""
+    for eq in th.equations:
+        reason = eq.render()
+        sides = (eq.lhs, eq.rhs)
+        anchors = [None] if all(isinstance(side, Var) for side in sides) else [0, 1]
+        for anchor in anchors:
+            if anchor is None:
+                matches = [(-1, {})]
+            else:
+                side = sides[anchor]
+                ops = {sub.op for sub in subterms(side) if isinstance(sub, App)}
+                if isinstance(side, Var) or not ops <= graph._ops:
+                    continue
+                matches = ((root, found) for root in graph.class_roots()
+                           for found in match_class(graph, side, root, {}, eq.ctx))
+            for root, found in matches:
+                free = [var for var, _ in eq.ctx if var not in found]
+                pools = [graph.classes_of_type(eq.ctx.lookup(var)) for var in free]
+                for roots in itertools.product(*pools):
+                    binding = dict(zip(free, roots), **found)
+                    left = root if anchor == 0 else graph.add_instance(eq.lhs, binding)
+                    right = root if anchor == 1 else graph.add_instance(eq.rhs, binding)
+                    graph.union(left, right, reason)
+
+
+def match_class(graph, pattern: Term, root: int, binding: dict[str, int],
+                ctx) -> list[dict[str, int]]:
+    """The bindings under which `pattern` matches the class of `root`, by
+    recursive descent through each class's members."""
+    root = graph.find(root)
+    if isinstance(pattern, Var):
+        if ctx.lookup(pattern.name) != graph.class_type(root):
+            return []
+        bound = binding.get(pattern.name)
+        if bound is not None:
+            return [binding] if graph.equal(bound, root) else []
+        return [dict(binding, **{pattern.name: root})]
+    results = []
+    for node in graph._members[root]:
+        key = graph._nodes[node]
+        if isinstance(pattern, UnitTerm) and key[0] == "unit":
+            results.append(binding)
+        elif isinstance(pattern, Lit) and key == ("lit", pattern.base, pattern.value):
+            results.append(binding)
+        elif isinstance(pattern, Pair) and key[0] == "pair":
+            for b1 in match_class(graph, pattern.fst, key[1], binding, ctx):
+                results.extend(match_class(graph, pattern.snd, key[2], b1, ctx))
+        elif isinstance(pattern, Proj1) and key[0] == "p1":
+            results.extend(match_class(graph, pattern.of, key[1], binding, ctx))
+        elif isinstance(pattern, Proj2) and key[0] == "p2":
+            results.extend(match_class(graph, pattern.of, key[1], binding, ctx))
+        elif isinstance(pattern, App) and key[0] == "app" and key[1] == pattern.op:
+            results.extend(match_class(graph, pattern.arg, key[2], binding, ctx))
+    return results
 
 
 def substitute_images(equations, images) -> list[tuple[Term, Term]]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qinl.cli import main
+from qinl.equality import EGraph
 from qinl.surface import MAX_NESTING, parse, elaborate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -638,6 +639,67 @@ def test_huge_fuel_keeps_the_node_cap(capsys, tmp_path):
                      if d["kind"] == "mapping"]
         [entry] = mapping["preservation"]
         assert (entry["verdict"], entry["node_cap"]) == ("unknown", cap)
+        assert entry["stopped"] == "saturated"
+
+
+def test_node_cap_holds_inside_a_round(capsys, tmp_path, monkeypatch):
+    """sigma of 400 rows into a schema stating (x, y) = (x, y) asks the
+    chase for 160,000 pairs in its first round.  The round stops at the
+    node past the cap, at every fuel, and the run still reports that the
+    chase did not saturate."""
+    path = tmp_path / "pairs.qinl"
+    rows = ", ".join(f"r{i}" for i in range(400))
+    path.write_text(
+        "schema P = { entities E; }\n"
+        "schema S = { entities E; equations forall x: E, y: E . (x, y) = (x, y); }\n"
+        "mapping M : P -> S = { E -> E; }\n"
+        f"instance I : P = {{ E = {{ {rows} }}; }}\n")
+    sizes = []
+    run_rounds = EGraph.run_rounds
+
+    def measured(self, *args):
+        try:
+            return run_rounds(self, *args)
+        finally:
+            sizes.append(self.node_count())
+
+    monkeypatch.setattr(EGraph, "run_rounds", measured)
+    for fuel, cap in (("1", 1000), ("32", 32000)):
+        code, _, err = run(capsys, "migrate", str(path), "sigma", "M", "I",
+                           "--fuel", fuel, "--out", str(tmp_path / "out.qinl"))
+        assert code == 1
+        assert err.endswith("chase did not saturate within fuel "
+                            "(partial model size 400)\n")
+        assert sizes.pop() == cap + 1
+
+
+def test_unknown_says_why_the_prover_stopped(capsys, tmp_path):
+    """A false claim saturates: the JSON entry says so and the diagnostic
+    gives the rounds run, not the fuel.  A claim that keeps growing the
+    e-graph runs out of fuel."""
+    path = tmp_path / "claims.qinl"
+    path.write_text(
+        "schema s = { entities E; operations m : E -> E;\n"
+        "  equations forall x: E . m(x) = x; }\n"
+        "schema t = { entities E; operations m : E -> E; }\n"
+        "mapping sat : s -> t = { E -> E; m -> (x => m(x)); }\n"
+        "schema s2 = { entities E; operations m : E -> E, f : E -> E;\n"
+        "  equations forall x: E . f(x) = f(m(x)); }\n"
+        "schema t2 = { entities E; operations m : E -> E, f : E -> E;\n"
+        "  equations forall x: E . f(x) = f(m(m(x))); }\n"
+        "mapping grow : s2 -> t2 = { E -> E; m -> (x => m(x)); f -> (x => f(x)); }\n")
+    code, out, _ = run(capsys, "check", str(path), "--format", "json", "--fuel", "4")
+    assert code == 1
+    entries = [d["preservation"] for d in json.loads(out)["report"]["declarations"]
+               if d["kind"] == "mapping"]
+    assert entries == [
+        [{"equation": "forall x: E . m(x) = x", "verdict": "unknown",
+          "fuel_spent": 1, "node_cap": 4000, "stopped": "saturated"}],
+        [{"equation": "forall x: E . f(x) = f(m(x))", "verdict": "unknown",
+          "fuel_spent": 4, "node_cap": 4000, "stopped": "fuel"}]]
+    _, _, err = run(capsys, "check", str(path), "--fuel", "4")
+    assert "unknown for forall x: E . m(x) = x (saturated after 1 round)\n" in err
+    assert "unknown for forall x: E . f(x) = f(m(x)) (fuel 4)\n" in err
 
 
 def test_json_outputs_are_deterministic(capsys):
@@ -688,10 +750,16 @@ def test_json_outputs_validate_against_documented_schema(capsys, tmp_path):
          / "output-schema.json").read_text())
     exprs = tmp_path / "exprs.qinl"
     exprs.write_text('expr demo = {length("abc")}\n')
+    claims = tmp_path / "claims.qinl"
+    claims.write_text(
+        "schema s = { entities E; operations m : E -> E;\n"
+        "  equations forall x: E . m(x) = x; }\n"
+        "mapping sat : s -> s = { E -> E; m -> (x => m(x)); }\n")
     out_path = tmp_path / "m.qinl"
     commands = [
         ["check", COMPANY, "--format", "json"],
         ["check", VIOLATION, "--format", "json"],
+        ["check", str(claims), "--format", "json"],
         ["eval", str(exprs), "--format", "json"],
         ["query", COMPANY, "palindromeDepts", "staff", "--format", "json"],
         ["migrate", MIGRATION, "delta", "orgId", "orgData",

@@ -39,6 +39,7 @@ from conftest import company_schema
 from oracles import (
     check_egraph_indexes,
     find_countermodel,
+    match_every_root,
     rewrite_reachable,
     true_in_all_models,
 )
@@ -122,11 +123,35 @@ def test_node_cap_is_bounded_whatever_the_fuel(fuel, cap):
     assert verdict == Unknown(1, fuel, cap, saturated=True)
 
 
+def test_unknown_says_when_the_node_cap_stopped_it():
+    """Goals of 2,048 nodes against the 1,000-node cap of fuel 1: the
+    first node the round adds stops it."""
+    def tree(depth, first):
+        if depth == 0:
+            return Lit("Int", first)
+        half = 2 ** (depth - 1)
+        return Pair(tree(depth - 1, first), tree(depth - 1, first + half))
+
+    a, b = tree(10, 0), tree(10, 1)
+    verdict = decide_equal(Theory.of(Signature.of({"Int"}, {})), Context(), a, b, 1)
+    assert verdict == Unknown(1, 1, 1000, saturated=False, capped=True)
+    assert verdict.stopped == "nodes"
+
+
 def test_ill_typed_goal_rejected(company_theory):
     ctx = Context.of(("x", Base("String")))
     with pytest.raises(IllTyped):
         decide_equal(company_theory, ctx, Var("x"),
                      App("length", Var("x")), 4)
+
+
+def test_ill_typed_equation_rejected():
+    """The prover types each equation side it matches, once per theory."""
+    sig = Signature.of({"A", "B"}, {"f": (Base("B"), Base("B"))})
+    bad = Equation(Context.of(("x", Base("A"))), App("f", Var("x")), App("f", Var("x")))
+    th = Theory.of(sig, [bad])
+    with pytest.raises(IllTyped, match="equation 'forall x: A . f"):
+        decide_equal(th, Context.of(("b", Base("B"))), Var("b"), App("f", Var("b")), 4)
 
 
 def test_fuel_must_be_positive(company_theory):
@@ -416,3 +441,228 @@ def test_false_claims_keep_their_unknown_verdicts(company_theory, fuel, lhs, rhs
     verdict = decide_equal(company_theory, Context.of(("x", Base("Emp"))),
                            lhs, rhs, fuel)
     assert verdict == Unknown(1, fuel, fuel * 1000, saturated=True)
+
+
+# --------------------------------------------------------------------------
+# Semi-naive matching against the oracle that instantiates every match.
+
+A, B, STR, INT = Base("A"), Base("B"), Base("String"), Base("Int")
+AB, AA = Prod(A, B), Prod(A, A)
+TYPES = (A, B, STR, INT, AB, AA, UNIT)
+BUILTINS = {"length": len, "reverse": lambda s: s[::-1]}
+LITERALS = {STR: (Lit("String", "ab"), Lit("String", "ba")), INT: (Lit("Int", 2),)}
+
+
+def _random_signature(rng: random.Random) -> Signature:
+    ops = {"length": (STR, INT), "reverse": (STR, STR), "g": (A, B), "h": (A, A)}
+    for i in range(rng.randint(1, 3)):
+        ops[f"f{i}"] = (rng.choice((A, B, AB)), rng.choice((A, B, AB, STR)))
+    return Signature.of({"A", "B", "String", "Int"}, ops)
+
+
+def _random_term(rng: random.Random, sig: Signature, ctx: Context, t, depth: int):
+    """A random term of type `t` over `ctx`, or None when there is none."""
+    options = [Var(v) for v, vt in ctx if vt == t] + list(LITERALS.get(t, ()))
+    if t == UNIT:
+        options.append(UNIT_TERM)
+    if depth > 0:
+        options += [("app", op, dom) for op, (dom, cod) in sig.operations.items()
+                    if cod == t]
+        if isinstance(t, Prod):
+            options.append(("pair",))
+        options += [("proj", p) for p in (AB, AA) if t in (p.left, p.right)]
+    rng.shuffle(options)
+    for choice in options:
+        if not isinstance(choice, tuple):
+            return choice
+        if choice[0] == "app":
+            arg = _random_term(rng, sig, ctx, choice[2], depth - 1)
+            if arg is not None:
+                return App(choice[1], arg)
+        elif choice[0] == "pair":
+            fst = _random_term(rng, sig, ctx, t.left, depth - 1)
+            snd = _random_term(rng, sig, ctx, t.right, depth - 1)
+            if fst is not None and snd is not None:
+                return Pair(fst, snd)
+        else:
+            p = choice[1]
+            of = _random_term(rng, sig, ctx, p, depth - 1)
+            if of is not None:
+                if p.left == t and (p.right != t or rng.random() < 0.5):
+                    return Proj1(of)
+                return Proj2(of)
+    return None
+
+
+# One sort with two endomorphisms, whose chains grow and collapse over
+# several rounds.
+CHAIN = Signature.of({"A", "B"}, {"g": (A, B), "h": (A, A), "k": (A, A)})
+
+
+def _random_problem(rng: random.Random):
+    """A theory of one to four equations and a goal, with a fuel, or None.
+    Half of the problems are over CHAIN; the others mix pairs, projections,
+    literals and builtins, and half of those grow as worksIn(x) =
+    worksIn(manager(x)) does."""
+    chain = rng.random() < 0.5
+    sig = CHAIN if chain else _random_signature(rng)
+    sorts, types = ((A,), (A, B)) if chain else ((A, B, AB, STR), TYPES)
+
+    def context() -> Context:
+        return Context.of(*((v, rng.choice(sorts)) for v in ("x", "y")[: rng.randint(1, 2)]))
+
+    x = Var("x")
+    equations = [] if chain or rng.random() < 0.5 else [
+        Equation(Context.of(("x", A)), App("g", x), App("g", App("h", x)))]
+    while len(equations) < rng.randint(2, 4):
+        ctx = context()
+        t = rng.choice(types)
+        lhs = _random_term(rng, sig, ctx, t, rng.randint(1, 3))
+        rhs = _random_term(rng, sig, ctx, t, rng.randint(0, 3))
+        if lhs is not None and rhs is not None and lhs != rhs:
+            equations.append(Equation(ctx, lhs, rhs))
+    ctx = context()
+    t = rng.choice(types)
+    a = _random_term(rng, sig, ctx, t, rng.randint(1, 4))
+    b = _random_term(rng, sig, ctx, t, rng.randint(0, 4))
+    if a is None or b is None or a == b:
+        return None
+    return Theory.of(sig, equations), ctx, a, b, rng.randint(2, 4 if chain else 6)
+
+
+def _prove_recording(monkeypatch, th, ctx, a, b, fuel):
+    """The verdict of `decide_equal`, its graph's node keys and partition,
+    and every union that merged two classes, in order; then the number of
+    `union` calls."""
+    graphs, merges, calls = [], [], [0]
+    union, run_rounds = EGraph.union, EGraph.run_rounds
+
+    def recording_union(self, x, y, reason=""):
+        calls[0] += 1
+        merged = union(self, x, y, reason)
+        if merged:
+            merges.append((x, y, reason))
+        return merged
+
+    def capturing(self, *args):
+        graphs.append(self)
+        return run_rounds(self, *args)
+
+    monkeypatch.setattr(EGraph, "union", recording_union)
+    monkeypatch.setattr(EGraph, "run_rounds", capturing)
+    verdict = decide_equal(th, ctx, a, b, fuel, builtin_ops=BUILTINS)
+    graph = graphs[0]
+    return (verdict, graph._nodes,
+            [graph.find(n) for n in range(graph.node_count())], merges), calls[0]
+
+
+def test_semi_naive_matching_equals_every_match_on_random_problems(monkeypatch):
+    """Pairs, projections, literals, builtins, two-variable contexts and
+    nonlinear patterns: the semi-naive pass ends with the verdict, node
+    keys, partition and union log of instantiating every match each round.
+    It skips matches, and it also meets stale keys after the first round,
+    where unions of classes with parents precede a match."""
+    rng = random.Random(13)
+    union_sides = EGraph._union_sides
+    stale = [0]
+
+    def counting(self, eq, found, since, reason, anchor=None, root=-1):
+        if self._round > 1 and anchor is not None and self._pending:
+            stale[0] += 1
+        return union_sides(self, eq, found, since, reason, anchor, root)
+
+    problems = proved = calls = every_calls = 0
+    while problems < 600:
+        problem = _random_problem(rng)
+        if problem is None:
+            continue
+        problems += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(EGraph, "_union_sides", counting)
+            got, n = _prove_recording(patch, *problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(EGraph, "apply_equations_matched", match_every_root)
+            want, every_n = _prove_recording(patch, *problem)
+        assert got == want
+        proved += isinstance(got[0], Proved)
+        calls, every_calls = calls + n, every_calls + every_n
+    assert proved >= 150
+    assert stale[0] >= 1000
+    assert calls < every_calls
+
+
+def test_semi_naive_matching_skips_old_matches(company_theory, monkeypatch):
+    """The k = 25 manager proof calls `union` 111 times; instantiating every
+    match every round, as before semi-naive matching, calls it 532 times."""
+    calls = []
+    union = EGraph.union
+
+    def counting(self, *args):
+        calls.append(args)
+        return union(self, *args)
+
+    a = App("worksIn", _managers(25, Var("x")))
+    b = App("worksIn", Var("x"))
+    ctx = Context.of(("x", Base("Emp")))
+    monkeypatch.setattr(EGraph, "union", counting)
+    assert isinstance(decide_equal(company_theory, ctx, a, b, 32), Proved)
+    assert len(calls) == 111
+    calls.clear()
+    monkeypatch.setattr(EGraph, "apply_equations_matched", match_every_root)
+    assert isinstance(decide_equal(company_theory, ctx, a, b, 32), Proved)
+    assert len(calls) == 532
+
+
+def _company_owner_theory():
+    """company(x) = owner(y) leaves y free on each side, and
+    tag(x) = tag(boss(x)) adds a new Emp class each round."""
+    emp, co = Base("Emp"), Base("Co")
+    sig = Signature.of({"Emp", "Co"}, {"company": (emp, co), "owner": (emp, co),
+                                       "tag": (emp, co), "boss": (emp, emp)})
+    x, y = Var("x"), Var("y")
+    return Theory.of(sig, [
+        Equation(Context.of(("x", emp), ("y", emp)), App("company", x), App("owner", y)),
+        Equation(Context.of(("x", emp)), App("tag", x), App("tag", App("boss", x)))])
+
+
+def _stale_key_theory():
+    """In round 2, o1(x) = x merges the class of o1(c), made in round 1,
+    into c's; the old match g(c) of the second equation then adds
+    g(o2(o1(c))) through the stale key of o2(o1(c)), which makes a node."""
+    sig = Signature.of({"A", "B"}, {"o1": (A, A), "o2": (A, A), "g": (A, B)})
+    x = Var("x")
+    return Theory.of(sig, [
+        Equation(Context.of(("x", A)), App("o1", x), x),
+        Equation(Context.of(("x", A)), App("g", x), App("g", App("o2", App("o1", x))))])
+
+
+def _rekeyed_theory():
+    """o1(x) = x merges o1(o2(a)) into the older class of o2(a) in round 1,
+    and the rebuild re-keys the old node g(o1(o2(a))) to that class, where
+    g(o2(x)) first matches it in round 2."""
+    sig = Signature.of({"A", "B"}, {"o1": (A, A), "o2": (A, A), "g": (A, B),
+                                    "h": (A, B), "k": (A, B)})
+    x = Var("x")
+    return Theory.of(sig, [
+        Equation(Context.of(("x", A)), App("g", App("o2", x)), App("h", x)),
+        Equation(Context.of(("x", A)), App("o1", x), x)])
+
+
+@pytest.mark.parametrize("th, ctx, a, b", [
+    (_company_owner_theory(), Context.of(("a", Base("Emp"))),
+     App("company", Var("a")), App("tag", Var("a"))),
+    (_stale_key_theory(), Context.of(("c", A), ("d", A)),
+     App("g", Var("c")), App("g", Var("d"))),
+    (_rekeyed_theory(), Context.of(("a", A)),
+     App("g", App("o1", App("o2", Var("a")))), App("k", Var("a")))])
+def test_semi_naive_matching_keeps_matches_that_can_still_add(monkeypatch, th, ctx, a, b):
+    """A match whose nodes are old is still instantiated when the anchor
+    leaves a variable free, whose classes have grown, when a key is stale,
+    or when a rebuild has re-keyed one of its nodes: each adds a node that
+    instantiating every match adds."""
+    with monkeypatch.context() as patch:
+        got, _ = _prove_recording(patch, th, ctx, a, b, 4)
+    monkeypatch.setattr(EGraph, "apply_equations_matched", match_every_root)
+    want, _ = _prove_recording(monkeypatch, th, ctx, a, b, 4)
+    assert got == want
+    assert isinstance(got[0], Unknown)

@@ -406,6 +406,16 @@ def test_generated_roundtrip_depth6():
         assert parse(printed) == unit, printed
 
 
+def test_long_tuple_prints_flat_and_roundtrips():
+    """A 70-item tuple parses into a right-nested chain of pairs; it prints
+    as one tuple, which parses back to the same chain."""
+    text = "expr e = (" + ", ".join(["1"] * 70) + ")"
+    unit = parse(text)
+    printed = print_unit(unit)
+    assert printed.strip() == text
+    assert parse(printed) == unit
+
+
 def levels(node) -> int:
     """Nodes on the longest path from the root of a tree to a leaf."""
     children = [getattr(node, f.name) for f in dataclasses.fields(node)]
@@ -443,9 +453,9 @@ EXPR = (Var("x"), lambda e: ExprDecl("e", e))
     (TERM, lambda t: Pair(t, Var("y")), 99),
     (TERM, lambda t: App("f", Pair(t, Var("y"))), 99),
     (TERM, lambda t: App("f", Pair(Var("y"), Pair(t, Var("y")))), 73),
-    (EXPR, lambda e: App("f", Pair(TRUE, Pair(e, TRUE))), 73),
+    (EXPR, lambda e: App("f", Pair(TRUE, Pair(e, TRUE))), 97),
     (TERM, lambda t: Pair(Var("y"), t), 50),
-    (EXPR, lambda e: Pair(TRUE, e), 50),
+    (EXPR, lambda e: Pair(TRUE, e), 99),
     (EXPR, lambda e: Union(TRUE, e), 51),
     (EXPR, lambda e: EqTest(e, TRUE), 51),
     (EXPR, lambda e: EqTest(TRUE, e), 51),
@@ -460,7 +470,9 @@ def test_what_parses_is_within_the_nesting_limit(kind, wrap, deepest):
     back at growing depth; the deepest that parses pins how levels are
     counted.  Chains without brackets are counted exactly.  A bracket counts
     as a level, and so does the last item of a pair or product, so chains
-    that print a bracket at every level stop near half the limit."""
+    that print a bracket at every level stop near half the limit.  An
+    expression prints a right-nested chain of pairs as one tuple, so its
+    chains print one bracket in all."""
     assert deepest_accepted(*kind, wrap) == deepest
 
 

@@ -13,6 +13,7 @@ so the construction is fuel-bounded.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
 from itertools import count
 
@@ -30,7 +31,6 @@ from .kernel import (
     Context,
     EngineError,
     Term,
-    TypeExpr,
     Var,
     format_literal,
     format_term,
@@ -56,8 +56,14 @@ class UnstatedNull(EngineError):
                          f"cell can state: {text[0]} = {text[1]}")
 
 
+# Ground equations `lhs = rhs` over the generators, or, with images, the
+# seeds of each operation: `(row, rhs)` stands for `op(row) = rhs` with
+# `op(row)` translated along the images (see `saturate`).
+Seeds = Sequence[tuple[Term, Term]] | Mapping[str, Sequence[tuple[str, Term]]]
+
+
 def initial_model(s: FqlSchema, generators: Mapping[str, str],
-                  equations: Sequence[tuple[Term, Term]] = (),
+                  equations: Seeds = (),
                   fuel: int = 32, images: Images | None = None) -> Instance:
     """Build the free instance on `generators` (name -> base type) subject to
     ground `equations` over the generator constants, then to every ground
@@ -79,34 +85,52 @@ def initial_model(s: FqlSchema, generators: Mapping[str, str],
 
 
 def saturate(s: FqlSchema, generators: Mapping[str, str],
-             equations: Sequence[tuple[Term, Term]] = (),
+             equations: Seeds = (),
              fuel: int = 32, images: Images | None = None) -> EGraph:
     """The chase itself: the saturated e-graph whose classes are the
     elements of the initial model (see `initial_model`).  With `images`,
-    each lhs is translated along them, as by `decide_equal`, and not typed."""
+    `equations` maps each operation to its seeds `(row, rhs)`, none typed:
+    the image of the operation is added at the class of generator `row`,
+    through one builder per operation (see `EGraph.builder`), and united
+    with `rhs`."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    var_types: dict[str, TypeExpr] = {}
-    for name in sorted(generators):
+    names = sorted(generators)
+    bases: dict[str, Base] = {}
+    for name in names:
         base = generators[name]
-        if base not in s.sig.base_types:
-            raise IllTyped(f"generator '{name}' has undeclared type '{base}'")
-        var_types[name] = Base(base)
-    ctx = Context(tuple(sorted(var_types.items())))
-    for lhs, rhs in equations if images is None else ():
-        tl = infer_type(s.sig, ctx, lhs)
-        tr = infer_type(s.sig, ctx, rhs)
-        if tl != tr:
-            raise IllTyped(
-                f"ground equation {format_term(lhs)} = {format_term(rhs)} "
-                f"relates different types")
+        if base not in bases:
+            if base not in s.sig.base_types:
+                raise IllTyped(f"generator '{name}' has undeclared type '{base}'")
+            bases[base] = Base(base)
+    var_types = [bases[generators[name]] for name in names]
+    if images is None and equations:
+        ctx = Context(tuple(zip(names, var_types)))
+        for lhs, rhs in equations:
+            tl = infer_type(s.sig, ctx, lhs)
+            tr = infer_type(s.sig, ctx, rhs)
+            if tl != tr:
+                raise IllTyped(
+                    f"ground equation {format_term(lhs)} = {format_term(rhs)} "
+                    f"relates different types")
 
     graph = EGraph(s.sig, s.builtin_ops())
-    nodes = {name: graph.add_node(("var", name), var_types[name])
-             for name in sorted(generators)}
-    for lhs, rhs in equations:
-        graph.union(graph.add_instance(lhs, nodes, images),
-                    graph.add_instance(rhs, nodes), "seed equation")
+    env = [graph.add_node(("var", name), t) for name, t in zip(names, var_types)]
+    slots = {name: k for k, name in enumerate(names)}
+
+    def add(term: Term) -> int:
+        if isinstance(term, Var):
+            return env[slots[term.name]]
+        return graph.builder(term, slots)(env)
+
+    if images is None:
+        for lhs, rhs in equations:
+            graph.union(add(lhs), add(rhs), "seed equation")
+    else:
+        for op, seeds in equations.items():
+            image = graph.builder(App(op, Var(op)), {op: 0}, images)
+            for row, rhs in seeds:
+                graph.union(image((env[slots[row]],)), add(rhs), "seed equation")
 
     def step(since: int) -> None:
         _apply_totality(graph, s, since)
@@ -125,19 +149,20 @@ def _apply_totality(graph: EGraph, s: FqlSchema, since: int) -> None:
     class, so create the application nodes that are still missing.  A root
     older than node `since` (where the previous pass began) already got its
     application nodes from that pass, and their keys are still canonical,
-    so only younger roots are visited."""
-    ops = {Base(t): s.ops_from(t) for t in s.entity_types}
-    for root in range(since, graph.node_count()):
-        if graph.find(root) != root:
-            continue
-        for op in ops.get(graph.class_type(root), ()):
-            graph.add_node(("app", op, graph.find(root)))
+    so only younger roots are visited, in ascending order."""
+    younger: list[tuple[int, list[str]]] = []
+    for t in s.entity_types:
+        ops = s.ops_from(t)
+        roots = graph.classes_of_type(Base(t)) if ops else []
+        younger += ((root, ops) for root in roots[bisect_left(roots, since):])
+    for root, ops in sorted(younger):
+        for op in ops:
+            graph.add_node(("app", op, root))
 
 
 def _entity_roots(graph: EGraph, s: FqlSchema) -> list[int]:
-    return [root for root in graph.class_roots()
-            if isinstance(graph.class_type(root), Base)
-            and graph.class_type(root).name in s.entity_types]
+    return sorted(root for t in s.entity_types
+                  for root in graph.classes_of_type(Base(t)))
 
 
 def _row_name(term: Term) -> str:
@@ -159,10 +184,11 @@ def materialize(graph: EGraph, s: FqlSchema
     A cell holds its class's literal, a value carried from another cell's
     null along the graph's builtin applications (`length(?0)`), or a fresh
     null, numbered in table order (see `fill`)."""
-    reps = graph.extract()
+    entities = _entity_roots(graph, s)
+    reps = graph.extract(entities)
     carriers: dict[str, list[str]] = {t: [] for t in sorted(s.entity_types)}
     row_of: dict[int, str] = {}
-    for root in _entity_roots(graph, s):
+    for root in entities:
         term = reps.get(root)
         if term is None:
             raise EngineError("entity class with no extractable representative")

@@ -404,21 +404,20 @@ def cmd_homs(args: argparse.Namespace) -> int:
     except TooLarge as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
         return FAILURES
-    listing = [_render_hom(h) for h in homs]
     if config.format == "json":
         payload = _envelope("homs", args.file, config, "ok")
         payload["from"] = args.instance_a
         payload["to"] = args.instance_b
         payload["count"] = len(homs)
         if args.list:
-            payload["homomorphisms"] = listing
+            payload["homomorphisms"] = [_render_hom(h) for h in homs]
         _emit_json(payload)
         return OK
     print(f"{len(homs)} homomorphism(s) from {args.instance_a} "
           f"to {args.instance_b}")
     if args.list:
-        for line in listing:
-            print(f"  {line}")
+        for h in homs:
+            print(f"  {_render_hom(h)}")
     return OK
 
 

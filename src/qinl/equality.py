@@ -17,12 +17,16 @@ other match met the same nodes, keys and classes in the previous round and
 was instantiated then (or skipped for the same reason), so adding its other
 side again would find existing nodes and merge nothing: the skipped work
 never changes a node, a union or a trace.
+
+Instantiation is compiled too.  Each term the graph adds (an equation side,
+a goal term, a seed's image) compiles once per graph into a builder, which
+adds the nodes the recursive walk over the term would add, in its order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -223,6 +227,17 @@ NODE_LIMIT = 1_000_000
 # one of the nodes it consumed was touched (see `EGraph._touched`).
 Matcher = Callable[[int], list[tuple[tuple[int, ...], int]]]
 
+# A compiled term: adds the term with each variable bound to the class at
+# its position in `env`, and returns the node it stands for (see
+# `EGraph.builder`).
+Builder = Callable[[Sequence[int]], int]
+
+# How an equation is instantiated at a binding of some of its variables to
+# classes (see `EGraph._instantiation`): the type ids of the variables the
+# binding leaves free, or None when none is enumerated, and a builder per
+# side, None for the side the binding matched.
+Instantiation = tuple[list[int] | None, Builder | None, Builder | None]
+
 
 class _OverCap(Exception):
     """`add_node` passed the node cap of the running `run_rounds`."""
@@ -253,15 +268,6 @@ def _variables(e: Term, images: Images | None = None) -> dict[str, None]:
     return {}
 
 
-def _children(key: NodeKey) -> tuple[int, ...]:
-    tag = key[0]
-    if tag in ("p1", "p2", "app"):
-        return (key[-1],)
-    if tag == "pair":
-        return (key[1], key[2])
-    return ()
-
-
 @dataclass
 class EGraph:
     """Hash-consed nodes over a union-find of classes, with indexes kept up
@@ -272,7 +278,13 @@ class EGraph:
       ascending order, because new nodes get the highest id and a union
       keeps the lower root.  A union replaces the merged list rather than
       mutating either, so a shallow copy of the dict is a snapshot.
-    * `_roots_by_type` maps each type to its roots, in the same order.
+    * Types are interned: `_types` holds each node's type id, `_type_of`
+      the type of each id and `_type_ids` the id of each type.
+      `_components` holds the ids of each product type's components,
+      `_products` the product of each pair of ids, and `_op_types` each
+      operation's result type id, so node creation, unions and matching
+      compare ints.
+    * `_roots_by_type` holds, per type id, its roots in ascending order.
     * `_uses` lists, per root, the nodes with a child in the class;
       `union` moves the absorbed root's list onto the worklist `_pending`,
       which `rebuild` recanonicalises.
@@ -283,35 +295,37 @@ class EGraph:
       the set of operations that some node applies.
     * `_axioms_from` is the node count when `apply_product_axioms` last
       began.
-    * `_image_uses` holds, per operation, the image `add_instance` last
-      added for it and whether that image's body uses its variable.
     * `_touched` holds, per node, the round of `run_rounds` (`_round`, 0
       outside it) in which the node was last created, moved to another
       class by a union, or re-keyed by `rebuild`.
-    * `_matchers` holds the compiled matcher of each rule matched so far.
+    * `_compiled` holds, per rule matched and per equation enumerated so
+      far, its compiled matcher and instantiation.
     """
 
     sig: Signature
     builtin_ops: Mapping[str, Callable[[object], object]] | None = None
     _nodes: list[NodeKey] = field(default_factory=list)
-    _types: list[TypeExpr] = field(default_factory=list)
+    _types: list[int] = field(default_factory=list)
+    _type_of: list[TypeExpr] = field(default_factory=list)
+    _type_ids: dict[TypeExpr, int] = field(default_factory=dict)
+    _components: dict[int, tuple[int, int]] = field(default_factory=dict)
+    _products: dict[tuple[int, int], int] = field(default_factory=dict)
+    _op_types: dict[str, int] = field(default_factory=dict)
     _parent: list[int] = field(default_factory=list)
     _table: dict[NodeKey, int] = field(default_factory=dict)
     _members: dict[int, list[int]] = field(default_factory=dict)
-    _roots_by_type: dict[TypeExpr, dict[int, None]] = field(default_factory=dict)
+    _roots_by_type: list[dict[int, None]] = field(default_factory=list)
     _uses: list[list[int]] = field(default_factory=list)
     _pending: list[int] = field(default_factory=list)
     _projections: list[int] = field(default_factory=list)
     _builtin_apps: list[int] = field(default_factory=list)
     _ops: set[str] = field(default_factory=set)
     _axioms_from: int = 0
-    _image_uses: dict[str, tuple[tuple[str, Term], bool]] = field(
-        default_factory=dict)
     _version: int = 0
     _touched: list[int] = field(default_factory=list)
     _round: int = 0
     _cap: float = inf
-    _matchers: dict[Rule, tuple[list[str], Matcher]] = field(default_factory=dict)
+    _compiled: dict[object, tuple] = field(default_factory=dict)
     log: list[str] = field(default_factory=list)
 
     # -- union-find ---------------------------------------------------------
@@ -334,7 +348,8 @@ class EGraph:
         if t != self._types[ry]:
             raise IllTyped(
                 f"congruence would merge classes of different types "
-                f"{format_type(t)} and {format_type(self._types[ry])}")
+                f"{format_type(self._type_of[t])} and "
+                f"{format_type(self._type_of[self._types[ry]])}")
         # keep the lower id as root for determinism
         if ry < rx:
             rx, ry = ry, rx
@@ -353,6 +368,39 @@ class EGraph:
             self.log.append(reason)
         return True
 
+    # -- types ----------------------------------------------------------------
+
+    def _intern(self, t: TypeExpr) -> int:
+        tid = self._type_ids.get(t)
+        if tid is None:
+            tid = self._type_ids[t] = len(self._type_of)
+            self._type_of.append(t)
+            self._roots_by_type.append({})
+            if isinstance(t, Prod):
+                self._components[tid] = (self._intern(t.left), self._intern(t.right))
+        return tid
+
+    def _product(self, left: int, right: int) -> int:
+        tid = self._products.get((left, right))
+        if tid is None:
+            tid = self._products[left, right] = self._intern(
+                Prod(self._type_of[left], self._type_of[right]))
+        return tid
+
+    def _component(self, tag: str, of: int) -> int:
+        """The type id of projection `tag` ("p1" or "p2") of class `of`."""
+        parts = self._components.get(self._types[of])
+        if parts is None:
+            raise IllTyped(f"projection from non-product "
+                           f"{format_type(self._type_of[self._types[of]])}")
+        return parts[tag == "p2"]
+
+    def _op_type(self, op: str) -> int:
+        tid = self._op_types.get(op)
+        if tid is None:
+            tid = self._op_types[op] = self._intern(self.sig.op_type(op)[1])
+        return tid
+
     # -- node creation ------------------------------------------------------
 
     def _canon(self, key: NodeKey) -> NodeKey:
@@ -363,22 +411,19 @@ class EGraph:
             return ("pair", self.find(key[1]), self.find(key[2]))
         return key
 
-    def _node_type(self, key: NodeKey) -> TypeExpr:
+    def _node_type(self, key: NodeKey) -> int:
         tag = key[0]
         if tag == "unit":
-            return UNIT
+            return self._intern(UNIT)
         if tag == "lit":
-            return Base(key[1])
+            return self._intern(Base(key[1]))
         if tag == "pair":
-            return Prod(self._types[self.find(key[1])],
-                        self._types[self.find(key[2])])
+            return self._product(self._types[self.find(key[1])],
+                                 self._types[self.find(key[2])])
         if tag in ("p1", "p2"):
-            t = self._types[self.find(key[1])]
-            if not isinstance(t, Prod):
-                raise IllTyped(f"projection from non-product {format_type(t)}")
-            return t.left if tag == "p1" else t.right
+            return self._component(tag, self.find(key[1]))
         if tag == "app":
-            return self.sig.op_type(key[1])[1]
+            return self._op_type(key[1])
         raise EngineError(f"bad node key {key!r}")
 
     def add_node(self, key: NodeKey, var_type: TypeExpr | None = None) -> int:
@@ -386,24 +431,33 @@ class EGraph:
         existing = self._table.get(key)
         if existing is not None:
             return existing
+        t = self._intern(var_type) if key[0] == "var" else self._node_type(key)
+        return self._new(key, t)
+
+    def _new(self, key: NodeKey, t: int) -> int:
+        """Add a node whose canonical key `key` is not in the table, of type
+        id `t`."""
         node = len(self._nodes)
-        t = var_type if key[0] == "var" else self._node_type(key)
         self._nodes.append(key)
         self._types.append(t)
         self._parent.append(node)
         self._table[key] = node
         self._members[node] = [node]
-        self._roots_by_type.setdefault(t, {})[node] = None
+        self._roots_by_type[t][node] = None
         self._uses.append([])
         self._touched.append(self._round)
-        for child in _children(key):
-            self._uses[child].append(node)
-        if key[0] in ("p1", "p2"):
-            self._projections.append(node)
-        elif key[0] == "app":
+        tag = key[0]
+        if tag == "app":
+            self._uses[key[2]].append(node)
             self._ops.add(key[1])
             if self.builtin_ops and key[1] in self.builtin_ops:
                 self._builtin_apps.append(node)
+        elif tag == "pair":
+            self._uses[key[1]].append(node)
+            self._uses[key[2]].append(node)
+        elif tag == "p1" or tag == "p2":
+            self._uses[key[1]].append(node)
+            self._projections.append(node)
         self._version += 1
         if node >= self._cap:
             raise _OverCap
@@ -423,10 +477,11 @@ class EGraph:
         return list(self._members)
 
     def class_type(self, root: int) -> TypeExpr:
-        return self._types[self.find(root)]
+        return self._type_of[self._types[self.find(root)]]
 
     def classes_of_type(self, t: TypeExpr) -> list[int]:
-        return list(self._roots_by_type.get(t, ()))
+        tid = self._type_ids.get(t)
+        return [] if tid is None else list(self._roots_by_type[tid])
 
     def builtin_applications(self) -> list[tuple[int, str, int]]:
         """Each builtin application, as sorted (class, op, argument class)."""
@@ -484,16 +539,17 @@ class EGraph:
 
         Called once per round, after a rebuild: a root that was already a
         root when the previous call began has its unit or pairing node from
-        that call, so only younger roots are visited."""
+        that call, so only younger roots are visited, and none while no
+        type is the unit or a product."""
         start, self._axioms_from = self._axioms_from, len(self._nodes)
-        for root in self.class_roots():
-            if root < start:
-                continue
-            t = self.class_type(root)
-            if t == UNIT:
+        unit_type = self._type_ids.get(UNIT)
+        roots = self.class_roots() if unit_type is not None or self._components else []
+        for root in roots[bisect_left(roots, start):]:
+            t = self._types[root]
+            if t == unit_type:
                 unit = self.add_node(("unit",))
                 self.union(root, unit, "unit law")
-            elif isinstance(t, Prod):
+            elif t in self._components:
                 p1 = self.add_node(("p1", self.find(root)))
                 p2 = self.add_node(("p2", self.find(root)))
                 pr = self.add_node(("pair", self.find(p1), self.find(p2)))
@@ -556,7 +612,7 @@ class EGraph:
                         if env[slot] == c:
                             then(newest)
                     return same
-                slot, want = len(names), ctx.lookup(p.name)
+                slot, want = len(names), self._intern(ctx.lookup(p.name))
                 names.append(p.name)
                 env.append(-1)
 
@@ -622,39 +678,72 @@ class EGraph:
             return out
         return names, match
 
-    def add_instance(self, e: Term, binding: Mapping[str, int],
-                     images: Images | None = None) -> int:
-        """Add a term whose variables are already bound to classes.  An
-        application of an operation in `images` adds the image's body, with
-        its variable bound to the argument's class (the argument is added
-        only if the body uses it); bodies are added with no images."""
+    def builder(self, e: Term, slots: Mapping[str, int],
+                images: Images | None = None) -> Builder:
+        """Compile `e` into a builder (see `Builder`) that reads the class of
+        each variable at its position in `slots`, and adds the nodes a
+        recursive walk over `e` adds, in its order: a pair's left component
+        before its right, a child before its parent.  An application of an
+        operation in `images` adds the image's body, with no images, and
+        its variable bound to the argument's class; the argument is added
+        only if the body uses its variable, and once however often it
+        does."""
+        table, find, new, types = self._table, self.find, self._new, self._types
         if isinstance(e, Var):
-            return binding[e.name]
-        if isinstance(e, UnitTerm):
-            return self.add_node(("unit",))
-        if isinstance(e, Lit):
-            return self.add_node(("lit", e.base, e.value))
+            slot = slots[e.name]
+            return lambda env: env[slot]
+        if isinstance(e, (UnitTerm, Lit)):
+            leaf = ("unit",) if isinstance(e, UnitTerm) else ("lit", e.base, e.value)
+
+            def constant(env: Sequence[int]) -> int:
+                node = table.get(leaf)
+                return new(leaf, self._node_type(leaf)) if node is None else node
+            return constant
         if isinstance(e, Pair):
-            left = self.add_instance(e.fst, binding, images)
-            right = self.add_instance(e.snd, binding, images)
-            return self.add_node(("pair", self.find(left), self.find(right)))
+            fst = self.builder(e.fst, slots, images)
+            snd = self.builder(e.snd, slots, images)
+
+            def pair(env: Sequence[int]) -> int:
+                left, right = find(fst(env)), find(snd(env))
+                key = ("pair", left, right)
+                node = table.get(key)
+                if node is None:
+                    return new(key, self._product(types[left], types[right]))
+                return node
+            return pair
         if isinstance(e, (Proj1, Proj2)):
-            inner = self.find(self.add_instance(e.of, binding, images))
-            return self.add_node(("p1" if isinstance(e, Proj1) else "p2", inner))
+            tag, of = ("p1" if isinstance(e, Proj1) else "p2"), self.builder(e.of, slots, images)
+
+            def projection(env: Sequence[int]) -> int:
+                inner = find(of(env))
+                key = (tag, inner)
+                node = table.get(key)
+                return new(key, self._component(tag, inner)) if node is None else node
+            return projection
         if isinstance(e, App):
             image = images.get(e.op) if images else None
             if image is not None:
                 var, body = image
-                uses = self._image_uses.get(e.op)
-                if uses is None or uses[0] is not image:
-                    uses = self._image_uses[e.op] = (image, var in _variables(body))
-                if not uses[1]:
-                    return self.add_instance(body, {})
-                return self.add_instance(
-                    body, {var: self.find(self.add_instance(e.arg, binding, images))})
-            arg = self.add_instance(e.arg, binding, images)
-            return self.add_node(("app", e.op, self.find(arg)))
+                build = self.builder(body, {var: 0}, None)
+                if var not in _variables(body):
+                    return lambda env: build(())
+                arg = self.builder(e.arg, slots, images)
+                return lambda env: build((find(arg(env)),))
+            op, arg = e.op, self.builder(e.arg, slots, images)
+
+            def app(env: Sequence[int]) -> int:
+                key = ("app", op, find(arg(env)))
+                node = table.get(key)
+                return new(key, self._op_type(op)) if node is None else node
+            return app
         raise EngineError(f"cannot instantiate unknown construct {e!r}")
+
+    def add_instance(self, e: Term, binding: Mapping[str, int],
+                     images: Images | None = None) -> int:
+        """Add a term whose variables are already bound to classes, as its
+        builder does (see `builder`)."""
+        slots = {name: k for k, name in enumerate(binding)}
+        return self.builder(e, slots, images)(list(binding.values()))
 
     def apply_equations_matched(self, th: Theory) -> None:
         """Apply each equation by matching one side against existing classes
@@ -676,21 +765,26 @@ class EGraph:
         nodes, unions and log are those of instantiating every match."""
         for rule in th.rules:
             if rule.anchor is None:
-                self._union_sides(rule.eq, {}, 0, rule.reason)
+                compiled = self._compiled.get(rule)
+                if compiled is None:
+                    compiled = self._compiled[rule] = self._instantiation(rule.eq, [])
+                self._union_sides(compiled, (), 0, rule.reason)
                 continue
             if not rule.ops <= self._ops:
                 continue
-            compiled = self._matchers.get(rule)
+            compiled = self._compiled.get(rule)
             if compiled is None:
                 side = (rule.eq.lhs, rule.eq.rhs)[rule.anchor]
-                compiled = self._matchers[rule] = self._matcher(side, rule.eq.ctx)
-            names, match = compiled
+                names, match = self._matcher(side, rule.eq.ctx)
+                compiled = self._compiled[rule] = (
+                    self._intern(rule.type), match,
+                    self._instantiation(rule.eq, names, rule.anchor))
+            t, match, instantiation = compiled
             recent = self._round - 1 if self._round > 1 and rule.binds_all else 0
-            for root in self.classes_of_type(rule.type):
+            for root in list(self._roots_by_type[t]):
                 for classes, newest in match(root):
                     if newest >= recent or self._pending:
-                        self._union_sides(rule.eq, dict(zip(names, classes)), 0,
-                                          rule.reason, rule.anchor, root)
+                        self._union_sides(instantiation, classes, 0, rule.reason, root)
 
     def apply_equations_enumerated(self, equations: Iterable[Equation],
                                    since: int = 0) -> None:
@@ -709,25 +803,42 @@ class EGraph:
         with an empty context has one tuple, which counts as old after the
         first call."""
         for eq in equations:
-            self._union_sides(eq, {}, since, eq.render())
+            compiled = self._compiled.get(eq)
+            if compiled is None:
+                compiled = self._compiled[eq] = (self._instantiation(eq, []),
+                                                 eq.render())
+            self._union_sides(compiled[0], (), since, compiled[1])
 
-    def _union_sides(self, eq: Equation, found: dict[str, int], since: int,
-                     reason: str, anchor: int | None = None, root: int = -1) -> None:
-        """Union the two sides of `eq` at the match `found` of side `anchor`
-        (0 or 1) at `root`, which stands for that side, or with no anchor at
-        the empty match.  The variables a match leaves free range over the
-        tuples of roots of their types, read now, from `_tuples_since`."""
-        bindings: Iterable[dict[str, int]] = (found,)
-        if anchor is None or len(found) < len(eq.ctx.bindings):
-            free = [(var, t) for var, t in eq.ctx if var not in found]
-            names = [var for var, _ in free]
-            pools = [self.classes_of_type(t) for _, t in free]
-            bindings = (dict(zip(names, roots), **found) for roots in
-                        _tuples_since(pools, since, lambda: bool(self._pending)))
-        for binding in bindings:
-            left = root if anchor == 0 else self.add_instance(eq.lhs, binding)
-            right = root if anchor == 1 else self.add_instance(eq.rhs, binding)
-            self.union(left, right, reason)
+    def _instantiation(self, eq: Equation, bound: list[str],
+                       anchor: int | None = None) -> Instantiation:
+        """Compile `eq` for instantiation at bindings of the variables
+        `bound`, in that order, that match side `anchor` (0 or 1), or with
+        no anchor.  The variables left free, in context order, range over
+        the tuples of roots of their types, as do all of them with no
+        anchor."""
+        free = [(var, t) for var, t in eq.ctx if var not in bound]
+        slots = {var: k for k, var in enumerate(bound + [var for var, _ in free])}
+        enumerated = anchor is None or len(bound) < len(eq.ctx.bindings)
+        pools = [self._intern(t) for _, t in free] if enumerated else None
+        left, right = (None if anchor == k else self.builder(side, slots)
+                       for k, side in enumerate((eq.lhs, eq.rhs)))
+        return pools, left, right
+
+    def _union_sides(self, instantiation: Instantiation, bound: tuple[int, ...],
+                     since: int, reason: str, root: int = -1) -> None:
+        """Union the two sides of an equation compiled by `_instantiation`
+        at the classes `bound` matched, the matched side standing for
+        `root`.  The variables a match leaves free range over the tuples of
+        roots of their types, read now, from `_tuples_since`."""
+        pools, left, right = instantiation
+        envs: Iterable[tuple[int, ...]] = (bound,)
+        if pools is not None:
+            envs = (bound + roots for roots in _tuples_since(
+                [list(self._roots_by_type[t]) for t in pools], since,
+                lambda: bool(self._pending)))
+        for env in envs:
+            self.union(root if left is None else left(env),
+                       root if right is None else right(env), reason)
 
     def run_rounds(self, step: Callable[[int], None], fuel: int,
                    goal: Callable[[], bool] = lambda: False) -> tuple[int, int, str]:
@@ -762,22 +873,57 @@ class EGraph:
 
     # -- extraction ----------------------------------------------------------
 
-    def extract(self) -> dict[int, Term]:
-        """Minimal representative term per class, by (size, text) order.
-        Classes with no leaf-grounded member (possible in cyclic graphs) are
-        absent from the result.
+    def _types_below(self, roots: Iterable[int]) -> set[int]:
+        """The type ids of `roots` and, transitively, those a child of a
+        node of such a type can have: the domain of each operation that
+        some node applies and that returns the type, the components of a
+        product, and, once there is a projection node, each product of
+        which the type is a component."""
+        below: dict[int, set[int]] = {}
+        for op in self._ops:
+            below.setdefault(self._op_type(op), set()).add(
+                self._intern(self.sig.op_type(op)[0]))
+        for product, parts in self._components.items():
+            below.setdefault(product, set()).update(parts)
+            if self._projections:
+                for part in parts:
+                    below.setdefault(part, set()).add(product)
+        wanted: set[int] = set()
+        todo = [self._types[self.find(root)] for root in roots]
+        while todo:
+            t = todo.pop()
+            if t not in wanted:
+                wanted.add(t)
+                todo.extend(below.get(t, ()))
+        return wanted
 
-        Every node is offered to its class, sweep after sweep, until no class
-        improves.  A node's (size, text) key is composed from its children's
-        best keys, as `term_key` of the term it stands for would compute it
-        (`op(t)` is one larger than `t`, and its text is `op(` + text + `)`),
-        and the term itself is built only when the key beats the class's."""
+    def extract(self, roots: Iterable[int] | None = None) -> dict[int, Term]:
+        """Minimal representative term per class, by (size, text) order, of
+        every class, or of at least the classes of `roots`.  Classes with no
+        leaf-grounded member (possible in cyclic graphs) are absent from the
+        result.
+
+        Every node is offered to its class, in id order, sweep after sweep,
+        until no class improves.  A node's (size, text) key is composed from
+        its children's best keys, as `term_key` of the term it stands for
+        would compute it (`op(t)` is one larger than `t`, and its text is
+        `op(` + text + `)`), and the term itself is built only when the key
+        beats the class's.  With `roots`, only the nodes of the types
+        `_types_below` gives are offered.  Their children are of those types
+        too, so each of their classes is offered the nodes it would be
+        offered in a sweep over every node, in the same order, and gets the
+        same term."""
         best: dict[int, tuple[tuple[int, str], Term]] = {}
-        find = self.find
+        find, nodes = self.find, self._nodes
+        order: Iterable[int] = range(len(nodes))
+        if roots is not None:
+            wanted, types = self._types_below(roots), self._types
+            order = [node for node in order if types[node] in wanted]
         changed = True
         while changed:
             changed = False
-            for node, key in enumerate(self._nodes):
+            for node in order:
+                key = nodes[node]
                 tag = key[0]
                 if tag == "app" or tag == "p1" or tag == "p2":
                     inner = best.get(find(key[-1]))
@@ -867,8 +1013,8 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
     exceeding either cap yields `Unknown`, which is not a refutation.
 
     With `images`, `a` and `b` are terms of another signature, to be proved
-    equal translated along the images (see `EGraph.add_instance`), which
-    is never built as a term; `ctx` types them in `th`, and the caller
+    equal translated along the images (see `EGraph.builder`), which is
+    never built as a term; `ctx` types them in `th`, and the caller
     guarantees that the translations are well typed at one type.  The
     first `Proved` trace line is `proved <goal> in N round(s) over M
     node(s)`, the goal defaulting to `a = b`; union reasons follow.
@@ -889,10 +1035,11 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
 
     graph = EGraph(th.sig, builtin_ops)
     var_types = dict(ctx.bindings)
-    binding = {name: graph.add_node(("var", name), var_types[name])
-               for name in _variables(Pair(a, b), images)}
-    ida = graph.add_instance(a, binding, images)
-    idb = graph.add_instance(b, binding, images)
+    names = list(_variables(Pair(a, b), images))
+    env = [graph.add_node(("var", name), var_types[name]) for name in names]
+    slots = {name: k for k, name in enumerate(names)}
+    ida = graph.builder(a, slots, images)(env)
+    idb = graph.builder(b, slots, images)(env)
 
     def step(since: int) -> None:
         graph.apply_product_axioms()

@@ -116,7 +116,8 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     generator of its image type, and for each source operation the image
     expression applied to the seed is equated with the seed of (or constant
     in) the operation's value.  The chase then builds the initial model,
-    adding each image at its seed's class (`initial_model`'s `images`).
+    adding each operation's image at its seeds' classes (`initial_model`'s
+    `images`), with one literal per distinct constant.
 
     Labelled nulls of the input become attribute-typed generators, so they
     stay unknown-but-fixed across their occurrences.  An attribute cell
@@ -137,6 +138,7 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
             generators[name] = mapping.type_map[t]
 
     null_vars: dict[str, str] = {}
+    lits: dict[tuple[str, type, Cell], Lit] = {}
 
     def cell_term(value: Cell, attr_type: str) -> Term:
         if isinstance(value, LabelledNull):
@@ -150,21 +152,23 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
             arg_type = mapping.target.sig.op_type(value.op)[0]
             assert isinstance(arg_type, Base)
             return App(value.op, cell_term(value.arg, arg_type.name))
-        return Lit(attr_type, value)
+        key = (attr_type, type(value), value)  # keeps True and 1 apart
+        lit = lits.get(key)
+        if lit is None:
+            lit = lits[key] = Lit(attr_type, value)
+        return lit
 
-    equations: list[tuple[Term, Term]] = []
+    seed_var = {key: Var(name) for key, name in seed_name.items()}
+    seeds: dict[str, list[tuple[str, Term]]] = {}
     for op in src.entity_dom_ops():
         dom, cod = src.sig.op_type(op)
         assert isinstance(dom, Base) and isinstance(cod, Base)
-        for row in i.rows(dom.name):
-            lhs = App(op, Var(seed_name[(dom.name, row)]))
-            value = i.functions[op][row]
-            if cod.name in src.entity_types:
-                rhs: Term = Var(seed_name[(cod.name, value)])
-            else:
-                rhs = cell_term(value, cod.name)
-            equations.append((lhs, rhs))
-    return initial_model(mapping.target, generators, equations, fuel, mapping.op_map)
+        table, entity = i.functions[op], cod.name in src.entity_types
+        seeds[op] = [(seed_name[(dom.name, row)],
+                      seed_var[(cod.name, table[row])] if entity
+                      else cell_term(table[row], cod.name))
+                     for row in i.rows(dom.name)]
+    return initial_model(mapping.target, generators, seeds, fuel, mapping.op_map)
 
 
 # --------------------------------------------------------------------------

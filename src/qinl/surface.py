@@ -1314,31 +1314,37 @@ def _row_raw(row: str) -> RawValue:
 def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
                      instance: Instance) -> InstanceDecl:
     """Render a semantic instance as a declaration with deterministic
-    ordering: carriers first, then tables, all sorted."""
+    ordering: carriers first, then tables, all sorted.  Each distinct row
+    id is rendered once, however many cells name it."""
+    rendered: dict[str, RawValue] = {}
+
+    def row_raw(row: str) -> RawValue:
+        raw = rendered.get(row)
+        if raw is None:
+            raw = rendered[row] = _row_raw(row)
+        return raw
+
     items = []
     for t in sorted(schema.entity_types):
-        entries = tuple((_row_raw(row), None) for row in instance.rows(t))
+        entries = tuple((row_raw(row), None) for row in instance.rows(t))
         items.append(InstanceItem(t, entries))
     for op in schema.entity_dom_ops():
         cod = schema.sig.op_type(op)[1]
         assert isinstance(cod, Base)
         entity_cod = cod.name in schema.entity_types
-        entries = []
         table = instance.functions.get(op, {})
-        for row in sorted(table):
-            entries.append((_row_raw(row),
-                            _cell_to_raw(table[row], entity_cod)))
+        entries = [(row_raw(row), row_raw(str(table[row])) if entity_cod
+                    else _cell_to_raw(table[row]))
+                   for row in sorted(table)]
         items.append(InstanceItem(op, tuple(entries)))
     return InstanceDecl(name, schema_name, tuple(items))
 
 
-def _cell_to_raw(cell: object, entity_cod: bool) -> RawValue:
-    if entity_cod:
-        return _row_raw(str(cell))
+def _cell_to_raw(cell: object) -> RawValue:
     if isinstance(cell, LabelledNull):
         return RawValue("null", cell.label)
     if isinstance(cell, OpApplied):
-        return RawValue("app", (cell.op, _cell_to_raw(cell.arg, False)))
+        return RawValue("app", (cell.op, _cell_to_raw(cell.arg)))
     if isinstance(cell, bool):
         return RawValue("bool", cell)
     if isinstance(cell, int):

@@ -10,8 +10,9 @@ extraction visit every tuple and every node on every sweep, the prover's
 matched pass instantiates every match every round, found by a recursive
 descent rather than a compiled matcher, `sigma`'s seeds
 are built as translated terms rather than added through the mapping's
-images, and the tokenizer oracle steps through the text one character at a
-time instead of matching a regular expression.
+images, terms are added to the e-graph by a recursive walk rather than by
+compiled builders, and the tokenizer oracle steps through the text one
+character at a time instead of matching a regular expression.
 """
 
 from __future__ import annotations
@@ -494,9 +495,41 @@ def check_egraph_indexes(graph) -> None:
     want = egraph_indexes(graph)
     assert graph.members() == want["members"]
     assert graph.class_roots() == want["roots"]
-    for t in set(graph._types):
+    types = {graph.class_type(root) for root in graph.class_roots()}
+    assert types
+    for t in types:
         assert graph.classes_of_type(t) == want["by_type"].get(t, [])
     assert graph._table == want["table"]
+
+
+def add_by_walk(graph, e: Term, binding: Mapping[str, int], images=None) -> int:
+    """`EGraph.builder` by a recursive walk over `e`, whose variables are
+    bound to classes in `binding`: a pair's left component before its right,
+    a child before its parent.  An application of an operation in `images`
+    adds the image's body, with no images, and its variable bound to the
+    argument's class; the argument is added only if the body uses it."""
+    if isinstance(e, Var):
+        return binding[e.name]
+    if isinstance(e, UnitTerm):
+        return graph.add_node(("unit",))
+    if isinstance(e, Lit):
+        return graph.add_node(("lit", e.base, e.value))
+    if isinstance(e, Pair):
+        left = add_by_walk(graph, e.fst, binding, images)
+        right = add_by_walk(graph, e.snd, binding, images)
+        return graph.add_node(("pair", graph.find(left), graph.find(right)))
+    if isinstance(e, (Proj1, Proj2)):
+        inner = graph.find(add_by_walk(graph, e.of, binding, images))
+        return graph.add_node(("p1" if isinstance(e, Proj1) else "p2", inner))
+    image = images.get(e.op) if images else None
+    if image is None:
+        arg = add_by_walk(graph, e.arg, binding, images)
+        return graph.add_node(("app", e.op, graph.find(arg)))
+    var, body = image
+    if Var(var) not in subterms(body):
+        return add_by_walk(graph, body, {})
+    arg = graph.find(add_by_walk(graph, e.arg, binding, images))
+    return add_by_walk(graph, body, {var: arg})
 
 
 # --------------------------------------------------------------------------
@@ -582,14 +615,16 @@ def match_class(graph, pattern: Term, root: int, binding: dict[str, int],
     return results
 
 
-def substitute_images(equations, images) -> list[tuple[Term, Term]]:
-    """Seed equations whose lhs `op(t)` is translated along `images` by
-    building the term, the image body with `t` for its variable, for
-    `chase.saturate` to type and add without `images`."""
+def substitute_images(seeds, images) -> list[tuple[Term, Term]]:
+    """Seed equations `op(row) = rhs`, from the seeds `(row, rhs)` of each
+    operation, with `op(row)` translated along `images` by building the
+    term, the image body with `row` for its variable, for `chase.saturate`
+    to type and add without `images`."""
     out = []
-    for lhs, rhs in equations:
-        var, body = images[lhs.op]
-        out.append((_subst(body, {var: lhs.arg}), rhs))
+    for op, pairs in seeds.items():
+        var, body = images[op]
+        for row, rhs in pairs:
+            out.append((_subst(body, {var: Var(row)}), rhs))
     return out
 
 

@@ -492,6 +492,23 @@ def test_enumeration_visits_only_tuples_with_a_new_root(monkeypatch):
         Equation(Context.of(("x", Base("E")), ("y", Base("E"))),
                  App("f", x), App("f", y)),
         Equation(Context(), App("reverse", Lit("String", "ab")), Lit("String", "ba"))]
+    # Each side compiles once per graph, in the first pass, so the spy that
+    # records the classes each left side is added at wraps the compiled
+    # builders from the start, and what the first pass records is dropped.
+    visited = []
+    builder = EGraph.builder
+
+    def spy(self, e, slots, images=None):
+        build = builder(self, e, slots, images)
+        if not any(e is eq.lhs for eq in equations):
+            return build
+
+        def recording(env):
+            visited.append(tuple(env))
+            return build(env)
+        return recording
+
+    monkeypatch.setattr(EGraph, "builder", spy)
     graph = EGraph(sig)
     a = graph.add_node(("var", "a"), Base("E"))
     b = graph.add_node(("var", "b"), Base("E"))
@@ -499,15 +516,7 @@ def test_enumeration_visits_only_tuples_with_a_new_root(monkeypatch):
     graph.rebuild()
     fa = graph.find(graph.add_node(("app", "f", a)))
 
-    visited = []
-    add_instance = EGraph.add_instance
-
-    def spy(self, e, binding, images=None):
-        if any(e is eq.lhs for eq in equations):
-            visited.append(tuple(binding.values()))
-        return add_instance(self, e, binding, images)
-
-    monkeypatch.setattr(EGraph, "add_instance", spy)
+    visited.clear()
     since = graph.node_count()
     graph.apply_equations_enumerated(equations, since)
     assert visited == []
@@ -530,9 +539,8 @@ def test_semi_naive_chase_visits_old_tuples_while_a_key_is_stale():
     assert_chase_matches_oracles(s, {"g0": "E", "g1": "E"}, ground, fuel=2)
 
 
-def test_extract_matches_the_sweep_on_products():
-    """Pairs, projections and the unit, after the product axioms: each
-    class gets the term the sweep over every node picks."""
+def _product_graph() -> EGraph:
+    """Pairs, projections and the unit, after the product axioms."""
     prod = Prod(Base("E"), Base("E"))
     sig = Signature.of({"E"}, {"f": (Base("E"), Base("E")),
                                "swap": (prod, prod),
@@ -553,7 +561,62 @@ def test_extract_matches_the_sweep_on_products():
     for _ in range(3):
         graph.apply_product_axioms()
         graph.rebuild()
+    return graph
+
+
+def test_extract_matches_the_sweep_on_products():
+    """Each class gets the term the sweep over every node picks."""
+    graph = _product_graph()
     reps = graph.extract()
     assert reps == sweep_extract(graph)
     assert len(reps) == len(graph.class_roots())
     assert UNIT_TERM in reps.values() and App("swap", Var("p")) in reps.values()
+
+
+def assert_extract_at_roots_matches_the_sweep(graph) -> None:
+    """`extract` at the classes of each type, and at those of every other
+    type, gives each of those classes the term the sweep picks."""
+    want = sweep_extract(graph)
+    roots = graph.class_roots()
+    for t in {graph.class_type(root) for root in roots}:
+        for chosen in (graph.classes_of_type(t),
+                       [root for root in roots if graph.class_type(root) != t]):
+            got = graph.extract(chosen)
+            assert ({root: got[root] for root in chosen if root in got}
+                    == {root: want[root] for root in chosen if root in want})
+
+
+def test_extract_at_roots_matches_the_sweep():
+    """On products, where a projection reaches a product class from a
+    class of its component type, and on the chases of the fixture
+    migrations, of migrations with nulls and of pairs of entities."""
+    graphs = [_product_graph()]
+    record = EGraph.extract
+
+    def spy(graph, roots=None):
+        graphs.append(graph)
+        return record(graph, roots)
+
+    pairs = entity_schema({"E"}, {}, [Equation(
+        Context.of(("x", Base("E")), ("y", Base("E"))),
+        Pair(Var("x"), Var("y")), Pair(Var("x"), Var("y")))])
+    rng = random.Random(5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EGraph, "extract", spy)
+        for path in sorted(FIXTURES.glob("*.qinl")):
+            elab = elaborate(parse(path.read_text(encoding="utf-8")))
+            for mapping in elab.mappings.values():
+                for name, i in elab.instances.items():
+                    if elab.schemas.get(elab.instance_schema[name]) == mapping.source:
+                        for migrate in (sigma, pi):
+                            _outcome(lambda: migrate(mapping, i))
+        for _ in range(20):
+            schemas, rest = nulls_case(rng)
+            elab = elaborate(parse(schemas + rest))
+            for migrate in (sigma, pi):
+                _outcome(lambda: migrate(elab.mappings["M"], elab.instances["I"], fuel=8))
+        initial_model(pairs, {"a": "E", "b": "E"}, fuel=8)
+    assert len(graphs) >= 40
+    assert any(graph._projections for graph in graphs[1:])
+    for graph in graphs:
+        assert_extract_at_roots_matches_the_sweep(graph)

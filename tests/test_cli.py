@@ -557,6 +557,28 @@ def test_homs_count_and_listing(capsys):
     assert out.count("\n") == 10  # summary line plus nine homomorphisms
 
 
+@pytest.mark.parametrize("args", [("twoNodes", "threeNodes"), ("threeNodes", "twoNodes"),
+                                  ("twoNodes", "twoNodes")])
+def test_homs_count_is_the_same_with_and_without_the_listing(capsys, args):
+    """The listing is rendered only under --list; the count does not
+    depend on it, in either format, and the listing has one line per
+    homomorphism."""
+    code, out, _ = run(capsys, "homs", MIGRATION, *args)
+    listed_code, listed, _ = run(capsys, "homs", MIGRATION, *args, "--list")
+    assert code == listed_code == 0
+    assert listed.splitlines()[0] == out.strip()
+    count = int(out.split()[0])
+    assert len(listed.splitlines()) == 1 + count
+    code, out, _ = run(capsys, "homs", MIGRATION, *args, "--format", "json")
+    listed_code, listed, _ = run(capsys, "homs", MIGRATION, *args, "--list",
+                                 "--format", "json")
+    plain, full = json.loads(out), json.loads(listed)
+    assert code == listed_code == 0
+    assert plain["count"] == full["count"] == count
+    assert "homomorphisms" not in plain
+    assert len(full["homomorphisms"]) == count
+
+
 def test_homs_identity_nonempty(capsys):
     code, out, _ = run(capsys, "homs", COMPANY, "staff", "staff")
     assert code == 0

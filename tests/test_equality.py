@@ -30,13 +30,16 @@ from qinl.kernel import (
     Signature,
     UNIT,
     UNIT_TERM,
+    UnitTerm,
     Var,
     format_term,
+    subterms,
 )
 from qinl.schema import FqlSchema
 
 from conftest import company_schema
 from oracles import (
+    add_by_walk,
     check_egraph_indexes,
     find_countermodel,
     match_every_root,
@@ -566,10 +569,10 @@ def test_semi_naive_matching_equals_every_match_on_random_problems(monkeypatch):
     union_sides = EGraph._union_sides
     stale = [0]
 
-    def counting(self, eq, found, since, reason, anchor=None, root=-1):
-        if self._round > 1 and anchor is not None and self._pending:
+    def counting(self, instantiation, bound, since, reason, root=-1):
+        if self._round > 1 and root >= 0 and self._pending:
             stale[0] += 1
-        return union_sides(self, eq, found, since, reason, anchor, root)
+        return union_sides(self, instantiation, bound, since, reason, root)
 
     problems = proved = calls = every_calls = 0
     while problems < 600:
@@ -666,3 +669,92 @@ def test_semi_naive_matching_keeps_matches_that_can_still_add(monkeypatch, th, c
     want, _ = _prove_recording(monkeypatch, th, ctx, a, b, 4)
     assert got == want
     assert isinstance(got[0], Unknown)
+
+
+# --------------------------------------------------------------------------
+# Compiled builders against the recursive walk.
+
+def _features(term, images) -> set[str]:
+    """The constructs `term` exercises when it is added along `images`."""
+    kinds = {Pair: "pair", Proj1: "projection", Proj2: "projection",
+             UnitTerm: "unit", Lit: "literal"}
+    found = set()
+    for sub in subterms(term):
+        if type(sub) in kinds:
+            found.add(kinds[type(sub)])
+        if isinstance(sub, App) and sub.op in images:
+            var, body = images[sub.op]
+            uses = [b for b in subterms(body) if b == Var(var)]
+            found.add({0: "image ignoring its variable", 1: "image"}.get(
+                len(uses), "image using its variable twice"))
+            found.update(_features(body, {}))
+            if any(isinstance(a, App) and a.op in images for a in subterms(sub.arg)):
+                found.add("nested images")
+    return found
+
+
+def _add_pairs(sig, ctx, pairs, images, compiled: bool):
+    """Add each pair of terms (along `images`) to a fresh graph and unite
+    its sides, twice, with the product axioms, builtins and a rebuild after
+    each pass: by builders compiled once, or by the recursive walk.  The
+    node of each side, the node keys, the partition and the union log."""
+    graph = EGraph(sig, BUILTINS)
+    env = [graph.add_node(("var", v), t) for v, t in ctx]
+    binding = dict(zip(ctx.names(), env))
+    slots = {v: k for k, v in enumerate(ctx.names())}
+    builders = [(graph.builder(a, slots, images), graph.builder(b, slots, images))
+                for a, b in pairs]
+    added = []
+    for _ in range(2):
+        for k, (a, b) in enumerate(pairs):
+            if compiled:
+                sides = (builders[k][0](env), builders[k][1](env))
+            else:
+                sides = (add_by_walk(graph, a, binding, images),
+                         add_by_walk(graph, b, binding, images))
+            added.append(sides)
+            graph.union(*sides, f"pair {k}")
+        graph.apply_product_axioms()
+        graph.fold_builtins()
+        graph.rebuild()
+    if compiled:
+        check_egraph_indexes(graph)
+    return (added, graph._nodes, [graph.find(n) for n in range(graph.node_count())],
+            graph.log)
+
+
+def test_builders_add_what_the_recursive_walk_adds():
+    """Random terms with pairs, projections, units and literals, added along
+    random images: images that ignore their variable or use it twice, and
+    nested applications of operations with images.  Builders compiled
+    once give the walk's nodes, node keys, partition and union log."""
+    rng = random.Random(29)
+    ctx = Context.of(("x", A), ("y", B), ("p", AB), ("s", STR))
+    seen: dict[str, int] = {}
+    for _ in range(300):
+        sig = _random_signature(rng)
+        sig.operations["twice"] = (A, AA)
+        images = {}
+        for op, (dom, cod) in sig.operations.items():
+            body = _random_term(rng, sig, Context.of(("v", dom)), cod, rng.randint(0, 3))
+            if body is not None and rng.random() < 0.7:
+                images[op] = ("v", body)
+        if rng.random() < 0.5:
+            images["twice"] = ("v", Pair(Var("v"), Var("v")))
+        if rng.random() < 0.2:
+            images = None
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            t = rng.choice(TYPES)
+            a = _random_term(rng, sig, ctx, t, rng.randint(0, 4))
+            b = _random_term(rng, sig, ctx, t, rng.randint(0, 4))
+            if a is not None and b is not None:
+                pairs.append((a, b))
+                for feature in _features(Pair(a, b), images or {}):
+                    seen[feature] = seen.get(feature, 0) + 1
+        assert (_add_pairs(sig, ctx, pairs, images, True)
+                == _add_pairs(sig, ctx, pairs, images, False))
+    assert set(seen) == {"pair", "projection", "unit", "literal", "image",
+                         "image ignoring its variable",
+                         "image using its variable twice", "nested images"}
+    assert min(seen.values()) >= 20

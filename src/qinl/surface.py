@@ -6,11 +6,13 @@ parsed units into semantic objects.
 Files use the `.qinl` extension; comments run from `--` to end of line.
 The parser is recursive descent and pulls one token of lookahead at a time
 from a scanner: one regular-expression match skips blanks and comments and
-reads the next token.  A plain instance-table entry, `row -> value,`, is
-read in one match of its own; any other entry goes token by token.  A bad
-token anywhere in the text is reported before any syntax error, wherever
-the two stand.  Terms and set-calculus expressions share their atoms and
-projections.
+reads the next token.  An instance table whose entries are plain,
+`row -> value` with only blanks between tokens, is read by one `findall`;
+any other table goes token by token.  Either way each entry is kept as its
+text, and an entry's line and column are found again only when a
+diagnostic names it.  A bad token anywhere in the text is reported before
+any syntax error, wherever the two stand.  Terms and set-calculus
+expressions share their atoms and projections.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 from .chase import FuelExhausted, InconsistentConstants
@@ -96,13 +99,17 @@ _PUNCT = r"->|=>|[{}()\[\],;:.*=]"
 # bad character.
 _SCAN = re.compile(
     rf"{_SKIP}(?:({_IDENT})|({_INT})|({_STRING})|({_NULL})|({_PUNCT}))?")
-# One plain instance-table entry, `atom [-> atom]`, and the `,` after it or
-# the `}` that ends the table, which it leaves unread; the first skip is
-# that after the `,` before the entry.
+# Matched by `findall` up to a table's `}`: one plain entry, `atom [->
+# atom]` with blanks only around its tokens, and the `,` before the next
+# one or the end of the table; else one character, in the third group,
+# which sends the table to the token reader.
+_GAP = r"[ \t\r\n]*"
 _ATOM = f"{_IDENT}|{_INT}|{_STRING}|{_NULL}"
-_ROW = re.compile(
-    rf"{_SKIP}({_ATOM}){_SKIP}(?:->{_SKIP}({_ATOM}){_SKIP})?(?:(,)|(?=\}}))")
+_ENTRY = re.compile(
+    rf"{_GAP}({_ATOM}){_GAP}(?:->{_GAP}({_ATOM}){_GAP})?(?:,(?=.)|\Z)|(.)",
+    re.DOTALL)
 _IDENT_TEXT = re.compile(_IDENT)
+_BOOLS = frozenset({"true", "false"})
 _NEWLINE = re.compile("\n")
 _BAD_ESCAPE = re.compile(r'"(?:[^"\\\n]|\\["\\nt])*\\([^"\\nt])')
 _ESCAPE = re.compile(r"\\(.)")
@@ -162,6 +169,7 @@ def _bad_token(source: str, pos: int, line: int, col: int) -> ParseError:
 
 Loc = tuple[int, int]
 NO_LOC: Loc = (0, 0)
+Entry = tuple[str, str | None]
 
 
 @dataclass
@@ -191,17 +199,17 @@ class SchemaDecl:
 
 
 @dataclass
-class RawValue:
-    kind: str  # name | str | int | bool | null | app
-    value: object  # an app's value is (operation, argument RawValue)
-    loc: Loc = field(default=NO_LOC, compare=False)
-
-
-@dataclass
 class InstanceItem:
+    """A carrier or a table.  Each entry is `(key, value)`, or `(key, None)`
+    in a carrier, as text: a row id, literal or null as written, or a
+    builtin application or `true`/`false` as the token reader spells it."""
     name: str
-    entries: tuple[tuple[RawValue, RawValue | None], ...]
+    entries: tuple[Entry, ...]
     loc: Loc = field(default=NO_LOC, compare=False)
+    # The source text and the offset just after the table's `{`, from which
+    # `_entry_loc` reads the entries again to locate one.
+    body: tuple[str, int] | None = field(default=None, compare=False,
+                                         repr=False)
 
 
 @dataclass
@@ -663,61 +671,68 @@ class _Parser:
     def _instance_item(self) -> InstanceItem:
         tok = self.expect_ident("a type or operation name")
         self.expect("=")
+        body = self.tok_end
         self.expect("{")
-        entries: list[tuple[RawValue, RawValue | None]] = []
+        entries: tuple[Entry, ...] = ()
         if not self.at("}"):
-            # A plain entry is read in one match, and the lookahead is
-            # scanned only where that fails: at an entry such as
-            # `length(?q)`, `true` or a malformed one, read token by token,
-            # and at the `}` after the last entry.
-            source, pos = self.source, self.tok_start
-            while True:
-                m = _ROW.match(source, pos)
-                if m and m[1] not in KEYWORDS and m[2] not in KEYWORDS:
-                    key = _plain_raw(m[1], self.loc(m.start(1)))
-                    value = (None if m[2] is None
-                             else _plain_raw(m[2], self.loc(m.start(2))))
-                    entries.append((key, value))
-                    pos = m.end()
-                    if m[3] is None:
-                        self.seek(pos)
-                        break
-                else:
-                    self.seek(pos)
-                    entries.append(self._instance_entry())
-                    if not self.accept(","):
-                        break
-                    pos = self.tok_start
+            entries = self._plain_entries(body) or self._entries()
         self.expect("}")
         self.expect(";")
-        kinds = {entry[1] is None for entry in entries}
+        kinds = {value is None for _, value in entries}
         if len(kinds) > 1:
             raise ParseError(f"item '{tok.text}' mixes rows and arrows",
                              tok.line, tok.col)
-        return InstanceItem(tok.text, tuple(entries), (tok.line, tok.col))
+        return InstanceItem(tok.text, entries, (tok.line, tok.col),
+                            (self.source, body))
 
-    def _instance_entry(self) -> tuple[RawValue, RawValue | None]:
-        key = self._raw_value()
+    def _plain_entries(self, body: int) -> tuple[Entry, ...] | None:
+        """The entries of a table of plain entries, all rows or all arrows,
+        that starts at offset `body`, with the lookahead moved to its `}`;
+        else None."""
+        end = self.source.find("}", body)
+        if end < 0:
+            return None
+        keys, values, flags = zip(*_ENTRY.findall(self.source, body, end))
+        if (any(flags) or not KEYWORDS.isdisjoint(keys)
+                or not KEYWORDS.isdisjoint(values)):
+            return None
+        if all(values):
+            entries = tuple(zip(keys, values))
+        elif any(values):
+            return None
+        else:
+            entries = tuple(zip(keys, [None] * len(keys)))
+        self.seek(end)
+        return entries
+
+    def _entries(self) -> tuple[Entry, ...]:
+        """A table's entries, read token by token."""
+        entries = [self._entry()]
+        while self.accept(","):
+            entries.append(self._entry())
+        return tuple(entries)
+
+    def _entry(self) -> Entry:
+        key = self._cell_text()
         if self.accept("->"):
-            return key, self._raw_value()
+            return key, self._cell_text()
         return key, None
 
-    def _raw_value(self) -> RawValue:
+    def _cell_text(self) -> str:
+        """A row id, literal, null or builtin application, as text with no
+        blanks or comments."""
         tok = self.peek()
-        loc = (tok.line, tok.col)
         if tok.kind in ("ident", "string", "int", "null"):
             self.next()
             if tok.kind != "ident" or not self.accept("("):
-                return _plain_raw(tok.text, loc)
+                return tok.text
             saved = self.begin(1)
-            arg = self._raw_value()
+            arg = self._cell_text()
             self.expect(")")
             self.end(saved)
-            return RawValue("app", (tok.text, arg), loc)
-        if self.accept("true"):
-            return RawValue("bool", True, loc)
-        if self.accept("false"):
-            return RawValue("bool", False, loc)
+            return f"{tok.text}({arg})"
+        if tok.text in _BOOLS:
+            return self.next().text
         raise self.fail("expected a row id, literal, or null")
 
     def mapping_decl(self, loc: Loc) -> MappingDecl:
@@ -800,18 +815,6 @@ class _Parser:
                          "delta, sigma, or pi")
 
 
-def _plain_raw(text: str, loc: Loc) -> RawValue:
-    """The value of an identifier, integer, string or null token's text."""
-    c = text[0]
-    if c.isalpha():
-        return RawValue("name", text, loc)
-    if c == '"':
-        return RawValue("str", _unescape(text), loc)
-    if c == "?":
-        return RawValue("null", text[1:], loc)
-    return RawValue("int", int(text), loc)
-
-
 def _nest_pairs(parts: list[Term]) -> Term:
     result = parts[-1]
     for part in reversed(parts[:-1]):
@@ -831,17 +834,6 @@ def parse(text: str) -> SourceUnit:
 
 # --------------------------------------------------------------------------
 # Printer
-
-def print_raw_value(v: RawValue) -> str:
-    if v.kind == "null":
-        return f"?{v.value}"
-    if v.kind == "name":  # the parser and `_row_raw` make only plain ones
-        return str(v.value)
-    if v.kind == "app":
-        op, arg = v.value
-        return f"{op}({print_raw_value(arg)})"
-    return format_literal(v.value)
-
 
 def print_nrc(e: Term, level: int = 0) -> str:
     """Levels: 0 full expression, 1 union operand, 2 postfix operand."""
@@ -936,14 +928,11 @@ def _print_instance(decl: InstanceDecl) -> str:
         if not item.entries:
             lines.append(f"  {item.name} = {{ }};")
             continue
-        rendered = []
-        for key, value in item.entries:
-            if value is None:
-                rendered.append(print_raw_value(key))
-            else:
-                rendered.append(
-                    f"{print_raw_value(key)} -> {print_raw_value(value)}")
-        lines.append(f"  {item.name} = {{ {', '.join(rendered)} }};")
+        if item.entries[0][1] is None:
+            texts = ", ".join([key for key, _ in item.entries])
+        else:
+            texts = ", ".join(map(" -> ".join, item.entries))
+        lines.append(f"  {item.name} = {{ {texts} }};")
     body = "\n".join(lines)
     if not body:
         return f"instance {decl.name} : {decl.schema_name} = {{ }}"
@@ -1110,47 +1099,24 @@ def _elab_instance(decl: InstanceDecl, out: Elaborated, err) -> None:
             ok = False
             continue
         seen.add(item.name)
-        if item.name in schema.entity_types:
-            rows = []
-            for key, value in item.entries:
-                if value is not None:
-                    err(key.loc, f"carrier '{item.name}' cannot contain arrows")
+        try:
+            if item.name in schema.entity_types:
+                carriers[item.name] = _carrier(item)
+            elif item.name in schema.sig.operations:
+                if schema.classify_op(item.name) == "builtin":
+                    err(item.loc,
+                        f"operation '{item.name}' is builtin; its semantics "
+                        f"are registered, not tabulated")
                     ok = False
-                    break
-                if key.kind not in ("name", "str"):
-                    err(key.loc, f"row id expected in carrier '{item.name}'")
-                    ok = False
-                    break
-                rows.append(str(key.value))
-            carriers[item.name] = rows
-        elif item.name in schema.sig.operations:
-            if schema.classify_op(item.name) == "builtin":
+                    continue
+                functions[item.name] = _table(schema, item)
+            else:
                 err(item.loc,
-                    f"operation '{item.name}' is builtin; its semantics are "
-                    f"registered, not tabulated")
+                    f"'{item.name}' is neither an entity type nor an "
+                    f"operation of schema '{decl.schema_name}'")
                 ok = False
-                continue
-            cod = schema.sig.op_type(item.name)[1]
-            table: dict[str, object] = {}
-            for key, value in item.entries:
-                if value is None:
-                    err(key.loc, f"table '{item.name}' needs 'row -> value' entries")
-                    ok = False
-                    break
-                if key.kind not in ("name", "str"):
-                    err(key.loc, "row id expected on the left of ->")
-                    ok = False
-                    break
-                cell = _resolve_cell(schema, cod, value, err)
-                if cell is _BAD:
-                    ok = False
-                    break
-                table[str(key.value)] = cell
-            functions[item.name] = table
-        else:
-            err(item.loc,
-                f"'{item.name}' is neither an entity type nor an operation "
-                f"of schema '{decl.schema_name}'")
+        except _BadEntry as exc:
+            err(_entry_loc(item, exc.index, exc.depth), exc.message)
             ok = False
     if not ok:
         return
@@ -1163,46 +1129,176 @@ def _elab_instance(decl: InstanceDecl, out: Elaborated, err) -> None:
         out.instance_schema[decl.name] = decl.schema_name
 
 
-_BAD = object()
+class _BadEntry(Exception):
+    """The entry of an item that elaboration rejects: the message, the
+    entry's index, and where in the entry: its key when `depth` is -1, else
+    `depth` builtin applications into its value."""
+
+    def __init__(self, message: str, depth: int = -1, index: int = 0):
+        super().__init__(message)
+        self.message, self.depth, self.index = message, depth, index
 
 
-def _resolve_cell(schema: FqlSchema, cod: TypeExpr, value: RawValue, err):
+def _entry_loc(item: InstanceItem, index: int, depth: int) -> Loc:
+    """The line and column of a place in entry `index` of `item`, as
+    `_BadEntry` gives it, found by reading the entries again from the
+    item's body."""
+    if item.body is None:
+        return item.loc
+    parser = _Parser(item.body[0])
+    parser.seek(item.body[1])
+    for _ in range(index):
+        parser._entry()
+        parser.next()
+    if depth >= 0:
+        parser._cell_text()
+        parser.next()
+        for _ in range(2 * depth):
+            parser.next()
+    tok = parser.peek()
+    return tok.line, tok.col
+
+
+def _row_id(text: str) -> str | None:
+    """The row id a row or quoted string names, or None for any other
+    cell text."""
+    if text[0] == '"':
+        return _unescape(text)
+    if text[0].isalpha() and text[-1] != ")" and text not in _BOOLS:
+        return text
+    return None
+
+
+def _row_ids(texts: tuple[str, ...]) -> list[str] | None:
+    """The row id each text names, or None if one names none; at C speed
+    where all are plain rows (the reader yields no other identifier-like
+    text than those and `true` and `false`)."""
+    if all(map(str.isidentifier, texts)) and _BOOLS.isdisjoint(texts):
+        return list(texts)
+    rows = list(map(_row_id, texts))
+    return None if None in rows else rows
+
+
+def _carrier(item: InstanceItem) -> list[str]:
+    """The rows of carrier `item.name`, converted whole as `_table` does."""
+    if not item.entries:
+        return []
+    keys, values = zip(*item.entries)
+    rows = _row_ids(keys)
+    if rows is None or any(values):
+        for index, (key, value) in enumerate(item.entries):
+            if value is not None:
+                raise _BadEntry(
+                    f"carrier '{item.name}' cannot contain arrows", -1, index)
+            if _row_id(key) is None:
+                raise _BadEntry(f"row id expected in carrier '{item.name}'",
+                                -1, index)
+    return rows
+
+
+def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
+    """The function table of operation `item.name`.  The columns are
+    converted whole; only a table that fails there, or repeats a row, is
+    read again entry by entry, so that an error names the first failing
+    entry and check.  A row given two different values is an error; a
+    repeated entry is not."""
+    if not item.entries:
+        return {}
+    cod = schema.sig.op_type(item.name)[1]
+    keys, values = zip(*item.entries)
+    rows = _row_ids(keys)
+    if rows is not None and all(values):
+        cells = _column(schema, cod, values)
+        if cells is not None:
+            table = dict(zip(rows, cells))
+            if len(table) == len(rows):
+                return table
+    show = _row_text if cod.name in schema.entity_types else _cell_text
+    table = {}
+    for index, (key, value) in enumerate(item.entries):
+        if value is None:
+            raise _BadEntry(
+                f"table '{item.name}' needs 'row -> value' entries", -1, index)
+        row = _row_id(key)
+        if row is None:
+            raise _BadEntry("row id expected on the left of ->", -1, index)
+        try:
+            cell = _cell(schema, cod, value)
+        except _BadEntry as exc:
+            exc.index = index
+            raise
+        first = table.setdefault(row, cell)
+        if first != cell:
+            raise _BadEntry(
+                f"table '{item.name}' gives row '{row}' two values: "
+                f"{show(first)} and {show(cell)}", -1, index)
+    return table
+
+
+def _column(schema: FqlSchema, cod: TypeExpr,
+            values: tuple[str, ...]) -> list | None:
+    """The cells of a column of value texts, by the converter that its
+    codomain chooses, or None if any one fails."""
     assert isinstance(cod, Base)
     if cod.name in schema.entity_types:
-        if value.kind in ("name", "str"):
-            return str(value.value)
-        err(value.loc, f"row id of type {cod.name} expected")
-        return _BAD
-    if value.kind == "null":
-        return LabelledNull(str(value.value))
-    if value.kind == "app":
-        return _resolve_application(schema, cod, value, err)
-    if value.kind == "name":
-        err(value.loc, f"'{value.value}' is not a {cod.name} literal")
-        return _BAD
-    if not schema.builtins.in_carrier(cod.name, value.value):
-        err(value.loc, f"literal {print_raw_value(value)} is not a {cod.name}")
-        return _BAD
-    return value.value
+        return _row_ids(values)
+    carrier = schema.builtins.carriers.get(cod.name)
+    if carrier is int:
+        try:
+            return list(map(int, values))
+        except ValueError:
+            pass
+    elif carrier is str and all(map(str.startswith, values, repeat('"'))):
+        return list(map(_unescape, values))
+    try:
+        return [_cell(schema, cod, value) for value in values]
+    except _BadEntry:
+        return None
 
 
-def _resolve_application(schema: FqlSchema, cod: Base, value: RawValue, err):
+def _cell(schema: FqlSchema, cod: TypeExpr, text: str, depth: int = 0):
+    """The cell a value text gives an operation into `cod`: a row id, a
+    literal in the carrier, a null, or a builtin application of a null."""
+    assert isinstance(cod, Base)
+    if cod.name in schema.entity_types:
+        row = _row_id(text)
+        if row is None:
+            raise _BadEntry(f"row id of type {cod.name} expected", depth)
+        return row
+    c = text[0]
+    if c == "?":
+        return LabelledNull(text[1:])
+    if text[-1] == ")":
+        return _application(schema, cod, text, depth)
+    if c == '"':
+        value = _unescape(text)
+    elif text in _BOOLS:
+        value = text == "true"
+    elif c.isalpha():
+        raise _BadEntry(f"'{text}' is not a {cod.name} literal", depth)
+    else:
+        value = int(text)
+    if not schema.builtins.in_carrier(cod.name, value):
+        raise _BadEntry(f"literal {format_literal(value)} is not a {cod.name}",
+                        depth)
+    return value
+
+
+def _application(schema: FqlSchema, cod: Base, text: str, depth: int):
     """A builtin of the schema applied to a null or to another such
     application, giving `cod`."""
-    op, arg = value.value
+    op, arg = text[:-1].split("(", 1)
     if op not in schema.sig.operations or schema.classify_op(op) != "builtin":
-        err(value.loc, f"'{op}' is not a builtin operation of the schema")
-        return _BAD
+        raise _BadEntry(f"'{op}' is not a builtin operation of the schema",
+                        depth)
     dom, op_cod = schema.sig.op_type(op)
     if op_cod != cod:
-        err(value.loc, f"'{op}' gives {format_type(op_cod)}, not {cod.name}")
-        return _BAD
-    if arg.kind not in ("null", "app"):
-        err(arg.loc, f"the argument of '{op}' must be a null or a builtin "
-                     f"application of one")
-        return _BAD
-    inner = _resolve_cell(schema, dom, arg, err)
-    return _BAD if inner is _BAD else OpApplied(op, inner)
+        raise _BadEntry(f"'{op}' gives {format_type(op_cod)}, not {cod.name}",
+                        depth)
+    if arg[0] != "?" and arg[-1] != ")":
+        raise _BadEntry(f"the argument of '{op}' must be a null or a builtin "
+                        f"application of one", depth + 1)
+    return OpApplied(op, _cell(schema, dom, arg, depth + 1))
 
 
 def _elab_mapping(decl: MappingDecl, out: Elaborated, err) -> None:
@@ -1303,50 +1399,50 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
 # --------------------------------------------------------------------------
 # Rebuilding surface declarations from semantic objects (for output files)
 
-def _row_raw(row: str) -> RawValue:
-    """Row ids that are not plain identifiers print quoted and reparse as
-    strings, so build them with the kind the parser will produce."""
+def _row_text(row: str) -> str:
+    """A row id as cell text: bare where it reads back as a row, else
+    quoted."""
     if _IDENT_TEXT.fullmatch(row) and row not in KEYWORDS:
-        return RawValue("name", row)
-    return RawValue("str", row)
+        return row
+    return format_literal(row)
+
+
+def _cell_text(cell: object) -> str:
+    """An attribute cell as the text that reads back as it."""
+    if isinstance(cell, LabelledNull):
+        return f"?{cell.label}"
+    if isinstance(cell, OpApplied):
+        return f"{cell.op}({_cell_text(cell.arg)})"
+    return format_literal(cell)
 
 
 def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
                      instance: Instance) -> InstanceDecl:
     """Render a semantic instance as a declaration with deterministic
     ordering: carriers first, then tables, all sorted.  Each distinct row
-    id is rendered once, however many cells name it."""
-    rendered: dict[str, RawValue] = {}
+    id, and each distinct cell of a column, is rendered once."""
+    rendered: dict[str, str] = {}
 
-    def row_raw(row: str) -> RawValue:
-        raw = rendered.get(row)
-        if raw is None:
-            raw = rendered[row] = _row_raw(row)
-        return raw
+    def row_text(row: str) -> str:
+        text = rendered.get(row)
+        if text is None:
+            text = rendered[row] = _row_text(row)
+        return text
 
     items = []
     for t in sorted(schema.entity_types):
-        entries = tuple((row_raw(row), None) for row in instance.rows(t))
+        entries = tuple((row_text(row), None) for row in instance.rows(t))
         items.append(InstanceItem(t, entries))
     for op in schema.entity_dom_ops():
         cod = schema.sig.op_type(op)[1]
         assert isinstance(cod, Base)
-        entity_cod = cod.name in schema.entity_types
         table = instance.functions.get(op, {})
-        entries = [(row_raw(row), row_raw(str(table[row])) if entity_cod
-                    else _cell_to_raw(table[row]))
-                   for row in sorted(table)]
-        items.append(InstanceItem(op, tuple(entries)))
+        rows = sorted(table)
+        cells = [table[row] for row in rows]
+        if cod.name in schema.entity_types:
+            texts = list(map(row_text, cells))
+        else:
+            column = {cell: _cell_text(cell) for cell in set(cells)}
+            texts = list(map(column.__getitem__, cells))
+        items.append(InstanceItem(op, tuple(zip(map(row_text, rows), texts))))
     return InstanceDecl(name, schema_name, tuple(items))
-
-
-def _cell_to_raw(cell: object) -> RawValue:
-    if isinstance(cell, LabelledNull):
-        return RawValue("null", cell.label)
-    if isinstance(cell, OpApplied):
-        return RawValue("app", (cell.op, _cell_to_raw(cell.arg)))
-    if isinstance(cell, bool):
-        return RawValue("bool", cell)
-    if isinstance(cell, int):
-        return RawValue("int", cell)
-    return RawValue("str", cell)

@@ -11,14 +11,18 @@ matched pass instantiates every match every round, found by a recursive
 descent rather than a compiled matcher, `sigma`'s seeds
 are built as translated terms rather than added through the mapping's
 images, terms are added to the e-graph by a recursive walk rather than by
-compiled builders, and the tokenizer oracle steps through the text one
-character at a time instead of matching a regular expression.
+compiled builders, the tokenizer oracle steps through the text one
+character at a time instead of matching a regular expression, and the
+instance-table oracle reads every entry token by token into a located value
+and resolves each cell on its own instead of converting whole columns of
+entry texts.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 from qinl.equality import Equation, Theory
 from qinl.kernel import (
@@ -49,8 +53,34 @@ from qinl.nrc import (
     TrueLit,
     Union,
 )
-from qinl.schema import LabelledNull, OpApplied, cell_key, eval_term, render_cell
-from qinl.surface import KEYWORDS, ParseError, Token
+from qinl.kernel import EngineError, format_literal, format_type
+from qinl.schema import (
+    Instance,
+    LabelledNull,
+    OpApplied,
+    cell_key,
+    eval_term,
+    render_cell,
+    validate_instance,
+)
+from qinl.surface import (
+    KEYWORDS,
+    NO_LOC,
+    Diagnostic,
+    Elaborated,
+    InstanceDecl,
+    InstanceItem,
+    Loc,
+    ParseError,
+    SourceUnit,
+    Token,
+    _Parser,
+    _cell_text,
+    _row_text,
+    _unescape,
+    elaborate,
+    tokenize,
+)
 
 # --------------------------------------------------------------------------
 # Naive set-semantics evaluator over hashable python values.
@@ -820,3 +850,226 @@ def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, int]:
         out.append(c)
         i += 1
     raise ParseError("unterminated string literal", line, col)
+
+
+# --------------------------------------------------------------------------
+# The instance-table reader that `surface` replaced: each entry read token by
+# token into a located value, each cell resolved on its own.  Elaboration
+# here adds one rule to the reader it replaced: a row given two different
+# values is an error, at the second entry.
+
+@dataclass
+class RawValue:
+    kind: str  # name | str | int | bool | null | app
+    value: object  # an app's value is (operation, argument RawValue)
+    loc: Loc = field(default=NO_LOC, compare=False)
+
+
+class _TokenTableParser(_Parser):
+    def _instance_item(self) -> InstanceItem:
+        tok = self.expect_ident("a type or operation name")
+        self.expect("=")
+        self.expect("{")
+        entries = []
+        if not self.at("}"):
+            entries.append(self._raw_entry())
+            while self.accept(","):
+                entries.append(self._raw_entry())
+        self.expect("}")
+        self.expect(";")
+        kinds = {entry[1] is None for entry in entries}
+        if len(kinds) > 1:
+            raise ParseError(f"item '{tok.text}' mixes rows and arrows",
+                             tok.line, tok.col)
+        return InstanceItem(tok.text, tuple(entries), (tok.line, tok.col))
+
+    def _raw_entry(self) -> tuple[RawValue, RawValue | None]:
+        key = self._raw_value()
+        if self.accept("->"):
+            return key, self._raw_value()
+        return key, None
+
+    def _raw_value(self) -> RawValue:
+        tok = self.peek()
+        loc = (tok.line, tok.col)
+        if tok.kind in ("ident", "string", "int", "null"):
+            self.next()
+            if tok.kind != "ident" or not self.accept("("):
+                return _plain_raw(tok.text, loc)
+            saved = self.begin(1)
+            arg = self._raw_value()
+            self.expect(")")
+            self.end(saved)
+            return RawValue("app", (tok.text, arg), loc)
+        if self.accept("true"):
+            return RawValue("bool", True, loc)
+        if self.accept("false"):
+            return RawValue("bool", False, loc)
+        raise self.fail("expected a row id, literal, or null")
+
+
+def _plain_raw(text: str, loc: Loc) -> RawValue:
+    c = text[0]
+    if c.isalpha():
+        return RawValue("name", text, loc)
+    if c == '"':
+        return RawValue("str", _unescape(text), loc)
+    if c == "?":
+        return RawValue("null", text[1:], loc)
+    return RawValue("int", int(text), loc)
+
+
+def print_raw_value(v: RawValue) -> str:
+    if v.kind == "null":
+        return f"?{v.value}"
+    if v.kind == "name":
+        return str(v.value)
+    if v.kind == "app":
+        op, arg = v.value
+        return f"{op}({print_raw_value(arg)})"
+    return format_literal(v.value)
+
+
+def read_by_tokens(text: str) -> Elaborated:
+    """`surface.elaborate(surface.parse(text))` with the instance tables
+    read and resolved by the reference reader: declarations other than
+    instances go through `surface`, which must place them all before the
+    instances for the diagnostics to come in the same order."""
+    try:
+        unit = _TokenTableParser(text).unit()
+    except ParseError:
+        tokenize(text)
+        raise
+    out = elaborate(SourceUnit(tuple(
+        d for d in unit.decls if not isinstance(d, InstanceDecl))))
+    out.unit = unit
+
+    def err(loc: Loc, message: str) -> None:
+        out.diagnostics.append(Diagnostic(loc[0], loc[1], "error", message))
+
+    for decl in unit.decls:
+        if isinstance(decl, InstanceDecl):
+            try:
+                _elab_instance_by_cells(decl, out, err)
+            except EngineError as exc:
+                err(decl.loc, str(exc))
+    return out
+
+
+_BAD = object()
+
+
+def _elab_instance_by_cells(decl, out: Elaborated, err) -> None:
+    if decl.name in out.instances:
+        err(decl.loc, f"duplicate instance name '{decl.name}'")
+        return
+    schema = out.schemas.get(decl.schema_name)
+    if schema is None:
+        err(decl.loc, f"unknown schema '{decl.schema_name}'")
+        return
+    carriers: dict[str, list[str]] = {}
+    functions: dict[str, dict[str, object]] = {}
+    seen: set[str] = set()
+    ok = True
+    for item in decl.items:
+        if item.name in seen:
+            err(item.loc, f"duplicate item '{item.name}'")
+            ok = False
+            continue
+        seen.add(item.name)
+        if item.name in schema.entity_types:
+            rows = []
+            for key, value in item.entries:
+                if value is not None:
+                    err(key.loc, f"carrier '{item.name}' cannot contain arrows")
+                    ok = False
+                    break
+                if key.kind not in ("name", "str"):
+                    err(key.loc, f"row id expected in carrier '{item.name}'")
+                    ok = False
+                    break
+                rows.append(str(key.value))
+            carriers[item.name] = rows
+        elif item.name in schema.sig.operations:
+            if schema.classify_op(item.name) == "builtin":
+                err(item.loc,
+                    f"operation '{item.name}' is builtin; its semantics are "
+                    f"registered, not tabulated")
+                ok = False
+                continue
+            cod = schema.sig.op_type(item.name)[1]
+            entity = cod.name in schema.entity_types
+            table: dict[str, object] = {}
+            for key, value in item.entries:
+                if value is None:
+                    err(key.loc, f"table '{item.name}' needs 'row -> value' entries")
+                    ok = False
+                    break
+                if key.kind not in ("name", "str"):
+                    err(key.loc, "row id expected on the left of ->")
+                    ok = False
+                    break
+                cell = _resolve_cell(schema, cod, value, err)
+                if cell is _BAD:
+                    ok = False
+                    break
+                row = str(key.value)
+                if row in table and table[row] != cell:
+                    show = _row_text if entity else _cell_text
+                    err(key.loc, f"table '{item.name}' gives row '{row}' two "
+                                 f"values: {show(table[row])} and {show(cell)}")
+                    ok = False
+                    break
+                table[row] = cell
+            functions[item.name] = table
+        else:
+            err(item.loc,
+                f"'{item.name}' is neither an entity type nor an operation "
+                f"of schema '{decl.schema_name}'")
+            ok = False
+    if not ok:
+        return
+    instance = Instance.make(carriers, functions)
+    problems = validate_instance(schema, instance)
+    for problem in problems:
+        err(decl.loc, f"instance '{decl.name}': {problem}")
+    if not problems:
+        out.instances[decl.name] = instance
+        out.instance_schema[decl.name] = decl.schema_name
+
+
+def _resolve_cell(schema, cod, value: RawValue, err):
+    assert isinstance(cod, Base)
+    if cod.name in schema.entity_types:
+        if value.kind in ("name", "str"):
+            return str(value.value)
+        err(value.loc, f"row id of type {cod.name} expected")
+        return _BAD
+    if value.kind == "null":
+        return LabelledNull(str(value.value))
+    if value.kind == "app":
+        return _resolve_application(schema, cod, value, err)
+    if value.kind == "name":
+        err(value.loc, f"'{value.value}' is not a {cod.name} literal")
+        return _BAD
+    if not schema.builtins.in_carrier(cod.name, value.value):
+        err(value.loc, f"literal {print_raw_value(value)} is not a {cod.name}")
+        return _BAD
+    return value.value
+
+
+def _resolve_application(schema, cod, value: RawValue, err):
+    op, arg = value.value
+    if op not in schema.sig.operations or schema.classify_op(op) != "builtin":
+        err(value.loc, f"'{op}' is not a builtin operation of the schema")
+        return _BAD
+    dom, op_cod = schema.sig.op_type(op)
+    if op_cod != cod:
+        err(value.loc, f"'{op}' gives {format_type(op_cod)}, not {cod.name}")
+        return _BAD
+    if arg.kind not in ("null", "app"):
+        err(arg.loc, f"the argument of '{op}' must be a null or a builtin "
+                     f"application of one")
+        return _BAD
+    inner = _resolve_cell(schema, dom, arg, err)
+    return _BAD if inner is _BAD else OpApplied(op, inner)

@@ -511,6 +511,39 @@ def test_malformed_builtin_application_cell_exits_2_at_its_position(
     assert f"bad.qinl:{line}:{col}: error: {message}" in err
 
 
+_TWO_VALUES = """schema S = {
+  entities E;
+  attributes Int;
+  operations k : E -> Int, f : E -> E;
+}
+instance I : S = {
+  E = { a, b };
+"""
+
+
+@pytest.mark.parametrize("table, col, message", [
+    ("k = { a -> 1, a -> 2, b -> 3 }; f = { a -> a, b -> b };", 17,
+     "table 'k' gives row 'a' two values: 1 and 2"),
+    ("k = { a -> 1, b -> 3 }; f = { a -> a, a -> b, b -> b };", 41,
+     "table 'f' gives row 'a' two values: a and b"),
+], ids=["attribute", "entity"])
+def test_a_row_given_two_values_exits_2_at_the_second(capsys, tmp_path, table,
+                                                       col, message):
+    bad = tmp_path / "bad.qinl"
+    bad.write_text(_TWO_VALUES + f"  {table}\n}}\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert f"bad.qinl:8:{col}: error: {message}" in err
+
+
+def test_a_repeated_entry_is_accepted(capsys, tmp_path):
+    good = tmp_path / "good.qinl"
+    good.write_text(_TWO_VALUES + '  k = { a -> 1, a -> 01, b -> 3 };\n'
+                    '  f = { a -> a, "a" -> "a", b -> b, b -> b };\n}\n')
+    code, out, err = run(capsys, "check", str(good))
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("text, message", [
     ('expr e = "open', "1:10: error: 1:10: unterminated string literal"),
     ('expr e = "\\q"', "1:10: error: 1:10: bad escape '\\q'"),

@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from qinl import surface
-from qinl.kernel import App, Base, Pair, Prod, Proj1, Proj2, UNIT, UNIT_TERM, Lit, Var
+from qinl.kernel import (App, Base, Pair, Prod, Proj1, Proj2, UNIT, UNIT_TERM, Lit,
+                         Var, format_literal)
 from qinl.nrc import BOOL, Empty, EqTest, For, If, SetT, Singleton, TRUE, FALSE, Union
 from qinl.surface import (
     MAX_NESTING,
@@ -23,7 +25,6 @@ from qinl.surface import (
     ParseError,
     QueryBinding,
     QueryDecl,
-    RawValue,
     SchemaDecl,
     SourceUnit,
     TypeEntry,
@@ -34,7 +35,7 @@ from qinl.surface import (
     tokenize,
 )
 
-from oracles import scan_tokens
+from oracles import read_by_tokens, scan_tokens
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -101,15 +102,18 @@ def test_keywords_rejected_as_identifiers():
 
 
 def test_negative_int_and_arrow_disambiguation():
-    unit = parse('instance I : S = { f = { a -> -3 }; }')
-    item = unit.decls[0].items[0]
-    assert item.entries[0][1] == RawValue("int", -3)
+    schema = "schema S = { entities E; attributes Int; operations f : E -> Int; }\n"
+    for table in ("f = { a -> -3 }", "f = { a->-3 }"):
+        unit = parse(schema + f"instance I : S = {{ E = {{ a }}; {table}; }}")
+        assert unit.decls[1].items[1].entries == (("a", "-3"),)
+        assert elaborate(unit).instances["I"].functions["f"]["a"] == -3
 
 
 def test_quoted_row_ids():
-    unit = parse('instance I : S = { A = { "a b", plain }; }')
-    kinds = [v.kind for v, _ in unit.decls[0].items[0].entries]
-    assert kinds == ["str", "name"]
+    unit = parse('schema S = { entities A; }\n'
+                 'instance I : S = { A = { "a b", plain }; }')
+    assert unit.decls[1].items[0].entries == (('"a b"', None), ("plain", None))
+    assert set(elaborate(unit).instances["I"].rows("A")) == {"a b", "plain"}
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +194,7 @@ def test_tokenizer_matches_the_character_stepping_oracle():
 
 
 # --------------------------------------------------------------------------
-# Instance tables: the row read in one match against the token path
+# Instance tables: the table read by one `findall` against the token path
 
 def _parsed(text: str):
     """The parse with its locations, or the ParseError's fields."""
@@ -230,8 +234,8 @@ _TABLE_EDITS = [",", ", ", " , }", " -> ", "->", " -7 -> ", "-7->", " true ",
 
 def test_table_rows_parse_as_the_token_path_does(monkeypatch):
     """Every input parses to the same declarations with the same locations,
-    or fails with the same ParseError, whether plain table entries are read
-    in one match or, with that match disabled, token by token."""
+    or fails with the same ParseError, whether a table of plain entries is
+    read by one `findall` or, with that pattern disabled, token by token."""
     rng = random.Random(12)
     fixtures = [path.read_text() for path in sorted(FIXTURES.glob("*.qinl"))]
     seeds = ([_instance_text(rng) for _ in range(300)]
@@ -247,7 +251,7 @@ def test_table_rows_parse_as_the_token_path_does(monkeypatch):
                 text = text[:cut] + text[cut + rng.randint(1, 4):]
         inputs.append(text)
     by_row = [_parsed(text) for text in inputs]
-    monkeypatch.setattr(surface, "_ROW", re.compile(r"(?!)"))
+    monkeypatch.setattr(surface, "_ENTRY", re.compile(r"()()(.)", re.DOTALL))
     by_token = [_parsed(text) for text in inputs]
     assert by_row == by_token
     messages = " ".join(r[0] for r in by_row if isinstance(r, tuple))
@@ -268,6 +272,162 @@ def test_a_bad_token_is_reported_before_an_earlier_syntax_error():
              ("1:30: lone '?' (expected a null label like ?0)", 1, 30,
               "a null label like ?0"))]:
         assert _parsed(text) == error
+
+
+# --------------------------------------------------------------------------
+# Instance tables against the token-by-token reader and its per-cell
+# resolution
+
+_TABLE_SCHEMA = """schema S = {
+  entities E, D;
+  attributes String, Int;
+  operations
+    length : String -> Int,
+    reverse : String -> String,
+    d : E -> D,
+    m : E -> E,
+    n : E -> String,
+    k : E -> Int;
+}
+"""
+
+_TABLE_FEATURES = (
+    "plain", "quoted_escape", "null", "builtin_app", "bool", "keyword_row",
+    "comment", "crlf", "empty_table", "mixed", "trailing_comma",
+    "name_in_attribute", "int_in_entity", "out_of_carrier", "bad_token",
+    "conflict")
+
+
+def _table_instance(rng: random.Random, features: Counter) -> str:
+    """An instance on `_TABLE_SCHEMA`: tables of every codomain, mostly well
+    formed, with unusual or faulty entries drawn at random.  `features`
+    counts the texts that hold each kind named in `_TABLE_FEATURES`."""
+    used = set()
+
+    def draw(feature: str, p: float) -> bool:
+        if rng.random() < p:
+            used.add(feature)
+            return True
+        return False
+
+    def row(r: str) -> str:
+        bare = re.fullmatch(r"[a-z][a-z0-9]*", r) and rng.random() < 0.9
+        return r if bare else format_literal(r)
+
+    es = [f"e{j}" for j in range(rng.randint(1, 4))]
+    if draw("quoted_escape", 0.2):
+        es.append(rng.choice(['q"q', "a b", "t\tn", "x\\y"]))
+    ds = [f"d{j}" for j in range(rng.randint(1, 3))]
+    strings = ["", "ab", "a b", 'say "hi"', "tab\there", "}{"]
+    columns = {
+        "d": lambda: row(rng.choice(ds)),
+        "m": lambda: row(rng.choice(es)),
+        "n": lambda: (format_literal(rng.choice(strings)) if rng.random() < 0.7
+                      else rng.choice(["?q", "?7", "reverse(?q)"])),
+        "k": lambda: (str(rng.randint(-20, 20)) if rng.random() < 0.7
+                      else rng.choice(["?q", "length(?q)",
+                                       "length(reverse(?w))"])),
+    }
+    faults = {
+        "d": [("int_in_entity", "7"), ("int_in_entity", "-1"),
+              ("null", "?0"), ("builtin_app", "length(?q)"), ("bool", "true")],
+        "m": [("int_in_entity", "0"), ("quoted_escape", '"e\\"0"')],
+        "n": [("name_in_attribute", "bob"), ("out_of_carrier", "12"),
+              ("builtin_app", "length(?q)"), ("builtin_app", 'reverse("a")'),
+              ("builtin_app", "d(?q)"), ("builtin_app", "reverse( -- c\n ?q )"),
+              ("bool", "true")],
+        "k": [("out_of_carrier", '"5"'), ("bool", "false"),
+              ("builtin_app", "reverse(?q)"), ("name_in_attribute", "e0"),
+              ("builtin_app", "length(reverse(length(?q)))")],
+    }
+
+    def gap() -> str:
+        if draw("comment", 0.003):
+            return " -- note, with } and ->\n    "
+        if draw("crlf", 0.003):
+            return "\r\n    "
+        return rng.choice([" ", "", "\n    ", "  "])
+
+    def table(entries: list[str]) -> str:
+        if not entries or draw("empty_table", 0.015):
+            return "{ }"
+        if draw("mixed", 0.015):
+            j = rng.randrange(len(entries))
+            entries[j] = (entries[j].split("->")[0].strip() if "->" in entries[j]
+                          else entries[j] + " -> e0")
+        if draw("bad_token", 0.01):
+            j = rng.randrange(len(entries))
+            entries[j] = rng.choice(["@", '"open', "?", "e0 @"])
+        if draw("keyword_row", 0.015):
+            j = rng.randrange(len(entries))
+            entries[j] = rng.choice(["for", "true", "schema -> d0", "false -> e0"])
+        body = entries[0]
+        for entry in entries[1:]:
+            body += gap() + "," + gap() + entry
+        if draw("trailing_comma", 0.015):
+            body += ","
+        return "{" + gap() + body + gap() + "}"
+
+    items = [f"E = {table([row(e) for e in es])};",
+             f"D = {table([row(d) for d in ds])};"]
+    for op, value in columns.items():
+        entries = []
+        for e in rng.sample(es, len(es)):
+            cell = value()
+            if rng.random() < 0.05:
+                feature, cell = rng.choice(faults[op])
+                used.add(feature)
+            if cell[0] == "?" or cell[-1] == ")":
+                used.add("null" if cell[0] == "?" else "builtin_app")
+            arrow = rng.choice([" -> ", "->", " ->" + gap()])
+            entries.append(row(e) + arrow + cell)
+            if draw("conflict", 0.015):
+                entries.append(row(e) + arrow + value())
+        if rng.random() < 0.03:
+            entries.append(f"{row(rng.choice(es))} -> {value()}")
+        items.append(f"{op} = {table(entries)};")
+    if not used & {"comment", "crlf", "mixed", "bad_token", "keyword_row",
+                   "trailing_comma", "builtin_app", "bool"}:
+        used.add("plain")
+    rng.shuffle(items)
+    if rng.random() < 0.05:
+        items.pop()
+    features.update(used)
+    return "instance I : S = {\n  " + "\n  ".join(items) + "\n}\n"
+
+
+def _elaborated(read) -> object:
+    """The instances and diagnostics of a read, or its ParseError's fields."""
+    try:
+        elab = read()
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col, exc.expected)
+    return elab.instances, [(d.line, d.col, d.severity, d.message)
+                            for d in elab.diagnostics]
+
+
+def test_instance_tables_elaborate_as_the_token_reader_did():
+    """Every generated instance text gives the same instances, or the same
+    diagnostics with their locations, or the same ParseError, as the
+    token-by-token reader that resolved each cell on its own."""
+    rng = random.Random(15)
+    features: Counter = Counter()
+    outcomes: Counter = Counter()
+    for _ in range(3000):
+        text = _TABLE_SCHEMA + _table_instance(rng, features)
+        got = _elaborated(lambda: elaborate(parse(text)))
+        assert got == _elaborated(lambda: read_by_tokens(text)), text
+        if isinstance(got, tuple) and isinstance(got[0], str):
+            outcomes["parse error"] += 1
+        elif got[1]:
+            outcomes["diagnostics"] += 1
+            outcomes.update(m for m in ("two values", "not a", "expected",
+                                        "builtin", "argument")
+                            if any(m in d[3] for d in got[1]))
+        else:
+            outcomes["instance"] += 1
+    assert {f: features[f] for f in _TABLE_FEATURES if features[f] < 20} == {}
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 # --------------------------------------------------------------------------
@@ -331,17 +491,19 @@ def random_nrc_expr(rng: random.Random, depth: int):
     return App(rng.choice(["f", "g"]), random_nrc_expr(rng, depth - 1))
 
 
-def random_raw_value(rng: random.Random) -> RawValue:
+def random_cell_text(rng: random.Random) -> str:
     roll = rng.random()
     if roll < 0.3:
-        return RawValue("name", rng.choice(["r1", "r2", "zz"]))
+        return rng.choice(["r1", "r2", "zz"])
     if roll < 0.5:
-        return RawValue("str", rng.choice(["", "a b", 'q"q', "r1.next"]))
+        return format_literal(rng.choice(["", "a b", 'q"q', "r1.next"]))
     if roll < 0.7:
-        return RawValue("int", rng.randint(-9, 9))
+        return str(rng.randint(-9, 9))
     if roll < 0.85:
-        return RawValue("bool", rng.random() < 0.5)
-    return RawValue("null", str(rng.randint(0, 5)))
+        return format_literal(rng.random() < 0.5)
+    if roll < 0.95:
+        return f"?{rng.randint(0, 5)}"
+    return rng.choice(["length(?q)", "f(g(?0))"])
 
 
 def random_declaration(rng: random.Random, index: int, depth: int):
@@ -366,14 +528,13 @@ def random_declaration(rng: random.Random, index: int, depth: int):
         items = []
         for k in range(rng.randint(0, 3)):
             if rng.random() < 0.5:
-                entries = tuple((random_raw_value(rng), None)
+                entries = tuple((random_cell_text(rng), None)
                                 for _ in range(rng.randint(0, 3)))
-                entries = tuple(
-                    (v, None) for v, _ in entries if v.kind in ("name", "str"))
+                entries = tuple((v, None) for v, _ in entries
+                                if v[0] == '"' or v in ("r1", "r2", "zz"))
             else:
-                entries = tuple(
-                    (RawValue("name", f"r{j}"), random_raw_value(rng))
-                    for j in range(rng.randint(0, 3)))
+                entries = tuple((f"r{j}", random_cell_text(rng))
+                                for j in range(rng.randint(0, 3)))
             items.append(InstanceItem(f"item{k}", entries))
         return InstanceDecl(f"I{index}", "S0", tuple(items))
     if kind == 2:
@@ -551,7 +712,8 @@ instance I : S = {
 }
 """
     elab = elaborate(parse(text))
-    assert any("is not a Int" in d.message for d in elab.errors())
+    assert [(d.line, d.col, d.message) for d in elab.errors()] == \
+        [(9, 17, 'literal "old" is not a Int')]
 
 
 def test_elaborate_runs_migrate_directives():

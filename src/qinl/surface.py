@@ -21,7 +21,6 @@ import re
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 from .chase import FuelExhausted, InconsistentConstants
@@ -1159,62 +1158,52 @@ def _entry_loc(item: InstanceItem, index: int, depth: int) -> Loc:
     return tok.line, tok.col
 
 
+def _kind(text: str) -> str:
+    """What an entry's text is: "string", "null", "app" (a builtin
+    application), "bool", "row" or "int"."""
+    c = text[0]
+    if c == '"':
+        return "string"
+    if c == "?":
+        return "null"
+    if text[-1] == ")":
+        return "app"
+    if text in _BOOLS:
+        return "bool"
+    return "row" if c.isalpha() else "int"
+
+
 def _row_id(text: str) -> str | None:
     """The row id a row or quoted string names, or None for any other
-    cell text."""
-    if text[0] == '"':
-        return _unescape(text)
-    if text[0].isalpha() and text[-1] != ")" and text not in _BOOLS:
+    entry text."""
+    kind = _kind(text)
+    if kind == "row":
         return text
-    return None
-
-
-def _row_ids(texts: tuple[str, ...]) -> list[str] | None:
-    """The row id each text names, or None if one names none; at C speed
-    where all are plain rows (the reader yields no other identifier-like
-    text than those and `true` and `false`)."""
-    if all(map(str.isidentifier, texts)) and _BOOLS.isdisjoint(texts):
-        return list(texts)
-    rows = list(map(_row_id, texts))
-    return None if None in rows else rows
+    return _unescape(text) if kind == "string" else None
 
 
 def _carrier(item: InstanceItem) -> list[str]:
-    """The rows of carrier `item.name`, converted whole as `_table` does."""
-    if not item.entries:
-        return []
-    keys, values = zip(*item.entries)
-    rows = _row_ids(keys)
-    if rows is None or any(values):
-        for index, (key, value) in enumerate(item.entries):
-            if value is not None:
-                raise _BadEntry(
-                    f"carrier '{item.name}' cannot contain arrows", -1, index)
-            if _row_id(key) is None:
-                raise _BadEntry(f"row id expected in carrier '{item.name}'",
-                                -1, index)
+    """The rows of carrier `item.name`."""
+    rows = []
+    for index, (key, value) in enumerate(item.entries):
+        if value is not None:
+            raise _BadEntry(
+                f"carrier '{item.name}' cannot contain arrows", -1, index)
+        row = _row_id(key)
+        if row is None:
+            raise _BadEntry(f"row id expected in carrier '{item.name}'",
+                            -1, index)
+        rows.append(row)
     return rows
 
 
 def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
-    """The function table of operation `item.name`.  The columns are
-    converted whole; only a table that fails there, or repeats a row, is
-    read again entry by entry, so that an error names the first failing
-    entry and check.  A row given two different values is an error; a
-    repeated entry is not."""
-    if not item.entries:
-        return {}
+    """The function table of operation `item.name`, read entry by entry so
+    that an error names the first failing entry and check.  A row given two
+    different values is an error; a repeated entry is not."""
     cod = schema.sig.op_type(item.name)[1]
-    keys, values = zip(*item.entries)
-    rows = _row_ids(keys)
-    if rows is not None and all(values):
-        cells = _column(schema, cod, values)
-        if cells is not None:
-            table = dict(zip(rows, cells))
-            if len(table) == len(rows):
-                return table
-    show = _row_text if cod.name in schema.entity_types else _cell_text
-    table = {}
+    show = _row_text if cod.name in schema.entity_types else _render_cell
+    table: dict[str, object] = {}
     for index, (key, value) in enumerate(item.entries):
         if value is None:
             raise _BadEntry(
@@ -1235,27 +1224,6 @@ def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
     return table
 
 
-def _column(schema: FqlSchema, cod: TypeExpr,
-            values: tuple[str, ...]) -> list | None:
-    """The cells of a column of value texts, by the converter that its
-    codomain chooses, or None if any one fails."""
-    assert isinstance(cod, Base)
-    if cod.name in schema.entity_types:
-        return _row_ids(values)
-    carrier = schema.builtins.carriers.get(cod.name)
-    if carrier is int:
-        try:
-            return list(map(int, values))
-        except ValueError:
-            pass
-    elif carrier is str and all(map(str.startswith, values, repeat('"'))):
-        return list(map(_unescape, values))
-    try:
-        return [_cell(schema, cod, value) for value in values]
-    except _BadEntry:
-        return None
-
-
 def _cell(schema: FqlSchema, cod: TypeExpr, text: str, depth: int = 0):
     """The cell a value text gives an operation into `cod`: a row id, a
     literal in the carrier, a null, or a builtin application of a null."""
@@ -1265,16 +1233,16 @@ def _cell(schema: FqlSchema, cod: TypeExpr, text: str, depth: int = 0):
         if row is None:
             raise _BadEntry(f"row id of type {cod.name} expected", depth)
         return row
-    c = text[0]
-    if c == "?":
+    kind = _kind(text)
+    if kind == "null":
         return LabelledNull(text[1:])
-    if text[-1] == ")":
+    if kind == "app":
         return _application(schema, cod, text, depth)
-    if c == '"':
+    if kind == "string":
         value = _unescape(text)
-    elif text in _BOOLS:
+    elif kind == "bool":
         value = text == "true"
-    elif c.isalpha():
+    elif kind == "row":
         raise _BadEntry(f"'{text}' is not a {cod.name} literal", depth)
     else:
         value = int(text)
@@ -1295,7 +1263,7 @@ def _application(schema: FqlSchema, cod: Base, text: str, depth: int):
     if op_cod != cod:
         raise _BadEntry(f"'{op}' gives {format_type(op_cod)}, not {cod.name}",
                         depth)
-    if arg[0] != "?" and arg[-1] != ")":
+    if _kind(arg) not in ("null", "app"):
         raise _BadEntry(f"the argument of '{op}' must be a null or a builtin "
                         f"application of one", depth + 1)
     return OpApplied(op, _cell(schema, dom, arg, depth + 1))
@@ -1407,12 +1375,12 @@ def _row_text(row: str) -> str:
     return format_literal(row)
 
 
-def _cell_text(cell: object) -> str:
+def _render_cell(cell: object) -> str:
     """An attribute cell as the text that reads back as it."""
     if isinstance(cell, LabelledNull):
         return f"?{cell.label}"
     if isinstance(cell, OpApplied):
-        return f"{cell.op}({_cell_text(cell.arg)})"
+        return f"{cell.op}({_render_cell(cell.arg)})"
     return format_literal(cell)
 
 
@@ -1442,7 +1410,7 @@ def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
         if cod.name in schema.entity_types:
             texts = list(map(row_text, cells))
         else:
-            column = {cell: _cell_text(cell) for cell in set(cells)}
+            column = {cell: _render_cell(cell) for cell in set(cells)}
             texts = list(map(column.__getitem__, cells))
         items.append(InstanceItem(op, tuple(zip(map(row_text, rows), texts))))
     return InstanceDecl(name, schema_name, tuple(items))

@@ -75,7 +75,7 @@ from qinl.surface import (
     SourceUnit,
     Token,
     _Parser,
-    _cell_text,
+    _render_cell,
     _row_text,
     _unescape,
     elaborate,
@@ -1015,7 +1015,7 @@ def _elab_instance_by_cells(decl, out: Elaborated, err) -> None:
                     break
                 row = str(key.value)
                 if row in table and table[row] != cell:
-                    show = _row_text if entity else _cell_text
+                    show = _row_text if entity else _render_cell
                     err(key.loc, f"table '{item.name}' gives row '{row}' two "
                                  f"values: {show(table[row])} and {show(cell)}")
                     ok = False

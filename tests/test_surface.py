@@ -116,6 +116,29 @@ def test_quoted_row_ids():
     assert set(elaborate(unit).instances["I"].rows("A")) == {"a b", "plain"}
 
 
+def test_instance_entries_print_as_written():
+    """The printer writes a plain entry's text as it was written, so two
+    spellings of one literal stay apart in the tree and in print; a table
+    that goes token by token prints with the token reader's spacing."""
+    schema = ("schema S = { entities E; attributes Int, String; "
+              "operations k : E -> Int, s : E -> String; }\n")
+    unit = parse(schema + 'instance I : S = { E = { a, b }; '
+                 'k = { a -> 01, b -> -0 }; s = { a -> "x\ty", '
+                 'b -> "z" -- c\n}; }')
+    assert print_unit(unit).split("\n")[-5:] == [
+        "  E = { a, b };",
+        "  k = { a -> 01, b -> -0 };",
+        '  s = { a -> "x\ty", b -> "z" };',
+        "}",
+        ""]
+    assert parse(print_unit(unit)) == unit
+    other = parse(schema + "instance I : S = { E = { a, b }; "
+                  'k = { a -> 1, b -> 0 }; s = { a -> "x\ty", b -> "z" }; }')
+    assert other != unit
+    assert (elaborate(other).instances["I"].functions
+            == elaborate(unit).instances["I"].functions)
+
+
 # --------------------------------------------------------------------------
 # Roundtrip on the corpus
 

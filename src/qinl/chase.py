@@ -32,11 +32,10 @@ from .kernel import (
     EngineError,
     Term,
     Var,
-    format_literal,
     format_term,
     infer_type,
 )
-from .schema import Cell, FqlSchema, Instance, LabelledNull, OpApplied, render_cell
+from .schema import Cell, FqlSchema, Instance, LabelledNull, OpApplied, format_cell
 
 
 class FuelExhausted(EngineError):
@@ -50,10 +49,8 @@ class UnstatedNull(EngineError):
     state, such as `length(?0) = 2`."""
 
     def __init__(self, value: Cell, other: Cell):
-        text = [render_cell(v) if isinstance(v, (LabelledNull, OpApplied))
-                else format_literal(v) for v in (value, other)]
-        super().__init__(f"the free model ties a labelled null to a value no "
-                         f"cell can state: {text[0]} = {text[1]}")
+        super().__init__(f"the free model ties a labelled null to a value no cell "
+                         f"can state: {format_cell(value)} = {format_cell(other)}")
 
 
 # Ground equations `lhs = rhs` over the generators, or, with images, the

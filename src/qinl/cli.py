@@ -17,27 +17,17 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chase import FuelExhausted, InconsistentConstants
-from .equality import Proved, Theory
+from .equality import Proved
 from .kernel import EngineError
 from .mapping import check_preservation
-from .migration import (
-    TooLarge,
-    UnstatedNull,
-    UnverifiedMapping,
-    delta,
-    enumerate_homs,
-    pi,
-    sigma,
-)
+from .migration import MIGRATION_FAILURES, TooLarge, ends, enumerate_homs, migrate
 from .nrc import nrc_eval, format_value
 from .query import eval_query
-from .schema import FqlSchema, InvalidInstance, check_instance
+from .schema import check_instance, default_builtins
 from .surface import (
     Diagnostic,
     Elaborated,
     ParseError,
-    builtin_signature,
     elaborate,
     instance_to_decl,
     parse,
@@ -276,9 +266,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                             args.name, elab.exprs):
         return ERRORS
     names = list(elab.exprs) if args.name is None else [args.name]
-    sig = builtin_signature()
-    ops = FqlSchema(Theory.of(sig), frozenset(),
-                    sig.base_types).nrc_interpretations()
+    registry = default_builtins()
+    sig, ops = registry.signature(), registry.nrc_interpretations()
     results = {}
     for name in names:
         value = nrc_eval(sig, elab.exprs[name], {}, ops)
@@ -338,25 +327,20 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     if not (_named(args.file, "mapping", args.mapping, elab.mappings)
             and _named(args.file, "instance", args.instance, elab.instances)):
         return ERRORS
-    source_name, target_name = elab.mapping_schemas[args.mapping]
-    expected = target_name if args.direction == "delta" else source_name
+    read, result_schema = ends(args.direction, *elab.mapping_schemas[args.mapping])
     on = elab.instance_schema[args.instance]
-    if on != expected:
+    if on != read:
         print(f"{args.file}: error: {args.direction} along '{args.mapping}' "
-              f"needs an instance on '{expected}', got one on '{on}'",
+              f"needs an instance on '{read}', got one on '{on}'",
               file=sys.stderr)
         return ERRORS
-    mapping = elab.mappings[args.mapping]
-    operation = {"delta": delta, "sigma": sigma, "pi": pi}[args.direction]
     try:
-        result = operation(mapping, elab.instances[args.instance],
-                           fuel=config.fuel,
-                           allow_unverified=config.allow_unverified)
-    except (FuelExhausted, InconsistentConstants, UnverifiedMapping,
-            UnstatedNull, InvalidInstance) as exc:
+        result = migrate(args.direction, elab.mappings[args.mapping],
+                         elab.instances[args.instance], fuel=config.fuel,
+                         allow_unverified=config.allow_unverified)
+    except MIGRATION_FAILURES as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
         return FAILURES
-    result_schema = source_name if args.direction == "delta" else target_name
     result_name = f"{args.instance}_{args.direction}"
     decl = instance_to_decl(result_name, result_schema,
                             elab.schemas[result_schema], result)

@@ -144,17 +144,10 @@ class Unknown:
     fuel_spent: int
     fuel: int
     node_cap: int
-    saturated: bool = False
-    capped: bool = False  # the node cap stopped the run
+    stopped: str  # "saturated" (a round changed nothing), "nodes" (the cap) or "fuel"
 
     def __bool__(self) -> bool:
         return False
-
-    @property
-    def stopped(self) -> str:
-        """Why the prover stopped: "saturated" (a round changed nothing),
-        "nodes" (the node cap) or "fuel"."""
-        return "saturated" if self.saturated else "nodes" if self.capped else "fuel"
 
 
 Verdict = Proved | Unknown
@@ -738,13 +731,6 @@ class EGraph:
             return app
         raise EngineError(f"cannot instantiate unknown construct {e!r}")
 
-    def add_instance(self, e: Term, binding: Mapping[str, int],
-                     images: Images | None = None) -> int:
-        """Add a term whose variables are already bound to classes, as its
-        builder does (see `builder`)."""
-        slots = {name: k for k, name in enumerate(binding)}
-        return self.builder(e, slots, images)(list(binding.values()))
-
     def apply_equations_matched(self, th: Theory) -> None:
         """Apply each equation by matching one side against existing classes
         and adding the instantiated other side.  A side that is a bare
@@ -1050,4 +1036,4 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
         goal = goal or f"{format_term(a)} = {format_term(b)}"
         return Proved((f"proved {goal} in {rounds} round(s) over "
                        f"{graph.node_count()} node(s)", *graph.log))
-    return Unknown(rounds, fuel, cap, stop == "saturated", stop == "nodes")
+    return Unknown(rounds, fuel, cap, stop)

@@ -25,7 +25,7 @@ from .chase import (
     materialize,
     saturate,
 )
-from .equality import IllTyped, Proved
+from .equality import IllTyped, InconsistentConstants, Proved
 from .kernel import (
     App,
     Base,
@@ -68,6 +68,29 @@ def require_verified(mapping: SchemaMapping, fuel: int,
                 if not isinstance(v, Proved)]
     if unproved:
         raise UnverifiedMapping(unproved)
+
+
+# --------------------------------------------------------------------------
+# The three directions behind one entry point
+
+# The ways a migration of well-formed input fails (exit 1 in the CLI).
+MIGRATION_FAILURES = (FuelExhausted, InconsistentConstants, UnverifiedMapping,
+                      UnstatedNull, InvalidInstance)
+
+
+def ends(direction: str, source: str, target: str) -> tuple[str, str]:
+    """The schema a migration in `direction` along a mapping from `source`
+    to `target` reads its instance on, and the one it writes its result on."""
+    return (target, source) if direction == "delta" else (source, target)
+
+
+def migrate(direction: str, mapping: SchemaMapping, instance: Instance, *,
+            fuel: int, allow_unverified: bool) -> Instance:
+    """`delta`, `sigma` or `pi`, named by `direction`, of `instance` along
+    `mapping`; each is looked up when called, so wrapping one by name holds."""
+    operation = {"delta": delta, "sigma": sigma, "pi": pi}[direction]
+    return operation(mapping, instance, fuel=fuel,
+                     allow_unverified=allow_unverified)
 
 
 # --------------------------------------------------------------------------
@@ -149,9 +172,8 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
                 generators[var] = attr_type
             return Var(var)
         if isinstance(value, OpApplied):
-            arg_type = mapping.target.sig.op_type(value.op)[0]
-            assert isinstance(arg_type, Base)
-            return App(value.op, cell_term(value.arg, arg_type.name))
+            dom = mapping.target.builtins.ops[value.op].dom
+            return App(value.op, cell_term(value.arg, dom))
         key = (attr_type, type(value), value)  # keeps True and 1 apart
         lit = lits.get(key)
         if lit is None:

@@ -8,6 +8,7 @@ import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .equality import Theory
 from .kernel import (
@@ -93,6 +94,11 @@ def render_cell(v: Cell) -> str:
     return str(v)  # row ids print bare; string constants are rendered by callers
 
 
+def format_cell(v: Cell) -> str:
+    """An attribute cell as the instance text that reads back as it."""
+    return str(v) if isinstance(v, (LabelledNull, OpApplied)) else format_literal(v)
+
+
 def cell_key(v: Cell) -> tuple:
     if isinstance(v, bool):
         return (0, v)
@@ -112,18 +118,25 @@ def cell_key(v: Cell) -> tuple:
 # --------------------------------------------------------------------------
 # Builtin carriers and operations
 
+class BuiltinOp(NamedTuple):
+    """A builtin operation: the attribute types it runs between and its
+    total function."""
+
+    dom: str
+    cod: str
+    fn: Callable[[object], object]
+
+
 @dataclass(frozen=True)
 class BuiltinRegistry:
-    """Carriers and total semantics for attribute types and their
-    operations; also each carrier's finite sample space, canonically
-    ordered, from which satisfaction checks draw values."""
+    """Carriers for attribute types and the type and total semantics of
+    each builtin operation; also each carrier's finite sample space,
+    canonically ordered, from which satisfaction checks draw values.  A
+    schema may declare a builtin only at the type given here."""
 
     carriers: Mapping[str, type]
-    ops: Mapping[str, Callable[[object], object]]
+    ops: Mapping[str, BuiltinOp]
     sample_spaces: Mapping[str, tuple]
-
-    def has_carrier(self, base: str) -> bool:
-        return base in self.carriers
 
     def in_carrier(self, base: str, value: object) -> bool:
         """Whether a constant belongs to the carrier of an attribute type,
@@ -141,7 +154,19 @@ class BuiltinRegistry:
             raise UninterpretedOperation(op)
         if isinstance(value, (LabelledNull, OpApplied)):
             return OpApplied(op, value)
-        return self.ops[op](value)
+        return self.ops[op].fn(value)
+
+    def signature(self) -> Signature:
+        """The carriers and builtins as a signature, the ambient one of
+        standalone set-calculus expressions."""
+        return Signature.of(set(self.carriers), {
+            name: (Base(op.dom), Base(op.cod)) for name, op in self.ops.items()})
+
+    def nrc_interpretations(self) -> dict[str, Callable[[Value], Value]]:
+        """The builtins wrapped for the set-semantics evaluator."""
+        def wrap(name: str, cod: str) -> Callable[[Value], Value]:
+            return lambda v: BaseV(cod, self.apply(name, v.constant))
+        return {name: wrap(name, op.cod) for name, op in self.ops.items()}
 
 
 _STRINGS = tuple("".join(p) for n in range(6)
@@ -151,7 +176,8 @@ _STRINGS = tuple("".join(p) for n in range(6)
 def default_builtins() -> BuiltinRegistry:
     return BuiltinRegistry(
         carriers={"String": str, "Int": int, "Bool": bool},
-        ops={"length": len, "reverse": lambda s: s[::-1]},
+        ops={"length": BuiltinOp("String", "Int", len),
+             "reverse": BuiltinOp("String", "String", lambda s: s[::-1])},
         sample_spaces={"String": _STRINGS, "Int": tuple(range(-50, 51)),
                        "Bool": (False, True)},
     )
@@ -195,7 +221,7 @@ class FqlSchema:
 
     def builtin_ops(self) -> dict[str, Callable[[object], object]]:
         """The registered semantics of this schema's builtin operations."""
-        return {name: self.builtins.ops[name] for name in self.builtin_op_names()
+        return {name: self.builtins.ops[name].fn for name in self.builtin_op_names()
                 if name in self.builtins.ops}
 
     def ops_from(self, entity: str) -> list[str]:
@@ -218,7 +244,7 @@ class FqlSchema:
         if extra:
             problems.append(f"classified types not declared: {sorted(extra)}")
         for a in sorted(self.attribute_types):
-            if not self.builtins.has_carrier(a):
+            if a not in self.builtins.carriers:
                 problems.append(f"attribute type '{a}' has no builtin carrier")
         for name in sorted(self.sig.operations):
             dom, cod = self.sig.operations[name]
@@ -231,23 +257,17 @@ class FqlSchema:
                 problems.append(
                     f"operation '{name}' maps attribute type {dom.name} "
                     f"to entity type {cod.name}")
-            if dom.name in self.attribute_types and name not in self.builtins.ops:
+            if dom.name not in self.attribute_types:
+                continue
+            registered = self.builtins.ops.get(name)
+            if registered is None:
                 problems.append(f"builtin operation '{name}' has no registered semantics")
+            elif (dom.name, cod.name) != (registered.dom, registered.cod):
+                problems.append(
+                    f"builtin operation '{name}' is declared {dom.name} -> "
+                    f"{cod.name}, but its registered type is "
+                    f"{registered.dom} -> {registered.cod}")
         return problems
-
-    def nrc_interpretations(self) -> dict[str, Callable[[Value], Value]]:
-        """Builtin operations wrapped for the set-semantics evaluator."""
-        out = {}
-        for name in self.builtin_op_names():
-            cod = self.sig.op_type(name)[1]
-            assert isinstance(cod, Base)
-
-            def fn(v: Value, _name=name, _cod=cod.name) -> Value:
-                assert isinstance(v, BaseV)
-                return BaseV(_cod, self.builtins.apply(_name, v.constant))
-
-            out[name] = fn
-        return out
 
 
 def _base_name(t: TypeExpr) -> str | None:

@@ -23,7 +23,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .chase import FuelExhausted, InconsistentConstants
 from .equality import Equation, Theory, check_theory
 from .kernel import (
     MAX_NESTING,
@@ -48,7 +47,7 @@ from .kernel import (
     format_type,
 )
 from .mapping import SchemaMapping
-from .migration import UnstatedNull, UnverifiedMapping, delta, pi, sigma
+from .migration import MIGRATION_FAILURES, ends, migrate
 from .nrc import (
     BOOL,
     Bool,
@@ -67,12 +66,12 @@ from .nrc import (
 )
 from .query import Comprehension, typecheck_query
 from .schema import (
-    BuiltinRegistry,
     FqlSchema,
     Instance,
     LabelledNull,
     OpApplied,
     default_builtins,
+    format_cell,
     validate_instance,
 )
 
@@ -999,22 +998,12 @@ class Elaborated:
         return [d for d in self.diagnostics if d.severity == "failure"]
 
 
-def builtin_signature() -> Signature:
-    """The ambient signature for standalone set-calculus expressions."""
-    return Signature.of(
-        {"String", "Int", "Bool"},
-        {"length": (Base("String"), Base("Int")),
-         "reverse": (Base("String"), Base("String"))})
-
-
 def elaborate(unit: SourceUnit, *, fuel: int = 32,
-              allow_unverified: bool = False,
-              builtins: BuiltinRegistry | None = None) -> Elaborated:
+              allow_unverified: bool = False) -> Elaborated:
     """Resolve and validate declarations in order.  Migrate directives are
     executed so later declarations can reference their results; their
-    fuel or verification failures are 'failure' diagnostics, while malformed
-    declarations are 'error' diagnostics."""
-    registry = builtins or default_builtins()
+    failures (`MIGRATION_FAILURES`) are 'failure' diagnostics, while
+    malformed declarations are 'error' diagnostics."""
     out = Elaborated(unit, {}, {}, {}, {}, {}, {}, {}, {}, [], {})
     for decl in unit.decls:
         kind = type(decl).__name__.removesuffix("Decl").lower()
@@ -1029,7 +1018,7 @@ def elaborate(unit: SourceUnit, *, fuel: int = 32,
     for decl in unit.decls:
         try:
             if isinstance(decl, SchemaDecl):
-                _elab_schema(decl, registry, out, err)
+                _elab_schema(decl, out, err)
             elif isinstance(decl, InstanceDecl):
                 _elab_instance(decl, out, err)
             elif isinstance(decl, MappingDecl):
@@ -1037,7 +1026,7 @@ def elaborate(unit: SourceUnit, *, fuel: int = 32,
             elif isinstance(decl, QueryDecl):
                 _elab_query(decl, out, err)
             elif isinstance(decl, ExprDecl):
-                _elab_expr(decl, registry, out, err)
+                _elab_expr(decl, out, err)
             elif isinstance(decl, MigrateDecl):
                 _elab_migrate(decl, out, err, failure, fuel, allow_unverified)
         except EngineError as exc:
@@ -1052,8 +1041,7 @@ def _check_fresh(name: str, table: dict, loc: Loc, kind: str, err) -> bool:
     return True
 
 
-def _elab_schema(decl: SchemaDecl, registry: BuiltinRegistry,
-                 out: Elaborated, err) -> None:
+def _elab_schema(decl: SchemaDecl, out: Elaborated, err) -> None:
     if not _check_fresh(decl.name, out.schemas, decl.loc, "schema", err):
         return
     base_types = set(decl.entities) | set(decl.attributes)
@@ -1069,7 +1057,7 @@ def _elab_schema(decl: SchemaDecl, registry: BuiltinRegistry,
         Equation(Context(eq.ctx), eq.lhs, eq.rhs) for eq in decl.equations)
     theory = Theory.of(Signature.of(base_types, operations), equations)
     schema = FqlSchema(theory, frozenset(decl.entities),
-                       frozenset(decl.attributes), registry)
+                       frozenset(decl.attributes))
     for problem in schema.validate():
         err(decl.loc, f"schema '{decl.name}': {problem}")
         ok = False
@@ -1202,7 +1190,7 @@ def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
     that an error names the first failing entry and check.  A row given two
     different values is an error; a repeated entry is not."""
     cod = schema.sig.op_type(item.name)[1]
-    show = _row_text if cod.name in schema.entity_types else _render_cell
+    show = _row_text if cod.name in schema.entity_types else format_cell
     table: dict[str, object] = {}
     for index, (key, value) in enumerate(item.entries):
         if value is None:
@@ -1319,12 +1307,11 @@ def _elab_query(decl: QueryDecl, out: Elaborated, err) -> None:
     out.query_schema[decl.name] = decl.schema_name
 
 
-def _elab_expr(decl: ExprDecl, registry: BuiltinRegistry,
-               out: Elaborated, err) -> None:
+def _elab_expr(decl: ExprDecl, out: Elaborated, err) -> None:
     if not _check_fresh(decl.name, out.exprs, decl.loc, "expr", err):
         return
     try:
-        nrc_infer_type(builtin_signature(), Context(), decl.body)
+        nrc_infer_type(default_builtins().signature(), Context(), decl.body)
     except EngineError as exc:
         err(decl.loc, f"expr '{decl.name}': {exc}")
         return
@@ -1343,25 +1330,21 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
     if instance is None:
         err(decl.loc, f"unknown instance '{decl.instance_name}'")
         return
-    source_name, target_name = out.mapping_schemas[decl.mapping_name]
+    read, written = ends(decl.direction, *out.mapping_schemas[decl.mapping_name])
     on = out.instance_schema[decl.instance_name]
-    expected = target_name if decl.direction == "delta" else source_name
-    if on != expected:
+    if on != read:
         err(decl.loc,
             f"{decl.direction} along '{decl.mapping_name}' needs an instance "
-            f"on '{expected}', but '{decl.instance_name}' is on '{on}'")
+            f"on '{read}', but '{decl.instance_name}' is on '{on}'")
         return
-    operation = {"delta": delta, "sigma": sigma, "pi": pi}[decl.direction]
     try:
-        result = operation(mapping, instance, fuel=fuel,
-                           allow_unverified=allow_unverified)
-    except (FuelExhausted, InconsistentConstants, UnverifiedMapping,
-            UnstatedNull) as exc:
+        result = migrate(decl.direction, mapping, instance, fuel=fuel,
+                         allow_unverified=allow_unverified)
+    except MIGRATION_FAILURES as exc:
         failure(decl.loc, f"migrate '{decl.name}': {exc}")
         return
     out.instances[decl.name] = result
-    out.instance_schema[decl.name] = (
-        source_name if decl.direction == "delta" else target_name)
+    out.instance_schema[decl.name] = written
 
 
 # --------------------------------------------------------------------------
@@ -1373,15 +1356,6 @@ def _row_text(row: str) -> str:
     if _IDENT_TEXT.fullmatch(row) and row not in KEYWORDS:
         return row
     return format_literal(row)
-
-
-def _render_cell(cell: object) -> str:
-    """An attribute cell as the text that reads back as it."""
-    if isinstance(cell, LabelledNull):
-        return f"?{cell.label}"
-    if isinstance(cell, OpApplied):
-        return f"{cell.op}({_render_cell(cell.arg)})"
-    return format_literal(cell)
 
 
 def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
@@ -1410,7 +1384,7 @@ def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
         if cod.name in schema.entity_types:
             texts = list(map(row_text, cells))
         else:
-            column = {cell: _render_cell(cell) for cell in set(cells)}
+            column = {cell: format_cell(cell) for cell in set(cells)}
             texts = list(map(column.__getitem__, cells))
         items.append(InstanceItem(op, tuple(zip(map(row_text, rows), texts))))
     return InstanceDecl(name, schema_name, tuple(items))

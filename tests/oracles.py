@@ -60,6 +60,7 @@ from qinl.schema import (
     OpApplied,
     cell_key,
     eval_term,
+    format_cell,
     render_cell,
     validate_instance,
 )
@@ -75,7 +76,6 @@ from qinl.surface import (
     SourceUnit,
     Token,
     _Parser,
-    _render_cell,
     _row_text,
     _unescape,
     elaborate,
@@ -470,7 +470,7 @@ def _substitute(s, v, binding):
         arg = _substitute(s, v.arg, binding)
         if isinstance(arg, (LabelledNull, OpApplied)):
             return OpApplied(v.op, arg)
-        return s.builtins.ops[v.op](arg)
+        return s.builtins.ops[v.op].fn(arg)
     return v
 
 
@@ -532,6 +532,13 @@ def check_egraph_indexes(graph) -> None:
     assert graph._table == want["table"]
 
 
+def add_instance(graph, e: Term, binding: Mapping[str, int], images=None) -> int:
+    """Add a term whose variables are already bound to classes, as its
+    builder does (see `EGraph.builder`)."""
+    slots = {name: k for k, name in enumerate(binding)}
+    return graph.builder(e, slots, images)(list(binding.values()))
+
+
 def add_by_walk(graph, e: Term, binding: Mapping[str, int], images=None) -> int:
     """`EGraph.builder` by a recursive walk over `e`, whose variables are
     bound to classes in `binding`: a pair's left component before its right,
@@ -580,8 +587,8 @@ def enumerate_all_tuples(graph, equations, since: int = 0) -> None:
                 break
         reason = eq.render()
         for binding in bindings:
-            left = graph.add_instance(eq.lhs, binding)
-            right = graph.add_instance(eq.rhs, binding)
+            left = add_instance(graph, eq.lhs, binding)
+            right = add_instance(graph, eq.rhs, binding)
             graph.union(left, right, reason)
 
 
@@ -609,8 +616,8 @@ def match_every_root(graph, th) -> None:
                 pools = [graph.classes_of_type(eq.ctx.lookup(var)) for var in free]
                 for roots in itertools.product(*pools):
                     binding = dict(zip(free, roots), **found)
-                    left = root if anchor == 0 else graph.add_instance(eq.lhs, binding)
-                    right = root if anchor == 1 else graph.add_instance(eq.rhs, binding)
+                    left = root if anchor == 0 else add_instance(graph, eq.lhs, binding)
+                    right = root if anchor == 1 else add_instance(graph, eq.rhs, binding)
                     graph.union(left, right, reason)
 
 
@@ -1015,7 +1022,7 @@ def _elab_instance_by_cells(decl, out: Elaborated, err) -> None:
                     break
                 row = str(key.value)
                 if row in table and table[row] != cell:
-                    show = _row_text if entity else _render_cell
+                    show = _row_text if entity else format_cell
                     err(key.loc, f"table '{item.name}' gives row '{row}' two "
                                  f"values: {show(table[row])} and {show(cell)}")
                     ok = False

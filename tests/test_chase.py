@@ -35,7 +35,13 @@ from qinl.schema import FqlSchema, LabelledNull, OpApplied, check_instance
 from qinl.surface import elaborate, parse
 
 from conftest import company_schema, entity_schema, nulls_case
-from oracles import enumerate_all_tuples, ground_closure, substitute_images, sweep_extract
+from oracles import (
+    add_instance,
+    enumerate_all_tuples,
+    ground_closure,
+    substitute_images,
+    sweep_extract,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -552,12 +558,12 @@ def _product_graph() -> EGraph:
     for term in (App("swap", Pair(Var("a"), App("f", Var("a")))),
                  Proj2(App("swap", Var("p"))),
                  Pair(Proj1(Var("p")), App("drop", Var("a")))):
-        graph.add_instance(term, binding)
-    graph.union(graph.add_instance(Proj1(App("swap", Var("p"))), binding),
-                graph.add_instance(Proj2(Var("p")), binding))
+        add_instance(graph, term, binding)
+    graph.union(add_instance(graph, Proj1(App("swap", Var("p"))), binding),
+                add_instance(graph, Proj2(Var("p")), binding))
     # (a, a) loses to swap(p) by size (3 to 2), not by text.
-    graph.union(graph.add_instance(App("swap", Var("p")), binding),
-                graph.add_instance(Pair(Var("a"), Var("a")), binding))
+    graph.union(add_instance(graph, App("swap", Var("p")), binding),
+                add_instance(graph, Pair(Var("a"), Var("a")), binding))
     for _ in range(3):
         graph.apply_product_axioms()
         graph.rebuild()

@@ -408,6 +408,66 @@ def test_migrate_delta_fails_on_a_builtin_its_source_does_not_declare(
     assert not out.exists()
 
 
+_UNSTATED_DELTA = """\
+schema S = { entities E; attributes String; operations name : E -> String; }
+schema T = { entities F; attributes String; operations tname : F -> String, reverse : String -> String; }
+mapping m : S -> T = { E -> F; name -> (x => reverse(tname(x))); }
+instance j : T = { F = { a }; tname = { a -> ?0 }; }
+migrate k = delta m j
+"""
+
+
+def test_a_migrate_declaration_fails_as_qinl_migrate_does(capsys, tmp_path):
+    """A `migrate` declaration whose delta the source schema cannot state
+    is a failure (exit 1) located at the declaration, as `qinl migrate`
+    reports the same migration; it used to be an error (exit 2)."""
+    path = tmp_path / "unstated.qinl"
+    path.write_text(_UNSTATED_DELTA)
+    problem = ("the source schema cannot state name(a) = reverse(?0): "
+               "'reverse' is not a builtin operation of the schema")
+    code, stdout, stderr = run(capsys, "check", str(path))
+    assert (code, stderr) == (1, f"{path}:5:1: failure: migrate 'k': {problem}\n")
+    assert stdout.endswith("result: failures\n")
+    out = tmp_path / "o.qinl"
+    code, stdout, stderr = run(capsys, "migrate", str(path), "delta", "m", "j",
+                               "--out", str(out))
+    assert (code, stdout, stderr) == (1, "", f"{path}: failure: {problem}\n")
+    assert not out.exists()
+
+
+_MISTYPED_BUILTIN = """\
+schema S = {
+  entities E;
+  attributes String, Int;
+  operations n : E -> Int, s : E -> String, length : Int -> String;
+  equations forall x: E . s(x) = length(n(x));
+}
+instance i : S = { E = { a }; n = { a -> 3 }; s = { a -> "3" }; }
+mapping m : S -> S = { E -> E; n -> (x => n(x)); s -> (x => s(x)); }
+"""
+
+
+@pytest.mark.parametrize("command, args", [
+    ("check", ()), ("migrate", ("sigma", "m", "i"))])
+def test_a_builtin_declared_at_another_type_exits_2(capsys, tmp_path, command,
+                                                    args):
+    """`length` is registered String -> Int, so a schema may not declare it
+    Int -> String: exit 2 at the schema, where checking the instance or
+    chasing sigma's model applied `len` to an integer and ended in a
+    TypeError."""
+    path = tmp_path / "mistyped.qinl"
+    path.write_text(_MISTYPED_BUILTIN)
+    out = tmp_path / "o.qinl"
+    extra = ("--out", str(out)) if command == "migrate" else ()
+    code, stdout, stderr = run(capsys, command, str(path), *args, *extra)
+    assert code == 2
+    assert stderr.startswith(
+        f"{path}:1:1: error: schema 'S': builtin operation 'length' is "
+        f"declared Int -> String, but its registered type is String -> Int\n")
+    assert "Traceback" not in stdout + stderr
+    assert not out.exists()
+
+
 def test_migrate_pi_writes_one_fresh_null_per_open_class(capsys, tmp_path):
     """w(x) = w2(x) in `twins` and nothing goes to either: each row holds
     one fresh null in both cells, and the output reads back and checks."""

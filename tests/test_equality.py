@@ -102,7 +102,7 @@ def test_distinct_variables_unknown():
     ctx = Context.of(("x", Base("T1")), ("y", Base("T1")))
     verdict = decide_equal(th, ctx, Var("x"), Var("y"), 4)
     assert isinstance(verdict, Unknown)
-    assert verdict.saturated
+    assert verdict.stopped == "saturated"
 
 
 def test_unknown_reports_caps():
@@ -123,7 +123,7 @@ def test_node_cap_is_bounded_whatever_the_fuel(fuel, cap):
     th = Theory.of(Signature.of({"T1"}, {}))
     ctx = Context.of(("x", Base("T1")), ("y", Base("T1")))
     verdict = decide_equal(th, ctx, Var("x"), Var("y"), fuel)
-    assert verdict == Unknown(1, fuel, cap, saturated=True)
+    assert verdict == Unknown(1, fuel, cap, "saturated")
 
 
 def test_unknown_says_when_the_node_cap_stopped_it():
@@ -137,7 +137,7 @@ def test_unknown_says_when_the_node_cap_stopped_it():
 
     a, b = tree(10, 0), tree(10, 1)
     verdict = decide_equal(Theory.of(Signature.of({"Int"}, {})), Context(), a, b, 1)
-    assert verdict == Unknown(1, 1, 1000, saturated=False, capped=True)
+    assert verdict == Unknown(1, 1, 1000, "nodes")
     assert verdict.stopped == "nodes"
 
 
@@ -215,7 +215,7 @@ def test_matched_side_leaves_a_variable_free(a, b):
     verdict = decide_equal(Theory.of(sig, [same]), ctx, a, b, 8)
     summary = f"proved {format_term(a)} = {format_term(b)} in 1 round(s) over 6 node(s)"
     assert verdict == Proved((summary, SAME_COMPANY, SAME_COMPANY))
-    assert decide_equal(Theory.of(sig), ctx, a, b, 8) == Unknown(1, 8, 8000, saturated=True)
+    assert decide_equal(Theory.of(sig), ctx, a, b, 8) == Unknown(1, 8, 8000, "saturated")
 
 
 def test_instantiate_renames_context_variable(company_theory):
@@ -391,11 +391,9 @@ def test_indexes_match_a_full_sweep_after_every_round(monkeypatch):
                  (Var("u"), UNIT_TERM)):
         decide_equal(Theory.of(sig), pairs, a, b, 4)
     company = company_schema()
-    builtins = {name: company.builtins.ops[name]
-                for name in company.builtin_op_names()}
     word = Lit("String", "abc")
-    decide_equal(company.theory, Context(),
-                 App("length", rev(rev(word))), Lit("Int", 3), 8, builtins)
+    decide_equal(company.theory, Context(), App("length", rev(rev(word))),
+                 Lit("Int", 3), 8, company.builtin_ops())
     assert len(rounds) > 300
 
 
@@ -443,7 +441,7 @@ FALSE_CLAIMS = [
 def test_false_claims_keep_their_unknown_verdicts(company_theory, fuel, lhs, rhs):
     verdict = decide_equal(company_theory, Context.of(("x", Base("Emp"))),
                            lhs, rhs, fuel)
-    assert verdict == Unknown(1, fuel, fuel * 1000, saturated=True)
+    assert verdict == Unknown(1, fuel, fuel * 1000, "saturated")
 
 
 # --------------------------------------------------------------------------

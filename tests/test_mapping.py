@@ -191,8 +191,7 @@ def _related(rng: random.Random, sig: Signature, ctx: Context, lhs, want):
 def _reference(mapping: SchemaMapping, eq: Equation, fuel: int):
     """Preservation the way it was first written: translate both sides into
     terms and prove them equal."""
-    builtin_ops = {name: mapping.target.builtins.ops[name]
-                   for name in mapping.target.builtin_op_names()}
+    builtin_ops = mapping.target.builtin_ops()
     return decide_equal(
         mapping.target.theory, apply_to_context(mapping, eq.ctx),
         apply_to_term(mapping, eq.ctx, eq.lhs),

@@ -158,7 +158,7 @@ def _query_via_nrc(s, i, q: Comprehension) -> tuple:
     (var, entity), = q.bindings
     carrier = make_set(Base(entity),
                        [BaseV(entity, r) for r in i.rows(entity)])
-    ops = dict(s.nrc_interpretations())
+    ops = s.builtins.nrc_interpretations()
     for op in s.entity_dom_ops():
         cod = s.sig.op_type(op)[1]
         table = i.functions[op]

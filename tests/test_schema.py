@@ -7,6 +7,7 @@ import pytest
 from qinl.equality import Equation, Theory
 from qinl.kernel import App, Base, Context, Lit, Signature, Var
 from qinl.schema import (
+    BuiltinOp,
     BuiltinRegistry,
     FqlSchema,
     Instance,
@@ -87,6 +88,16 @@ def test_instance_validation_reports_cells_of_a_type_with_no_carrier():
                       {"hue": {"e1": "red", "e2": LabelledNull("0")}})
     assert validate_instance(s, i) == [
         "ill-typed cell hue(e1) = red: not a Color"]
+
+
+def test_a_builtin_is_declared_only_at_its_registered_type():
+    sig = Signature.of({"E", "String", "Int"},
+                       {"length": (Base("Int"), Base("String")),
+                        "reverse": (Base("String"), Base("String"))})
+    s = FqlSchema(Theory.of(sig), frozenset({"E"}), frozenset({"String", "Int"}))
+    assert s.validate() == [
+        "builtin operation 'length' is declared Int -> String, but its "
+        "registered type is String -> Int"]
 
 
 def test_instance_validation_reads_symbolic_cells_as_instance_text_does():
@@ -286,8 +297,8 @@ def _recording(variables: int):
     lies outside the sample space."""
     log: list[str] = []
     reg = default_builtins()
-    reg = BuiltinRegistry(reg.carriers,
-                          {**reg.ops, "seen": lambda v: log.append(v) or ""},
+    seen = BuiltinOp("String", "String", lambda v: log.append(v) or "")
+    reg = BuiltinRegistry(reg.carriers, {**reg.ops, "seen": seen},
                           reg.sample_spaces)
     sig = Signature.of({"E", "String"}, {"name": (Base("E"), Base("String")),
                                           "seen": (Base("String"), Base("String"))})

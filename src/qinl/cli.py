@@ -385,6 +385,7 @@ def cmd_homs(args: argparse.Namespace) -> int:
     try:
         homs = enumerate_homs(schema, elab.instances[args.instance_a],
                               elab.instances[args.instance_b])
+        listed = [_render_hom(h) for h in homs] if args.list else []
     except TooLarge as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
         return FAILURES
@@ -392,16 +393,15 @@ def cmd_homs(args: argparse.Namespace) -> int:
         payload = _envelope("homs", args.file, config, "ok")
         payload["from"] = args.instance_a
         payload["to"] = args.instance_b
-        payload["count"] = len(homs)
+        payload["count"] = homs.size
         if args.list:
-            payload["homomorphisms"] = [_render_hom(h) for h in homs]
+            payload["homomorphisms"] = listed
         _emit_json(payload)
         return OK
-    print(f"{len(homs)} homomorphism(s) from {args.instance_a} "
+    print(f"{homs.size} homomorphism(s) from {args.instance_a} "
           f"to {args.instance_b}")
-    if args.list:
-        for h in homs:
-            print(f"  {_render_hom(h)}")
+    for line in listed:
+        print(f"  {line}")
     return OK
 
 

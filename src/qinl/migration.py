@@ -12,8 +12,9 @@ than truncating silently.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import product
 
 from .chase import (
     FuelExhausted,
@@ -41,6 +42,7 @@ from .schema import (
     Instance,
     InvalidInstance,
     LabelledNull,
+    NodeBudget,
     OpApplied,
     TooLarge,
     eval_term,
@@ -329,6 +331,8 @@ def _restate(value: Cell, where: tuple[str, str],
 # --------------------------------------------------------------------------
 # Homomorphism enumeration: the adjunction oracle
 
+# The search nodes that all the searches of one hom-set may visit together,
+# and the most homomorphisms that a hom-set lists; past either, TooLarge.
 HOM_SEARCH_NODES = 100_000
 
 
@@ -345,25 +349,133 @@ class Homomorphism:
         return dict(dict(self.maps)[entity])[row]
 
 
-def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> list[Homomorphism]:
-    """Enumerate the instance homomorphisms from i to j, complete and
-    duplicate-free, in lexicographic order of the images of i's rows (types
-    sorted, then rows; candidates in j's order).
+def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> HomSet:
+    """The instance homomorphisms from i to j, counted.
 
-    A backtracking search (`schema.search_homs`) finds them in the order of
-    its slots, and they are sorted back when its `slot_order` is not the
-    order of the type names.  The search is guarded by the number of search
-    nodes it visits, HOM_SEARCH_NODES, which also bounds the length of the
-    answer; past it, TooLarge is raised.
+    i is the coproduct of its connected components, its rows joined by a
+    foreign-key cell or by a labelled null they share, also under a
+    builtin; so a homomorphism out of i is one out of each component, and
+    their number is the product of the components' counts (Spivak and
+    Wisnesky, "Relational Foundations for Functorial Data Migration").
+    Each component is counted by one backtracking search
+    (`schema.search_homs`), a connected i as it stands; all the searches
+    share one budget of HOM_SEARCH_NODES search nodes, past which TooLarge
+    is raised.  The hom-set builds its homomorphisms only when it is
+    listed.
     """
+    budget = NodeBudget(HOM_SEARCH_NODES)
+    parts = _components(s, i)
+    size = 1
+    for part in parts:
+        size *= sum(1 for _ in search_homs(s, part, j, budget=budget))
+        if not size:
+            break
+    return HomSet(s, i, j, parts, size)
+
+
+class HomSet:
+    """The homomorphisms from i to j: `size` is their number (and `len()`,
+    below 2**63), and iterating or indexing lists them, complete and
+    duplicate-free, in lexicographic order of the images of i's rows (types
+    sorted, then rows; candidates in j's order).  The first listing searches
+    each component of i again and builds the product of their
+    homomorphisms; TooLarge when there are more than HOM_SEARCH_NODES."""
+
+    def __init__(self, s: FqlSchema, i: Instance, j: Instance,
+                 parts: list[Instance], size: int):
+        self.s, self.i, self.j, self.parts, self.size = s, i, j, parts, size
+        self._homs: list[Homomorphism] | None = None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def __iter__(self) -> Iterator[Homomorphism]:
+        return iter(self._list())
+
+    def __getitem__(self, k):
+        return self._list()[k]
+
+    def _list(self) -> list[Homomorphism]:
+        if self._homs is None:
+            if self.size > HOM_SEARCH_NODES:
+                raise TooLarge(f"{self.size} homomorphisms are more than the "
+                               f"{HOM_SEARCH_NODES} that are listed")
+            # The components after one without homomorphisms were not
+            # searched, and need not be.
+            self._homs = self._product() if self.size else []
+        return self._homs
+
+    def _product(self) -> list[Homomorphism]:
+        s, i, j = self.s, self.i, self.j
+        types = sorted(s.entity_types)
+        found = [[({(t, row): image for t, images in maps.items()
+                    for row, image in images.items()}, dict(binding))
+                  for maps, binding in search_homs(s, part, j)]
+                 for part in self.parts]
+        homs = []
+        for combo in product(*found):
+            images: dict[tuple[str, str], str] = {}
+            binding: dict[str, Cell] = {}
+            for part_images, part_binding in combo:
+                images.update(part_images)
+                binding.update(part_binding)
+            homs.append(Homomorphism(
+                tuple((t, tuple((row, images[t, row]) for row in i.rows(t)))
+                      for t in types),
+                tuple(sorted(binding.items()))))
+        # The search finds each component's homomorphisms in the order of
+        # its slots; the product is in the documented order only when there
+        # is one component whose slots are in that order.
+        if len(self.parts) > 1 or slot_order(s) != types:
+            position = {t: {row: k for k, row in enumerate(j.rows(t))}
+                        for t in types}
+            homs.sort(key=lambda h: tuple(position[t][image] for t, pairs in h.maps
+                                          for _, image in pairs))
+        return homs
+
+
+def _components(s: FqlSchema, i: Instance) -> list[Instance]:
+    """The connected components of i as instances, in the order of their
+    first rows (types sorted, then rows), or [i] itself when it has at most
+    one.  Rows are joined by a foreign-key cell and by a labelled null they
+    share, bare or under builtins."""
     types = sorted(s.entity_types)
-    homs = [Homomorphism(
-        tuple((t, tuple((row, maps[t][row]) for row in i.rows(t)))
-              for t in types),
-        tuple(sorted(binding.items())))
-        for maps, binding in search_homs(s, i, j, max_nodes=HOM_SEARCH_NODES)]
-    if slot_order(s) != types:
-        position = {t: {row: k for k, row in enumerate(j.rows(t))} for t in types}
-        homs.sort(key=lambda h: tuple(position[t][image] for t, pairs in h.maps
-                                      for _, image in pairs))
-    return homs
+    parent: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def find(x: tuple[str, ...]) -> tuple[str, ...]:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    dom_of: dict[str, str] = {}
+    for op in s.entity_dom_ops():
+        dom, cod = s.sig.op_type(op)
+        assert isinstance(dom, Base) and isinstance(cod, Base)
+        dom_of[op] = dom.name
+        entity = cod.name in s.entity_types
+        for row, value in i.functions[op].items():
+            if entity:
+                other: tuple[str, ...] = (cod.name, value)
+            else:
+                while isinstance(value, OpApplied):
+                    value = value.arg
+                if not isinstance(value, LabelledNull):
+                    continue
+                other = (value.label,)  # one element: no row key
+            parent[find((dom.name, row))] = find(other)
+
+    groups: dict[tuple[str, ...], dict[str, list[str]]] = {}
+    for t in types:
+        for row in i.rows(t):
+            rows = groups.setdefault(find((t, row)), {u: [] for u in types})
+            rows[t].append(row)
+    if len(groups) <= 1:
+        return [i]
+    return [Instance.make(rows, {op: {row: i.functions[op][row]
+                                      for row in rows[dom_of[op]]}
+                                 for op in dom_of})
+            for rows in groups.values()]

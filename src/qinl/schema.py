@@ -543,6 +543,16 @@ class TooLarge(EngineError):
     pass
 
 
+class NodeBudget:
+    """Search nodes that hom searches share: once `limit` of them are
+    visited in all, the search that tries one more raises TooLarge.  A
+    limit of None never runs out."""
+
+    def __init__(self, limit: int | None):
+        self.limit = limit
+        self.left = -1 if limit is None else limit  # -1 never reaches 0
+
+
 def slot_order(s: FqlSchema) -> list[str]:
     """The entity types with each foreign key's source before its target,
     ties and cycles broken by name.  Assigning a source row forces the rows
@@ -562,7 +572,7 @@ def slot_order(s: FqlSchema) -> list[str]:
 
 
 def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
-                bijective: bool = False, max_nodes: int | None = None,
+                bijective: bool = False, budget: NodeBudget | None = None,
                 ) -> Iterator[tuple[dict[str, dict[str, str]], dict[str, Cell]]]:
     """Yield every homomorphism from i to j as carrier maps plus the binding
     of i's labelled nulls, in lexicographic order of the images of i's rows
@@ -577,8 +587,8 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
 
     The search backtracks over the rows of i.  Assigning a row forces the
     images of its foreign-key images and checks its other cells at once.
-    Each row tried for a slot is a search node; past `max_nodes` of them,
-    the search raises TooLarge.
+    Each row tried for a slot is a search node, spent from `budget`, which
+    several searches may share; past it, TooLarge is raised.
     """
     types = slot_order(s)
     if bijective and any(len(i.rows(t)) != len(j.rows(t)) for t in types):
@@ -668,17 +678,18 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     if not slots:
         yield maps, binding
         return
-    budget = -1 if max_nodes is None else max_nodes  # -1 never reaches 0
+    if budget is None:
+        budget = NodeBudget(None)
     stack = [(0, iter(j.rows(slots[0][0])), [])]
     while stack:
         k, candidates, trail = stack[-1]
         undo(trail)
         t, r = slots[k]
         for r2 in candidates:
-            if budget == 0:
+            if budget.left == 0:
                 raise TooLarge(
-                    f"homomorphism search exceeds {max_nodes} search nodes")
-            budget -= 1
+                    f"homomorphism search exceeds {budget.limit} search nodes")
+            budget.left -= 1
             if assign(t, r, r2, trail):
                 break
             undo(trail)

@@ -990,6 +990,7 @@ class Elaborated:
     exprs: dict[str, Term]
     diagnostics: list[Diagnostic]
     locs: dict[str, Loc]
+    failed: set[str]  # migrate declarations that failed, and their users
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
@@ -1004,7 +1005,7 @@ def elaborate(unit: SourceUnit, *, fuel: int = 32,
     executed so later declarations can reference their results; their
     failures (`MIGRATION_FAILURES`) are 'failure' diagnostics, while
     malformed declarations are 'error' diagnostics."""
-    out = Elaborated(unit, {}, {}, {}, {}, {}, {}, {}, {}, [], {})
+    out = Elaborated(unit, {}, {}, {}, {}, {}, {}, {}, {}, [], {}, set())
     for decl in unit.decls:
         kind = type(decl).__name__.removesuffix("Decl").lower()
         out.locs.setdefault(f"{kind}:{decl.name}", decl.loc)
@@ -1328,7 +1329,12 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
         return
     instance = out.instances.get(decl.instance_name)
     if instance is None:
-        err(decl.loc, f"unknown instance '{decl.instance_name}'")
+        if decl.instance_name in out.failed:
+            out.failed.add(decl.name)
+            failure(decl.loc, f"migrate '{decl.name}': migration "
+                              f"'{decl.instance_name}' failed")
+        else:
+            err(decl.loc, f"unknown instance '{decl.instance_name}'")
         return
     read, written = ends(decl.direction, *out.mapping_schemas[decl.mapping_name])
     on = out.instance_schema[decl.instance_name]
@@ -1341,6 +1347,7 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
         result = migrate(decl.direction, mapping, instance, fuel=fuel,
                          allow_unverified=allow_unverified)
     except MIGRATION_FAILURES as exc:
+        out.failed.add(decl.name)
         failure(decl.loc, f"migrate '{decl.name}': {exc}")
         return
     out.instances[decl.name] = result

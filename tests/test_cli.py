@@ -435,6 +435,21 @@ def test_a_migrate_declaration_fails_as_qinl_migrate_does(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_a_declaration_that_uses_a_failed_migration_fails(capsys, tmp_path):
+    """A `migrate` declaration of an instance whose migration failed fails
+    too (exit 1), naming that migration, and so does one that uses it in
+    turn; the name is not reported as an unknown instance (exit 2)."""
+    path = tmp_path / "uses_failed.qinl"
+    path.write_text(_UNSTATED_DELTA + "migrate k2 = sigma m k\n"
+                    "migrate k3 = delta m k2\n")
+    code, stdout, stderr = run(capsys, "check", str(path))
+    assert code == 1
+    assert stderr.splitlines()[1:] == [
+        f"{path}:6:1: failure: migrate 'k2': migration 'k' failed",
+        f"{path}:7:1: failure: migrate 'k3': migration 'k2' failed"]
+    assert stdout.endswith("result: failures\n")
+
+
 _MISTYPED_BUILTIN = """\
 schema S = {
   entities E;
@@ -680,15 +695,56 @@ def test_homs_identity_nonempty(capsys):
 
 
 def test_homs_oversized_exits_1(capsys, tmp_path):
+    """Ten rows whose key points at one hub are one component, whose search
+    passes 100,000 search nodes: exit 1 with or without --list."""
     rows = ", ".join(f"x{k}" for k in range(10))
     rows2 = ", ".join(f"y{k}" for k in range(10))
     f = tmp_path / "big.qinl"
-    f.write_text("schema S = { entities A; }\n"
-                 f"instance I : S = {{ A = {{ {rows} }}; }}\n"
-                 f"instance J : S = {{ A = {{ {rows2} }}; }}\n")
-    code, _, err = run(capsys, "homs", str(f), "I", "J")
-    assert code == 1
-    assert "exceeds" in err
+    f.write_text(
+        "schema S = { entities A; operations f : A -> A; }\n"
+        f"instance I : S = {{ A = {{ hub, {rows} }}; f = {{ hub -> hub, "
+        + ", ".join(f"x{k} -> hub" for k in range(10)) + " }; }\n"
+        f"instance J : S = {{ A = {{ {rows2} }}; f = {{ "
+        + ", ".join(f"y{k} -> y0" for k in range(10)) + " }; }\n")
+    for extra in ((), ("--list",)):
+        code, out, err = run(capsys, "homs", str(f), "I", "J", *extra)
+        assert (code, out) == (1, "")
+        assert err == (f"{f}: failure: homomorphism search exceeds 100000 "
+                       "search nodes\n")
+
+
+def _loops(name: str, count: int, prefix: str) -> str:
+    rows = [f"{prefix}{k}" for k in range(count)]
+    return (f"instance {name} : G = {{ V = {{ {', '.join(rows)} }}; "
+            f"next = {{ {', '.join(f'{r} -> {r}' for r in rows)} }}; }}\n")
+
+
+def test_homs_of_a_disconnected_source_count_past_the_search_guard(capsys,
+                                                                   tmp_path):
+    """Twenty disjoint loops into three loops are 3**20 homomorphisms,
+    counted with one three-node search per loop; listing them exits 1 with
+    the count.  64 isolated rows into two rows count 2**64, past what len()
+    can hold, with no traceback."""
+    f = tmp_path / "loops.qinl"
+    f.write_text("schema G = { entities V; operations next : V -> V; }\n"
+                 "schema S = { entities E; }\n"
+                 + _loops("twenty", 20, "a") + _loops("three", 3, "b")
+                 + "instance many : S = { E = { "
+                 + ", ".join(f"r{k}" for k in range(64)) + " }; }\n"
+                 "instance two : S = { E = { s0, s1 }; }\n")
+    code, out, err = run(capsys, "homs", str(f), "twenty", "three")
+    assert (code, out, err) == (
+        0, "3486784401 homomorphism(s) from twenty to three\n", "")
+    code, out, _ = run(capsys, "homs", str(f), "twenty", "three",
+                       "--format", "json")
+    assert (code, json.loads(out)["count"]) == (0, 3**20)
+    code, out, err = run(capsys, "homs", str(f), "twenty", "three", "--list")
+    assert (code, out) == (1, "")
+    assert err == (f"{f}: failure: 3486784401 homomorphisms are more than "
+                   "the 100000 that are listed\n")
+    code, out, err = run(capsys, "homs", str(f), "many", "two")
+    assert (code, out, err) == (
+        0, f"{2**64} homomorphism(s) from many to two\n", "")
 
 
 def test_homs_schema_mismatch_exits_2(capsys):

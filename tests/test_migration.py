@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -635,11 +636,47 @@ def test_operation_constrains_hom_count():
 
 
 def test_homs_guard_rejects_oversized():
+    """Ten isolated rows are ten components of one row each: 10 search
+    nodes apiece count 10**10 homomorphisms, which are too many to list.
+    Ten rows whose key points at one hub are one component, and its search
+    passes HOM_SEARCH_NODES before it has counted them."""
     s = entity_schema({"A"}, {})
     i = Instance.make({"A": [f"x{k}" for k in range(10)]}, {})
     j = Instance.make({"A": [f"y{k}" for k in range(10)]}, {})
-    with pytest.raises(TooLarge):
+    homs = enumerate_homs(s, i, j)
+    assert homs.size == len(homs) == 10**10
+    with pytest.raises(TooLarge, match="10000000000 homomorphisms"):
+        list(homs)
+    with pytest.raises(TooLarge, match="10000000000 homomorphisms"):
+        homs[0]
+
+    s = entity_schema({"A"}, {"f": ("A", "A")})
+    i = Instance.make({"A": ["hub", *i.rows("A")]},
+                      {"f": {r: "hub" for r in ["hub", *i.rows("A")]}})
+    j = Instance.make(j.carriers, {"f": {r: "y0" for r in j.rows("A")}})
+    with pytest.raises(TooLarge, match="exceeds 100000 search nodes"):
         enumerate_homs(s, i, j)
+
+
+def test_homs_components_share_one_search_budget():
+    """A star of five keys into a hub, mapped into seven rows whose key
+    points at y0, takes 19,614 search nodes: five disjoint stars stay
+    within HOM_SEARCH_NODES together, six pass it, though each star alone
+    is far below it."""
+    s = entity_schema({"A"}, {"f": ("A", "A")})
+
+    def stars(count: int) -> Instance:
+        keys = {}
+        for c in range(count):
+            keys[f"h{c}"] = f"h{c}"
+            keys.update((f"h{c}x{k}", f"h{c}") for k in range(5))
+        return Instance.make({"A": keys}, {"f": keys})
+
+    j = Instance.make({"A": [f"y{k}" for k in range(7)]},
+                      {"f": {f"y{k}": "y0" for k in range(7)}})
+    assert enumerate_homs(s, stars(5), j).size == (7**5) ** 5
+    with pytest.raises(TooLarge, match="exceeds 100000 search nodes"):
+        enumerate_homs(s, stars(6), j)
 
 
 def test_homs_guard_counts_search_nodes_not_the_function_space():
@@ -689,6 +726,22 @@ def test_homs_come_in_lexicographic_order_when_slots_are_reordered():
     assert found > 50
 
 
+def test_homs_of_interleaved_components_come_in_lexicographic_order():
+    """The components {a, c} and {b} interleave by name, so the product of
+    their homomorphisms, {a, c} first, is not in the documented order:
+    (a, c) = (p, p) with b = r comes after (p, q) with b = p."""
+    from oracles import brute_force_homs
+
+    s = entity_schema({"A"}, {"m": ("A", "A")})
+    i = Instance.make({"A": ["a", "b", "c"]}, {"m": {"a": "a", "b": "b", "c": "a"}})
+    j = Instance.make({"A": ["p", "q", "r"]}, {"m": {"p": "p", "q": "p", "r": "r"}})
+    homs = [[h.apply("A", r) for r in "abc"] for h in enumerate_homs(s, i, j)]
+    assert homs == [[maps["A"][r] for r in "abc"]
+                    for maps, _ in brute_force_homs(s, i, j)]
+    assert homs == [list("ppp"), list("ppq"), list("prp"), list("prq"),
+                    list("rpr"), list("rrr")]
+
+
 def test_homs_with_attribute_constants():
     src_sig = Signature.of({"A", "String"},
                            {"tag": (Base("A"), Base("String"))})
@@ -711,7 +764,7 @@ def test_homs_null_binds_consistently():
     j_same = Instance.make({"A": ["1"]}, {"t1": {"1": "v"}, "t2": {"1": "v"}})
     j_diff = Instance.make({"A": ["1"]}, {"t1": {"1": "v"}, "t2": {"1": "w"}})
     assert len(enumerate_homs(s, i, j_same)) == 1
-    assert enumerate_homs(s, i, j_diff) == []
+    assert list(enumerate_homs(s, i, j_diff)) == []
 
 
 def _hom_oracle_schema() -> FqlSchema:
@@ -802,6 +855,76 @@ def test_hom_search_matches_brute_force_oracle():
         found += bool(homs)
         isomorphic += iso is not None
     assert found > 100 and isomorphic > 50
+
+
+def _disjoint_union(s: FqlSchema, parts: list[Instance], rng) -> Instance:
+    """The union of instances with disjoint rows, its rows renamed in a
+    random order so that the parts interleave in each carrier."""
+    rows = {t: [r for part in parts for r in part.rows(t)] for t in ("A", "B")}
+    rename = {}
+    for t, names in rows.items():
+        rng.shuffle(names)
+        rename[t] = {r: f"u{t}{k}" for k, r in enumerate(names)}
+    functions = {}
+    for op in s.entity_dom_ops():
+        dom, cod = (t.name for t in s.sig.op_type(op))
+        functions[op] = {
+            rename[dom][r]: rename[cod][v] if cod in rename else v
+            for part in parts for r, v in part.functions[op].items()}
+    return Instance.make({t: rename[t].values() for t in rows}, functions)
+
+
+def _relabelled(part: Instance, suffix: str) -> Instance:
+    def cell(v):
+        if isinstance(v, LabelledNull):
+            return LabelledNull(v.label + suffix)
+        if isinstance(v, OpApplied):
+            return OpApplied(v.op, cell(v.arg))
+        return v
+
+    return Instance.make(part.carriers, {
+        op: {r: cell(v) for r, v in table.items()}
+        for op, table in part.functions.items()})
+
+
+def test_homs_out_of_a_disjoint_union_multiply():
+    """A source made of 2-4 small parts, their rows interleaved by name:
+    enumerate_homs lists the oracle's homomorphisms in the oracle's order,
+    and when the parts share no null its size is the product of the parts'
+    counts.  Parts hold symbolic cells and empty carriers; in a third of the
+    trials they keep their nulls, so a null shared by two parts joins them.
+    Most targets are an image of the parts, so that the counts are not 0."""
+    from oracles import brute_force_homs
+
+    s = _hom_oracle_schema()
+    rng = random.Random(1212)
+    products = shared = 0
+    for trial in range(120):
+        parts: list[Instance] = []
+        wanted = rng.randint(2, 4)
+        while len(parts) < wanted:
+            part = _random_oracle_instance(rng, f"p{len(parts)}")
+            if part.total_rows() + sum(p.total_rows() for p in parts) <= 6:
+                parts.append(part)
+        j = (_random_oracle_instance(rng, "j") if trial % 5 == 0 else
+             _renamed(s, _disjoint_union(s, parts, rng), rng,
+                      nulls_to_nulls=trial % 2 == 0))
+        disjoint = trial % 3 != 0
+        if disjoint:
+            parts = [_relabelled(part, f"p{k}") for k, part in enumerate(parts)]
+        i = _disjoint_union(s, parts, rng)
+        homs = enumerate_homs(s, i, j)
+        expected = brute_force_homs(s, i, j)
+        assert [({t: dict(pairs) for t, pairs in h.maps}, dict(h.null_map))
+                for h in homs] == expected
+        assert homs.size == len(expected)
+        if disjoint:
+            counts = [len(brute_force_homs(s, part, j)) for part in parts]
+            assert homs.size == math.prod(counts)
+            products += sum(c > 1 for c in counts) > 1
+        else:
+            shared += len(i.nulls()) < sum(len(part.nulls()) for part in parts)
+    assert products > 5 and shared > 10
 
 
 def test_homs_bind_bare_nulls_before_symbolic_cells():

@@ -374,8 +374,8 @@ def test_pi_along_a_renaming_visits_a_few_nodes_per_output_row(monkeypatch):
 
     cap = [0]
     real = qinl.migration.search_homs
-    monkeypatch.setattr(qinl.migration, "search_homs",
-                        lambda *args, **kw: real(*args, max_nodes=cap[0], **kw))
+    monkeypatch.setattr(qinl.migration, "search_homs", lambda *args, **kw: real(
+        *args, budget=qinl.schema.NodeBudget(cap[0]), **kw))
     schemas = """
 schema org = { entities Emp, Dept; attributes String;
   operations worksIn : Emp -> Dept, dname : Dept -> String; }

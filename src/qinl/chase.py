@@ -35,7 +35,8 @@ from .kernel import (
     format_term,
     infer_type,
 )
-from .schema import Cell, FqlSchema, Instance, LabelledNull, OpApplied, format_cell
+from .schema import (
+    Cell, FqlSchema, Instance, LabelledNull, OpApplied, format_cell, null_under)
 
 
 class FuelExhausted(EngineError):
@@ -147,14 +148,12 @@ def _apply_totality(graph: EGraph, s: FqlSchema, since: int) -> None:
     older than node `since` (where the previous pass began) already got its
     application nodes from that pass, and their keys are still canonical,
     so only younger roots are visited, in ascending order."""
-    younger: list[tuple[int, list[str]]] = []
-    for t in s.entity_types:
-        ops = s.ops_from(t)
-        roots = graph.classes_of_type(Base(t)) if ops else []
-        younger += ((root, ops) for root in roots[bisect_left(roots, since):])
-    for root, ops in sorted(younger):
-        for op in ops:
-            graph.add_node(("app", op, root))
+    younger: list[tuple[int, str]] = []
+    for op, (dom, _) in s.tables.items():
+        roots = graph.classes_of_type(Base(dom))
+        younger += ((root, op) for root in roots[bisect_left(roots, since):])
+    for root, op in sorted(younger):
+        graph.add_node(("app", op, root))
 
 
 def _entity_roots(graph: EGraph, s: FqlSchema) -> list[int]:
@@ -196,13 +195,11 @@ def materialize(graph: EGraph, s: FqlSchema
     roots = {row: root for root, row in row_of.items()}
     functions: dict[str, dict[str, Cell]] = {}
     cells: list[tuple[str, str, int]] = []
-    for op in s.entity_dom_ops():
-        dom, cod = s.sig.op_type(op)
+    for op, (dom, cod) in s.tables.items():
         table: dict[str, Cell] = {}
-        assert isinstance(dom, Base)
-        for row in sorted(carriers[dom.name]):
+        for row in sorted(carriers[dom]):
             result = graph.find(graph.add_node(("app", op, roots[row])))
-            if isinstance(cod, Base) and cod.name in s.entity_types:
+            if cod in s.entity_types:
                 table[row] = row_of[result]
                 continue
             cells.append((op, row, result))
@@ -267,8 +264,8 @@ def identities(s: FqlSchema, fuel: int) -> Callable[[Cell, Cell], bool]:
     proved: dict[tuple[Term, Term], bool] = {}
 
     def same(a: Cell, b: Cell) -> bool:
-        null = _null_under(a)
-        if null is None or null != _null_under(b):
+        null = null_under(a)
+        if null is None or null != null_under(b):
             return False
         (ea, ta), (eb, tb) = _form(s, a), _form(s, b)
         if (ea, eb) not in proved:
@@ -286,10 +283,3 @@ def _form(s: FqlSchema, v: Cell) -> tuple[Term, Base | None]:
         return Var("v"), None
     arg, t = _form(s, v.arg)
     return App(v.op, arg), t or s.sig.op_type(v.op)[0]
-
-
-def _null_under(v: Cell) -> LabelledNull | None:
-    """The null a value is computed from, or None for a constant."""
-    while isinstance(v, OpApplied):
-        v = v.arg
-    return v if isinstance(v, LabelledNull) else None

@@ -28,6 +28,7 @@ from .surface import (
     Diagnostic,
     Elaborated,
     ParseError,
+    Unresolved,
     elaborate,
     instance_to_decl,
     parse,
@@ -118,13 +119,6 @@ def _load(args: argparse.Namespace, clean: bool = True,
         _print_diagnostics(path, elab.errors())
         return config, None, ERRORS
     return config, elab, OK
-
-
-def _named(path: str, kind: str, name: str, table) -> bool:
-    """Whether `table` has `name`; if not, the error is printed."""
-    if name not in table:
-        print(f"{path}: error: no {kind} named '{name}'", file=sys.stderr)
-    return name in table
 
 
 def _print_diagnostics(path: str, diagnostics: list[Diagnostic]) -> None:
@@ -262,23 +256,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config, elab, code = _load(args)
     if elab is None:
         return code
-    if args.name is not None and not _named(args.file, "expression",
-                                            args.name, elab.exprs):
-        return ERRORS
-    names = list(elab.exprs) if args.name is None else [args.name]
+    exprs = elab.exprs if args.name is None else {
+        args.name: elab.resolve("expression", args.name)}
     registry = default_builtins()
     sig, ops = registry.signature(), registry.nrc_interpretations()
-    results = {}
-    for name in names:
-        value = nrc_eval(sig, elab.exprs[name], {}, ops)
-        results[name] = format_value(value)
+    results = {name: format_value(nrc_eval(sig, e, {}, ops))
+               for name, e in exprs.items()}
     if config.format == "json":
         payload = _envelope("eval", args.file, config, "ok")
         payload["results"] = results
         _emit_json(payload)
         return OK
-    for name in names:
-        print(f"{name} = {results[name]}")
+    for name, value in results.items():
+        print(f"{name} = {value}")
     return OK
 
 
@@ -289,9 +279,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     config, elab, code = _load(args)
     if elab is None:
         return code
-    if not (_named(args.file, "query", args.query, elab.queries)
-            and _named(args.file, "instance", args.instance, elab.instances)):
-        return ERRORS
+    query = elab.resolve("query", args.query)
+    instance = elab.resolve("instance", args.instance)
     schema_name = elab.query_schema[args.query]
     if elab.instance_schema[args.instance] != schema_name:
         print(f"{args.file}: error: query '{args.query}' is over "
@@ -299,8 +288,7 @@ def cmd_query(args: argparse.Namespace) -> int:
               f"'{elab.instance_schema[args.instance]}'", file=sys.stderr)
         return ERRORS
     schema = elab.schemas[schema_name]
-    result = eval_query(schema, elab.instances[args.instance],
-                        elab.queries[args.query])
+    result = eval_query(schema, instance, query)
     if config.format == "json":
         payload = _envelope("query", args.file, config, "ok")
         payload["query"] = args.query
@@ -324,9 +312,8 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     config, elab, code = _load(args)
     if elab is None:
         return code
-    if not (_named(args.file, "mapping", args.mapping, elab.mappings)
-            and _named(args.file, "instance", args.instance, elab.instances)):
-        return ERRORS
+    mapping = elab.resolve("mapping", args.mapping)
+    instance = elab.resolve("instance", args.instance)
     read, result_schema = ends(args.direction, *elab.mapping_schemas[args.mapping])
     on = elab.instance_schema[args.instance]
     if on != read:
@@ -335,8 +322,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return ERRORS
     try:
-        result = migrate(args.direction, elab.mappings[args.mapping],
-                         elab.instances[args.instance], fuel=config.fuel,
+        result = migrate(args.direction, mapping, instance, fuel=config.fuel,
                          allow_unverified=config.allow_unverified)
     except MIGRATION_FAILURES as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
@@ -372,9 +358,8 @@ def cmd_homs(args: argparse.Namespace) -> int:
     config, elab, code = _load(args)
     if elab is None:
         return code
-    if not all(_named(args.file, "instance", name, elab.instances)
-               for name in (args.instance_a, args.instance_b)):
-        return ERRORS
+    source = elab.resolve("instance", args.instance_a)
+    target = elab.resolve("instance", args.instance_b)
     schema_a = elab.instance_schema[args.instance_a]
     schema_b = elab.instance_schema[args.instance_b]
     if schema_a != schema_b:
@@ -383,8 +368,7 @@ def cmd_homs(args: argparse.Namespace) -> int:
         return ERRORS
     schema = elab.schemas[schema_a]
     try:
-        homs = enumerate_homs(schema, elab.instances[args.instance_a],
-                              elab.instances[args.instance_b])
+        homs = enumerate_homs(schema, source, target)
         listed = [_render_hom(h) for h in homs] if args.list else []
     except TooLarge as exc:
         print(f"{args.file}: failure: {exc}", file=sys.stderr)
@@ -490,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
+    except Unresolved as exc:
+        print(f"{args.file}: {exc.severity}: {exc}", file=sys.stderr)
+        return FAILURES if exc.severity == "failure" else ERRORS
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERRORS

@@ -60,11 +60,11 @@ class SchemaMapping:
             if a not in tgt.attribute_types:
                 problems.append(
                     f"attribute type '{a}' is fixed but absent from the target")
-        for op in src.entity_dom_ops():
+        for op in src.tables:
             if op not in self.op_map:
                 problems.append(f"no image for operation '{op}'")
         for op in sorted(self.op_map):
-            if op not in src.entity_dom_ops():
+            if op not in src.tables:
                 problems.append(
                     f"operation map mentions '{op}', which is not a "
                     f"source operation with entity domain")
@@ -75,7 +75,7 @@ class SchemaMapping:
                     f"in the target")
         if problems:
             return problems
-        for op in src.entity_dom_ops():
+        for op in src.tables:
             dom, cod = src.sig.op_type(op)
             var, body = self.op_map[op]
             try:
@@ -186,7 +186,7 @@ def identity_mapping(s: FqlSchema) -> SchemaMapping:
         source=s,
         target=s,
         type_map={t: t for t in sorted(s.entity_types)},
-        op_map={op: ("x", App(op, Var("x"))) for op in s.entity_dom_ops()},
+        op_map={op: ("x", App(op, Var("x"))) for op in s.tables},
     )
 
 
@@ -196,9 +196,8 @@ def compose(outer: SchemaMapping, inner: SchemaMapping) -> SchemaMapping:
     type_map = {t: apply_to_type(outer, apply_to_type(inner, Base(t))).name
                 for t in sorted(inner.source.entity_types)}
     op_map = {}
-    for op in inner.source.entity_dom_ops():
+    for op, (dom, _) in inner.source.tables.items():
         var, body = inner.op_map[op]
-        dom = inner.source.sig.op_type(op)[0]
-        ctx = Context.of((var, apply_to_type(inner, dom)))
+        ctx = Context.of((var, apply_to_type(inner, Base(dom))))
         op_map[op] = (var, apply_to_term(outer, ctx, body))
     return SchemaMapping(inner.source, outer.target, type_map, op_map)

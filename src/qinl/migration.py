@@ -27,14 +27,7 @@ from .chase import (
     saturate,
 )
 from .equality import IllTyped, InconsistentConstants, Proved
-from .kernel import (
-    App,
-    Base,
-    EngineError,
-    Lit,
-    Term,
-    Var,
-)
+from .kernel import App, EngineError, Lit, Term, Var
 from .mapping import SchemaMapping, check_preservation
 from .schema import (
     Cell,
@@ -46,6 +39,7 @@ from .schema import (
     OpApplied,
     TooLarge,
     eval_term,
+    null_under,
     search_homs,
     slot_order,
     unstated_builtin,
@@ -122,13 +116,11 @@ def _pull(mapping: SchemaMapping, j: Instance) -> Instance:
     src = mapping.source
     carriers = {t: j.rows(mapping.type_map[t]) for t in sorted(src.entity_types)}
     functions: dict[str, dict[str, Cell]] = {}
-    for op in src.entity_dom_ops():
-        dom = src.sig.op_type(op)[0]
-        assert isinstance(dom, Base)
+    for op, (dom, _) in src.tables.items():
         var, body = mapping.op_map[op]
         functions[op] = {
             row: eval_term(mapping.target, j, {var: row}, body)
-            for row in carriers[dom.name]}
+            for row in carriers[dom]}
     return Instance.make(carriers, functions)
 
 
@@ -184,14 +176,12 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
 
     seed_var = {key: Var(name) for key, name in seed_name.items()}
     seeds: dict[str, list[tuple[str, Term]]] = {}
-    for op in src.entity_dom_ops():
-        dom, cod = src.sig.op_type(op)
-        assert isinstance(dom, Base) and isinstance(cod, Base)
-        table, entity = i.functions[op], cod.name in src.entity_types
-        seeds[op] = [(seed_name[(dom.name, row)],
-                      seed_var[(cod.name, table[row])] if entity
-                      else cell_term(table[row], cod.name))
-                     for row in i.rows(dom.name)]
+    for op, (dom, cod) in src.tables.items():
+        table, entity = i.functions[op], cod in src.entity_types
+        seeds[op] = [(seed_name[(dom, row)],
+                      seed_var[(cod, table[row])] if entity
+                      else cell_term(table[row], cod))
+                     for row in i.rows(dom)]
     return initial_model(mapping.target, generators, seeds, fuel, mapping.op_map)
 
 
@@ -234,16 +224,14 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     nulls: dict[tuple[str, str, str], LabelledNull] = {}
     first = max((int(null.label) + 1 for null in i.nulls()
                  if null.label.isdecimal()), default=0)
-    for op in tgt.entity_dom_ops():
-        dom, cod = tgt.sig.op_type(op)
-        assert isinstance(dom, Base) and isinstance(cod, Base)
-        limit = limits[dom.name]
+    for op, (dom, cod) in tgt.tables.items():
+        limit = limits[dom]
         table: dict[str, Cell] = {}
-        if cod.name in tgt.entity_types:
-            image = limits[cod.name]
+        if cod in tgt.entity_types:
+            image = limits[cod]
             start = limit.rep.functions[op]["x"]
             along = next(maps for maps, _ in search_homs(tgt, image.rep, limit.rep)
-                         if maps[cod.name]["x"] == start)
+                         if maps[cod]["x"] == start)
             positions = [limit.slots.index((s, along[mapping.type_map[s]][row]))
                          for s, row in image.slots]
             for key, name in limit.names.items():
@@ -255,7 +243,7 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
                 table[name] = image.names[moved]
         else:
             for name in sorted(limit.names.values()):
-                table[name] = _restate(limit.values[name][op], (dom.name, name),
+                table[name] = _restate(limit.values[name][op], (dom, name),
                                        nulls, first)
         functions[op] = table
     return Instance.make(carriers, functions)
@@ -451,22 +439,15 @@ def _components(s: FqlSchema, i: Instance) -> list[Instance]:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    dom_of: dict[str, str] = {}
-    for op in s.entity_dom_ops():
-        dom, cod = s.sig.op_type(op)
-        assert isinstance(dom, Base) and isinstance(cod, Base)
-        dom_of[op] = dom.name
-        entity = cod.name in s.entity_types
+    for op, (dom, cod) in s.tables.items():
         for row, value in i.functions[op].items():
-            if entity:
-                other: tuple[str, ...] = (cod.name, value)
+            if cod in s.entity_types:
+                other: tuple[str, ...] = (cod, value)
+            elif (null := null_under(value)) is not None:
+                other = (null.label,)  # one element: no row key
             else:
-                while isinstance(value, OpApplied):
-                    value = value.arg
-                if not isinstance(value, LabelledNull):
-                    continue
-                other = (value.label,)  # one element: no row key
-            parent[find((dom.name, row))] = find(other)
+                continue
+            parent[find((dom, row))] = find(other)
 
     groups: dict[tuple[str, ...], dict[str, list[str]]] = {}
     for t in types:
@@ -476,6 +457,6 @@ def _components(s: FqlSchema, i: Instance) -> list[Instance]:
     if len(groups) <= 1:
         return [i]
     return [Instance.make(rows, {op: {row: i.functions[op][row]
-                                      for row in rows[dom_of[op]]}
-                                 for op in dom_of})
+                                      for row in rows[dom]}
+                                 for op, (dom, _) in s.tables.items()})
             for rows in groups.values()]

@@ -8,6 +8,7 @@ import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .equality import Theory
@@ -26,6 +27,7 @@ from .kernel import (
     UNIT,
     UnboundVariable,
     UnitTerm,
+    UnknownOperation,
     Var,
     format_literal,
     format_type,
@@ -202,32 +204,25 @@ class FqlSchema:
     def sig(self) -> Signature:
         return self.theory.sig
 
-    def classify_op(self, name: str) -> str:
-        dom, cod = self.sig.op_type(name)
-        if _base_name(dom) in self.entity_types:
-            return "fk" if _base_name(cod) in self.entity_types else "attribute"
-        return "builtin"
-
-    def entity_dom_ops(self) -> list[str]:
-        """Operations stored as tables: domain is an entity type."""
-        return sorted(
-            name for name, (dom, _) in self.sig.operations.items()
-            if _base_name(dom) in self.entity_types)
+    @cached_property
+    def tables(self) -> dict[str, tuple[str, str]]:
+        """The operations stored as tables, those whose domain is an entity
+        type, in name order, each with the names of its domain and
+        codomain.  The others are builtins."""
+        tables = {}
+        for name, (dom, cod) in sorted(self.sig.operations.items()):
+            if isinstance(dom, Base) and dom.name in self.entity_types:
+                assert isinstance(cod, Base), "validate() rejects this schema"
+                tables[name] = (dom.name, cod.name)
+        return tables
 
     def builtin_op_names(self) -> list[str]:
-        return sorted(
-            name for name, (dom, _) in self.sig.operations.items()
-            if _base_name(dom) in self.attribute_types)
+        return sorted(name for name in self.sig.operations if name not in self.tables)
 
     def builtin_ops(self) -> dict[str, Callable[[object], object]]:
         """The registered semantics of this schema's builtin operations."""
         return {name: self.builtins.ops[name].fn for name in self.builtin_op_names()
                 if name in self.builtins.ops}
-
-    def ops_from(self, entity: str) -> list[str]:
-        return sorted(
-            name for name, (dom, _) in self.sig.operations.items()
-            if dom == Base(entity))
 
     def validate(self) -> list[str]:
         """Structural problems only; equation well-formedness is reported
@@ -270,10 +265,6 @@ class FqlSchema:
         return problems
 
 
-def _base_name(t: TypeExpr) -> str | None:
-    return t.name if isinstance(t, Base) else None
-
-
 # --------------------------------------------------------------------------
 # Instances
 
@@ -305,17 +296,18 @@ class Instance:
         seen = {}
         for op in sorted(self.functions):
             for row in sorted(self.functions[op]):
-                v = self.functions[op][row]
-                for null in _nulls_in(v):
+                null = null_under(self.functions[op][row])
+                if null is not None:
                     seen.setdefault(null.label, null)
         return [seen[k] for k in sorted(seen)]
 
 
-def _nulls_in(v: Cell) -> Iterable[LabelledNull]:
-    if isinstance(v, LabelledNull):
-        yield v
-    elif isinstance(v, OpApplied):
-        yield from _nulls_in(v.arg)
+def null_under(v: Cell) -> LabelledNull | None:
+    """The labelled null a cell is computed from, bare or under builtins
+    (`length(?0)`), or None for any other cell."""
+    while isinstance(v, OpApplied):
+        v = v.arg
+    return v if isinstance(v, LabelledNull) else None
 
 
 def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
@@ -326,19 +318,17 @@ def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
     for t in sorted(i.carriers):
         if t not in s.entity_types:
             problems.append(f"carrier for non-entity type '{t}'")
-    expected_ops = s.entity_dom_ops()
-    for op in expected_ops:
+    for op in s.tables:
         if op not in i.functions:
             problems.append(f"no function table for operation '{op}'")
     for op in sorted(i.functions):
-        if op not in expected_ops:
+        if op not in s.tables:
             problems.append(f"function table for unknown or builtin operation '{op}'")
-    for op in expected_ops:
+    for op, (dom, cod) in s.tables.items():
         if op not in i.functions:
             continue
-        dom, cod = s.sig.op_type(op)
         table = i.functions[op]
-        dom_rows = i.rows(_base_name(dom))
+        dom_rows = i.rows(dom)
         for row in dom_rows:
             if row not in table:
                 problems.append(f"partial function '{op}': no entry for '{row}'")
@@ -346,14 +336,13 @@ def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
         for row in sorted(table):
             if row not in dom_set:
                 problems.append(f"table '{op}' has entry for unknown row '{row}'")
-        cod_name = _base_name(cod)
-        if cod_name in s.entity_types:
-            cod_rows = set(i.rows(cod_name))
+        if cod in s.entity_types:
+            cod_rows = set(i.rows(cod))
             for row in sorted(table):
                 if table[row] not in cod_rows:
                     problems.append(
                         f"table '{op}' sends '{row}' outside the "
-                        f"'{cod_name}' carrier: {render_cell(table[row])}")
+                        f"'{cod}' carrier: {render_cell(table[row])}")
         else:
             for row in sorted(table):
                 v = table[row]
@@ -362,10 +351,10 @@ def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
                     if problem is not None:
                         problems.append(f"symbolic cell {problem}")
                     continue
-                if not s.builtins.in_carrier(cod_name, v):
+                if not s.builtins.in_carrier(cod, v):
                     problems.append(
                         f"ill-typed cell {op}({row}) = {render_cell(v)}: "
-                        f"not a {cod_name}")
+                        f"not a {cod}")
     return problems
 
 
@@ -373,16 +362,16 @@ def unstated_builtin(s: FqlSchema, op: str, row: str, v: Cell) -> str | None:
     """Why instance text of `s` cannot state `v` as the cell op(row): a
     symbolic cell applies only builtins `s` declares, each at the type it
     gives.  None when it can, and for every cell that is not symbolic."""
-    cod, inner = _base_name(s.sig.op_type(op)[1]), v
+    cod, inner = Base(s.tables[op][1]), v
     while isinstance(inner, OpApplied):
-        if inner.op not in s.sig.operations or s.classify_op(inner.op) != "builtin":
+        if inner.op not in s.sig.operations or inner.op in s.tables:
             problem = f"'{inner.op}' is not a builtin operation of the schema"
             break
         dom, op_cod = s.sig.op_type(inner.op)
-        if _base_name(op_cod) != cod:
-            problem = f"'{inner.op}' gives {format_type(op_cod)}, not {cod}"
+        if op_cod != cod:
+            problem = f"'{inner.op}' gives {format_type(op_cod)}, not {cod.name}"
             break
-        cod, inner = _base_name(dom), inner.arg
+        cod, inner = dom, inner.arg
     else:
         return None
     return f"{op}({row}) = {render_cell(v)}: {problem}"
@@ -414,7 +403,9 @@ def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Ce
         return v[1]
     if isinstance(e, App):
         arg = eval_term(s, i, env, e.arg)
-        if s.classify_op(e.op) == "builtin":
+        if e.op not in s.tables:
+            if e.op not in s.sig.operations:
+                raise UnknownOperation(e.op)
             return s.builtins.apply(e.op, arg)
         table = i.functions.get(e.op)
         if table is None or arg not in table:
@@ -520,9 +511,8 @@ def _attribute_domain(s: FqlSchema, i: Instance, base: str,
         if not isinstance(v, (LabelledNull, OpApplied)):
             active.setdefault(cell_key(v), v)
 
-    for op in s.entity_dom_ops():
-        cod = s.sig.op_type(op)[1]
-        if _base_name(cod) == base:
+    for op, (_, cod) in s.tables.items():
+        if cod == base:
             for v in i.functions.get(op, {}).values():
                 put(v)
     for eq in s.theory.equations:
@@ -558,8 +548,7 @@ def slot_order(s: FqlSchema) -> list[str]:
     ties and cycles broken by name.  Assigning a source row forces the rows
     its keys point to, so targets are mostly filled before their turn."""
     sources: dict[str, set[str]] = {t: set() for t in s.entity_types}
-    for op in s.entity_dom_ops():
-        dom, cod = (_base_name(x) for x in s.sig.op_type(op))
+    for dom, cod in s.tables.values():
         if cod in s.entity_types and cod != dom:
             sources[cod].add(dom)
     order: list[str] = []
@@ -597,8 +586,7 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     fks: dict[str, list[tuple[str, str]]] = {t: [] for t in types}
     attrs: dict[str, list[str]] = {t: [] for t in types}
     symbolic = []  # cells of i matched once all rows are assigned
-    for op in s.entity_dom_ops():
-        dom, cod = (_base_name(x) for x in s.sig.op_type(op))
+    for op, (dom, cod) in s.tables.items():
         if cod in s.entity_types:
             fks[dom].append((op, cod))
             continue

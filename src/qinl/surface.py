@@ -904,20 +904,13 @@ def _print_schema(decl: SchemaDecl) -> str:
             for op in decl.operations)
         sections.append(f"  operations\n{ops};")
     if decl.equations:
-        eqs = "\n".join(f"    {_print_equation(eq)};" for eq in decl.equations)
+        eqs = "\n".join(f"    {Equation(Context(eq.ctx), eq.lhs, eq.rhs).render()};"
+                        for eq in decl.equations)
         sections.append(f"  equations\n{eqs}")
     if not sections:
         return f"schema {decl.name} = {{ }}"
     body = "\n".join(sections)
     return f"schema {decl.name} = {{\n{body}\n}}"
-
-
-def _print_equation(eq: EquationDecl) -> str:
-    prefix = ""
-    if eq.ctx:
-        binder = ", ".join(f"{v}: {format_type(t)}" for v, t in eq.ctx)
-        prefix = f"forall {binder} . "
-    return f"{prefix}{format_term(eq.lhs)} = {format_term(eq.rhs)}"
 
 
 def _print_instance(decl: InstanceDecl) -> str:
@@ -977,6 +970,15 @@ class Diagnostic:
         return f"{filename}:{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
+class Unresolved(EngineError):
+    """A name that denotes nothing of the kind sought: an "error", or a
+    "failure" when it names the result of a failed `migrate` declaration."""
+
+    def __init__(self, message: str, severity: str = "error"):
+        super().__init__(message)
+        self.severity = severity
+
+
 @dataclass
 class Elaborated:
     unit: SourceUnit
@@ -991,6 +993,18 @@ class Elaborated:
     diagnostics: list[Diagnostic]
     locs: dict[str, Loc]
     failed: set[str]  # migrate declarations that failed, and their users
+
+    def resolve(self, kind: str, name: str):
+        """What `name` denotes as a "schema", "instance", "mapping", "query"
+        or "expression"; Unresolved when it denotes none."""
+        table = {"schema": self.schemas, "instance": self.instances,
+                 "mapping": self.mappings, "query": self.queries,
+                 "expression": self.exprs}[kind]
+        if name in table:
+            return table[name]
+        if kind == "instance" and name in self.failed:
+            raise Unresolved(f"migration '{name}' failed", "failure")
+        raise Unresolved(f"unknown {kind} '{name}'")
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
@@ -1073,10 +1087,7 @@ def _elab_schema(decl: SchemaDecl, out: Elaborated, err) -> None:
 def _elab_instance(decl: InstanceDecl, out: Elaborated, err) -> None:
     if not _check_fresh(decl.name, out.instances, decl.loc, "instance", err):
         return
-    schema = out.schemas.get(decl.schema_name)
-    if schema is None:
-        err(decl.loc, f"unknown schema '{decl.schema_name}'")
-        return
+    schema = out.resolve("schema", decl.schema_name)
     carriers: dict[str, list[str]] = {}
     functions: dict[str, dict[str, object]] = {}
     seen: set[str] = set()
@@ -1090,14 +1101,13 @@ def _elab_instance(decl: InstanceDecl, out: Elaborated, err) -> None:
         try:
             if item.name in schema.entity_types:
                 carriers[item.name] = _carrier(item)
-            elif item.name in schema.sig.operations:
-                if schema.classify_op(item.name) == "builtin":
-                    err(item.loc,
-                        f"operation '{item.name}' is builtin; its semantics "
-                        f"are registered, not tabulated")
-                    ok = False
-                    continue
+            elif item.name in schema.tables:
                 functions[item.name] = _table(schema, item)
+            elif item.name in schema.sig.operations:
+                err(item.loc,
+                    f"operation '{item.name}' is builtin; its semantics "
+                    f"are registered, not tabulated")
+                ok = False
             else:
                 err(item.loc,
                     f"'{item.name}' is neither an entity type nor an "
@@ -1190,8 +1200,8 @@ def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
     """The function table of operation `item.name`, read entry by entry so
     that an error names the first failing entry and check.  A row given two
     different values is an error; a repeated entry is not."""
-    cod = schema.sig.op_type(item.name)[1]
-    show = _row_text if cod.name in schema.entity_types else format_cell
+    cod = schema.tables[item.name][1]
+    show = _row_text if cod in schema.entity_types else format_cell
     table: dict[str, object] = {}
     for index, (key, value) in enumerate(item.entries):
         if value is None:
@@ -1213,14 +1223,13 @@ def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
     return table
 
 
-def _cell(schema: FqlSchema, cod: TypeExpr, text: str, depth: int = 0):
-    """The cell a value text gives an operation into `cod`: a row id, a
-    literal in the carrier, a null, or a builtin application of a null."""
-    assert isinstance(cod, Base)
-    if cod.name in schema.entity_types:
+def _cell(schema: FqlSchema, cod: str, text: str, depth: int = 0):
+    """The cell a value text gives an operation into type `cod`: a row id,
+    a literal in the carrier, a null, or a builtin application of a null."""
+    if cod in schema.entity_types:
         row = _row_id(text)
         if row is None:
-            raise _BadEntry(f"row id of type {cod.name} expected", depth)
+            raise _BadEntry(f"row id of type {cod} expected", depth)
         return row
     kind = _kind(text)
     if kind == "null":
@@ -1232,41 +1241,35 @@ def _cell(schema: FqlSchema, cod: TypeExpr, text: str, depth: int = 0):
     elif kind == "bool":
         value = text == "true"
     elif kind == "row":
-        raise _BadEntry(f"'{text}' is not a {cod.name} literal", depth)
+        raise _BadEntry(f"'{text}' is not a {cod} literal", depth)
     else:
         value = int(text)
-    if not schema.builtins.in_carrier(cod.name, value):
-        raise _BadEntry(f"literal {format_literal(value)} is not a {cod.name}",
-                        depth)
+    if not schema.builtins.in_carrier(cod, value):
+        raise _BadEntry(f"literal {format_literal(value)} is not a {cod}", depth)
     return value
 
 
-def _application(schema: FqlSchema, cod: Base, text: str, depth: int):
+def _application(schema: FqlSchema, cod: str, text: str, depth: int):
     """A builtin of the schema applied to a null or to another such
-    application, giving `cod`."""
+    application, giving type `cod`."""
     op, arg = text[:-1].split("(", 1)
-    if op not in schema.sig.operations or schema.classify_op(op) != "builtin":
+    if op not in schema.sig.operations or op in schema.tables:
         raise _BadEntry(f"'{op}' is not a builtin operation of the schema",
                         depth)
     dom, op_cod = schema.sig.op_type(op)
-    if op_cod != cod:
-        raise _BadEntry(f"'{op}' gives {format_type(op_cod)}, not {cod.name}",
-                        depth)
+    if op_cod != Base(cod):
+        raise _BadEntry(f"'{op}' gives {format_type(op_cod)}, not {cod}", depth)
     if _kind(arg) not in ("null", "app"):
         raise _BadEntry(f"the argument of '{op}' must be a null or a builtin "
                         f"application of one", depth + 1)
-    return OpApplied(op, _cell(schema, dom, arg, depth + 1))
+    return OpApplied(op, _cell(schema, dom.name, arg, depth + 1))
 
 
 def _elab_mapping(decl: MappingDecl, out: Elaborated, err) -> None:
     if not _check_fresh(decl.name, out.mappings, decl.loc, "mapping", err):
         return
-    source = out.schemas.get(decl.source_name)
-    target = out.schemas.get(decl.target_name)
-    if source is None or target is None:
-        missing = decl.source_name if source is None else decl.target_name
-        err(decl.loc, f"unknown schema '{missing}'")
-        return
+    source = out.resolve("schema", decl.source_name)
+    target = out.resolve("schema", decl.target_name)
     type_map: dict[str, str] = {}
     for entry in decl.type_entries:
         if entry.source in type_map:
@@ -1291,10 +1294,7 @@ def _elab_mapping(decl: MappingDecl, out: Elaborated, err) -> None:
 def _elab_query(decl: QueryDecl, out: Elaborated, err) -> None:
     if not _check_fresh(decl.name, out.queries, decl.loc, "query", err):
         return
-    schema = out.schemas.get(decl.schema_name)
-    if schema is None:
-        err(decl.loc, f"unknown schema '{decl.schema_name}'")
-        return
+    schema = out.resolve("schema", decl.schema_name)
     query = Comprehension(
         tuple((b.var, b.entity) for b in decl.bindings),
         tuple((w.lhs, w.rhs) for w in decl.wheres),
@@ -1323,18 +1323,14 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
                   fuel: int, allow_unverified: bool) -> None:
     if not _check_fresh(decl.name, out.instances, decl.loc, "instance", err):
         return
-    mapping = out.mappings.get(decl.mapping_name)
-    if mapping is None:
-        err(decl.loc, f"unknown mapping '{decl.mapping_name}'")
-        return
-    instance = out.instances.get(decl.instance_name)
-    if instance is None:
-        if decl.instance_name in out.failed:
-            out.failed.add(decl.name)
-            failure(decl.loc, f"migrate '{decl.name}': migration "
-                              f"'{decl.instance_name}' failed")
-        else:
-            err(decl.loc, f"unknown instance '{decl.instance_name}'")
+    mapping = out.resolve("mapping", decl.mapping_name)
+    try:
+        instance = out.resolve("instance", decl.instance_name)
+    except Unresolved as exc:
+        if exc.severity == "error":
+            raise
+        out.failed.add(decl.name)
+        failure(decl.loc, f"migrate '{decl.name}': {exc}")
         return
     read, written = ends(decl.direction, *out.mapping_schemas[decl.mapping_name])
     on = out.instance_schema[decl.instance_name]
@@ -1382,13 +1378,11 @@ def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
     for t in sorted(schema.entity_types):
         entries = tuple((row_text(row), None) for row in instance.rows(t))
         items.append(InstanceItem(t, entries))
-    for op in schema.entity_dom_ops():
-        cod = schema.sig.op_type(op)[1]
-        assert isinstance(cod, Base)
+    for op, (_, cod) in schema.tables.items():
         table = instance.functions.get(op, {})
         rows = sorted(table)
         cells = [table[row] for row in rows]
-        if cod.name in schema.entity_types:
+        if cod in schema.entity_types:
             texts = list(map(row_text, cells))
         else:
             column = {cell: format_cell(cell) for cell in set(cells)}

@@ -430,7 +430,7 @@ def brute_force_iso(s, i, j) -> bool:
 
 
 def _fks_commute(s, i, j, maps) -> bool:
-    for op in s.entity_dom_ops():
+    for op in s.tables:
         dom, cod = s.sig.op_type(op)
         if cod.name in s.entity_types:
             for row in i.rows(dom.name):
@@ -442,7 +442,7 @@ def _fks_commute(s, i, j, maps) -> bool:
 
 def _attribute_binding(s, i, j, maps, bijective: bool):
     pairs = []
-    for op in s.entity_dom_ops():
+    for op in s.tables:
         dom, cod = s.sig.op_type(op)
         if cod.name not in s.entity_types:
             pairs += [(i.functions[op][row], j.functions[op][maps[dom.name][row]])
@@ -998,7 +998,7 @@ def _elab_instance_by_cells(decl, out: Elaborated, err) -> None:
                 rows.append(str(key.value))
             carriers[item.name] = rows
         elif item.name in schema.sig.operations:
-            if schema.classify_op(item.name) == "builtin":
+            if item.name not in schema.tables:
                 err(item.loc,
                     f"operation '{item.name}' is builtin; its semantics are "
                     f"registered, not tabulated")
@@ -1067,7 +1067,7 @@ def _resolve_cell(schema, cod, value: RawValue, err):
 
 def _resolve_application(schema, cod, value: RawValue, err):
     op, arg = value.value
-    if op not in schema.sig.operations or schema.classify_op(op) != "builtin":
+    if op not in schema.sig.operations or op in schema.tables:
         err(value.loc, f"'{op}' is not a builtin operation of the schema")
         return _BAD
     dom, op_cod = schema.sig.op_type(op)

@@ -200,9 +200,9 @@ def _target_chains(tgt, start: str, goal: str):
         for term, t in frontier:
             if t == goal:
                 chains.append(term)
-            for op in tgt.ops_from(t):
-                cod = tgt.sig.op_type(op)[1].name
-                nxt.append((App(op, term), cod))
+            for op, (dom, cod) in tgt.tables.items():
+                if dom == t:
+                    nxt.append((App(op, term), cod))
         frontier = nxt
     chains.extend(term for term, t in frontier if t == goal)
     return chains
@@ -212,7 +212,7 @@ def _random_instance(rng: random.Random, s) -> Instance:
     carriers = {t: [f"{t.lower()}{k}" for k in range(rng.randint(0, 3))]
                 for t in sorted(s.entity_types)}
     functions = {}
-    for op in s.entity_dom_ops():
+    for op in s.tables:
         dom, cod = s.sig.op_type(op)
         rows = carriers[dom.name]
         cod_rows = carriers[cod.name]

@@ -450,6 +450,22 @@ def test_a_declaration_that_uses_a_failed_migration_fails(capsys, tmp_path):
     assert stdout.endswith("result: failures\n")
 
 
+def test_a_command_that_names_a_failed_migration_fails(capsys, tmp_path):
+    """A command argument that names the result of a failed `migrate`
+    declaration fails (exit 1) naming that migration, and `migrate` writes
+    no output; a name declared nowhere is still an error (exit 2)."""
+    path = tmp_path / "unstated.qinl"
+    path.write_text(_UNSTATED_DELTA)
+    failed = (1, "", f"{path}: failure: migration 'k' failed\n")
+    assert run(capsys, "homs", str(path), "k", "k") == failed
+    out = tmp_path / "o.qinl"
+    assert run(capsys, "migrate", str(path), "sigma", "m", "k",
+               "--out", str(out)) == failed
+    assert not out.exists()
+    assert run(capsys, "homs", str(path), "zz", "j") == (
+        2, "", f"{path}: error: unknown instance 'zz'\n")
+
+
 _MISTYPED_BUILTIN = """\
 schema S = {
   entities E;

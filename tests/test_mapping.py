@@ -237,7 +237,7 @@ def test_preservation_agrees_with_translated_terms():
                            company.attribute_types)
         mapping = SchemaMapping(source, company, {"Emp": "Emp", "Dept": "Dept"}, {
             op: ("y", _random_image(rng, sig, sig.op_type(op)[1], 3))
-            for op in source.entity_dom_ops()})
+            for op in source.tables})
         assert mapping.validate() == []
         for eq, verdict in check_preservation(mapping, fuel=4):
             want = _reference(mapping, eq, 4)

@@ -820,8 +820,7 @@ def _renamed(s: FqlSchema, i: Instance, rng, nulls_to_nulls: bool) -> Instance:
         return v
 
     functions = {}
-    for op in s.entity_dom_ops():
-        dom, cod = (t.name for t in s.sig.op_type(op))
+    for op, (dom, cod) in s.tables.items():
         functions[op] = {
             rename[dom][r]: rename[cod][v] if cod in rename else cell(v)
             for r, v in i.functions[op].items()}
@@ -866,8 +865,7 @@ def _disjoint_union(s: FqlSchema, parts: list[Instance], rng) -> Instance:
         rng.shuffle(names)
         rename[t] = {r: f"u{t}{k}" for k, r in enumerate(names)}
     functions = {}
-    for op in s.entity_dom_ops():
-        dom, cod = (t.name for t in s.sig.op_type(op))
+    for op, (dom, cod) in s.tables.items():
         functions[op] = {
             rename[dom][r]: rename[cod][v] if cod in rename else v
             for part in parts for r, v in part.functions[op].items()}

@@ -159,7 +159,7 @@ def _query_via_nrc(s, i, q: Comprehension) -> tuple:
     carrier = make_set(Base(entity),
                        [BaseV(entity, r) for r in i.rows(entity)])
     ops = s.builtins.nrc_interpretations()
-    for op in s.entity_dom_ops():
+    for op in s.tables:
         cod = s.sig.op_type(op)[1]
         table = i.functions[op]
 

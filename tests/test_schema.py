@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qinl.equality import Equation, Theory
-from qinl.kernel import App, Base, Context, Lit, Signature, Var
+from qinl.kernel import App, Base, Context, Lit, Signature, UnknownOperation, Var
 from qinl.schema import (
     BuiltinOp,
     BuiltinRegistry,
@@ -14,6 +14,7 @@ from qinl.schema import (
     InvalidInstance,
     LabelledNull,
     OpApplied,
+    PartialFunction,
     check_instance,
     default_builtins,
     eval_term,
@@ -51,10 +52,10 @@ def test_unregistered_builtin_rejected():
 
 
 def test_classification(company):
-    assert company.classify_op("manager") == "fk"
-    assert company.classify_op("ename") == "attribute"
-    assert company.classify_op("reverse") == "builtin"
-    assert company.entity_dom_ops() == ["ename", "manager", "worksIn"]
+    assert company.tables["manager"] == ("Emp", "Emp")
+    assert company.tables["ename"] == ("Emp", "String")
+    assert "reverse" not in company.tables
+    assert list(company.tables) == ["ename", "manager", "worksIn"]
     assert company.builtin_op_names() == ["length", "reverse"]
 
 
@@ -176,6 +177,26 @@ def test_empty_carriers_vacuously_satisfy(company):
 def test_eval_term_computes_builtins(company, staff):
     term = App("length", App("reverse", App("ename", Var("x"))))
     assert eval_term(company, staff, {"x": "e1"}, term) == 4
+
+
+def test_eval_term_reads_tables_computes_declared_builtins_only(company, staff):
+    """A table operation reads its table and a declared builtin computes;
+    an operation the schema does not declare is unknown, even one the
+    registry could compute, and a row missing from a table is partial."""
+    env = {"x": "e2"}
+    assert eval_term(company, staff, env, App("manager", Var("x"))) == "e1"
+    assert eval_term(company, staff, env, App("reverse", Lit("String", "ab"))) == "ba"
+    with pytest.raises(UnknownOperation):
+        eval_term(company, staff, env, App("salary", Var("x")))
+    ops = {op: t for op, t in company.sig.operations.items() if op != "length"}
+    no_length = FqlSchema(Theory.of(Signature.of(company.sig.base_types, ops)),
+                          company.entity_types, company.attribute_types)
+    assert no_length.validate() == []
+    with pytest.raises(UnknownOperation):
+        eval_term(no_length, staff, env, App("length", Lit("String", "ab")))
+    partial = Instance.make(staff.carriers, {**staff.functions, "manager": {}})
+    with pytest.raises(PartialFunction):
+        eval_term(company, partial, env, App("manager", Var("x")))
 
 
 def test_eval_term_on_null_stays_symbolic(company):

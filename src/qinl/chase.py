@@ -4,11 +4,12 @@ generators, modulo a schema's theory.
 The term universe is grown by closing generators under operations with
 entity domains (totality); the congruence is the closure of every ground
 instantiation of the theory's equations (attribute-quantified equations
-instantiate at attribute-typed terms already present).  Both run in the
-prover's round loop and instantiation pass (see `equality`).  An attribute
-cell holds its class's constant, a builtin of another cell's labelled null
-(`length(?0)`), or a fresh labelled null.  The free model may be infinite,
-so the construction is fuel-bounded.
+instantiate at attribute-typed terms already present, and at constants the
+builtins compute them).  Both run in the prover's round loop and
+instantiation pass (see `equality`).  A seed's new node joins its value's
+class.  An attribute cell holds its class's constant, a builtin of another
+cell's labelled null (`length(?0)`), or a fresh labelled null.  The free
+model may be infinite, so the construction is fuel-bounded.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .kernel import (
     Base,
     Context,
     EngineError,
+    Lit,
     Term,
     Var,
     format_term,
@@ -89,8 +91,8 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
     elements of the initial model (see `initial_model`).  With `images`,
     `equations` maps each operation to its seeds `(row, rhs)`, none typed:
     the image of the operation is added at the class of generator `row`,
-    through one builder per operation (see `EGraph.builder`), and united
-    with `rhs`."""
+    through one builder per operation (see `EGraph.builder`), and equated
+    with `rhs`, each new node joining the class of the other."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     names = sorted(generators)
@@ -116,29 +118,33 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
     env = [graph.add_node(("var", name), t) for name, t in zip(names, var_types)]
     slots = {name: k for k, name in enumerate(names)}
 
-    def add(term: Term) -> int:
-        if isinstance(term, Var):
-            return env[slots[term.name]]
-        return graph.builder(term, slots)(env)
-
+    target = [-1]
     if images is None:
-        for lhs, rhs in equations:
-            graph.union(add(lhs), add(rhs), "seed equation")
+        seeds = [(graph.builder(lhs, slots, None, target), env, rhs) for lhs, rhs in equations]
     else:
-        for op, seeds in equations.items():
-            image = graph.builder(App(op, Var(op)), {op: 0}, images)
-            for row, rhs in seeds:
-                graph.union(image((env[slots[row]],)), add(rhs), "seed equation")
+        image = {op: graph.builder(App(op, Var(op)), {op: 0}, images, target) for op in equations}
+        seeds = [(image[op], (env[slots[row]],), rhs)
+                 for op, pairs in equations.items() for row, rhs in pairs]
+    for build, at, rhs in seeds:
+        value = (env[slots[rhs.name]] if isinstance(rhs, Var) else
+                 graph.node_of(("lit", rhs.base, rhs.value)) if isinstance(rhs, Lit) else None)
+        target[0] = -1 if value is None else graph.find(value)
+        node = build(at)
+        if value is None:
+            target[0] = graph.find(node)
+            value = graph.builder(rhs, slots, None, target)(env)
+        graph.equal(node, value) or graph.union(node, value, "seed equation")
 
     def step(since: int) -> None:
         _apply_totality(graph, s, since)
         graph.apply_product_axioms()
         graph.apply_equations_enumerated(s.theory.equations, since)
 
-    _, _, stop = graph.run_rounds(step, fuel)
+    _, cap, stop = graph.run_rounds(step, fuel)
     if stop != "saturated":
-        size = len(_entity_roots(graph, s))
-        raise FuelExhausted("chase did not saturate within fuel", size)
+        within = "fuel" if stop == "fuel" else f"the node cap of {cap} nodes"
+        raise FuelExhausted(f"chase did not saturate within {within}",
+                            len(_entity_roots(graph, s)))
     return graph
 
 
@@ -153,7 +159,8 @@ def _apply_totality(graph: EGraph, s: FqlSchema, since: int) -> None:
         roots = graph.classes_of_type(Base(dom))
         younger += ((root, op) for root in roots[bisect_left(roots, since):])
     for root, op in sorted(younger):
-        graph.add_node(("app", op, root))
+        if graph.node_of(("app", op, root)) is None:
+            graph.add_node(("app", op, root))
 
 
 def _entity_roots(graph: EGraph, s: FqlSchema) -> list[int]:
@@ -198,7 +205,7 @@ def materialize(graph: EGraph, s: FqlSchema
     for op, (dom, cod) in s.tables.items():
         table: dict[str, Cell] = {}
         for row in sorted(carriers[dom]):
-            result = graph.find(graph.add_node(("app", op, roots[row])))
+            result = graph.find(graph.node_of(("app", op, roots[row])))
             if cod in s.entity_types:
                 table[row] = row_of[result]
                 continue

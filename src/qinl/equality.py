@@ -286,6 +286,7 @@ class EGraph:
     * `_projections` and `_builtin_apps` list the p1/p2 nodes and the
       applications of operations with builtin semantics, by id; `_ops` is
       the set of operations that some node applies.
+    * `_lits` holds the sorted literal nodes of each root that has one.
     * `_axioms_from` is the node count when `apply_product_axioms` last
       began.
     * `_touched` holds, per node, the round of `run_rounds` (`_round`, 0
@@ -312,6 +313,8 @@ class EGraph:
     _pending: list[int] = field(default_factory=list)
     _projections: list[int] = field(default_factory=list)
     _builtin_apps: list[int] = field(default_factory=list)
+    _lits: dict[int, list[int]] = field(default_factory=dict)
+    _applications: tuple[int, list] = (-1, [])
     _ops: set[str] = field(default_factory=set)
     _axioms_from: int = 0
     _version: int = 0
@@ -347,6 +350,8 @@ class EGraph:
         if ry < rx:
             rx, ry = ry, rx
         self._parent[ry] = rx
+        if ry in self._lits:
+            self._lits[rx] = sorted(self._lits.get(rx, []) + self._lits.pop(ry))
         absorbed = self._members.pop(ry)
         for node in absorbed:
             self._touched[node] = self._round
@@ -427,16 +432,19 @@ class EGraph:
         t = self._intern(var_type) if key[0] == "var" else self._node_type(key)
         return self._new(key, t)
 
-    def _new(self, key: NodeKey, t: int) -> int:
+    def _new(self, key: NodeKey, t: int, into: int = -1) -> int:
         """Add a node whose canonical key `key` is not in the table, of type
-        id `t`."""
+        id `t`, in a class of its own or, as a union would, in root `into`'s."""
         node = len(self._nodes)
+        if into < 0:
+            into, self._members[node] = node, [node]
+            self._roots_by_type[t][node] = None
+        else:
+            self._members[into] = self._members[into] + [node]
         self._nodes.append(key)
         self._types.append(t)
-        self._parent.append(node)
+        self._parent.append(into)
         self._table[key] = node
-        self._members[node] = [node]
-        self._roots_by_type[t][node] = None
         self._uses.append([])
         self._touched.append(self._round)
         tag = key[0]
@@ -451,6 +459,8 @@ class EGraph:
         elif tag == "p1" or tag == "p2":
             self._uses[key[1]].append(node)
             self._projections.append(node)
+        elif tag == "lit":
+            self._lits[into] = self._lits.get(into, []) + [node]
         self._version += 1
         if node >= self._cap:
             raise _OverCap
@@ -476,24 +486,27 @@ class EGraph:
         tid = self._type_ids.get(t)
         return [] if tid is None else list(self._roots_by_type[tid])
 
+    def node_of(self, key: NodeKey) -> int | None:
+        """The node whose key is `key`, canonical, or None."""
+        return self._table.get(key)
+
     def builtin_applications(self) -> list[tuple[int, str, int]]:
-        """Each builtin application, as sorted (class, op, argument class)."""
-        nodes = self._nodes
-        return sorted({(self.find(node), nodes[node][1], self.find(nodes[node][2]))
-                       for node in self._builtin_apps})
+        """Each builtin application, as sorted (class, op, argument class); cached."""
+        if self._applications[0] != self._version:
+            nodes = self._nodes
+            self._applications = (self._version, sorted(
+                {(self.find(node), nodes[node][1], self.find(nodes[node][2]))
+                 for node in self._builtin_apps}))
+        return self._applications[1]
 
     def literals(self) -> dict[int, object]:
         """The literal each class holds.  Raises InconsistentConstants,
         naming the first such class's literals, when a class holds two."""
-        found: dict[int, list[NodeKey]] = {}
-        for node, key in enumerate(self._nodes):
-            if key[0] == "lit":
-                found.setdefault(self.find(node), []).append(key)
-        for keys in found.values():
-            if len(keys) > 1:
-                keys.sort(key=lambda k: (k[1], repr(k[2])))
-                raise InconsistentConstants([k[2] for k in keys])
-        return {root: keys[0][2] for root, keys in found.items()}
+        nodes, clashes = self._nodes, [lits for lits in self._lits.values() if len(lits) > 1]
+        if clashes:
+            keys = sorted((nodes[n] for n in min(clashes)), key=lambda k: (k[1], repr(k[2])))
+            raise InconsistentConstants([k[2] for k in keys])
+        return {root: nodes[lits[0]][2] for root, lits in self._lits.items()}
 
     # -- congruence ---------------------------------------------------------
 
@@ -562,19 +575,15 @@ class EGraph:
         """Compute operations with registered semantics on literal classes."""
         if not self._builtin_apps:
             return
-        members = self.members()
+        lits = dict(self._lits)  # a snapshot, as a union replaces a class's list
         for node in self._builtin_apps:
             key = self._nodes[node]
-            for member in members.get(self.find(key[2]), ()):
-                mkey = self._nodes[member]
-                if mkey[0] == "lit":
-                    cod = self.sig.op_type(key[1])[1]
-                    if not isinstance(cod, Base):
-                        continue
-                    value = self.builtin_ops[key[1]](mkey[2])
-                    lit = self.add_node(("lit", cod.name, value))
-                    self.union(node, lit, f"compute {key[1]}")
-                    break
+            held = lits.get(self.find(key[2]))
+            cod = held and self.sig.op_type(key[1])[1]
+            if isinstance(cod, Base):
+                value = self.builtin_ops[key[1]](self._nodes[held[0]][2])
+                lit = self.add_node(("lit", cod.name, value))
+                self.union(node, lit, f"compute {key[1]}")
 
     # -- equation application -----------------------------------------------
 
@@ -672,7 +681,8 @@ class EGraph:
         return names, match
 
     def builder(self, e: Term, slots: Mapping[str, int],
-                images: Images | None = None) -> Builder:
+                images: Images | None = None,
+                into: list[int] | None = None) -> Builder:
         """Compile `e` into a builder (see `Builder`) that reads the class of
         each variable at its position in `slots`, and adds the nodes a
         recursive walk over `e` adds, in its order: a pair's left component
@@ -680,8 +690,10 @@ class EGraph:
         operation in `images` adds the image's body, with no images, and
         its variable bound to the argument's class; the argument is added
         only if the body uses its variable, and once however often it
-        does."""
-        table, find, new, types = self._table, self.find, self._new, self._types
+        does.  With `into`, the node `e` stands for, if new, joins the
+        class of root `into[0]` unless that is negative."""
+        table, find, types = self._table, self.find, self._types
+        new = self._new if into is None else (lambda key, t: self._new(key, t, into[0]))
         if isinstance(e, Var):
             slot = slots[e.name]
             return lambda env: env[slot]
@@ -717,7 +729,7 @@ class EGraph:
             image = images.get(e.op) if images else None
             if image is not None:
                 var, body = image
-                build = self.builder(body, {var: 0}, None)
+                build = self.builder(body, {var: 0}, None, into)
                 if var not in _variables(body):
                     return lambda env: build(())
                 arg = self.builder(e.arg, slots, images)
@@ -787,13 +799,47 @@ class EGraph:
         and adding them again would find those nodes and merge nothing.  So
         the nodes and unions are those of visiting every tuple.  An equation
         with an empty context has one tuple, which counts as old after the
-        first call."""
+        first call.
+
+        Constants are computed where `_computation` can, adding the literals
+        `fold_builtins` would put in the classes of instantiated builtins.
+        Such an equation meets every tuple while an old class has a literal
+        node touched in this round or the last, as a class that gains one has."""
         for eq in equations:
             compiled = self._compiled.get(eq)
             if compiled is None:
                 compiled = self._compiled[eq] = (self._instantiation(eq, []),
-                                                 eq.render())
-            self._union_sides(compiled[0], (), since, compiled[1])
+                                                 eq.render(), self._computation(eq))
+            self._union_sides(compiled[0], (), since, compiled[1], compute=compiled[2])
+
+    def _computation(self, eq: Equation) -> Callable[[tuple[int, ...]], bool] | None:
+        """Computes `eq` at classes, one per variable, that each hold one
+        literal, where both sides compute one value: adds the literal of
+        each value, in the order instantiation adds nodes, and returns True.
+        None unless the sides apply only builtins with base codomains."""
+        ops, slots = self.builtin_ops or {}, {var: k for k, (var, _) in enumerate(eq.ctx)}
+        subs = [*subterms(eq.lhs), *subterms(eq.rhs)]
+        cods = {sub.op: self.sig.op_type(sub.op)[1] for sub in subs if isinstance(sub, App)}
+        if not all(isinstance(sub, (Var, Lit, App)) for sub in subs) or not all(
+                op in ops and isinstance(cod, Base) for op, cod in cods.items()):
+            return None
+
+        def value(e: Term, env: list, out: list) -> object:
+            if isinstance(e, Var):
+                return env[slots[e.name]]
+            v = e.value if isinstance(e, Lit) else ops[e.op](value(e.arg, env, out))
+            out.append(("lit", e.base if isinstance(e, Lit) else cods[e.op].name, v))
+            return v
+
+        def compute(env: tuple[int, ...]) -> bool:
+            held, out = [self._lits.get(self.find(c), ()) for c in env], []
+            values = [self._nodes[h[0]][2] for h in held if len(h) == 1]
+            if len(values) < len(env) or value(eq.lhs, values, out) != value(eq.rhs, values, out):
+                return False
+            for key in out:
+                self.add_node(key)
+            return True
+        return compute
 
     def _instantiation(self, eq: Equation, bound: list[str],
                        anchor: int | None = None) -> Instantiation:
@@ -811,20 +857,27 @@ class EGraph:
         return pools, left, right
 
     def _union_sides(self, instantiation: Instantiation, bound: tuple[int, ...],
-                     since: int, reason: str, root: int = -1) -> None:
+                     since: int, reason: str, root: int = -1,
+                     compute: Callable[[tuple[int, ...]], bool] | None = None) -> None:
         """Union the two sides of an equation compiled by `_instantiation`
         at the classes `bound` matched, the matched side standing for
-        `root`.  The variables a match leaves free range over the tuples of
-        roots of their types, read now, from `_tuples_since`."""
+        `root`, unless `compute` computes it there.  The variables a match
+        leaves free range over the tuples of roots of their types, read
+        now, from `_tuples_since`."""
         pools, left, right = instantiation
         envs: Iterable[tuple[int, ...]] = (bound,)
         if pools is not None:
+            touched, recent = self._touched, self._round - 1
+            changed = compute is not None and any(
+                root < since and max(touched[n] for n in lits) >= recent
+                for root, lits in self._lits.items())
             envs = (bound + roots for roots in _tuples_since(
                 [list(self._roots_by_type[t]) for t in pools], since,
-                lambda: bool(self._pending)))
+                lambda: changed or bool(self._pending)))
         for env in envs:
-            self.union(root if left is None else left(env),
-                       root if right is None else right(env), reason)
+            if compute is None or not compute(env):
+                self.union(root if left is None else left(env),
+                           root if right is None else right(env), reason)
 
     def run_rounds(self, step: Callable[[int], None], fuel: int,
                    goal: Callable[[], bool] = lambda: False) -> tuple[int, int, str]:

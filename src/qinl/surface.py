@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -1049,7 +1049,7 @@ def elaborate(unit: SourceUnit, *, fuel: int = 32,
     return out
 
 
-def _check_fresh(name: str, table: dict, loc: Loc, kind: str, err) -> bool:
+def _check_fresh(name: str, table: Container[str], loc: Loc, kind: str, err) -> bool:
     if name in table:
         err(loc, f"duplicate {kind} name '{name}'")
         return False
@@ -1085,7 +1085,7 @@ def _elab_schema(decl: SchemaDecl, out: Elaborated, err) -> None:
 
 
 def _elab_instance(decl: InstanceDecl, out: Elaborated, err) -> None:
-    if not _check_fresh(decl.name, out.instances, decl.loc, "instance", err):
+    if not _check_fresh(decl.name, {*out.instances, *out.failed}, decl.loc, "instance", err):
         return
     schema = out.resolve("schema", decl.schema_name)
     carriers: dict[str, list[str]] = {}
@@ -1321,7 +1321,7 @@ def _elab_expr(decl: ExprDecl, out: Elaborated, err) -> None:
 
 def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
                   fuel: int, allow_unverified: bool) -> None:
-    if not _check_fresh(decl.name, out.instances, decl.loc, "instance", err):
+    if not _check_fresh(decl.name, {*out.instances, *out.failed}, decl.loc, "instance", err):
         return
     mapping = out.resolve("mapping", decl.mapping_name)
     try:

@@ -6,7 +6,9 @@ equality oracle is a breadth-first rewrite closure over syntax trees, the
 model checker enumerates entire finite models by brute force, and the query
 oracle scans the whole cartesian product of the carriers (it shares only the
 engine's term evaluator, not its search), the chase's enumeration pass and
-extraction visit every tuple and every node on every sweep, the prover's
+extraction visit every tuple and every node on every sweep, the enumeration
+pass computes constants with the naive evaluator, the reference chase
+computes none and instantiates every equation at every tuple, the prover's
 matched pass instantiates every match every round, found by a recursive
 descent rather than a compiled matcher, `sigma`'s seeds
 are built as translated terms rather than added through the mapping's
@@ -24,7 +26,9 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from qinl.equality import Equation, Theory
+from qinl import chase
+from qinl.chase import FuelExhausted, UnstatedNull
+from qinl.equality import EGraph, Equation, Theory
 from qinl.kernel import (
     App,
     Base,
@@ -504,8 +508,9 @@ def egraph_indexes(graph) -> dict:
     """What the indexes of a rebuilt e-graph must hold, recomputed by a
     sweep over every node with full canonicalisation through `find`: each
     root's sorted members, the roots in ascending order, the roots of each
-    type, and the hash-cons table (each canonical key mapped to the lowest
-    node holding it)."""
+    type, the hash-cons table (each canonical key mapped to the lowest
+    node holding it), and each root's sorted literal nodes, for the roots
+    that hold one."""
     members: dict[int, list[int]] = {}
     for node in range(graph.node_count()):
         members.setdefault(graph.find(node), []).append(node)
@@ -514,10 +519,13 @@ def egraph_indexes(graph) -> dict:
     for root in roots:
         by_type.setdefault(graph.class_type(root), []).append(root)
     table: dict[tuple, int] = {}
+    literals: dict[int, list[int]] = {}
     for node in range(graph.node_count()):
         table.setdefault(_canonical_key(graph._nodes[node], graph.find), node)
+        if graph._nodes[node][0] == "lit":
+            literals.setdefault(graph.find(node), []).append(node)
     return {"members": members, "roots": roots, "by_type": by_type,
-            "table": table}
+            "table": table, "literals": literals}
 
 
 def check_egraph_indexes(graph) -> None:
@@ -530,6 +538,7 @@ def check_egraph_indexes(graph) -> None:
     for t in types:
         assert graph.classes_of_type(t) == want["by_type"].get(t, [])
     assert graph._table == want["table"]
+    assert graph._lits == want["literals"]
 
 
 def add_instance(graph, e: Term, binding: Mapping[str, int], images=None) -> int:
@@ -574,10 +583,13 @@ def add_by_walk(graph, e: Term, binding: Mapping[str, int], images=None) -> int:
 # of its candidates.
 
 
-def enumerate_all_tuples(graph, equations, since: int = 0) -> None:
+def enumerate_all_tuples(graph, equations, since: int = 0,
+                         compute: bool = True) -> None:
     """`EGraph.apply_equations_enumerated` visiting every tuple of classes
     of the context's types, whatever `since` is: the whole cartesian product,
-    built as a list of bindings before any is instantiated."""
+    built as a list of bindings before any is instantiated.  With
+    `compute`, a tuple where `computed` computes the equation is not
+    instantiated; without it, every tuple is."""
     for eq in equations:
         bindings: list[dict[str, int]] = [{}]
         for var, t in eq.ctx:
@@ -587,9 +599,45 @@ def enumerate_all_tuples(graph, equations, since: int = 0) -> None:
                 break
         reason = eq.render()
         for binding in bindings:
+            if compute and computed(graph, eq, binding):
+                continue
             left = add_instance(graph, eq.lhs, binding)
             right = add_instance(graph, eq.rhs, binding)
             graph.union(left, right, reason)
+
+
+def computed(graph, eq, binding: Mapping[str, int]) -> bool:
+    """Whether the chase computes `eq` at `binding` instead of instantiating
+    it: every subterm of its sides is a variable, a literal or a builtin
+    application with a base codomain, each class holds exactly one literal
+    (found by a sweep over its members), and `naive_eval` gives both sides
+    one value.  If so, adds the literal of the value of every subterm that
+    is no variable, children first, left side first."""
+    ops = graph.builtin_ops or {}
+    subs = [sub for side in (eq.lhs, eq.rhs) for sub in _children_first(side)]
+    if not all(isinstance(sub, (Var, Lit)) or (
+            isinstance(sub, App) and sub.op in ops
+            and isinstance(graph.sig.op_type(sub.op)[1], Base)) for sub in subs):
+        return False
+    env = {}
+    for var, c in binding.items():
+        lits = [graph._nodes[node] for node in graph.members()[graph.find(c)]
+                if graph._nodes[node][0] == "lit"]
+        if len(lits) != 1:
+            return False
+        env[var] = ("const", *lits[0][1:])
+    apply = {op: (lambda v, op=op: ("const", graph.sig.op_type(op)[1].name,
+                                    ops[op](v[2]))) for op in ops}
+    if naive_eval(eq.lhs, env, apply) != naive_eval(eq.rhs, env, apply):
+        return False
+    for sub in subs:
+        if not isinstance(sub, Var):
+            graph.add_node(("lit", *naive_eval(sub, env, apply)[1:]))
+    return True
+
+
+def _children_first(e: Term) -> list[Term]:
+    return [*(_children_first(e.arg) if isinstance(e, App) else []), e]
 
 
 def match_every_root(graph, th) -> None:
@@ -663,6 +711,39 @@ def substitute_images(seeds, images) -> list[tuple[Term, Term]]:
         for row, rhs in pairs:
             out.append((_subst(body, {var: Var(row)}), rhs))
     return out
+
+
+def instantiating_chase(s, generators, equations=(), fuel: int = 32, images=None):
+    """`chase.initial_model` as the chase that computes no constant: every
+    seed added as a ground equation by `add_by_walk`, its two sides united,
+    and each pass instantiating every equation at every tuple of classes
+    (`enumerate_all_tuples` without `compute`), so that `fold_builtins`
+    computes the builtins.  Returns the model, or raises what
+    `initial_model` raises."""
+    if images is not None:
+        equations = substitute_images(equations, images)
+    graph = EGraph(s.sig, s.builtin_ops())
+    env = {name: graph.add_node(("var", name), Base(generators[name]))
+           for name in sorted(generators)}
+    for lhs, rhs in equations:
+        graph.union(add_by_walk(graph, lhs, env), add_by_walk(graph, rhs, env))
+
+    def step(since: int) -> None:
+        chase._apply_totality(graph, s, since)
+        graph.apply_product_axioms()
+        enumerate_all_tuples(graph, s.theory.equations, compute=False)
+
+    _, cap, stop = graph.run_rounds(step, fuel)
+    if stop != "saturated":
+        within = "fuel" if stop == "fuel" else f"the node cap of {cap} nodes"
+        raise FuelExhausted(f"chase did not saturate within {within}",
+                            len(chase._entity_roots(graph, s)))
+    model, _, known = chase.materialize(graph, s)
+    clash = chase.conflict(s, graph.builtin_applications(), known,
+                           chase.identities(s, fuel))
+    if clash is not None:
+        raise UnstatedNull(*clash)
+    return model
 
 
 def sweep_extract(graph) -> dict[int, Term]:

@@ -31,14 +31,17 @@ from qinl.kernel import (
     format_term,
 )
 from qinl.migration import pi, sigma
-from qinl.schema import FqlSchema, LabelledNull, OpApplied, check_instance
+from qinl.schema import (
+    BuiltinOp, BuiltinRegistry, FqlSchema, LabelledNull, OpApplied, check_instance)
 from qinl.surface import elaborate, parse
 
 from conftest import company_schema, entity_schema, nulls_case
 from oracles import (
     add_instance,
+    check_egraph_indexes,
     enumerate_all_tuples,
     ground_closure,
+    instantiating_chase,
     substitute_images,
     sweep_extract,
 )
@@ -318,7 +321,10 @@ def _partition(graph) -> list[int]:
 def assert_chase_matches_oracles(s, generators, equations=(), fuel=8,
                                  images=None) -> None:
     """The semi-naive chase ends with the nodes, classes, round count and
-    outcome of the all-tuples loop, and extraction agrees with the sweep."""
+    outcome of the all-tuples loop, extraction agrees with the sweep, a
+    saturated graph's indexes agree with theirs, and `initial_model`, which
+    computes constants, gives the model (or raises the error) of the chase
+    that instantiates every tuple instead."""
     graph, rounds, error = _chase_with(
         EGraph.apply_equations_enumerated, s, generators, equations, fuel, images)
     want, want_rounds, want_error = _chase_with(
@@ -327,6 +333,11 @@ def assert_chase_matches_oracles(s, generators, equations=(), fuel=8,
     assert graph._nodes == want._nodes
     assert _partition(graph) == _partition(want)
     assert graph.extract() == sweep_extract(graph)
+    if error is None and graph.node_count():
+        check_egraph_indexes(graph)
+    assert (_outcome(lambda: initial_model(s, generators, equations, fuel, images))
+            == _outcome(lambda: instantiating_chase(s, generators, equations, fuel,
+                                                    images)))
 
 
 def _migration_chases(run) -> list[tuple]:
@@ -543,6 +554,41 @@ def test_semi_naive_chase_visits_old_tuples_while_a_key_is_stale():
                                 App("o2", App("o1", App("o0", x))))])
     ground = [(Var("g1"), Var("g0")), (App("o2", Var("g1")), Var("g1"))]
     assert_chase_matches_oracles(s, {"g0": "E", "g1": "E"}, ground, fuel=2)
+
+
+def test_semi_naive_chase_computes_again_where_a_class_gains_a_literal():
+    """The seeds build k(b) and inc(k(b)) up to inc^3(k(b)) before k(a), so
+    these classes are old in the second round.  None holds a literal in the
+    first pass, which instantiates inc^4(n) = inc^3(n) at them; the first
+    round then gives k(a) the literal 0 and merges it into k(b).  The
+    second pass computes the equation at k(b), adding the literals 2 and 3
+    before the nodes it instantiates at the new class k(h(a)), as the
+    all-tuples loop does; skipping k(b) would leave them to
+    `fold_builtins`, after those nodes."""
+    builtins = BuiltinRegistry(
+        {"Int": int}, {"inc": BuiltinOp("Int", "Int", lambda n: min(n + 1, 3))},
+        {"Int": (0, 1, 2, 3)})
+    u, n, x = Base("U"), Var("n"), Var("x")
+    sig = Signature.of({"U", "Int"}, {"f": (u, u), "h": (u, u), "g": (u, Base("Int")),
+                                      "k": (u, Base("Int")),
+                                      "inc": (Base("Int"), Base("Int"))})
+    x_u = Context.of(("x", u))
+
+    def inc(e, times):
+        return e if times == 0 else App("inc", inc(e, times - 1))
+
+    s = FqlSchema(Theory.of(sig, [
+        Equation(Context.of(("n", Base("Int"))), inc(n, 4), inc(n, 3)),
+        Equation(x_u, App("f", x), x),
+        Equation(x_u, App("g", x), Lit("Int", 0)),
+        Equation(x_u, App("h", App("h", x)), App("h", x))]),
+        frozenset({"U"}), frozenset({"Int"}), builtins)
+    ka, kb = App("k", Var("a")), App("k", Var("b"))
+    ground = [(inc(kb, 3), inc(kb, 3)), (ka, ka), (App("g", Var("a")), ka),
+              (App("f", Var("b")), Var("a"))]
+    assert_chase_matches_oracles(s, {"a": "U", "b": "U"}, ground)
+    model = initial_model(s, {"a": "U", "b": "U"}, ground, 8)
+    assert model.functions["k"] == {"a": 0, "a.h": LabelledNull("0")}
 
 
 def _product_graph() -> EGraph:

@@ -466,6 +466,19 @@ def test_a_command_that_names_a_failed_migration_fails(capsys, tmp_path):
         2, "", f"{path}: error: unknown instance 'zz'\n")
 
 
+@pytest.mark.parametrize("again", ["migrate k = delta m j",
+                                   "instance k : S = { E = { e }; name = { e -> \"w\" }; }"])
+def test_a_failed_migration_keeps_its_name(capsys, tmp_path, again):
+    """The name of a failed `migrate` declaration is taken: declaring it
+    again, by a second `migrate` or by an `instance`, is malformed (exit 2),
+    as it is after a migration that succeeds."""
+    path = tmp_path / "dup.qinl"
+    path.write_text(_UNSTATED_DELTA + again + "\n")
+    code, _, stderr = run(capsys, "check", str(path))
+    assert code == 2
+    assert f"{path}:6:1: error: duplicate instance name 'k'" in stderr.splitlines()
+
+
 _MISTYPED_BUILTIN = """\
 schema S = {
   entities E;
@@ -832,8 +845,8 @@ def test_huge_fuel_keeps_the_node_cap(capsys, tmp_path):
 def test_node_cap_holds_inside_a_round(capsys, tmp_path, monkeypatch):
     """sigma of 400 rows into a schema stating (x, y) = (x, y) asks the
     chase for 160,000 pairs in its first round.  The round stops at the
-    node past the cap, at every fuel, and the run still reports that the
-    chase did not saturate."""
+    node past the cap, at every fuel, and the run reports that the chase
+    did not saturate within the node cap."""
     path = tmp_path / "pairs.qinl"
     rows = ", ".join(f"r{i}" for i in range(400))
     path.write_text(
@@ -855,8 +868,8 @@ def test_node_cap_holds_inside_a_round(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, "migrate", str(path), "sigma", "M", "I",
                            "--fuel", fuel, "--out", str(tmp_path / "out.qinl"))
         assert code == 1
-        assert err.endswith("chase did not saturate within fuel "
-                            "(partial model size 400)\n")
+        assert err.endswith(f"chase did not saturate within the node cap of {cap} "
+                            "nodes (partial model size 400)\n")
         assert sizes.pop() == cap + 1
 
 

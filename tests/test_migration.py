@@ -224,6 +224,29 @@ def test_sigma_refuses_constants_forced_equal_in_a_cell():
         sigma(mapping, i, fuel=8)
 
 
+@pytest.mark.parametrize("words, clash", [(("ab", "aba"), '"ab", "ba"'),
+                                          (("aa", "aba"), None)])
+def test_sigma_computes_a_constant_equation_or_reports_its_clash(words, clash):
+    """The target states forall s: String . reverse(s) = s.  The chase
+    computes it at the palindromes "aa" and "aba"; at "ab" the two sides
+    compute "ba" and "ab", so it instantiates the equation, and the clash is
+    reported as before."""
+    s = Var("s")
+    tgt = _string_schema({"C"}, {"name": ("C", "String")},
+                         [Equation(Context.of(("s", Base("String"))),
+                                   App("reverse", s), s)], ("length", "reverse"))
+    src = _string_schema({"A"}, {"u": ("A", "String")})
+    mapping = SchemaMapping(src, tgt, {"A": "C"}, {"u": ("x", _app("name"))})
+    i = Instance.make({"A": ["a1", "a2"]}, {"u": dict(zip(["a1", "a2"], words))})
+    if clash is not None:
+        with pytest.raises(InconsistentConstants, match=clash):
+            sigma(mapping, i, fuel=8)
+        return
+    pushed = sigma(mapping, i, fuel=8)
+    assert {t: len(rows) for t, rows in pushed.carriers.items()} == {"C": 2}
+    assert pushed.functions["name"] == {"a1": "aa", "a2": "aba"}
+
+
 def test_sigma_row_name_collision_across_types():
     src = entity_schema({"A", "B"}, {})
     tgt = entity_schema({"C"}, {})

@@ -46,12 +46,9 @@ from .equality import (
 from .nrc import (
     BOOL,
     BaseV,
-    Bool,
-    BoolV,
     Empty,
     EqTest,
     FALSE,
-    FalseLit,
     For,
     If,
     PairV,
@@ -59,7 +56,6 @@ from .nrc import (
     SetV,
     Singleton,
     TRUE,
-    TrueLit,
     Union,
     UninterpretedOperation,
     UnitV,

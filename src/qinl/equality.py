@@ -49,6 +49,7 @@ from .kernel import (
     UNIT_TERM,
     UnitTerm,
     Var,
+    check_context,
     format_literal,
     format_term,
     format_type,
@@ -161,10 +162,12 @@ class TheoryProblem:
 
 
 def check_theory(th: Theory) -> list[TheoryProblem]:
-    """Validate well-formedness of every equation; reports all failures."""
+    """Validate well-formedness of every equation, its binders' types
+    included; reports all failures."""
     problems = []
     for i, eq in enumerate(th.equations):
         try:
+            check_context(th.sig, eq.ctx)
             tl = infer_type(th.sig, eq.ctx, eq.lhs)
             tr = infer_type(th.sig, eq.ctx, eq.rhs)
         except EngineError as err:

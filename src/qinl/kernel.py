@@ -93,7 +93,7 @@ def format_type(t: TypeExpr) -> str:
         return t.name
     if isinstance(t, Prod):
         return f"{_type_factor(t.left)} * {_type_factor(t.right)}"
-    # Extension constructors (set/bool layer) render themselves via __str__.
+    # Extension constructors (the set layer) render themselves via __str__.
     return str(t)
 
 
@@ -270,11 +270,6 @@ class Signature:
         for name in base_names(t):
             if name not in self.base_types:
                 raise UnknownBaseType(name)
-
-    def validate(self) -> None:
-        for dom, cod in self.operations.values():
-            self.check_type(dom)
-            self.check_type(cod)
 
 
 def check_context(sig: Signature, ctx: Context) -> None:

@@ -1,6 +1,7 @@
-"""Nested relational calculus layer: set and boolean types over the core
-term language, a big-step set-semantics evaluator, and the standard
-relational combinators (projection, cartesian product, selection)."""
+"""Nested relational calculus layer: set types over the core term language,
+conditionals and equality tests over the registry's `Bool` base type, a
+big-step set-semantics evaluator, and the standard relational combinators
+(projection, cartesian product, selection)."""
 
 from __future__ import annotations
 
@@ -53,25 +54,17 @@ class UninterpretedOperation(EngineError):
 # Types
 
 @dataclass(frozen=True)
-class Bool(TypeExpr):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "Bool"
-
-
-@dataclass(frozen=True)
 class SetT(TypeExpr):
     elem: TypeExpr
 
     def __str__(self) -> str:
         inner = format_type(self.elem)
-        if isinstance(self.elem, (Base, Bool)) or self.elem == UNIT:
+        if isinstance(self.elem, Base) or self.elem == UNIT:
             return f"Set {inner}"
         return f"Set ({inner})"
 
 
-BOOL = Bool()
+BOOL = Base("Bool")
 
 
 # --------------------------------------------------------------------------
@@ -108,23 +101,13 @@ class If(Term):
 
 
 @dataclass(frozen=True)
-class TrueLit(Term):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class FalseLit(Term):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
 class EqTest(Term):
     left: Term
     right: Term
 
 
-TRUE = TrueLit()
-FALSE = FalseLit()
+TRUE = Lit("Bool", True)
+FALSE = Lit("Bool", False)
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +115,7 @@ FALSE = FalseLit()
 
 def nrc_infer_type(sig: Signature, ctx: Context, e: Term) -> TypeExpr:
     """The core typing rules extended with empty set, union, singleton,
-    iteration, conditionals, boolean literals, and equality tests."""
+    iteration, conditionals, and equality tests."""
     return infer_type(sig, ctx, e, extension=_nrc_rules)
 
 
@@ -167,8 +150,6 @@ def _nrc_rules(sig: Signature, ctx: Context, e: Term, recurse) -> TypeExpr:
         if tt != te:
             raise BranchTypeMismatch(format_type(tt), format_type(te), e)
         return tt
-    if isinstance(e, (TrueLit, FalseLit)):
-        return BOOL
     if isinstance(e, EqTest):
         tl = recurse(ctx, e.left)
         tr = recurse(ctx, e.right)
@@ -191,11 +172,6 @@ class Value:
 @dataclass(frozen=True)
 class UnitV(Value):
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class BoolV(Value):
-    flag: bool
 
 
 @dataclass(frozen=True)
@@ -232,22 +208,18 @@ def _constant_key(c: object) -> tuple:
 def value_key(v: Value) -> tuple:
     if isinstance(v, UnitV):
         return (0,)
-    if isinstance(v, BoolV):
-        return (1, v.flag)
     if isinstance(v, BaseV):
-        return (2, v.base, _constant_key(v.constant))
+        return (1, v.base, _constant_key(v.constant))
     if isinstance(v, PairV):
-        return (3, value_key(v.fst), value_key(v.snd))
+        return (2, value_key(v.fst), value_key(v.snd))
     if isinstance(v, SetV):
-        return (4, tuple(value_key(m) for m in v.members))
+        return (3, tuple(value_key(m) for m in v.members))
     raise EngineError(f"not a value: {v!r}")
 
 
 def value_type(v: Value) -> TypeExpr:
     if isinstance(v, UnitV):
         return UNIT
-    if isinstance(v, BoolV):
-        return BOOL
     if isinstance(v, BaseV):
         return Base(v.base)
     if isinstance(v, PairV):
@@ -265,8 +237,6 @@ def make_set(elem: TypeExpr, values: Iterable[Value]) -> SetV:
 def format_value(v: Value) -> str:
     if isinstance(v, UnitV):
         return "()"
-    if isinstance(v, BoolV):
-        return "true" if v.flag else "false"
     if isinstance(v, BaseV):
         return format_literal(v.constant) if isinstance(v.constant, (bool, int, str)) \
             else str(v.constant)
@@ -315,10 +285,6 @@ def nrc_eval(sig: Signature, e: Term, env: Mapping[str, Value],
         if e.op not in ops:
             raise UninterpretedOperation(e.op)
         return ops[e.op](nrc_eval(sig, e.arg, env, ops))
-    if isinstance(e, TrueLit):
-        return BoolV(True)
-    if isinstance(e, FalseLit):
-        return BoolV(False)
     if isinstance(e, Empty):
         return SetV(e.elem, ())
     if isinstance(e, Union):
@@ -331,10 +297,10 @@ def nrc_eval(sig: Signature, e: Term, env: Mapping[str, Value],
         return SetV(value_type(v), (v,))
     if isinstance(e, If):
         cond = nrc_eval(sig, e.cond, env, ops)
-        assert isinstance(cond, BoolV)
-        return nrc_eval(sig, e.then if cond.flag else e.els, env, ops)
+        assert isinstance(cond, BaseV)
+        return nrc_eval(sig, e.then if cond.constant else e.els, env, ops)
     if isinstance(e, EqTest):
-        return BoolV(nrc_eval(sig, e.left, env, ops)
+        return BaseV("Bool", nrc_eval(sig, e.left, env, ops)
                      == nrc_eval(sig, e.right, env, ops))
     if isinstance(e, For):
         source = nrc_eval(sig, e.source, env, ops)

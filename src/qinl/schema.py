@@ -27,6 +27,7 @@ from .kernel import (
     UNIT,
     UnboundVariable,
     UnitTerm,
+    UnknownBaseType,
     UnknownOperation,
     Var,
     format_literal,
@@ -243,6 +244,11 @@ class FqlSchema:
                 problems.append(f"attribute type '{a}' has no builtin carrier")
         for name in sorted(self.sig.operations):
             dom, cod = self.sig.operations[name]
+            try:
+                self.sig.check_type(Prod(dom, cod))
+            except UnknownBaseType as exc:
+                problems.append(f"operation '{name}': {exc}")
+                continue
             if not isinstance(dom, Base) or not isinstance(cod, Base):
                 problems.append(
                     f"operation '{name}' must run between base types, has "

@@ -49,8 +49,6 @@ from .kernel import (
 from .mapping import SchemaMapping
 from .migration import MIGRATION_FAILURES, ends, migrate
 from .nrc import (
-    BOOL,
-    Bool,
     Empty,
     EqTest,
     FALSE,
@@ -59,8 +57,6 @@ from .nrc import (
     SetT,
     Singleton,
     TRUE,
-    TrueLit,
-    FalseLit,
     Union,
     nrc_infer_type,
 )
@@ -454,14 +450,12 @@ class _Parser:
         if tok.kind == "int" and tok.value == 1:
             self.next()
             return UNIT
-        if self.accept("Bool"):
-            return BOOL
         if self.accept("Set"):
             saved = self.begin(1)
             t = SetT(self.type_atom())
             self.end(saved)
             return t
-        if tok.kind == "ident":
+        if tok.kind == "ident" or tok.text == "Bool":
             self.next()
             return Base(tok.text)
         if self.accept("("):
@@ -505,8 +499,12 @@ class _Parser:
 
     def _atom(self, item: Callable[[], Term], what: str) -> Term:
         """The atoms terms and expressions share: unit, tuples of `item`,
-        string and integer literals, applications, and variables."""
+        boolean, string and integer literals, applications, and variables."""
         tok = self.peek()
+        if self.accept("true"):
+            return TRUE
+        if self.accept("false"):
+            return FALSE
         if self.accept("("):
             if self.accept(")"):
                 return UNIT_TERM
@@ -530,10 +528,6 @@ class _Parser:
         return self._postfix(self.term_atom, 1)
 
     def term_atom(self) -> Term:
-        if self.accept("true"):
-            return Lit("Bool", True)
-        if self.accept("false"):
-            return Lit("Bool", False)
         return self._atom(self.term, "expected a term")
 
     def nrc_expr(self) -> Term:
@@ -564,10 +558,6 @@ class _Parser:
             t = self.type_expr()
             self.expect("]")
             return Empty(t)
-        if self.accept("true"):
-            return TRUE
-        if self.accept("false"):
-            return FALSE
         if self.accept("if"):
             cond = self.nrc_expr()
             self.expect("then")
@@ -623,10 +613,16 @@ class _Parser:
                           tuple(equations), loc)
 
     def _name_list(self) -> tuple[str, ...]:
-        names = [self.expect_ident("a type name").text]
+        names = [self._type_name()]
         while self.accept(","):
-            names.append(self.expect_ident("a type name").text)
+            names.append(self._type_name())
         return tuple(names)
+
+    def _type_name(self) -> str:
+        """A declared type's name: an identifier or the keyword `Bool`."""
+        if self.at("Bool"):
+            return self.next().text
+        return self.expect_ident("a type name").text
 
     def _op_decl(self) -> OpDecl:
         tok = self.expect_ident("an operation name")
@@ -852,10 +848,6 @@ def print_nrc(e: Term, level: int = 0) -> str:
         return "{" + print_nrc(e.elem) + "}"
     if isinstance(e, Empty):
         return f"empty[{format_type(e.elem)}]"
-    if isinstance(e, TrueLit):
-        return "true"
-    if isinstance(e, FalseLit):
-        return "false"
     if isinstance(e, Pair):
         # A right-nested chain is one tuple, as `_nest_pairs` builds it.
         items = [e.fst]

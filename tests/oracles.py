@@ -50,11 +50,9 @@ from qinl.kernel import (
 from qinl.nrc import (
     Empty,
     EqTest,
-    FalseLit,
     For,
     If,
     Singleton,
-    TrueLit,
     Union,
 )
 from qinl.kernel import EngineError, format_literal, format_type
@@ -88,7 +86,8 @@ from qinl.surface import (
 
 # --------------------------------------------------------------------------
 # Naive set-semantics evaluator over hashable python values.
-# unit -> "()", bool -> bool, base constant -> ("const", base, value),
+# unit -> "()", Bool constant -> bool, other base constant ->
+# ("const", base, value),
 # pair -> 2-tuple, set -> frozenset.
 
 
@@ -98,7 +97,7 @@ def naive_eval(e: Term, env: Mapping[str, object], ops: Mapping) -> object:
     if isinstance(e, UnitTerm):
         return "()"
     if isinstance(e, Lit):
-        return ("const", e.base, e.value)
+        return e.value if e.base == "Bool" else ("const", e.base, e.value)
     if isinstance(e, Pair):
         return (naive_eval(e.fst, env, ops), naive_eval(e.snd, env, ops))
     if isinstance(e, Proj1):
@@ -107,10 +106,6 @@ def naive_eval(e: Term, env: Mapping[str, object], ops: Mapping) -> object:
         return naive_eval(e.of, env, ops)[1]
     if isinstance(e, App):
         return ops[e.op](naive_eval(e.arg, env, ops))
-    if isinstance(e, TrueLit):
-        return True
-    if isinstance(e, FalseLit):
-        return False
     if isinstance(e, Empty):
         return frozenset()
     if isinstance(e, Singleton):

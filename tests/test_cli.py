@@ -512,6 +512,315 @@ def test_a_builtin_declared_at_another_type_exits_2(capsys, tmp_path, command,
     assert not out.exists()
 
 
+_BOOLS = """\
+schema S = {
+  entities E, D;
+  attributes Bool, Int;
+  operations
+    active : E -> Bool,
+    size : E -> Int,
+    dept : E -> D,
+    open : D -> Bool;
+  equations
+    forall b: Bool . b = b;
+    forall x: E . open(dept(x)) = true;
+}
+schema T = {
+  entities F, G;
+  attributes Bool, Int;
+  operations
+    on : F -> Bool,
+    n : F -> Int,
+    at : F -> G,
+    ok : G -> Bool;
+  equations
+    forall y: F . ok(at(y)) = true;
+}
+mapping m : S -> T = {
+  E -> F;
+  D -> G;
+  active -> (x => on(x));
+  size -> (x => n(x));
+  dept -> (x => at(x));
+  open -> (x => ok(x));
+}
+instance i : S = {
+  E = { a, b };
+  D = { d };
+  active = { a -> true, b -> ?0 };
+  size = { a -> 1, b -> 2 };
+  dept = { a -> d, b -> d };
+  open = { d -> true };
+}
+instance j : T = {
+  F = { p };
+  G = { g };
+  on = { p -> false };
+  n = { p -> 3 };
+  at = { p -> g };
+  ok = { g -> true };
+}
+query q : S = for x: E where active(x) = true return size(x)
+"""
+
+_BOOL_MIGRATIONS = {
+    ("delta", "j"): (
+        "j_delta : S", 2,
+        "instance j_delta : S = {\n"
+        "  D = { g };\n"
+        "  E = { p };\n"
+        "  active = { p -> false };\n"
+        "  dept = { p -> g };\n"
+        "  open = { g -> true };\n"
+        "  size = { p -> 3 };\n"
+        "}\n"),
+    ("sigma", "i"): (
+        "i_sigma : T", 3,
+        "instance i_sigma : T = {\n"
+        "  F = { a, b };\n"
+        "  G = { d };\n"
+        "  at = { a -> d, b -> d };\n"
+        "  n = { a -> 1, b -> 2 };\n"
+        "  ok = { d -> true };\n"
+        "  on = { a -> true, b -> ?0 };\n"
+        "}\n"),
+    ("pi", "i"): (
+        "i_pi : T", 3,
+        "instance i_pi : T = {\n"
+        '  F = { "(x.at:D=d, x:E=a)", "(x.at:D=d, x:E=b)" };\n'
+        '  G = { "(x:D=d)" };\n'
+        '  at = { "(x.at:D=d, x:E=a)" -> "(x:D=d)", '
+        '"(x.at:D=d, x:E=b)" -> "(x:D=d)" };\n'
+        '  n = { "(x.at:D=d, x:E=a)" -> 1, "(x.at:D=d, x:E=b)" -> 2 };\n'
+        '  ok = { "(x:D=d)" -> true };\n'
+        '  on = { "(x.at:D=d, x:E=a)" -> true, "(x.at:D=d, x:E=b)" -> ?0 };\n'
+        "}\n"),
+}
+
+
+def test_bool_attributes_run_through_every_command(capsys, tmp_path):
+    """`Bool` is an attribute type like `Int`: declared under `attributes`,
+    with `true`/`false` cells and literals, it checks, answers a query,
+    migrates in all three directions to files that read back, and maps
+    its nulls in homomorphisms."""
+    path = tmp_path / "bools.qinl"
+    path.write_text(_BOOLS)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert "instance i : S: 3 rows; 1 satisfied, 1 sampled-only\n" in out
+    assert run(capsys, "query", str(path), "q", "i") == (0, "1\n", "")
+    outputs = [_BOOLS]
+    for (direction, instance), (name, rows, text) in _BOOL_MIGRATIONS.items():
+        out_path = tmp_path / f"{direction}.qinl"
+        assert run(capsys, "migrate", str(path), direction, "m", instance,
+                   "--out", str(out_path)) == (
+            0, f"wrote {name} to {out_path} ({rows} rows)\n", "")
+        assert out_path.read_text() == text
+        outputs.append(text)
+    path.write_text("".join(outputs))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    for name in ("j_delta : S", "i_sigma : T", "i_pi : T"):
+        assert f"instance {name}: " in out
+    assert run(capsys, "homs", str(path), "i", "i", "--list") == (
+        0, "1 homomorphism(s) from i to i\n"
+           "  D: d->d; E: a->a, b->b; ?0 -> ?0\n", "")
+
+
+def test_a_bool_equation_is_sampled_over_both_booleans(capsys, tmp_path):
+    """The instance holds only `true`, so the witness `false` comes from
+    the sample space of `Bool`."""
+    path = tmp_path / "bools.qinl"
+    path.write_text("schema S = { entities E; attributes Bool;\n"
+                    "  operations on : E -> Bool;\n"
+                    "  equations forall b: Bool . b = true; }\n"
+                    "instance i : S = { E = { a }; on = { a -> true }; }\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert err == (f"{path}:4:1: failure: instance 'i' violates "
+                   f"forall b: Bool . b = true at b=false\n")
+
+
+@pytest.mark.parametrize("text, loc, message", [
+    ("schema S = { entities E; operations f : E -> E;\n"
+     "  equations forall s: Foo . s = s; }\n"
+     "instance i : S = { E = { a }; f = { a -> a }; }\n",
+     "2:13", "equation 'forall s: Foo . s = s': unknown base type 'Foo'"),
+    ("schema S = { entities E; operations f : E -> String; }\n"
+     "instance i : S = { E = { a }; f = { a -> \"x\" }; }\n",
+     "1:1", "schema 'S': operation 'f': unknown base type 'String'"),
+    ("schema S = { entities E; operations f : E -> Bool; }\n",
+     "1:1", "schema 'S': operation 'f': unknown base type 'Bool'"),
+    ("schema S = { entities E;\n  equations forall b: Bool . b = b; }\n",
+     "2:13", "equation 'forall b: Bool . b = b': unknown base type 'Bool'"),
+], ids=["binder", "operation", "bool-operation", "bool-binder"])
+def test_a_type_the_schema_does_not_declare_exits_2(capsys, tmp_path, text,
+                                                    loc, message):
+    """Every base type an operation or a binder names must be declared; it
+    is reported at the schema or at the equation, never as a traceback."""
+    path = tmp_path / "undeclared.qinl"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith(f"{path}:{loc}: error: {message}\n")
+    assert "Traceback" not in out + err
+
+
+_SCHEMAS = """\
+schema S = {
+  entities E;
+  attributes String, Int;
+  operations f : E -> E, name : E -> String, length : String -> Int;
+}
+schema T = {
+  entities F;
+  attributes String, Int;
+  operations g : F -> F, label : F -> String;
+}
+schema U = { entities E; attributes Int; operations size : E -> Int; }
+schema V = { entities F; attributes String; }
+instance i : S = { E = { a }; f = { a -> a }; name = { a -> "n" }; }
+"""
+
+
+@pytest.mark.parametrize("text, args, loc, message", [
+    ("schema D = { entities E; operations f : E -> E, f : E -> E; }",
+     (), "14:49", "duplicate operation 'f'"),
+    ("schema D = { entities E; attributes String;\n"
+     "  operations f : E -> E, s : E -> String;\n"
+     "  equations forall x: E . f(x) = s(x); }",
+     (), "16:13",
+     "equation 'forall x: E . f(x) = s(x)': sides have different types: "
+     "E vs String"),
+    ("instance k : S = { E = { a }; E = { b }; }",
+     (), "14:31", "duplicate item 'E'"),
+    ("instance k : S = { E = { a }; length = { a -> 1 }; }",
+     (), "14:31",
+     "operation 'length' is builtin; its semantics are registered, not "
+     "tabulated"),
+    ("instance k : S = { E = { a }; zz = { a }; }",
+     (), "14:31", "'zz' is neither an entity type nor an operation of schema 'S'"),
+    ("mapping m : S -> S = { E -> E; E -> E; }",
+     (), "14:32", "duplicate type image for 'E'"),
+    ("mapping m : S -> S = { f -> (x => f(x)); f -> (x => x); }",
+     (), "14:42", "duplicate operation image for 'f'"),
+    ("mapping m : S -> S = { f -> (x => f(x)); name -> (x => name(x)); }",
+     (), "14:1", "mapping 'm': no image for entity type 'E'"),
+    ("mapping m : S -> S = { E -> String; f -> (x => f(x)); "
+     "name -> (x => name(x)); }",
+     (), "14:1", "mapping 'm': 'E' maps to 'String', not a target entity type"),
+    ("mapping m : S -> S = { E -> E; Int -> Int; f -> (x => f(x)); "
+     "name -> (x => name(x)); }",
+     (), "14:1", "mapping 'm': type map mentions non-entity type 'Int'"),
+    ("mapping m : U -> V = { E -> F; size -> (x => x); }",
+     (), "14:1",
+     "mapping 'm': attribute type 'Int' is fixed but absent from the target"),
+    ("mapping m : S -> S = { E -> E; name -> (x => name(x)); }",
+     (), "14:1", "mapping 'm': no image for operation 'f'"),
+    ("mapping m : S -> S = { E -> E; f -> (x => f(x)); "
+     "name -> (x => name(x)); length -> (x => length(x)); }",
+     (), "14:1",
+     "mapping 'm': operation map mentions 'length', which is not a source "
+     "operation with entity domain"),
+    ("mapping m : S -> T = { E -> F; f -> (x => g(x)); "
+     "name -> (x => label(x)); }",
+     (), "14:1",
+     "mapping 'm': builtin operation 'length' is not declared identically in "
+     "the target"),
+    ("mapping m : S -> S = { E -> E; f -> (x => f(y)); "
+     "name -> (x => name(x)); }",
+     (), "14:1",
+     "mapping 'm': image of 'f' does not typecheck: unbound variable 'y'"),
+    ("mapping m : S -> S = { E -> E; f -> (x => f(x)); "
+     "name -> (x => length(name(x))); }",
+     (), "14:1", "mapping 'm': image of 'name' has type Int, expected String"),
+    ('expr e = length(1)',
+     (), "14:1", "expr 'e': expected String, found Int at length(1)"),
+    ("query q : U = for x: E return size(x)",
+     ("query", "q", "i"), None,
+     "query 'q' is over 'U' but instance 'i' is on 'S'"),
+], ids=["duplicate-operation", "ill-typed-equation", "duplicate-item",
+        "tabulated-builtin", "item-naming-nothing", "duplicate-type-image",
+        "duplicate-operation-image", "no-entity-image", "not-a-target-entity",
+        "non-entity-type-image", "attribute-type-absent", "no-operation-image",
+        "not-a-source-operation", "builtin-not-identical",
+        "image-does-not-typecheck", "image-of-another-type", "ill-typed-expr",
+        "query-across-schemas"])
+def test_elaboration_diagnostics_exit_2_at_their_place(capsys, tmp_path, text,
+                                                       args, loc, message):
+    path = tmp_path / "bad.qinl"
+    path.write_text(_SCHEMAS + text + "\n")
+    command, *rest = args or ("check",)
+    code, out, err = run(capsys, command, str(path), *rest)
+    assert code == 2
+    place = f"{path}:{loc}" if loc else f"{path}"
+    assert err.startswith(f"{place}: error: {message}\n")
+
+
+_SYMBOLIC = """\
+schema S = {
+  entities A;
+  attributes String, Int;
+  operations
+    w : A -> String,
+    k : A -> Int,
+    length : String -> Int;
+  equations
+    forall x: A . k(x) = length(w(x));
+}
+schema T = {
+  entities B;
+  attributes String, Int;
+  operations
+    v : B -> String,
+    n : B -> Int,
+    length : String -> Int;
+  equations
+    forall y: B . n(y) = length(v(y));
+}
+mapping m : S -> T = {
+  A -> B;
+  w -> (x => v(x));
+  k -> (x => n(x));
+}
+instance I : S = {
+  A = { a };
+  w = { a -> ?0 };
+  k = { a -> length(?0) };
+}
+"""
+
+
+@pytest.mark.parametrize("direction, text", [
+    ("sigma", "instance I_sigma : T = {\n"
+              "  B = { a };\n"
+              "  n = { a -> length(?0) };\n"
+              "  v = { a -> ?0 };\n"
+              "}\n"),
+    ("pi", "instance I_pi : T = {\n"
+           '  B = { "(x:A=a)" };\n'
+           '  n = { "(x:A=a)" -> length(?0) };\n'
+           '  v = { "(x:A=a)" -> ?0 };\n'
+           "}\n"),
+])
+def test_sigma_and_pi_keep_a_symbolic_cell_along_a_renaming(capsys, tmp_path,
+                                                            direction, text):
+    path = tmp_path / "symbolic.qinl"
+    path.write_text(_SYMBOLIC)
+    out = tmp_path / "o.qinl"
+    assert run(capsys, "migrate", str(path), direction, "m", "I",
+               "--out", str(out)) == (
+        0, f"wrote I_{direction} : T to {out} (1 rows)\n", "")
+    assert out.read_text() == text
+
+
+def test_homs_list_the_null_part_of_a_symbolic_source(capsys, tmp_path):
+    path = tmp_path / "symbolic.qinl"
+    path.write_text(_SYMBOLIC)
+    assert run(capsys, "homs", str(path), "I", "I", "--list") == (
+        0, "1 homomorphism(s) from I to I\n  A: a->a; ?0 -> ?0\n", "")
+
+
 def test_migrate_pi_writes_one_fresh_null_per_open_class(capsys, tmp_path):
     """w(x) = w2(x) in `twins` and nothing goes to either: each row holds
     one fresh null in both cells, and the output reads back and checks."""

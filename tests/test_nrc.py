@@ -20,7 +20,6 @@ from qinl.kernel import (
 from qinl.nrc import (
     BOOL,
     BaseV,
-    BoolV,
     BranchTypeMismatch,
     Empty,
     EqTest,
@@ -49,7 +48,7 @@ from qinl.nrc import (
 
 from oracles import naive_eval
 
-SIG = Signature.of({"T1", "T2", "Int", "String"}, {})
+SIG = Signature.of({"T1", "T2", "Int", "String", "Bool"}, {})
 
 
 def iv(n: int) -> BaseV:
@@ -126,12 +125,12 @@ def test_value_equality_is_structural():
 
 
 def test_value_type_reconstruction():
-    v = PairV(iv(1), make_set(BOOL, [BoolV(True)]))
+    v = PairV(iv(1), make_set(BOOL, [BaseV("Bool", True)]))
     assert value_type(v) == Prod(Base("Int"), SetT(BOOL))
 
 
 def test_value_key_total_order_mixed():
-    values = [UnitV(), BoolV(False), iv(5), sv("a"),
+    values = [UnitV(), BaseV("Bool", False), iv(5), sv("a"),
               PairV(iv(1), iv(2)), int_set(1)]
     keys = [value_key(v) for v in values]
     assert sorted(keys) == sorted(set(keys))
@@ -148,10 +147,8 @@ def test_format_value():
 def _to_naive(v: Value):
     if isinstance(v, UnitV):
         return "()"
-    if isinstance(v, BoolV):
-        return v.flag
     if isinstance(v, BaseV):
-        return ("const", v.base, v.constant)
+        return v.constant if v.base == "Bool" else ("const", v.base, v.constant)
     if isinstance(v, PairV):
         return (_to_naive(v.fst), _to_naive(v.snd))
     if isinstance(v, SetV):

@@ -5,7 +5,20 @@ import random
 import pytest
 
 from qinl.equality import Equation, Theory
-from qinl.kernel import App, Base, Context, Lit, Signature, UnknownOperation, Var
+from qinl.kernel import (
+    App,
+    Base,
+    Context,
+    Lit,
+    Prod,
+    Proj1,
+    Proj2,
+    Signature,
+    UNIT,
+    UNIT_TERM,
+    UnknownOperation,
+    Var,
+)
 from qinl.schema import (
     BuiltinOp,
     BuiltinRegistry,
@@ -143,6 +156,26 @@ def test_staff_satisfies_company(company, staff):
     sampled = [c for c in report.checks if c.status == "sampled-only"]
     assert len(sampled) == 2
     assert all(c.sample_size == 32 for c in sampled)
+
+
+def test_check_instance_quantifies_over_unit_and_product_binders():
+    """A binder of type E * E ranges over the pairs of rows and one of type
+    1 over `()`: both are enumerated, not sampled."""
+    e = Base("E")
+    p = Var("p")
+    pairs = Context.of(("p", Prod(e, e)))
+    s = FqlSchema(
+        Theory.of(Signature.of({"E"}, {"f": (e, e)}), (
+            Equation(pairs, App("f", Proj1(p)), App("f", Proj1(p))),
+            Equation(pairs, App("f", Proj1(p)), Proj2(p)),
+            Equation(Context.of(("u", UNIT)), Var("u"), UNIT_TERM))),
+        frozenset({"E"}), frozenset())
+    i = Instance.make({"E": ["a", "b"]}, {"f": {"a": "a", "b": "b"}})
+    report = check_instance(s, i)
+    assert [(c.equation, c.status, c.witness) for c in report.checks] == [
+        ("forall p: E * E . f(p.1) = f(p.1)", "satisfied", None),
+        ("forall p: E * E . f(p.1) = p.2", "violated", (("p", "(a, b)"),)),
+        ("forall u: 1 . u = ()", "satisfied", None)]
 
 
 def test_single_row_self_manager_satisfied(company):

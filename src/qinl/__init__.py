@@ -1,7 +1,7 @@
 """qinl: a typed term calculus with schemas as equational theories, finite
-instances, schema mappings, the three data migration operations, a set
-semantics evaluator for nested relational expressions, and comprehension
-queries, behind a batch CLI."""
+instances, schema mappings, the three data migration operations, nested
+relational expressions evaluated by the same evaluator as terms, and
+comprehension queries, behind a batch CLI."""
 
 from .kernel import (
     App,
@@ -45,27 +45,18 @@ from .equality import (
 )
 from .nrc import (
     BOOL,
-    BaseV,
     Empty,
     EqTest,
     FALSE,
     For,
     If,
-    PairV,
     SetT,
-    SetV,
     Singleton,
     TRUE,
     Union,
     UninterpretedOperation,
-    UnitV,
-    Value,
-    format_value,
-    make_set,
-    nrc_eval,
     nrc_infer_type,
     relational_library,
-    value_type,
 )
 from .schema import (
     BuiltinRegistry,
@@ -76,10 +67,13 @@ from .schema import (
     OpApplied,
     PartialFunction,
     SatisfactionReport,
+    SetV,
     check_instance,
     default_builtins,
     eval_term,
+    format_cell,
     instance_equal_upto_iso,
+    make_set,
     validate_instance,
 )
 from .chase import FuelExhausted, InconsistentConstants, initial_model

@@ -21,9 +21,8 @@ from .equality import Proved
 from .kernel import EngineError
 from .mapping import check_preservation
 from .migration import MIGRATION_FAILURES, TooLarge, ends, enumerate_homs, migrate
-from .nrc import nrc_eval, format_value
 from .query import eval_query
-from .schema import check_instance, default_builtins
+from .schema import Instance, check_instance, default_builtins, eval_term, format_cell
 from .surface import (
     Diagnostic,
     Elaborated,
@@ -258,9 +257,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return code
     exprs = elab.exprs if args.name is None else {
         args.name: elab.resolve("expression", args.name)}
-    registry = default_builtins()
-    sig, ops = registry.signature(), registry.nrc_interpretations()
-    results = {name: format_value(nrc_eval(sig, e, {}, ops))
+    schema, empty = default_builtins().schema(), Instance({}, {})
+    results = {name: format_cell(eval_term(schema, empty, {}, e))
                for name, e in exprs.items()}
     if config.format == "json":
         payload = _envelope("eval", args.file, config, "ok")

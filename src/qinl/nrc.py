@@ -1,11 +1,13 @@
-"""Nested relational calculus layer: set types over the core term language,
-conditionals and equality tests over the registry's `Bool` base type, a
-big-step set-semantics evaluator, and the standard relational combinators
-(projection, cartesian product, selection)."""
+"""Nested relational calculus layer: the syntax of set types and
+set-calculus expressions over the core term language, with conditionals and
+equality tests over the registry's `Bool` base type; their typing rules and
+printer; and the standard relational combinators (projection, cartesian
+product, selection).  Expressions are evaluated by `schema.eval_term`, to
+cells."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .kernel import (
@@ -23,10 +25,9 @@ from .kernel import (
     TypeExpr,
     TypeMismatch,
     UNIT,
-    UnboundVariable,
     UnitTerm,
     Var,
-    format_literal,
+    format_term,
     format_type,
     infer_type,
 )
@@ -70,38 +71,47 @@ BOOL = Base("Bool")
 # --------------------------------------------------------------------------
 # Expressions
 
+class SetExpr(Term):
+    """A set-calculus construct; it prints as the expression text."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return print_nrc(self)
+
+
 @dataclass(frozen=True)
-class Empty(Term):
+class Empty(SetExpr):
     elem: TypeExpr  # the element-type annotation the empty set carries
 
 
 @dataclass(frozen=True)
-class Union(Term):
+class Union(SetExpr):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Singleton(Term):
+class Singleton(SetExpr):
     elem: Term
 
 
 @dataclass(frozen=True)
-class For(Term):
+class For(SetExpr):
     var: str
     source: Term
     body: Term  # var is bound in body only
 
 
 @dataclass(frozen=True)
-class If(Term):
+class If(SetExpr):
     cond: Term
     then: Term
     els: Term
 
 
 @dataclass(frozen=True)
-class EqTest(Term):
+class EqTest(SetExpr):
     left: Term
     right: Term
 
@@ -160,172 +170,44 @@ def _nrc_rules(sig: Signature, ctx: Context, e: Term, recurse) -> TypeExpr:
 
 
 # --------------------------------------------------------------------------
-# Values
+# Printing
 
-class Value:
-    """A finite denotation.  Sets are deduplicated and kept in a canonical
-    order so structural equality and printing are deterministic."""
+def print_nrc(e: Term, level: int = 0) -> str:
+    """Levels: 0 full expression, 1 union operand, 2 postfix operand."""
+    def wrap(s: str, needed: int) -> str:
+        return f"({s})" if level > needed else s
 
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class UnitV(Value):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class PairV(Value):
-    fst: Value
-    snd: Value
-
-
-@dataclass(frozen=True)
-class BaseV(Value):
-    base: str
-    constant: object
-
-
-@dataclass(frozen=True)
-class SetV(Value):
-    elem: TypeExpr
-    members: tuple[Value, ...]  # deduplicated, sorted by value_key
-
-
-UNIT_V = UnitV()
-
-
-def _constant_key(c: object) -> tuple:
-    if isinstance(c, bool):
-        return (0, c)
-    if isinstance(c, int):
-        return (1, c)
-    if isinstance(c, str):
-        return (2, c)
-    return (3, str(c))  # labelled nulls and symbolic values sort by rendering
-
-
-def value_key(v: Value) -> tuple:
-    if isinstance(v, UnitV):
-        return (0,)
-    if isinstance(v, BaseV):
-        return (1, v.base, _constant_key(v.constant))
-    if isinstance(v, PairV):
-        return (2, value_key(v.fst), value_key(v.snd))
-    if isinstance(v, SetV):
-        return (3, tuple(value_key(m) for m in v.members))
-    raise EngineError(f"not a value: {v!r}")
-
-
-def value_type(v: Value) -> TypeExpr:
-    if isinstance(v, UnitV):
-        return UNIT
-    if isinstance(v, BaseV):
-        return Base(v.base)
-    if isinstance(v, PairV):
-        return Prod(value_type(v.fst), value_type(v.snd))
-    if isinstance(v, SetV):
-        return SetT(v.elem)
-    raise EngineError(f"not a value: {v!r}")
-
-
-def make_set(elem: TypeExpr, values: Iterable[Value]) -> SetV:
-    unique = {value_key(v): v for v in values}
-    return SetV(elem, tuple(unique[k] for k in sorted(unique)))
-
-
-def format_value(v: Value) -> str:
-    if isinstance(v, UnitV):
-        return "()"
-    if isinstance(v, BaseV):
-        return format_literal(v.constant) if isinstance(v.constant, (bool, int, str)) \
-            else str(v.constant)
-    if isinstance(v, PairV):
-        return f"({format_value(v.fst)}, {format_value(v.snd)})"
-    if isinstance(v, SetV):
-        return "{" + ", ".join(format_value(m) for m in v.members) + "}"
-    return str(v)
-
-
-# --------------------------------------------------------------------------
-# Evaluation
-
-Interpretations = Mapping[str, Callable[[Value], Value]]
-
-
-def nrc_eval(sig: Signature, e: Term, env: Mapping[str, Value],
-             ops: Interpretations) -> Value:
-    """Evaluate a well-typed expression under an environment.
-
-    Operation symbols evaluate through `ops`; using one without a registered
-    interpretation raises `UninterpretedOperation`.  Iterating an empty set
-    still produces an empty set of the body's element type, so the signature
-    is needed for typing the body in that case.
-    """
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise UnboundVariable(e.name)
-        return env[e.name]
-    if isinstance(e, UnitTerm):
-        return UNIT_V
-    if isinstance(e, Lit):
-        return BaseV(e.base, e.value)
-    if isinstance(e, Pair):
-        return PairV(nrc_eval(sig, e.fst, env, ops),
-                     nrc_eval(sig, e.snd, env, ops))
-    if isinstance(e, Proj1):
-        v = nrc_eval(sig, e.of, env, ops)
-        assert isinstance(v, PairV)
-        return v.fst
-    if isinstance(e, Proj2):
-        v = nrc_eval(sig, e.of, env, ops)
-        assert isinstance(v, PairV)
-        return v.snd
-    if isinstance(e, App):
-        if e.op not in ops:
-            raise UninterpretedOperation(e.op)
-        return ops[e.op](nrc_eval(sig, e.arg, env, ops))
-    if isinstance(e, Empty):
-        return SetV(e.elem, ())
-    if isinstance(e, Union):
-        left = nrc_eval(sig, e.left, env, ops)
-        right = nrc_eval(sig, e.right, env, ops)
-        assert isinstance(left, SetV) and isinstance(right, SetV)
-        return make_set(left.elem, left.members + right.members)
-    if isinstance(e, Singleton):
-        v = nrc_eval(sig, e.elem, env, ops)
-        return SetV(value_type(v), (v,))
-    if isinstance(e, If):
-        cond = nrc_eval(sig, e.cond, env, ops)
-        assert isinstance(cond, BaseV)
-        return nrc_eval(sig, e.then if cond.constant else e.els, env, ops)
     if isinstance(e, EqTest):
-        return BaseV("Bool", nrc_eval(sig, e.left, env, ops)
-                     == nrc_eval(sig, e.right, env, ops))
+        return wrap(f"{print_nrc(e.left, 1)} = {print_nrc(e.right, 1)}", 0)
+    if isinstance(e, Union):
+        return wrap(f"{print_nrc(e.left, 1)} union {print_nrc(e.right, 2)}", 1)
+    if isinstance(e, If):
+        return wrap(f"if {print_nrc(e.cond)} then {print_nrc(e.then)} "
+                    f"else {print_nrc(e.els)}", 0)
     if isinstance(e, For):
-        source = nrc_eval(sig, e.source, env, ops)
-        assert isinstance(source, SetV)
-        if not source.members:
-            ctx = _context_of(env).extend(e.var, source.elem)
-            body_type = nrc_infer_type(sig, ctx, e.body)
-            assert isinstance(body_type, SetT)
-            return SetV(body_type.elem, ())
-        collected: list[Value] = []
-        elem: TypeExpr | None = None
-        for member in source.members:
-            inner = dict(env)
-            inner[e.var] = member
-            result = nrc_eval(sig, e.body, inner, ops)
-            assert isinstance(result, SetV)
-            elem = result.elem
-            collected.extend(result.members)
-        assert elem is not None
-        return make_set(elem, collected)
-    raise EngineError(f"cannot evaluate unknown construct {e!r}")
-
-
-def _context_of(env: Mapping[str, Value]) -> Context:
-    return Context(tuple((name, value_type(v)) for name, v in sorted(env.items())))
+        return wrap(f"for {e.var} in {print_nrc(e.source, 1)} "
+                    f"return {print_nrc(e.body)}", 0)
+    if isinstance(e, Singleton):
+        return "{" + print_nrc(e.elem) + "}"
+    if isinstance(e, Empty):
+        return f"empty[{format_type(e.elem)}]"
+    if isinstance(e, Pair):
+        # A right-nested chain is one tuple, as the parser builds it.
+        items = [e.fst]
+        while isinstance(e.snd, Pair):
+            e = e.snd
+            items.append(e.fst)
+        items.append(e.snd)
+        return "(" + ", ".join(print_nrc(item) for item in items) + ")"
+    if isinstance(e, Proj1):
+        return f"{print_nrc(e.of, 2)}.1"
+    if isinstance(e, Proj2):
+        return f"{print_nrc(e.of, 2)}.2"
+    if isinstance(e, App):
+        return f"{e.op}({print_nrc(e.arg)})"
+    if isinstance(e, (Var, UnitTerm, Lit)):
+        return format_term(e)
+    raise EngineError(f"cannot print {e!r}")
 
 
 # --------------------------------------------------------------------------

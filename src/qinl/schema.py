@@ -1,5 +1,6 @@
 """Database schemas as equational theories with an entity/attribute split,
-finite instances with labelled nulls, satisfaction checking, and
+finite instances with labelled nulls, the one evaluator of terms and
+set-calculus expressions (to cells), satisfaction checking, and
 isomorphism-of-instances search."""
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .kernel import (
     format_type,
     subterms,
 )
-from .nrc import BaseV, UninterpretedOperation, Value
+from .nrc import Empty, EqTest, For, If, Singleton, UninterpretedOperation, Union
 
 
 class PartialFunction(EngineError):
@@ -82,7 +83,23 @@ class _UnitCell:
 
 UNIT_CELL = _UnitCell()
 
-Cell = object  # row id (str), constant, LabelledNull, OpApplied, tuple, UNIT_CELL
+
+@dataclass(frozen=True)
+class SetV:
+    """The value of a set-calculus expression: its members, deduplicated
+    and in `cell_key` order, so equal sets are equal tuples."""
+
+    members: tuple
+
+
+# A row id (str), a constant, a LabelledNull, an OpApplied, a pair (tuple),
+# UNIT_CELL, or a set (SetV).
+Cell = object
+
+
+def make_set(values: Iterable[Cell]) -> SetV:
+    unique = {cell_key(v): v for v in values}
+    return SetV(tuple(unique[k] for k in sorted(unique)))
 
 
 def render_cell(v: Cell) -> str:
@@ -98,8 +115,14 @@ def render_cell(v: Cell) -> str:
 
 
 def format_cell(v: Cell) -> str:
-    """An attribute cell as the instance text that reads back as it."""
-    return str(v) if isinstance(v, (LabelledNull, OpApplied)) else format_literal(v)
+    """A cell as the text that reads back as it."""
+    if isinstance(v, (str, int)):
+        return format_literal(v)
+    if isinstance(v, tuple):
+        return f"({format_cell(v[0])}, {format_cell(v[1])})"
+    if isinstance(v, SetV):
+        return "{" + ", ".join(format_cell(m) for m in v.members) + "}"
+    return str(v)  # unit, labelled nulls and symbolic cells
 
 
 def cell_key(v: Cell) -> tuple:
@@ -115,6 +138,8 @@ def cell_key(v: Cell) -> tuple:
         return (4, v.op, cell_key(v.arg))
     if isinstance(v, tuple):
         return (5, cell_key(v[0]), cell_key(v[1]))
+    if isinstance(v, SetV):
+        return (7, tuple(cell_key(m) for m in v.members))
     return (6,)
 
 
@@ -159,17 +184,12 @@ class BuiltinRegistry:
             return OpApplied(op, value)
         return self.ops[op].fn(value)
 
-    def signature(self) -> Signature:
-        """The carriers and builtins as a signature, the ambient one of
-        standalone set-calculus expressions."""
-        return Signature.of(set(self.carriers), {
+    def schema(self) -> FqlSchema:
+        """The schema of standalone set-calculus expressions: the carriers
+        as attribute types and the builtins, no entity types."""
+        sig = Signature.of(set(self.carriers), {
             name: (Base(op.dom), Base(op.cod)) for name, op in self.ops.items()})
-
-    def nrc_interpretations(self) -> dict[str, Callable[[Value], Value]]:
-        """The builtins wrapped for the set-semantics evaluator."""
-        def wrap(name: str, cod: str) -> Callable[[Value], Value]:
-            return lambda v: BaseV(cod, self.apply(name, v.constant))
-        return {name: wrap(name, op.cod) for name, op in self.ops.items()}
+        return FqlSchema(Theory.of(sig), frozenset(), frozenset(self.carriers), self)
 
 
 _STRINGS = tuple("".join(p) for n in range(6)
@@ -230,6 +250,8 @@ class FqlSchema:
         separately by check_theory so callers can locate each equation."""
         problems = []
         declared = self.sig.base_types
+        for t in sorted(self.entity_types & self.builtins.carriers.keys()):
+            problems.append(f"entity type '{t}' is a builtin attribute type")
         overlap = self.entity_types & self.attribute_types
         if overlap:
             problems.append(f"types declared both entity and attribute: {sorted(overlap)}")
@@ -387,8 +409,10 @@ def unstated_builtin(s: FqlSchema, op: str, row: str, v: Cell) -> str | None:
 # Term evaluation over an instance
 
 def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Cell:
-    """Evaluate by table lookups for entity-domain operations and registered
-    semantics for builtins.  A builtin applied to an unknown stays symbolic."""
+    """Evaluate a well-typed term or set-calculus expression to a cell, by
+    table lookups for entity-domain operations and registered semantics for
+    builtins.  A builtin applied to an unknown stays symbolic; a labelled
+    null equals only itself.  Conditions and `=` evaluate to True/False."""
     if isinstance(e, Var):
         if e.name not in env:
             raise UnboundVariable(e.name)
@@ -417,6 +441,24 @@ def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Ce
         if table is None or arg not in table:
             raise PartialFunction(e.op, render_cell(arg))
         return table[arg]
+    if isinstance(e, Empty):
+        return SetV(())
+    if isinstance(e, Singleton):
+        return SetV((eval_term(s, i, env, e.elem),))
+    if isinstance(e, Union):
+        return make_set(eval_term(s, i, env, e.left).members
+                        + eval_term(s, i, env, e.right).members)
+    if isinstance(e, If):
+        cond = eval_term(s, i, env, e.cond)
+        return eval_term(s, i, env, e.then if cond else e.els)
+    if isinstance(e, EqTest):
+        return eval_term(s, i, env, e.left) == eval_term(s, i, env, e.right)
+    if isinstance(e, For):
+        inner, collected = dict(env), []
+        for member in eval_term(s, i, env, e.source).members:
+            inner[e.var] = member
+            collected += eval_term(s, i, inner, e.body).members
+        return make_set(collected)
     raise EngineError(f"cannot evaluate term construct {e!r}")
 
 

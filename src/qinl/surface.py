@@ -40,7 +40,6 @@ from .kernel import (
     TypeExpr,
     UNIT,
     UNIT_TERM,
-    UnitTerm,
     Var,
     format_literal,
     format_term,
@@ -59,6 +58,7 @@ from .nrc import (
     TRUE,
     Union,
     nrc_infer_type,
+    print_nrc,
 )
 from .query import Comprehension, typecheck_query
 from .schema import (
@@ -829,44 +829,6 @@ def parse(text: str) -> SourceUnit:
 # --------------------------------------------------------------------------
 # Printer
 
-def print_nrc(e: Term, level: int = 0) -> str:
-    """Levels: 0 full expression, 1 union operand, 2 postfix operand."""
-    def wrap(s: str, needed: int) -> str:
-        return f"({s})" if level > needed else s
-
-    if isinstance(e, EqTest):
-        return wrap(f"{print_nrc(e.left, 1)} = {print_nrc(e.right, 1)}", 0)
-    if isinstance(e, Union):
-        return wrap(f"{print_nrc(e.left, 1)} union {print_nrc(e.right, 2)}", 1)
-    if isinstance(e, If):
-        return wrap(f"if {print_nrc(e.cond)} then {print_nrc(e.then)} "
-                    f"else {print_nrc(e.els)}", 0)
-    if isinstance(e, For):
-        return wrap(f"for {e.var} in {print_nrc(e.source, 1)} "
-                    f"return {print_nrc(e.body)}", 0)
-    if isinstance(e, Singleton):
-        return "{" + print_nrc(e.elem) + "}"
-    if isinstance(e, Empty):
-        return f"empty[{format_type(e.elem)}]"
-    if isinstance(e, Pair):
-        # A right-nested chain is one tuple, as `_nest_pairs` builds it.
-        items = [e.fst]
-        while isinstance(e.snd, Pair):
-            e = e.snd
-            items.append(e.fst)
-        items.append(e.snd)
-        return "(" + ", ".join(print_nrc(item) for item in items) + ")"
-    if isinstance(e, Proj1):
-        return f"{print_nrc(e.of, 2)}.1"
-    if isinstance(e, Proj2):
-        return f"{print_nrc(e.of, 2)}.2"
-    if isinstance(e, App):
-        return f"{e.op}({print_nrc(e.arg)})"
-    if isinstance(e, (Var, UnitTerm, Lit)):
-        return format_term(e)
-    raise EngineError(f"cannot print {e!r}")
-
-
 def print_declaration(decl: Declaration) -> str:
     if isinstance(decl, SchemaDecl):
         return _print_schema(decl)
@@ -1304,7 +1266,7 @@ def _elab_expr(decl: ExprDecl, out: Elaborated, err) -> None:
     if not _check_fresh(decl.name, out.exprs, decl.loc, "expr", err):
         return
     try:
-        nrc_infer_type(default_builtins().signature(), Context(), decl.body)
+        nrc_infer_type(default_builtins().schema().sig, Context(), decl.body)
     except EngineError as exc:
         err(decl.loc, f"expr '{decl.name}': {exc}")
         return

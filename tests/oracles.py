@@ -52,6 +52,7 @@ from qinl.nrc import (
     EqTest,
     For,
     If,
+    SetT,
     Singleton,
     Union,
 )
@@ -60,6 +61,8 @@ from qinl.schema import (
     Instance,
     LabelledNull,
     OpApplied,
+    SetV,
+    UNIT_CELL,
     cell_key,
     eval_term,
     format_cell,
@@ -126,6 +129,23 @@ def naive_eval(e: Term, env: Mapping[str, object], ops: Mapping) -> object:
             acc |= naive_eval(e.body, inner, ops)
         return acc
     raise AssertionError(f"naive oracle cannot evaluate {e!r}")
+
+
+_CARRIERS = {"Int": int, "String": str, "Bool": bool}
+
+
+def inhabits(v: object, t: TypeExpr) -> bool:
+    """Whether a cell is a value of a closed set-calculus type over the
+    builtin carriers, every member of every set checked."""
+    if t == UNIT:
+        return v is UNIT_CELL
+    if isinstance(t, Prod):
+        return (isinstance(v, tuple) and len(v) == 2
+                and inhabits(v[0], t.left) and inhabits(v[1], t.right))
+    if isinstance(t, SetT):
+        return isinstance(v, SetV) and all(inhabits(m, t.elem) for m in v.members)
+    carrier = _CARRIERS[t.name]
+    return isinstance(v, carrier) and (carrier is bool or not isinstance(v, bool))
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,10 @@ from qinl.kernel import (
 )
 from qinl.mapping import SchemaMapping, identity_mapping
 from qinl.migration import delta, enumerate_homs, pi, sigma
-from qinl.nrc import BaseV, PairV, SetV, make_set, nrc_eval, relational_library
+from qinl.nrc import relational_library
 from qinl.query import Comprehension, eval_query
-from qinl.schema import FqlSchema, Instance, instance_equal_upto_iso
+from qinl.schema import (
+    FqlSchema, Instance, SetV, eval_term, instance_equal_upto_iso, make_set)
 from qinl.surface import elaborate, parse, print_unit
 
 from conftest import company_schema, entity_schema, staff_instance
@@ -86,8 +87,8 @@ def test_acceptance_2_fixture_and_broken_variant():
 # 3. The three relational combinators agree exactly with the naive oracle
 #    on every instance with carriers of size <= 3.
 
-def _values_of(base: str, size: int) -> list[BaseV]:
-    return [BaseV(base, k) for k in range(size)]
+def _values_of(base: str, size: int) -> list[str]:
+    return [f"{base.lower()}_{k}" for k in range(size)]
 
 
 def _subsets(values: list) -> list[tuple]:
@@ -98,10 +99,10 @@ def _subsets(values: list) -> list[tuple]:
 
 
 def _to_naive(v):
-    if isinstance(v, BaseV):
-        return ("const", v.base, v.constant)
-    if isinstance(v, PairV):
-        return (_to_naive(v.fst), _to_naive(v.snd))
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return (_to_naive(v[0]), _to_naive(v[1]))
     if isinstance(v, SetV):
         return frozenset(_to_naive(m) for m in v.members)
     raise AssertionError
@@ -110,37 +111,36 @@ def _to_naive(v):
 def test_acceptance_3_relational_oracle_equivalence():
     start = time.monotonic()
     sig = Signature.of({"T1", "T2"}, {})
+    schema = FqlSchema(Theory.of(sig), frozenset({"T1", "T2"}), frozenset())
     lib = relational_library()
     cases = 0
 
+    def mine(expr, relation):
+        return eval_term(schema, Instance({}, {}), {"I": relation}, expr)
+
     t1, t2 = Base("T1"), Base("T2")
-    pairs = [PairV(a, b) for a in _values_of("T1", 3)
-             for b in _values_of("T2", 3)]
+    pairs = [(a, b) for a in _values_of("T1", 3) for b in _values_of("T2", 3)]
     _, project = lib["project1"](t1, t2)
     for subset in _subsets(pairs):
-        rel = make_set(Prod(t1, t2), subset)
-        mine = nrc_eval(sig, project, {"I": rel}, {})
+        rel = make_set(subset)
         naive = naive_eval(project, {"I": _to_naive(rel)}, {})
-        assert _to_naive(mine) == naive
+        assert _to_naive(mine(project, rel)) == naive
         cases += 1
 
     _, product = lib["product"](t1, t2)
     for s1 in _subsets(_values_of("T1", 3)):
         for s2 in _subsets(_values_of("T2", 3)):
-            env = {"I": PairV(make_set(t1, s1), make_set(t2, s2))}
-            mine = nrc_eval(sig, product, env, {})
-            naive = naive_eval(product, {"I": _to_naive(env["I"])}, {})
-            assert _to_naive(mine) == naive
+            rel = (make_set(s1), make_set(s2))
+            naive = naive_eval(product, {"I": _to_naive(rel)}, {})
+            assert _to_naive(mine(product, rel)) == naive
             cases += 1
 
-    same_pairs = [PairV(a, b) for a in _values_of("T1", 3)
-                  for b in _values_of("T1", 3)]
+    same_pairs = [(a, b) for a in _values_of("T1", 3) for b in _values_of("T1", 3)]
     _, select = lib["select-eq"](t1, t1)
     for subset in _subsets(same_pairs):
-        rel = make_set(Prod(t1, t1), subset)
-        mine = nrc_eval(sig, select, {"I": rel}, {})
+        rel = make_set(subset)
         naive = naive_eval(select, {"I": _to_naive(rel)}, {})
-        assert _to_naive(mine) == naive
+        assert _to_naive(mine(select, rel)) == naive
         cases += 1
 
     elapsed = time.monotonic() - start

@@ -258,6 +258,92 @@ def test_eval_expression(capsys, tmp_path):
     assert out == "lengths = {3, 5}\n"
 
 
+# Every kind of value `eval` prints, and the bytes it printed before sets
+# were cells.
+EVAL_PIN = r"""expr unit = ()
+expr nested = (1, ("q\"b\\s", (true, false)), -7)
+expr escapes = "a\nb\tc"
+expr emptyBase = empty[String]
+expr emptyProduct = empty[Int * Bool]
+expr emptySet = empty[Set Int]
+expr setOfSets = {{2} union {1}} union {empty[Int]}
+expr duplicates = {3} union {1} union {3}
+expr overEmpty = for x in empty[Int] return {(x, x)}
+expr branch = if (1, "a") = (1, "a") then {-1} else {1}
+"""
+EVAL_PIN_TABLE = r"""unit = ()
+nested = (1, (("q\"b\\s", (true, false)), -7))
+escapes = "a\nb\tc"
+emptyBase = {}
+emptyProduct = {}
+emptySet = {}
+setOfSets = {{}, {1, 2}}
+duplicates = {1, 3}
+overEmpty = {}
+branch = {-1}
+"""
+EVAL_PIN_JSON = r"""{
+  "command": "eval",
+  "config": {
+    "allow_unverified": false,
+    "format": "json",
+    "fuel": 32,
+    "sample_size": 256,
+    "seed": 0
+  },
+  "file": FILE,
+  "results": {
+    "branch": "{-1}",
+    "duplicates": "{1, 3}",
+    "emptyBase": "{}",
+    "emptyProduct": "{}",
+    "emptySet": "{}",
+    "escapes": "\"a\\nb\\tc\"",
+    "nested": "(1, ((\"q\\\"b\\\\s\", (true, false)), -7))",
+    "overEmpty": "{}",
+    "setOfSets": "{{}, {1, 2}}",
+    "unit": "()"
+  },
+  "status": "ok"
+}
+"""
+
+
+def test_eval_prints_pinned_bytes(capsys, tmp_path):
+    f = tmp_path / "pin.qinl"
+    f.write_text(EVAL_PIN)
+    assert run(capsys, "eval", str(f)) == (0, EVAL_PIN_TABLE, "")
+    want = EVAL_PIN_JSON.replace("FILE", json.dumps(str(f)))
+    assert run(capsys, "eval", str(f), "--format", "json") == (0, want, "")
+
+
+@pytest.mark.parametrize("text", [
+    "if 1 then {1} else {2}",
+    "for x in 1 return {x}",
+    '{1} union {"a"}',
+    "1 = true",
+])
+def test_ill_typed_expression_is_reported_as_its_text(capsys, tmp_path, text):
+    f = tmp_path / "bad.qinl"
+    f.write_text(f"expr e = {text}\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2
+    assert err.startswith(f"{f}:1:1: error: expr 'e': expected ")
+    assert err.endswith(f" at {text}\n")
+
+
+def test_builtin_carrier_is_no_entity_type(capsys, tmp_path):
+    f = tmp_path / "carrier.qinl"
+    f.write_text(
+        'schema S = { entities E, String; operations f : E -> String;\n'
+        '  equations forall x: E . f(x) = "t"; }\n'
+        'instance I : S = { E = { a }; String = { t }; f = { a -> t }; }\n')
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2
+    assert (f"{f}:1:1: error: schema 'S': entity type 'String' is a builtin "
+            "attribute type\n") in err
+
+
 def test_migrate_delta_identity_bytes(capsys, tmp_path):
     out1 = tmp_path / "a.qinl"
     out2 = tmp_path / "b.qinl"

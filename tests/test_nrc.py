@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qinl.equality import Theory
 from qinl.kernel import (
+    App,
     Base,
     Context,
+    Lit,
     Pair,
     Prod,
     Proj1,
@@ -19,7 +22,6 @@ from qinl.kernel import (
 )
 from qinl.nrc import (
     BOOL,
-    BaseV,
     BranchTypeMismatch,
     Empty,
     EqTest,
@@ -28,39 +30,39 @@ from qinl.nrc import (
     For,
     If,
     NonSetIteration,
-    PairV,
     SetT,
-    SetV,
     Singleton,
     TRUE,
     UninterpretedOperation,
     Union,
-    UnitV,
-    Value,
-    format_value,
-    make_set,
-    nrc_eval,
     nrc_infer_type,
     relational_library,
-    value_key,
-    value_type,
+)
+from qinl.schema import (
+    UNIT_CELL,
+    FqlSchema,
+    Instance,
+    SetV,
+    cell_key,
+    eval_term,
+    format_cell,
+    make_set,
 )
 
-from oracles import naive_eval
+from oracles import inhabits, naive_eval
 
 SIG = Signature.of({"T1", "T2", "Int", "String", "Bool"}, {})
+SCHEMA = FqlSchema(Theory.of(SIG), frozenset({"T1", "T2"}),
+                   frozenset({"Int", "String", "Bool"}))
+EMPTY_INSTANCE = Instance({}, {})
 
 
-def iv(n: int) -> BaseV:
-    return BaseV("Int", n)
-
-
-def sv(s: str) -> BaseV:
-    return BaseV("String", s)
+def ev(expr, env=None):
+    return eval_term(SCHEMA, EMPTY_INSTANCE, env or {}, expr)
 
 
 def int_set(*ns: int) -> SetV:
-    return make_set(Base("Int"), [iv(n) for n in ns])
+    return make_set(ns)
 
 
 # --------------------------------------------------------------------------
@@ -115,8 +117,8 @@ def test_union_requires_matching_elements():
 # Values
 
 def test_set_values_deduplicate_and_sort():
-    s = make_set(Base("Int"), [iv(3), iv(1), iv(3), iv(2)])
-    assert [v.constant for v in s.members] == [1, 2, 3]
+    s = make_set([3, 1, 3, 2])
+    assert list(s.members) == [1, 2, 3]
 
 
 def test_value_equality_is_structural():
@@ -125,40 +127,42 @@ def test_value_equality_is_structural():
 
 
 def test_value_type_reconstruction():
-    v = PairV(iv(1), make_set(BOOL, [BaseV("Bool", True)]))
-    assert value_type(v) == Prod(Base("Int"), SetT(BOOL))
+    # A set carries no element type; the value inhabits its static type.
+    v = ev(Pair(Lit("Int", 1), Singleton(TRUE)))
+    assert v == (1, SetV((True,)))
+    assert inhabits(v, Prod(Base("Int"), SetT(BOOL)))
 
 
 def test_value_key_total_order_mixed():
-    values = [UnitV(), BaseV("Bool", False), iv(5), sv("a"),
-              PairV(iv(1), iv(2)), int_set(1)]
-    keys = [value_key(v) for v in values]
+    values = [UNIT_CELL, False, 5, "a", (1, 2), int_set(1)]
+    keys = [cell_key(v) for v in values]
     assert sorted(keys) == sorted(set(keys))
 
 
 def test_format_value():
-    assert format_value(int_set(2, 1)) == "{1, 2}"
-    assert format_value(PairV(sv("a"), UnitV())) == '("a", ())'
+    assert format_cell(int_set(2, 1)) == "{1, 2}"
+    assert format_cell(("a", UNIT_CELL)) == '("a", ())'
 
 
 # --------------------------------------------------------------------------
 # Evaluation against the independent naive oracle
 
-def _to_naive(v: Value):
-    if isinstance(v, UnitV):
+def _to_naive(v):
+    if v is UNIT_CELL:
         return "()"
-    if isinstance(v, BaseV):
-        return v.constant if v.base == "Bool" else ("const", v.base, v.constant)
-    if isinstance(v, PairV):
-        return (_to_naive(v.fst), _to_naive(v.snd))
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, (int, str)):
+        return ("const", "String" if isinstance(v, str) else "Int", v)
+    if isinstance(v, tuple):
+        return (_to_naive(v[0]), _to_naive(v[1]))
     if isinstance(v, SetV):
         return frozenset(_to_naive(m) for m in v.members)
     raise AssertionError
 
 
-def _both(expr, env, ops=None):
-    ops = ops or {}
-    mine = nrc_eval(SIG, expr, env, ops)
+def _both(expr, env):
+    mine = ev(expr, env)
     naive_env = {k: _to_naive(v) for k, v in env.items()}
     theirs = naive_eval(expr, naive_env, {})
     assert _to_naive(mine) == theirs
@@ -166,29 +170,25 @@ def _both(expr, env, ops=None):
 
 
 def test_projection_on_pairs():
-    rel = make_set(Prod(Base("Int"), Base("String")),
-                   [PairV(iv(1), sv("a")), PairV(iv(2), sv("b"))])
+    rel = make_set([(1, "a"), (2, "b")])
     ctx, expr = relational_library()["project1"](Base("Int"), Base("String"))
     result = _both(expr, {"I": rel})
     assert result == int_set(1, 2)
 
 
 def test_product_of_unary_relations():
-    pair_of_sets = PairV(int_set(1, 2), make_set(Base("String"), [sv("a")]))
+    pair_of_sets = (int_set(1, 2), make_set(["a"]))
     ctx, expr = relational_library()["product"](Base("Int"), Base("String"))
     result = _both(expr, {"I": pair_of_sets})
-    expected = make_set(Prod(Base("Int"), Base("String")),
-                        [PairV(iv(1), sv("a")), PairV(iv(2), sv("a"))])
+    expected = make_set([(1, "a"), (2, "a")])
     assert result == expected
 
 
 def test_select_equal_columns():
-    rel = make_set(Prod(Base("Int"), Base("Int")),
-                   [PairV(iv(1), iv(1)), PairV(iv(1), iv(2))])
+    rel = make_set([(1, 1), (1, 2)])
     ctx, expr = relational_library()["select-eq"](Base("Int"), Base("Int"))
     result = _both(expr, {"I": rel})
-    assert result == make_set(Prod(Base("Int"), Base("Int")),
-                              [PairV(iv(1), iv(1))])
+    assert result == make_set([(1, 1)])
 
 
 def test_union_with_empty_is_identity():
@@ -197,16 +197,17 @@ def test_union_with_empty_is_identity():
 
 
 def test_unregistered_operation_fails():
-    expr = Singleton(Var("x"))
-    from qinl.kernel import App
+    sig = Signature.of({"Int"}, {"mystery": (Base("Int"), Base("Int"))})
+    schema = FqlSchema(Theory.of(sig), frozenset(), frozenset({"Int"}))
     with pytest.raises(UninterpretedOperation):
-        nrc_eval(SIG, App("mystery", Var("x")), {"x": iv(1)}, {})
+        eval_term(schema, EMPTY_INSTANCE, {"x": 1}, App("mystery", Var("x")))
 
 
 def test_for_over_empty_source_keeps_body_type():
+    # A set carries no element type, so iterating an empty source types
+    # nothing at run time: the result is the one empty set.
     expr = For("x", Empty(Base("Int")), Singleton(Singleton(Var("x"))))
-    result = nrc_eval(SIG, expr, {}, {})
-    assert result == SetV(SetT(Base("Int")), ())
+    assert ev(expr) == SetV(())
 
 
 def test_relational_library_shapes():
@@ -234,7 +235,7 @@ def test_union_commutes(a, b):
     expr_ab = Union(Var("A"), Var("B"))
     expr_ba = Union(Var("B"), Var("A"))
     env = {"A": a, "B": b}
-    assert nrc_eval(SIG, expr_ab, env, {}) == nrc_eval(SIG, expr_ba, env, {})
+    assert ev(expr_ab, env) == ev(expr_ba, env)
 
 
 @given(small_int_sets, small_int_sets, small_int_sets)
@@ -242,14 +243,14 @@ def test_union_associates(a, b, c):
     left = Union(Union(Var("A"), Var("B")), Var("C"))
     right = Union(Var("A"), Union(Var("B"), Var("C")))
     env = {"A": a, "B": b, "C": c}
-    assert nrc_eval(SIG, left, env, {}) == nrc_eval(SIG, right, env, {})
+    assert ev(left, env) == ev(right, env)
 
 
 @given(small_int_sets)
 def test_union_idempotent_and_empty_unit(a):
     env = {"A": a}
-    assert nrc_eval(SIG, Union(Var("A"), Var("A")), env, {}) == a
-    assert nrc_eval(SIG, Union(Var("A"), Empty(Base("Int"))), env, {}) == a
+    assert ev(Union(Var("A"), Var("A")), env) == a
+    assert ev(Union(Var("A"), Empty(Base("Int"))), env) == a
 
 
 BODY = Singleton(Pair(Var("x"), Var("x")))
@@ -260,24 +261,24 @@ def test_for_distributes_over_union_in_source(a, b):
     env = {"A": a, "B": b}
     joined = For("x", Union(Var("A"), Var("B")), BODY)
     split = Union(For("x", Var("A"), BODY), For("x", Var("B"), BODY))
-    assert nrc_eval(SIG, joined, env, {}) == nrc_eval(SIG, split, env, {})
+    assert ev(joined, env) == ev(split, env)
 
 
 def test_for_over_empty_is_empty():
     expr = For("x", Empty(Base("Int")), BODY)
-    assert nrc_eval(SIG, expr, {}, {}).members == ()
+    assert ev(expr).members == ()
 
 
 @given(st.integers(min_value=0, max_value=9))
 def test_for_over_singleton_is_substitution(n):
     expr = For("x", Singleton(Var("v")), BODY)
-    direct = nrc_eval(SIG, BODY, {"x": iv(n)}, {})
-    assert nrc_eval(SIG, expr, {"v": iv(n)}, {}) == direct
+    direct = ev(BODY, {"x": n})
+    assert ev(expr, {"v": n}) == direct
 
 
 @given(small_int_sets)
 def test_deduplication_of_self_union(a):
-    doubled = nrc_eval(SIG, Union(Var("A"), Var("A")), {"A": a}, {})
+    doubled = ev(Union(Var("A"), Var("A")), {"A": a})
     assert len(doubled.members) == len(a.members)
 
 
@@ -319,7 +320,6 @@ def _random_expr(rng: random.Random, ctx_types: dict, want, depth: int):
         from qinl.kernel import UNIT_TERM
         return UNIT_TERM
     if kind[0] == "lit":
-        from qinl.kernel import Lit
         return Lit("Int", rng.randint(0, 3))
     if kind[0] == "eq":
         t = rng.choice(TYPES[:4])
@@ -351,5 +351,4 @@ def test_type_soundness_on_generated_expressions():
         expr = _random_expr(rng, {}, want, depth=5)
         ctx = Context()
         assert nrc_infer_type(SIG, ctx, expr) == want
-        value = nrc_eval(SIG, expr, {}, {})
-        assert value_type(value) == want
+        assert inhabits(ev(expr), want)

@@ -6,19 +6,9 @@ import pytest
 
 from qinl.equality import IllTyped
 from qinl.kernel import App, Base, Lit, Pair, Var
-from qinl.nrc import (
-    BaseV,
-    Empty,
-    EqTest,
-    For,
-    If,
-    Singleton,
-    Value,
-    make_set,
-    nrc_eval,
-)
+from qinl.nrc import Empty, EqTest, For, If, Singleton
 from qinl.query import Comprehension, NonEntityBinding, eval_query, typecheck_query
-from qinl.schema import Instance, LabelledNull, cell_key
+from qinl.schema import Instance, LabelledNull, SetV, eval_term, make_set
 
 
 
@@ -154,30 +144,13 @@ def test_result_independent_of_carrier_enumeration_order(company):
 
 def _query_via_nrc(s, i, q: Comprehension) -> tuple:
     """Evaluate a single-binding comprehension as a set-calculus iteration
-    with the instance's tables registered as operation semantics."""
+    over the binding's carrier, the tables looked up by `eval_term`."""
     (var, entity), = q.bindings
-    carrier = make_set(Base(entity),
-                       [BaseV(entity, r) for r in i.rows(entity)])
-    ops = s.builtins.nrc_interpretations()
-    for op in s.tables:
-        cod = s.sig.op_type(op)[1]
-        table = i.functions[op]
-
-        def lookup(v: Value, _table=table, _cod=cod.name) -> Value:
-            assert isinstance(v, BaseV)
-            return BaseV(_cod, _table[v.constant])
-
-        ops[op] = lookup
-
     body = Singleton(q.returns)
     for lhs, rhs in reversed(q.wheres):
-        result_elem = typecheck_query(s, q)
-        body = If(EqTest(lhs, rhs), body, Empty(result_elem))
+        body = If(EqTest(lhs, rhs), body, Empty(typecheck_query(s, q)))
     expr = For(var, Var("I"), body)
-    result = nrc_eval(s.sig, expr, {"I": carrier}, ops)
-    constants = [m.constant if isinstance(m, BaseV) else m
-                 for m in result.members]
-    return tuple(sorted(constants, key=cell_key))
+    return eval_term(s, i, {"I": make_set(i.rows(entity))}, expr).members
 
 
 def test_flat_fragment_agrees_with_nrc(company, staff):
@@ -196,6 +169,25 @@ def test_flat_fragment_agrees_with_nrc(company, staff):
         direct = eval_query(company, staff, q).values
         via_nrc = _query_via_nrc(company, staff, q)
         assert tuple(direct) == via_nrc
+
+
+def test_set_expression_over_tables_with_a_null(company):
+    """A labelled null equals only itself, in a set expression as in
+    eval_query, and appears once in the result."""
+    unknown = LabelledNull("0")
+    i = Instance.make(
+        {"Emp": ["e1", "e2", "e3", "e4"], "Dept": ["d1"]},
+        {"manager": {"e1": "e1", "e2": "e1", "e3": "e1", "e4": "e4"},
+         "ename": {"e1": unknown, "e2": unknown, "e3": LabelledNull("1"),
+                   "e4": "bob"},
+         "worksIn": {e: "d1" for e in ("e1", "e2", "e3", "e4")}})
+    name, boss_name = App("ename", Var("e")), App("ename", App("manager", Var("e")))
+    expr = For("e", Var("I"), If(EqTest(name, boss_name), Singleton(name),
+                                 Empty(Base("String"))))
+    result = eval_term(company, i, {"I": make_set(i.rows("Emp"))}, expr)
+    assert result == SetV(("bob", unknown))
+    query = Comprehension((("e", "Emp"),), ((name, boss_name),), name)
+    assert eval_query(company, i, query).values == result.members
 
 
 # --------------------------------------------------------------------------

@@ -171,11 +171,9 @@ def _entity_roots(graph: EGraph, s: FqlSchema) -> list[int]:
 def _row_name(term: Term) -> str:
     """Deterministic row identifiers derived from generator provenance,
     e.g. the manager of generator e is row 'e.manager'."""
-    if isinstance(term, Var):
-        return term.name
     if isinstance(term, App):
         return f"{_row_name(term.arg)}.{term.op}"
-    return format_term(term)
+    return term.name
 
 
 def materialize(graph: EGraph, s: FqlSchema
@@ -184,9 +182,13 @@ def materialize(graph: EGraph, s: FqlSchema
     attribute cells as (op, row, class) in table order and the value of
     each attribute class.
 
-    A cell holds its class's literal, a value carried from another cell's
-    null along the graph's builtin applications (`length(?0)`), or a fresh
-    null, numbered in table order (see `fill`)."""
+    Each entity class's row is named by its least path from a generator
+    (see `EGraph.extract`), `e.manager` for `manager(e)`: a saturated
+    chase reaches every entity class by a path, and no pair or projection
+    is ever an entity class's least term.  A cell holds its class's
+    literal, a value carried from another cell's null along the graph's
+    builtin applications (`length(?0)`), or a fresh null, numbered in
+    table order (see `fill`)."""
     entities = _entity_roots(graph, s)
     reps = graph.extract(entities)
     carriers: dict[str, list[str]] = {t: [] for t in sorted(s.entity_types)}

@@ -46,7 +46,6 @@ from .kernel import (
     Term,
     TypeExpr,
     UNIT,
-    UNIT_TERM,
     UnitTerm,
     Var,
     check_context,
@@ -915,105 +914,45 @@ class EGraph:
 
     # -- extraction ----------------------------------------------------------
 
-    def _types_below(self, roots: Iterable[int]) -> set[int]:
-        """The type ids of `roots` and, transitively, those a child of a
-        node of such a type can have: the domain of each operation that
-        some node applies and that returns the type, the components of a
-        product, and, once there is a projection node, each product of
-        which the type is a component."""
-        below: dict[int, set[int]] = {}
-        for op in self._ops:
-            below.setdefault(self._op_type(op), set()).add(
-                self._intern(self.sig.op_type(op)[0]))
-        for product, parts in self._components.items():
-            below.setdefault(product, set()).update(parts)
-            if self._projections:
-                for part in parts:
-                    below.setdefault(part, set()).add(product)
-        wanted: set[int] = set()
-        todo = [self._types[self.find(root)] for root in roots]
-        while todo:
-            t = todo.pop()
-            if t not in wanted:
-                wanted.add(t)
-                todo.extend(below.get(t, ()))
-        return wanted
+    def extract(self, roots: Iterable[int]) -> dict[int, Term]:
+        """The least path term, by (size, text) order, of each class of the
+        roots' types that a path over those types reaches: a variable under
+        applications, such as `manager(x)`.  Other classes are absent.
 
-    def extract(self, roots: Iterable[int] | None = None) -> dict[int, Term]:
-        """Minimal representative term per class, by (size, text) order, of
-        every class, or of at least the classes of `roots`.  Classes with no
-        leaf-grounded member (possible in cyclic graphs) are absent from the
-        result.
+        Paths are found level by level.  Level 1 is the variable nodes;
+        level k+1 is the applications among the uses of each class level k
+        reached.  A class keeps the first level that reaches it, and there
+        the least text `op(t)`, `t` the least text of the argument's class,
+        compared as a term: `f(b)` < `g(a)`, though rows `a.g` < `b.f`.
 
-        Every node is offered to its class, in id order, sweep after sweep,
-        until no class improves.  A node's (size, text) key is composed from
-        its children's best keys, as `term_key` of the term it stands for
-        would compute it (`op(t)` is one larger than `t`, and its text is
-        `op(` + text + `)`), and the term itself is built only when the key
-        beats the class's.  With `roots`, only the nodes of the types
-        `_types_below` gives are offered.  Their children are of those types
-        too, so each of their classes is offered the nodes it would be
-        offered in a sweep over every node, in the same order, and gets the
-        same term."""
-        best: dict[int, tuple[tuple[int, str], Term]] = {}
-        find, nodes = self.find, self._nodes
-        order: Iterable[int] = range(len(nodes))
-        if roots is not None:
-            wanted, types = self._types_below(roots), self._types
-            order = [node for node in order if types[node] in wanted]
-        changed = True
-        while changed:
-            changed = False
-            for node in order:
-                key = nodes[node]
-                tag = key[0]
-                if tag == "app" or tag == "p1" or tag == "p2":
-                    inner = best.get(find(key[-1]))
-                    if inner is None:
-                        continue
-                    size = inner[0][0] + 1
-                elif tag == "pair":
-                    left = best.get(find(key[1]))
-                    right = best.get(find(key[2]))
-                    if left is None or right is None:
-                        continue
-                    size = left[0][0] + right[0][0] + 1
-                else:
-                    size = 1
+        In a saturated chase, at the entity roots, this is each entity
+        class's least term of any shape: the projection law puts a
+        projection `p1(P)` in the class of the first component of one of
+        P's pairs, whose least term is smaller, so no pair or projection
+        is least, and only entity classes lie on a path to one."""
+        find, nodes, types, uses = self.find, self._nodes, self._types, self._uses
+        wanted = {types[find(root)] for root in roots}
+        best: dict[int, tuple[str, Term]] = {}
+        for node, key in enumerate(nodes):
+            if key[0] == "var" and types[node] in wanted:
                 root = find(node)
-                current = best.get(root)
-                if current is not None and size > current[0][0]:
-                    continue
-                if tag == "app":
-                    text = f"{key[1]}({inner[0][1]})"
-                elif tag == "p1" or tag == "p2":
-                    text = f"{inner[0][1]}.{tag[1]}"
-                elif tag == "pair":
-                    text = f"({left[0][1]}, {right[0][1]})"
-                elif tag == "var":
-                    text = key[1]
-                elif tag == "unit":
-                    text = "()"
-                else:
-                    text = format_literal(key[2])
-                if current is not None and (size, text) >= current[0]:
-                    continue
-                if tag == "app":
-                    term: Term = App(key[1], inner[1])
-                elif tag == "p1":
-                    term = Proj1(inner[1])
-                elif tag == "p2":
-                    term = Proj2(inner[1])
-                elif tag == "pair":
-                    term = Pair(left[1], right[1])
-                elif tag == "var":
-                    term = Var(key[1])
-                elif tag == "unit":
-                    term = UNIT_TERM
-                else:
-                    term = Lit(key[1], key[2])
-                best[root] = ((size, text), term)
-                changed = True
+                if root not in best or key[1] < best[root][0]:
+                    best[root] = (key[1], Var(key[1]))
+        level = dict(best)
+        while level:
+            reached: dict[int, tuple[str, Term]] = {}
+            for child, (text, term) in level.items():
+                for node in uses[child]:
+                    key = nodes[node]
+                    if key[0] != "app" or types[node] not in wanted:
+                        continue
+                    root = find(node)
+                    candidate = f"{key[1]}({text})"
+                    if root not in best and (root not in reached
+                                             or candidate < reached[root][0]):
+                        reached[root] = (candidate, App(key[1], term))
+            best.update(reached)
+            level = reached
         return {root: term for root, (_, term) in best.items()}
 
 

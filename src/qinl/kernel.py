@@ -181,23 +181,6 @@ def format_literal(v: object) -> str:
     return str(v)
 
 
-def term_size(e: Term) -> int:
-    if isinstance(e, (Var, UnitTerm, Lit)):
-        return 1
-    if isinstance(e, Pair):
-        return 1 + term_size(e.fst) + term_size(e.snd)
-    if isinstance(e, (Proj1, Proj2)):
-        return 1 + term_size(e.of)
-    if isinstance(e, App):
-        return 1 + term_size(e.arg)
-    return 1
-
-
-def term_key(e: Term) -> tuple[int, str]:
-    """Total order used to pick canonical representatives: size, then text."""
-    return (term_size(e), format_term(e))
-
-
 def subterms(e: Term) -> Iterator[Term]:
     yield e
     if isinstance(e, Pair):

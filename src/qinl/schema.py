@@ -35,7 +35,7 @@ from .kernel import (
     format_type,
     subterms,
 )
-from .nrc import Empty, EqTest, For, If, Singleton, UninterpretedOperation, Union
+from .nrc import Empty, EqTest, For, If, Singleton, UninterpretedOperation, Union, print_nrc
 
 
 class PartialFunction(EngineError):
@@ -412,7 +412,8 @@ def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Ce
     """Evaluate a well-typed term or set-calculus expression to a cell, by
     table lookups for entity-domain operations and registered semantics for
     builtins.  A builtin applied to an unknown stays symbolic; a labelled
-    null equals only itself.  Conditions and `=` evaluate to True/False."""
+    null equals only itself.  Conditions and `=` evaluate to True/False,
+    and a condition that evaluates to an unknown raises EngineError."""
     if isinstance(e, Var):
         if e.name not in env:
             raise UnboundVariable(e.name)
@@ -450,6 +451,9 @@ def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Ce
                         + eval_term(s, i, env, e.right).members)
     if isinstance(e, If):
         cond = eval_term(s, i, env, e.cond)
+        if not isinstance(cond, bool):
+            raise EngineError(f"condition {print_nrc(e.cond)} is neither true nor "
+                              f"false: {format_cell(cond)}")
         return eval_term(s, i, env, e.then if cond else e.els)
     if isinstance(e, EqTest):
         return eval_term(s, i, env, e.left) == eval_term(s, i, env, e.right)

@@ -45,7 +45,6 @@ from qinl.kernel import (
     Var,
     format_term,
     subterms,
-    term_key,
 )
 from qinl.nrc import (
     Empty,
@@ -762,8 +761,9 @@ def instantiating_chase(s, generators, equations=(), fuel: int = 32, images=None
 
 
 def sweep_extract(graph) -> dict[int, Term]:
-    """`EGraph.extract` building the term of every node on every sweep and
-    ordering terms by `term_key`, until no class improves."""
+    """The least term of each class, of any shape, by a sweep that builds
+    the term of every node and orders terms by (size, text), repeated
+    until no class improves."""
     best: dict[int, tuple[tuple[int, str], Term]] = {}
     changed = True
     while changed:
@@ -794,8 +794,9 @@ def sweep_extract(graph) -> dict[int, Term]:
                 continue
             root = graph.find(node)
             current = best.get(root)
-            if current is None or term_key(term) < current[0]:
-                best[root] = (term_key(term), term)
+            key = (_tree_size(term), format_term(term))
+            if current is None or key < current[0]:
+                best[root] = (key, term)
                 changed = True
     return {root: term for root, (_, term) in best.items()}
 

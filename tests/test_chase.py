@@ -15,20 +15,14 @@ from qinl.chase import (
 )
 from qinl.equality import EGraph, Equation, IllTyped, Theory
 from qinl.kernel import (
-    UNIT,
-    UNIT_TERM,
     App,
     Base,
     Context,
     EngineError,
     Lit,
     Pair,
-    Proj1,
-    Proj2,
-    Prod,
     Signature,
     Var,
-    format_term,
 )
 from qinl.migration import pi, sigma
 from qinl.schema import (
@@ -37,7 +31,6 @@ from qinl.surface import elaborate, parse
 
 from conftest import company_schema, entity_schema, nulls_case
 from oracles import (
-    add_instance,
     check_egraph_indexes,
     enumerate_all_tuples,
     ground_closure,
@@ -321,10 +314,10 @@ def _partition(graph) -> list[int]:
 def assert_chase_matches_oracles(s, generators, equations=(), fuel=8,
                                  images=None) -> None:
     """The semi-naive chase ends with the nodes, classes, round count and
-    outcome of the all-tuples loop, extraction agrees with the sweep, a
-    saturated graph's indexes agree with theirs, and `initial_model`, which
-    computes constants, gives the model (or raises the error) of the chase
-    that instantiates every tuple instead."""
+    outcome of the all-tuples loop, a saturated graph's extraction at its
+    entity roots agrees with the sweep and its indexes with theirs, and
+    `initial_model`, which computes constants, gives the model (or raises
+    the error) of the chase that instantiates every tuple instead."""
     graph, rounds, error = _chase_with(
         EGraph.apply_equations_enumerated, s, generators, equations, fuel, images)
     want, want_rounds, want_error = _chase_with(
@@ -332,9 +325,10 @@ def assert_chase_matches_oracles(s, generators, equations=(), fuel=8,
     assert (rounds, error) == (want_rounds, want_error)
     assert graph._nodes == want._nodes
     assert _partition(graph) == _partition(want)
-    assert graph.extract() == sweep_extract(graph)
-    if error is None and graph.node_count():
-        check_egraph_indexes(graph)
+    if error is None:
+        assert_extract_matches_the_sweep(graph, chase._entity_roots(graph, s))
+        if graph.node_count():
+            check_egraph_indexes(graph)
     assert (_outcome(lambda: initial_model(s, generators, equations, fuel, images))
             == _outcome(lambda: instantiating_chase(s, generators, equations, fuel,
                                                     images)))
@@ -471,8 +465,7 @@ def test_semi_naive_chase_matches_all_tuples_on_two_variables_and_none(order):
     """g(x) = h(y) for all x, y: the chain equation makes new F classes
     in the first pass, which the second pass pairs with the older E root,
     whichever variable comes first.  The equation with an empty context is
-    instantiated in the first pass only; its string literals need escapes
-    in the extracted text."""
+    instantiated in the first pass only, and adds its string literals."""
     sig = Signature.of({"E", "F", "G", "String"},
                        {"g": (Base("E"), Base("G")),
                         "h": (Base("F"), Base("G")),
@@ -494,8 +487,10 @@ def test_semi_naive_chase_matches_all_tuples_on_two_variables_and_none(order):
         EGraph.apply_equations_enumerated, s, {"a": "E", "b": "F"}, (), 8)
     assert error is None
     assert len(graph.classes_of_type(Base("G"))) == 1
-    texts = {format_term(t) for t in graph.extract().values()}
-    assert {'"a\\"b"', '"b\\"a"', "g(a)", "name(g(a))"} <= texts
+    reps = graph.extract(chase._entity_roots(graph, s))
+    assert App("g", Var("a")) in reps.values()
+    assert graph.node_of(("lit", "String", 'a"b')) is not None
+    assert graph.node_of(("lit", "String", 'b"a')) is not None
 
 
 def test_enumeration_visits_only_tuples_with_a_new_root(monkeypatch):
@@ -591,62 +586,23 @@ def test_semi_naive_chase_computes_again_where_a_class_gains_a_literal():
     assert model.functions["k"] == {"a": 0, "a.h": LabelledNull("0")}
 
 
-def _product_graph() -> EGraph:
-    """Pairs, projections and the unit, after the product axioms."""
-    prod = Prod(Base("E"), Base("E"))
-    sig = Signature.of({"E"}, {"f": (Base("E"), Base("E")),
-                               "swap": (prod, prod),
-                               "drop": (Base("E"), UNIT)})
-    graph = EGraph(sig)
-    a = graph.add_node(("var", "a"), Base("E"))
-    p = graph.add_node(("var", "p"), prod)
-    binding = {"a": a, "p": p}
-    for term in (App("swap", Pair(Var("a"), App("f", Var("a")))),
-                 Proj2(App("swap", Var("p"))),
-                 Pair(Proj1(Var("p")), App("drop", Var("a")))):
-        add_instance(graph, term, binding)
-    graph.union(add_instance(graph, Proj1(App("swap", Var("p"))), binding),
-                add_instance(graph, Proj2(Var("p")), binding))
-    # (a, a) loses to swap(p) by size (3 to 2), not by text.
-    graph.union(add_instance(graph, App("swap", Var("p")), binding),
-                add_instance(graph, Pair(Var("a"), Var("a")), binding))
-    for _ in range(3):
-        graph.apply_product_axioms()
-        graph.rebuild()
-    return graph
-
-
-def test_extract_matches_the_sweep_on_products():
-    """Each class gets the term the sweep over every node picks."""
-    graph = _product_graph()
-    reps = graph.extract()
-    assert reps == sweep_extract(graph)
-    assert len(reps) == len(graph.class_roots())
-    assert UNIT_TERM in reps.values() and App("swap", Var("p")) in reps.values()
-
-
-def assert_extract_at_roots_matches_the_sweep(graph) -> None:
-    """`extract` at the classes of each type, and at those of every other
-    type, gives each of those classes the term the sweep picks."""
-    want = sweep_extract(graph)
-    roots = graph.class_roots()
-    for t in {graph.class_type(root) for root in roots}:
-        for chosen in (graph.classes_of_type(t),
-                       [root for root in roots if graph.class_type(root) != t]):
-            got = graph.extract(chosen)
-            assert ({root: got[root] for root in chosen if root in got}
-                    == {root: want[root] for root in chosen if root in want})
+def assert_extract_matches_the_sweep(graph, roots: list[int]) -> None:
+    """`extract` at `roots` gives each of them the term the sweep picks."""
+    got, want = graph.extract(roots), sweep_extract(graph)
+    assert ({root: got.get(root) for root in roots}
+            == {root: want.get(root) for root in roots})
 
 
 def test_extract_at_roots_matches_the_sweep():
-    """On products, where a projection reaches a product class from a
-    class of its component type, and on the chases of the fixture
-    migrations, of migrations with nulls and of pairs of entities."""
-    graphs = [_product_graph()]
+    """At the roots `materialize` asks for, on the chases of the fixture
+    migrations (entity classes of `pairs.qinl` hold projections), of
+    migrations with nulls and of pairs of entities."""
+    calls = []
     record = EGraph.extract
 
-    def spy(graph, roots=None):
-        graphs.append(graph)
+    def spy(graph, roots):
+        roots = list(roots)
+        calls.append((graph, roots))
         return record(graph, roots)
 
     pairs = entity_schema({"E"}, {}, [Equation(
@@ -668,7 +624,8 @@ def test_extract_at_roots_matches_the_sweep():
             for migrate in (sigma, pi):
                 _outcome(lambda: migrate(elab.mappings["M"], elab.instances["I"], fuel=8))
         initial_model(pairs, {"a": "E", "b": "E"}, fuel=8)
-    assert len(graphs) >= 40
-    assert any(graph._projections for graph in graphs[1:])
-    for graph in graphs:
-        assert_extract_at_roots_matches_the_sweep(graph)
+    assert len(calls) >= 40
+    assert any(graph.find(node) in roots
+               for graph, roots in calls for node in graph._projections)
+    for graph, roots in calls:
+        assert_extract_matches_the_sweep(graph, roots)

@@ -11,6 +11,7 @@ from qinl.kernel import (
     App,
     Base,
     Context,
+    EngineError,
     Lit,
     Pair,
     Prod,
@@ -42,6 +43,7 @@ from qinl.schema import (
     UNIT_CELL,
     FqlSchema,
     Instance,
+    LabelledNull,
     SetV,
     cell_key,
     eval_term,
@@ -352,3 +354,18 @@ def test_type_soundness_on_generated_expressions():
         ctx = Context()
         assert nrc_infer_type(SIG, ctx, expr) == want
         assert inhabits(ev(expr), want)
+
+
+def test_condition_on_a_labelled_null_is_an_error():
+    """`if` takes neither branch on an unknown condition: the null is not
+    true, and evaluation names the condition instead of choosing one."""
+    sig = Signature.of({"E", "Bool"}, {"on": (Base("E"), BOOL)})
+    schema = FqlSchema(Theory.of(sig), frozenset({"E"}), frozenset({"Bool"}))
+    instance = Instance.make({"E": ["a", "b"]},
+                             {"on": {"a": LabelledNull("0"), "b": False}})
+    expr = For("x", Var("I"), If(App("on", Var("x")), Singleton(Var("x")),
+                                 Empty(Base("E"))))
+    with pytest.raises(EngineError, match=r"condition on\(x\) is neither true nor false: \?0"):
+        eval_term(schema, instance, {"I": make_set(["a", "b"])}, expr)
+    known = Instance.make({"E": ["a", "b"]}, {"on": {"a": True, "b": False}})
+    assert eval_term(schema, known, {"I": make_set(["a", "b"])}, expr) == make_set(["a"])

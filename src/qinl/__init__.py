@@ -29,8 +29,6 @@ from .kernel import (
     format_term,
     format_type,
     infer_type,
-    substitute,
-    substitute_many,
 )
 from .equality import (
     Equation,
@@ -41,7 +39,6 @@ from .equality import (
     Verdict,
     check_theory,
     decide_equal,
-    instantiate,
 )
 from .nrc import (
     BOOL,
@@ -72,19 +69,15 @@ from .schema import (
     default_builtins,
     eval_term,
     format_cell,
-    instance_equal_upto_iso,
     make_set,
     validate_instance,
 )
 from .chase import FuelExhausted, InconsistentConstants, initial_model
 from .mapping import (
     SchemaMapping,
-    apply_to_term,
     apply_to_type,
     check_preservation,
-    compose,
     identity_mapping,
-    preservation_ok,
 )
 from .migration import (
     Homomorphism,

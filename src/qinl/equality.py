@@ -53,7 +53,6 @@ from .kernel import (
     format_term,
     format_type,
     infer_type,
-    substitute_many,
     subterms,
 )
 
@@ -177,26 +176,6 @@ def check_theory(th: Theory) -> list[TheoryProblem]:
                 i, eq.render(),
                 f"sides have different types: {format_type(tl)} vs {format_type(tr)}"))
     return problems
-
-
-def instantiate(sig: Signature, eq: Equation, assignment: Mapping[str, Term],
-                ctx: Context = Context()) -> tuple[Term, Term]:
-    """Substitute terms for all context variables of an equation, checking
-    that the assignment is type-correct against the supplied outer context."""
-    for var, want in eq.ctx:
-        if var not in assignment:
-            raise IllTyped(f"assignment misses variable '{var}'")
-        got = infer_type(sig, ctx, assignment[var])
-        if got != want:
-            raise TypeMismatchError(var, format_type(want), format_type(got))
-    return (substitute_many(eq.lhs, assignment),
-            substitute_many(eq.rhs, assignment))
-
-
-class TypeMismatchError(IllTyped):
-    def __init__(self, var: str, expected: str, found: str):
-        super().__init__(
-            f"term for '{var}' has type {found}, expected {expected}")
 
 
 # --------------------------------------------------------------------------

@@ -309,26 +309,3 @@ def infer_type(sig: Signature, ctx: Context, e: Term,
     if extension is not None:
         return extension(sig, ctx, e, recurse)
     raise EngineError(f"cannot type unknown construct {e!r}")
-
-
-def substitute(e: Term, var: str, replacement: Term) -> Term:
-    """Replace every occurrence of a variable; terms have no binders, so
-    this is plain tree replacement."""
-    return substitute_many(e, {var: replacement})
-
-
-def substitute_many(e: Term, mapping: Mapping[str, Term]) -> Term:
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, (UnitTerm, Lit)):
-        return e
-    if isinstance(e, Pair):
-        return Pair(substitute_many(e.fst, mapping),
-                    substitute_many(e.snd, mapping))
-    if isinstance(e, Proj1):
-        return Proj1(substitute_many(e.of, mapping))
-    if isinstance(e, Proj2):
-        return Proj2(substitute_many(e.of, mapping))
-    if isinstance(e, App):
-        return App(e.op, substitute_many(e.arg, mapping))
-    return e

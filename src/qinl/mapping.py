@@ -7,27 +7,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from .equality import Equation, IllTyped, Proved, Verdict, check_theory, decide_equal
+from .equality import Equation, IllTyped, Verdict, check_theory, decide_equal
 from .kernel import (
     App,
     Base,
     Context,
-    Lit,
-    Pair,
-    Proj1,
-    Proj2,
     Prod,
     Term,
     TypeExpr,
     UNIT,
     Unit,
-    UnitTerm,
     UnknownBaseType,
-    UnknownOperation,
     Var,
     format_type,
     infer_type,
-    substitute,
 )
 from .schema import FqlSchema
 
@@ -113,42 +106,6 @@ def apply_to_context(mapping: SchemaMapping, ctx: Context) -> Context:
     return Context(tuple((v, apply_to_type(mapping, t)) for v, t in ctx))
 
 
-def apply_to_term(mapping: SchemaMapping, ctx: Context, e: Term) -> Term:
-    """Translate a source term into the target, substituting operation
-    images.  Typing preservation is asserted, not assumed: the result must
-    typecheck at the translated type."""
-    result = _translate(mapping, e)
-    source_type = infer_type(mapping.source.sig, ctx, e)
-    target_type = infer_type(
-        mapping.target.sig, apply_to_context(mapping, ctx), result)
-    expected = apply_to_type(mapping, source_type)
-    if target_type != expected:
-        raise IllTyped(
-            f"translated term has type {format_type(target_type)}, "
-            f"expected {format_type(expected)}")
-    return result
-
-
-def _translate(mapping: SchemaMapping, e: Term) -> Term:
-    if isinstance(e, (Var, UnitTerm, Lit)):
-        return e
-    if isinstance(e, Pair):
-        return Pair(_translate(mapping, e.fst), _translate(mapping, e.snd))
-    if isinstance(e, Proj1):
-        return Proj1(_translate(mapping, e.of))
-    if isinstance(e, Proj2):
-        return Proj2(_translate(mapping, e.of))
-    if isinstance(e, App):
-        arg = _translate(mapping, e.arg)
-        if e.op in mapping.op_map:
-            var, body = mapping.op_map[e.op]
-            return substitute(body, var, arg)
-        if e.op in mapping.source.builtin_op_names():
-            return App(e.op, arg)
-        raise UnknownOperation(e.op)
-    raise UnknownOperation(str(e))
-
-
 def check_preservation(mapping: SchemaMapping, fuel: int = 32,
                        ) -> tuple[tuple[Equation, Verdict], ...]:
     """Prove each source equation, translated along the mapping, in the
@@ -156,10 +113,11 @@ def check_preservation(mapping: SchemaMapping, fuel: int = 32,
     `decide_equal` adds each operation image at its argument's class, so
     the translation is never built, and its trace names the source equation.
 
-    The translations are well typed, as `apply_to_term` asserts of a built
-    one, by induction on the source term: `validate` types each image at
-    its operation's translated type, builtins and attribute types are the
-    same in both schemas, and `check_theory` types both sides alike."""
+    The translations are well typed, by induction on the source term:
+    `validate` types each image at its operation's translated type,
+    builtins and attribute types are the same in both schemas, and
+    `check_theory` types both sides alike.  The tests check this of built
+    translations (`test_typing_preservation_on_random_terms`)."""
     cached = mapping._preservation.get(fuel)
     if cached is not None:
         return cached
@@ -177,10 +135,6 @@ def check_preservation(mapping: SchemaMapping, fuel: int = 32,
     return out
 
 
-def preservation_ok(mapping: SchemaMapping, fuel: int = 32) -> bool:
-    return all(isinstance(v, Proved) for _, v in check_preservation(mapping, fuel))
-
-
 def identity_mapping(s: FqlSchema) -> SchemaMapping:
     return SchemaMapping(
         source=s,
@@ -188,16 +142,3 @@ def identity_mapping(s: FqlSchema) -> SchemaMapping:
         type_map={t: t for t in sorted(s.entity_types)},
         op_map={op: ("x", App(op, Var("x"))) for op in s.tables},
     )
-
-
-def compose(outer: SchemaMapping, inner: SchemaMapping) -> SchemaMapping:
-    """The mapping sending each type through inner then outer, and each
-    operation image through inner then translated by outer."""
-    type_map = {t: apply_to_type(outer, apply_to_type(inner, Base(t))).name
-                for t in sorted(inner.source.entity_types)}
-    op_map = {}
-    for op, (dom, _) in inner.source.tables.items():
-        var, body = inner.op_map[op]
-        ctx = Context.of((var, apply_to_type(inner, Base(dom))))
-        op_map[op] = (var, apply_to_term(outer, ctx, body))
-    return SchemaMapping(inner.source, outer.target, type_map, op_map)

@@ -24,7 +24,6 @@ from .kernel import (
     Term,
     TypeExpr,
     TypeMismatch,
-    UNIT,
     UnitTerm,
     Var,
     format_term,
@@ -59,10 +58,10 @@ class SetT(TypeExpr):
     elem: TypeExpr
 
     def __str__(self) -> str:
+        """`Set` takes a type atom: only a product operand is bracketed, so
+        `Set Set Int` prints as it reads."""
         inner = format_type(self.elem)
-        if isinstance(self.elem, Base) or self.elem == UNIT:
-            return f"Set {inner}"
-        return f"Set ({inner})"
+        return f"Set ({inner})" if isinstance(self.elem, Prod) else f"Set {inner}"
 
 
 BOOL = Base("Bool")

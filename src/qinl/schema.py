@@ -1,7 +1,7 @@
 """Database schemas as equational theories with an entity/attribute split,
 finite instances with labelled nulls, the one evaluator of terms and
-set-calculus expressions (to cells), satisfaction checking, and
-isomorphism-of-instances search."""
+set-calculus expressions (to cells), satisfaction checking, and the
+search for homomorphisms of instances."""
 
 from __future__ import annotations
 
@@ -613,7 +613,7 @@ def slot_order(s: FqlSchema) -> list[str]:
 
 
 def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
-                bijective: bool = False, budget: NodeBudget | None = None,
+                budget: NodeBudget | None = None,
                 ) -> Iterator[tuple[dict[str, dict[str, str]], dict[str, Cell]]]:
     """Yield every homomorphism from i to j as carrier maps plus the binding
     of i's labelled nulls, in lexicographic order of the images of i's rows
@@ -623,8 +623,7 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     A homomorphism commutes with every operation table and fixes builtin
     constants.  A null of i maps to one value of j at all its occurrences.
     Symbolic cells are matched last, by computing once their null is bound
-    to a constant, or else structurally.  With `bijective`, carrier maps are
-    bijections and nulls map injectively to nulls.
+    to a constant, or else structurally.
 
     The search backtracks over the rows of i.  Assigning a row forces the
     images of its foreign-key images and checks its other cells at once.
@@ -632,8 +631,6 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     several searches may share; past it, TooLarge is raised.
     """
     types = slot_order(s)
-    if bijective and any(len(i.rows(t)) != len(j.rows(t)) for t in types):
-        return
     slots = [(t, r) for t in types for r in i.rows(t)]
     fks: dict[str, list[tuple[str, str]]] = {t: [] for t in types}
     attrs: dict[str, list[str]] = {t: [] for t in types}
@@ -646,31 +643,23 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
         symbolic += [(op, dom, r) for r in i.rows(dom)
                      if isinstance(i.functions[op][r], OpApplied)]
     maps: dict[str, dict[str, str]] = {t: {} for t in types}
-    taken: dict[str, dict[str, str]] = {t: {} for t in types}  # if bijective
     binding: dict[str, Cell] = {}
-    bound: dict[Cell, str] = {}  # inverse of binding, if bijective
 
-    def match(vi: Cell, vj: Cell, binding: dict[str, Cell],
-              bound: dict[Cell, str], trail: list) -> bool:
+    def match(vi: Cell, vj: Cell, binding: dict[str, Cell], trail: list) -> bool:
         """Match a cell of i against one of j, binding i's nulls on first
         use (recorded on `trail`) and checking them afterwards."""
         if isinstance(vi, LabelledNull):
             if vi.label in binding:
                 return binding[vi.label] == vj
-            if bijective:
-                if not isinstance(vj, LabelledNull) or vj in bound:
-                    return False
-                bound[vj] = vi.label
-                trail.append((bound, vj))
             binding[vi.label] = vj
             trail.append((binding, vi.label))
             return True
         if isinstance(vi, OpApplied):
-            ground = None if bijective else _ground(s, vi, binding)
+            ground = _ground(s, vi, binding)
             if ground is not None:
                 return ground == vj
             return (isinstance(vj, OpApplied) and vi.op == vj.op
-                    and match(vi.arg, vj.arg, binding, bound, trail))
+                    and match(vi.arg, vj.arg, binding, trail))
         return type(vi) is type(vj) and vi == vj
 
     def assign(t: str, r: str, r2: str, trail: list) -> bool:
@@ -682,17 +671,12 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
                 if have != r2:
                     return False
                 continue
-            if bijective:
-                if r2 in taken[t]:
-                    return False
-                taken[t][r2] = r
-                trail.append((taken[t], r2))
             maps[t][r] = r2
             trail.append((maps[t], r))
             for op in attrs[t]:
                 vi = i.functions[op][r]
                 if not isinstance(vi, OpApplied) and not match(
-                        vi, j.functions[op][r2], binding, bound, trail):
+                        vi, j.functions[op][r2], binding, trail):
                     return False
             work += [(cod, i.functions[op][r], j.functions[op][r2])
                      for op, cod in fks[t]]
@@ -706,10 +690,10 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     def complete() -> dict[str, Cell] | None:
         if not symbolic:
             return binding
-        full, inverse = dict(binding), dict(bound)
+        full = dict(binding)
         for op, t, r in symbolic:
             vj = j.functions[op][maps[t][r]]
-            if not match(i.functions[op][r], vj, full, inverse, []):
+            if not match(i.functions[op][r], vj, full, []):
                 return None
         return full
 
@@ -759,13 +743,3 @@ def _ground(s: FqlSchema, v: Cell, binding: Mapping[str, Cell]) -> Cell | None:
         arg = _ground(s, v.arg, binding)
         return None if arg is None else s.builtins.apply(v.op, arg)
     return v
-
-
-def instance_equal_upto_iso(s: FqlSchema, i: Instance, j: Instance,
-                            ) -> dict[str, dict[str, str]] | None:
-    """Search for a bijective, operation-commuting family of carrier maps
-    fixing builtin constants; labelled nulls may be renamed bijectively.
-    Returns the carrier maps, or None."""
-    for maps, _ in search_homs(s, i, j, bijective=True):
-        return {t: dict(m) for t, m in maps.items()}
-    return None

@@ -17,7 +17,10 @@ compiled builders, the tokenizer oracle steps through the text one
 character at a time instead of matching a regular expression, and the
 instance-table oracle reads every entry token by token into a located value
 and resolves each cell on its own instead of converting whole columns of
-entry texts.
+entry texts.  Two helpers build what the engine never builds: `translate`
+writes a term out along a mapping as a tree, and `isomorphism` filters the
+engine's hom search for bijections (it is checked against the brute-force
+`brute_force_iso`).
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from qinl.schema import (
     eval_term,
     format_cell,
     render_cell,
+    search_homs,
     validate_instance,
 )
 from qinl.surface import (
@@ -231,8 +235,10 @@ def _match(pattern: Term, term: Term, binding: dict[str, Term]) -> bool:
 
 
 def _subst(e: Term, binding: Mapping[str, Term]) -> Term:
+    """Replace each variable `binding` names by its term; terms have no
+    binders, so this is plain tree replacement."""
     if isinstance(e, Var):
-        return binding[e.name]
+        return binding.get(e.name, e)
     if isinstance(e, (UnitTerm, Lit)):
         return e
     if isinstance(e, Pair):
@@ -243,6 +249,25 @@ def _subst(e: Term, binding: Mapping[str, Term]) -> Term:
         return Proj2(_subst(e.of, binding))
     if isinstance(e, App):
         return App(e.op, _subst(e.arg, binding))
+    return e
+
+
+def translate(mapping, e: Term) -> Term:
+    """A source term written out in the mapping's target: each operation
+    with an image replaced by the image's body at the translated argument,
+    builtins, variables and constants kept."""
+    if isinstance(e, Pair):
+        return Pair(translate(mapping, e.fst), translate(mapping, e.snd))
+    if isinstance(e, Proj1):
+        return Proj1(translate(mapping, e.of))
+    if isinstance(e, Proj2):
+        return Proj2(translate(mapping, e.of))
+    if isinstance(e, App):
+        arg = translate(mapping, e.arg)
+        if e.op not in mapping.op_map:
+            return App(e.op, arg)
+        var, body = mapping.op_map[e.op]
+        return _subst(body, {var: arg})
     return e
 
 
@@ -445,6 +470,21 @@ def brute_force_iso(s, i, j) -> bool:
                 and _attribute_binding(s, i, j, maps, bijective=True) is not None):
             return True
     return False
+
+
+def isomorphism(s, i, j) -> dict | None:
+    """The carrier maps of the first homomorphism `search_homs` yields from
+    i to j that is a bijection on every carrier and binds i's nulls
+    injectively to nulls, or None if none is."""
+    if any(len(i.rows(t)) != len(j.rows(t)) for t in s.entity_types):
+        return None
+    for maps, binding in search_homs(s, i, j):
+        nulls = list(binding.values())
+        if (all(len(set(m.values())) == len(m) for m in maps.values())
+                and all(isinstance(v, LabelledNull) for v in nulls)
+                and len(set(nulls)) == len(nulls)):
+            return {t: dict(m) for t, m in maps.items()}
+    return None
 
 
 def _fks_commute(s, i, j, maps) -> bool:

@@ -28,11 +28,11 @@ from qinl.migration import delta, enumerate_homs, pi, sigma
 from qinl.nrc import relational_library
 from qinl.query import Comprehension, eval_query
 from qinl.schema import (
-    FqlSchema, Instance, SetV, eval_term, instance_equal_upto_iso, make_set)
+    FqlSchema, Instance, SetV, eval_term, make_set)
 from qinl.surface import elaborate, parse, print_unit
 
 from conftest import company_schema, entity_schema, staff_instance
-from oracles import naive_eval, true_in_all_models
+from oracles import isomorphism, naive_eval, true_in_all_models
 from test_surface import random_declaration
 from qinl.surface import SourceUnit
 
@@ -316,7 +316,7 @@ def test_acceptance_6_identity_laws():
                 ("delta", delta(ident, instance)),
                 ("sigma", sigma(ident, instance, fuel=32)),
                 ("pi", pi(ident, instance, fuel=32))):
-            if instance_equal_upto_iso(schema, migrated, instance) is None:
+            if isomorphism(schema, migrated, instance) is None:
                 failures.append((index, name))
     report(6, not failures,
            f"delta/sigma/pi along identities isomorphic on 20 fixtures "
@@ -426,7 +426,7 @@ def test_acceptance_8_migration_vs_conjunctive_query():
          "QA": staff.rows("Emp"), "QB": staff.rows("Dept")},
         {"q1": {f"{e},{d}": e for e, d in result.values},
          "q2": {f"{e},{d}": d for e, d in result.values}})
-    iso = instance_equal_upto_iso(tuples, migrated, expected)
+    iso = isomorphism(tuples, migrated, expected)
     ok = iso is not None and len(migrated.rows("Q")) == len(result.values) == 6
     report(8, ok, "delta-pi-delta pipeline matches the two-binding "
            "comprehension (6 tuples, isomorphic witness structure)")

@@ -11,6 +11,8 @@ from qinl.cli import main
 from qinl.equality import EGraph
 from qinl.surface import MAX_NESTING, parse, elaborate
 
+from oracles import isomorphism
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COMPANY = str(FIXTURES / "company.qinl")
 BROKEN = str(FIXTURES / "company_broken.qinl")
@@ -368,10 +370,8 @@ def test_migrate_sigma_identity_isomorphic(capsys, tmp_path):
     assert code == 0
     combined = (FIXTURES / "migration.qinl").read_text() + "\n" + out.read_text()
     elab = elaborate(parse(combined))
-    from qinl.schema import instance_equal_upto_iso
-    assert instance_equal_upto_iso(
-        elab.schemas["org"], elab.instances["orgData_sigma"],
-        elab.instances["orgData"]) is not None
+    assert isomorphism(elab.schemas["org"], elab.instances["orgData_sigma"],
+                       elab.instances["orgData"]) is not None
 
 
 # Bytes printed by the unindexed e-graph: the chase behind sigma and pi must
@@ -905,6 +905,19 @@ def test_homs_list_the_null_part_of_a_symbolic_source(capsys, tmp_path):
     path.write_text(_SYMBOLIC)
     assert run(capsys, "homs", str(path), "I", "I", "--list") == (
         0, "1 homomorphism(s) from I to I\n  A: a->a; ?0 -> ?0\n", "")
+
+
+def test_homs_match_symbolic_cells_by_computing_or_structurally(capsys):
+    """`length(?p)` of `one` matches 3 once `?p` goes to "abc", 2 once it
+    goes to "xy", and `length(?q)` once it goes to `?q`; no row of `one`
+    holds "abc", so nothing goes back."""
+    assert run(capsys, "homs", NULLS, "one", "two", "--list") == (
+        0, "3 homomorphism(s) from one to two\n"
+           "  A: a1->b1, a2->b3; ?p -> abc\n"
+           "  A: a1->b2, a2->b3; ?p -> ?q\n"
+           "  A: a1->b3, a2->b3; ?p -> xy\n", "")
+    assert run(capsys, "homs", NULLS, "two", "one", "--list") == (
+        0, "0 homomorphism(s) from two to one\n", "")
 
 
 def test_migrate_pi_writes_one_fresh_null_per_open_class(capsys, tmp_path):

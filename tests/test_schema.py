@@ -31,12 +31,12 @@ from qinl.schema import (
     check_instance,
     default_builtins,
     eval_term,
-    instance_equal_upto_iso,
     render_cell,
     validate_instance,
 )
 
 from conftest import company_schema, entity_schema
+from oracles import isomorphism
 
 
 def test_company_schema_validates():
@@ -251,7 +251,7 @@ def test_nulls_compare_only_to_themselves():
 
 
 def test_iso_identity(company, staff):
-    iso = instance_equal_upto_iso(company, staff, staff)
+    iso = isomorphism(company, staff, staff)
     assert iso is not None
     assert iso["Emp"] == {"e1": "e1", "e2": "e2", "e3": "e3"}
 
@@ -261,7 +261,7 @@ def test_iso_rejects_size_mismatch(company, staff):
         {"Emp": ["e1"], "Dept": ["d1"]},
         {"manager": {"e1": "e1"}, "ename": {"e1": "a"},
          "worksIn": {"e1": "d1"}})
-    assert instance_equal_upto_iso(company, staff, smaller) is None
+    assert isomorphism(company, staff, smaller) is None
 
 
 def test_iso_modulo_row_renaming(company):
@@ -273,7 +273,7 @@ def test_iso_modulo_row_renaming(company):
         {"Emp": ["zz"], "Dept": ["qq"]},
         {"manager": {"zz": "zz"}, "ename": {"zz": "bob"},
          "worksIn": {"zz": "qq"}})
-    iso = instance_equal_upto_iso(company, a, b)
+    iso = isomorphism(company, a, b)
     assert iso == {"Emp": {"e1": "zz"}, "Dept": {"d1": "qq"}}
 
 
@@ -286,7 +286,7 @@ def test_iso_distinguishes_constants(company):
         {"Emp": ["e1"], "Dept": ["d1"]},
         {"manager": {"e1": "e1"}, "ename": {"e1": "eve"},
          "worksIn": {"e1": "d1"}})
-    assert instance_equal_upto_iso(company, a, b) is None
+    assert isomorphism(company, a, b) is None
 
 
 def test_iso_renames_nulls_bijectively(company):
@@ -305,16 +305,16 @@ def test_iso_renames_nulls_bijectively(company):
         {"manager": {"e1": "e1", "e2": "e2"},
          "ename": {"e1": LabelledNull("7"), "e2": LabelledNull("8")},
          "worksIn": {"e1": "d1", "e2": "d1"}})
-    assert instance_equal_upto_iso(company, a, b_shared) is not None
-    assert instance_equal_upto_iso(company, a, b_split) is None
+    assert isomorphism(company, a, b_shared) is not None
+    assert isomorphism(company, a, b_split) is None
 
 
 def test_iso_respects_operation_structure():
     s = entity_schema({"N"}, {"next": ("N", "N")})
     cycle = Instance.make({"N": ["a", "b"]}, {"next": {"a": "b", "b": "a"}})
     fixed = Instance.make({"N": ["a", "b"]}, {"next": {"a": "a", "b": "b"}})
-    assert instance_equal_upto_iso(s, cycle, cycle) is not None
-    assert instance_equal_upto_iso(s, cycle, fixed) is None
+    assert isomorphism(s, cycle, cycle) is not None
+    assert isomorphism(s, cycle, fixed) is None
 
 
 def test_satisfaction_stable_under_iso(company):
@@ -328,7 +328,7 @@ def test_satisfaction_stable_under_iso(company):
         {"manager": {"x1": "x2", "x2": "x2"},
          "ename": {"x1": "a", "x2": "b"},
          "worksIn": {"x1": "y1", "x2": "y2"}})
-    assert instance_equal_upto_iso(company, a, b) is not None
+    assert isomorphism(company, a, b) is not None
     ra = check_instance(company, a, sample_size=8)
     rb = check_instance(company, b, sample_size=8)
     assert [c.status for c in ra.checks] == [c.status for c in rb.checks]

@@ -5,12 +5,13 @@ JSON (with the run configuration echoed for reproducibility); identical
 inputs and configuration produce byte-identical output.  Exit codes: 0 all
 checks pass, 1 semantic failures (violations, unproved preservation, fuel
 exhaustion, constants forced equal, oversized searches) or a closed stdout,
-2 malformed input or usage.
+2 malformed input or usage, or an `--out` that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,11 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     decl = instance_to_decl(result_name, result_schema,
                             elab.schemas[result_schema], result)
     text = print_declaration(decl) + "\n"
-    Path(args.out).write_text(text, encoding="utf-8")
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"{args.out}: error: {exc}", file=sys.stderr)
+        return ERRORS
     if config.format == "json":
         payload = _envelope("migrate", args.file, config, "ok")
         payload["direction"] = args.direction
@@ -401,7 +406,11 @@ def _render_hom(h) -> str:
 # --------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: building its seven parsers took about 1 ms of
+    # every `main` call.  The parser must hold no per-call state, so
+    # `QINL_FUEL` is read in `_load`, never made a default.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fuel", type=int, default=None,
                         help="saturation bound (default: QINL_FUEL or 32)")

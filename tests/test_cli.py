@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qinl.cli import main
+from qinl.cli import build_parser, main
 from qinl.equality import EGraph
 from qinl.surface import MAX_NESTING, parse, elaborate
 
@@ -414,6 +414,19 @@ def test_migrate_sigma_and_pi_print_golden_bytes(capsys, tmp_path, direction,
                                instance, "--out", str(out))
     assert (code, stdout, stderr) == (0, f"wrote {name} to {out} ({rows} rows)\n", "")
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("missing/o.qinl", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_migrate_to_an_unwritable_out_exits_2(capsys, tmp_path, out, reason):
+    out = str(tmp_path / out)
+    code, stdout, stderr = run(capsys, "migrate", MIGRATION, "sigma",
+                               "toPeople", "orgData", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"{out}: error: ") and reason in stderr
+    assert stderr.count("\n") == 1
 
 
 def test_migrate_nonsaturating_pi_exits_1(capsys, tmp_path):
@@ -1207,6 +1220,35 @@ def test_flag_overrides_env_fuel(capsys, monkeypatch):
 def test_nonpositive_fuel_rejected(capsys):
     code, _, err = run(capsys, "check", COMPANY, "--fuel", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+    (("check",), "the following arguments are required: file"),
+    (("check", COMPANY, "--format", "xml"),
+     "argument --format: invalid choice: 'xml'"),
+    (("check", COMPANY, "--fuel", "x"),
+     "argument --fuel: invalid int value: 'x'"),
+], ids=["no-command", "unknown-command", "missing-file", "format", "fuel"])
+def test_usage_errors_exit_2_alike_from_the_reused_parser(capsys, argv,
+                                                          message):
+    """`main` builds its parser once per process.  A usage error exits 2
+    with the same message on every call, and a command run after it prints
+    what it printed when it ran first."""
+    build_parser.cache_clear()
+    first = run(capsys, "check", COMPANY)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1]
+    assert errors[0].out == ""
+    assert errors[0].err.startswith("usage: qinl")
+    assert message in errors[0].err
+    assert run(capsys, "check", COMPANY) == first
 
 
 @pytest.mark.parametrize("command, args", [

@@ -287,7 +287,11 @@ def cmd_query(args: argparse.Namespace) -> int:
               f"'{elab.instance_schema[args.instance]}'", file=sys.stderr)
         return ERRORS
     schema = elab.schemas[schema_name]
-    result = eval_query(schema, instance, query)
+    try:
+        result = eval_query(schema, instance, query)
+    except TooLarge as exc:
+        print(f"{args.file}: failure: {exc}", file=sys.stderr)
+        return FAILURES
     if config.format == "json":
         payload = _envelope("query", args.file, config, "ok")
         payload["query"] = args.query

@@ -38,7 +38,7 @@ from .schema import (
     NodeBudget,
     OpApplied,
     TooLarge,
-    eval_term,
+    eval_column,
     null_under,
     search_homs,
     slot_order,
@@ -118,9 +118,9 @@ def _pull(mapping: SchemaMapping, j: Instance) -> Instance:
     functions: dict[str, dict[str, Cell]] = {}
     for op, (dom, _) in src.tables.items():
         var, body = mapping.op_map[op]
-        functions[op] = {
-            row: eval_term(mapping.target, j, {var: row}, body)
-            for row in carriers[dom]}
+        rows = list(carriers[dom])
+        functions[op] = dict(zip(rows, eval_column(
+            mapping.target, j, {var: rows}, len(rows), body)))
     return Instance.make(carriers, functions)
 
 

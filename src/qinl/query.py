@@ -1,10 +1,11 @@
 """Comprehension queries over instances: for/where/return with entity-typed
-bindings, evaluated by a planned search.
+bindings, evaluated level by level.
 
-A comprehension is a conjunctive query (Chandra and Merlin, STOC 1977), so
-it runs as a nested loop over its bindings in their declared order, each
-where clause checked at the first binding where both of its sides can be
-evaluated.  A clause that ties a term of the new binding to terms of
+A comprehension is a conjunctive query (Chandra and Merlin, STOC 1977),
+so it binds its variables in their declared order, one level of partial
+tuples per binding, each term evaluated over a whole level (Boncz et al.,
+CIDR 2005) and each where clause at the first level where both of its
+sides can be.  A clause that ties a term of the new binding to terms of
 earlier ones is a hash probe into the new binding's rows, so a join along
 foreign keys costs in proportion to its output, not to the product of the
 carriers (Yannakakis, VLDB 1981).
@@ -12,7 +13,6 @@ carriers (Yannakakis, VLDB 1981).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .kernel import (
@@ -33,13 +33,18 @@ from .schema import (
     FqlSchema,
     Instance,
     LabelledNull,
+    NodeBudget,
     OpApplied,
+    TooLarge,
     cell_key,
-    eval_term,
+    eval_column,
     render_cell,
 )
 
 MAX_WARNINGS = 32
+# The binding tuples that one query may build over all its levels; past
+# them, TooLarge.  The largest query of the tests builds 3,000 of them.
+QUERY_TUPLES = 100_000
 
 
 class NonEntityBinding(EngineError):
@@ -148,91 +153,80 @@ def eval_query(s: FqlSchema, i: Instance, q: Comprehension) -> QueryResult:
     sides, in lexicographic order of the bindings over the carriers, and
     collect the deduplicated return values with their witnesses.
 
-    The search binds one variable at a time.  A clause is checked as soon
-    as both of its sides can be evaluated; a clause `t(new) = u(earlier)`
-    picks the new binding's candidates from a dict, built once, that maps
-    each value of t to the rows giving it, in row order.  Cells compare by
-    equality (a labelled null equals only itself), so the probe keeps
-    exactly the rows the comparison would.
+    The search binds one variable per level, over every partial tuple at
+    once, each level in lexicographic order.  A clause is checked over the
+    first level where both of its sides can be evaluated; a clause
+    `t(new) = u(earlier)` picks the new binding's candidates from a dict,
+    built once, that maps each value of t to the rows giving it, in row
+    order.  Cells compare by equality (a labelled null equals only itself),
+    so the probe keeps exactly the rows the comparison would.  The levels
+    spend their tuples from QUERY_TUPLES; past it, TooLarge is raised
+    before the level is built.
     """
     typecheck_query(s, q)
     constant, steps = _plan(q)
-    indexes = []
+    # The level: a column per bound variable and, per tuple, the indexes
+    # of the clauses whose compared sides were null-valued on its way.
+    columns: dict[str, list[Cell]] = {}
+    nulls: list[tuple[int, ...]] = [()]
+    budget = NodeBudget(QUERY_TUPLES)
+
+    def take(picks: list[int]) -> None:
+        nonlocal columns, nulls
+        columns = {var: [col[p] for p in picks] for var, col in columns.items()}
+        nulls = [nulls[p] for p in picks]
+
+    def check(clauses: tuple[tuple[int, Term, Term], ...]) -> None:
+        for index, lhs, rhs in clauses:
+            left = eval_column(s, i, columns, len(nulls), lhs)
+            right = eval_column(s, i, columns, len(nulls), rhs)
+            picks = []
+            for p, value in enumerate(left):
+                if value == right[p]:
+                    picks.append(p)
+                    if _has_unknown(value):
+                        nulls[p] += (index,)
+            if len(picks) < len(left):
+                take(picks)
+
+    check(constant)
     for step in steps:
-        index: dict[Cell, list[str]] = {}
-        if step.probe is not None:
-            _, new, _ = step.probe
-            for row in i.rows(step.entity):
-                index.setdefault(eval_term(s, i, {step.var: row}, new), []).append(row)
-        indexes.append(index)
+        if step.probe is None:
+            hits = [i.rows(step.entity)] * len(nulls)
+        else:
+            clause, new, earlier = step.probe
+            rows, index = list(i.rows(step.entity)), {}
+            for row, value in zip(rows, eval_column(s, i, {step.var: rows}, len(rows), new)):
+                index.setdefault(value, []).append(row)
+            values = eval_column(s, i, columns, len(nulls), earlier)
+            hits = [index.get(value, ()) for value in values]
+            nulls = [found + (clause,) if _has_unknown(value) else found
+                     for found, value in zip(nulls, values)]
+        size = sum(map(len, hits))
+        if size > budget.left:
+            raise TooLarge(
+                f"query binding '{step.var}: {step.entity}' makes {size} more "
+                f"tuples, past the {budget.limit} that a query may build")
+        budget.left -= size
+        take([p for p, rows in enumerate(hits) for _ in rows])
+        columns[step.var] = [row for rows in hits for row in rows]
+        check(step.checks)
 
-    env: dict[str, Cell] = {}
-    kept: list[tuple[dict[str, Cell], Cell]] = []
+    returns = eval_column(s, i, columns, len(nulls), q.returns)
+    names = sorted(columns)
+    witnesses = tuple(
+        (tuple((var, str(columns[var][p])) for var in names), render_cell(value))
+        for p, value in enumerate(returns))
     warnings: list[str] = []
-    nulls: list[list[int]] = [[] for _ in range(len(steps) + 1)]
-
-    def holds(checks: tuple[tuple[int, Term, Term], ...], out: list[int]) -> bool:
-        """Whether every check holds under env; appends the indexes of
-        those whose sides are null-valued to `out`."""
-        for index, lhs, rhs in checks:
-            value = eval_term(s, i, env, lhs)
-            if value != eval_term(s, i, env, rhs):
-                return False
-            if _has_unknown(value):
-                out.append(index)
-        return True
-
-    def keep() -> None:
-        kept.append((dict(env), eval_term(s, i, env, q.returns)))
-        room = MAX_WARNINGS - len(warnings)
-        for index in sorted(n for level in nulls for n in level)[:room]:
+    for p, found in enumerate(nulls):
+        for index in sorted(found)[:MAX_WARNINGS - len(warnings)]:
             lhs, rhs = q.wheres[index]
             warnings.append(
                 f"null-valued comparison {format_term(lhs)} = "
                 f"{format_term(rhs)} at "
-                + ", ".join(f"{v}={r}" for v, r in sorted(env.items())))
-
-    def candidates(k: int) -> tuple[Iterator[str], list[int]]:
-        """Binding k's candidate rows under env, and the probe clause's
-        index if its value is null-valued."""
-        step = steps[k]
-        if step.probe is None:
-            return iter(i.rows(step.entity)), []
-        index, _, earlier = step.probe
-        value = eval_term(s, i, env, earlier)
-        return (iter(indexes[k].get(value, ())),
-                [index] if _has_unknown(value) else [])
-
-    # Each frame holds the remaining candidates of one binding; the loop
-    # runs as deep as there are bindings, with no recursion.
-    stack = []
-    if holds(constant, nulls[0]):
-        if steps:
-            stack.append(candidates(0))
-        else:
-            keep()
-    while stack:
-        k = len(stack) - 1
-        rows, found = stack[k]
-        for row in rows:
-            env[steps[k].var] = row
-            nulls[k + 1] = list(found)
-            if holds(steps[k].checks, nulls[k + 1]):
-                break
-        else:
-            stack.pop()
-            continue
-        if k + 1 < len(steps):
-            stack.append(candidates(k + 1))
-        else:
-            keep()
-
-    unique = {cell_key(v): v for _, v in kept}
+                + ", ".join(f"{var}={columns[var][p]}" for var in names))
+    unique = {cell_key(v): v for v in returns}
     values = tuple(unique[k] for k in sorted(unique))
-    witnesses = tuple(
-        (tuple(sorted((var, str(row)) for var, row in env.items())),
-         render_cell(value))
-        for env, value in kept)
     return QueryResult(values, witnesses, tuple(warnings))
 
 

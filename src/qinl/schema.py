@@ -1,7 +1,7 @@
 """Database schemas as equational theories with an entity/attribute split,
 finite instances with labelled nulls, the one evaluator of terms and
-set-calculus expressions (to cells), satisfaction checking, and the
-search for homomorphisms of instances."""
+set-calculus expressions (to cells, over a column of rows at once),
+satisfaction checking, and the search for homomorphisms of instances."""
 
 from __future__ import annotations
 
@@ -408,40 +408,55 @@ def unstated_builtin(s: FqlSchema, op: str, row: str, v: Cell) -> str | None:
 # --------------------------------------------------------------------------
 # Term evaluation over an instance
 
-def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Cell:
-    """Evaluate a well-typed term or set-calculus expression to a cell, by
-    table lookups for entity-domain operations and registered semantics for
-    builtins.  A builtin applied to an unknown stays symbolic; a labelled
-    null equals only itself.  Conditions and `=` evaluate to True/False,
-    and a condition that evaluates to an unknown raises EngineError."""
+def eval_column(s: FqlSchema, i: Instance, columns: Mapping[str, list[Cell]],
+                n: int, e: Term) -> list[Cell]:
+    """Evaluate a well-typed term or set-calculus expression at `n`
+    positions, `columns` giving each variable's `n` values: a table lookup
+    or a builtin runs over a whole column at once, a set construct one
+    position at a time by `eval_term`.  A builtin applied to an unknown
+    stays symbolic; a labelled null equals only itself."""
+    if not n:
+        return []
     if isinstance(e, Var):
-        if e.name not in env:
+        if e.name not in columns:
             raise UnboundVariable(e.name)
-        return env[e.name]
+        return columns[e.name]
     if isinstance(e, Lit):
-        return e.value
+        return [e.value] * n
     if isinstance(e, UnitTerm):
-        return UNIT_CELL
+        return [UNIT_CELL] * n
     if isinstance(e, Pair):
-        return (eval_term(s, i, env, e.fst), eval_term(s, i, env, e.snd))
-    if isinstance(e, Proj1):
-        v = eval_term(s, i, env, e.of)
-        assert isinstance(v, tuple)
-        return v[0]
-    if isinstance(e, Proj2):
-        v = eval_term(s, i, env, e.of)
-        assert isinstance(v, tuple)
-        return v[1]
+        return list(zip(eval_column(s, i, columns, n, e.fst),
+                        eval_column(s, i, columns, n, e.snd)))
+    if isinstance(e, (Proj1, Proj2)):
+        k = 0 if isinstance(e, Proj1) else 1
+        return [v[k] for v in eval_column(s, i, columns, n, e.of)]
     if isinstance(e, App):
-        arg = eval_term(s, i, env, e.arg)
-        if e.op not in s.tables:
-            if e.op not in s.sig.operations:
-                raise UnknownOperation(e.op)
-            return s.builtins.apply(e.op, arg)
-        table = i.functions.get(e.op)
-        if table is None or arg not in table:
-            raise PartialFunction(e.op, render_cell(arg))
-        return table[arg]
+        args = eval_column(s, i, columns, n, e.arg)
+        if e.op in s.tables:
+            table = i.functions.get(e.op, {})
+            try:
+                return [table[a] for a in args]
+            except KeyError:
+                missing = next(a for a in args if a not in table)
+                raise PartialFunction(e.op, render_cell(missing)) from None
+        if e.op not in s.sig.operations:
+            raise UnknownOperation(e.op)
+        if e.op not in s.builtins.ops:
+            raise UninterpretedOperation(e.op)
+        fn = s.builtins.ops[e.op].fn
+        return [OpApplied(e.op, a) if isinstance(a, (LabelledNull, OpApplied))
+                else fn(a) for a in args]
+    if not isinstance(e, (Empty, Singleton, Union, If, EqTest, For)):
+        raise EngineError(f"cannot evaluate term construct {e!r}")
+    return [eval_term(s, i, {v: c[k] for v, c in columns.items()}, e)
+            for k in range(n)]
+
+
+def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Cell:
+    """`eval_column` at the one position `env` gives, where the set
+    constructs are evaluated.  Conditions and `=` evaluate to True/False,
+    and a condition that evaluates to an unknown raises EngineError."""
     if isinstance(e, Empty):
         return SetV(())
     if isinstance(e, Singleton):
@@ -463,7 +478,7 @@ def eval_term(s: FqlSchema, i: Instance, env: Mapping[str, Cell], e: Term) -> Ce
             inner[e.var] = member
             collected += eval_term(s, i, inner, e.body).members
         return make_set(collected)
-    raise EngineError(f"cannot evaluate term construct {e!r}")
+    return eval_column(s, i, {v: [c] for v, c in env.items()}, 1, e)[0]
 
 
 # --------------------------------------------------------------------------
@@ -489,6 +504,9 @@ class SatisfactionReport:
         return [c for c in self.checks if c.status == "violated"]
 
 
+CHECK_CHUNK = 4096  # combinations of an equation's variables evaluated at once
+
+
 def check_instance(s: FqlSchema, i: Instance, *,
                    sample_size: int = 256, seed: int = 0) -> SatisfactionReport:
     """Check every schema equation against an instance.
@@ -497,7 +515,8 @@ def check_instance(s: FqlSchema, i: Instance, *,
     carriers.  Attribute-typed variables range over the instance's active
     domain plus a seeded pseudo-random sample, and such equations report
     `sampled-only` rather than `satisfied`.  Each attribute type's domain is
-    drawn once and shared by every variable of that type.
+    drawn once and shared by every variable of that type.  The witness is
+    the first violation in product order, found CHECK_CHUNK at a time.
     """
     problems = validate_instance(s, i)
     if problems:
@@ -519,13 +538,15 @@ def check_instance(s: FqlSchema, i: Instance, *,
             values, was_sampled = _type_domain(s, i, t, attribute_domain)
             sampled = sampled or was_sampled
             domains.append(values)
-        witness = None
-        for combo in itertools.product(*domains):
-            env = {var: value for (var, _), value in zip(eq.ctx, combo)}
-            if eval_term(s, i, env, eq.lhs) != eval_term(s, i, env, eq.rhs):
-                witness = tuple(
-                    (var, render_cell(value)) for var, value in sorted(env.items()))
-                break
+        names, witness = [var for var, _ in eq.ctx], None
+        combos = itertools.product(*domains)
+        while witness is None and (chunk := list(itertools.islice(combos, CHECK_CHUNK))):
+            columns = dict(zip(names, map(list, zip(*chunk))))
+            lhs = eval_column(s, i, columns, len(chunk), eq.lhs)
+            rhs = eval_column(s, i, columns, len(chunk), eq.rhs)
+            if lhs != rhs:
+                k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                witness = tuple((var, render_cell(columns[var][k])) for var in sorted(columns))
         if witness is not None:
             checks.append(EquationCheck(eq.render(), "violated", witness=witness))
         elif sampled:

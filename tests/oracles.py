@@ -3,9 +3,11 @@
 Everything here deliberately avoids the engine's own evaluation, saturation,
 and chase code paths: the set evaluator works on plain frozensets, the
 equality oracle is a breadth-first rewrite closure over syntax trees, the
-model checker enumerates entire finite models by brute force, and the query
-oracle scans the whole cartesian product of the carriers (it shares only the
-engine's term evaluator, not its search), the chase's enumeration pass and
+model checker enumerates entire finite models by brute force, terms are
+evaluated by a recursive walk one row at a time (`eval_by_walk`) rather than
+a column at a time, satisfaction is checked by a scan of one combination at
+a time, and the query oracle scans the whole cartesian product of the
+carriers, the chase's enumeration pass and
 extraction visit every tuple and every node on every sweep, the enumeration
 pass computes constants with the naive evaluator, the reference chase
 computes none and instantiates every equation at every tuple, the prover's
@@ -26,6 +28,7 @@ engine's hom search for bijections (it is checked against the brute-force
 from __future__ import annotations
 
 import itertools
+import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -57,17 +60,19 @@ from qinl.nrc import (
     SetT,
     Singleton,
     Union,
+    print_nrc,
 )
-from qinl.kernel import EngineError, format_literal, format_type
+from qinl.kernel import EngineError, UnboundVariable, UnknownOperation, format_literal, format_type
 from qinl.schema import (
     Instance,
     LabelledNull,
     OpApplied,
+    PartialFunction,
     SetV,
     UNIT_CELL,
     cell_key,
-    eval_term,
     format_cell,
+    make_set,
     render_cell,
     search_homs,
     validate_instance,
@@ -842,6 +847,108 @@ def sweep_extract(graph) -> dict[int, Term]:
 
 
 # --------------------------------------------------------------------------
+# Terms evaluated one row at a time by a recursive walk, and satisfaction
+# checked by a scan that evaluates both sides at one combination at a time.
+
+
+def eval_by_walk(s, i, env: Mapping[str, object], e: Term) -> object:
+    """The value of a term or set-calculus expression under `env`, one
+    subterm at a time: the engine's evaluator before it ran over columns."""
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise UnboundVariable(e.name)
+        return env[e.name]
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, UnitTerm):
+        return UNIT_CELL
+    if isinstance(e, Pair):
+        return (eval_by_walk(s, i, env, e.fst), eval_by_walk(s, i, env, e.snd))
+    if isinstance(e, (Proj1, Proj2)):
+        v = eval_by_walk(s, i, env, e.of)
+        assert isinstance(v, tuple)
+        return v[0] if isinstance(e, Proj1) else v[1]
+    if isinstance(e, App):
+        arg = eval_by_walk(s, i, env, e.arg)
+        if e.op not in s.tables:
+            if e.op not in s.sig.operations:
+                raise UnknownOperation(e.op)
+            return s.builtins.apply(e.op, arg)
+        table = i.functions.get(e.op)
+        if table is None or arg not in table:
+            raise PartialFunction(e.op, render_cell(arg))
+        return table[arg]
+    if isinstance(e, Empty):
+        return SetV(())
+    if isinstance(e, Singleton):
+        return SetV((eval_by_walk(s, i, env, e.elem),))
+    if isinstance(e, Union):
+        return make_set(eval_by_walk(s, i, env, e.left).members
+                        + eval_by_walk(s, i, env, e.right).members)
+    if isinstance(e, If):
+        cond = eval_by_walk(s, i, env, e.cond)
+        if not isinstance(cond, bool):
+            raise EngineError(f"condition {print_nrc(e.cond)} is neither true nor "
+                              f"false: {format_cell(cond)}")
+        return eval_by_walk(s, i, env, e.then if cond else e.els)
+    if isinstance(e, EqTest):
+        return eval_by_walk(s, i, env, e.left) == eval_by_walk(s, i, env, e.right)
+    if isinstance(e, For):
+        inner, collected = dict(env), []
+        for member in eval_by_walk(s, i, env, e.source).members:
+            inner[e.var] = member
+            collected += eval_by_walk(s, i, inner, e.body).members
+        return make_set(collected)
+    raise EngineError(f"cannot evaluate term construct {e!r}")
+
+
+def check_by_scan(s, i, *, sample_size: int = 256, seed: int = 0
+                  ) -> list[tuple[str, tuple | None]]:
+    """(status, witness) of each equation, as `check_instance` reports them:
+    entity variables range over their carriers, attribute variables over
+    the active domain (table cells and the equations' literals, nulls
+    left out) then a seeded sample of the rest, drawn once per type in the
+    order the contexts first ask for it.  Both sides are evaluated by
+    `eval_by_walk` at one combination at a time, in product order."""
+    rng, drawn = random.Random(seed), {}
+
+    def domain(t: TypeExpr) -> tuple[list, bool]:
+        if t == UNIT:
+            return [UNIT_CELL], False
+        if isinstance(t, Prod):
+            (left, ls), (right, rs) = domain(t.left), domain(t.right)
+            return [(a, b) for a in left for b in right], ls or rs
+        if t.name in s.entity_types:
+            return list(i.rows(t.name)), False
+        if t.name not in drawn:
+            cells = [v for op, (_, cod) in s.tables.items() if cod == t.name
+                     for v in i.functions[op].values()]
+            cells += [sub.value for eq in s.theory.equations for side in (eq.lhs, eq.rhs)
+                      for sub in subterms(side) if isinstance(sub, Lit) and sub.base == t.name]
+            active = {cell_key(v): v for v in cells
+                      if not isinstance(v, (LabelledNull, OpApplied))}
+            fresh = [v for v in s.builtins.sample_spaces[t.name]
+                     if cell_key(v) not in active]
+            drawn[t.name] = ([active[k] for k in sorted(active)]
+                             + rng.sample(fresh, min(sample_size, len(fresh))))
+        return drawn[t.name], True
+
+    out = []
+    for eq in s.theory.equations:
+        domains = [domain(t) for _, t in eq.ctx]
+        status = "sampled-only" if any(sampled for _, sampled in domains) else "satisfied"
+        witness = None
+        for combo in itertools.product(*(values for values, _ in domains)):
+            env = {var: value for (var, _), value in zip(eq.ctx, combo)}
+            if eval_by_walk(s, i, env, eq.lhs) != eval_by_walk(s, i, env, eq.rhs):
+                status = "violated"
+                witness = tuple((v, render_cell(c)) for v, c in sorted(env.items()))
+                break
+        out.append((status, witness))
+    return out
+
+
+# --------------------------------------------------------------------------
 # Comprehension queries by a filtered cartesian scan: every binding tuple,
 # in lexicographic order over the carriers, kept when each where clause
 # evaluates equal on both sides.
@@ -859,8 +966,8 @@ def scan_query(s, i, q) -> tuple[tuple, tuple, tuple[str, ...]]:
         env = {var: row for (var, _), row in zip(q.bindings, combo)}
         ok = True
         for lhs, rhs in q.wheres:
-            vl = eval_term(s, i, env, lhs)
-            vr = eval_term(s, i, env, rhs)
+            vl = eval_by_walk(s, i, env, lhs)
+            vr = eval_by_walk(s, i, env, rhs)
             if _has_unknown(vl) or _has_unknown(vr):
                 warnings.append(
                     f"null-valued comparison {format_term(lhs)} = "
@@ -870,7 +977,7 @@ def scan_query(s, i, q) -> tuple[tuple, tuple, tuple[str, ...]]:
                 ok = False
                 break
         if ok:
-            kept.append((env, eval_term(s, i, env, q.returns)))
+            kept.append((env, eval_by_walk(s, i, env, q.returns)))
     unique = {cell_key(v): v for _, v in kept}
     values = tuple(unique[k] for k in sorted(unique))
     witnesses = tuple(

@@ -1163,6 +1163,26 @@ def test_homs_oversized_exits_1(capsys, tmp_path):
                        "search nodes\n")
 
 
+def test_query_past_its_tuple_guard_exits_1(capsys, tmp_path):
+    """for a, b, c: Emp over 50 employees builds 50, 2,500 and then 125,000
+    tuples; the third level would pass the 100,000 that a query may build,
+    so the query stops before it, in both formats."""
+    emps = [f"e{k}" for k in range(50)]
+    f = tmp_path / "cube.qinl"
+    f.write_text(
+        (FIXTURES / "company.qinl").read_text()
+        + "instance wide : company = { Emp = { " + ", ".join(emps) + " }; "
+        "Dept = { d1 }; manager = { " + ", ".join(f"{e} -> e0" for e in emps)
+        + " }; ename = { " + ", ".join(f'{e} -> "a"' for e in emps)
+        + " }; worksIn = { " + ", ".join(f"{e} -> d1" for e in emps) + " }; }\n"
+        "query cube : company = for a: Emp, b: Emp, c: Emp return worksIn(a)\n")
+    for fmt in ("table", "json"):
+        code, out, err = run(capsys, "query", str(f), "cube", "wide", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (f"{f}: failure: query binding 'c: Emp' makes 125000 "
+                       "more tuples, past the 100000 that a query may build\n")
+
+
 def _loops(name: str, count: int, prefix: str) -> str:
     rows = [f"{prefix}{k}" for k in range(count)]
     return (f"instance {name} : G = {{ V = {{ {', '.join(rows)} }}; "

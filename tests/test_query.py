@@ -8,7 +8,7 @@ from qinl.equality import IllTyped
 from qinl.kernel import App, Base, Lit, Pair, Var
 from qinl.nrc import Empty, EqTest, For, If, Singleton
 from qinl.query import Comprehension, NonEntityBinding, eval_query, typecheck_query
-from qinl.schema import Instance, LabelledNull, SetV, eval_term, make_set
+from qinl.schema import Instance, LabelledNull, SetV, TooLarge, eval_term, make_set
 
 
 
@@ -100,7 +100,9 @@ def test_null_comparisons_warn_and_match_identically(company):
     result = eval_query(company, withnulls, q)
     # nulls equal only themselves: the diagonal survives
     assert result.values == (("e1", "e1"), ("e2", "e2"))
-    assert result.warnings
+    assert result.warnings == tuple(
+        f"null-valued comparison ename(a) = ename(b) at a={e}, b={e}"
+        for e in ("e1", "e2"))
 
 
 def test_monotonicity_in_where_clauses(company, staff):
@@ -329,17 +331,18 @@ def _managed_company(n: int) -> Instance:
 def test_three_binding_join_work_grows_with_its_output(company, monkeypatch):
     """for e, f, g: Emp where manager(e) = f and manager(f) = g and
     worksIn(g) = worksIn(e): the scan evaluates n^3 tuples; the planned
-    search evaluates a fixed number of terms per row and per witness."""
+    search evaluates a fixed number of terms per row and per witness.  The
+    work counted is the positions evaluated, `n` summed over the calls."""
     import qinl.query
 
     calls = [0]
-    real = qinl.query.eval_term
+    real = qinl.query.eval_column
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(s, i, columns, n, e):
+        calls[0] += n
+        return real(s, i, columns, n, e)
 
-    monkeypatch.setattr(qinl.query, "eval_term", counted)
+    monkeypatch.setattr(qinl.query, "eval_column", counted)
     q = Comprehension(
         (("e", "Emp"), ("f", "Emp"), ("g", "Emp")),
         ((App("manager", Var("e")), Var("f")),
@@ -354,6 +357,19 @@ def test_three_binding_join_work_grows_with_its_output(company, monkeypatch):
         counts.append(calls[0])
     assert counts[1] <= 2.05 * counts[0] and counts[2] <= 2.05 * counts[1]
     assert counts[2] <= 8 * 400
+
+
+def test_unconstrained_query_stops_at_its_tuple_guard_before_building_a_level(
+        company):
+    """for a, b, c: Emp at n = 200: the third level would hold 8,000,000
+    tuples, so TooLarge names it before it is built; at n = 40 the 65,640
+    tuples of all three levels fit under the guard."""
+    q = Comprehension((("a", "Emp"), ("b", "Emp"), ("c", "Emp")), (),
+                      App("worksIn", Var("a")))
+    with pytest.raises(TooLarge, match="binding 'c: Emp' makes 8000000 more tuples, "
+                                       "past the 100000 that a query may build"):
+        eval_query(company, _managed_company(200), q)
+    assert len(eval_query(company, _managed_company(40), q).witnesses) == 40 ** 3
 
 
 def test_pi_along_a_renaming_visits_a_few_nodes_per_output_row(monkeypatch):

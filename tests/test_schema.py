@@ -9,7 +9,9 @@ from qinl.kernel import (
     App,
     Base,
     Context,
+    EngineError,
     Lit,
+    Pair,
     Prod,
     Proj1,
     Proj2,
@@ -19,6 +21,7 @@ from qinl.kernel import (
     UnknownOperation,
     Var,
 )
+from qinl.nrc import Empty, EqTest, For, If, Singleton, Union
 from qinl.schema import (
     BuiltinOp,
     BuiltinRegistry,
@@ -30,13 +33,14 @@ from qinl.schema import (
     PartialFunction,
     check_instance,
     default_builtins,
+    eval_column,
     eval_term,
     render_cell,
     validate_instance,
 )
 
 from conftest import company_schema, entity_schema
-from oracles import isomorphism
+from oracles import check_by_scan, eval_by_walk, isomorphism
 
 
 def test_company_schema_validates():
@@ -370,29 +374,38 @@ def _recording(variables: int):
 ACTIVE = ["abba", "abc", "ba"]  # in cell_key order
 
 
+def _sides(log: list[str]) -> tuple[list[str], list[str]]:
+    """The arguments `seen` took on the left side and on the right side of
+    one check: under CHECK_CHUNK combinations, each side is evaluated over
+    all of them at once, the left side first."""
+    half = len(log) // 2
+    return log[:half], log[half:]
+
+
 def test_string_domain_is_the_active_domain_then_the_whole_sample_space():
     schema, inst, log = _recording(1)
     check_instance(schema, inst, sample_size=63)
-    domain = log[::2]
+    domain, _ = _sides(log)
     assert domain[:3] == ACTIVE
     assert len(domain) == 1 + 63
     assert set(domain) == {"abc", *STRINGS}
+    log.clear()
     check_instance(schema, inst, sample_size=1000)
-    assert log[::2][len(domain):] == domain
+    assert _sides(log)[0] == domain
 
 
 def test_sample_draws_exactly_sample_size_fresh_values_per_seed():
     schema, inst, log = _recording(1)
     check_instance(schema, inst, sample_size=8, seed=5)
-    first = log[::2]
+    first, _ = _sides(log)
     fresh = [v for v in STRINGS if v not in ACTIVE]
     assert first == ACTIVE + random.Random(5).sample(fresh, 8)
     log.clear()
     check_instance(schema, inst, sample_size=8, seed=5)
-    assert log[::2] == first
+    assert _sides(log)[0] == first
     log.clear()
     check_instance(schema, inst, sample_size=8, seed=6)
-    assert log[::2][3:] != first[3:]
+    assert _sides(log)[0][3:] != first[3:]
 
 
 def test_variables_of_one_attribute_type_share_its_domain():
@@ -400,7 +413,7 @@ def test_variables_of_one_attribute_type_share_its_domain():
     check_instance(schema, inst, sample_size=8, seed=5)
     domain = ACTIVE + random.Random(5).sample(
         [v for v in STRINGS if v not in ACTIVE], 8)
-    pairs = list(zip(log[::2], log[1::2]))
+    pairs = list(zip(*_sides(log)))
     assert pairs == [(x, y) for x in domain for y in domain]
 
 
@@ -424,3 +437,158 @@ def test_default_builtins_cover_needed_ops():
     assert reg.apply("length", "abba") == 4
     assert reg.apply("reverse", "abc") == "cba"
     assert isinstance(reg.apply("reverse", LabelledNull("3")), OpApplied)
+
+
+# --------------------------------------------------------------------------
+# The column evaluator against the recursive walk of `oracles`
+
+E, F, STR, INT = Base("E"), Base("F"), Base("String"), Base("Int")
+WALK_OPS = {"g": (E, E), "f": (E, F), "name": (E, STR), "size": (F, INT),
+            "length": (STR, INT), "reverse": (STR, STR)}
+WALK_CTX = (("x", E), ("y", F), ("p", Prod(E, STR)))
+NAMES = ["", "ab", "ba", "aab", LabelledNull("0"), LabelledNull("1"),
+         OpApplied("reverse", LabelledNull("0"))]
+SIZES = [0, 1, 2, LabelledNull("2"), OpApplied("length", LabelledNull("0"))]
+
+
+def _walk_schema(equations=()) -> FqlSchema:
+    sig = Signature.of({"E", "F", "String", "Int"}, WALK_OPS)
+    return FqlSchema(Theory.of(sig, list(equations)), frozenset({"E", "F"}),
+                     frozenset({"String", "Int"}))
+
+
+def _walk_instance(rng: random.Random) -> Instance:
+    """Total tables whose attribute cells mix constants, labelled nulls and
+    builtins applied to them."""
+    es = [f"e{k}" for k in range(rng.randint(1, 5))]
+    fs = [f"f{k}" for k in range(rng.randint(1, 3))]
+    return Instance.make({"E": es, "F": fs}, {
+        "g": {e: rng.choice(es) for e in es}, "f": {e: rng.choice(fs) for e in es},
+        "name": {e: rng.choice(NAMES) for e in es},
+        "size": {f: rng.choice(SIZES) for f in fs}})
+
+
+def _kernel_term(rng: random.Random, ctx, want, depth: int):
+    """A random well-typed term of type `want` over `ctx`, which binds a
+    variable of type E: variables, literals, unit, pairs, projections,
+    table operations and builtins."""
+    makers = [lambda v=v: Var(v) for v, t in ctx if t == want]
+    if want == UNIT:
+        makers.append(lambda: UNIT_TERM)
+    if want == STR:
+        makers.append(lambda: Lit("String", rng.choice(["", "ab", "ba"])))
+    if want == INT:
+        makers.append(lambda: Lit("Int", rng.randint(0, 2)))
+    if isinstance(want, Prod):
+        makers.append(lambda: Pair(_kernel_term(rng, ctx, want.left, depth),
+                                   _kernel_term(rng, ctx, want.right, depth)))
+    if depth > 0 or not makers:
+        d = max(depth - 1, 0)
+        makers += [lambda op=op, dom=dom: App(op, _kernel_term(rng, ctx, dom, d))
+                   for op, (dom, cod) in WALK_OPS.items() if cod == want]
+    if depth > 0:
+        other = rng.choice([E, F, STR, INT])
+        makers.append(lambda: Proj1(_kernel_term(rng, ctx, Prod(want, other), d)))
+        makers.append(lambda: Proj2(_kernel_term(rng, ctx, Prod(other, want), d)))
+    return rng.choice(makers)()
+
+
+def test_eval_column_equals_the_walk_at_every_position():
+    rng = random.Random(11)
+    s = _walk_schema()
+    for _ in range(300):
+        i = _walk_instance(rng)
+        n = rng.randint(0, 6)
+        es, fs = i.rows("E"), i.rows("F")
+        columns = {"x": [rng.choice(es) for _ in range(n)],
+                   "y": [rng.choice(fs) for _ in range(n)],
+                   "p": [(rng.choice(es), rng.choice(NAMES)) for _ in range(n)]}
+        want = rng.choice([E, F, STR, INT, UNIT, Prod(STR, INT), Prod(E, Prod(F, STR))])
+        term = _kernel_term(rng, WALK_CTX, want, depth=4)
+        assert eval_column(s, i, columns, n, term) == [
+            eval_by_walk(s, i, {v: c[k] for v, c in columns.items()}, term)
+            for k in range(n)], term
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def test_eval_term_equals_the_walk_on_generated_expressions():
+    """The 300 expressions of the type-soundness test, then expressions
+    that raise: on each, eval_term gives the walk's value or its error."""
+    from test_nrc import EMPTY_INSTANCE, SCHEMA, TYPES, _random_expr
+
+    rng = random.Random(5)
+    for _ in range(300):
+        expr = _random_expr(rng, {}, rng.choice(TYPES), depth=5)
+        assert eval_term(SCHEMA, EMPTY_INSTANCE, {}, expr) == eval_by_walk(
+            SCHEMA, EMPTY_INSTANCE, {}, expr)
+    s = company_schema()
+    withnull = Instance.make(
+        {"Emp": ["e1"], "Dept": ["d1"]},
+        {"manager": {"e1": "e1"}, "ename": {"e1": LabelledNull("0")},
+         "worksIn": {"e1": "d1"}})
+    partial = Instance.make(withnull.carriers, {**withnull.functions, "manager": {}})
+    ops = {op: t for op, t in s.sig.operations.items() if op != "length"}
+    no_length = FqlSchema(Theory.of(Signature.of(s.sig.base_types, ops)),
+                          s.entity_types, s.attribute_types)
+    unregistered = FqlSchema(s.theory, s.entity_types, s.attribute_types,
+                             BuiltinRegistry(s.builtins.carriers, {},
+                                             s.builtins.sample_spaces))
+    emps = Singleton(Var("x"))
+    raising = [
+        (s, withnull, If(Var("b"), emps, Empty(Base("Emp")))),
+        (s, partial, For("y", emps, Singleton(App("manager", Var("y"))))),
+        (s, withnull, Singleton(App("salary", Var("x")))),
+        (no_length, withnull, App("length", Lit("String", "ab"))),
+        (unregistered, withnull, App("reverse", App("ename", Var("x")))),
+        (s, withnull, Union(emps, Singleton(Var("z")))),
+    ]
+    for schema, inst, expr in raising:
+        env = {"x": "e1", "b": LabelledNull("1")}
+        walked = _outcome(lambda: eval_by_walk(schema, inst, env, expr))
+        assert isinstance(walked, tuple) and issubclass(walked[0], EngineError), expr
+        assert _outcome(lambda: eval_term(schema, inst, env, expr)) == walked, expr
+
+
+def test_check_instance_matches_a_scan_of_one_combination_at_a_time(monkeypatch):
+    """Random equations over two or three variables, entity- and
+    attribute-typed, with chunks of three combinations so that many
+    witnesses lie past the first chunk."""
+    import qinl.schema
+
+    monkeypatch.setattr(qinl.schema, "CHECK_CHUNK", 3)
+    rng = random.Random(3)
+    for _ in range(60):
+        equations = []
+        for _ in range(3):
+            ctx = [("u", E)] + [(v, rng.choice([E, F, STR, INT]))
+                                for v in ["v", "w"][:rng.randint(1, 2)]]
+            rng.shuffle(ctx)
+            want = rng.choice([E, F, STR, INT])
+            lhs = _kernel_term(rng, ctx, want, depth=3)
+            rhs = lhs if rng.random() < 0.3 else _kernel_term(rng, ctx, want, depth=3)
+            equations.append(Equation(Context.of(*ctx), lhs, rhs))
+        s, i = _walk_schema(equations), _walk_instance(rng)
+        seed = rng.randint(0, 9)
+        report = check_instance(s, i, sample_size=3, seed=seed)
+        assert [(c.status, c.witness) for c in report.checks] == check_by_scan(
+            s, i, sample_size=3, seed=seed)
+
+
+def test_violation_past_the_first_chunk_is_the_first_in_product_order():
+    """Over 20 rows, (x, y, z) has 8,000 combinations; the only row tagged
+    1 is the last, so the first violation of tag(x) = 0 is the 7,601st."""
+    rows = [f"r{k:02d}" for k in range(20)]
+    eq = Equation(Context.of(("x", E), ("y", E), ("z", E)),
+                  App("tag", Var("x")), Lit("Int", 0))
+    s = FqlSchema(Theory.of(Signature.of({"E", "Int"}, {"tag": (E, INT)}), [eq]),
+                  frozenset({"E"}), frozenset({"Int"}))
+    i = Instance.make({"E": rows}, {"tag": {r: int(r == "r19") for r in rows}})
+    check, = check_instance(s, i).checks
+    assert check.witness == (("x", "r19"), ("y", "r00"), ("z", "r00"))
+    assert [(check.status, check.witness)] == check_by_scan(s, i)

@@ -4,9 +4,10 @@ procedure for provable equality.
 The prover saturates a congruence-closure structure (a small e-graph) over
 the term universe generated by the two goal terms, matching equation sides
 against existing classes and applying the unit and product axioms by class
-type.  The chase runs the same round loop and instantiation pass with other
-rules (see `chase`).  A `Proved` verdict is sound; absence of proof within
-fuel yields `Unknown`, never a refutation.
+type.  A `Proved` verdict is sound; absence of proof within fuel yields
+`Unknown`, never a refutation.  The chase runs on tables (see `chase`);
+`apply_equations_enumerated` and `extract` serve the chase on the e-graph
+that `tests/oracles.py` keeps as its reference.
 
 Matching is semi-naive.  Each equation side is compiled once per graph into
 a matcher, and each node records the round in which it was last created,
@@ -295,7 +296,6 @@ class EGraph:
     _projections: list[int] = field(default_factory=list)
     _builtin_apps: list[int] = field(default_factory=list)
     _lits: dict[int, list[int]] = field(default_factory=dict)
-    _applications: tuple[int, list] = (-1, [])
     _ops: set[str] = field(default_factory=set)
     _axioms_from: int = 0
     _version: int = 0
@@ -459,35 +459,6 @@ class EGraph:
 
     def class_roots(self) -> list[int]:
         return list(self._members)
-
-    def class_type(self, root: int) -> TypeExpr:
-        return self._type_of[self._types[self.find(root)]]
-
-    def classes_of_type(self, t: TypeExpr) -> list[int]:
-        tid = self._type_ids.get(t)
-        return [] if tid is None else list(self._roots_by_type[tid])
-
-    def node_of(self, key: NodeKey) -> int | None:
-        """The node whose key is `key`, canonical, or None."""
-        return self._table.get(key)
-
-    def builtin_applications(self) -> list[tuple[int, str, int]]:
-        """Each builtin application, as sorted (class, op, argument class); cached."""
-        if self._applications[0] != self._version:
-            nodes = self._nodes
-            self._applications = (self._version, sorted(
-                {(self.find(node), nodes[node][1], self.find(nodes[node][2]))
-                 for node in self._builtin_apps}))
-        return self._applications[1]
-
-    def literals(self) -> dict[int, object]:
-        """The literal each class holds.  Raises InconsistentConstants,
-        naming the first such class's literals, when a class holds two."""
-        nodes, clashes = self._nodes, [lits for lits in self._lits.values() if len(lits) > 1]
-        if clashes:
-            keys = sorted((nodes[n] for n in min(clashes)), key=lambda k: (k[1], repr(k[2])))
-            raise InconsistentConstants([k[2] for k in keys])
-        return {root: nodes[lits[0]][2] for root, lits in self._lits.items()}
 
     # -- congruence ---------------------------------------------------------
 
@@ -769,8 +740,8 @@ class EGraph:
                                    since: int = 0) -> None:
         """Instantiate each equation at every tuple of existing classes whose
         types match the equation context, adding both sides.  Unlike matched
-        application this invents terms; the chase uses it to impose every
-        ground instance of a theory.
+        application this invents terms; the e-graph chase uses it to impose
+        every ground instance of a theory.
 
         Semi-naive: with `since` no more than the node count when the
         previous call began, a tuple of roots all older than `since` is
@@ -782,45 +753,20 @@ class EGraph:
         with an empty context has one tuple, which counts as old after the
         first call.
 
-        Constants are computed where `_computation` can, adding the literals
+        Constants are computed where `computation` can, adding the literals
         `fold_builtins` would put in the classes of instantiated builtins.
         Such an equation meets every tuple while an old class has a literal
         node touched in this round or the last, as a class that gains one has."""
         for eq in equations:
             compiled = self._compiled.get(eq)
             if compiled is None:
-                compiled = self._compiled[eq] = (self._instantiation(eq, []),
-                                                 eq.render(), self._computation(eq))
+                compute = computation(
+                    self.sig, self.builtin_ops or {}, eq,
+                    lambda c: [self._nodes[n][2] for n in self._lits.get(self.find(c), ())],
+                    lambda base, value: self.add_node(("lit", base, value)))
+                compiled = self._compiled[eq] = (
+                    self._instantiation(eq, []), eq.render(), compute)
             self._union_sides(compiled[0], (), since, compiled[1], compute=compiled[2])
-
-    def _computation(self, eq: Equation) -> Callable[[tuple[int, ...]], bool] | None:
-        """Computes `eq` at classes, one per variable, that each hold one
-        literal, where both sides compute one value: adds the literal of
-        each value, in the order instantiation adds nodes, and returns True.
-        None unless the sides apply only builtins with base codomains."""
-        ops, slots = self.builtin_ops or {}, {var: k for k, (var, _) in enumerate(eq.ctx)}
-        subs = [*subterms(eq.lhs), *subterms(eq.rhs)]
-        cods = {sub.op: self.sig.op_type(sub.op)[1] for sub in subs if isinstance(sub, App)}
-        if not all(isinstance(sub, (Var, Lit, App)) for sub in subs) or not all(
-                op in ops and isinstance(cod, Base) for op, cod in cods.items()):
-            return None
-
-        def value(e: Term, env: list, out: list) -> object:
-            if isinstance(e, Var):
-                return env[slots[e.name]]
-            v = e.value if isinstance(e, Lit) else ops[e.op](value(e.arg, env, out))
-            out.append(("lit", e.base if isinstance(e, Lit) else cods[e.op].name, v))
-            return v
-
-        def compute(env: tuple[int, ...]) -> bool:
-            held, out = [self._lits.get(self.find(c), ()) for c in env], []
-            values = [self._nodes[h[0]][2] for h in held if len(h) == 1]
-            if len(values) < len(env) or value(eq.lhs, values, out) != value(eq.rhs, values, out):
-                return False
-            for key in out:
-                self.add_node(key)
-            return True
-        return compute
 
     def _instantiation(self, eq: Equation, bound: list[str],
                        anchor: int | None = None) -> Instantiation:
@@ -904,7 +850,7 @@ class EGraph:
         the least text `op(t)`, `t` the least text of the argument's class,
         compared as a term: `f(b)` < `g(a)`, though rows `a.g` < `b.f`.
 
-        In a saturated chase, at the entity roots, this is each entity
+        In a saturated e-graph chase, at the entity roots, this is each entity
         class's least term of any shape: the projection law puts a
         projection `p1(P)` in the class of the first component of one of
         P's pairs, whose least term is smaller, so no pair or projection
@@ -933,6 +879,46 @@ class EGraph:
             best.update(reached)
             level = reached
         return {root: term for root, (_, term) in best.items()}
+
+
+def computation(sig: Signature, ops: Mapping[str, Callable[[object], object]],
+                eq: Equation, held: Callable[[int], Sequence[object]],
+                add: Callable[[str, object], object]
+                ) -> Callable[[Sequence[int]], bool] | None:
+    """Computes `eq` at classes, one per variable, each holding one literal
+    (`held` gives their values), where both sides compute one value: adds
+    each value's literal, `add(base, value)`, in the order instantiation adds
+    nodes, and returns True.  None unless the sides apply only base builtins."""
+    slots = {var: k for k, (var, _) in enumerate(eq.ctx)}
+    subs = [*subterms(eq.lhs), *subterms(eq.rhs)]
+    cods = {sub.op: sig.op_type(sub.op)[1] for sub in subs if isinstance(sub, App)}
+    if not all(isinstance(sub, (Var, Lit, App)) for sub in subs) or not all(
+            op in ops and isinstance(cod, Base) for op, cod in cods.items()):
+        return None
+
+    def value(e: Term) -> Callable[[list, list], object]:
+        if isinstance(e, Var):
+            slot = slots[e.name]
+            return lambda env, out: env[slot]
+        fn, arg = (None, None) if isinstance(e, Lit) else (ops[e.op], value(e.arg))
+        base = e.base if isinstance(e, Lit) else cods[e.op].name
+
+        def computed(env: list, out: list) -> object:
+            v = e.value if fn is None else fn(arg(env, out))
+            out.append((base, v))
+            return v
+        return computed
+
+    lhs, rhs = value(eq.lhs), value(eq.rhs)
+
+    def compute(env: Sequence[int]) -> bool:
+        values, out = [lits[0] for lits in map(held, env) if len(lits) == 1], []
+        if len(values) < len(env) or lhs(values, out) != rhs(values, out):
+            return False
+        for base, v in out:
+            add(base, v)
+        return True
+    return compute
 
 
 def _tuples_since(pools: list[list[int]], since: int,

@@ -23,7 +23,6 @@ from .chase import (
     fill,
     identities,
     initial_model,
-    materialize,
     saturate,
 )
 from .equality import IllTyped, InconsistentConstants, Proved
@@ -201,7 +200,7 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     Target operations act by precomposition: a row's image under f : t -> u
     reads each row of u's representable at its image under the homomorphism
     of representables that sends x to f(x).  Attribute values come from the
-    representable's saturated e-graph, searched with one null per
+    representable's saturated chase, searched with one null per
     undetermined class: each class takes its literal or the source value
     the homomorphism binds its null to, and `chase.fill` carries these
     along the builtin applications the target's equations put there and
@@ -267,9 +266,9 @@ class _Limit:
     def of(cls, mapping: SchemaMapping, i: Instance, t: str, fuel: int,
            same: Callable[[Cell, Cell], bool]) -> _Limit:
         src, tgt = mapping.source, mapping.target
-        graph = saturate(tgt, {"x": t}, (), fuel)
-        stated, cells, _ = materialize(graph, tgt)
-        literals = graph.literals()
+        chase = saturate(tgt, {"x": t}, (), fuel)
+        stated, cells, _ = chase.materialize()
+        literals = chase.literals()
         functions = {op: dict(table) for op, table in stated.functions.items()}
         for op, row, root in cells:
             functions[op][row] = literals.get(root, LabelledNull(str(root)))
@@ -277,7 +276,7 @@ class _Limit:
         pulled = _pull(mapping, rep)
         slots = [(s, row) for s in sorted(src.entity_types)
                  for row in pulled.rows(s)]
-        applications = graph.builtin_applications()
+        applications = chase.applications
         classes = [root for _, _, root in cells]
         at_x = {op: root for op, row, root in cells if row == "x"}
 

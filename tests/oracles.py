@@ -7,7 +7,8 @@ model checker enumerates entire finite models by brute force, terms are
 evaluated by a recursive walk one row at a time (`eval_by_walk`) rather than
 a column at a time, satisfaction is checked by a scan of one combination at
 a time, and the query oracle scans the whole cartesian product of the
-carriers, the chase's enumeration pass and
+carriers, the chase runs on the prover's e-graph (`egraph_chase`) rather
+than on tables, the e-graph's enumeration pass and
 extraction visit every tuple and every node on every sweep, the enumeration
 pass computes constants with the naive evaluator, the reference chase
 computes none and instantiates every equation at every tuple, the prover's
@@ -29,15 +30,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from qinl import chase
 from qinl.chase import FuelExhausted, UnstatedNull
-from qinl.equality import EGraph, Equation, Theory
+from qinl.equality import EGraph, Equation, IllTyped, InconsistentConstants, Theory
 from qinl.kernel import (
     App,
     Base,
+    Context,
     Lit,
     Pair,
     Proj1,
@@ -50,6 +53,7 @@ from qinl.kernel import (
     UnitTerm,
     Var,
     format_term,
+    infer_type,
     subterms,
 )
 from qinl.nrc import (
@@ -554,6 +558,16 @@ def _unify(vi, vj, binding, bijective) -> bool:
 # --------------------------------------------------------------------------
 # E-graph indexes recomputed from the union-find alone.
 
+def classes_of_type(graph, t: TypeExpr) -> list[int]:
+    """The roots of type `t`, in ascending order, from the graph's index."""
+    tid = graph._type_ids.get(t)
+    return [] if tid is None else list(graph._roots_by_type[tid])
+
+
+def class_type(graph, root: int) -> TypeExpr:
+    return graph._type_of[graph._types[graph.find(root)]]
+
+
 def _canonical_key(key: tuple, find) -> tuple:
     tag = key[0]
     if tag in ("p1", "p2", "app"):
@@ -576,7 +590,7 @@ def egraph_indexes(graph) -> dict:
     roots = sorted(members)
     by_type: dict[TypeExpr, list[int]] = {}
     for root in roots:
-        by_type.setdefault(graph.class_type(root), []).append(root)
+        by_type.setdefault(class_type(graph, root), []).append(root)
     table: dict[tuple, int] = {}
     literals: dict[int, list[int]] = {}
     for node in range(graph.node_count()):
@@ -592,10 +606,10 @@ def check_egraph_indexes(graph) -> None:
     want = egraph_indexes(graph)
     assert graph.members() == want["members"]
     assert graph.class_roots() == want["roots"]
-    types = {graph.class_type(root) for root in graph.class_roots()}
+    types = {class_type(graph, root) for root in graph.class_roots()}
     assert types
     for t in types:
-        assert graph.classes_of_type(t) == want["by_type"].get(t, [])
+        assert classes_of_type(graph, t) == want["by_type"].get(t, [])
     assert graph._table == want["table"]
     assert graph._lits == want["literals"]
 
@@ -652,7 +666,7 @@ def enumerate_all_tuples(graph, equations, since: int = 0,
     for eq in equations:
         bindings: list[dict[str, int]] = [{}]
         for var, t in eq.ctx:
-            candidates = graph.classes_of_type(t)
+            candidates = classes_of_type(graph, t)
             bindings = [dict(b, **{var: c}) for b in bindings for c in candidates]
             if not bindings:
                 break
@@ -720,7 +734,7 @@ def match_every_root(graph, th) -> None:
                            for found in match_class(graph, side, root, {}, eq.ctx))
             for root, found in matches:
                 free = [var for var, _ in eq.ctx if var not in found]
-                pools = [graph.classes_of_type(eq.ctx.lookup(var)) for var in free]
+                pools = [classes_of_type(graph, eq.ctx.lookup(var)) for var in free]
                 for roots in itertools.product(*pools):
                     binding = dict(zip(free, roots), **found)
                     left = root if anchor == 0 else add_instance(graph, eq.lhs, binding)
@@ -734,7 +748,7 @@ def match_class(graph, pattern: Term, root: int, binding: dict[str, int],
     recursive descent through each class's members."""
     root = graph.find(root)
     if isinstance(pattern, Var):
-        if ctx.lookup(pattern.name) != graph.class_type(root):
+        if ctx.lookup(pattern.name) != class_type(graph, root):
             return []
         bound = binding.get(pattern.name)
         if bound is not None:
@@ -772,6 +786,182 @@ def substitute_images(seeds, images) -> list[tuple[Term, Term]]:
     return out
 
 
+def egraph_chase(s, generators, equations=(), fuel: int = 32, images=None):
+    """The chase run on the prover's e-graph, as the engine ran it before
+    its chase moved to tables: `chase.saturate`, returning the saturated
+    e-graph, whose node ids are the table chase's ids plus its pair,
+    projection and unit nodes.  The seeds join their values' classes
+    through `EGraph.builder`'s `into`, each round adds the missing
+    applications (`egraph_totality`), applies the product axioms and
+    instantiates every equation with `EGraph.apply_equations_enumerated`,
+    and FuelExhausted names the base type that gained the most classes in
+    the last round."""
+    if fuel < 1:
+        raise ValueError("fuel must be positive")
+    names = sorted(generators)
+    bases: dict[str, Base] = {}
+    for name in names:
+        base = generators[name]
+        if base not in bases:
+            if base not in s.sig.base_types:
+                raise IllTyped(f"generator '{name}' has undeclared type '{base}'")
+            bases[base] = Base(base)
+    var_types = [bases[generators[name]] for name in names]
+    if images is None and equations:
+        ctx = Context(tuple(zip(names, var_types)))
+        for lhs, rhs in equations:
+            tl = infer_type(s.sig, ctx, lhs)
+            tr = infer_type(s.sig, ctx, rhs)
+            if tl != tr:
+                raise IllTyped(
+                    f"ground equation {format_term(lhs)} = {format_term(rhs)} "
+                    f"relates different types")
+
+    graph = EGraph(s.sig, s.builtin_ops())
+    env = [graph.add_node(("var", name), t) for name, t in zip(names, var_types)]
+    slots = {name: k for k, name in enumerate(names)}
+
+    target = [-1]
+    if images is None:
+        seeds = [(graph.builder(lhs, slots, None, target), env, rhs) for lhs, rhs in equations]
+    else:
+        image = {op: graph.builder(App(op, Var(op)), {op: 0}, images, target) for op in equations}
+        seeds = [(image[op], (env[slots[row]],), rhs)
+                 for op, pairs in equations.items() for row, rhs in pairs]
+    for build, at, rhs in seeds:
+        value = (env[slots[rhs.name]] if isinstance(rhs, Var) else
+                 graph._table.get(("lit", rhs.base, rhs.value)) if isinstance(rhs, Lit)
+                 else None)
+        target[0] = -1 if value is None else graph.find(value)
+        node = build(at)
+        if value is None:
+            target[0] = graph.find(node)
+            value = graph.builder(rhs, slots, None, target)(env)
+        graph.equal(node, value) or graph.union(node, value, "seed equation")
+
+    sizes: dict[str, int] = {}
+
+    def step(since: int) -> None:
+        sizes.update(_class_counts(graph, s))
+        egraph_totality(graph, s, since)
+        graph.apply_product_axioms()
+        graph.apply_equations_enumerated(s.theory.equations, since)
+
+    _, cap, stop = graph.run_rounds(step, fuel)
+    if stop != "saturated":
+        raise _fuel_exhausted(graph, s, stop, cap, sizes)
+    return graph
+
+
+def _class_counts(graph, s) -> dict[str, int]:
+    return {t: len(classes_of_type(graph, Base(t))) for t in s.sig.base_types}
+
+
+def _fuel_exhausted(graph, s, stop: str, cap: int, sizes) -> FuelExhausted:
+    within = "fuel" if stop == "fuel" else f"the node cap of {cap} nodes"
+    grew = max(sorted((t, n - sizes[t]) for t, n in _class_counts(graph, s).items()),
+               key=lambda g: g[1])
+    return FuelExhausted(f"chase did not saturate within {within}",
+                         len(egraph_entity_roots(graph, s)),
+                         grew if grew[1] > 0 else None)
+
+
+def egraph_totality(graph, s, since: int) -> None:
+    """Every operation with an entity domain must be defined on every entity
+    class, so create the application nodes that are still missing.  A root
+    older than node `since` (where the previous pass began) already got its
+    application nodes from that pass, and their keys are still canonical,
+    so only younger roots are visited, in ascending order."""
+    younger: list[tuple[int, str]] = []
+    for op, (dom, _) in s.tables.items():
+        roots = classes_of_type(graph, Base(dom))
+        younger += ((root, op) for root in roots[bisect_left(roots, since):])
+    for root, op in sorted(younger):
+        if graph._table.get(("app", op, root)) is None:
+            graph.add_node(("app", op, root))
+
+
+def egraph_entity_roots(graph, s) -> list[int]:
+    return sorted(root for t in s.entity_types
+                  for root in classes_of_type(graph, Base(t)))
+
+
+def egraph_literals(graph) -> dict[int, object]:
+    """The literal each class holds.  Raises InconsistentConstants,
+    naming the first such class's literals, when a class holds two."""
+    nodes, clashes = graph._nodes, [lits for lits in graph._lits.values() if len(lits) > 1]
+    if clashes:
+        keys = sorted((nodes[n] for n in min(clashes)), key=lambda k: (k[1], repr(k[2])))
+        raise InconsistentConstants([k[2] for k in keys])
+    return {root: nodes[lits[0]][2] for root, lits in graph._lits.items()}
+
+
+def egraph_applications(graph) -> list[tuple[int, str, int]]:
+    """Each builtin application, as sorted (class, op, argument class)."""
+    nodes = graph._nodes
+    return sorted({(graph.find(node), nodes[node][1], graph.find(nodes[node][2]))
+                   for node in graph._builtin_apps})
+
+
+def _row_name(term: Term) -> str:
+    """Deterministic row identifiers derived from generator provenance,
+    e.g. the manager of generator e is row 'e.manager'."""
+    if isinstance(term, App):
+        return f"{_row_name(term.arg)}.{term.op}"
+    return term.name
+
+
+def egraph_materialize(graph, s):
+    """`Tables.materialize` on a saturated e-graph: the instance, its
+    attribute cells as (op, row, class) in table order and the value of
+    each attribute class.  Each entity class's row is named by its least
+    path from a generator (see `EGraph.extract`)."""
+    entities = egraph_entity_roots(graph, s)
+    reps = graph.extract(entities)
+    carriers: dict[str, list[str]] = {t: [] for t in sorted(s.entity_types)}
+    row_of: dict[int, str] = {}
+    for root in entities:
+        term = reps.get(root)
+        if term is None:
+            raise EngineError("entity class with no extractable representative")
+        row = _row_name(term)
+        row_of[root] = row
+        carriers[class_type(graph, root).name].append(row)
+
+    roots = {row: root for root, row in row_of.items()}
+    functions: dict[str, dict] = {}
+    cells: list[tuple[str, str, int]] = []
+    for op, (dom, cod) in s.tables.items():
+        table: dict = {}
+        for row in sorted(carriers[dom]):
+            result = graph.find(graph._table.get(("app", op, roots[row])))
+            if cod in s.entity_types:
+                table[row] = row_of[result]
+                continue
+            cells.append((op, row, result))
+        functions[op] = table
+    known = egraph_literals(graph)
+    nulls = itertools.count()
+    chase.fill(s, egraph_applications(graph), known, [root for _, _, root in cells],
+               lambda _: LabelledNull(str(next(nulls))))
+    for op, row, root in cells:
+        functions[op][row] = known[root]
+    return Instance.make(carriers, functions), cells, known
+
+
+def _egraph_model(s, graph, fuel: int):
+    model, _, known = egraph_materialize(graph, s)
+    clash = chase.conflict(s, egraph_applications(graph), known, chase.identities(s, fuel))
+    if clash is not None:
+        raise UnstatedNull(*clash)
+    return model
+
+
+def egraph_initial_model(s, generators, equations=(), fuel: int = 32, images=None):
+    """`chase.initial_model` on `egraph_chase`: the model, or what it raises."""
+    return _egraph_model(s, egraph_chase(s, generators, equations, fuel, images), fuel)
+
+
 def instantiating_chase(s, generators, equations=(), fuel: int = 32, images=None):
     """`chase.initial_model` as the chase that computes no constant: every
     seed added as a ground equation by `add_by_walk`, its two sides united,
@@ -786,23 +976,18 @@ def instantiating_chase(s, generators, equations=(), fuel: int = 32, images=None
            for name in sorted(generators)}
     for lhs, rhs in equations:
         graph.union(add_by_walk(graph, lhs, env), add_by_walk(graph, rhs, env))
+    sizes: dict[str, int] = {}
 
     def step(since: int) -> None:
-        chase._apply_totality(graph, s, since)
+        sizes.update(_class_counts(graph, s))
+        egraph_totality(graph, s, since)
         graph.apply_product_axioms()
         enumerate_all_tuples(graph, s.theory.equations, compute=False)
 
     _, cap, stop = graph.run_rounds(step, fuel)
     if stop != "saturated":
-        within = "fuel" if stop == "fuel" else f"the node cap of {cap} nodes"
-        raise FuelExhausted(f"chase did not saturate within {within}",
-                            len(chase._entity_roots(graph, s)))
-    model, _, known = chase.materialize(graph, s)
-    clash = chase.conflict(s, graph.builtin_applications(), known,
-                           chase.identities(s, fuel))
-    if clash is not None:
-        raise UnstatedNull(*clash)
-    return model
+        raise _fuel_exhausted(graph, s, stop, cap, sizes)
+    return _egraph_model(s, graph, fuel)
 
 
 def sweep_extract(graph) -> dict[int, Term]:

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from qinl.cli import build_parser, main
-from qinl.equality import EGraph
 from qinl.surface import MAX_NESTING, parse, elaborate
 
 from oracles import isomorphism
@@ -1312,35 +1311,27 @@ def test_huge_fuel_keeps_the_node_cap(capsys, tmp_path):
         assert entry["stopped"] == "saturated"
 
 
-def test_node_cap_holds_inside_a_round(capsys, tmp_path, monkeypatch):
-    """sigma of 400 rows into a schema stating (x, y) = (x, y) asks the
-    chase for 160,000 pairs in its first round.  The round stops at the
-    node past the cap, at every fuel, and the run reports that the chase
-    did not saturate within the node cap."""
-    path = tmp_path / "pairs.qinl"
+def test_node_cap_holds_inside_a_round(capsys, tmp_path):
+    """sigma of 400 rows into a schema with three operations and no
+    equation: totality adds 1,200 elements in the first round, then 3,600,
+    10,800 and 32,400.  The round that passes the cap stops at the element
+    past it, at every fuel, and the run reports that the chase did not
+    saturate within the node cap.  Each element is an entity class of its
+    own, so the partial model size counts the elements: one past the cap."""
+    path = tmp_path / "branches.qinl"
     rows = ", ".join(f"r{i}" for i in range(400))
     path.write_text(
         "schema P = { entities E; }\n"
-        "schema S = { entities E; equations forall x: E, y: E . (x, y) = (x, y); }\n"
+        "schema S = { entities E; operations f : E -> E, g : E -> E, h : E -> E; }\n"
         "mapping M : P -> S = { E -> E; }\n"
         f"instance I : P = {{ E = {{ {rows} }}; }}\n")
-    sizes = []
-    run_rounds = EGraph.run_rounds
-
-    def measured(self, *args):
-        try:
-            return run_rounds(self, *args)
-        finally:
-            sizes.append(self.node_count())
-
-    monkeypatch.setattr(EGraph, "run_rounds", measured)
-    for fuel, cap in (("1", 1000), ("32", 32000)):
+    for fuel, cap, grew in (("1", 1000, 601), ("32", 32000, 16001)):
         code, _, err = run(capsys, "migrate", str(path), "sigma", "M", "I",
                            "--fuel", fuel, "--out", str(tmp_path / "out.qinl"))
         assert code == 1
         assert err.endswith(f"chase did not saturate within the node cap of {cap} "
-                            "nodes (partial model size 400)\n")
-        assert sizes.pop() == cap + 1
+                            f"nodes (partial model size {cap + 1}; E grew by {grew} "
+                            "in the last round)\n")
 
 
 def test_unknown_says_why_the_prover_stopped(capsys, tmp_path):

@@ -24,7 +24,10 @@ from .kernel import (
     App, Base, Context, EngineError, Lit, Pair, Prod, Proj1, Proj2, Term, TypeExpr,
     UnitTerm, Var, format_term, infer_type)
 from .schema import (
-    Cell, FqlSchema, Instance, LabelledNull, OpApplied, format_cell, null_under)
+    Cell, FqlSchema, Instance, LabelledNull, NodeBudget, OpApplied, format_cell, null_under)
+
+# Equation instances one chase may visit (sigma of 6,400 employees visits 6,460).
+CHASE_TUPLES = 100_000
 
 
 class FuelExhausted(EngineError):
@@ -244,6 +247,9 @@ class Tables:
                 for root, lits in self.lits.items())
             for env in _tuples_since([list(self.roots[t]) for t in leaves], since,
                                      lambda: changed or bool(self.stale)):
+                self.budget.left -= 1
+                if self.budget.left < 0:
+                    raise _OverCap
                 if compute is None or not compute(env):
                     self.union(left(env), right(env))
 
@@ -275,20 +281,22 @@ class Tables:
                         self.union(self.tables[op].setdefault(self.find(old), node), node)
 
     def run(self, fuel: int) -> None:
-        """Saturate in at most `fuel` rounds over at most `node_cap(fuel)`
-        ids, stopping at the id past the cap, then set `applications`, the
-        builtin ones as sorted (class, op, argument class).  FuelExhausted
+        """Saturate in at most `fuel` rounds, `node_cap(fuel)` ids and CHASE_TUPLES
+        tuples, stopping at the id or tuple past a cap, then set `applications`,
+        the builtin ones as sorted (class, op, argument class).  FuelExhausted
         names the base type that gained the most classes in the last round."""
         cap, since, stop = node_cap(fuel), 0, "fuel"
         self.cap, self.compiled = cap, [self._compile(eq) for eq in self.s.theory.equations]
+        self.budget = NodeBudget(CHASE_TUPLES)
         for rounds in range(fuel):
             before, start = self.version, len(self.parent)
             sizes = {t: len(roots) for t, roots in self.roots.items()}
             self.round = rounds + 1
             with suppress(_OverCap):
                 self._step(since)
-            if len(self.parent) > cap:
-                stop = f"the node cap of {cap} nodes"
+            if self.budget.left < 0 or len(self.parent) > cap:
+                stop = (f"the tuple cap of {CHASE_TUPLES} tuples" if self.budget.left < 0
+                        else f"the node cap of {cap} nodes")
                 break
             if self.version == before:
                 self.applications = sorted({(self.find(node), op, self.find(arg))

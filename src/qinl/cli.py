@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .equality import Proved
@@ -67,8 +68,17 @@ def default_fuel() -> int:
     return fuel
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _json(value: object, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, with strings encoded in C, not Python."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{" + ",".join(f"{inner}{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
+                              for k in sorted(value)) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + ",".join(inner + _json(v, inner) for v in value) + indent + "]"
+    return json.dumps(value)
 
 
 def _envelope(command: str, path: str, config: RunConfig, status: str) -> dict:
@@ -220,7 +230,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         payload = _envelope("check", args.file, config, status)
         payload["diagnostics"] = [_diagnostic_json(d) for d in diagnostics]
         payload["report"] = report
-        _emit_json(payload)
+        print(_json(payload))
         return code
 
     _print_diagnostics(args.file, diagnostics)
@@ -264,7 +274,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if config.format == "json":
         payload = _envelope("eval", args.file, config, "ok")
         payload["results"] = results
-        _emit_json(payload)
+        print(_json(payload))
         return OK
     for name, value in results.items():
         print(f"{name} = {value}")
@@ -301,7 +311,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             {"bindings": dict(bindings), "value": value}
             for bindings, value in result.witnesses]
         payload["warnings"] = list(result.warnings)
-        _emit_json(payload)
+        print(_json(payload))
         return OK
     for value in result.rendered_values():
         print(value)
@@ -351,7 +361,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
             "carriers": {t: len(result.rows(t))
                          for t in sorted(result.carriers)},
         }
-        _emit_json(payload)
+        print(_json(payload))
         return OK
     print(f"wrote {result_name} : {result_schema} to {args.out} "
           f"({result.total_rows()} rows)")
@@ -387,7 +397,7 @@ def cmd_homs(args: argparse.Namespace) -> int:
         payload["count"] = homs.size
         if args.list:
             payload["homomorphisms"] = listed
-        _emit_json(payload)
+        print(_json(payload))
         return OK
     print(f"{homs.size} homomorphism(s) from {args.instance_a} "
           f"to {args.instance_b}")

@@ -339,39 +339,33 @@ def null_under(v: Cell) -> LabelledNull | None:
 
 
 def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
-    problems = []
-    for t in sorted(s.entity_types):
-        if t not in i.carriers:
-            problems.append(f"no carrier for entity type '{t}'")
-    for t in sorted(i.carriers):
-        if t not in s.entity_types:
-            problems.append(f"carrier for non-entity type '{t}'")
-    for op in s.tables:
-        if op not in i.functions:
-            problems.append(f"no function table for operation '{op}'")
-    for op in sorted(i.functions):
-        if op not in s.tables:
-            problems.append(f"function table for unknown or builtin operation '{op}'")
+    """What keeps `i` from being an instance of `s`: set tests over columns, and
+    the rows walked only to word the problems a test found."""
+    problems = [f"no carrier for entity type '{t}'"
+                for t in sorted(s.entity_types - i.carriers.keys())]
+    problems += [f"carrier for non-entity type '{t}'"
+                 for t in sorted(i.carriers.keys() - s.entity_types)]
+    problems += [f"no function table for operation '{op}'"
+                 for op in sorted(s.tables.keys() - i.functions.keys())]
+    problems += [f"function table for unknown or builtin operation '{op}'"
+                 for op in sorted(i.functions.keys() - s.tables.keys())]
     for op, (dom, cod) in s.tables.items():
-        if op not in i.functions:
+        table = i.functions.get(op)
+        if table is None:
             continue
-        table = i.functions[op]
         dom_rows = i.rows(dom)
-        for row in dom_rows:
-            if row not in table:
-                problems.append(f"partial function '{op}': no entry for '{row}'")
-        dom_set = set(dom_rows)
-        for row in sorted(table):
-            if row not in dom_set:
-                problems.append(f"table '{op}' has entry for unknown row '{row}'")
+        if table.keys() != set(dom_rows):
+            problems += [f"partial function '{op}': no entry for '{row}'"
+                         for row in dom_rows if row not in table]
+            problems += [f"table '{op}' has entry for unknown row '{row}'"
+                         for row in sorted(table.keys() - set(dom_rows))]
         if cod in s.entity_types:
             cod_rows = set(i.rows(cod))
-            for row in sorted(table):
-                if table[row] not in cod_rows:
-                    problems.append(
-                        f"table '{op}' sends '{row}' outside the "
-                        f"'{cod}' carrier: {render_cell(table[row])}")
-        else:
+            if not cod_rows.issuperset(table.values()):
+                problems += [f"table '{op}' sends '{row}' outside the '{cod}' carrier: "
+                             f"{render_cell(table[row])}"
+                             for row in sorted(table) if table[row] not in cod_rows]
+        elif not set(map(type, table.values())) <= {s.builtins.carriers.get(cod)}:
             for row in sorted(table):
                 v = table[row]
                 if isinstance(v, (LabelledNull, OpApplied)):

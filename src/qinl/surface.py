@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Callable, Container
+from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .equality import Equation, Theory, check_theory
@@ -1135,28 +1136,56 @@ def _row_id(text: str) -> str | None:
     return _unescape(text) if kind == "string" else None
 
 
-def _carrier(item: InstanceItem) -> list[str]:
-    """The rows of carrier `item.name`."""
-    rows = []
+def _row_ids(texts: Sequence[str]) -> Sequence[str] | None:
+    """The row ids a column of token texts names, or None if `_row_id` rejects one."""
+    if all(map(str.isidentifier, texts)) and _BOOLS.isdisjoint(texts):
+        return texts
+    rows = list(map(_row_id, texts))
+    return None if None in rows else rows
+
+
+def _cells(schema: FqlSchema, cod: str, texts: Sequence[str]) -> Sequence | None:
+    """The cells of a column of value texts into `cod`, or None if `_cell` rejects
+    one: row ids, unescaped String and Int literals at once, else one by one."""
+    if cod in schema.entity_types:
+        return _row_ids(texts)
+    carrier, joined = schema.builtins.carriers.get(cod), "".join(texts)
+    if carrier is str and set(map(itemgetter(0), texts)) == {'"'} and "\\" not in joined:
+        return list(map(itemgetter(slice(1, -1)), texts))
+    if carrier is int and joined.replace("-", "").isdecimal():
+        return list(map(int, texts))
+    try:
+        return [_cell(schema, cod, text) for text in texts]
+    except _BadEntry:
+        return None
+
+
+def _carrier(item: InstanceItem) -> Sequence[str]:
+    """The rows of carrier `item.name` as one column, else the first bad entry."""
+    keys, values = zip(*item.entries) if item.entries else ((), ())
+    if not any(values) and (rows := _row_ids(keys)) is not None:
+        return rows
     for index, (key, value) in enumerate(item.entries):
         if value is not None:
             raise _BadEntry(
                 f"carrier '{item.name}' cannot contain arrows", -1, index)
-        row = _row_id(key)
-        if row is None:
+        if _row_id(key) is None:
             raise _BadEntry(f"row id expected in carrier '{item.name}'",
                             -1, index)
-        rows.append(row)
-    return rows
 
 
 def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
-    """The function table of operation `item.name`, read entry by entry so
-    that an error names the first failing entry and check.  A row given two
-    different values is an error; a repeated entry is not."""
+    """The table of operation `item.name` as a column of rows and one of cells,
+    else the first bad entry or row given two values; a repeated entry is fine."""
     cod = schema.tables[item.name][1]
+    keys, values = zip(*item.entries) if item.entries else ((), ())
+    rows = _row_ids(keys) if all(values) else None
+    if rows is not None and (cells := _cells(schema, cod, values)) is not None:
+        table = dict(zip(rows, cells))
+        if len(table) == len(rows) or len(set(zip(rows, cells))) == len(table):
+            return table
     show = _row_text if cod in schema.entity_types else format_cell
-    table: dict[str, object] = {}
+    seen: dict[str, object] = {}
     for index, (key, value) in enumerate(item.entries):
         if value is None:
             raise _BadEntry(
@@ -1169,12 +1198,11 @@ def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
         except _BadEntry as exc:
             exc.index = index
             raise
-        first = table.setdefault(row, cell)
+        first = seen.setdefault(row, cell)
         if first != cell:
             raise _BadEntry(
                 f"table '{item.name}' gives row '{row}' two values: "
                 f"{show(first)} and {show(cell)}", -1, index)
-    return table
 
 
 def _cell(schema: FqlSchema, cod: str, text: str, depth: int = 0):

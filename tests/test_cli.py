@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from qinl import cli
 from qinl.cli import build_parser, main
 from qinl.surface import MAX_NESTING, parse, elaborate
 
@@ -18,6 +21,20 @@ BROKEN = str(FIXTURES / "company_broken.qinl")
 VIOLATION = str(FIXTURES / "company_violation.qinl")
 MIGRATION = str(FIXTURES / "migration.qinl")
 NULLS = str(FIXTURES / "nulls.qinl")
+
+
+@pytest.fixture(autouse=True)
+def _json_as_json_dumps_writes_it(monkeypatch):
+    """Every JSON payload a test here emits is the text that
+    `json.dumps(payload, indent=2, sort_keys=True)` gives."""
+    write = cli._json
+
+    def checked(value, indent="\n"):
+        text = write(value, indent)
+        if indent == "\n":
+            assert text == json.dumps(value, indent=2, sort_keys=True)
+        return text
+    monkeypatch.setattr(cli, "_json", checked)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -1432,3 +1449,113 @@ def test_json_outputs_validate_against_documented_schema(capsys, tmp_path):
         main(list(argv))
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, schema)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), "", 0, -7, 2**70, 1.5, True, False, None,
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": [1, [2, {}]]}}},
+    {"z": -1, "y": [True, False, None], "x": ["", "a", "é", "\u2028"]},
+    {"k\"ey": "quote \" and \\ backslash", "ctl": "\x00\x1f\t\n\r\b\f",
+     "non-ascii": "Grüße, 日本, \U0001f600", "": ("tuple", 1)},
+    ["nested", ["lists", ["of", ["lists"]]], {"b": 1, "a": 2}],
+])
+def test_json_is_the_text_json_dumps_writes(value):
+    """The payload writer gives `json.dumps(..., indent=2, sort_keys=True)`'s
+    text for empty and nested containers, key order, escapes, control and
+    non-ASCII characters, and every scalar."""
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("rows, equation, fuel, tuples", [
+    (60, "forall x: E, y: E, z: E . x = x", "1", 216_000),
+    (400, "forall x: E, y: E . (x, y) = (x, y)", "32", 160_000),
+], ids=["three_binders", "pair"])
+def test_chase_stops_at_its_tuple_cap(capsys, tmp_path, rows, equation, fuel,
+                                      tuples):
+    """sigma of `rows` rows into a schema whose one equation adds nothing
+    meets `tuples` tuples of its binders in the first round, the work
+    growing as rows**binders.  Past the 100,000 that a chase may visit, the
+    chase stops, whatever the fuel, and the run fails naming the tuple cap."""
+    assert rows ** equation.count(": E") == tuples > 100_000
+    path = tmp_path / "wide.qinl"
+    path.write_text(
+        "schema P = { entities E; }\n"
+        f"schema S = {{ entities E; equations {equation}; }}\n"
+        "mapping M : P -> S = { E -> E; }\n"
+        f"instance I : P = {{ E = {{ {', '.join(f'r{i}' for i in range(rows))} }}; }}\n")
+    code, out, err = run(capsys, "migrate", str(path), "sigma", "M", "I",
+                         "--fuel", fuel, "--out", str(tmp_path / "out.qinl"))
+    assert (code, out) == (1, "")
+    assert err == (f"{path}: failure: chase did not saturate within the tuple "
+                   f"cap of 100000 tuples (partial model size {rows})\n")
+
+
+# --------------------------------------------------------------------------
+# The exit-code contract on instance tables broken by hand
+
+def _generated_company(seed: int) -> str:
+    """The company schema with an identity mapping, a query and an instance
+    of a few employees whose names hold `,`, `->`, quotes and escapes."""
+    rng = random.Random(seed)
+    emps = [f"e{k}" for k in range(rng.randint(2, 6))]
+    names = ['"a, b"', '"x -> y"', '"say \\"hi\\""', '"}"', '"t\\tn"', '"ab"']
+    return (Path(COMPANY).read_text().split("-- Three employees")[0]
+            + "mapping ident : company -> company = { Emp -> Emp; Dept -> Dept;\n"
+            "  worksIn -> (x => worksIn(x)); manager -> (x => manager(x));\n"
+            "  ename -> (x => ename(x)); }\n"
+            "query q : company = for e: Emp return ename(e)\n"
+            "instance inst : company = {\n"
+            f"  Emp = {{ {', '.join(emps)} }};\n"
+            "  Dept = { d0, d1 };\n"
+            f"  worksIn = {{ {', '.join(f'{e} -> d{rng.randint(0, 1)}' for e in emps)} }};\n"
+            f"  manager = {{ {', '.join(f'{e} -> {e}' for e in emps)} }};\n"
+            f"  ename = {{ {', '.join(f'{e} -> {rng.choice(names)}' for e in emps)} }};\n"
+            "}\n")
+
+
+# Each source, and the query and delta that `query` and `migrate delta` run
+# on it (names that the source lacks make those commands exit 2).
+_MUTANT_SOURCES = {
+    "company": (COMPANY, ("palindromeDepts", "staff"), ("ident", "staff")),
+    "violation": (VIOLATION, ("q", "crossed"), ("ident", "crossed")),
+    "migration": (MIGRATION, ("q", "orgData"), ("orgId", "orgData")),
+    "nulls": (NULLS, ("q", "someWords"), ("lengths", "someWords")),
+    "pairs": (str(FIXTURES / "pairs.qinl"), ("q", "team"), ("wrapped", "team")),
+    "generated1": (1, ("q", "inst"), ("ident", "inst")),
+    "generated2": (2, ("q", "inst"), ("ident", "inst")),
+}
+_FIRST_KEY = re.compile(r"^\s*[^\s,]+")
+_MUTATIONS = {
+    "drop_comma": lambda body: body.replace(",", "", 1),
+    "double_comma": lambda body: body.replace(",", ",,", 1),
+    "drop_arrow": lambda body: body.replace("->", "", 1),
+    "double_arrow": lambda body: body.replace("->", "-> ->", 1),
+    "open_quote": lambda body: '"' + body,
+    "stray_brace": lambda body: body.replace(",", " },", 1),
+    "keyword_row": lambda body: _FIRST_KEY.sub("for", body, 1),
+    "true_row": lambda body: _FIRST_KEY.sub("true", body, 1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize("source", sorted(_MUTANT_SOURCES))
+def test_broken_tables_keep_the_exit_code_contract(capsys, tmp_path, source,
+                                                   mutation):
+    """Each table of each instance of the source, broken one way at a time,
+    is malformed input under `check`, `query` and `migrate delta`: exit 2,
+    with no traceback."""
+    where, query, delta = _MUTANT_SOURCES[source]
+    text = _generated_company(where) if isinstance(where, int) else Path(where).read_text()
+    tables = list(re.finditer(r"^  \w+ = \{ (.*) \};$", text, re.M))
+    assert tables
+    path, out = tmp_path / "mutant.qinl", str(tmp_path / "out.qinl")
+    for table in tables:
+        body = _MUTATIONS[mutation](table[1])
+        if body == table[1]:
+            continue
+        path.write_text(text[:table.start(1)] + body + text[table.end(1):])
+        for argv in (["check", str(path)], ["query", str(path), *query],
+                     ["migrate", str(path), "delta", *delta, "--out", out]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "Traceback" not in err

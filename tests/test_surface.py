@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 import re
 from collections import Counter
@@ -12,6 +13,7 @@ from qinl import surface
 from qinl.kernel import (App, Base, Pair, Prod, Proj1, Proj2, UNIT, UNIT_TERM, Lit,
                          Var, format_literal)
 from qinl.nrc import BOOL, Empty, EqTest, For, If, SetT, Singleton, TRUE, FALSE, Union
+from qinl.schema import format_cell
 from qinl.surface import (
     MAX_NESTING,
     EquationDecl,
@@ -30,7 +32,9 @@ from qinl.surface import (
     TypeEntry,
     WhereClause,
     elaborate,
+    instance_to_decl,
     parse,
+    print_declaration,
     print_unit,
     tokenize,
 )
@@ -318,7 +322,7 @@ _TABLE_FEATURES = (
     "plain", "quoted_escape", "null", "builtin_app", "bool", "keyword_row",
     "comment", "crlf", "empty_table", "mixed", "trailing_comma",
     "name_in_attribute", "int_in_entity", "out_of_carrier", "bad_token",
-    "conflict")
+    "conflict", "repeat")
 
 
 def _table_instance(rng: random.Random, features: Counter) -> str:
@@ -341,14 +345,14 @@ def _table_instance(rng: random.Random, features: Counter) -> str:
     if draw("quoted_escape", 0.2):
         es.append(rng.choice(['q"q', "a b", "t\tn", "x\\y"]))
     ds = [f"d{j}" for j in range(rng.randint(1, 3))]
-    strings = ["", "ab", "a b", 'say "hi"', "tab\there", "}{"]
+    strings = ["", "ab", "a b", 'say "hi"', "tab\there", "}{", "a, b", "x -> y"]
     columns = {
         "d": lambda: row(rng.choice(ds)),
         "m": lambda: row(rng.choice(es)),
         "n": lambda: (format_literal(rng.choice(strings)) if rng.random() < 0.7
                       else rng.choice(["?q", "?7", "reverse(?q)"])),
         "k": lambda: (str(rng.randint(-20, 20)) if rng.random() < 0.7
-                      else rng.choice(["?q", "length(?q)",
+                      else rng.choice(["?q", "length(?q)", "01", "-007",
                                        "length(reverse(?w))"])),
     }
     faults = {
@@ -406,6 +410,8 @@ def _table_instance(rng: random.Random, features: Counter) -> str:
             entries.append(row(e) + arrow + cell)
             if draw("conflict", 0.015):
                 entries.append(row(e) + arrow + value())
+            if draw("repeat", 0.015):
+                entries.append(entries[-1])
         if rng.random() < 0.03:
             entries.append(f"{row(rng.choice(es))} -> {value()}")
         items.append(f"{op} = {table(entries)};")
@@ -451,6 +457,85 @@ def test_instance_tables_elaborate_as_the_token_reader_did():
             outcomes["instance"] += 1
     assert {f: features[f] for f in _TABLE_FEATURES if features[f] < 20} == {}
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def _carrier_by_entry(item):
+    """`surface._carrier` as it read a carrier, one entry at a time."""
+    rows = []
+    for index, (key, value) in enumerate(item.entries):
+        if value is not None:
+            raise surface._BadEntry(
+                f"carrier '{item.name}' cannot contain arrows", -1, index)
+        row = surface._row_id(key)
+        if row is None:
+            raise surface._BadEntry(f"row id expected in carrier '{item.name}'",
+                                    -1, index)
+        rows.append(row)
+    return rows
+
+
+def _table_by_entry(schema, item):
+    """`surface._table` as it read a table, one entry at a time through
+    `_row_id` and `_cell`."""
+    cod = schema.tables[item.name][1]
+    show = surface._row_text if cod in schema.entity_types else format_cell
+    table = {}
+    for index, (key, value) in enumerate(item.entries):
+        if value is None:
+            raise surface._BadEntry(
+                f"table '{item.name}' needs 'row -> value' entries", -1, index)
+        row = surface._row_id(key)
+        if row is None:
+            raise surface._BadEntry("row id expected on the left of ->", -1, index)
+        try:
+            cell = surface._cell(schema, cod, value)
+        except surface._BadEntry as exc:
+            exc.index = index
+            raise
+        first = table.setdefault(row, cell)
+        if first != cell:
+            raise surface._BadEntry(
+                f"table '{item.name}' gives row '{row}' two values: "
+                f"{show(first)} and {show(cell)}", -1, index)
+    return table
+
+
+def _table_bytes(text: str) -> str:
+    """What reading `text` gives, as text: its ParseError, or each instance
+    as `qinl migrate --out` prints one, then each diagnostic."""
+    try:
+        elab = elaborate(parse(text))
+    except ParseError as exc:
+        return str(exc)
+    return "\n".join(
+        [print_declaration(instance_to_decl(name, "S", elab.schemas["S"], i))
+         for name, i in elab.instances.items()]
+        + [d.render() for d in elab.diagnostics])
+
+
+# sha256 of `_table_bytes` over the first 400 instances of seed 16 joined by
+# "\x00", recorded when tables were read one entry at a time.
+_ENTRY_BY_ENTRY_DIGEST = (
+    "ee3e8155fdec46d54c77bde5da7cb78c41ede0e2ac8cf6b7971b7b06c76bb376")
+
+
+def test_instance_tables_elaborate_as_entry_by_entry_conversion(monkeypatch):
+    """Reading a table a column at a time gives the instance (its repr:
+    cell types and row order too) or the diagnostics, with their line and
+    column, that converting each entry on its own through `_row_id` and
+    `_cell` gives; on a fixed corpus, the bytes recorded when that was the
+    only reading."""
+    rng = random.Random(16)
+    texts = [_TABLE_SCHEMA + _table_instance(rng, Counter()) for _ in range(1500)]
+
+    def outcomes() -> list[str]:
+        return [repr(_elaborated(lambda: elaborate(parse(text)))) for text in texts]
+    got = outcomes()
+    digest = hashlib.sha256("\x00".join(map(_table_bytes, texts[:400])).encode())
+    monkeypatch.setattr(surface, "_carrier", _carrier_by_entry)
+    monkeypatch.setattr(surface, "_table", _table_by_entry)
+    assert got == outcomes()
+    assert digest.hexdigest() == _ENTRY_BY_ENTRY_DIGEST
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,12 @@ generators modulo a schema's theory, on tables (Meyers, Spivak and Wisnesky,
 "Fast Left Kan Extensions Using the Chase"): integer ids under a union-find,
 one table per operation from argument root to value id, one id per literal.
 Totality adds the missing entries of operations on entities; each equation
-is instantiated at every tuple of roots, or computed at constants; a pair
-evaluates to a tuple.  The ids are the e-graph chase's (`tests/oracles.py`)
-less its pair, projection and unit nodes.  A cell holds its class's constant,
-a builtin of another cell's null (`length(?0)`), or a fresh labelled null.
+is instantiated at every tuple of roots, or computed at constants.  The
+theory, the image bodies and the ground seeds are in base normal form
+(`kernel.normalise`), so no pair, projection or unit reaches the tables.
+The ids are the e-graph chase's (`tests/oracles.py`).  A cell holds its
+class's constant, a builtin of another cell's null (`length(?0)`), or a
+fresh labelled null.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from operator import itemgetter
 
 from .equality import (
     Equation, IllTyped, Images, InconsistentConstants, Proved, _OverCap, _tuples_since,
-    computation, decide_equal, node_cap)
-from .kernel import (
-    App, Base, Context, EngineError, Lit, Pair, Prod, Proj1, Proj2, Term, TypeExpr,
-    UnitTerm, Var, format_term, infer_type)
+    computation, decide_equal, node_cap, normal_images)
+from .kernel import App, Base, Context, EngineError, Lit, Term, Var, format_term, infer_type
 from .schema import (
     Cell, FqlSchema, Instance, LabelledNull, NodeBudget, OpApplied, format_cell, null_under)
 
@@ -75,27 +75,29 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
     """The chase itself: the saturated tables whose classes are the initial
     model's elements, the generators first, in name order.  With `images`,
     `equations` maps each operation to its seeds `(row, rhs)`, none typed:
-    the operation's image at generator `row` is united with `rhs`."""
+    the operation's image at generator `row` is united with `rhs`.  Raises
+    IllTyped unless every operation of `s` runs between base types."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     names = sorted(generators)
     for name in names:
         if generators[name] not in s.sig.base_types:
             raise IllTyped(f"generator '{name}' has undeclared type '{generators[name]}'")
-    if images is None and equations:
-        ctx = Context(tuple((name, Base(generators[name])) for name in names))
-        for lhs, rhs in equations:
-            if infer_type(s.sig, ctx, lhs) != infer_type(s.sig, ctx, rhs):
-                raise IllTyped(f"ground equation {format_term(lhs)} = {format_term(rhs)} "
-                               f"relates different types")
     chase = Tables(s, [generators[name] for name in names], names)
     index, ids = {name: k for k, name in enumerate(names)}, tuple(range(len(names)))
     slots = {name: itemgetter(k) for name, k in index.items()}
     if images is None:
-        seeds = [(chase.term(lhs, slots, True), ids, rhs) for lhs, rhs in equations]
+        ctx, seeds = Context(tuple((name, Base(generators[name])) for name in names)), []
+        for lhs, rhs in equations:
+            if infer_type(s.sig, ctx, lhs) != infer_type(s.sig, ctx, rhs):
+                raise IllTyped(f"ground equation {format_term(lhs)} = {format_term(rhs)} "
+                               f"relates different types")
+            seeds += [(chase.term(eq.lhs, slots, True), ids, eq.rhs)
+                      for eq in Equation(ctx, lhs, rhs).normal()]
     else:
-        image = {op: chase.term(images[op][1], {images[op][0]: itemgetter(0)}, True)
-                 for op in equations}
+        images = normal_images({op: images[op] for op in equations})
+        image = {op: chase.term(body, {var: itemgetter(0)}, True)
+                 for op, (var, body) in images.items()}
         seeds = [(image[op], (index[row],), rhs) for op, pairs in equations.items()
                  for row, rhs in pairs]
     for build, at, rhs in seeds:  # a new image joins a value already known
@@ -108,23 +110,13 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
     return chase
 
 
-def _binder(t: TypeExpr, leaves: list[str]) -> Callable[[Sequence[int]], object]:
-    """A binder of type `t` read off a tuple of roots, one per base type in
-    `t`, appended to `leaves`: a root, a tuple of them, or () for unit."""
-    if isinstance(t, Base):
-        leaves.append(t.name)
-        return itemgetter(len(leaves) - 1)
-    if isinstance(t, Prod):
-        left, right = _binder(t.left, leaves), _binder(t.right, leaves)
-        return lambda env: (left(env), right(env))
-    return lambda env: ()
-
-
 class Tables:
     """One chase: `parent`, `types` and `roots` (ascending, per base type)
     of the ids; `tables` per operation, keyed by roots after a round; the
     `applied` builtin entries (value, op, argument) in creation order; each
-    root's sorted `lits`; the `used` roots that key an entry, `stale` ones."""
+    root's sorted `lits`; the `used` roots that key an entry, `stale` ones;
+    the theory in base normal form, `compiled`.  Raises IllTyped unless
+    every operation runs between base types."""
 
     def __init__(self, s: FqlSchema, types: list[str], names: list[str]):
         self.s, self.names, self.builtins = s, names, s.builtin_ops()
@@ -138,6 +130,7 @@ class Tables:
         self.used, self.version, self.round, self.cap, self.into = set(), 0, 0, inf, -1
         for node, t in enumerate(types):
             self.roots[t][node] = None
+        self.compiled = [self._compile(eq) for _, eq in s.theory.normal]
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -173,12 +166,8 @@ class Tables:
             self.values[node], self.lits[node], self.touched[node] = value, [node], self.round
         return node
 
-    def union(self, x: object, y: object) -> None:
-        """Merge the classes of two values, tuples component by component."""
-        if isinstance(x, tuple):
-            for a, b in zip(x, y):
-                self.union(a, b)
-            return
+    def union(self, x: int, y: int) -> None:
+        """Merge the classes of two ids."""
         parent, types = self.parent, self.types
         rx = x if parent[x] == x else self.find(x)
         ry = y if parent[y] == y else self.find(y)
@@ -201,22 +190,14 @@ class Tables:
         self.version += 1
 
     def term(self, e: Term, slots: Mapping[str, Callable], top: bool = False
-             ) -> Callable[[Sequence], object]:
-        """`e` compiled to its value at an environment (variables read by
-        `slots`), walked left first: a literal's id, an application's entry
+             ) -> Callable[[Sequence[int]], int]:
+        """`e`, in base normal form, compiled to its id at an environment
+        (variables read by `slots`): a literal's id, an application's entry
         at its argument's root, added if missing (at `top`, in `into`)."""
         if isinstance(e, Var):
             return slots[e.name]
         if isinstance(e, Lit):
             return lambda env: self.literal(e.base, e.value)
-        if isinstance(e, UnitTerm):
-            return lambda env: ()
-        if isinstance(e, Pair):
-            fst, snd = self.term(e.fst, slots), self.term(e.snd, slots)
-            return lambda env: (fst(env), snd(env))
-        if isinstance(e, (Proj1, Proj2)):
-            of, k = self.term(e.of, slots), isinstance(e, Proj2)
-            return lambda env: of(env)[k]
         op, arg, table, parent = e.op, self.term(e.arg, slots), self.tables[e.op], self.parent
 
         def app(env: Sequence) -> int:
@@ -228,24 +209,24 @@ class Tables:
         return app
 
     def _compile(self, eq: Equation) -> tuple:
-        """`eq`'s binders' base components, its sides and its `computation`."""
-        leaves: list[str] = []
-        slots = {var: _binder(t, leaves) for var, t in eq.ctx}
+        """`eq`'s binders' types, its sides and its `computation`."""
+        slots = {var: itemgetter(k) for k, (var, _) in enumerate(eq.ctx)}
         lits, values, find = self.lits, self.values, self.find
-        compute = all(isinstance(t, Base) for _, t in eq.ctx) and computation(
-            self.s.sig, self.builtins, eq,
-            lambda c: [values[n] for n in lits.get(find(c), ())], self.literal)
-        return leaves, self.term(eq.lhs, slots), self.term(eq.rhs, slots), compute or None
+        compute = computation(self.s.sig, self.builtins, eq,
+                              lambda c: [values[n] for n in lits.get(find(c), ())],
+                              self.literal)
+        return ([t.name for _, t in eq.ctx], self.term(eq.lhs, slots),
+                self.term(eq.rhs, slots), compute)
 
     def _instantiate(self, since: int) -> None:
-        """Each equation at each tuple of roots of its binders' components,
-        but those older than `since` while no key is stale and, if it
+        """Each equation at each tuple of roots of its binders' types, but
+        those older than `since` while no key is stale and, if it
         computes, no old class's literal was touched lately (`_tuples_since`)."""
-        for leaves, left, right, compute in self.compiled:
+        for binders, left, right, compute in self.compiled:
             changed = compute is not None and any(
                 root < since and max(self.touched[n] for n in lits) >= self.round - 1
                 for root, lits in self.lits.items())
-            for env in _tuples_since([list(self.roots[t]) for t in leaves], since,
+            for env in _tuples_since([list(self.roots[t]) for t in binders], since,
                                      lambda: changed or bool(self.stale)):
                 self.budget.left -= 1
                 if self.budget.left < 0:
@@ -286,7 +267,7 @@ class Tables:
         the builtin ones as sorted (class, op, argument class).  FuelExhausted
         names the base type that gained the most classes in the last round."""
         cap, since, stop = node_cap(fuel), 0, "fuel"
-        self.cap, self.compiled = cap, [self._compile(eq) for eq in self.s.theory.equations]
+        self.cap = cap
         self.budget = NodeBudget(CHASE_TUPLES)
         for rounds in range(fuel):
             before, start = self.version, len(self.parent)

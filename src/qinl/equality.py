@@ -2,11 +2,12 @@
 procedure for provable equality.
 
 The prover saturates a congruence-closure structure (a small e-graph) over
-the term universe generated by the two goal terms, matching equation sides
-against existing classes and applying the unit and product axioms by class
-type.  A `Proved` verdict is sound; absence of proof within fuel yields
-`Unknown`, never a refutation.  The chase runs on tables (see `chase`);
-`apply_equations_enumerated` and `extract` serve the chase on the e-graph
+the term universe generated by the goal terms, matching equation sides
+against existing classes.  The theory, the goal and the mapping images are
+put in base normal form first (`kernel.normalise`), so every class has a
+base type.  A `Proved` verdict is sound; absence of proof within fuel
+yields `Unknown`, never a refutation.  The chase runs on tables (see
+`chase`); `apply_equations_enumerated` and `extract` serve the chase on the e-graph
 that `tests/oracles.py` keeps as its reference.
 
 Matching is semi-naive.  Each equation side is compiled once per graph into
@@ -39,21 +40,16 @@ from .kernel import (
     Context,
     EngineError,
     Lit,
-    Pair,
-    Proj1,
-    Proj2,
-    Prod,
     Signature,
     Term,
     TypeExpr,
-    UNIT,
-    UnitTerm,
     Var,
     check_context,
     format_literal,
     format_term,
     format_type,
     infer_type,
+    normalise,
     subterms,
 )
 
@@ -82,6 +78,16 @@ class Equation:
         head = f"forall {binder} . " if binder else ""
         return f"{head}{format_term(self.lhs)} = {format_term(self.rhs)}"
 
+    def normal(self) -> tuple[Equation, ...]:
+        """The equation in base normal form (`kernel.normalise`): itself if
+        it uses no product, else one equation per base component of its
+        type, over the split context, less those with equal sides."""
+        ctx, left = normalise(self.ctx, self.lhs)
+        right = normalise(self.ctx, self.rhs)[1]
+        if ctx is self.ctx and left == (self.lhs,) and right == (self.rhs,):
+            return (self,)
+        return tuple(Equation(ctx, a, b) for a, b in zip(left, right) if a != b)
+
 
 @dataclass(frozen=True)
 class Theory:
@@ -93,35 +99,58 @@ class Theory:
         return cls(sig, tuple(equations))
 
     @cached_property
-    def rules(self) -> tuple[Rule, ...]:
-        """The equations as the prover applies them, in order: each side
-        that is not a bare variable is an anchor, and `x = y` has none.
-        Raises IllTyped when an anchor side does not typecheck."""
-        rules = []
+    def normal(self) -> tuple[tuple[Equation, Equation], ...]:
+        """Each equation beside each of its components in base normal form.
+        Raises IllTyped unless every operation runs between base types, or
+        where a side that is no bare variable does not typecheck."""
+        for op, (dom, cod) in self.sig.operations.items():
+            if not isinstance(dom, Base) or not isinstance(cod, Base):
+                raise IllTyped(f"operation '{op}' does not run between base types")
+        normal = []
         for eq in self.equations:
-            reason = eq.render()
-            sides = (eq.lhs, eq.rhs)
-            if all(isinstance(side, Var) for side in sides):
-                rules.append(Rule(eq, None, None, frozenset(), False, reason))
-            for anchor, side in enumerate(sides):
-                if isinstance(side, Var):
+            try:
+                for side in (eq.lhs, eq.rhs):
+                    if not isinstance(side, Var):
+                        infer_type(self.sig, eq.ctx, side)
+            except EngineError as err:
+                raise IllTyped(f"equation '{eq.render()}': {err}") from err
+            normal += ((eq, part) for part in eq.normal())
+        return tuple(normal)
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """The equations in base normal form as the prover applies them, in
+        order.  Each side not written as a bare variable is an anchor, even
+        where its normal form is one: `(x, y).1` matches every root, as it
+        matched every projection of a pair.  `x = y` has no anchor.  A
+        rule's reason is the equation as written.  Raises IllTyped as
+        `normal` does."""
+        rules = []
+        for eq, part in self.normal:
+            reason, written = eq.render(), (eq.lhs, eq.rhs)
+            if all(isinstance(side, Var) for side in written):
+                rules.append(Rule(part, None, None, frozenset(), False, reason))
+                continue
+            for anchor, side in enumerate((part.lhs, part.rhs)):
+                if isinstance(written[anchor], Var):
                     continue
-                try:
-                    t = infer_type(self.sig, eq.ctx, side)
-                except EngineError as err:
-                    raise IllTyped(f"equation '{reason}': {err}") from err
-                binds_all = {v for v, _ in eq.ctx} <= _variables(side).keys()
-                rules.append(Rule(eq, anchor, t, frozenset(_operations(side)),
+                t = (part.ctx.lookup(side.name) if isinstance(side, Var)
+                     else Base(side.base) if isinstance(side, Lit)
+                     else self.sig.op_type(side.op)[1])
+                # A bare variable consumes no node, so no match of it is old.
+                binds_all = not isinstance(side, Var) and (
+                    {v for v, _ in part.ctx} <= _variables(side).keys())
+                rules.append(Rule(part, anchor, t, frozenset(_operations(side)),
                                   binds_all, reason))
         return tuple(rules)
 
 
 @dataclass(frozen=True, eq=False)
 class Rule:
-    """One way the prover applies an equation: by matching side `anchor`
-    (0 or 1) at the roots of `type`, once every operation in `ops` is
-    applied by some node, or with no anchor (`x = y`) at every tuple of
-    roots.  `binds_all` says whether a match binds every context variable;
+    """One way the prover applies an equation in base normal form: by
+    matching side `anchor` (0 or 1) at the roots of `type`, once every
+    operation in `ops` is applied by some node, or with no anchor (`x = y`)
+    at every tuple of roots.  `binds_all` says whether a match binds every context variable;
     `reason` is the rendered equation."""
     eq: Equation
     anchor: int | None
@@ -183,8 +212,7 @@ def check_theory(th: Theory) -> list[TheoryProblem]:
 # The congruence-closure structure.
 #
 # Nodes are hash-consed over canonical child class ids:
-#   ("var", name)  ("unit",)  ("lit", base, value)
-#   ("pair", l, r)  ("p1", c)  ("p2", c)  ("app", op, c)
+#   ("var", name)  ("lit", base, value)  ("app", op, c)
 
 NodeKey = tuple
 
@@ -232,10 +260,6 @@ def _variables(e: Term, images: Images | None = None) -> dict[str, None]:
     occurrence: none under a body that ignores its variable."""
     if isinstance(e, Var):
         return {e.name: None}
-    if isinstance(e, Pair):
-        return _variables(e.fst, images) | _variables(e.snd, images)
-    if isinstance(e, (Proj1, Proj2)):
-        return _variables(e.of, images)
     if isinstance(e, App):
         image = images.get(e.op) if images else None
         if image is None or image[0] in _variables(image[1]):
@@ -254,23 +278,18 @@ class EGraph:
       keeps the lower root.  A union replaces the merged list rather than
       mutating either, so a shallow copy of the dict is a snapshot.
     * Types are interned: `_types` holds each node's type id, `_type_of`
-      the type of each id and `_type_ids` the id of each type.
-      `_components` holds the ids of each product type's components,
-      `_products` the product of each pair of ids, and `_op_types` each
-      operation's result type id, so node creation, unions and matching
-      compare ints.
+      the type of each id, `_type_ids` the id of each type and `_op_types`
+      each operation's result type id, so node creation, unions and
+      matching compare ints.
     * `_roots_by_type` holds, per type id, its roots in ascending order.
     * `_uses` lists, per root, the nodes with a child in the class;
       `union` moves the absorbed root's list onto the worklist `_pending`,
       which `rebuild` recanonicalises.
     * `_nodes` holds each node's key; `rebuild` makes a key canonical
       again when one of its child classes is merged away.
-    * `_projections` and `_builtin_apps` list the p1/p2 nodes and the
-      applications of operations with builtin semantics, by id; `_ops` is
+    * `_builtin_apps` lists the applications of builtins, by id; `_ops` is
       the set of operations that some node applies.
     * `_lits` holds the sorted literal nodes of each root that has one.
-    * `_axioms_from` is the node count when `apply_product_axioms` last
-      began.
     * `_touched` holds, per node, the round of `run_rounds` (`_round`, 0
       outside it) in which the node was last created, moved to another
       class by a union, or re-keyed by `rebuild`.
@@ -284,8 +303,6 @@ class EGraph:
     _types: list[int] = field(default_factory=list)
     _type_of: list[TypeExpr] = field(default_factory=list)
     _type_ids: dict[TypeExpr, int] = field(default_factory=dict)
-    _components: dict[int, tuple[int, int]] = field(default_factory=dict)
-    _products: dict[tuple[int, int], int] = field(default_factory=dict)
     _op_types: dict[str, int] = field(default_factory=dict)
     _parent: list[int] = field(default_factory=list)
     _table: dict[NodeKey, int] = field(default_factory=dict)
@@ -293,11 +310,9 @@ class EGraph:
     _roots_by_type: list[dict[int, None]] = field(default_factory=list)
     _uses: list[list[int]] = field(default_factory=list)
     _pending: list[int] = field(default_factory=list)
-    _projections: list[int] = field(default_factory=list)
     _builtin_apps: list[int] = field(default_factory=list)
     _lits: dict[int, list[int]] = field(default_factory=dict)
     _ops: set[str] = field(default_factory=set)
-    _axioms_from: int = 0
     _version: int = 0
     _touched: list[int] = field(default_factory=list)
     _round: int = 0
@@ -355,24 +370,7 @@ class EGraph:
             tid = self._type_ids[t] = len(self._type_of)
             self._type_of.append(t)
             self._roots_by_type.append({})
-            if isinstance(t, Prod):
-                self._components[tid] = (self._intern(t.left), self._intern(t.right))
         return tid
-
-    def _product(self, left: int, right: int) -> int:
-        tid = self._products.get((left, right))
-        if tid is None:
-            tid = self._products[left, right] = self._intern(
-                Prod(self._type_of[left], self._type_of[right]))
-        return tid
-
-    def _component(self, tag: str, of: int) -> int:
-        """The type id of projection `tag` ("p1" or "p2") of class `of`."""
-        parts = self._components.get(self._types[of])
-        if parts is None:
-            raise IllTyped(f"projection from non-product "
-                           f"{format_type(self._type_of[self._types[of]])}")
-        return parts[tag == "p2"]
 
     def _op_type(self, op: str) -> int:
         tid = self._op_types.get(op)
@@ -383,35 +381,17 @@ class EGraph:
     # -- node creation ------------------------------------------------------
 
     def _canon(self, key: NodeKey) -> NodeKey:
-        tag = key[0]
-        if tag in ("p1", "p2", "app"):
-            return (*key[:-1], self.find(key[-1]))
-        if tag == "pair":
-            return ("pair", self.find(key[1]), self.find(key[2]))
-        return key
-
-    def _node_type(self, key: NodeKey) -> int:
-        tag = key[0]
-        if tag == "unit":
-            return self._intern(UNIT)
-        if tag == "lit":
-            return self._intern(Base(key[1]))
-        if tag == "pair":
-            return self._product(self._types[self.find(key[1])],
-                                 self._types[self.find(key[2])])
-        if tag in ("p1", "p2"):
-            return self._component(tag, self.find(key[1]))
-        if tag == "app":
-            return self._op_type(key[1])
-        raise EngineError(f"bad node key {key!r}")
+        return ("app", key[1], self.find(key[2])) if key[0] == "app" else key
 
     def add_node(self, key: NodeKey, var_type: TypeExpr | None = None) -> int:
         key = self._canon(key)
         existing = self._table.get(key)
         if existing is not None:
             return existing
-        t = self._intern(var_type) if key[0] == "var" else self._node_type(key)
-        return self._new(key, t)
+        tag = key[0]
+        if tag == "app":
+            return self._new(key, self._op_type(key[1]))
+        return self._new(key, self._intern(var_type if tag == "var" else Base(key[1])))
 
     def _new(self, key: NodeKey, t: int, into: int = -1) -> int:
         """Add a node whose canonical key `key` is not in the table, of type
@@ -434,12 +414,6 @@ class EGraph:
             self._ops.add(key[1])
             if self.builtin_ops and key[1] in self.builtin_ops:
                 self._builtin_apps.append(node)
-        elif tag == "pair":
-            self._uses[key[1]].append(node)
-            self._uses[key[2]].append(node)
-        elif tag == "p1" or tag == "p2":
-            self._uses[key[1]].append(node)
-            self._projections.append(node)
         elif tag == "lit":
             self._lits[into] = self._lits.get(into, []) + [node]
         self._version += 1
@@ -449,16 +423,6 @@ class EGraph:
 
     def node_count(self) -> int:
         return len(self._nodes)
-
-    # -- views --------------------------------------------------------------
-
-    def members(self) -> dict[int, list[int]]:
-        """Each root's sorted member nodes.  The dict is a copy; the lists
-        are shared with the graph and must not be mutated."""
-        return dict(self._members)
-
-    def class_roots(self) -> list[int]:
-        return list(self._members)
 
     # -- congruence ---------------------------------------------------------
 
@@ -492,36 +456,7 @@ class EGraph:
     # -- axiom schemas -------------------------------------------------------
 
     def apply_product_axioms(self) -> None:
-        """Unit uniqueness, surjective pairing, and the projection laws,
-        applied schematically by class type.
-
-        Called once per round, after a rebuild: a root that was already a
-        root when the previous call began has its unit or pairing node from
-        that call, so only younger roots are visited, and none while no
-        type is the unit or a product."""
-        start, self._axioms_from = self._axioms_from, len(self._nodes)
-        unit_type = self._type_ids.get(UNIT)
-        roots = self.class_roots() if unit_type is not None or self._components else []
-        for root in roots[bisect_left(roots, start):]:
-            t = self._types[root]
-            if t == unit_type:
-                unit = self.add_node(("unit",))
-                self.union(root, unit, "unit law")
-            elif t in self._components:
-                p1 = self.add_node(("p1", self.find(root)))
-                p2 = self.add_node(("p2", self.find(root)))
-                pr = self.add_node(("pair", self.find(p1), self.find(p2)))
-                self.union(pr, root, "surjective pairing")
-        if not self._projections:
-            return
-        members = self.members()
-        for node in self._projections:
-            key = self._nodes[node]
-            for member in members.get(self.find(key[1]), ()):
-                mkey = self._nodes[member]
-                if mkey[0] == "pair":
-                    component = mkey[1] if key[0] == "p1" else mkey[2]
-                    self.union(node, component, "projection")
+        """Does nothing: `perfbench/layers.py` wraps it by name and fails without it."""
 
     def fold_builtins(self) -> None:
         """Compute operations with registered semantics on literal classes."""
@@ -545,14 +480,12 @@ class EGraph:
         the pattern's constructor, into its children; a variable binds the
         class it meets when that has the variable's type, and a repeated
         variable requires the class it first bound.  The matches come in the
-        order of that descent, members in ascending order, and the left
-        component of a pair before the right.  Also returns the variables,
-        in order of first occurrence."""
+        order of that descent, members in ascending order.  Also returns the
+        variables, in order of first occurrence."""
         members, nodes, touched = self._members, self._nodes, self._touched
         types, find = self._types, self.find
         names: list[str] = []
         env: list[int] = []  # the class bound to each variable
-        rights: list[int] = []  # the right child of the pair being matched
         found: list[tuple[tuple[int, ...], int]] = []
 
         # Each pattern position compiles to a function of a root and the
@@ -575,23 +508,6 @@ class EGraph:
                         env[slot] = c
                         then(newest)
                 return bind
-            if isinstance(p, Pair):
-                slot = len(rights)
-                rights.append(-1)
-
-                def right(newest: int) -> None:
-                    snd(find(rights[slot]), newest)
-                fst = compile(p.fst, right)
-                snd = compile(p.snd, then)
-
-                def pair(c: int, newest: int) -> None:
-                    for node in members[c]:
-                        key = nodes[node]
-                        if key[0] == "pair":
-                            rights[slot] = key[2]
-                            t = touched[node]
-                            fst(find(key[1]), t if t > newest else newest)
-                return pair
             if isinstance(p, App):
                 op, arg = p.op, compile(p.arg, then)
 
@@ -602,18 +518,8 @@ class EGraph:
                             t = touched[node]
                             arg(find(key[2]), t if t > newest else newest)
                 return app
-            if isinstance(p, (Proj1, Proj2)):
-                tag, of = ("p1" if isinstance(p, Proj1) else "p2"), compile(p.of, then)
-
-                def projection(c: int, newest: int) -> None:
-                    for node in members[c]:
-                        key = nodes[node]
-                        if key[0] == tag:
-                            t = touched[node]
-                            of(find(key[1]), t if t > newest else newest)
-                return projection
-            if isinstance(p, (UnitTerm, Lit)):
-                leaf = ("unit",) if isinstance(p, UnitTerm) else ("lit", p.base, p.value)
+            if isinstance(p, Lit):
+                leaf = ("lit", p.base, p.value)
 
                 def constant(c: int, newest: int) -> None:
                     for node in members[c]:
@@ -637,46 +543,25 @@ class EGraph:
                 into: list[int] | None = None) -> Builder:
         """Compile `e` into a builder (see `Builder`) that reads the class of
         each variable at its position in `slots`, and adds the nodes a
-        recursive walk over `e` adds, in its order: a pair's left component
-        before its right, a child before its parent.  An application of an
+        recursive walk over `e` adds, in its order: a child before its
+        parent.  An application of an
         operation in `images` adds the image's body, with no images, and
         its variable bound to the argument's class; the argument is added
         only if the body uses its variable, and once however often it
         does.  With `into`, the node `e` stands for, if new, joins the
         class of root `into[0]` unless that is negative."""
-        table, find, types = self._table, self.find, self._types
+        table, find = self._table, self.find
         new = self._new if into is None else (lambda key, t: self._new(key, t, into[0]))
         if isinstance(e, Var):
             slot = slots[e.name]
             return lambda env: env[slot]
-        if isinstance(e, (UnitTerm, Lit)):
-            leaf = ("unit",) if isinstance(e, UnitTerm) else ("lit", e.base, e.value)
+        if isinstance(e, Lit):
+            leaf = ("lit", e.base, e.value)
 
             def constant(env: Sequence[int]) -> int:
                 node = table.get(leaf)
-                return new(leaf, self._node_type(leaf)) if node is None else node
+                return new(leaf, self._intern(Base(e.base))) if node is None else node
             return constant
-        if isinstance(e, Pair):
-            fst = self.builder(e.fst, slots, images)
-            snd = self.builder(e.snd, slots, images)
-
-            def pair(env: Sequence[int]) -> int:
-                left, right = find(fst(env)), find(snd(env))
-                key = ("pair", left, right)
-                node = table.get(key)
-                if node is None:
-                    return new(key, self._product(types[left], types[right]))
-                return node
-            return pair
-        if isinstance(e, (Proj1, Proj2)):
-            tag, of = ("p1" if isinstance(e, Proj1) else "p2"), self.builder(e.of, slots, images)
-
-            def projection(env: Sequence[int]) -> int:
-                inner = find(of(env))
-                key = (tag, inner)
-                node = table.get(key)
-                return new(key, self._component(tag, inner)) if node is None else node
-            return projection
         if isinstance(e, App):
             image = images.get(e.op) if images else None
             if image is not None:
@@ -851,10 +736,8 @@ class EGraph:
         compared as a term: `f(b)` < `g(a)`, though rows `a.g` < `b.f`.
 
         In a saturated e-graph chase, at the entity roots, this is each entity
-        class's least term of any shape: the projection law puts a
-        projection `p1(P)` in the class of the first component of one of
-        P's pairs, whose least term is smaller, so no pair or projection
-        is least, and only entity classes lie on a path to one."""
+        class's least term of any shape, as only entity classes lie on a
+        path to one."""
         find, nodes, types, uses = self.find, self._nodes, self._types, self._uses
         wanted = {types[find(root)] for root in roots}
         best: dict[int, tuple[str, Term]] = {}
@@ -885,15 +768,15 @@ def computation(sig: Signature, ops: Mapping[str, Callable[[object], object]],
                 eq: Equation, held: Callable[[int], Sequence[object]],
                 add: Callable[[str, object], object]
                 ) -> Callable[[Sequence[int]], bool] | None:
-    """Computes `eq` at classes, one per variable, each holding one literal
-    (`held` gives their values), where both sides compute one value: adds
-    each value's literal, `add(base, value)`, in the order instantiation adds
-    nodes, and returns True.  None unless the sides apply only base builtins."""
+    """Computes `eq`, in base normal form, at classes, one per variable, each
+    holding one literal (`held` gives their values), where both sides compute
+    one value: adds each value's literal, `add(base, value)`, in the order
+    instantiation adds nodes, and returns True.  None unless the sides apply
+    only builtins."""
     slots = {var: k for k, (var, _) in enumerate(eq.ctx)}
-    subs = [*subterms(eq.lhs), *subterms(eq.rhs)]
-    cods = {sub.op: sig.op_type(sub.op)[1] for sub in subs if isinstance(sub, App)}
-    if not all(isinstance(sub, (Var, Lit, App)) for sub in subs) or not all(
-            op in ops and isinstance(cod, Base) for op, cod in cods.items()):
+    cods = {sub.op: sig.op_type(sub.op)[1] for side in (eq.lhs, eq.rhs)
+            for sub in subterms(side) if isinstance(sub, App)}
+    if not cods.keys() <= ops.keys():
         return None
 
     def value(e: Term) -> Callable[[list, list], object]:
@@ -946,13 +829,21 @@ def _tuples_since(pools: list[list[int]], since: int,
 # --------------------------------------------------------------------------
 # The decision procedure.
 
+def normal_images(images: Images) -> Images:
+    """Each image body in base normal form (`kernel.normalise`)."""
+    return {op: (var, normalise(Context(), body)[1][0])
+            for op, (var, body) in images.items()}
+
+
 def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
                  fuel: int = 32,
                  builtin_ops: Mapping[str, Callable[[object], object]] | None = None,
                  images: Images | None = None,
                  goal: str | None = None,
                  ) -> Verdict:
-    """Prove two terms equal modulo a theory plus the unit/product axioms.
+    """Prove two terms equal modulo a theory whose operations run between
+    base types: the components of the goal's base normal form (see
+    `Equation.normal`), together, in one graph.
 
     Context variables act as fresh constants.  Saturation runs for at most
     `fuel` rounds over a universe capped at `node_cap(fuel)` nodes;
@@ -963,9 +854,10 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
     never built as a term; `ctx` types them in `th`, and the caller
     guarantees that the translations are well typed at one type.  The
     first `Proved` trace line is `proved <goal> in N round(s) over M
-    node(s)`, the goal defaulting to `a = b`; union reasons follow.
-    Raises IllTyped when a goal term or a side of an equation of `th`
-    does not typecheck.
+    node(s)`, the goal defaulting to `a = b` as written; union reasons
+    follow.  Raises IllTyped when a goal term or a side of an equation of
+    `th` does not typecheck, or an operation of `th` does not run between
+    base types.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
@@ -978,20 +870,28 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
         if ta != tb:
             raise IllTyped(
                 f"terms have different types: {format_type(ta)} vs {format_type(tb)}")
+    else:
+        images = normal_images(images)
+    th.rules  # types the theory, or raises IllTyped, before any work
+    written = Equation(ctx, a, b)
+    parts = written.normal()
+    terms = [side for part in parts for side in (part.lhs, part.rhs)]
+    if parts != (written,):
+        # Keep every subterm's components, such as one that a projection
+        # drops or an unused component of a variable: each can anchor a rule.
+        terms += dict.fromkeys(part for side in (a, b) for sub in subterms(side)
+                               for part in normalise(ctx, sub)[1])
 
     graph = EGraph(th.sig, builtin_ops)
-    var_types = dict(ctx.bindings)
-    names = list(_variables(Pair(a, b), images))
+    var_types = dict(normalise(ctx, a)[0].bindings)
+    names = list(dict.fromkeys(name for t in terms for name in _variables(t, images)))
     env = [graph.add_node(("var", name), var_types[name]) for name in names]
     slots = {name: k for k, name in enumerate(names)}
-    ida = graph.builder(a, slots, images)(env)
-    idb = graph.builder(b, slots, images)(env)
-
-    def step(since: int) -> None:
-        graph.apply_product_axioms()
-        graph.apply_equations_matched(th)
-
-    rounds, cap, stop = graph.run_rounds(step, fuel, lambda: graph.equal(ida, idb))
+    ids = [graph.builder(t, slots, images)(env) for t in terms]
+    sides = list(zip(ids[0:2 * len(parts):2], ids[1:2 * len(parts):2]))
+    rounds, cap, stop = graph.run_rounds(
+        lambda since: graph.apply_equations_matched(th), fuel,
+        lambda: all(graph.equal(x, y) for x, y in sides))
     if stop == "goal":
         goal = goal or f"{format_term(a)} = {format_term(b)}"
         return Proved((f"proved {goal} in {rounds} round(s) over "

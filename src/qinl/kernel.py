@@ -262,6 +262,59 @@ def check_context(sig: Signature, ctx: Context) -> None:
 
 
 # --------------------------------------------------------------------------
+# Base normal form
+
+def normalise(ctx: Context, e: Term) -> tuple[Context, tuple[Term, ...]]:
+    """A well-typed term over operations between base types in base normal
+    form, by the beta and eta laws of pairs and unit (the paper's Figure 1):
+    the context with each product-typed variable `p` split into `p.1` and
+    `p.2`, names no identifier can take that print as the projections they
+    stand for, and each unit-typed one dropped; and the base components of
+    `e`, left to right, each projection of a pair reduced.  A variable
+    `ctx` does not bind stays as it is.  A term that uses no pair,
+    projection, unit or product-typed variable comes back unchanged."""
+    plain = e
+    while isinstance(plain, App):
+        plain = plain.arg
+    if isinstance(plain, (Var, Lit)) and all(isinstance(t, Base) for _, t in ctx):
+        return ctx, (e,)
+    bindings: list[tuple[str, TypeExpr]] = []
+
+    def split(name: str, t: TypeExpr) -> Term | tuple:
+        if isinstance(t, Prod):
+            return split(f"{name}.1", t.left), split(f"{name}.2", t.right)
+        if isinstance(t, Unit):
+            return ()
+        bindings.append((name, t))
+        return Var(name)
+
+    env = {var: split(var, t) for var, t in ctx}
+    return Context(tuple(bindings)), tuple(_leaves(_reduce(e, env)))
+
+
+def _reduce(e: Term, env: Mapping[str, Term | tuple]) -> Term | tuple:
+    """The value of `e`: a base-typed term, a pair of values, or ()."""
+    if isinstance(e, Var):
+        return env.get(e.name, e)
+    if isinstance(e, UnitTerm):
+        return ()
+    if isinstance(e, Pair):
+        return _reduce(e.fst, env), _reduce(e.snd, env)
+    if isinstance(e, (Proj1, Proj2)):
+        return _reduce(e.of, env)[1 if isinstance(e, Proj2) else 0]
+    if isinstance(e, App):
+        arg = _reduce(e.arg, env)
+        return e if arg is e.arg else App(e.op, arg)
+    return e
+
+
+def _leaves(value: Term | tuple) -> list[Term]:
+    if isinstance(value, tuple):
+        return [leaf for part in value for leaf in _leaves(part)]
+    return [value]
+
+
+# --------------------------------------------------------------------------
 # Typing and substitution
 
 def infer_type(sig: Signature, ctx: Context, e: Term,

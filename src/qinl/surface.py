@@ -18,6 +18,7 @@ expressions share their atoms and projections.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass, field
@@ -99,7 +100,9 @@ _SCAN = re.compile(
 # one or the end of the table; else one character, in the third group,
 # which sends the table to the token reader.
 _GAP = r"[ \t\r\n]*"
-_ATOM = f"{_IDENT}|{_INT}|{_STRING}|{_NULL}"
+# Past the digits `int` converts from text, the token reader reports an Int.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or ""
+_ATOM = rf"{_IDENT}|-?\d{{1,{_MAX_DIGITS}}}|{_STRING}|{_NULL}"
 _ENTRY = re.compile(
     rf"{_GAP}({_ATOM}){_GAP}(?:->{_GAP}({_ATOM}){_GAP})?(?:,(?=.)|\Z)|(.)",
     re.DOTALL)
@@ -333,7 +336,10 @@ class _Parser:
                 kind = "keyword" if text in KEYWORDS else "ident"
                 value = text
             elif index == 2:
-                kind, value = "int", int(text)
+                try:
+                    kind, value = "int", int(text)
+                except ValueError:  # more digits than `int` converts from text
+                    raise ParseError("integer literal too long", line, col) from None
             elif index == 3:
                 kind, value = "string", _unescape(text)
             elif index == 4:
@@ -668,13 +674,11 @@ class _Parser:
         self.expect("=")
         body = self.tok_end
         self.expect("{")
-        entries: tuple[Entry, ...] = ()
-        if not self.at("}"):
-            entries = self._plain_entries(body) or self._entries()
+        plain = () if self.at("}") else self._plain_entries(body)
+        entries = self._entries() if plain is None else plain
         self.expect("}")
         self.expect(";")
-        kinds = {value is None for _, value in entries}
-        if len(kinds) > 1:
+        if plain is None and len({value is None for _, value in entries}) > 1:
             raise ParseError(f"item '{tok.text}' mixes rows and arrows",
                              tok.line, tok.col)
         return InstanceItem(tok.text, entries, (tok.line, tok.col),

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 from qinl import chase
 from qinl.chase import FuelExhausted, UnstatedNull
-from qinl.equality import EGraph, Equation, IllTyped, InconsistentConstants, Theory
+from qinl.equality import (
+    EGraph, Equation, IllTyped, InconsistentConstants, Theory, normal_images)
 from qinl.kernel import (
     App,
     Base,
@@ -569,12 +570,7 @@ def class_type(graph, root: int) -> TypeExpr:
 
 
 def _canonical_key(key: tuple, find) -> tuple:
-    tag = key[0]
-    if tag in ("p1", "p2", "app"):
-        return (*key[:-1], find(key[-1]))
-    if tag == "pair":
-        return ("pair", find(key[1]), find(key[2]))
-    return key
+    return ("app", key[1], find(key[2])) if key[0] == "app" else key
 
 
 def egraph_indexes(graph) -> dict:
@@ -604,9 +600,9 @@ def egraph_indexes(graph) -> dict:
 def check_egraph_indexes(graph) -> None:
     """Assert that the graph's maintained indexes equal `egraph_indexes`."""
     want = egraph_indexes(graph)
-    assert graph.members() == want["members"]
-    assert graph.class_roots() == want["roots"]
-    types = {class_type(graph, root) for root in graph.class_roots()}
+    assert graph._members == want["members"]
+    assert list(graph._members) == want["roots"]
+    types = {class_type(graph, root) for root in graph._members}
     assert types
     for t in types:
         assert classes_of_type(graph, t) == want["by_type"].get(t, [])
@@ -622,24 +618,15 @@ def add_instance(graph, e: Term, binding: Mapping[str, int], images=None) -> int
 
 
 def add_by_walk(graph, e: Term, binding: Mapping[str, int], images=None) -> int:
-    """`EGraph.builder` by a recursive walk over `e`, whose variables are
-    bound to classes in `binding`: a pair's left component before its right,
-    a child before its parent.  An application of an operation in `images`
-    adds the image's body, with no images, and its variable bound to the
-    argument's class; the argument is added only if the body uses it."""
+    """`EGraph.builder` by a recursive walk over `e`, in base normal form,
+    whose variables are bound to classes in `binding`: a child before its
+    parent.  An application of an operation in `images` adds the image's
+    body, with no images, and its variable bound to the argument's class;
+    the argument is added only if the body uses it."""
     if isinstance(e, Var):
         return binding[e.name]
-    if isinstance(e, UnitTerm):
-        return graph.add_node(("unit",))
     if isinstance(e, Lit):
         return graph.add_node(("lit", e.base, e.value))
-    if isinstance(e, Pair):
-        left = add_by_walk(graph, e.fst, binding, images)
-        right = add_by_walk(graph, e.snd, binding, images)
-        return graph.add_node(("pair", graph.find(left), graph.find(right)))
-    if isinstance(e, (Proj1, Proj2)):
-        inner = graph.find(add_by_walk(graph, e.of, binding, images))
-        return graph.add_node(("p1" if isinstance(e, Proj1) else "p2", inner))
     image = images.get(e.op) if images else None
     if image is None:
         arg = add_by_walk(graph, e.arg, binding, images)
@@ -694,7 +681,7 @@ def computed(graph, eq, binding: Mapping[str, int]) -> bool:
         return False
     env = {}
     for var, c in binding.items():
-        lits = [graph._nodes[node] for node in graph.members()[graph.find(c)]
+        lits = [graph._nodes[node] for node in graph._members[graph.find(c)]
                 if graph._nodes[node][0] == "lit"]
         if len(lits) != 1:
             return False
@@ -715,22 +702,23 @@ def _children_first(e: Term) -> list[Term]:
 
 def match_every_root(graph, th) -> None:
     """`EGraph.apply_equations_matched` instantiating, every round, every
-    match of every anchor side at every root, each root's matches listed by
-    `match_class` before any is instantiated; a variable a match leaves free
-    ranges over every class of its type."""
-    for eq in th.equations:
-        reason = eq.render()
-        sides = (eq.lhs, eq.rhs)
-        anchors = [None] if all(isinstance(side, Var) for side in sides) else [0, 1]
+    match of every anchor side (one not written as a bare variable) of each
+    equation of `th` in base normal form at every root, each root's matches
+    listed by `match_class` before any is instantiated; a variable a match
+    leaves free ranges over every class of its type."""
+    for original, eq in th.normal:
+        reason = original.render()
+        sides, written = (eq.lhs, eq.rhs), (original.lhs, original.rhs)
+        anchors = [None] if all(isinstance(side, Var) for side in written) else [0, 1]
         for anchor in anchors:
             if anchor is None:
                 matches = [(-1, {})]
             else:
                 side = sides[anchor]
                 ops = {sub.op for sub in subterms(side) if isinstance(sub, App)}
-                if isinstance(side, Var) or not ops <= graph._ops:
+                if isinstance(written[anchor], Var) or not ops <= graph._ops:
                     continue
-                matches = ((root, found) for root in graph.class_roots()
+                matches = ((root, found) for root in list(graph._members)
                            for found in match_class(graph, side, root, {}, eq.ctx))
             for root, found in matches:
                 free = [var for var, _ in eq.ctx if var not in found]
@@ -757,17 +745,8 @@ def match_class(graph, pattern: Term, root: int, binding: dict[str, int],
     results = []
     for node in graph._members[root]:
         key = graph._nodes[node]
-        if isinstance(pattern, UnitTerm) and key[0] == "unit":
+        if isinstance(pattern, Lit) and key == ("lit", pattern.base, pattern.value):
             results.append(binding)
-        elif isinstance(pattern, Lit) and key == ("lit", pattern.base, pattern.value):
-            results.append(binding)
-        elif isinstance(pattern, Pair) and key[0] == "pair":
-            for b1 in match_class(graph, pattern.fst, key[1], binding, ctx):
-                results.extend(match_class(graph, pattern.snd, key[2], b1, ctx))
-        elif isinstance(pattern, Proj1) and key[0] == "p1":
-            results.extend(match_class(graph, pattern.of, key[1], binding, ctx))
-        elif isinstance(pattern, Proj2) and key[0] == "p2":
-            results.extend(match_class(graph, pattern.of, key[1], binding, ctx))
         elif isinstance(pattern, App) and key[0] == "app" and key[1] == pattern.op:
             results.extend(match_class(graph, pattern.arg, key[2], binding, ctx))
     return results
@@ -789,10 +768,10 @@ def substitute_images(seeds, images) -> list[tuple[Term, Term]]:
 def egraph_chase(s, generators, equations=(), fuel: int = 32, images=None):
     """The chase run on the prover's e-graph, as the engine ran it before
     its chase moved to tables: `chase.saturate`, returning the saturated
-    e-graph, whose node ids are the table chase's ids plus its pair,
-    projection and unit nodes.  The seeds join their values' classes
-    through `EGraph.builder`'s `into`, each round adds the missing
-    applications (`egraph_totality`), applies the product axioms and
+    e-graph, whose node ids are the table chase's ids.  The theory, the
+    ground seeds and the image bodies are taken in base normal form.  The
+    seeds join their values' classes through `EGraph.builder`'s `into`,
+    each round adds the missing applications (`egraph_totality`) and
     instantiates every equation with `EGraph.apply_equations_enumerated`,
     and FuelExhausted names the base type that gained the most classes in
     the last round."""
@@ -807,8 +786,8 @@ def egraph_chase(s, generators, equations=(), fuel: int = 32, images=None):
                 raise IllTyped(f"generator '{name}' has undeclared type '{base}'")
             bases[base] = Base(base)
     var_types = [bases[generators[name]] for name in names]
-    if images is None and equations:
-        ctx = Context(tuple(zip(names, var_types)))
+    if images is None:
+        ctx, ground = Context(tuple(zip(names, var_types))), []
         for lhs, rhs in equations:
             tl = infer_type(s.sig, ctx, lhs)
             tr = infer_type(s.sig, ctx, rhs)
@@ -816,6 +795,11 @@ def egraph_chase(s, generators, equations=(), fuel: int = 32, images=None):
                 raise IllTyped(
                     f"ground equation {format_term(lhs)} = {format_term(rhs)} "
                     f"relates different types")
+            ground += [(eq.lhs, eq.rhs) for eq in Equation(ctx, lhs, rhs).normal()]
+        equations = ground
+    else:
+        images = normal_images(images)
+    theory = [eq for _, eq in s.theory.normal]
 
     graph = EGraph(s.sig, s.builtin_ops())
     env = [graph.add_node(("var", name), t) for name, t in zip(names, var_types)]
@@ -844,8 +828,7 @@ def egraph_chase(s, generators, equations=(), fuel: int = 32, images=None):
     def step(since: int) -> None:
         sizes.update(_class_counts(graph, s))
         egraph_totality(graph, s, since)
-        graph.apply_product_axioms()
-        graph.apply_equations_enumerated(s.theory.equations, since)
+        graph.apply_equations_enumerated(theory, since)
 
     _, cap, stop = graph.run_rounds(step, fuel)
     if stop != "saturated":
@@ -964,7 +947,8 @@ def egraph_initial_model(s, generators, equations=(), fuel: int = 32, images=Non
 
 def instantiating_chase(s, generators, equations=(), fuel: int = 32, images=None):
     """`chase.initial_model` as the chase that computes no constant: every
-    seed added as a ground equation by `add_by_walk`, its two sides united,
+    seed added as a ground equation in base normal form by `add_by_walk`,
+    its two sides united,
     and each pass instantiating every equation at every tuple of classes
     (`enumerate_all_tuples` without `compute`), so that `fold_builtins`
     computes the builtins.  Returns the model, or raises what
@@ -975,14 +959,15 @@ def instantiating_chase(s, generators, equations=(), fuel: int = 32, images=None
     env = {name: graph.add_node(("var", name), Base(generators[name]))
            for name in sorted(generators)}
     for lhs, rhs in equations:
-        graph.union(add_by_walk(graph, lhs, env), add_by_walk(graph, rhs, env))
+        for eq in Equation(Context(), lhs, rhs).normal():
+            graph.union(add_by_walk(graph, eq.lhs, env), add_by_walk(graph, eq.rhs, env))
     sizes: dict[str, int] = {}
+    theory = [eq for _, eq in s.theory.normal]
 
     def step(since: int) -> None:
         sizes.update(_class_counts(graph, s))
         egraph_totality(graph, s, since)
-        graph.apply_product_axioms()
-        enumerate_all_tuples(graph, s.theory.equations, compute=False)
+        enumerate_all_tuples(graph, theory, compute=False)
 
     _, cap, stop = graph.run_rounds(step, fuel)
     if stop != "saturated":
@@ -1003,19 +988,8 @@ def sweep_extract(graph) -> dict[int, Term]:
             tag = key[0]
             if tag == "var":
                 term = Var(key[1])
-            elif tag == "unit":
-                term = UnitTerm()
             elif tag == "lit":
                 term = Lit(key[1], key[2])
-            elif tag == "pair":
-                left = best.get(graph.find(key[1]))
-                right = best.get(graph.find(key[2]))
-                if left and right:
-                    term = Pair(left[1], right[1])
-            elif tag in ("p1", "p2"):
-                inner = best.get(graph.find(key[1]))
-                if inner:
-                    term = (Proj1 if tag == "p1" else Proj2)(inner[1])
             elif tag == "app":
                 inner = best.get(graph.find(key[2]))
                 if inner:

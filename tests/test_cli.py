@@ -1466,21 +1466,22 @@ def test_json_is_the_text_json_dumps_writes(value):
     assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("rows, equation, fuel, tuples", [
-    (60, "forall x: E, y: E, z: E . x = x", "1", 216_000),
-    (400, "forall x: E, y: E . (x, y) = (x, y)", "32", 160_000),
+@pytest.mark.parametrize("rows, body, binders, fuel", [
+    (60, "equations forall x: E, y: E, z: E . x = x", 3, "1"),
+    (400, "operations f : E -> E; equations forall x: E . f(x) = x; "
+          "forall p: E * E . f(p.1) = (p.1, p.2).1", 2, "32"),
 ], ids=["three_binders", "pair"])
-def test_chase_stops_at_its_tuple_cap(capsys, tmp_path, rows, equation, fuel,
-                                      tuples):
-    """sigma of `rows` rows into a schema whose one equation adds nothing
-    meets `tuples` tuples of its binders in the first round, the work
-    growing as rows**binders.  Past the 100,000 that a chase may visit, the
-    chase stops, whatever the fuel, and the run fails naming the tuple cap."""
-    assert rows ** equation.count(": E") == tuples > 100_000
+def test_chase_stops_at_its_tuple_cap(capsys, tmp_path, rows, body, binders, fuel):
+    """sigma of `rows` rows into a schema whose last equation adds nothing
+    meets a tuple of rows per base component of its binders, rows**binders
+    in all, in the first round: `p : E * E` has two.  Past the 100,000 that
+    a chase may visit, the chase stops, whatever the fuel, and the run
+    fails naming the tuple cap."""
+    assert rows ** binders > 100_000
     path = tmp_path / "wide.qinl"
     path.write_text(
         "schema P = { entities E; }\n"
-        f"schema S = {{ entities E; equations {equation}; }}\n"
+        f"schema S = {{ entities E; {body}; }}\n"
         "mapping M : P -> S = { E -> E; }\n"
         f"instance I : P = {{ E = {{ {', '.join(f'r{i}' for i in range(rows))} }}; }}\n")
     code, out, err = run(capsys, "migrate", str(path), "sigma", "M", "I",
@@ -1488,6 +1489,47 @@ def test_chase_stops_at_its_tuple_cap(capsys, tmp_path, rows, equation, fuel,
     assert (code, out) == (1, "")
     assert err == (f"{path}: failure: chase did not saturate within the tuple "
                    f"cap of 100000 tuples (partial model size {rows})\n")
+
+
+PROJECTION_PROBE = """\
+schema staff = { entities E, D; operations dept : E -> D, head : D -> E;
+  equations forall d: D . dept(head(d)) = d; }
+schema staff2 = { entities E2, D2; operations w2 : E2 -> D2, k : D2 -> E2;
+  equations forall d: D2 . (k(d), d).2 = w2((k(d), d).1); }
+mapping M : staff -> staff2 = { E -> E2; D -> D2; dept -> (x => w2(x)); head -> (x => k(x)); }
+"""
+
+
+def test_a_target_equation_written_with_projections_proves(capsys, tmp_path):
+    """The target states `d = w2(k(d))` through projections of pairs; in
+    base normal form it is that equation, and preservation proves."""
+    path = tmp_path / "probe.qinl"
+    path.write_text(PROJECTION_PROBE)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert "mapping M : staff -> staff2: preservation 1/1 proved" in out
+
+
+LONG_INT = "7" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+
+
+@pytest.mark.skipif(len(LONG_INT) == 1, reason="no limit on int conversion")
+@pytest.mark.parametrize("text, loc", [
+    ("instance I : S = { E = { a }; k = { a -> LONG }; }", "2:42"),
+    ("instance I : S = { E = { a }; k = { a -> -- a comment\n  LONG }; }", "3:3"),
+    ("expr e = LONG", "2:10"),
+], ids=["plain_table", "token_table", "expr"])
+def test_an_int_literal_too_long_is_malformed_input(capsys, tmp_path, text, loc):
+    """An Int literal with more digits than Python converts from text is
+    reported at the literal, whether a table is read as a column of
+    entries, token by token, or it stands in an expression."""
+    path = tmp_path / "long.qinl"
+    path.write_text("schema S = { entities E; attributes Int; operations k : E -> Int; }\n"
+                    + text.replace("LONG", LONG_INT) + "\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith(f"{path}:{loc}: error: ")
+    assert err.endswith("integer literal too long\n")
 
 
 # --------------------------------------------------------------------------

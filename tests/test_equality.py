@@ -16,6 +16,7 @@ from qinl.equality import (
     check_theory,
     decide_equal,
     node_cap,
+    normal_images,
 )
 from qinl.kernel import (
     App,
@@ -32,9 +33,10 @@ from qinl.kernel import (
     UnitTerm,
     Var,
     format_term,
+    normalise,
     subterms,
 )
-from qinl.schema import FqlSchema
+from qinl.schema import UNIT_CELL, FqlSchema, Instance, eval_column
 
 from conftest import company_schema
 from oracles import (
@@ -336,8 +338,9 @@ def test_indexes_match_a_full_sweep_after_every_round(monkeypatch):
     """After every round of the prover and of the e-graph chase (the
     reference the chase on tables is tested against), the class index,
     the root lists and the hash-cons table equal what a sweep over the
-    union-find recomputes: on the random theories of the fuel test, and on
-    goals that exercise the product, unit and builtin axioms."""
+    union-find recomputes: on the random theories of the fuel test, on
+    goals with pairs, projections and unit, which the graph holds in base
+    normal form, and on one that folds builtins."""
     rebuild = EGraph.rebuild
     rounds = []
 
@@ -434,9 +437,10 @@ LITERALS = {STR: (Lit("String", "ab"), Lit("String", "ba")), INT: (Lit("Int", 2)
 
 
 def _random_signature(rng: random.Random) -> Signature:
+    """Operations between base types, as in every schema."""
     ops = {"length": (STR, INT), "reverse": (STR, STR), "g": (A, B), "h": (A, A)}
     for i in range(rng.randint(1, 3)):
-        ops[f"f{i}"] = (rng.choice((A, B, AB)), rng.choice((A, B, AB, STR)))
+        ops[f"f{i}"] = (rng.choice((A, B)), rng.choice((A, B, STR)))
     return Signature.of({"A", "B", "String", "Int"}, ops)
 
 
@@ -552,7 +556,7 @@ def test_semi_naive_matching_equals_every_match_on_random_problems(monkeypatch):
         return union_sides(self, instantiation, bound, since, reason, root)
 
     problems = proved = calls = every_calls = 0
-    while problems < 600:
+    while problems < 900:
         problem = _random_problem(rng)
         if problem is None:
             continue
@@ -652,18 +656,15 @@ def test_semi_naive_matching_keeps_matches_that_can_still_add(monkeypatch, th, c
 # Compiled builders against the recursive walk.
 
 def _features(term, images) -> set[str]:
-    """The constructs `term` exercises when it is added along `images`."""
-    kinds = {Pair: "pair", Proj1: "projection", Proj2: "projection",
-             UnitTerm: "unit", Lit: "literal"}
+    """The constructs `term`, in base normal form, exercises when it is
+    added along `images`."""
     found = set()
     for sub in subterms(term):
-        if type(sub) in kinds:
-            found.add(kinds[type(sub)])
+        if isinstance(sub, Lit):
+            found.add("literal")
         if isinstance(sub, App) and sub.op in images:
             var, body = images[sub.op]
-            uses = [b for b in subterms(body) if b == Var(var)]
-            found.add({0: "image ignoring its variable", 1: "image"}.get(
-                len(uses), "image using its variable twice"))
+            found.add("image" if Var(var) in subterms(body) else "image ignoring its variable")
             found.update(_features(body, {}))
             if any(isinstance(a, App) and a.op in images for a in subterms(sub.arg)):
                 found.add("nested images")
@@ -672,9 +673,9 @@ def _features(term, images) -> set[str]:
 
 def _add_pairs(sig, ctx, pairs, images, compiled: bool):
     """Add each pair of terms (along `images`) to a fresh graph and unite
-    its sides, twice, with the product axioms, builtins and a rebuild after
-    each pass: by builders compiled once, or by the recursive walk.  The
-    node of each side, the node keys, the partition and the union log."""
+    its sides, twice, with builtins and a rebuild after each pass: by
+    builders compiled once, or by the recursive walk.  The node of each
+    side, the node keys, the partition and the union log."""
     graph = EGraph(sig, BUILTINS)
     env = [graph.add_node(("var", v), t) for v, t in ctx]
     binding = dict(zip(ctx.names(), env))
@@ -691,7 +692,6 @@ def _add_pairs(sig, ctx, pairs, images, compiled: bool):
                          add_by_walk(graph, b, binding, images))
             added.append(sides)
             graph.union(*sides, f"pair {k}")
-        graph.apply_product_axioms()
         graph.fold_builtins()
         graph.rebuild()
     if compiled:
@@ -701,37 +701,107 @@ def _add_pairs(sig, ctx, pairs, images, compiled: bool):
 
 
 def test_builders_add_what_the_recursive_walk_adds():
-    """Random terms with pairs, projections, units and literals, added along
-    random images: images that ignore their variable or use it twice, and
-    nested applications of operations with images.  Builders compiled
-    once give the walk's nodes, node keys, partition and union log."""
+    """Random terms with pairs, projections, units and literals, and random
+    images, put in base normal form as `decide_equal` puts them, then added
+    along the images: images that ignore their variable, and nested
+    applications of operations with images.  Builders compiled once give
+    the walk's nodes, node keys, partition and union log."""
     rng = random.Random(29)
     ctx = Context.of(("x", A), ("y", B), ("p", AB), ("s", STR))
     seen: dict[str, int] = {}
     for _ in range(300):
         sig = _random_signature(rng)
-        sig.operations["twice"] = (A, AA)
         images = {}
         for op, (dom, cod) in sig.operations.items():
             body = _random_term(rng, sig, Context.of(("v", dom)), cod, rng.randint(0, 3))
             if body is not None and rng.random() < 0.7:
                 images[op] = ("v", body)
-        if rng.random() < 0.5:
-            images["twice"] = ("v", Pair(Var("v"), Var("v")))
-        if rng.random() < 0.2:
-            images = None
-        pairs = []
+        images = normal_images(images) if rng.random() < 0.8 else None
+        pairs, flat = [], ctx
         for _ in range(rng.randint(1, 6)):
             t = rng.choice(TYPES)
             a = _random_term(rng, sig, ctx, t, rng.randint(0, 4))
             b = _random_term(rng, sig, ctx, t, rng.randint(0, 4))
             if a is not None and b is not None:
-                pairs.append((a, b))
-                for feature in _features(Pair(a, b), images or {}):
-                    seen[feature] = seen.get(feature, 0) + 1
-        assert (_add_pairs(sig, ctx, pairs, images, True)
-                == _add_pairs(sig, ctx, pairs, images, False))
-    assert set(seen) == {"pair", "projection", "unit", "literal", "image",
-                         "image ignoring its variable",
-                         "image using its variable twice", "nested images"}
+                for part in Equation(ctx, a, b).normal():
+                    flat = part.ctx
+                    pairs.append((part.lhs, part.rhs))
+                    for side in (part.lhs, part.rhs):
+                        for feature in _features(side, images or {}):
+                            seen[feature] = seen.get(feature, 0) + 1
+        assert (_add_pairs(sig, flat, pairs, images, True)
+                == _add_pairs(sig, flat, pairs, images, False))
+    assert set(seen) == {"literal", "image", "image ignoring its variable",
+                         "nested images"}
     assert min(seen.values()) >= 20
+
+
+# --------------------------------------------------------------------------
+# Base normal form against evaluation on finite instances.
+
+def _random_value(rng: random.Random, t, rows: dict[str, list[str]]):
+    if isinstance(t, Prod):
+        return _random_value(rng, t.left, rows), _random_value(rng, t.right, rows)
+    if t == UNIT:
+        return UNIT_CELL
+    if t == STR:
+        return rng.choice(("", "ab", "ba", "aab"))
+    return rng.randint(0, 3) if t == INT else rng.choice(rows[t.name])
+
+
+def _components(value) -> list:
+    """A value's base components, left to right: none for unit."""
+    if isinstance(value, tuple):
+        return [leaf for part in value for leaf in _components(part)]
+    return [] if value is UNIT_CELL else [value]
+
+
+def test_normal_forms_evaluate_as_the_terms_they_come_from():
+    """Random terms and equations with pairs, projections, units and
+    product-typed variables, over operations between base types, on random
+    finite instances: `eval_column` of a term at tupled values gives, as
+    base components, `eval_column` of its normal form at the split values,
+    and an equation holds exactly where each of its normal components
+    holds."""
+    rng = random.Random(7)
+    sorts = (A, B, STR, AB, AA, UNIT, Prod(AB, UNIT))
+    seen = {"pair": 0, "projection": 0, "unit": 0, "product variable": 0, "split": 0}
+    for _ in range(800):
+        sig = _random_signature(rng)
+        s = FqlSchema(Theory.of(sig), frozenset({"A", "B"}), frozenset({"String", "Int"}))
+        rows = {"A": [f"a{k}" for k in range(rng.randint(1, 3))],
+                "B": [f"b{k}" for k in range(rng.randint(1, 3))]}
+        i = Instance.make(rows, {op: {row: _random_value(rng, cod, rows) for row in rows[dom.name]}
+                                 for op, (dom, cod) in sig.operations.items()
+                                 if dom.name in rows})
+        ctx = Context.of(*((v, rng.choice(sorts)) for v in ("x", "y", "z")[: rng.randint(1, 3)]))
+        t = rng.choice(TYPES)
+        a = _random_term(rng, sig, ctx, t, rng.randint(0, 4))
+        b = _random_term(rng, sig, ctx, t, rng.randint(0, 4))
+        if a is None or b is None:
+            continue
+        n = 6
+        values = {v: [_random_value(rng, vt, rows) for _ in range(n)] for v, vt in ctx}
+        flat, parts = normalise(ctx, a)
+        split: dict[str, list] = {name: [] for name, _ in flat}
+        for v, _ in ctx:
+            names = [name for name, _ in flat if name.split(".")[0] == v]
+            for leaves in map(_components, values[v]):
+                for name, leaf in zip(names, leaves, strict=True):
+                    split[name].append(leaf)
+        original = eval_column(s, i, values, n, a)
+        normal = [eval_column(s, i, split, n, part) for part in parts]
+        assert [_components(v) for v in original] == [
+            [column[k] for column in normal] for k in range(n)]
+        holds = [x == y for x, y in zip(original, eval_column(s, i, values, n, b))]
+        each = [[x == y for x, y in zip(eval_column(s, i, split, n, eq.lhs),
+                                        eval_column(s, i, split, n, eq.rhs))]
+                for eq in Equation(ctx, a, b).normal()]
+        assert holds == [all(column[k] for column in each) for k in range(n)]
+        kinds = {type(sub) for e in (a, b) for sub in subterms(e)}
+        seen["pair"] += Pair in kinds
+        seen["projection"] += bool(kinds & {Proj1, Proj2})
+        seen["unit"] += UnitTerm in kinds
+        seen["product variable"] += any(isinstance(vt, Prod) for _, vt in ctx)
+        seen["split"] += len(Equation(ctx, a, b).normal()) > 1
+    assert min(seen.values()) >= 20, seen

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from qinl.equality import Equation, IllTyped, Proved, Theory, Unknown, decide_equal
+from qinl.equality import (
+    Equation, IllTyped, Proved, Theory, Unknown, decide_equal, normal_images)
 from qinl.kernel import (
     MAX_NESTING,
     App,
@@ -188,11 +189,14 @@ def _related(rng: random.Random, sig: Signature, ctx: Context, lhs, want):
 
 def _reference(mapping: SchemaMapping, eq: Equation, fuel: int):
     """Preservation the way it was first written: translate both sides into
-    terms and prove them equal."""
+    terms, along the images in base normal form as `decide_equal` takes
+    them, and prove them equal."""
     builtin_ops = mapping.target.builtin_ops()
+    normal = SchemaMapping(mapping.source, mapping.target, mapping.type_map,
+                           normal_images(mapping.op_map))
     return decide_equal(
         mapping.target.theory, apply_to_context(mapping, eq.ctx),
-        translate(mapping, eq.lhs), translate(mapping, eq.rhs), fuel,
+        translate(normal, eq.lhs), translate(normal, eq.rhs), fuel,
         builtin_ops=builtin_ops)
 
 

@@ -28,6 +28,8 @@ from .schema import Instance, check_instance, default_builtins, eval_term, forma
 from .surface import (
     Diagnostic,
     Elaborated,
+    InstanceDecl,
+    MappingDecl,
     ParseError,
     Unresolved,
     elaborate,
@@ -177,9 +179,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             checks.append(entry)
             if check.status == "violated":
                 witness = ", ".join(f"{v}={r}" for v, r in check.witness)
-                line, col = elab.locs.get(f"instance:{name}", (0, 0))
                 diagnostics.append(Diagnostic(
-                    line, col, "failure",
+                    *elab.line_col(InstanceDecl, name), "failure",
                     f"instance '{name}' violates {check.equation} "
                     f"at {witness}"))
         instance_reports[name] = checks
@@ -205,13 +206,12 @@ def cmd_check(args: argparse.Namespace) -> int:
                 entry["stopped"] = verdict.stopped
             rendered.append(entry)
             if not ok:
-                line, col = elab.locs.get(f"mapping:{name}", (0, 0))
                 rounds = verdict.fuel_spent
                 why = {"saturated": f"saturated after {rounds} round{'s' * (rounds != 1)}",
                        "nodes": f"node cap {verdict.node_cap}",
                        "fuel": f"fuel {config.fuel}"}[verdict.stopped]
                 diagnostics.append(Diagnostic(
-                    line, col, "failure",
+                    *elab.line_col(MappingDecl, name), "failure",
                     f"mapping '{name}' preservation unknown for {eq.render()} "
                     f"({why})"))
         report["declarations"].append({

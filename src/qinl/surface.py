@@ -4,24 +4,26 @@ pretty-printer satisfying parse(print(ast)) == ast, plus elaboration of
 parsed units into semantic objects.
 
 Files use the `.qinl` extension; comments run from `--` to end of line.
-The parser is recursive descent and pulls one token of lookahead at a time
-from a scanner: one regular-expression match skips blanks and comments and
+The parser is recursive descent over one token of lookahead, scanned when
+it is needed: one regular-expression match skips blanks and comments and
 reads the next token.  An instance table whose entries are plain,
-`row -> value` with only blanks between tokens, is read by one `findall`;
-any other table goes token by token.  Either way each entry is kept as its
-text, and an entry's line and column are found again only when a
-diagnostic names it.  A bad token anywhere in the text is reported before
-any syntax error, wherever the two stand.  Terms and set-calculus
-expressions share their atoms and projections.
+`row -> value` with only blanks between tokens, is read by one `findall`
+and never tokenized; any other table goes token by token.  Either way each
+entry is kept as its text.  Locations are offsets into the text, turned
+into a line and column only when a diagnostic names one.  A bad token
+anywhere in the text is reported before any syntax error, wherever the two
+stand.  Terms and set-calculus expressions share their atoms and
+projections.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left
 from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -82,19 +84,19 @@ KEYWORDS = frozenset({
 })
 
 # The text between tokens: blanks, and comments, each running to its line's
-# end so that no pattern after one can backtrack into it.  Only this text
-# holds newlines.
-_SKIP = r"(?:[ \t\r\n]|--[^\n]*(?![^\n]))*"
+# end.  Only this text holds newlines.
+_SKIP = r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*"
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _INT = r"-?\d+"  # `\d` is exactly `str.isdecimal`
 _STRING = r'"(?:[^"\\\n]|\\["\\nt])*"'
 _NULL = r"\?[A-Za-z0-9_]+"
 _PUNCT = r"->|=>|[{}()\[\],;:.*=]"
-# Skip, then one token, with a group per kind: ident or keyword, int,
-# string, null, punct.  No group matches at the end of the text or before a
-# bad character.
+# Skip, then one token, with a group per kind: ident or keyword, punct, int,
+# string, null, tried in that order (their first characters tell them apart,
+# `-` with the next one).  No group matches at the end of the text or before
+# a bad character.
 _SCAN = re.compile(
-    rf"{_SKIP}(?:({_IDENT})|({_INT})|({_STRING})|({_NULL})|({_PUNCT}))?")
+    rf"{_SKIP}(?:({_IDENT})|({_PUNCT})|({_INT})|({_STRING})|({_NULL}))?")
 # Matched by `findall` up to a table's `}`: one plain entry, `atom [->
 # atom]` with blanks only around its tokens, and the `,` before the next
 # one or the end of the table; else one character, in the third group,
@@ -107,11 +109,22 @@ _ENTRY = re.compile(
     rf"{_GAP}({_ATOM}){_GAP}(?:->{_GAP}({_ATOM}){_GAP})?(?:,(?=.)|\Z)|(.)",
     re.DOTALL)
 _IDENT_TEXT = re.compile(_IDENT)
+_IDENT_LINES = re.compile(rf"(?:{_IDENT}\n)*{_IDENT}")
 _BOOLS = frozenset({"true", "false"})
-_NEWLINE = re.compile("\n")
 _BAD_ESCAPE = re.compile(r'"(?:[^"\\\n]|\\["\\nt])*\\([^"\\nt])')
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+# The token kinds, by the group of `_SCAN` that reads them.
+IDENT, PUNCT, INT, STRING, NULL = range(1, 6)
+_KINDS = ("eof", "ident", "punct", "int", "string", "null")
+
+
+def line_col(source: str, loc: int) -> tuple[int, int]:
+    """The 1-based line and column of offset `loc` in `source`, or (0, 0)
+    for NO_LOC."""
+    if loc < 0:
+        return 0, 0
+    return source.count("\n", 0, loc) + 1, loc - source.rfind("\n", 0, loc)
 
 
 class ParseError(EngineError):
@@ -134,12 +147,20 @@ class Token(NamedTuple):
 
 def tokenize(source: str) -> list[Token]:
     """Every token of `source`, up to and including `eof`: the parser's
-    scanner, run to the end."""
-    scanner = _Parser(source)
-    tokens = [scanner.next()]
-    while tokens[-1].kind != "eof":
-        tokens.append(scanner.next())
-    return tokens
+    scanner, run to the end, counting lines and columns on from token to token."""
+    scanner, tokens, line, start, seen = _Parser(source), [], 1, 0, 0
+    while True:
+        kind, text, pos = scanner.kind or 0, scanner.text, scanner.pos()
+        if newlines := source.count("\n", seen, pos):
+            line, start = line + newlines, source.rfind("\n", seen, pos) + 1
+        seen = pos
+        value = (text if kind == IDENT else scanner.value if kind == INT else
+                 _unescape(text) if kind == STRING else text[1:] if kind == NULL else None)
+        name = "keyword" if kind == IDENT and text in KEYWORDS else _KINDS[kind]
+        tokens.append(Token(name, text, value, line, pos - start + 1))
+        if not kind:
+            return tokens
+        scanner.next()
 
 
 def _unescape(text: str) -> str:
@@ -150,8 +171,8 @@ def _unescape(text: str) -> str:
     return value
 
 
-def _bad_token(source: str, pos: int, line: int, col: int) -> ParseError:
-    c = source[pos]
+def _bad_token(source: str, pos: int) -> ParseError:
+    c, (line, col) = source[pos], line_col(source, pos)
     if c == '"':
         bad = _BAD_ESCAPE.match(source, pos)
         if bad:
@@ -164,9 +185,11 @@ def _bad_token(source: str, pos: int, line: int, col: int) -> ParseError:
 
 # --------------------------------------------------------------------------
 # Surface AST.  Location fields never participate in structural equality.
+# A location is an offset into the unit's source; `line_col` turns it into a
+# line and column when a diagnostic names it.
 
-Loc = tuple[int, int]
-NO_LOC: Loc = (0, 0)
+Loc = int
+NO_LOC: Loc = -1
 Entry = tuple[str, str | None]
 
 
@@ -204,10 +227,9 @@ class InstanceItem:
     name: str
     entries: tuple[Entry, ...]
     loc: Loc = field(default=NO_LOC, compare=False)
-    # The source text and the offset just after the table's `{`, from which
-    # `_entry_loc` reads the entries again to locate one.
-    body: tuple[str, int] | None = field(default=None, compare=False,
-                                         repr=False)
+    # The offset just after the table's `{`, from which `_entry_loc` reads
+    # the entries again to locate one.
+    body: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -290,94 +312,73 @@ Declaration = (SchemaDecl | InstanceDecl | MappingDecl | QueryDecl
 @dataclass
 class SourceUnit:
     decls: tuple[Declaration, ...]
+    # The text the declarations were parsed from: their locations index it.
+    source: str = field(default="", compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
 # Parser
 
 class _Parser:
-    """Recursive descent over `source`, pulling one token of lookahead at a
-    time from the scanner."""
+    """Recursive descent over `source` from offset `pos`, with one token of
+    lookahead: its `kind`, the group of `_SCAN` that read it (None at the
+    end of the text), its `text`, its match `m`, and an int's `value`.
+    Readers dispatch on the kind and compare texts: a punctuation or keyword
+    text is the text of no other kind of token."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, pos: int = 0):
         self.source = source
-        # -1 and the offset of each newline: the line of an offset is the
-        # number of these before it.
-        self.newlines = [-1, *(m.start() for m in _NEWLINE.finditer(source))]
-        # `seek` sets the lookahead token `tok` and the offsets in `source`
-        # where it starts and ends, `tok_start` and `tok_end`.
-        self.seek(0)
         # `depth` is the level of the node being parsed, `base` that of the
         # construct being parsed, and `peak` the deepest level the construct
         # has reached: a binary node built around it (a union, an equality
         # test, a projection, the pair of an application's arguments) pushes
         # all of it one level down.
         self.depth = self.base = self.peak = 0
-
-    def loc(self, pos: int) -> Loc:
-        """The line and column of offset `pos`."""
-        line = bisect_left(self.newlines, pos)
-        return line, pos - self.newlines[line - 1]
+        self.seek(pos)
 
     def seek(self, pos: int) -> None:
-        """Scan the token after offset `pos` into the lookahead."""
-        m = _SCAN.match(self.source, pos)
-        index = m.lastindex
-        end = m.end()
-        start = m.start(index) if index else end
-        line, col = self.loc(start)
-        if index is None:
-            if end < len(self.source):
-                raise _bad_token(self.source, end, line, col)
-            self.tok = tuple.__new__(Token, ("eof", "", None, line, col))
-        else:
-            text = m[index]
-            if index == 1:
-                kind = "keyword" if text in KEYWORDS else "ident"
-                value = text
-            elif index == 2:
-                try:
-                    kind, value = "int", int(text)
-                except ValueError:  # more digits than `int` converts from text
-                    raise ParseError("integer literal too long", line, col) from None
-            elif index == 3:
-                kind, value = "string", _unescape(text)
-            elif index == 4:
-                kind, value = "null", text[1:]
-            else:
-                kind, value = "punct", None
-            self.tok = tuple.__new__(Token, (kind, text, value, line, col))
-        self.tok_start, self.tok_end = start, end
+        """Scan on from offset `pos`."""
+        self.scan = _SCAN.finditer(self.source, pos).__next__
+        self.next()
 
-    def peek(self) -> Token:
-        return self.tok
+    def next(self) -> None:
+        """Scan the next token into the lookahead."""
+        m = self.m = self.scan()
+        kind = self.kind = m.lastindex
+        if kind is None:
+            self.text = ""
+            if m.end() < len(self.source):
+                raise _bad_token(self.source, m.end())
+            return
+        text = self.text = m[kind]
+        if kind == INT:
+            try:
+                self.value = int(text)
+            except ValueError:  # more digits than `int` converts from text
+                raise self.error("integer literal too long") from None
 
-    def next(self) -> Token:
-        tok = self.tok
-        if tok.kind != "eof":
-            self.seek(self.tok_end)
-        return tok
+    def pos(self) -> Loc:
+        """The lookahead's offset."""
+        return self.m.start(self.kind) if self.kind else self.m.end()
+
+    def error(self, message: str, expected: str | None = None) -> ParseError:
+        return ParseError(message, *line_col(self.source, self.pos()), expected)
 
     def fail(self, message: str, expected: str | None = None) -> ParseError:
-        tok = self.peek()
-        found = tok.text if tok.kind != "eof" else "end of input"
-        return ParseError(f"{message}, found {found!r}", tok.line, tok.col,
-                          expected)
+        found = self.text if self.kind else "end of input"
+        return self.error(f"{message}, found {found!r}", expected)
 
-    # A punctuation or keyword text is the text of no other kind of token.
-    def at(self, text: str) -> bool:
-        return self.tok.text == text
-
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
-
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> None:
+        if self.text != text:
             raise self.fail("unexpected token", f"'{text}'")
-        return self.next()
+        self.next()
+
+    def ident(self, what: str) -> str:
+        text = self.text
+        if self.kind != IDENT or text in KEYWORDS:
+            raise self.fail("unexpected token", what)
+        self.next()
+        return text
 
     def begin(self, down: int) -> tuple[int, int, int]:
         """Start a construct `down` levels below the current node; `end`
@@ -409,12 +410,6 @@ class _Parser:
         if level > MAX_NESTING:
             raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
-    def expect_ident(self, what: str = "an identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail("unexpected token", what)
-        return self.next()
-
     # -- units ---------------------------------------------------------------
 
     def unit(self) -> SourceUnit:
@@ -424,48 +419,52 @@ class _Parser:
                         "mapping": self.mapping_decl,
                         "query": self.query_decl, "expr": self.expr_decl,
                         "migrate": self.migrate_decl}
-        while self.peek().kind != "eof":
-            if self.accept(";"):
+        while self.kind:
+            if self.text == ";":
+                self.next()
                 continue
-            tok = self.peek()
-            declaration = declarations.get(tok.text)
+            declaration = declarations.get(self.text)
             if declaration is None:
                 raise self.fail("expected a declaration",
                                 "schema/instance/mapping/query/expr/migrate")
+            loc = self.pos()
             self.next()
-            decls.append(declaration((tok.line, tok.col)))
-        return SourceUnit(tuple(decls))
+            decls.append(declaration(loc))
+        return SourceUnit(tuple(decls), self.source)
 
     # -- types ----------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
         saved = self.begin(1)
-        factors = [self.type_atom()]
-        while self.accept("*"):
-            if len(factors) == 1:
-                self.wrap()
-            self.down()
-            factors.append(self.type_atom())
+        t = self.type_atom()
+        if self.text == "*":
+            factors = [t]
+            while self.text == "*":
+                self.next()
+                if len(factors) == 1:
+                    self.wrap()
+                self.down()
+                factors.append(self.type_atom())
+            t = _nest(Prod, factors)
         self.end(saved)
-        result = factors[-1]
-        for factor in reversed(factors[:-1]):
-            result = Prod(factor, result)
-        return result
+        return t
 
     def type_atom(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind == "int" and tok.value == 1:
+        kind, text = self.kind, self.text
+        if kind == IDENT and (text not in KEYWORDS or text == "Bool"):
+            self.next()
+            return Base(text)
+        if kind == INT and self.value == 1:
             self.next()
             return UNIT
-        if self.accept("Set"):
+        if text == "Set":
+            self.next()
             saved = self.begin(1)
             t = SetT(self.type_atom())
             self.end(saved)
             return t
-        if tok.kind == "ident" or tok.text == "Bool":
+        if text == "(":
             self.next()
-            return Base(tok.text)
-        if self.accept("("):
             t = self.type_expr()
             self.expect(")")
             return t
@@ -473,19 +472,15 @@ class _Parser:
 
     # -- terms and set-calculus expressions ---------------------------------------
 
-    def _postfix(self, atom: Callable[[], Term], down: int) -> Term:
-        """An atom followed by projections `.1` and `.2`."""
-        saved = self.begin(down)
-        t = atom()
-        while self.at("."):
+    def _projections(self, t: Term) -> Term:
+        """`t` under the projections `.1` and `.2` that follow it."""
+        while self.text == ".":
             self.wrap()
             self.next()
-            tok = self.peek()
-            if tok.kind != "int" or tok.value not in (1, 2):
+            if self.kind != INT or self.value not in (1, 2):
                 raise self.fail("bad projection", ".1 or .2")
+            t = Proj1(t) if self.value == 1 else Proj2(t)
             self.next()
-            t = Proj1(t) if tok.value == 1 else Proj2(t)
-        self.end(saved)
         return t
 
     def _pairs(self, item: Callable[[], Term], wrap_first: bool = False) -> Term:
@@ -493,54 +488,70 @@ class _Parser:
         With `wrap_first` the pairs sit one level below the node being
         parsed (an application's arguments), so a comma moves the first item
         under them."""
-        saved = self.begin(0)
+        depth, base, peak = self.depth, self.base, self.peak
+        self.base = self.peak = depth
         parts = [item()]
-        while self.accept(","):
+        while self.text == ",":
+            self.next()
             if wrap_first and len(parts) == 1:
                 self.wrap()
             self.down()
             parts.append(item())
         self.expect(")")
-        self.end(saved)
-        return _nest_pairs(parts)
+        self.depth, self.base = depth, base
+        if peak > self.peak:
+            self.peak = peak
+        return _nest(Pair, parts)
 
     def _atom(self, item: Callable[[], Term], what: str) -> Term:
         """The atoms terms and expressions share: unit, tuples of `item`,
         boolean, string and integer literals, applications, and variables."""
-        tok = self.peek()
-        if self.accept("true"):
-            return TRUE
-        if self.accept("false"):
-            return FALSE
-        if self.accept("("):
-            if self.accept(")"):
+        kind, text = self.kind, self.text
+        if kind == IDENT:
+            if text not in KEYWORDS:
+                self.next()
+                if self.text != "(":
+                    return Var(text)
+                self.next()
+                if self.text == ")":
+                    self.next()
+                    return App(text, UNIT_TERM)
+                return App(text, self._pairs(item, wrap_first=True))
+            if text in _BOOLS:
+                self.next()
+                return TRUE if text == "true" else FALSE
+        elif text == "(":
+            self.next()
+            if self.text == ")":
+                self.next()
                 return UNIT_TERM
             return self._pairs(item)
-        if tok.kind == "string":
+        elif kind == STRING:
             self.next()
-            return Lit("String", tok.value)
-        if tok.kind == "int":
+            return Lit("String", _unescape(text))
+        elif kind == INT:
+            value = self.value
             self.next()
-            return Lit("Int", tok.value)
-        if tok.kind == "ident":
-            self.next()
-            if self.accept("("):
-                if self.accept(")"):
-                    return App(tok.text, UNIT_TERM)
-                return App(tok.text, self._pairs(item, wrap_first=True))
-            return Var(tok.text)
+            return Lit("Int", value)
         raise self.fail(what)
 
     def term(self) -> Term:
-        return self._postfix(self.term_atom, 1)
-
-    def term_atom(self) -> Term:
-        return self._atom(self.term, "expected a term")
+        # `begin(1)` and `end`, inlined here and in `_pairs`: they run for
+        # every term and every application.
+        depth, base, peak = self.depth, self.base, self.peak
+        self.depth = self.base = self.peak = depth + 1
+        self._check_nesting(depth + 1)
+        t = self._projections(self._atom(self.term, "expected a term"))
+        self.depth, self.base = depth, base
+        if peak > self.peak:
+            self.peak = peak
+        return t
 
     def nrc_expr(self) -> Term:
         saved = self.begin(1)
         e = self.nrc_union()
-        if self.accept("="):
+        if self.text == "=":
+            self.next()
             self.wrap()
             e = EqTest(e, self.nrc_union())
         self.end(saved)
@@ -548,276 +559,270 @@ class _Parser:
 
     def nrc_union(self) -> Term:
         saved = self.begin(0)
-        e = self._postfix(self.nrc_atom, 0)
-        while self.accept("union"):
+        e = self.nrc_operand()
+        while self.text == "union":
+            self.next()
             self.wrap()
-            e = Union(e, self._postfix(self.nrc_atom, 0))
+            e = Union(e, self.nrc_operand())
+        self.end(saved)
+        return e
+
+    def nrc_operand(self) -> Term:
+        saved = self.begin(0)
+        e = self._projections(self.nrc_atom())
         self.end(saved)
         return e
 
     def nrc_atom(self) -> Term:
-        if self.accept("{"):
+        text = self.text
+        if text not in ("{", "empty", "if", "for"):
+            return self._atom(self.nrc_expr, "expected an expression")
+        self.next()
+        if text == "{":
             e = self.nrc_expr()
             self.expect("}")
             return Singleton(e)
-        if self.accept("empty"):
+        if text == "empty":
             self.expect("[")
             t = self.type_expr()
             self.expect("]")
             return Empty(t)
-        if self.accept("if"):
+        if text == "if":
             cond = self.nrc_expr()
             self.expect("then")
             then = self.nrc_expr()
             self.expect("else")
             return If(cond, then, self.nrc_expr())
-        if self.accept("for"):
-            var = self.expect_ident("an iteration variable").text
-            self.expect("in")
-            source = self.nrc_expr()
-            self.expect("return")
-            return For(var, source, self.nrc_expr())
-        return self._atom(self.nrc_expr, "expected an expression")
+        var = self.ident("an iteration variable")
+        self.expect("in")
+        source = self.nrc_expr()
+        self.expect("return")
+        return For(var, source, self.nrc_expr())
 
     # -- declarations ---------------------------------------------------------
 
     def schema_decl(self, loc: Loc) -> SchemaDecl:
-        name = self.expect_ident("a schema name").text
+        name = self.ident("a schema name")
         self.expect("=")
         self.expect("{")
-        entities: tuple[str, ...] = ()
-        attributes: tuple[str, ...] = ()
-        operations: tuple[OpDecl, ...] = ()
-        equations: list[EquationDecl] = []
-        seen: set[str] = set()
-        while not self.at("}"):
-            section = self.peek().text
-            if section in seen:
+        sections: dict[str, tuple] = {}
+        while self.text != "}":
+            section = self.text
+            if section in sections:
                 raise self.fail(f"duplicate section '{section}'")
-            if self.accept("entities"):
-                entities = self._name_list()
-                self.expect(";")
-            elif self.accept("attributes"):
-                attributes = self._name_list()
-                self.expect(";")
-            elif self.accept("operations"):
-                ops = [self._op_decl()]
-                while self.accept(","):
-                    ops.append(self._op_decl())
-                self.expect(";")
-                operations = tuple(ops)
-            elif self.accept("equations"):
-                while not self.at("}"):
-                    equations.append(self._equation_decl())
-                    self.expect(";")
-            else:
+            if section not in ("entities", "attributes", "operations", "equations"):
                 raise self.fail(
                     "expected a schema section",
                     "entities, attributes, operations, or equations")
-            seen.add(section)
-        self.expect("}")
-        return SchemaDecl(name, entities, attributes, operations,
-                          tuple(equations), loc)
+            self.next()
+            if section == "equations":
+                equations = []
+                while self.text != "}":
+                    equations.append(self._equation_decl())
+                    self.expect(";")
+                sections[section] = tuple(equations)
+            else:
+                item = self._op_decl if section == "operations" else self._type_name
+                sections[section] = tuple(self._list(item))
+                self.expect(";")
+        self.next()
+        return SchemaDecl(name, *(sections.get(section, ()) for section in (
+            "entities", "attributes", "operations", "equations")), loc)
 
-    def _name_list(self) -> tuple[str, ...]:
-        names = [self._type_name()]
-        while self.accept(","):
-            names.append(self._type_name())
-        return tuple(names)
+    def _list(self, item: Callable[[], object], sep: str = ",") -> list:
+        """One or more of what `item` reads, separated by `sep`."""
+        items = [item()]
+        while self.text == sep:
+            self.next()
+            items.append(item())
+        return items
 
     def _type_name(self) -> str:
         """A declared type's name: an identifier or the keyword `Bool`."""
-        if self.at("Bool"):
-            return self.next().text
-        return self.expect_ident("a type name").text
+        if self.text == "Bool":
+            self.next()
+            return "Bool"
+        return self.ident("a type name")
 
     def _op_decl(self) -> OpDecl:
-        tok = self.expect_ident("an operation name")
+        loc = self.pos()
+        name = self.ident("an operation name")
         self.expect(":")
         dom = self.type_expr()
         self.expect("->")
-        cod = self.type_expr()
-        return OpDecl(tok.text, dom, cod, (tok.line, tok.col))
+        return OpDecl(name, dom, self.type_expr(), loc)
 
     def _equation_decl(self) -> EquationDecl:
-        tok = self.peek()
+        loc = self.pos()
         ctx: list[tuple[str, TypeExpr]] = []
-        if self.accept("forall"):
-            ctx.append(self._binding())
-            while self.accept(","):
-                ctx.append(self._binding())
+        if self.text == "forall":
+            self.next()
+            ctx = self._list(self._binding)
             self.expect(".")
         lhs = self.term()
         self.expect("=")
-        rhs = self.term()
-        return EquationDecl(tuple(ctx), lhs, rhs, (tok.line, tok.col))
+        return EquationDecl(tuple(ctx), lhs, self.term(), loc)
 
     def _binding(self) -> tuple[str, TypeExpr]:
-        name = self.expect_ident("a variable").text
+        name = self.ident("a variable")
         self.expect(":")
         return name, self.type_expr()
 
     def instance_decl(self, loc: Loc) -> InstanceDecl:
-        name = self.expect_ident("an instance name").text
+        name = self.ident("an instance name")
         self.expect(":")
-        schema_name = self.expect_ident("a schema name").text
+        schema_name = self.ident("a schema name")
         self.expect("=")
         self.expect("{")
         items = []
-        while not self.at("}"):
+        while self.text != "}":
             items.append(self._instance_item())
-        self.expect("}")
+        self.next()
         return InstanceDecl(name, schema_name, tuple(items), loc)
 
     def _instance_item(self) -> InstanceItem:
-        tok = self.expect_ident("a type or operation name")
+        loc = self.pos()
+        name = self.ident("a type or operation name")
         self.expect("=")
-        body = self.tok_end
-        self.expect("{")
-        plain = () if self.at("}") else self._plain_entries(body)
-        entries = self._entries() if plain is None else plain
+        if self.text != "{":
+            raise self.fail("unexpected token", "'{'")
+        body = self.m.end()
+        entries = self._plain_entries(body)
+        plain = entries is not None
+        if not plain:
+            self.next()
+            entries = () if self.text == "}" else tuple(self._list(self._entry))
         self.expect("}")
         self.expect(";")
-        if plain is None and len({value is None for _, value in entries}) > 1:
-            raise ParseError(f"item '{tok.text}' mixes rows and arrows",
-                             tok.line, tok.col)
-        return InstanceItem(tok.text, entries, (tok.line, tok.col),
-                            (self.source, body))
+        if not plain and len({value is None for _, value in entries}) > 1:
+            raise ParseError(f"item '{name}' mixes rows and arrows",
+                             *line_col(self.source, loc))
+        return InstanceItem(name, entries, loc, body)
 
     def _plain_entries(self, body: int) -> tuple[Entry, ...] | None:
-        """The entries of a table of plain entries, all rows or all arrows,
-        that starts at offset `body`, with the lookahead moved to its `}`;
-        else None."""
+        """The entries of a plain table, all rows or all arrows, whose body starts
+        at offset `body`, with the lookahead moved to its `}`; else None."""
         end = self.source.find("}", body)
-        if end < 0:
+        found = _ENTRY.findall(self.source, body, end) if end > body else None
+        if not found:
             return None
-        keys, values, flags = zip(*_ENTRY.findall(self.source, body, end))
-        if (any(flags) or not KEYWORDS.isdisjoint(keys)
-                or not KEYWORDS.isdisjoint(values)):
+        keys, values, flags = zip(*found)
+        if any(flags) or not KEYWORDS.isdisjoint(keys):
             return None
-        if all(values):
+        if not any(values):
+            entries = tuple(zip(keys, repeat(None)))
+        elif all(values) and KEYWORDS.isdisjoint(values):
             entries = tuple(zip(keys, values))
-        elif any(values):
-            return None
         else:
-            entries = tuple(zip(keys, [None] * len(keys)))
+            return None
         self.seek(end)
         return entries
 
-    def _entries(self) -> tuple[Entry, ...]:
-        """A table's entries, read token by token."""
-        entries = [self._entry()]
-        while self.accept(","):
-            entries.append(self._entry())
-        return tuple(entries)
-
     def _entry(self) -> Entry:
         key = self._cell_text()
-        if self.accept("->"):
+        if self.text == "->":
+            self.next()
             return key, self._cell_text()
         return key, None
 
     def _cell_text(self) -> str:
         """A row id, literal, null or builtin application, as text with no
         blanks or comments."""
-        tok = self.peek()
-        if tok.kind in ("ident", "string", "int", "null"):
+        kind, text = self.kind, self.text
+        if kind == IDENT and text in KEYWORDS:
+            if text in _BOOLS:
+                self.next()
+                return text
+        elif kind and kind != PUNCT:
             self.next()
-            if tok.kind != "ident" or not self.accept("("):
-                return tok.text
+            if kind != IDENT or self.text != "(":
+                return text
+            self.next()
             saved = self.begin(1)
             arg = self._cell_text()
             self.expect(")")
             self.end(saved)
-            return f"{tok.text}({arg})"
-        if tok.text in _BOOLS:
-            return self.next().text
+            return f"{text}({arg})"
         raise self.fail("expected a row id, literal, or null")
 
     def mapping_decl(self, loc: Loc) -> MappingDecl:
-        name = self.expect_ident("a mapping name").text
+        name = self.ident("a mapping name")
         self.expect(":")
-        source = self.expect_ident("a schema name").text
+        source = self.ident("a schema name")
         self.expect("->")
-        target = self.expect_ident("a schema name").text
+        target = self.ident("a schema name")
         self.expect("=")
         self.expect("{")
         type_entries: list[TypeEntry] = []
         op_entries: list[OpEntry] = []
-        while not self.at("}"):
-            tok = self.expect_ident("a type or operation name")
+        while self.text != "}":
+            entry_loc = self.pos()
+            entry = self.ident("a type or operation name")
             self.expect("->")
-            if self.accept("("):
-                var = self.expect_ident("a bound variable").text
+            if self.text == "(":
+                self.next()
+                var = self.ident("a bound variable")
                 self.expect("=>")
                 body = self.term()
                 self.expect(")")
-                op_entries.append(OpEntry(tok.text, var, body,
-                                          (tok.line, tok.col)))
+                op_entries.append(OpEntry(entry, var, body, entry_loc))
             else:
-                target_name = self.expect_ident("a target type").text
-                type_entries.append(TypeEntry(tok.text, target_name,
-                                              (tok.line, tok.col)))
+                type_entries.append(TypeEntry(entry, self.ident("a target type"), entry_loc))
             self.expect(";")
-        self.expect("}")
+        self.next()
         return MappingDecl(name, source, target, tuple(type_entries),
                            tuple(op_entries), loc)
 
     def query_decl(self, loc: Loc) -> QueryDecl:
-        name = self.expect_ident("a query name").text
+        name = self.ident("a query name")
         self.expect(":")
-        schema_name = self.expect_ident("a schema name").text
+        schema_name = self.ident("a schema name")
         self.expect("=")
         self.expect("for")
-        bindings = [self._query_binding()]
-        while self.accept(","):
-            bindings.append(self._query_binding())
+        bindings = self._list(self._query_binding)
         wheres: list[WhereClause] = []
-        if self.accept("where"):
-            wheres.append(self._where_clause())
-            while self.accept("and"):
-                wheres.append(self._where_clause())
+        if self.text == "where":
+            self.next()
+            wheres = self._list(self._where_clause, "and")
         self.expect("return")
-        returns = self.term()
         return QueryDecl(name, schema_name, tuple(bindings), tuple(wheres),
-                         returns, loc)
+                         self.term(), loc)
 
     def _query_binding(self) -> QueryBinding:
-        tok = self.expect_ident("a binding variable")
+        loc = self.pos()
+        var = self.ident("a binding variable")
         self.expect(":")
-        entity = self.expect_ident("an entity type").text
-        return QueryBinding(tok.text, entity, (tok.line, tok.col))
+        return QueryBinding(var, self.ident("an entity type"), loc)
 
     def _where_clause(self) -> WhereClause:
-        tok = self.peek()
+        loc = self.pos()
         lhs = self.term()
         self.expect("=")
-        rhs = self.term()
-        return WhereClause(lhs, rhs, (tok.line, tok.col))
+        return WhereClause(lhs, self.term(), loc)
 
     def expr_decl(self, loc: Loc) -> ExprDecl:
-        name = self.expect_ident("an expression name").text
+        name = self.ident("an expression name")
         self.expect("=")
         return ExprDecl(name, self.nrc_expr(), loc)
 
     def migrate_decl(self, loc: Loc) -> MigrateDecl:
-        name = self.expect_ident("a result name").text
+        name = self.ident("a result name")
         self.expect("=")
-        tok = self.peek()
-        for direction in ("delta", "sigma", "pi"):
-            if self.accept(direction):
-                mapping_name = self.expect_ident("a mapping name").text
-                instance_name = self.expect_ident("an instance name").text
-                return MigrateDecl(name, direction, mapping_name,
-                                   instance_name, loc)
-        raise ParseError("expected a migration direction", tok.line, tok.col,
-                         "delta, sigma, or pi")
+        direction = self.text
+        if direction not in ("delta", "sigma", "pi"):
+            raise self.error("expected a migration direction",
+                             "delta, sigma, or pi")
+        self.next()
+        mapping_name = self.ident("a mapping name")
+        return MigrateDecl(name, direction, mapping_name,
+                           self.ident("an instance name"), loc)
 
 
-def _nest_pairs(parts: list[Term]) -> Term:
+def _nest(node: type, parts: list):
+    """`parts` nested to the right in binary `node`s."""
     result = parts[-1]
     for part in reversed(parts[:-1]):
-        result = Pair(part, result)
+        result = node(part, result)
     return result
 
 
@@ -950,8 +955,13 @@ class Elaborated:
     query_schema: dict[str, str]
     exprs: dict[str, Term]
     diagnostics: list[Diagnostic]
-    locs: dict[str, Loc]
     failed: set[str]  # migrate declarations that failed, and their users
+
+    def line_col(self, kind: type, name: str) -> tuple[int, int]:
+        """The line and column of the first `kind` declaration of `name`,
+        or (0, 0) if there is none."""
+        locs = (d.loc for d in self.unit.decls if type(d) is kind and d.name == name)
+        return line_col(self.unit.source, next(locs, NO_LOC))
 
     def resolve(self, kind: str, name: str):
         """What `name` denotes as a "schema", "instance", "mapping", "query"
@@ -978,31 +988,18 @@ def elaborate(unit: SourceUnit, *, fuel: int = 32,
     executed so later declarations can reference their results; their
     failures (`MIGRATION_FAILURES`) are 'failure' diagnostics, while
     malformed declarations are 'error' diagnostics."""
-    out = Elaborated(unit, {}, {}, {}, {}, {}, {}, {}, {}, [], {}, set())
-    for decl in unit.decls:
-        kind = type(decl).__name__.removesuffix("Decl").lower()
-        out.locs.setdefault(f"{kind}:{decl.name}", decl.loc)
+    out = Elaborated(unit, {}, {}, {}, {}, {}, {}, {}, {}, [], set())
 
-    def err(loc: Loc, message: str) -> None:
-        out.diagnostics.append(Diagnostic(loc[0], loc[1], "error", message))
+    def err(loc: Loc, message: str, severity: str = "error") -> None:
+        out.diagnostics.append(Diagnostic(*line_col(unit.source, loc), severity, message))
 
-    def failure(loc: Loc, message: str) -> None:
-        out.diagnostics.append(Diagnostic(loc[0], loc[1], "failure", message))
-
+    elaborators = {SchemaDecl: _elab_schema, InstanceDecl: _elab_instance,
+                   MappingDecl: _elab_mapping, QueryDecl: _elab_query, ExprDecl: _elab_expr,
+                   MigrateDecl: partial(_elab_migrate, fuel=fuel,
+                                        allow_unverified=allow_unverified)}
     for decl in unit.decls:
         try:
-            if isinstance(decl, SchemaDecl):
-                _elab_schema(decl, out, err)
-            elif isinstance(decl, InstanceDecl):
-                _elab_instance(decl, out, err)
-            elif isinstance(decl, MappingDecl):
-                _elab_mapping(decl, out, err)
-            elif isinstance(decl, QueryDecl):
-                _elab_query(decl, out, err)
-            elif isinstance(decl, ExprDecl):
-                _elab_expr(decl, out, err)
-            elif isinstance(decl, MigrateDecl):
-                _elab_migrate(decl, out, err, failure, fuel, allow_unverified)
+            elaborators[type(decl)](decl, out, err)
         except EngineError as exc:
             err(decl.loc, str(exc))
     return out
@@ -1073,7 +1070,7 @@ def _elab_instance(decl: InstanceDecl, out: Elaborated, err) -> None:
                     f"operation of schema '{decl.schema_name}'")
                 ok = False
         except _BadEntry as exc:
-            err(_entry_loc(item, exc.index, exc.depth), exc.message)
+            err(_entry_loc(out.unit.source, item, exc.index, exc.depth), exc.message)
             ok = False
     if not ok:
         return
@@ -1096,14 +1093,12 @@ class _BadEntry(Exception):
         self.message, self.depth, self.index = message, depth, index
 
 
-def _entry_loc(item: InstanceItem, index: int, depth: int) -> Loc:
-    """The line and column of a place in entry `index` of `item`, as
-    `_BadEntry` gives it, found by reading the entries again from the
-    item's body."""
+def _entry_loc(source: str, item: InstanceItem, index: int, depth: int) -> Loc:
+    """The place in entry `index` of `item` that `_BadEntry` gives, found by
+    reading the entries again from the item's body in `source`."""
     if item.body is None:
         return item.loc
-    parser = _Parser(item.body[0])
-    parser.seek(item.body[1])
+    parser = _Parser(source, item.body)
     for _ in range(index):
         parser._entry()
         parser.next()
@@ -1112,8 +1107,7 @@ def _entry_loc(item: InstanceItem, index: int, depth: int) -> Loc:
         parser.next()
         for _ in range(2 * depth):
             parser.next()
-    tok = parser.peek()
-    return tok.line, tok.col
+    return parser.pos()
 
 
 def _kind(text: str) -> str:
@@ -1305,7 +1299,7 @@ def _elab_expr(decl: ExprDecl, out: Elaborated, err) -> None:
     out.exprs[decl.name] = decl.body
 
 
-def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
+def _elab_migrate(decl: MigrateDecl, out: Elaborated, err,
                   fuel: int, allow_unverified: bool) -> None:
     if not _check_fresh(decl.name, {*out.instances, *out.failed}, decl.loc, "instance", err):
         return
@@ -1316,7 +1310,7 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
         if exc.severity == "error":
             raise
         out.failed.add(decl.name)
-        failure(decl.loc, f"migrate '{decl.name}': {exc}")
+        err(decl.loc, f"migrate '{decl.name}': {exc}", "failure")
         return
     read, written = ends(decl.direction, *out.mapping_schemas[decl.mapping_name])
     on = out.instance_schema[decl.instance_name]
@@ -1330,7 +1324,7 @@ def _elab_migrate(decl: MigrateDecl, out: Elaborated, err, failure,
                          allow_unverified=allow_unverified)
     except MIGRATION_FAILURES as exc:
         out.failed.add(decl.name)
-        failure(decl.loc, f"migrate '{decl.name}': {exc}")
+        err(decl.loc, f"migrate '{decl.name}': {exc}", "failure")
         return
     out.instances[decl.name] = result
     out.instance_schema[decl.name] = written
@@ -1350,28 +1344,33 @@ def _row_text(row: str) -> str:
 def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
                      instance: Instance) -> InstanceDecl:
     """Render a semantic instance as a declaration with deterministic
-    ordering: carriers first, then tables, all sorted.  Each distinct row
-    id, and each distinct cell of a column, is rendered once."""
+    ordering: carriers first, then tables, all sorted.  Row ids are
+    rendered a column at a time, and each distinct cell of a column once."""
     rendered: dict[str, str] = {}
 
-    def row_text(row: str) -> str:
-        text = rendered.get(row)
-        if text is None:
-            text = rendered[row] = _row_text(row)
-        return text
+    def row_texts(rows: Sequence[str]) -> Sequence[str]:
+        """The column itself when every id is an identifier and no keyword,
+        as one match over its lines tells (an id holding a newline makes a
+        line more); else each distinct id rendered once, by `_row_text`."""
+        lines = "\n".join(rows)
+        if (_IDENT_LINES.fullmatch(lines) and lines.count("\n") == len(rows) - 1
+                and KEYWORDS.isdisjoint(rows)):
+            return rows
+        return [rendered.get(row) or rendered.setdefault(row, _row_text(row))
+                for row in rows]
 
     items = []
     for t in sorted(schema.entity_types):
-        entries = tuple((row_text(row), None) for row in instance.rows(t))
-        items.append(InstanceItem(t, entries))
+        rows = instance.rows(t)
+        items.append(InstanceItem(t, tuple(zip(row_texts(rows), [None] * len(rows)))))
     for op, (_, cod) in schema.tables.items():
         table = instance.functions.get(op, {})
         rows = sorted(table)
-        cells = [table[row] for row in rows]
+        cells = list(map(table.__getitem__, rows))
         if cod in schema.entity_types:
-            texts = list(map(row_text, cells))
+            texts = row_texts(cells)
         else:
             column = {cell: format_cell(cell) for cell in set(cells)}
             texts = list(map(column.__getitem__, cells))
-        items.append(InstanceItem(op, tuple(zip(map(row_text, rows), texts))))
+        items.append(InstanceItem(op, tuple(zip(row_texts(rows), texts))))
     return InstanceDecl(name, schema_name, tuple(items))

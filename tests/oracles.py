@@ -83,7 +83,11 @@ from qinl.schema import (
     validate_instance,
 )
 from qinl.surface import (
+    IDENT,
+    INT,
     KEYWORDS,
+    NULL,
+    STRING,
     NO_LOC,
     Diagnostic,
     Elaborated,
@@ -97,6 +101,7 @@ from qinl.surface import (
     _row_text,
     _unescape,
     elaborate,
+    line_col,
     tokenize,
 )
 
@@ -1277,44 +1282,41 @@ class RawValue:
 
 class _TokenTableParser(_Parser):
     def _instance_item(self) -> InstanceItem:
-        tok = self.expect_ident("a type or operation name")
+        loc = self.pos()
+        name = self.ident("a type or operation name")
         self.expect("=")
         self.expect("{")
-        entries = []
-        if not self.at("}"):
-            entries.append(self._raw_entry())
-            while self.accept(","):
-                entries.append(self._raw_entry())
+        entries = self._list(self._raw_entry) if self.text != "}" else []
         self.expect("}")
         self.expect(";")
         kinds = {entry[1] is None for entry in entries}
         if len(kinds) > 1:
-            raise ParseError(f"item '{tok.text}' mixes rows and arrows",
-                             tok.line, tok.col)
-        return InstanceItem(tok.text, tuple(entries), (tok.line, tok.col))
+            raise ParseError(f"item '{name}' mixes rows and arrows",
+                             *line_col(self.source, loc))
+        return InstanceItem(name, tuple(entries), loc)
 
     def _raw_entry(self) -> tuple[RawValue, RawValue | None]:
         key = self._raw_value()
-        if self.accept("->"):
+        if self.text == "->":
+            self.next()
             return key, self._raw_value()
         return key, None
 
     def _raw_value(self) -> RawValue:
-        tok = self.peek()
-        loc = (tok.line, tok.col)
-        if tok.kind in ("ident", "string", "int", "null"):
+        loc, text, kind = self.pos(), self.text, self.kind
+        if kind in (INT, STRING, NULL) or (kind == IDENT and text not in KEYWORDS):
             self.next()
-            if tok.kind != "ident" or not self.accept("("):
-                return _plain_raw(tok.text, loc)
+            if kind != IDENT or self.text != "(":
+                return _plain_raw(text, loc)
+            self.next()
             saved = self.begin(1)
             arg = self._raw_value()
             self.expect(")")
             self.end(saved)
-            return RawValue("app", (tok.text, arg), loc)
-        if self.accept("true"):
-            return RawValue("bool", True, loc)
-        if self.accept("false"):
-            return RawValue("bool", False, loc)
+            return RawValue("app", (text, arg), loc)
+        if text in ("true", "false"):
+            self.next()
+            return RawValue("bool", text == "true", loc)
         raise self.fail("expected a row id, literal, or null")
 
 
@@ -1351,11 +1353,11 @@ def read_by_tokens(text: str) -> Elaborated:
         tokenize(text)
         raise
     out = elaborate(SourceUnit(tuple(
-        d for d in unit.decls if not isinstance(d, InstanceDecl))))
+        d for d in unit.decls if not isinstance(d, InstanceDecl)), text))
     out.unit = unit
 
     def err(loc: Loc, message: str) -> None:
-        out.diagnostics.append(Diagnostic(loc[0], loc[1], "error", message))
+        out.diagnostics.append(Diagnostic(*line_col(text, loc), "error", message))
 
     for decl in unit.decls:
         if isinstance(decl, InstanceDecl):

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import suppress
-from itertools import count, takewhile
+from itertools import count, repeat, takewhile
 from math import inf
 from operator import itemgetter
 
 from .equality import (
-    Equation, IllTyped, Images, InconsistentConstants, Proved, _OverCap, _tuples_since,
-    computation, decide_equal, node_cap, normal_images)
+    Equation, IllTyped, Images, InconsistentConstants, Proved, _OverCap, _path,
+    _tuples_since, computation, decide_equal, node_cap, normal_images)
 from .kernel import App, Base, Context, EngineError, Lit, Term, Var, format_term, infer_type
 from .schema import (
     Cell, FqlSchema, Instance, LabelledNull, NodeBudget, OpApplied, format_cell, null_under)
@@ -47,8 +47,9 @@ class UnstatedNull(EngineError):
 
 
 # Ground equations `lhs = rhs` over the generators, or, with images, each
-# operation's seeds `(row, rhs)`, for `op(row) = rhs` along the images.
-Seeds = Sequence[tuple[Term, Term]] | Mapping[str, Sequence[tuple[str, Term]]]
+# operation's seeds `op(row) = value` as columns of generator ids and values:
+# a generator id, a constant, or a term for a null or a builtin of one.
+Seeds = Sequence[tuple[Term, Term]] | Mapping[str, tuple[Sequence[int], Sequence[object]]]
 
 
 def initial_model(s: FqlSchema, generators: Mapping[str, str],
@@ -73,10 +74,10 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
              equations: Seeds = (),
              fuel: int = 32, images: Images | None = None) -> Tables:
     """The chase itself: the saturated tables whose classes are the initial
-    model's elements, the generators first, in name order.  With `images`,
-    `equations` maps each operation to its seeds `(row, rhs)`, none typed:
-    the operation's image at generator `row` is united with `rhs`.  Raises
-    IllTyped unless every operation of `s` runs between base types."""
+    model's elements, the generators first, in name order (their ids).  With
+    `images`, `equations` maps each operation to its seed columns, none
+    typed.  Raises IllTyped unless every operation of `s` runs between base
+    types."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     names = sorted(generators)
@@ -84,28 +85,20 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
         if generators[name] not in s.sig.base_types:
             raise IllTyped(f"generator '{name}' has undeclared type '{generators[name]}'")
     chase = Tables(s, [generators[name] for name in names], names)
-    index, ids = {name: k for k, name in enumerate(names)}, tuple(range(len(names)))
-    slots = {name: itemgetter(k) for name, k in index.items()}
+    index = {name: k for k, name in enumerate(names)}
     if images is None:
-        ctx, seeds = Context(tuple((name, Base(generators[name])) for name in names)), []
+        ctx = Context(tuple((name, Base(generators[name])) for name in names))
         for lhs, rhs in equations:
             if infer_type(s.sig, ctx, lhs) != infer_type(s.sig, ctx, rhs):
                 raise IllTyped(f"ground equation {format_term(lhs)} = {format_term(rhs)} "
                                f"relates different types")
-            seeds += [(chase.term(eq.lhs, slots, True), ids, eq.rhs)
-                      for eq in Equation(ctx, lhs, rhs).normal()]
+            for eq in Equation(ctx, lhs, rhs).normal():
+                image = _path(eq.lhs)
+                rows = [index[image[0].name]] if isinstance(image[0], Var) else [-1]
+                chase.seed(image, rows, [eq.rhs], index)
     else:
-        images = normal_images({op: images[op] for op in equations})
-        image = {op: chase.term(body, {var: itemgetter(0)}, True)
-                 for op, (var, body) in images.items()}
-        seeds = [(image[op], (index[row],), rhs) for op, pairs in equations.items()
-                 for row, rhs in pairs]
-    for build, at, rhs in seeds:  # a new image joins a value already known
-        value = (index[rhs.name] if isinstance(rhs, Var) else
-                 chase.literal_ids.get((rhs.base, rhs.value)) if isinstance(rhs, Lit) else None)
-        chase.into = -1 if value is None else chase.find(value)
-        node = build(at)
-        chase.union(node, chase.term(rhs, slots)(ids) if value is None else value)
+        for op, (_, body) in normal_images({op: images[op] for op in equations}).items():
+            chase.seed(_path(body), *equations[op], index)
     chase.run(fuel)
     return chase
 
@@ -113,21 +106,22 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
 class Tables:
     """One chase: `parent`, `types` and `roots` (ascending, per base type)
     of the ids; `tables` per operation, keyed by roots after a round; the
-    `applied` builtin entries (value, op, argument) in creation order; each
-    root's sorted `lits`; the `used` roots that key an entry, `stale` ones;
-    the theory in base normal form, `compiled`.  Raises IllTyped unless
-    every operation runs between base types."""
+    `applied` builtin entries (value, op, argument) in creation order, and
+    the literal each was last `folded` at; each root's sorted `lits`, and the
+    (round, root) of each union that `moved` literals; the `used` roots that
+    key an entry, `stale` ones; the theory in base normal form, `compiled`.
+    Raises IllTyped unless every operation runs between base types."""
 
     def __init__(self, s: FqlSchema, types: list[str], names: list[str]):
         self.s, self.names, self.builtins = s, names, s.builtin_ops()
         self.cods = {op: cod.name for op, (_, cod) in s.sig.operations.items()}
         self.ops_of = {t: [op for op, (dom, _) in sorted(s.sig.operations.items())
-                           if dom == Base(t)] for t in s.sig.base_types}
+                           if getattr(dom, "name", None) == t] for t in s.sig.base_types}
         self.tables: dict[str, dict[int, int]] = {op: {} for op in self.cods}
         self.roots: dict[str, dict[int, None]] = {t: {} for t in s.sig.base_types}
         self.parent, self.types, self.applied, self.stale = list(range(len(types))), types, [], []
-        self.lits, self.values, self.touched, self.literal_ids = {}, {}, {}, {}
-        self.used, self.version, self.round, self.cap, self.into = set(), 0, 0, inf, -1
+        self.lits, self.values, self.literal_ids, self.folded, self.moved = {}, {}, {}, [], []
+        self.used, self.version, self.round, self.cap = set(), 0, 0, inf
         for node, t in enumerate(types):
             self.roots[t][node] = None
         self.compiled = [self._compile(eq) for _, eq in s.theory.normal]
@@ -139,21 +133,19 @@ class Tables:
             x = p[x]
         return x
 
-    def _new(self, t: str, into: int = -1) -> int:
-        """A new id, a root or, as a merge would leave it, in root `into`'s class."""
+    def _new(self, t: str) -> int:
+        """A new root."""
         node = len(self.parent)
-        self.parent.append(node if into < 0 else into)
+        self.parent.append(node)
         self.types.append(t)
-        if into < 0:
-            self.roots[t][node] = None
+        self.roots[t][node] = None
         self.version += 1
         if node >= self.cap:
             raise _OverCap
         return node
 
-    def _entry(self, op: str, key: int, into: int = -1) -> int:
-        node = self._new(self.cods[op], into)
-        node = self.tables[op][key] = node if into < 0 else into
+    def _entry(self, op: str, key: int) -> int:
+        node = self.tables[op][key] = self._new(self.cods[op])
         self.used.add(key)
         if op in self.builtins:
             self.applied.append((node, op, key))
@@ -163,7 +155,7 @@ class Tables:
         node = self.literal_ids.get((base, value))
         if node is None:
             node = self.literal_ids[base, value] = self._new(base)
-            self.values[node], self.lits[node], self.touched[node] = value, [node], self.round
+            self.values[node], self.lits[node] = value, [node]
         return node
 
     def union(self, x: int, y: int) -> None:
@@ -181,36 +173,72 @@ class Tables:
         parent[ry] = rx
         del self.roots[types[ry]][ry]
         if ry in self.lits:
-            for lit in self.lits[ry]:
-                self.touched[lit] = self.round
+            self.moved.append((self.round, rx))
             self.lits[rx] = sorted(self.lits.get(rx, []) + self.lits.pop(ry))
         if ry in self.used:
             self.used.add(rx)
             self.stale.append(ry)
         self.version += 1
 
-    def term(self, e: Term, slots: Mapping[str, Callable], top: bool = False
-             ) -> Callable[[Sequence[int]], int]:
-        """`e`, in base normal form, compiled to its id at an environment
-        (variables read by `slots`): a literal's id, an application's entry
-        at its argument's root, added if missing (at `top`, in `into`)."""
-        if isinstance(e, Var):
-            return slots[e.name]
-        if isinstance(e, Lit):
-            return lambda env: self.literal(e.base, e.value)
-        op, arg, table, parent = e.op, self.term(e.arg, slots), self.tables[e.op], self.parent
+    def seed(self, image: tuple[Term, list[str]], rows: Sequence[int],
+             values: Sequence[object], index: Mapping[str, int]) -> None:
+        """Unite `image` (see `_path`) at each generator id of `rows`, or at its
+        literal leaf, with the row's value (see `Seeds`), adding what is missing;
+        a missing top entry whose value has an id takes a new id in its class."""
+        leaf, path = image
+        *inner, top = path or [None]
+        lit = (leaf.base, leaf.value) if isinstance(leaf, Lit) else None
+        table, base = self.tables.get(top), self.cods.get(top) or (lit and lit[0])
+        constants = base is not None and base not in self.s.entity_types
+        find, parent, literal_ids = self.find, self.parent, self.literal_ids
+        for row, value in zip(rows, values):
+            if isinstance(value, Term):
+                known = (None if isinstance(value, App) else index[value.name]
+                         if isinstance(value, Var) else literal_ids.get((value.base, value.value)))
+            else:
+                known = literal_ids.get((base, value)) if constants else value
+            arg = row if lit is None else self.literal(*lit)
+            if inner:
+                arg = self._at(arg, inner)
+            if table is not None:
+                key = arg if parent[arg] == arg else find(arg)
+                arg = table.get(key, -1)
+                if arg < 0 and known is not None:
+                    root = table[key] = known if parent[known] == known else find(known)
+                    parent.append(root)
+                    self.types.append(base)
+                    self.used.add(key)
+                    if top in self.builtins:
+                        self.applied.append((root, top, key))
+                    self.version += 1
+                    continue
+                arg = self._entry(top, key) if arg < 0 else arg
+            if known is None:  # `index` as slots of the environment of all ids
+                known = (self.term(value, index)(range(len(index))) if isinstance(value, Term)
+                         else self.literal(base, value))
+            self.union(arg, known)
 
-        def app(env: Sequence) -> int:
-            key = arg(env)
-            if parent[key] != key:
-                key = self.find(key)
-            node = table.get(key)
-            return self._entry(op, key, self.into if top else -1) if node is None else node
-        return app
+    def _at(self, node: int, ops: Sequence[str]) -> int:
+        """The entry of `ops`, innermost first, at id `node`, each added if missing."""
+        for op in ops:
+            key = node if self.parent[node] == node else self.find(node)
+            node = self.tables[op].get(key, -1)
+            if node < 0:
+                node = self._entry(op, key)
+        return node
+
+    def term(self, e: Term, slots: Mapping[str, int]) -> Callable[[Sequence[int]], int]:
+        """`e`, in base normal form, compiled to its id at an environment
+        (variable `v` at `slots[v]`): its path's entry at its leaf (see `_at`)."""
+        leaf, ops = _path(e)
+        if isinstance(leaf, Lit):
+            return lambda env: self._at(self.literal(leaf.base, leaf.value), ops)
+        slot = slots[leaf.name]
+        return lambda env: self._at(env[slot], ops)
 
     def _compile(self, eq: Equation) -> tuple:
         """`eq`'s binders' types, its sides and its `computation`."""
-        slots = {var: itemgetter(k) for k, (var, _) in enumerate(eq.ctx)}
+        slots = {var: k for k, (var, _) in enumerate(eq.ctx)}
         lits, values, find = self.lits, self.values, self.find
         compute = computation(self.s.sig, self.builtins, eq,
                               lambda c: [values[n] for n in lits.get(find(c), ())],
@@ -221,11 +249,12 @@ class Tables:
     def _instantiate(self, since: int) -> None:
         """Each equation at each tuple of roots of its binders' types, but
         those older than `since` while no key is stale and, if it
-        computes, no old class's literal was touched lately (`_tuples_since`)."""
+        computes, no class older than `since` gained literals in this round
+        or the last (`_tuples_since`).  Only a union moves a literal into an
+        older class, so the unions that `moved` literals tell."""
         for binders, left, right, compute in self.compiled:
             changed = compute is not None and any(
-                root < since and max(self.touched[n] for n in lits) >= self.round - 1
-                for root, lits in self.lits.items())
+                at >= self.round - 1 and self.find(root) < since for at, root in self.moved)
             for env in _tuples_since([list(self.roots[t]) for t in binders], since,
                                      lambda: changed or bool(self.stale)):
                 self.budget.left -= 1
@@ -247,10 +276,12 @@ class Tables:
                 if root not in self.tables[op]:
                     self._entry(op, root)
         self._instantiate(since)
-        held = dict(self.lits)
-        for node, op, arg in self.applied:
+        held, folded = dict(self.lits), self.folded
+        folded += [-1] * (len(self.applied) - len(folded))
+        for k, (node, op, arg) in enumerate(self.applied):
             lits = held.get(self.find(arg))
-            if lits:
+            if lits and lits[0] != folded[k]:
+                folded[k] = lits[0]
                 self.union(node, self.literal(self.cods[op],
                                               self.builtins[op](self.values[lits[0]])))
         while self.stale:
@@ -305,7 +336,7 @@ class Tables:
         a value carried from another cell's null along the builtins, or a
         fresh null, numbered in table order (see `fill`)."""
         s, find, types, entity = self.s, self.find, self.types, self.s.entity_types
-        entities = sorted(root for t in entity for root in self.roots[t])
+        parent, entities = self.parent, sorted(root for t in entity for root in self.roots[t])
         best: dict[int, tuple[str, str]] = {}
         for node, name in enumerate(self.names):
             root = find(node)
@@ -324,26 +355,25 @@ class Tables:
             level = reached
         if len(best) < len(entities):
             raise EngineError("entity class with no extractable representative")
-        carriers: dict[str, list[str]] = {t: [] for t in sorted(entity)}
-        for root in entities:
-            carriers[types[root]].append(best[root][1])
-        roots = {best[root][1]: root for root in entities}
-        functions: dict[str, dict[str, Cell]] = {op: {} for op in s.tables}
+        carriers, keys = {}, {}  # each type's rows in order, and their roots
+        for t in sorted(entity):
+            rows = sorted((best[root][1], root) for root in entities if types[root] == t)
+            carriers[t], keys[t] = tuple(row for row, _ in rows), [root for _, root in rows]
+        functions: dict[str, dict[str, Cell]] = {}
         cells: list[tuple[str, str, int]] = []
         for op, (dom, cod) in s.tables.items():
-            for row in sorted(carriers[dom]):
-                result = find(self.tables[op][roots[row]])
-                if cod in entity:
-                    functions[op][row] = best[result][1]
-                else:
-                    cells.append((op, row, result))
+            results = [value if parent[value] == value else find(value)
+                       for value in map(self.tables[op].__getitem__, keys[dom])]
+            functions[op] = (dict(zip(carriers[dom], [best[root][1] for root in results]))
+                             if cod in entity else {})
+            cells += [] if cod in entity else zip(repeat(op), carriers[dom], results)
         known: dict[int, Cell] = self.literals()
         nulls = count()
         fill(s, self.applications, known, [root for _, _, root in cells],
              lambda _: LabelledNull(str(next(nulls))))
         for op, row, root in cells:
             functions[op][row] = known[root]
-        return Instance.make(carriers, functions), cells, known
+        return Instance(carriers, functions), cells, known
 
 
 def fill(s: FqlSchema, applications: list[tuple[int, str, int]],

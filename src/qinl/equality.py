@@ -118,6 +118,23 @@ class Theory:
         return tuple(normal)
 
     @cached_property
+    def problems(self) -> tuple[TheoryProblem, ...]:  # see `check_theory`
+        problems = []
+        for i, eq in enumerate(self.equations):
+            try:
+                check_context(self.sig, eq.ctx)
+                tl = infer_type(self.sig, eq.ctx, eq.lhs)
+                tr = infer_type(self.sig, eq.ctx, eq.rhs)
+            except EngineError as err:
+                problems.append(TheoryProblem(i, eq.render(), str(err)))
+                continue
+            if tl != tr:
+                problems.append(TheoryProblem(
+                    i, eq.render(),
+                    f"sides have different types: {format_type(tl)} vs {format_type(tr)}"))
+        return tuple(problems)
+
+    @cached_property
     def rules(self) -> tuple[Rule, ...]:
         """The equations in base normal form as the prover applies them, in
         order.  Each side not written as a bare variable is an anchor, even
@@ -191,21 +208,8 @@ class TheoryProblem:
 
 def check_theory(th: Theory) -> list[TheoryProblem]:
     """Validate well-formedness of every equation, its binders' types
-    included; reports all failures."""
-    problems = []
-    for i, eq in enumerate(th.equations):
-        try:
-            check_context(th.sig, eq.ctx)
-            tl = infer_type(th.sig, eq.ctx, eq.lhs)
-            tr = infer_type(th.sig, eq.ctx, eq.rhs)
-        except EngineError as err:
-            problems.append(TheoryProblem(i, eq.render(), str(err)))
-            continue
-        if tl != tr:
-            problems.append(TheoryProblem(
-                i, eq.render(),
-                f"sides have different types: {format_type(tl)} vs {format_type(tr)}"))
-    return problems
+    included; reports all failures, worked out once per theory."""
+    return list(th.problems)
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +230,7 @@ LOG_LIMIT = 30
 NODE_LIMIT = 1_000_000
 
 # The matches of a pattern at a root: each one's classes for the pattern's
-# variables, in order of first occurrence, and the newest round in which
+# variables, in order of first occurrence, and the newest tick at which
 # one of the nodes it consumed was touched (see `EGraph._touched`).
 Matcher = Callable[[int], list[tuple[tuple[int, ...], int]]]
 
@@ -253,6 +257,13 @@ def node_cap(fuel: int) -> int:
 
 def _operations(e: Term) -> set[str]:
     return {sub.op for sub in subterms(e) if isinstance(sub, App)}
+
+
+def _path(e: Term) -> tuple[Term, list[str]]:
+    """`e`, in base normal form, as its leaf (a variable or a literal) and
+    the operations applied to it, innermost first."""
+    *apps, leaf = subterms(e)
+    return leaf, [app.op for app in reversed(apps)]
 
 
 def _variables(e: Term, images: Images | None = None) -> dict[str, None]:
@@ -290,9 +301,11 @@ class EGraph:
     * `_builtin_apps` lists the applications of builtins, by id; `_ops` is
       the set of operations that some node applies.
     * `_lits` holds the sorted literal nodes of each root that has one.
-    * `_touched` holds, per node, the round of `run_rounds` (`_round`, 0
-      outside it) in which the node was last created, moved to another
-      class by a union, or re-keyed by `rebuild`.
+    * `_touched` holds, per node, the tick (`_tick`) at which the node was
+      last created, moved to another class by a union, or re-keyed by
+      `rebuild`.  The tick is 0 before `run_rounds` and advances at each
+      round (`_ticks` holds each round's first) and at each rule pass
+      (`_passes` holds each rule's last).
     * `_compiled` holds, per rule matched and per equation enumerated so
       far, its compiled matcher and instantiation.
     """
@@ -315,6 +328,9 @@ class EGraph:
     _ops: set[str] = field(default_factory=set)
     _version: int = 0
     _touched: list[int] = field(default_factory=list)
+    _tick: int = 0
+    _ticks: list[int] = field(default_factory=list)
+    _passes: dict[Rule, int] = field(default_factory=dict)
     _round: int = 0
     _cap: float = inf
     _compiled: dict[object, tuple] = field(default_factory=dict)
@@ -350,7 +366,7 @@ class EGraph:
             self._lits[rx] = sorted(self._lits.get(rx, []) + self._lits.pop(ry))
         absorbed = self._members.pop(ry)
         for node in absorbed:
-            self._touched[node] = self._round
+            self._touched[node] = self._tick
         self._members[rx] = sorted(self._members[rx] + absorbed)
         del self._roots_by_type[t][ry]
         moved = self._uses[ry]
@@ -407,7 +423,7 @@ class EGraph:
         self._parent.append(into)
         self._table[key] = node
         self._uses.append([])
-        self._touched.append(self._round)
+        self._touched.append(self._tick)
         tag = key[0]
         if tag == "app":
             self._uses[key[2]].append(node)
@@ -442,7 +458,7 @@ class EGraph:
                 if new == old:
                     continue
                 nodes[node] = new
-                self._touched[node] = self._round
+                self._touched[node] = self._tick
                 # A key holding a merged-away root is stale for every node
                 # with that key, and each of those nodes is on the worklist.
                 table.pop(old, None)
@@ -588,16 +604,17 @@ class EGraph:
         applying an operation that no node applies yet matches nothing, and
         then its pass adds nothing either, so it is skipped.
 
-        Semi-naive: in round R > 1 of `run_rounds`, a match is instantiated
-        only if one of the nodes it consumed was touched in round R - 1 or
-        R, a union since the last rebuild has left a key stale, or the side
-        leaves a context variable free (whose pools grow).  Any other match
-        was found at the same root in round R - 1, by the same descent
-        through the same keys into the same classes, and was instantiated
-        then or skipped for the same reason.  So its two sides are already
-        one class, and with every key canonical, adding the other side again
-        would find existing nodes and the union would merge nothing: the
-        nodes, unions and log are those of instantiating every match."""
+        Semi-naive: after a rule's first pass, a match is instantiated only
+        if one of the nodes it consumed was touched since the start of the
+        rule's previous pass (`_passes`), a union since the last rebuild has
+        left a key stale, or the side leaves a context variable free (whose
+        pools grow).  Any other match was found at the same root in that
+        pass, by the same descent through the same keys into the same
+        classes, and was instantiated then or skipped for the same reason.
+        So its two sides are already one class, and with every key
+        canonical, adding the other side again would find existing nodes and
+        the union would merge nothing: the nodes, unions and log are those
+        of instantiating every match."""
         for rule in th.rules:
             if rule.anchor is None:
                 compiled = self._compiled.get(rule)
@@ -615,7 +632,9 @@ class EGraph:
                     self._intern(rule.type), match,
                     self._instantiation(rule.eq, names, rule.anchor))
             t, match, instantiation = compiled
-            recent = self._round - 1 if self._round > 1 and rule.binds_all else 0
+            self._tick += 1
+            recent = self._passes.get(rule, 0) if rule.binds_all else 0
+            self._passes[rule] = self._tick
             for root in list(self._roots_by_type[t]):
                 for classes, newest in match(root):
                     if newest >= recent or self._pending:
@@ -679,7 +698,7 @@ class EGraph:
         pools, left, right = instantiation
         envs: Iterable[tuple[int, ...]] = (bound,)
         if pools is not None:
-            touched, recent = self._touched, self._round - 1
+            touched, recent = self._touched, self._ticks[-2] if len(self._ticks) > 1 else 0
             changed = compute is not None and any(
                 root < since and max(touched[n] for n in lits) >= recent
                 for root, lits in self._lits.items())
@@ -706,7 +725,8 @@ class EGraph:
                 if goal():
                     return rounds, cap, "goal"
                 before, start = self._version, len(self._nodes)
-                self._round = rounds + 1
+                self._round, self._tick = rounds + 1, self._tick + 1
+                self._ticks.append(self._tick)
                 try:
                     step(since)
                     self.fold_builtins()
@@ -771,32 +791,28 @@ def computation(sig: Signature, ops: Mapping[str, Callable[[object], object]],
     """Computes `eq`, in base normal form, at classes, one per variable, each
     holding one literal (`held` gives their values), where both sides compute
     one value: adds each value's literal, `add(base, value)`, in the order
-    instantiation adds nodes, and returns True.  None unless the sides apply
-    only builtins."""
-    slots = {var: k for k, (var, _) in enumerate(eq.ctx)}
-    cods = {sub.op: sig.op_type(sub.op)[1] for side in (eq.lhs, eq.rhs)
-            for sub in subterms(side) if isinstance(sub, App)}
-    if not cods.keys() <= ops.keys():
-        return None
-
-    def value(e: Term) -> Callable[[list, list], object]:
-        if isinstance(e, Var):
-            slot = slots[e.name]
-            return lambda env, out: env[slot]
-        fn, arg = (None, None) if isinstance(e, Lit) else (ops[e.op], value(e.arg))
-        base = e.base if isinstance(e, Lit) else cods[e.op].name
-
-        def computed(env: list, out: list) -> object:
-            v = e.value if fn is None else fn(arg(env, out))
-            out.append((base, v))
-            return v
-        return computed
-
-    lhs, rhs = value(eq.lhs), value(eq.rhs)
+    instantiation adds nodes, and returns True.  Each side is a path: its
+    leaf (a variable's value or a literal), then its builtins, innermost
+    first.  None unless the sides apply only builtins."""
+    slots, sides = {var: k for k, (var, _) in enumerate(eq.ctx)}, []
+    for leaf, path in map(_path, (eq.lhs, eq.rhs)):
+        if not ops.keys() >= set(path):
+            return None
+        steps = [(lambda _, value=leaf.value: value, leaf.base)] if isinstance(leaf, Lit) else []
+        steps += [(ops[op], sig.op_type(op)[1].name) for op in path]
+        sides.append((slots.get(getattr(leaf, "name", None), -1), steps))
 
     def compute(env: Sequence[int]) -> bool:
-        values, out = [lits[0] for lits in map(held, env) if len(lits) == 1], []
-        if len(values) < len(env) or lhs(values, out) != rhs(values, out):
+        values, out, results = [lits[0] for lits in map(held, env) if len(lits) == 1], [], []
+        if len(values) < len(env):
+            return False
+        for slot, steps in sides:
+            v = values[slot] if slot >= 0 else None
+            for fn, base in steps:
+                v = fn(v)
+                out.append((base, v))
+            results.append(v)
+        if results[0] != results[1]:
             return False
         for base, v in out:
             add(base, v)
@@ -849,8 +865,9 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
     `fuel` rounds over a universe capped at `node_cap(fuel)` nodes;
     exceeding either cap yields `Unknown`, which is not a refutation.
 
-    With `images`, `a` and `b` are terms of another signature, to be proved
-    equal translated along the images (see `EGraph.builder`), which is
+    With `images`, in base normal form (`normal_images`), `a` and `b` are
+    terms of another signature, to be proved equal translated along the
+    images (see `EGraph.builder`), which is
     never built as a term; `ctx` types them in `th`, and the caller
     guarantees that the translations are well typed at one type.  The
     first `Proved` trace line is `proved <goal> in N round(s) over M
@@ -870,8 +887,6 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
         if ta != tb:
             raise IllTyped(
                 f"terms have different types: {format_type(ta)} vs {format_type(tb)}")
-    else:
-        images = normal_images(images)
     th.rules  # types the theory, or raises IllTyped, before any work
     written = Equation(ctx, a, b)
     parts = written.normal()

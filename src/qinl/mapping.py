@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Mapping
+from functools import cached_property
 
-from .equality import Equation, IllTyped, Verdict, check_theory, decide_equal
+from .equality import Equation, IllTyped, Verdict, check_theory, decide_equal, normal_images
 from .kernel import (
     App,
     Base,
@@ -38,6 +39,11 @@ class SchemaMapping:
     _preservation: dict = field(default_factory=dict, repr=False, compare=False)
 
     def validate(self) -> list[str]:
+        """What keeps the mapping from being well formed, worked out once."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> list[str]:
         problems = []
         src, tgt = self.source, self.target
         for t in sorted(src.entity_types):
@@ -125,11 +131,11 @@ def check_preservation(mapping: SchemaMapping, fuel: int = 32,
         f"'{p.equation}': {p.message}" for p in check_theory(mapping.source.theory)]
     if problems:
         raise IllTyped(f"mapping is not well formed: {problems[0]}")
-    builtin_ops = mapping.target.builtin_ops()
+    builtin_ops, images = mapping.target.builtin_ops(), normal_images(mapping.op_map)
     out = tuple(
         (eq, decide_equal(mapping.target.theory, apply_to_context(mapping, eq.ctx),
                           eq.lhs, eq.rhs, fuel, builtin_ops=builtin_ops,
-                          images=mapping.op_map, goal=eq.render()))
+                          images=images, goal=eq.render()))
         for eq in mapping.source.theory.equations)
     mapping._preservation[fuel] = out
     return out

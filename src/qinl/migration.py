@@ -26,7 +26,7 @@ from .chase import (
     saturate,
 )
 from .equality import IllTyped, InconsistentConstants, Proved
-from .kernel import App, EngineError, Lit, Term, Var
+from .kernel import App, EngineError, Term, Var
 from .mapping import SchemaMapping, check_preservation
 from .schema import (
     Cell,
@@ -129,11 +129,11 @@ def _pull(mapping: SchemaMapping, j: Instance) -> Instance:
 def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
           allow_unverified: bool = False) -> Instance:
     """Push a source instance forward freely: every source row seeds a
-    generator of its image type, and for each source operation the image
-    expression applied to the seed is equated with the seed of (or constant
-    in) the operation's value.  The chase then builds the initial model,
-    adding each operation's image at its seeds' classes (`initial_model`'s
-    `images`), with one literal per distinct constant.
+    generator of its image type, and each source operation's image at a
+    row's generator is equated with the generator of (or constant in) the
+    row's value.  The chase gets the rows' ids and values a column per
+    operation (`chase.Seeds`) and builds the initial model, adding each
+    image at its seeds' classes, with one literal per distinct constant.
 
     Labelled nulls of the input become attribute-typed generators, so they
     stay unknown-but-fixed across their occurrences.  An attribute cell
@@ -142,45 +142,33 @@ def sigma(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     model ties a null to more than that.
     """
     require_verified(mapping, fuel, allow_unverified)
-    src = mapping.source
-    generators: dict[str, str] = {}
-    seed_name: dict[tuple[str, str], str] = {}
-    counts = Counter(row for t in src.entity_types for row in i.rows(t))
-    multiply_used = {row for row, count in counts.items() if count > 1}
-    for t in sorted(src.entity_types):
-        for row in i.rows(t):
-            name = f"{row}@{t}" if row in multiply_used else row
-            seed_name[(t, row)] = name
-            generators[name] = mapping.type_map[t]
-
-    null_vars: dict[str, str] = {}
-    lits: dict[tuple[str, type, Cell], Lit] = {}
+    src, entity = mapping.source, mapping.source.entity_types
+    counts = Counter(row for t in entity for row in i.rows(t))
+    names = {t: [f"{row}@{t}" if counts[row] > 1 else row for row in i.rows(t)]
+             for t in sorted(entity)}
+    generators = {name: mapping.type_map[t] for t in names for name in names[t]}
+    null_vars: dict[str, Var] = {}
 
     def cell_term(value: Cell, attr_type: str) -> Term:
         if isinstance(value, LabelledNull):
             var = null_vars.get(value.label)
             if var is None:
-                var = f"?{value.label}"
-                null_vars[value.label] = var
-                generators[var] = attr_type
-            return Var(var)
-        if isinstance(value, OpApplied):
-            dom = mapping.target.builtins.ops[value.op].dom
-            return App(value.op, cell_term(value.arg, dom))
-        key = (attr_type, type(value), value)  # keeps True and 1 apart
-        lit = lits.get(key)
-        if lit is None:
-            lit = lits[key] = Lit(attr_type, value)
-        return lit
+                var = null_vars[value.label] = Var(f"?{value.label}")
+                generators[var.name] = attr_type
+            return var
+        dom = mapping.target.builtins.ops[value.op].dom
+        return App(value.op, cell_term(value.arg, dom))
 
-    seed_var = {key: Var(name) for key, name in seed_name.items()}
-    seeds: dict[str, list[tuple[str, Term]]] = {}
+    cells = {op: [cell if type(cell) not in (LabelledNull, OpApplied) else cell_term(cell, cod)
+                  for cell in map(i.functions[op].__getitem__, i.rows(dom))]
+             for op, (dom, cod) in src.tables.items() if cod not in entity}
+    index = {name: k for k, name in enumerate(sorted(generators))}
+    ids = {t: [index[name] for name in names[t]] for t in names}
+    id_of = {t: dict(zip(i.rows(t), ids[t])) for t in names}
     for op, (dom, cod) in src.tables.items():
-        table, entity = i.functions[op], cod in src.entity_types
-        seeds[op] = [(seed_name[(dom, row)],
-                      seed_var[(cod, table[row])] if entity
-                      else cell_term(table[row], cod))
-                     for row in i.rows(dom)]
+        if cod in entity:
+            cells[op] = [id_of[cod][i.functions[op][row]] for row in i.rows(dom)]
+    seeds = {op: (ids[dom], cells[op]) for op, (dom, _) in src.tables.items()}
     return initial_model(mapping.target, generators, seeds, fuel, mapping.op_map)
 
 

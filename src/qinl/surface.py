@@ -23,7 +23,6 @@ import sys
 from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -221,15 +220,21 @@ class SchemaDecl:
 
 @dataclass
 class InstanceItem:
-    """A carrier or a table.  Each entry is `(key, value)`, or `(key, None)`
-    in a carrier, as text: a row id, literal or null as written, or a
-    builtin application or `true`/`false` as the token reader spells it."""
+    """A carrier or a table as its entries' keys and values (None in a
+    carrier), two columns of text: a row id, literal or null as written, or
+    a builtin application or `true`/`false` as the token reader spells it."""
     name: str
-    entries: tuple[Entry, ...]
+    keys: tuple[str, ...]
+    values: tuple[str | None, ...]
     loc: Loc = field(default=NO_LOC, compare=False)
     # The offset just after the table's `{`, from which `_entry_loc` reads
     # the entries again to locate one.
     body: int | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        """Each entry as `(key, value)`."""
+        return tuple(zip(self.keys, self.values))
 
 
 @dataclass
@@ -687,21 +692,21 @@ class _Parser:
         if self.text != "{":
             raise self.fail("unexpected token", "'{'")
         body = self.m.end()
-        entries = self._plain_entries(body)
-        plain = entries is not None
+        columns = self._plain_entries(body)
+        plain = columns is not None
         if not plain:
             self.next()
-            entries = () if self.text == "}" else tuple(self._list(self._entry))
+            columns = ((), ()) if self.text == "}" else tuple(zip(*self._list(self._entry)))
         self.expect("}")
         self.expect(";")
-        if not plain and len({value is None for _, value in entries}) > 1:
+        if not plain and len({value is None for value in columns[1]}) > 1:
             raise ParseError(f"item '{name}' mixes rows and arrows",
                              *line_col(self.source, loc))
-        return InstanceItem(name, entries, loc, body)
+        return InstanceItem(name, *columns, loc, body)
 
-    def _plain_entries(self, body: int) -> tuple[Entry, ...] | None:
-        """The entries of a plain table, all rows or all arrows, whose body starts
-        at offset `body`, with the lookahead moved to its `}`; else None."""
+    def _plain_entries(self, body: int) -> tuple[tuple[str, ...], tuple] | None:
+        """The keys and values of a plain table, all rows or all arrows, whose body
+        starts at offset `body`, with the lookahead moved to its `}`; else None."""
         end = self.source.find("}", body)
         found = _ENTRY.findall(self.source, body, end) if end > body else None
         if not found:
@@ -710,13 +715,11 @@ class _Parser:
         if any(flags) or not KEYWORDS.isdisjoint(keys):
             return None
         if not any(values):
-            entries = tuple(zip(keys, repeat(None)))
-        elif all(values) and KEYWORDS.isdisjoint(values):
-            entries = tuple(zip(keys, values))
-        else:
+            values = (None,) * len(keys)
+        elif not all(values) or not KEYWORDS.isdisjoint(values):
             return None
         self.seek(end)
-        return entries
+        return keys, values
 
     def _entry(self) -> Entry:
         key = self._cell_text()
@@ -880,13 +883,13 @@ def _print_schema(decl: SchemaDecl) -> str:
 def _print_instance(decl: InstanceDecl) -> str:
     lines = []
     for item in decl.items:
-        if not item.entries:
+        if not item.keys:
             lines.append(f"  {item.name} = {{ }};")
             continue
-        if item.entries[0][1] is None:
-            texts = ", ".join([key for key, _ in item.entries])
+        if item.values[0] is None:
+            texts = ", ".join(item.keys)
         else:
-            texts = ", ".join(map(" -> ".join, item.entries))
+            texts = ", ".join(map(" -> ".join, zip(item.keys, item.values)))
         lines.append(f"  {item.name} = {{ {texts} }};")
     body = "\n".join(lines)
     if not body:
@@ -1160,8 +1163,7 @@ def _cells(schema: FqlSchema, cod: str, texts: Sequence[str]) -> Sequence | None
 
 def _carrier(item: InstanceItem) -> Sequence[str]:
     """The rows of carrier `item.name` as one column, else the first bad entry."""
-    keys, values = zip(*item.entries) if item.entries else ((), ())
-    if not any(values) and (rows := _row_ids(keys)) is not None:
+    if not any(item.values) and (rows := _row_ids(item.keys)) is not None:
         return rows
     for index, (key, value) in enumerate(item.entries):
         if value is not None:
@@ -1175,9 +1177,8 @@ def _carrier(item: InstanceItem) -> Sequence[str]:
 def _table(schema: FqlSchema, item: InstanceItem) -> dict[str, object]:
     """The table of operation `item.name` as a column of rows and one of cells,
     else the first bad entry or row given two values; a repeated entry is fine."""
-    cod = schema.tables[item.name][1]
-    keys, values = zip(*item.entries) if item.entries else ((), ())
-    rows = _row_ids(keys) if all(values) else None
+    cod, values = schema.tables[item.name][1], item.values
+    rows = _row_ids(item.keys) if all(values) else None
     if rows is not None and (cells := _cells(schema, cod, values)) is not None:
         table = dict(zip(rows, cells))
         if len(table) == len(rows) or len(set(zip(rows, cells))) == len(table):
@@ -1362,7 +1363,7 @@ def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
     items = []
     for t in sorted(schema.entity_types):
         rows = instance.rows(t)
-        items.append(InstanceItem(t, tuple(zip(row_texts(rows), [None] * len(rows)))))
+        items.append(InstanceItem(t, tuple(row_texts(rows)), (None,) * len(rows)))
     for op, (_, cod) in schema.tables.items():
         table = instance.functions.get(op, {})
         rows = sorted(table)
@@ -1372,5 +1373,5 @@ def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
         else:
             column = {cell: format_cell(cell) for cell in set(cells)}
             texts = list(map(column.__getitem__, cells))
-        items.append(InstanceItem(op, tuple(zip(row_texts(rows), texts))))
+        items.append(InstanceItem(op, tuple(row_texts(rows)), tuple(texts)))
     return InstanceDecl(name, schema_name, tuple(items))

@@ -757,13 +757,30 @@ def match_class(graph, pattern: Term, root: int, binding: dict[str, int],
     return results
 
 
-def substitute_images(seeds, images) -> list[tuple[Term, Term]]:
-    """Seed equations `op(row) = rhs`, from the seeds `(row, rhs)` of each
-    operation, with `op(row)` translated along `images` by building the
-    term, the image body with `row` for its variable, for `chase.saturate`
-    to type and add without `images`."""
+def seed_pairs(s, generators, seeds, images) -> dict[str, list[tuple[str, Term]]]:
+    """The seed columns `chase.saturate` takes with `images`, as the seeds
+    `(row, rhs)` of each operation: a generator id as the generator's name,
+    or as its variable where the image has an entity type, and a constant
+    as a literal of the image's type."""
+    names, out = sorted(generators), {}
+    for op, (rows, values) in seeds.items():
+        var, body = images[op]
+        pairs = out[op] = []
+        for row, value in zip(rows, values):
+            if not isinstance(value, Term):
+                t = infer_type(s.sig, Context.of((var, Base(generators[names[row]]))), body).name
+                value = Var(names[value]) if t in s.entity_types else Lit(t, value)
+            pairs.append((names[row], value))
+    return out
+
+
+def substitute_images(s, generators, seeds, images) -> list[tuple[Term, Term]]:
+    """Seed equations `op(row) = rhs`, from the seed columns of each
+    operation (see `seed_pairs`), with `op(row)` translated along `images`
+    by building the term, the image body with `row` for its variable, for
+    `chase.saturate` to type and add without `images`."""
     out = []
-    for op, pairs in seeds.items():
+    for op, pairs in seed_pairs(s, generators, seeds, images).items():
         var, body = images[op]
         for row, rhs in pairs:
             out.append((_subst(body, {var: Var(row)}), rhs))
@@ -803,6 +820,7 @@ def egraph_chase(s, generators, equations=(), fuel: int = 32, images=None):
             ground += [(eq.lhs, eq.rhs) for eq in Equation(ctx, lhs, rhs).normal()]
         equations = ground
     else:
+        equations = seed_pairs(s, generators, equations, images)
         images = normal_images(images)
     theory = [eq for _, eq in s.theory.normal]
 
@@ -959,7 +977,7 @@ def instantiating_chase(s, generators, equations=(), fuel: int = 32, images=None
     computes the builtins.  Returns the model, or raises what
     `initial_model` raises."""
     if images is not None:
-        equations = substitute_images(equations, images)
+        equations = substitute_images(s, generators, equations, images)
     graph = EGraph(s.sig, s.builtin_ops())
     env = {name: graph.add_node(("var", name), Base(generators[name]))
            for name in sorted(generators)}
@@ -1293,7 +1311,7 @@ class _TokenTableParser(_Parser):
         if len(kinds) > 1:
             raise ParseError(f"item '{name}' mixes rows and arrows",
                              *line_col(self.source, loc))
-        return InstanceItem(name, tuple(entries), loc)
+        return InstanceItem(name, *(tuple(zip(*entries)) or ((), ())), loc)
 
     def _raw_entry(self) -> tuple[RawValue, RawValue | None]:
         key = self._raw_value()

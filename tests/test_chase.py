@@ -465,7 +465,7 @@ def assert_seeding_matches_substitution(mapping, i, fuel=32) -> None:
     s, generators, equations, fuel, images = args
     assert images is mapping.op_map
     assert_tables_match_egraph(*args)
-    seeds = substitute_images(equations, images)
+    seeds = substitute_images(s, generators, equations, images)
     graph, rounds, error = _chase_with(
         EGraph.apply_equations_enumerated, s, generators, equations, fuel, images)
     want, want_rounds, want_error = _chase_with(
@@ -515,6 +515,154 @@ def test_sigma_seeds_through_constant_and_nested_images(u):
           u = {{ a1 -> "a", a2 -> ?0, a3 -> "b" }}; }}
         """))
     assert_seeding_matches_substitution(elab.mappings["M"], elab.instances["I"])
+
+
+SEED_TARGET = """
+schema T = { entities C, D; attributes String, Int;
+  operations g : C -> D, f : D -> C, n : C -> String,
+    length : String -> Int, reverse : String -> String;
+  equations forall x: C . f(g(f(g(x)))) = f(g(x));
+    forall s: String . s = reverse(reverse(s)); }
+"""
+
+# Each case is a source schema, a mapping M into T and an instance I.
+SEED_CASES = {
+    "paths_and_a_builtin_on_top": """
+schema S = { entities A, B; attributes String, Int;
+  operations p : A -> B, u : A -> Int, w : A -> String; }
+mapping M : S -> T = { A -> C; B -> C; p -> (x => f(g(x)));
+  u -> (x => length(n(x))); w -> (x => reverse(n(f(g(x))))); }
+instance I : S = { A = { a1, a2, a3 }; B = { b1, b2 };
+  p = { a1 -> b1, a2 -> b1, a3 -> b2 };
+  u = { a1 -> 2, a2 -> 2, a3 -> 5 };
+  w = { a1 -> "ab", a2 -> "ba", a3 -> "ab" }; }
+""",
+    "constant_bodies": """
+schema S = { entities A; attributes String, Int;
+  operations u : A -> String, k : A -> Int; }
+mapping M : S -> T = { A -> C; u -> (x => "ab"); k -> (x => length(reverse("abc"))); }
+instance I : S = { A = { a1, a2, a3 };
+  u = { a1 -> "ab", a2 -> ?0, a3 -> "ba" }; k = { a1 -> 3, a2 -> 3, a3 -> ?1 }; }
+""",
+    "two_operations_into_one": """
+schema S = { entities A, B; attributes String;
+  operations p : A -> B, q : A -> B, u : A -> String, v : A -> String; }
+mapping M : S -> T = { A -> C; B -> D;
+  p -> (x => g(x)); q -> (x => g(x)); u -> (x => n(x)); v -> (x => n(x)); }
+instance I : S = { A = { a, b, c }; B = { a, d };
+  p = { a -> a, b -> a, c -> d }; q = { a -> d, b -> a, c -> d };
+  u = { a -> "x", b -> ?0, c -> "y" }; v = { a -> "x", b -> "z", c -> ?1 }; }
+""",
+    "bare_variable_image": """
+schema S = { entities A, B; operations p : A -> B; }
+mapping M : S -> T = { A -> C; B -> C; p -> (x => x); }
+instance I : S = { A = { a1, a2 }; B = { b1 }; p = { a1 -> b1, a2 -> b1 }; }
+""",
+    "a_merged_row_keys_entries": """
+schema S = { entities A, B; attributes String;
+  operations au : A -> String, bv : B -> String, p : A -> B; }
+mapping M : S -> T = { A -> C; B -> C; au -> (x => n(x)); bv -> (x => n(x)); p -> (x => x); }
+instance I : S = { A = { a1, a2 }; B = { b1, b2 };
+  au = { a1 -> "x", a2 -> "y" }; bv = { b1 -> ?0, b2 -> "y" }; p = { a1 -> b1, a2 -> b2 }; }
+""",
+    "nulls_and_symbolic_cells": """
+schema S = { entities A; attributes String, Int;
+  operations u : A -> String, k : A -> Int, w : A -> String,
+    length : String -> Int, reverse : String -> String; }
+mapping M : S -> T = { A -> C; u -> (x => n(x)); k -> (x => length(n(x)));
+  w -> (x => reverse(n(x))); }
+instance I : S = { A = { a1, a2, a3 };
+  u = { a1 -> ?0, a2 -> ?1, a3 -> "abc" };
+  k = { a1 -> length(?0), a2 -> length(reverse(?1)), a3 -> 3 };
+  w = { a1 -> reverse(?0), a2 -> ?2, a3 -> "cba" }; }
+""",
+}
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_column_seeding_matches_the_egraph_chase(case):
+    """`sigma` hands the chase one column per source operation: image paths
+    of one to three operations, constant bodies, a builtin on top, a top
+    entry that an earlier operation added, literals met first after their
+    image, a bare variable for a body that merges rows keying entries,
+    labelled nulls and symbolic cells.
+    The chase ends with the ids, roots, literals and builtin entries of
+    `egraph_chase`, and with its model or error, as with the seeds written
+    as ground equations."""
+    elab = elaborate(parse(SEED_TARGET + SEED_CASES[case]))
+    assert not elab.diagnostics
+    assert_seeding_matches_substitution(elab.mappings["M"], elab.instances["I"])
+
+
+def test_a_builtin_entry_is_folded_again_when_its_argument_gains_a_lower_literal():
+    """Round 1 merges rows a and b (h(a) = b under h(x) = x), adds the
+    `length` entry at n(a)'s class only and folds it at "abc"; re-keying
+    then merges in n(b)'s class, whose "xy" is the older literal.  Round 2
+    folds the entry again at "xy", adding 2 beside 3, and the chase ends
+    as the e-graph's does, with the clash named by the same first literals."""
+    elab = elaborate(parse("""
+        schema S = { entities A; attributes String;
+          operations early : A -> String, q : A -> A, u : A -> String; }
+        schema T = { entities C; attributes String, Int;
+          operations h : C -> C, k : C -> Int, m : C -> String, n : C -> String,
+            length : String -> Int;
+          equations forall x: C . h(x) = x; forall x: C . k(x) = length(n(x)); }
+        mapping M : S -> T = { A -> C; early -> (x => m(x)); q -> (x => h(x));
+          u -> (x => n(x)); }
+        instance I : S = { A = { a, b }; early = { a -> "xy", b -> "xy" };
+          q = { a -> b, b -> b }; u = { a -> "abc", b -> "xy" }; }
+        """))
+    (args,) = _migration_chases(lambda: sigma(elab.mappings["M"], elab.instances["I"]))
+    tables = saturate(*args)
+    assert sorted(tables.values[lit] for lits in tables.lits.values() for lit in lits
+                  if isinstance(tables.values[lit], int)) == [2, 3]
+    assert_seeding_matches_substitution(elab.mappings["M"], elab.instances["I"])
+
+
+def _stopped_sigma(text: str, fuel: int) -> tuple[str, int, int]:
+    """The FuelExhausted message of `sigma` on `text`'s I along M, with the
+    ids the chase made and the tuples it visited."""
+    elab = elaborate(parse(text))
+    tables = []
+    run = chase.Tables.run
+
+    def recording(self, rounds):
+        tables.append(self)
+        return run(self, rounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chase.Tables, "run", recording)
+        with pytest.raises(FuelExhausted) as caught:
+            sigma(elab.mappings["M"], elab.instances["I"], fuel=fuel)
+    [stopped] = tables
+    return str(caught.value), len(stopped.parent), chase.CHASE_TUPLES - stopped.budget.left
+
+
+def test_sigma_stops_at_the_same_tuple_and_id_under_both_caps():
+    """Seeded through columns, sigma stops where it stopped when each seed
+    was added as a term.  400 rows chained by `m`, under an equation that
+    adds a class per row, pass the node cap of fuel 2 at id 2,000, on the
+    401st tuple; 60 such rows under an equation of three binders pass the
+    tuple cap on its 100,001st tuple, with 120 ids."""
+    rows = [f"r{i:03d}" for i in range(400)]
+
+    def chained(n: int, target: str) -> str:
+        return (f"schema P = {{ entities E; operations m : E -> E; }}\n{target}\n"
+                "mapping M : P -> S = { E -> E; m -> (x => m(x)); }\n"
+                f"instance I : P = {{ E = {{ {', '.join(rows[:n])} }}; m = {{ "
+                + ", ".join(f"{rows[k]} -> {rows[(k + 1) % n]}" for k in range(n))
+                + " }; }\n")
+
+    branches = chained(400, "schema S = { entities E; operations m : E -> E, f : E -> E, "
+                            "g : E -> E; equations forall x: E . g(f(x)) = m(x); }")
+    assert _stopped_sigma(branches, 2) == (
+        "chase did not saturate within the node cap of 2000 nodes (partial model "
+        "size 1201; E grew by 801 in the last round)", 2001, 401)
+    wide = chained(60, "schema S = { entities E; operations m : E -> E; "
+                       "equations forall x: E, y: E, z: E . x = x; }")
+    assert _stopped_sigma(wide, 1) == (
+        "chase did not saturate within the tuple cap of 100000 tuples (partial "
+        "model size 60)", 120, 100_001)
 
 
 @pytest.mark.parametrize("order", ["xy", "yx"])

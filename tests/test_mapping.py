@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from qinl import equality
+from qinl import mapping as mapping_module
 from qinl.equality import (
-    Equation, IllTyped, Proved, Theory, Unknown, decide_equal, normal_images)
+    Equation, IllTyped, Proved, Theory, Unknown, check_theory, decide_equal, normal_images)
 from qinl.kernel import (
     MAX_NESTING,
     App,
@@ -376,3 +378,30 @@ def test_preservation_is_cached(company):
     f = identity_mapping(company)
     first = check_preservation(f, fuel=8)
     assert check_preservation(f, fuel=8) is first
+
+
+def test_preservation_reuses_the_validation_elaborate_made(company, monkeypatch):
+    """`validate` and `check_theory` are worked out once per mapping and per
+    theory: once they have run, typing that would fail changes neither, and
+    `check_preservation` puts the images in base normal form once for all
+    three of the company theory's obligations."""
+    f = identity_mapping(company)
+    assert f.validate() == [] and check_theory(company.theory) == []
+
+    def failing(*args):
+        raise IllTyped("typed again")
+
+    monkeypatch.setattr(mapping_module, "infer_type", failing)
+    monkeypatch.setattr(equality, "infer_type", failing)
+    monkeypatch.setattr(equality, "check_context", failing)
+    assert f.validate() == [] and check_theory(company.theory) == []
+    monkeypatch.undo()
+    normalised = []
+
+    def counting(images):
+        normalised.append(images)
+        return normal_images(images)
+
+    monkeypatch.setattr(mapping_module, "normal_images", counting)
+    assert len(check_preservation(f, fuel=8)) == 3
+    assert normalised == [f.op_map]

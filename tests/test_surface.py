@@ -643,7 +643,7 @@ def random_declaration(rng: random.Random, index: int, depth: int):
             else:
                 entries = tuple((f"r{j}", random_cell_text(rng))
                                 for j in range(rng.randint(0, 3)))
-            items.append(InstanceItem(f"item{k}", entries))
+            items.append(InstanceItem(f"item{k}", *(tuple(zip(*entries)) or ((), ()))))
         return InstanceDecl(f"I{index}", "S0", tuple(items))
     if kind == 2:
         return MappingDecl(

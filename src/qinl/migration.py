@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 from .chase import (
@@ -40,7 +41,6 @@ from .schema import (
     eval_column,
     null_under,
     search_homs,
-    slot_order,
     unstated_builtin,
 )
 
@@ -215,12 +215,13 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
         limit = limits[dom]
         table: dict[str, Cell] = {}
         if cod in tgt.entity_types:
-            image = limits[cod]
-            start = limit.rep.functions[op]["x"]
-            along = next(maps for maps, _ in search_homs(tgt, image.rep, limit.rep)
-                         if maps[cod]["x"] == start)
-            positions = [limit.slots.index((s, along[mapping.type_map[s]][row]))
-                         for s, row in image.slots]
+            # The homomorphism of representables that sends x to f(x) is
+            # fixed by it (Yoneda): a row `x.op1.op2`, a least path, goes to
+            # op2(op1(f(x))).
+            image, rep = limits[cod], limit.rep.functions
+            positions = [limit.slots.index((s, reduce(
+                lambda row, step: rep[step][row], path.split(".")[1:],
+                rep[op]["x"]))) for s, path in image.slots]
             for key, name in limit.names.items():
                 moved = tuple(key[p] for p in positions)
                 if moved not in image.names:
@@ -306,8 +307,9 @@ def _restate(value: Cell, where: tuple[str, str],
 # --------------------------------------------------------------------------
 # Homomorphism enumeration: the adjunction oracle
 
-# The search nodes that all the searches of one hom-set may visit together,
-# and the most homomorphisms that a hom-set lists; past either, TooLarge.
+# The tuples that all the searches of one hom-set may build together (see
+# `schema.join`), and the most homomorphisms that a hom-set lists; past
+# either, TooLarge.
 HOM_SEARCH_NODES = 100_000
 
 
@@ -332,11 +334,10 @@ def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> HomSet:
     builtin; so a homomorphism out of i is one out of each component, and
     their number is the product of the components' counts (Spivak and
     Wisnesky, "Relational Foundations for Functorial Data Migration").
-    Each component is counted by one backtracking search
-    (`schema.search_homs`), a connected i as it stands; all the searches
-    share one budget of HOM_SEARCH_NODES search nodes, past which TooLarge
-    is raised.  The hom-set builds its homomorphisms only when it is
-    listed.
+    Each component is counted by one search (`schema.search_homs`), a
+    connected i as it stands; all the searches share one budget of
+    HOM_SEARCH_NODES tuples, past which TooLarge is raised.  The hom-set
+    builds its homomorphisms only when it is listed.
     """
     budget = NodeBudget(HOM_SEARCH_NODES)
     parts = _components(s, i)
@@ -404,7 +405,7 @@ class HomSet:
         # The search finds each component's homomorphisms in the order of
         # its slots; the product is in the documented order only when there
         # is one component whose slots are in that order.
-        if len(self.parts) > 1 or slot_order(s) != types:
+        if len(self.parts) > 1 or s.slot_order != types:
             position = {t: {row: k for k, row in enumerate(j.rows(t))}
                         for t in types}
             homs.sort(key=lambda h: tuple(position[t][image] for t, pairs in h.maps

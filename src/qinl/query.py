@@ -2,18 +2,16 @@
 bindings, evaluated level by level.
 
 A comprehension is a conjunctive query (Chandra and Merlin, STOC 1977),
-so it binds its variables in their declared order, one level of partial
-tuples per binding, each term evaluated over a whole level (Boncz et al.,
-CIDR 2005) and each where clause at the first level where both of its
-sides can be.  A clause that ties a term of the new binding to terms of
-earlier ones is a hash probe into the new binding's rows, so a join along
-foreign keys costs in proportion to its output, not to the product of the
-carriers (Yannakakis, VLDB 1981).
+answered by `schema.join`, the executor that also finds homomorphisms: it
+binds the variables in their declared order, one level of partial tuples
+per binding, and checks each where clause at the first level where both
+of its sides can be evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .kernel import (
     Base,
@@ -21,11 +19,9 @@ from .kernel import (
     EngineError,
     Term,
     TypeExpr,
-    Var,
     format_term,
     format_type,
     infer_type,
-    subterms,
 )
 from .equality import IllTyped
 from .schema import (
@@ -35,9 +31,9 @@ from .schema import (
     LabelledNull,
     NodeBudget,
     OpApplied,
-    TooLarge,
     cell_key,
     eval_column,
+    join,
     render_cell,
 )
 
@@ -106,125 +102,37 @@ class QueryResult:
         return [render_cell(v) for v in self.values]
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One binding of the plan: its variable and entity type, the probe
-    (clause index, term of this binding, term of earlier ones) that picks
-    its candidate rows, and the clauses (index, lhs, rhs) first evaluable
-    here."""
-
-    var: str
-    entity: str
-    probe: tuple[int, Term, Term] | None
-    checks: tuple[tuple[int, Term, Term], ...]
-
-
-def _plan(q: Comprehension) -> tuple[tuple[tuple[int, Term, Term], ...], list[_Step]]:
-    """The clauses that mention no variable, and one step per binding.
-
-    A variable bound twice is visible from its last binding on, so each
-    clause is placed at the last binding of its latest variable."""
-    last = {var: k for k, (var, _) in enumerate(q.bindings)}
-
-    def position(term: Term) -> int:
-        return max((last[sub.name] for sub in subterms(term)
-                    if isinstance(sub, Var)), default=-1)
-
-    placed: list[list[tuple[int, Term, Term]]] = [[] for _ in range(len(q.bindings) + 1)]
-    probes: list[tuple[int, Term, Term] | None] = [None] * len(q.bindings)
-    for index, (lhs, rhs) in enumerate(q.wheres):
-        pl, pr = position(lhs), position(rhs)
-        k = max(pl, pr)
-        for new, earlier, pn, pe in ((lhs, rhs, pl, pr), (rhs, lhs, pr, pl)):
-            if pn == k > pe and probes[k] is None and {
-                    sub.name for sub in subterms(new) if isinstance(sub, Var)
-                    } == {q.bindings[k][0]}:
-                probes[k] = (index, new, earlier)
-                break
-        else:
-            placed[k + 1].append((index, lhs, rhs))
-    steps = [_Step(var, entity, probes[k], tuple(placed[k + 1]))
-             for k, (var, entity) in enumerate(q.bindings)]
-    return tuple(placed[0]), steps
-
-
 def eval_query(s: FqlSchema, i: Instance, q: Comprehension) -> QueryResult:
     """Find the binding tuples whose where clauses evaluate equal on both
     sides, in lexicographic order of the bindings over the carriers, and
     collect the deduplicated return values with their witnesses.
 
-    The search binds one variable per level, over every partial tuple at
-    once, each level in lexicographic order.  A clause is checked over the
-    first level where both of its sides can be evaluated; a clause
-    `t(new) = u(earlier)` picks the new binding's candidates from a dict,
-    built once, that maps each value of t to the rows giving it, in row
-    order.  Cells compare by equality (a labelled null equals only itself),
-    so the probe keeps exactly the rows the comparison would.  The levels
-    spend their tuples from QUERY_TUPLES; past it, TooLarge is raised
-    before the level is built.
+    The bindings are the variables of one `join`, the where clauses its
+    atoms: one level per binding, a clause `t(new) = u(earlier)` a hash
+    probe.  Cells compare by equality (a labelled null equals only itself).
+    The levels spend their tuples from QUERY_TUPLES; past it, TooLarge is
+    raised before the level is built.
     """
     typecheck_query(s, q)
-    constant, steps = _plan(q)
-    # The level: a column per bound variable and, per tuple, the indexes
-    # of the clauses whose compared sides were null-valued on its way.
-    columns: dict[str, list[Cell]] = {}
-    nulls: list[tuple[int, ...]] = [()]
-    budget = NodeBudget(QUERY_TUPLES)
-
-    def take(picks: list[int]) -> None:
-        nonlocal columns, nulls
-        columns = {var: [col[p] for p in picks] for var, col in columns.items()}
-        nulls = [nulls[p] for p in picks]
-
-    def check(clauses: tuple[tuple[int, Term, Term], ...]) -> None:
-        for index, lhs, rhs in clauses:
-            left = eval_column(s, i, columns, len(nulls), lhs)
-            right = eval_column(s, i, columns, len(nulls), rhs)
-            picks = []
-            for p, value in enumerate(left):
-                if value == right[p]:
-                    picks.append(p)
-                    if _has_unknown(value):
-                        nulls[p] += (index,)
-            if len(picks) < len(left):
-                take(picks)
-
-    check(constant)
-    for step in steps:
-        if step.probe is None:
-            hits = [i.rows(step.entity)] * len(nulls)
-        else:
-            clause, new, earlier = step.probe
-            rows, index = list(i.rows(step.entity)), {}
-            for row, value in zip(rows, eval_column(s, i, {step.var: rows}, len(rows), new)):
-                index.setdefault(value, []).append(row)
-            values = eval_column(s, i, columns, len(nulls), earlier)
-            hits = [index.get(value, ()) for value in values]
-            nulls = [found + (clause,) if _has_unknown(value) else found
-                     for found, value in zip(nulls, values)]
-        size = sum(map(len, hits))
-        if size > budget.left:
-            raise TooLarge(
-                f"query binding '{step.var}: {step.entity}' makes {size} more "
-                f"tuples, past the {budget.limit} that a query may build")
-        budget.left -= size
-        take([p for p, rows in enumerate(hits) for _ in rows])
-        columns[step.var] = [row for rows in hits for row in rows]
-        check(step.checks)
-
-    returns = eval_column(s, i, columns, len(nulls), q.returns)
+    columns, n = join(
+        s, i, [(var, i.rows(t)) for var, t in q.bindings], q.wheres,
+        NodeBudget(QUERY_TUPLES), lambda k, size: (
+            f"query binding '{q.bindings[k][0]}: {q.bindings[k][1]}' makes {size} "
+            f"more tuples, past the {QUERY_TUPLES} that a query may build"))
+    returns = eval_column(s, i, columns, n, q.returns)
     names = sorted(columns)
     witnesses = tuple(
         (tuple((var, str(columns[var][p])) for var in names), render_cell(value))
         for p, value in enumerate(returns))
-    warnings: list[str] = []
-    for p, found in enumerate(nulls):
-        for index in sorted(found)[:MAX_WARNINGS - len(warnings)]:
-            lhs, rhs = q.wheres[index]
-            warnings.append(
-                f"null-valued comparison {format_term(lhs)} = "
-                f"{format_term(rhs)} at "
-                + ", ".join(f"{var}={columns[var][p]}" for var in names))
+    # The two sides of a clause are equal at a witness, so one tells
+    # whether they are null-valued.
+    unknown = [list(map(_has_unknown, eval_column(s, i, columns, n, lhs)))
+               for lhs, _ in q.wheres]
+    warnings = islice((
+        f"null-valued comparison {format_term(lhs)} = {format_term(rhs)} at "
+        + ", ".join(f"{var}={columns[var][p]}" for var in names)
+        for p in range(n) for (lhs, rhs), flags in zip(q.wheres, unknown)
+        if flags[p]), MAX_WARNINGS)
     unique = {cell_key(v): v for v in returns}
     values = tuple(unique[k] for k in sorted(unique))
     return QueryResult(values, witnesses, tuple(warnings))

@@ -6,8 +6,10 @@ satisfaction checking, and the search for homomorphisms of instances."""
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -237,6 +239,24 @@ class FqlSchema:
                 tables[name] = (dom.name, cod.name)
         return tables
 
+    @cached_property
+    def slot_order(self) -> list[str]:
+        """The entity types with each foreign key's source before its
+        target, ties and cycles broken by name.  A source row's key then
+        picks the row its target takes, so targets are mostly forced
+        before their turn."""
+        sources: dict[str, set[str]] = {t: set() for t in self.entity_types}
+        for dom, cod in self.tables.values():
+            if cod in self.entity_types and cod != dom:
+                sources[cod].add(dom)
+        order: list[str] = []
+        left = sorted(self.entity_types)
+        while left:
+            t = next((t for t in left if not sources[t] & set(left)), left[0])
+            order.append(t)
+            left.remove(t)
+        return order
+
     def builtin_op_names(self) -> list[str]:
         return sorted(name for name in self.sig.operations if name not in self.tables)
 
@@ -415,16 +435,6 @@ def eval_column(s: FqlSchema, i: Instance, columns: Mapping[str, list[Cell]],
         if e.name not in columns:
             raise UnboundVariable(e.name)
         return columns[e.name]
-    if isinstance(e, Lit):
-        return [e.value] * n
-    if isinstance(e, UnitTerm):
-        return [UNIT_CELL] * n
-    if isinstance(e, Pair):
-        return list(zip(eval_column(s, i, columns, n, e.fst),
-                        eval_column(s, i, columns, n, e.snd)))
-    if isinstance(e, (Proj1, Proj2)):
-        k = 0 if isinstance(e, Proj1) else 1
-        return [v[k] for v in eval_column(s, i, columns, n, e.of)]
     if isinstance(e, App):
         args = eval_column(s, i, columns, n, e.arg)
         if e.op in s.tables:
@@ -441,6 +451,16 @@ def eval_column(s: FqlSchema, i: Instance, columns: Mapping[str, list[Cell]],
         fn = s.builtins.ops[e.op].fn
         return [OpApplied(e.op, a) if isinstance(a, (LabelledNull, OpApplied))
                 else fn(a) for a in args]
+    if isinstance(e, Lit):
+        return [e.value] * n
+    if isinstance(e, UnitTerm):
+        return [UNIT_CELL] * n
+    if isinstance(e, Pair):
+        return list(zip(eval_column(s, i, columns, n, e.fst),
+                        eval_column(s, i, columns, n, e.snd)))
+    if isinstance(e, (Proj1, Proj2)):
+        k = 0 if isinstance(e, Proj1) else 1
+        return [v[k] for v in eval_column(s, i, columns, n, e.of)]
     if not isinstance(e, (Empty, Singleton, Union, If, EqTest, For)):
         raise EngineError(f"cannot evaluate term construct {e!r}")
     return [eval_term(s, i, {v: c[k] for v, c in columns.items()}, e)
@@ -594,37 +614,99 @@ def _attribute_domain(s: FqlSchema, i: Instance, base: str,
 
 
 # --------------------------------------------------------------------------
-# Homomorphism search
+# Conjunctive queries: comprehensions and homomorphisms
 
 class TooLarge(EngineError):
     pass
 
 
 class NodeBudget:
-    """Search nodes that hom searches share: once `limit` of them are
-    visited in all, the search that tries one more raises TooLarge.  A
-    limit of None never runs out."""
+    """Work that several searches share: a join spends the tuples of each
+    level, and the level that would pass what is `left` raises TooLarge
+    before it is built.  A limit of None never runs out."""
 
     def __init__(self, limit: int | None):
         self.limit = limit
-        self.left = -1 if limit is None else limit  # -1 never reaches 0
+        self.left = math.inf if limit is None else limit
 
 
-def slot_order(s: FqlSchema) -> list[str]:
-    """The entity types with each foreign key's source before its target,
-    ties and cycles broken by name.  Assigning a source row forces the rows
-    its keys point to, so targets are mostly filled before their turn."""
-    sources: dict[str, set[str]] = {t: set() for t in s.entity_types}
-    for dom, cod in s.tables.values():
-        if cod in s.entity_types and cod != dom:
-            sources[cod].add(dom)
-    order: list[str] = []
-    left = sorted(s.entity_types)
-    while left:
-        t = next((t for t in left if not sources[t] & set(left)), left[0])
-        order.append(t)
-        left.remove(t)
-    return order
+def join(s: FqlSchema, i: Instance, variables: Sequence[tuple[str, Sequence[Cell]]],
+         atoms: Iterable[tuple[Term, Term]], budget: NodeBudget,
+         too_large: Callable[[int, int], str]) -> tuple[dict[str, list[Cell]], int]:
+    """The tuples of the variables, each over its candidates, at which both
+    sides of every atom evaluate equal in `i`: a column per variable and
+    their number, in lexicographic order of the variables, candidates in
+    their given order.
+
+    A conjunctive query (Chandra and Merlin, STOC 1977) is answered one
+    level of partial tuples per variable, each term evaluated over a whole
+    level (Boncz et al., CIDR 2005), each atom checked at the level of its
+    latest variable.  An atom `t(new) = u(earlier)`, t mentioning only the
+    new variable and u only earlier ones, picks the new variable's
+    candidates from a dict, built once, from each value of t to the
+    candidates giving it; so a join along keys costs in proportion to its
+    output (Yannakakis, VLDB 1981).  Cells compare by ==, so a labelled null
+    equals only itself.  A variable named twice is visible from its last
+    position on.  The level k of `size` tuples that would pass `budget`
+    raises TooLarge(too_large(k, size)) before it is built.
+    """
+    last = {var: k for k, (var, _) in enumerate(variables)}
+
+    def names(term: Term) -> set[str]:
+        while isinstance(term, App):
+            term = term.arg
+        if isinstance(term, Var):
+            return {term.name}
+        return {sub.name for sub in subterms(term) if isinstance(sub, Var)}
+
+    # checks[k + 1] are the atoms first evaluable at level k (k = -1: none).
+    checks: list[list[tuple[Term, Term]]] = [[] for _ in range(len(variables) + 1)]
+    probes: list[tuple[Term, Term] | None] = [None] * len(variables)
+    for lhs, rhs in atoms:
+        nl, nr = names(lhs), names(rhs)
+        pl = max(map(last.__getitem__, nl), default=-1)
+        pr = max(map(last.__getitem__, nr), default=-1)
+        k = max(pl, pr)
+        for new, earlier, found, pn, pe in ((lhs, rhs, nl, pl, pr), (rhs, lhs, nr, pr, pl)):
+            if pn == k > pe and probes[k] is None and len(found) == 1:
+                probes[k] = (new, earlier)
+                break
+        else:
+            checks[k + 1].append((lhs, rhs))
+
+    columns: dict[str, list[Cell]] = {}
+    n = 1
+    for k in range(-1, len(variables)):
+        if k >= 0 and n:
+            var, rows = variables[k]
+            if probes[k] is None:
+                hits = [rows] * n
+            else:
+                new, earlier = probes[k]
+                if isinstance(new, Var):  # each candidate gives itself
+                    index = dict(zip(rows, zip(rows)))
+                else:
+                    index = {}
+                    for row, value in zip(rows, eval_column(s, i, {var: rows}, len(rows), new)):
+                        index.setdefault(value, []).append(row)
+                hits = list(map(index.get, eval_column(s, i, columns, n, earlier),
+                                itertools.repeat(())))
+            size = sum(map(len, hits))
+            if size > budget.left:
+                raise TooLarge(too_large(k, size))
+            budget.left -= size
+            if size != n or not all(hits):  # else each tuple has one hit
+                picks = [p for p, found in enumerate(hits) for _ in found]
+                columns = {v: list(map(col.__getitem__, picks)) for v, col in columns.items()}
+            columns[var], n = list(itertools.chain.from_iterable(hits)), size
+        for lhs, rhs in checks[k + 1]:
+            same = list(map(operator.eq, eval_column(s, i, columns, n, lhs),
+                            eval_column(s, i, columns, n, rhs)))
+            if not all(same):
+                picks = list(itertools.compress(range(n), same))
+                columns = {v: list(map(col.__getitem__, picks)) for v, col in columns.items()}
+                n = len(picks)
+    return columns, n
 
 
 def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
@@ -632,129 +714,76 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
                 ) -> Iterator[tuple[dict[str, dict[str, str]], dict[str, Cell]]]:
     """Yield every homomorphism from i to j as carrier maps plus the binding
     of i's labelled nulls, in lexicographic order of the images of i's rows
-    with the types in `slot_order`, rows in i's order and candidates in j's
-    order.  The yielded dicts are reused: copy them before the next step.
+    with the types in `s.slot_order`, rows in i's order and candidates in j's
+    order.
 
     A homomorphism commutes with every operation table and fixes builtin
-    constants.  A null of i maps to one value of j at all its occurrences.
-    Symbolic cells are matched last, by computing once their null is bound
-    to a constant, or else structurally.
+    constants.  A null of i maps to one value of j at all its occurrences;
+    a symbolic cell matches by computing once its null is bound to a
+    constant, or else structurally.
 
-    The search backtracks over the rows of i.  Assigning a row forces the
-    images of its foreign-key images and checks its other cells at once.
-    Each row tried for a slot is a search node, spent from `budget`, which
-    several searches may share; past it, TooLarge is raised.
+    The homomorphisms are the answers of i's canonical conjunctive query
+    over j (Chandra and Merlin), found by `join` with one variable x_r per
+    row r of i, over j's rows of its type.  A foreign-key cell f(r) = r' is
+    the atom f(x_r) = x_r' and a constant cell a(r) = c the atom a(x_r) = c,
+    so a forced row is a probe with one hit and a constant narrows its
+    row's candidates.  A null stands for its first bare cell, and each of
+    its other cells is an atom comparing that cell with the builtins above
+    the null applied to the first.  A null that occurs only under builtins
+    is a variable of its own, after the rows, over the unknowns under j's
+    symbolic cells: `reverse(?k)` matches `reverse(?5)`, never "ab".  The
+    levels spend their tuples from `budget`, which searches may share.
     """
-    types = slot_order(s)
-    slots = [(t, r) for t in types for r in i.rows(t)]
-    fks: dict[str, list[tuple[str, str]]] = {t: [] for t in types}
-    attrs: dict[str, list[str]] = {t: [] for t in types}
-    symbolic = []  # cells of i matched once all rows are assigned
-    for op, (dom, cod) in s.tables.items():
-        if cod in s.entity_types:
-            fks[dom].append((op, cod))
-            continue
-        attrs[dom].append(op)
-        symbolic += [(op, dom, r) for r in i.rows(dom)
-                     if isinstance(i.functions[op][r], OpApplied)]
-    maps: dict[str, dict[str, str]] = {t: {} for t in types}
-    binding: dict[str, Cell] = {}
-
-    def match(vi: Cell, vj: Cell, binding: dict[str, Cell], trail: list) -> bool:
-        """Match a cell of i against one of j, binding i's nulls on first
-        use (recorded on `trail`) and checking them afterwards."""
-        if isinstance(vi, LabelledNull):
-            if vi.label in binding:
-                return binding[vi.label] == vj
-            binding[vi.label] = vj
-            trail.append((binding, vi.label))
-            return True
-        if isinstance(vi, OpApplied):
-            ground = _ground(s, vi, binding)
-            if ground is not None:
-                return ground == vj
-            return (isinstance(vj, OpApplied) and vi.op == vj.op
-                    and match(vi.arg, vj.arg, binding, trail))
-        return type(vi) is type(vj) and vi == vj
-
-    def assign(t: str, r: str, r2: str, trail: list) -> bool:
-        work = [(t, r, r2)]
-        while work:
-            t, r, r2 = work.pop()
-            have = maps[t].get(r)
-            if have is not None:
-                if have != r2:
-                    return False
-                continue
-            maps[t][r] = r2
-            trail.append((maps[t], r))
-            for op in attrs[t]:
-                vi = i.functions[op][r]
-                if not isinstance(vi, OpApplied) and not match(
-                        vi, j.functions[op][r2], binding, trail):
-                    return False
-            work += [(cod, i.functions[op][r], j.functions[op][r2])
-                     for op, cod in fks[t]]
-        return True
-
-    def undo(trail: list) -> None:
-        for table, key in reversed(trail):
-            del table[key]
-        trail.clear()
-
-    def complete() -> dict[str, Cell] | None:
-        if not symbolic:
-            return binding
-        full = dict(binding)
-        for op, t, r in symbolic:
-            vj = j.functions[op][maps[t][r]]
-            if not match(i.functions[op][r], vj, full, []):
-                return None
-        return full
-
-    # Each frame is an open slot, its remaining candidates, and the trail
-    # of the candidate currently assigned to it.
-    if not slots:
-        yield maps, binding
+    budget = budget or NodeBudget(None)
+    types = s.slot_order
+    slots = {(t, r): Var(str(k)) for k, (t, r) in enumerate((t, r) for t in types for r in i.rows(t))}
+    ops = {t: [(op, cod) for op, (dom, cod) in s.tables.items() if dom == t] for t in types}
+    variables: list[tuple[str, Sequence[Cell]]] = []
+    atoms: list[tuple[Term, Term]] = []
+    value: dict[str, Term] = {}  # each null's first bare cell, or its own variable
+    later = []  # the other cells that hold a null
+    for (t, r), x in slots.items():
+        rows = j.rows(t)
+        for op, cod in ops[t]:
+            cell, at = i.functions[op][r], App(op, x)
+            if cod in s.entity_types:
+                atoms.append((slots[cod, cell], at))
+            elif (null := null_under(cell)) is None:
+                atoms.append((at, Lit(cod, cell)))
+                if not isinstance(cell, str):  # True == 1, but a constant
+                    column = j.functions[op]   # meets only cells of its type
+                    rows = [row for row in rows if type(column[row]) is type(cell)
+                            or column[row] != cell]
+            elif cell is null and null.label not in value:
+                value[null.label] = at
+            else:
+                later.append((at, cell, null))
+        variables.append((x.name, rows))
+    for at, cell, null in later:
+        if null.label not in value:  # it occurs only under builtins
+            value[null.label] = Var(str(null))
+            variables.append((str(null), _unknown_args(j)))
+        atoms.append((at, _under(cell, value[null.label])))
+    columns, n = join(s, j, variables, atoms, budget, lambda k, size: (
+        f"homomorphism search exceeds {budget.limit} search nodes"))
+    if not n:
         return
-    if budget is None:
-        budget = NodeBudget(None)
-    stack = [(0, iter(j.rows(slots[0][0])), [])]
-    while stack:
-        k, candidates, trail = stack[-1]
-        undo(trail)
-        t, r = slots[k]
-        for r2 in candidates:
-            if budget.left == 0:
-                raise TooLarge(
-                    f"homomorphism search exceeds {budget.limit} search nodes")
-            budget.left -= 1
-            if assign(t, r, r2, trail):
-                break
-            undo(trail)
-        else:
-            stack.pop()
-            continue
-        k += 1
-        while k < len(slots) and slots[k][1] in maps[slots[k][0]]:
-            k += 1  # already forced
-        if k < len(slots):
-            stack.append((k, iter(j.rows(slots[k][0])), []))
-        else:
-            full = complete()
-            if full is not None:
-                yield maps, full
+    images = {t: list(zip(*(columns[slots[t, r].name] for r in i.rows(t)))) for t in types}
+    bound = list(zip(*(eval_column(s, j, columns, n, term) for term in value.values())))
+    for p in range(n):
+        yield ({t: dict(zip(i.rows(t), found[p])) if found else {} for t, found in images.items()},
+               dict(zip(value, bound[p])) if value else {})
 
 
-def _ground(s: FqlSchema, v: Cell, binding: Mapping[str, Cell]) -> Cell | None:
-    """The value of a cell once its nulls are replaced by their bindings, or
-    None while one of them is unbound or bound to an unknown."""
-    if isinstance(v, LabelledNull):
-        bound = binding.get(v.label)
-        if bound is None or isinstance(bound, (LabelledNull, OpApplied)):
-            return None
-        return bound
-    if isinstance(v, OpApplied):
-        arg = _ground(s, v.arg, binding)
-        return None if arg is None else s.builtins.apply(v.op, arg)
-    return v
+def _under(cell: Cell, leaf: Term) -> Term:
+    """The builtins above a symbolic cell's null, applied to `leaf`."""
+    return App(cell.op, _under(cell.arg, leaf)) if isinstance(cell, OpApplied) else leaf
+
+
+def _unknown_args(j: Instance) -> list[Cell]:
+    """The unknowns that j's symbolic cells apply builtins to, each once."""
+    found: dict[Cell, None] = {}
+    for cell in itertools.chain.from_iterable(table.values() for table in j.functions.values()):
+        while isinstance(cell, OpApplied) and isinstance(cell.arg, (LabelledNull, OpApplied)):
+            found[(cell := cell.arg)] = None
+    return list(found)

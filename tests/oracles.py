@@ -20,10 +20,12 @@ compiled builders, the tokenizer oracle steps through the text one
 character at a time instead of matching a regular expression, and the
 instance-table oracle reads every entry token by token into a located value
 and resolves each cell on its own instead of converting whole columns of
-entry texts.  Two helpers build what the engine never builds: `translate`
-writes a term out along a mapping as a tree, and `isomorphism` filters the
-engine's hom search for bijections (it is checked against the brute-force
-`brute_force_iso`).
+entry texts, and homomorphisms are found by backtracking over the rows one
+candidate at a time (`backtracking_homs`) rather than by the engine's
+level-by-level join.  Two helpers build what the engine never builds:
+`translate` writes a term out along a mapping as a tree, and `isomorphism`
+filters the backtracking search for bijections (it is checked against the
+brute-force `brute_force_iso`).
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from qinl.schema import (
     format_cell,
     make_set,
     render_cell,
-    search_homs,
     validate_instance,
 )
 from qinl.surface import (
@@ -488,18 +489,132 @@ def brute_force_iso(s, i, j) -> bool:
 
 
 def isomorphism(s, i, j) -> dict | None:
-    """The carrier maps of the first homomorphism `search_homs` yields from
-    i to j that is a bijection on every carrier and binds i's nulls
+    """The carrier maps of the first homomorphism `backtracking_homs` yields
+    from i to j that is a bijection on every carrier and binds i's nulls
     injectively to nulls, or None if none is."""
     if any(len(i.rows(t)) != len(j.rows(t)) for t in s.entity_types):
         return None
-    for maps, binding in search_homs(s, i, j):
+    for maps, binding in backtracking_homs(s, i, j):
         nulls = list(binding.values())
         if (all(len(set(m.values())) == len(m) for m in maps.values())
                 and all(isinstance(v, LabelledNull) for v in nulls)
                 and len(set(nulls)) == len(nulls)):
             return {t: dict(m) for t, m in maps.items()}
     return None
+
+
+def backtracking_homs(s, i, j):
+    """Yield every homomorphism from i to j as (carrier maps, null binding),
+    in `search_homs`'s order, lazily: a depth-first search over i's rows
+    in `s.slot_order`, trying j's rows in order.  Assigning a row forces the
+    images of its foreign-key images and checks its other cells at once;
+    symbolic cells are matched last, by computing once their null is bound
+    to a constant, or else structurally.  The yielded dicts are reused:
+    copy them before the next step."""
+    types = s.slot_order
+    slots = [(t, r) for t in types for r in i.rows(t)]
+    fks = {t: [] for t in types}
+    attrs = {t: [] for t in types}
+    symbolic = []  # cells of i matched once all rows are assigned
+    for op, (dom, cod) in s.tables.items():
+        if cod in s.entity_types:
+            fks[dom].append((op, cod))
+            continue
+        attrs[dom].append(op)
+        symbolic += [(op, dom, r) for r in i.rows(dom)
+                     if isinstance(i.functions[op][r], OpApplied)]
+    maps = {t: {} for t in types}
+    binding = {}
+
+    def match(vi, vj, binding, trail) -> bool:
+        """Match a cell of i against one of j, binding i's nulls on first
+        use (recorded on `trail`) and checking them afterwards."""
+        if isinstance(vi, LabelledNull):
+            if vi.label in binding:
+                return binding[vi.label] == vj
+            binding[vi.label] = vj
+            trail.append((binding, vi.label))
+            return True
+        if isinstance(vi, OpApplied):
+            ground = _ground(s, vi, binding)
+            if ground is not None:
+                return ground == vj
+            return (isinstance(vj, OpApplied) and vi.op == vj.op
+                    and match(vi.arg, vj.arg, binding, trail))
+        return type(vi) is type(vj) and vi == vj
+
+    def assign(t, r, r2, trail) -> bool:
+        work = [(t, r, r2)]
+        while work:
+            t, r, r2 = work.pop()
+            have = maps[t].get(r)
+            if have is not None:
+                if have != r2:
+                    return False
+                continue
+            maps[t][r] = r2
+            trail.append((maps[t], r))
+            for op in attrs[t]:
+                vi = i.functions[op][r]
+                if not isinstance(vi, OpApplied) and not match(
+                        vi, j.functions[op][r2], binding, trail):
+                    return False
+            work += [(cod, i.functions[op][r], j.functions[op][r2])
+                     for op, cod in fks[t]]
+        return True
+
+    def undo(trail) -> None:
+        for table, key in reversed(trail):
+            del table[key]
+        trail.clear()
+
+    def complete():
+        full = dict(binding)
+        for op, t, r in symbolic:
+            if not match(i.functions[op][r], j.functions[op][maps[t][r]], full, []):
+                return None
+        return full
+
+    if not slots:
+        yield maps, binding
+        return
+    # Each frame is an open slot, its remaining candidates, and the trail
+    # of the candidate currently assigned to it.
+    stack = [(0, iter(j.rows(slots[0][0])), [])]
+    while stack:
+        k, candidates, trail = stack[-1]
+        undo(trail)
+        t, r = slots[k]
+        for r2 in candidates:
+            if assign(t, r, r2, trail):
+                break
+            undo(trail)
+        else:
+            stack.pop()
+            continue
+        k += 1
+        while k < len(slots) and slots[k][1] in maps[slots[k][0]]:
+            k += 1  # already forced
+        if k < len(slots):
+            stack.append((k, iter(j.rows(slots[k][0])), []))
+        else:
+            full = complete()
+            if full is not None:
+                yield maps, full
+
+
+def _ground(s, v, binding):
+    """The value of a cell once its nulls are replaced by their bindings, or
+    None while one of them is unbound or bound to an unknown."""
+    if isinstance(v, LabelledNull):
+        bound = binding.get(v.label)
+        if bound is None or isinstance(bound, (LabelledNull, OpApplied)):
+            return None
+        return bound
+    if isinstance(v, OpApplied):
+        arg = _ground(s, v.arg, binding)
+        return None if arg is None else s.builtins.apply(v.op, arg)
+    return v
 
 
 def _fks_commute(s, i, j, maps) -> bool:

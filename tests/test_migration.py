@@ -26,6 +26,7 @@ from qinl.schema import (
     LabelledNull,
     OpApplied,
     check_instance,
+    search_homs,
 )
 from qinl.surface import SourceUnit, elaborate, instance_to_decl, parse, print_unit
 
@@ -959,6 +960,133 @@ def test_homs_bind_bare_nulls_before_symbolic_cells():
     j = Instance.make({"A": ["y"]}, {"a": {"y": 2}, "b": {"y": "pq"}})
     homs = enumerate_homs(s, i, j)
     assert [h.null_map for h in homs] == [(("0", "pq"),)]
+
+
+def test_homs_match_cells_by_type_structure_and_computation():
+    """A constant matches only a cell of its own type, so 1 does not match
+    True; a null that occurs only under a builtin binds structurally, so
+    reverse(?k) matches reverse(?5) and not "ab"; and a symbolic cell whose
+    null is bound to a constant is computed."""
+    s = _string_schema({"A"}, {"k": ("A", "Int"), "u": ("A", "String"),
+                               "w": ("A", "String")}, builtins=("reverse",))
+    i = Instance.make({"A": ["x"]}, {"k": {"x": 1}, "u": {"x": "c"},
+                                     "w": {"x": OpApplied("reverse", LabelledNull("k"))}})
+    five = OpApplied("reverse", LabelledNull("5"))
+    j = Instance.make({"A": ["y1", "y2", "y3"]},
+                      {"k": {"y1": True, "y2": 1, "y3": 1},
+                       "u": {"y1": "c", "y2": "c", "y3": "c"},
+                       "w": {"y1": five, "y2": "ab", "y3": five}})
+    assert [(h.apply("A", "x"), h.null_map) for h in enumerate_homs(s, i, j)] == [
+        ("y3", (("k", LabelledNull("5")),))]
+    i = Instance.make({"A": ["x"]}, {"k": {"x": 1}, "u": {"x": LabelledNull("k")},
+                                     "w": {"x": OpApplied("reverse", LabelledNull("k"))}})
+    j = Instance.make({"A": ["y1", "y2"]},
+                      {"k": {"y1": 1, "y2": 1}, "u": {"y1": "ab", "y2": "ab"},
+                       "w": {"y1": "ab", "y2": "ba"}})
+    assert [(h.apply("A", "x"), h.null_map) for h in enumerate_homs(s, i, j)] == [
+        ("y2", (("k", "ab"),))]
+
+
+def test_constant_cells_narrow_the_candidates_of_a_slot():
+    """Sixteen one-row components, each with a name, into 6,400 rows over
+    30 names: each component's name leaves it the rows with that name, so
+    the count, the product of those rows' numbers, takes about 3,400
+    tuples.  Trying every row for every component would take 102,400,
+    past HOM_SEARCH_NODES."""
+    from collections import Counter
+
+    s = _string_schema({"A"}, {"name": ("A", "String")}, builtins=())
+    rng = random.Random(16)
+    names = [f"n{k}" for k in range(30)]
+    j_names = {f"y{k}": rng.choice(names) for k in range(6400)}
+    j = Instance.make({"A": j_names}, {"name": j_names})
+    i_names = {f"x{k:02d}": rng.choice(names) for k in range(16)}
+    i = Instance.make({"A": i_names}, {"name": i_names})
+    rows_named = Counter(j_names.values())
+    assert enumerate_homs(s, i, j).size == math.prod(
+        rows_named[name] for name in i_names.values())
+
+
+def _large_oracle_instance(rng, prefix: str, size: int) -> Instance:
+    """`size` rows of the oracle schema, A empty in a tenth of the draws.
+    Cells are constants, three shared nulls bare or under `reverse`, and a
+    null `?9` that occurs only under `reverse`."""
+    n_a = 0 if rng.random() < 0.1 else rng.randint(1, size - 1)
+    rows_a = [f"{prefix}a{k}" for k in range(n_a)]
+    rows_b = [f"{prefix}b{k}" for k in range(size - n_a)]
+
+    def cell():
+        roll = rng.randrange(6)
+        if roll < 2:
+            return rng.choice(["a", "ab", "ba"])
+        if roll == 2:
+            return OpApplied("reverse", LabelledNull("9"))
+        null = LabelledNull(str(rng.randrange(3)))
+        return OpApplied("reverse", null) if roll == 3 else null
+
+    return Instance.make(
+        {"A": rows_a, "B": rows_b},
+        {"m": {r: rng.choice(rows_a) for r in rows_a},
+         "f": {r: rng.choice(rows_b) for r in rows_a},
+         "n": {r: rng.choice(rows_b) for r in rows_b},
+         "tag": {r: cell() for r in rows_a},
+         "label": {r: cell() for r in rows_b}})
+
+
+def _image(s: FqlSchema, i: Instance, rng, prefix: str) -> Instance:
+    """i with its rows renamed in a random order and each null replaced by
+    one of two nulls or by a constant, so that i maps onto the result."""
+    values = {null.label: rng.choice([LabelledNull("5"), LabelledNull("6"), "a", "ab"])
+              for null in i.nulls()}
+    rename = {}
+    for t in ("A", "B"):
+        rows = list(i.rows(t))
+        rng.shuffle(rows)
+        rename[t] = {r: f"{prefix}{t}{k}" for k, r in enumerate(rows)}
+
+    def cell(v):
+        if isinstance(v, LabelledNull):
+            return values[v.label]
+        if isinstance(v, OpApplied):
+            return s.builtins.apply(v.op, cell(v.arg))
+        return v
+
+    return Instance.make({t: rename[t].values() for t in rename}, {
+        op: {rename[dom][r]: rename[cod][v] if cod in rename else cell(v)
+             for r, v in i.functions[op].items()}
+        for op, (dom, cod) in s.tables.items()})
+
+
+def test_hom_join_matches_the_backtracking_search():
+    """On sources of 5-12 rows, too many for `brute_force_homs`, with shared
+    nulls, symbolic cells, a null only under `reverse`, empty carriers and
+    (a third of the time) two interleaved parts, into a small random
+    instance or two interleaved images of the source, `search_homs` yields
+    the backtracking reference's (maps, binding) pairs in the same order."""
+    from oracles import backtracking_homs
+
+    s = _hom_oracle_schema()
+    rng = random.Random(38)
+    several = empty = under = 0
+    for trial in range(200):
+        size = rng.randint(5, 12)
+        if trial % 3 == 0:
+            first = rng.randint(2, size - 2)
+            i = _disjoint_union(s, [_large_oracle_instance(rng, "p", first),
+                                    _large_oracle_instance(rng, "q", size - first)], rng)
+        else:
+            i = _large_oracle_instance(rng, "i", size)
+        j = (_large_oracle_instance(rng, "j", rng.randint(2, 6)) if trial % 4 == 0
+             else _disjoint_union(s, [_image(s, i, rng, "j"), _image(s, i, rng, "k")], rng))
+        got = [({t: dict(m) for t, m in maps.items()}, dict(binding))
+               for maps, binding in search_homs(s, i, j)]
+        expected = [({t: dict(m) for t, m in maps.items()}, dict(binding))
+                    for maps, binding in backtracking_homs(s, i, j)]
+        assert got == expected
+        several += len(got) > 1
+        empty += not i.rows("A") or not j.rows("A")
+        under += sum("9" in binding for _, binding in got)
+    assert several > 30 and empty > 5 and under > 100
 
 
 # --------------------------------------------------------------------------

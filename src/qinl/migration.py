@@ -38,6 +38,7 @@ from .schema import (
     NodeBudget,
     OpApplied,
     TooLarge,
+    count_homs,
     eval_column,
     null_under,
     search_homs,
@@ -334,7 +335,7 @@ def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> HomSet:
     builtin; so a homomorphism out of i is one out of each component, and
     their number is the product of the components' counts (Spivak and
     Wisnesky, "Relational Foundations for Functorial Data Migration").
-    Each component is counted by one search (`schema.search_homs`), a
+    Each component is counted by one search (`schema.count_homs`), a
     connected i as it stands; all the searches share one budget of
     HOM_SEARCH_NODES tuples, past which TooLarge is raised.  The hom-set
     builds its homomorphisms only when it is listed.
@@ -343,7 +344,7 @@ def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> HomSet:
     parts = _components(s, i)
     size = 1
     for part in parts:
-        size *= sum(1 for _ in search_homs(s, part, j, budget=budget))
+        size *= count_homs(s, part, j, budget)
         if not size:
             break
     return HomSet(s, i, j, parts, size)

@@ -11,7 +11,7 @@ of its sides can be evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .kernel import (
     Base,
@@ -114,11 +114,14 @@ def eval_query(s: FqlSchema, i: Instance, q: Comprehension) -> QueryResult:
     raised before the level is built.
     """
     typecheck_query(s, q)
-    columns, n = join(
+    runs = list(join(
         s, i, [(var, i.rows(t)) for var, t in q.bindings], q.wheres,
         NodeBudget(QUERY_TUPLES), lambda k, size: (
             f"query binding '{q.bindings[k][0]}: {q.bindings[k][1]}' makes {size} "
-            f"more tuples, past the {QUERY_TUPLES} that a query may build"))
+            f"more tuples, past the {QUERY_TUPLES} that a query may build")))
+    columns = {var: list(chain.from_iterable(run[var] for run, _ in runs))
+               for var, _ in q.bindings}
+    n = sum(size for _, size in runs)
     returns = eval_column(s, i, columns, n, q.returns)
     names = sorted(columns)
     witnesses = tuple(

@@ -435,6 +435,16 @@ def eval_column(s: FqlSchema, i: Instance, columns: Mapping[str, list[Cell]],
         if e.name not in columns:
             raise UnboundVariable(e.name)
         return columns[e.name]
+    if isinstance(e, Lit):
+        return [e.value] * n
+    if isinstance(e, UnitTerm):
+        return [UNIT_CELL] * n
+    if isinstance(e, Pair):
+        return list(zip(eval_column(s, i, columns, n, e.fst),
+                        eval_column(s, i, columns, n, e.snd)))
+    if isinstance(e, (Proj1, Proj2)):
+        k = 0 if isinstance(e, Proj1) else 1
+        return [v[k] for v in eval_column(s, i, columns, n, e.of)]
     if isinstance(e, App):
         args = eval_column(s, i, columns, n, e.arg)
         if e.op in s.tables:
@@ -451,16 +461,6 @@ def eval_column(s: FqlSchema, i: Instance, columns: Mapping[str, list[Cell]],
         fn = s.builtins.ops[e.op].fn
         return [OpApplied(e.op, a) if isinstance(a, (LabelledNull, OpApplied))
                 else fn(a) for a in args]
-    if isinstance(e, Lit):
-        return [e.value] * n
-    if isinstance(e, UnitTerm):
-        return [UNIT_CELL] * n
-    if isinstance(e, Pair):
-        return list(zip(eval_column(s, i, columns, n, e.fst),
-                        eval_column(s, i, columns, n, e.snd)))
-    if isinstance(e, (Proj1, Proj2)):
-        k = 0 if isinstance(e, Proj1) else 1
-        return [v[k] for v in eval_column(s, i, columns, n, e.of)]
     if not isinstance(e, (Empty, Singleton, Union, If, EqTest, For)):
         raise EngineError(f"cannot evaluate term construct {e!r}")
     return [eval_term(s, i, {v: c[k] for v, c in columns.items()}, e)
@@ -621,49 +621,46 @@ class TooLarge(EngineError):
 
 
 class NodeBudget:
-    """Work that several searches share: a join spends the tuples of each
-    level, and the level that would pass what is `left` raises TooLarge
-    before it is built.  A limit of None never runs out."""
+    """Work that several searches share, counted down in `left`: the
+    tuples a join builds, a level at a time (the level that would pass it
+    raises TooLarge before it is built), or the equation bindings a chase
+    visits, one at a time.  A limit of None never runs out."""
 
     def __init__(self, limit: int | None):
         self.limit = limit
         self.left = math.inf if limit is None else limit
 
 
+JOIN_CHUNK = 1 << 17  # the most tuples of one level that a join holds
+
+
 def join(s: FqlSchema, i: Instance, variables: Sequence[tuple[str, Sequence[Cell]]],
          atoms: Iterable[tuple[Term, Term]], budget: NodeBudget,
-         too_large: Callable[[int, int], str]) -> tuple[dict[str, list[Cell]], int]:
+         too_large: Callable[[int, int], str]) -> Iterator[tuple[dict[str, list[Cell]], int]]:
     """The tuples of the variables, each over its candidates, at which both
-    sides of every atom evaluate equal in `i`: a column per variable and
-    their number, in lexicographic order of the variables, candidates in
-    their given order.
+    sides of every atom are equal in `i` (a labelled null equals only
+    itself), in lexicographic order, candidates in their given order:
+    yielded in runs, each a column per variable and the run's length.
 
-    A conjunctive query (Chandra and Merlin, STOC 1977) is answered one
-    level of partial tuples per variable, each term evaluated over a whole
-    level (Boncz et al., CIDR 2005), each atom checked at the level of its
-    latest variable.  An atom `t(new) = u(earlier)`, t mentioning only the
-    new variable and u only earlier ones, picks the new variable's
-    candidates from a dict, built once, from each value of t to the
-    candidates giving it; so a join along keys costs in proportion to its
-    output (Yannakakis, VLDB 1981).  Cells compare by ==, so a labelled null
-    equals only itself.  A variable named twice is visible from its last
-    position on.  The level k of `size` tuples that would pass `budget`
-    raises TooLarge(too_large(k, size)) before it is built.
+    One level of partial tuples per variable (Chandra and Merlin, STOC
+    1977), each term evaluated over a whole level (Boncz et al., CIDR
+    2005), each atom checked at the level of its latest variable.  An atom
+    `t(new) = u(earlier)` picks the new variable's candidates from a dict
+    of t's values, built once per candidate list and t, so a join along
+    keys costs in proportion to its output (Yannakakis, VLDB 1981).  A
+    variable named twice is visible from its last position on.  The level
+    k of `size` tuples that would pass `budget` raises
+    TooLarge(too_large(k, size)) before it is built; one of more than
+    JOIN_CHUNK is built from each half of the tuples before it in turn,
+    each taken through the later levels before the next.
     """
     last = {var: k for k, (var, _) in enumerate(variables)}
-
-    def names(term: Term) -> set[str]:
-        while isinstance(term, App):
-            term = term.arg
-        if isinstance(term, Var):
-            return {term.name}
-        return {sub.name for sub in subterms(term) if isinstance(sub, Var)}
-
     # checks[k + 1] are the atoms first evaluable at level k (k = -1: none).
     checks: list[list[tuple[Term, Term]]] = [[] for _ in range(len(variables) + 1)]
     probes: list[tuple[Term, Term] | None] = [None] * len(variables)
     for lhs, rhs in atoms:
-        nl, nr = names(lhs), names(rhs)
+        nl, nr = ({sub.name for sub in subterms(side) if isinstance(sub, Var)}
+                  for side in (lhs, rhs))
         pl = max(map(last.__getitem__, nl), default=-1)
         pr = max(map(last.__getitem__, nr), default=-1)
         k = max(pl, pr)
@@ -673,40 +670,57 @@ def join(s: FqlSchema, i: Instance, variables: Sequence[tuple[str, Sequence[Cell
                 break
         else:
             checks[k + 1].append((lhs, rhs))
+    # The probe dicts, by candidate list (alive in `variables` throughout)
+    # and probed term, its one variable left out: f(x) and f(y) share one.
+    indexes: dict[tuple, dict[Cell, list[Cell]]] = {}
 
-    columns: dict[str, list[Cell]] = {}
-    n = 1
-    for k in range(-1, len(variables)):
-        if k >= 0 and n:
-            var, rows = variables[k]
-            if probes[k] is None:
-                hits = [rows] * n
-            else:
-                new, earlier = probes[k]
-                if isinstance(new, Var):  # each candidate gives itself
-                    index = dict(zip(rows, zip(rows)))
-                else:
-                    index = {}
-                    for row, value in zip(rows, eval_column(s, i, {var: rows}, len(rows), new)):
-                        index.setdefault(value, []).append(row)
-                hits = list(map(index.get, eval_column(s, i, columns, n, earlier),
-                                itertools.repeat(())))
-            size = sum(map(len, hits))
-            if size > budget.left:
-                raise TooLarge(too_large(k, size))
-            budget.left -= size
-            if size != n or not all(hits):  # else each tuple has one hit
-                picks = [p for p, found in enumerate(hits) for _ in found]
-                columns = {v: list(map(col.__getitem__, picks)) for v, col in columns.items()}
-            columns[var], n = list(itertools.chain.from_iterable(hits)), size
-        for lhs, rhs in checks[k + 1]:
-            same = list(map(operator.eq, eval_column(s, i, columns, n, lhs),
-                            eval_column(s, i, columns, n, rhs)))
-            if not all(same):
-                picks = list(itertools.compress(range(n), same))
-                columns = {v: list(map(col.__getitem__, picks)) for v, col in columns.items()}
-                n = len(picks)
-    return columns, n
+    def hits(k: int, columns: dict[str, list[Cell]], n: int) -> list[Sequence[Cell]]:
+        var, rows = variables[k]
+        if probes[k] is None:
+            return [rows] * n
+        new, earlier = probes[k]
+        key = (id(rows), *(sub.op if isinstance(sub, App) else sub
+                           for sub in subterms(new) if not isinstance(sub, Var)))
+        if key not in indexes:
+            index = indexes[key] = {}
+            for row, value in zip(rows, eval_column(s, i, {var: rows}, len(rows), new)):
+                index.setdefault(value, []).append(row)
+        return list(map(indexes[key].get, eval_column(s, i, columns, n, earlier),
+                        itertools.repeat(())))
+
+    def levels(k: int, columns: dict[str, list[Cell]], n: int,
+               ) -> Iterator[tuple[dict[str, list[Cell]], int]]:
+        for k in range(k, len(variables)):
+            if k >= 0:
+                if not n:
+                    return
+                found = hits(k, columns, n)
+                size = sum(map(len, found))
+                if size > budget.left:
+                    raise TooLarge(too_large(k, size))
+                if size > JOIN_CHUNK and n > 1:  # each half of the tuples to the end
+                    for part in (range(n // 2), range(n // 2, n)):
+                        yield from levels(k, _keep(columns, part), len(part))
+                    return
+                budget.left -= size
+                if size != n or not all(found):  # else each tuple has one
+                    columns = _keep(columns, [p for p, rows in enumerate(found) for _ in rows])
+                columns[variables[k][0]] = list(itertools.chain.from_iterable(found))
+                n = size
+            for lhs, rhs in checks[k + 1]:
+                same = list(map(operator.eq, eval_column(s, i, columns, n, lhs),
+                                eval_column(s, i, columns, n, rhs)))
+                if not all(same):
+                    picks = list(itertools.compress(range(n), same))
+                    columns, n = _keep(columns, picks), len(picks)
+        if n:
+            yield columns, n
+
+    return levels(-1, {}, 1)
+
+
+def _keep(columns: dict[str, list[Cell]], picks: Iterable[int]) -> dict[str, list[Cell]]:
+    return {v: list(map(col.__getitem__, picks)) for v, col in columns.items()}
 
 
 def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
@@ -720,59 +734,73 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     A homomorphism commutes with every operation table and fixes builtin
     constants.  A null of i maps to one value of j at all its occurrences;
     a symbolic cell matches by computing once its null is bound to a
-    constant, or else structurally.
-
-    The homomorphisms are the answers of i's canonical conjunctive query
-    over j (Chandra and Merlin), found by `join` with one variable x_r per
-    row r of i, over j's rows of its type.  A foreign-key cell f(r) = r' is
-    the atom f(x_r) = x_r' and a constant cell a(r) = c the atom a(x_r) = c,
-    so a forced row is a probe with one hit and a constant narrows its
-    row's candidates.  A null stands for its first bare cell, and each of
-    its other cells is an atom comparing that cell with the builtins above
-    the null applied to the first.  A null that occurs only under builtins
-    is a variable of its own, after the rows, over the unknowns under j's
-    symbolic cells: `reverse(?k)` matches `reverse(?5)`, never "ab".  The
-    levels spend their tuples from `budget`, which searches may share.
+    constant, or else structurally.  The search spends its tuples from
+    `budget`, which searches may share.
     """
-    budget = budget or NodeBudget(None)
+    runs, slots, value = _hom_query(s, i, j, budget or NodeBudget(None))
+    for columns, n in runs:
+        images = {t: list(zip(*(columns[slots[t, r].name] for r in i.rows(t))))
+                  for t in s.slot_order}
+        bound = list(zip(*(eval_column(s, j, columns, n, term) for term in value.values())))
+        for p in range(n):
+            yield ({t: dict(zip(i.rows(t), found[p])) if found else {}
+                    for t, found in images.items()},
+                   dict(zip(value, bound[p])) if value else {})
+
+
+def count_homs(s: FqlSchema, i: Instance, j: Instance, budget: NodeBudget) -> int:
+    """The number of homomorphisms that `search_homs` yields, none built."""
+    return sum(n for _, n in _hom_query(s, i, j, budget)[0])
+
+
+def _hom_query(s: FqlSchema, i: Instance, j: Instance, budget: NodeBudget,
+               ) -> tuple[Iterator[tuple[dict[str, list[Cell]], int]],
+                          dict[tuple[str, str], Var], dict[str, Term]]:
+    """The runs of `join` answering i's canonical conjunctive query over j
+    (Chandra and Merlin), the variable of each row of i, and the term that
+    gives each null's value.
+
+    One variable x_r per row r of i, over j's rows of its type: a
+    foreign-key cell f(r) = r' is the atom f(x_r) = x_r', a constant cell
+    a(r) = c the atom a(x_r) = c, and each later cell of a null an atom
+    against its first bare cell.  A null that occurs only under builtins is
+    a variable over the unknowns under j's symbolic cells, so `reverse(?k)`
+    matches `reverse(?5)`, never "ab"."""
     types = s.slot_order
     slots = {(t, r): Var(str(k)) for k, (t, r) in enumerate((t, r) for t in types for r in i.rows(t))}
     ops = {t: [(op, cod) for op, (dom, cod) in s.tables.items() if dom == t] for t in types}
+    # j's rows of a type whose cells in the given columns have the given
+    # Python types: True == 1, but a constant meets only cells of its type.
+    typed: dict[tuple, Sequence[Cell]] = {(t,): j.rows(t) for t in types}
     variables: list[tuple[str, Sequence[Cell]]] = []
     atoms: list[tuple[Term, Term]] = []
     value: dict[str, Term] = {}  # each null's first bare cell, or its own variable
     later = []  # the other cells that hold a null
     for (t, r), x in slots.items():
-        rows = j.rows(t)
+        key: tuple = (t,)
         for op, cod in ops[t]:
             cell, at = i.functions[op][r], App(op, x)
             if cod in s.entity_types:
                 atoms.append((slots[cod, cell], at))
             elif (null := null_under(cell)) is None:
                 atoms.append((at, Lit(cod, cell)))
-                if not isinstance(cell, str):  # True == 1, but a constant
-                    column = j.functions[op]   # meets only cells of its type
-                    rows = [row for row in rows if type(column[row]) is type(cell)
-                            or column[row] != cell]
+                if not isinstance(cell, str):
+                    key += ((op, type(cell)),)
             elif cell is null and null.label not in value:
                 value[null.label] = at
             else:
                 later.append((at, cell, null))
-        variables.append((x.name, rows))
+        if key not in typed:
+            typed[key] = [row for row in j.rows(t)
+                          if all(type(j.functions[op][row]) is kind for op, kind in key[1:])]
+        variables.append((x.name, typed[key]))
     for at, cell, null in later:
         if null.label not in value:  # it occurs only under builtins
             value[null.label] = Var(str(null))
             variables.append((str(null), _unknown_args(j)))
         atoms.append((at, _under(cell, value[null.label])))
-    columns, n = join(s, j, variables, atoms, budget, lambda k, size: (
-        f"homomorphism search exceeds {budget.limit} search nodes"))
-    if not n:
-        return
-    images = {t: list(zip(*(columns[slots[t, r].name] for r in i.rows(t)))) for t in types}
-    bound = list(zip(*(eval_column(s, j, columns, n, term) for term in value.values())))
-    for p in range(n):
-        yield ({t: dict(zip(i.rows(t), found[p])) if found else {} for t, found in images.items()},
-               dict(zip(value, bound[p])) if value else {})
+    return join(s, j, variables, atoms, budget, lambda k, size: (
+        f"homomorphism search exceeds {budget.limit} search nodes")), slots, value
 
 
 def _under(cell: Cell, leaf: Term) -> Term:

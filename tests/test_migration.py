@@ -1057,18 +1057,20 @@ def _image(s: FqlSchema, i: Instance, rng, prefix: str) -> Instance:
         for op, (dom, cod) in s.tables.items()})
 
 
-def test_hom_join_matches_the_backtracking_search():
+def _check_homs_against_backtracking(trials: int) -> tuple[int, int, int]:
     """On sources of 5-12 rows, too many for `brute_force_homs`, with shared
     nulls, symbolic cells, a null only under `reverse`, empty carriers and
     (a third of the time) two interleaved parts, into a small random
     instance or two interleaved images of the source, `search_homs` yields
-    the backtracking reference's (maps, binding) pairs in the same order."""
+    the backtracking reference's (maps, binding) pairs in the same order.
+    Gives the trials with several homomorphisms, with an empty carrier, and
+    the homomorphisms that bind the null only under `reverse`."""
     from oracles import backtracking_homs
 
     s = _hom_oracle_schema()
     rng = random.Random(38)
     several = empty = under = 0
-    for trial in range(200):
+    for trial in range(trials):
         size = rng.randint(5, 12)
         if trial % 3 == 0:
             first = rng.randint(2, size - 2)
@@ -1086,7 +1088,69 @@ def test_hom_join_matches_the_backtracking_search():
         several += len(got) > 1
         empty += not i.rows("A") or not j.rows("A")
         under += sum("9" in binding for _, binding in got)
+    return several, empty, under
+
+
+def test_hom_join_matches_the_backtracking_search():
+    several, empty, under = _check_homs_against_backtracking(200)
     assert several > 30 and empty > 5 and under > 100
+
+
+def test_hom_join_in_halves_matches_the_backtracking_search(monkeypatch):
+    """The same, with every level of more than 3 tuples built from each half
+    of the level before in turn, down to one tuple: the homomorphisms and
+    their order do not change."""
+    import qinl.schema
+
+    monkeypatch.setattr(qinl.schema, "JOIN_CHUNK", 3)
+    several, _, _ = _check_homs_against_backtracking(60)
+    assert several > 10
+
+
+def test_forced_rows_read_each_target_column_once(monkeypatch):
+    """A chain r00 -> r01 -> ... -> r49 -> r49 whose head has a name and
+    whose rows all have age 1, into 3,000 rows: j's rows are gone through
+    once per probe dict (of `next` and of `name`) and once to keep the int
+    ages (True == 1 is no match), and then only at the partial tuples.
+    The work counted is the cells of j read and the positions evaluated
+    (nested calls included).  Building the dicts or filtering the ages
+    again for each of the 50 rows would take over 150,000."""
+    import qinl.schema
+
+    reads = [0]
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            reads[0] += 1
+            return super().__getitem__(key)
+
+    real = qinl.schema.eval_column
+
+    def counted(s, i, columns, n, e):
+        reads[0] += n
+        return real(s, i, columns, n, e)
+
+    monkeypatch.setattr(qinl.schema, "eval_column", counted)
+
+    s = _string_schema({"A"}, {"next": ("A", "A"), "name": ("A", "String"),
+                               "age": ("A", "Int")}, builtins=())
+    n, length = 3000, 50
+    ys = [f"y{k:04d}" for k in range(n)]
+    j = Instance({"A": tuple(ys)}, {
+        "next": Counted({y: ys[min(k + 1, n - 1)] for k, y in enumerate(ys)}),
+        "name": Counted({y: f"n{k % 30}" for k, y in enumerate(ys)}),
+        "age": Counted({y: True if k % 7 == 0 and k < n - 2 * length else 1
+                        for k, y in enumerate(ys)})})
+    rs = [f"r{k:02d}" for k in range(length)]
+    i = Instance.make({"A": rs}, {
+        "next": {r: rs[min(k + 1, length - 1)] for k, r in enumerate(rs)},
+        "name": {r: LabelledNull(str(k)) if k else f"n{(n - 40) % 30}"
+                 for k, r in enumerate(rs)},
+        "age": {r: 1 for r in rs}})
+    homs = list(search_homs(s, i, j))
+    assert [maps["A"]["r00"] for maps, _ in homs] == [
+        ys[k] for k in range(n - length, n) if k % 30 == (n - 40) % 30]
+    assert reads[0] <= 40_000
 
 
 # --------------------------------------------------------------------------

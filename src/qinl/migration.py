@@ -15,7 +15,6 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 from .chase import (
     FuelExhausted,
@@ -24,6 +23,7 @@ from .chase import (
     fill,
     identities,
     initial_model,
+    materialize,
     saturate,
 )
 from .equality import IllTyped, InconsistentConstants, Proved
@@ -40,7 +40,6 @@ from .schema import (
     TooLarge,
     count_homs,
     eval_column,
-    null_under,
     search_homs,
     unstated_builtin,
 )
@@ -257,7 +256,7 @@ class _Limit:
            same: Callable[[Cell, Cell], bool]) -> _Limit:
         src, tgt = mapping.source, mapping.target
         chase = saturate(tgt, {"x": t}, (), fuel)
-        stated, cells, _ = chase.materialize()
+        stated, cells, _ = materialize(tgt, chase)
         literals = chase.literals()
         functions = {op: dict(table) for op, table in stated.functions.items()}
         for op, row, root in cells:
@@ -266,7 +265,7 @@ class _Limit:
         pulled = _pull(mapping, rep)
         slots = [(s, row) for s in sorted(src.entity_types)
                  for row in pulled.rows(s)]
-        applications = chase.applications
+        applications = chase.applications()
         classes = [root for _, _, root in cells]
         at_x = {op: root for op, row, root in cells if row == "x"}
 
@@ -328,26 +327,12 @@ class Homomorphism:
 
 
 def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> HomSet:
-    """The instance homomorphisms from i to j, counted.
-
-    i is the coproduct of its connected components, its rows joined by a
-    foreign-key cell or by a labelled null they share, also under a
-    builtin; so a homomorphism out of i is one out of each component, and
-    their number is the product of the components' counts (Spivak and
-    Wisnesky, "Relational Foundations for Functorial Data Migration").
-    Each component is counted by one search (`schema.count_homs`), a
-    connected i as it stands; all the searches share one budget of
-    HOM_SEARCH_NODES tuples, past which TooLarge is raised.  The hom-set
-    builds its homomorphisms only when it is listed.
+    """The instance homomorphisms from i to j, counted component by
+    component (`schema.count_homs`) within one budget of HOM_SEARCH_NODES
+    tuples, past which TooLarge is raised.  The hom-set builds its
+    homomorphisms only when it is listed.
     """
-    budget = NodeBudget(HOM_SEARCH_NODES)
-    parts = _components(s, i)
-    size = 1
-    for part in parts:
-        size *= count_homs(s, part, j, budget)
-        if not size:
-            break
-    return HomSet(s, i, j, parts, size)
+    return HomSet(s, i, j, count_homs(s, i, j, NodeBudget(HOM_SEARCH_NODES)))
 
 
 class HomSet:
@@ -355,12 +340,10 @@ class HomSet:
     below 2**63), and iterating or indexing lists them, complete and
     duplicate-free, in lexicographic order of the images of i's rows (types
     sorted, then rows; candidates in j's order).  The first listing searches
-    each component of i again and builds the product of their
-    homomorphisms; TooLarge when there are more than HOM_SEARCH_NODES."""
+    i again; TooLarge when there are more than HOM_SEARCH_NODES."""
 
-    def __init__(self, s: FqlSchema, i: Instance, j: Instance,
-                 parts: list[Instance], size: int):
-        self.s, self.i, self.j, self.parts, self.size = s, i, j, parts, size
+    def __init__(self, s: FqlSchema, i: Instance, j: Instance, size: int):
+        self.s, self.i, self.j, self.size = s, i, j, size
         self._homs: list[Homomorphism] | None = None
 
     def __len__(self) -> int:
@@ -380,72 +363,20 @@ class HomSet:
             if self.size > HOM_SEARCH_NODES:
                 raise TooLarge(f"{self.size} homomorphisms are more than the "
                                f"{HOM_SEARCH_NODES} that are listed")
-            # The components after one without homomorphisms were not
-            # searched, and need not be.
-            self._homs = self._product() if self.size else []
+            self._homs = self._search() if self.size else []
         return self._homs
 
-    def _product(self) -> list[Homomorphism]:
+    def _search(self) -> list[Homomorphism]:
         s, i, j = self.s, self.i, self.j
         types = sorted(s.entity_types)
-        found = [[({(t, row): image for t, images in maps.items()
-                    for row, image in images.items()}, dict(binding))
-                  for maps, binding in search_homs(s, part, j)]
-                 for part in self.parts]
-        homs = []
-        for combo in product(*found):
-            images: dict[tuple[str, str], str] = {}
-            binding: dict[str, Cell] = {}
-            for part_images, part_binding in combo:
-                images.update(part_images)
-                binding.update(part_binding)
-            homs.append(Homomorphism(
-                tuple((t, tuple((row, images[t, row]) for row in i.rows(t)))
-                      for t in types),
-                tuple(sorted(binding.items()))))
-        # The search finds each component's homomorphisms in the order of
-        # its slots; the product is in the documented order only when there
-        # is one component whose slots are in that order.
-        if len(self.parts) > 1 or s.slot_order != types:
+        homs = [Homomorphism(tuple((t, tuple(maps[t].items())) for t in types),
+                             tuple(sorted(binding.items())))
+                for maps, binding in search_homs(s, i, j)]
+        # The search finds them in the order of its slots, which is the
+        # documented order only when the slot order is the types sorted.
+        if s.slot_order != types:
             position = {t: {row: k for k, row in enumerate(j.rows(t))}
                         for t in types}
             homs.sort(key=lambda h: tuple(position[t][image] for t, pairs in h.maps
                                           for _, image in pairs))
         return homs
-
-
-def _components(s: FqlSchema, i: Instance) -> list[Instance]:
-    """The connected components of i as instances, in the order of their
-    first rows (types sorted, then rows), or [i] itself when it has at most
-    one.  Rows are joined by a foreign-key cell and by a labelled null they
-    share, bare or under builtins."""
-    types = sorted(s.entity_types)
-    parent: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-    def find(x: tuple[str, ...]) -> tuple[str, ...]:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
-    for op, (dom, cod) in s.tables.items():
-        for row, value in i.functions[op].items():
-            if cod in s.entity_types:
-                other: tuple[str, ...] = (cod, value)
-            elif (null := null_under(value)) is not None:
-                other = (null.label,)  # one element: no row key
-            else:
-                continue
-            parent[find((dom, row))] = find(other)
-
-    groups: dict[tuple[str, ...], dict[str, list[str]]] = {}
-    for t in types:
-        for row in i.rows(t):
-            rows = groups.setdefault(find((t, row)), {u: [] for u in types})
-            rows[t].append(row)
-    if len(groups) <= 1:
-        return [i]
-    return [Instance.make(rows, {op: {row: i.functions[op][row]
-                                      for row in rows[dom]}
-                                 for op, (dom, _) in s.tables.items()})
-            for rows in groups.values()]

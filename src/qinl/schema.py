@@ -737,8 +737,8 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
     constant, or else structurally.  The search spends its tuples from
     `budget`, which searches may share.
     """
-    runs, slots, value = _hom_query(s, i, j, budget or NodeBudget(None))
-    for columns, n in runs:
+    variables, atoms, slots, value = _hom_query(s, i, j)
+    for columns, n in _join_homs(s, j, variables, atoms, budget or NodeBudget(None)):
         images = {t: list(zip(*(columns[slots[t, r].name] for r in i.rows(t))))
                   for t in s.slot_order}
         bound = list(zip(*(eval_column(s, j, columns, n, term) for term in value.values())))
@@ -749,16 +749,59 @@ def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
 
 
 def count_homs(s: FqlSchema, i: Instance, j: Instance, budget: NodeBudget) -> int:
-    """The number of homomorphisms that `search_homs` yields, none built."""
-    return sum(n for _, n in _hom_query(s, i, j, budget)[0])
+    """The number of homomorphisms that `search_homs` yields, none built.
+
+    i is the coproduct of its connected components, its rows joined by the
+    atoms of its query that name them: a foreign-key cell, or a labelled
+    null they share, also under a builtin.  So a homomorphism out of i is
+    one out of each component, and their number is the product of the
+    components' counts (Spivak and Wisnesky, "Relational Foundations for
+    Functorial Data Migration").  Each component is counted by its own
+    join, in the order of their first rows (types sorted, then rows), all
+    spending `budget`, until one counts none."""
+    variables, atoms, slots, _ = _hom_query(s, i, j)
+    parent = {var: var for var, _ in variables}
+
+    def find(var: str) -> str:
+        while parent[var] != var:
+            parent[var] = var = parent[parent[var]]
+        return var
+
+    named = [[sub.name for side in atom for sub in subterms(side) if isinstance(sub, Var)]
+             for atom in atoms]
+    for names in named:
+        for name in names[1:]:
+            parent[find(name)] = find(names[0])
+    parts: dict[str, tuple[list, list]] = {}
+    for t in sorted(s.entity_types):
+        for r in i.rows(t):
+            parts.setdefault(find(slots[t, r].name), ([], []))
+    for variable in variables:
+        parts[find(variable[0])][0].append(variable)
+    for atom, names in zip(atoms, named):
+        parts[find(names[0])][1].append(atom)
+    size = 1
+    for part_variables, part_atoms in parts.values():
+        size *= sum(n for _, n in _join_homs(s, j, part_variables, part_atoms, budget))
+        if not size:
+            break
+    return size
 
 
-def _hom_query(s: FqlSchema, i: Instance, j: Instance, budget: NodeBudget,
-               ) -> tuple[Iterator[tuple[dict[str, list[Cell]], int]],
+def _join_homs(s: FqlSchema, j: Instance, variables: Sequence[tuple[str, Sequence[Cell]]],
+               atoms: Iterable[tuple[Term, Term]], budget: NodeBudget,
+               ) -> Iterator[tuple[dict[str, list[Cell]], int]]:
+    return join(s, j, variables, atoms, budget, lambda k, size: (
+        f"homomorphism search exceeds {budget.limit} search nodes"))
+
+
+def _hom_query(s: FqlSchema, i: Instance, j: Instance,
+               ) -> tuple[list[tuple[str, Sequence[Cell]]], list[tuple[Term, Term]],
                           dict[tuple[str, str], Var], dict[str, Term]]:
-    """The runs of `join` answering i's canonical conjunctive query over j
-    (Chandra and Merlin), the variable of each row of i, and the term that
-    gives each null's value.
+    """i's canonical conjunctive query over j (Chandra and Merlin), for
+    `join`: its variables, each over its candidates, and its atoms; with
+    the variable of each row of i, and the term that gives each null's
+    value.
 
     One variable x_r per row r of i, over j's rows of its type: a
     foreign-key cell f(r) = r' is the atom f(x_r) = x_r', a constant cell
@@ -799,8 +842,7 @@ def _hom_query(s: FqlSchema, i: Instance, j: Instance, budget: NodeBudget,
             value[null.label] = Var(str(null))
             variables.append((str(null), _unknown_args(j)))
         atoms.append((at, _under(cell, value[null.label])))
-    return join(s, j, variables, atoms, budget, lambda k, size: (
-        f"homomorphism search exceeds {budget.limit} search nodes")), slots, value
+    return variables, atoms, slots, value
 
 
 def _under(cell: Cell, leaf: Term) -> Term:

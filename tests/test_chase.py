@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qinl import chase, migration
+from qinl import chase, equality, migration
 from qinl.chase import (
     FuelExhausted,
     InconsistentConstants,
@@ -13,7 +13,7 @@ from qinl.chase import (
     initial_model,
     saturate,
 )
-from qinl.equality import EGraph, Equation, IllTyped, Theory
+from qinl.equality import Equation, IllTyped, Theory
 from qinl.kernel import (
     App,
     Base,
@@ -36,6 +36,7 @@ from qinl.surface import elaborate, parse
 
 from conftest import company_schema, entity_schema, nulls_case
 from oracles import (
+    EGraph,
     _subst,
     check_egraph_indexes,
     classes_of_type,
@@ -362,7 +363,7 @@ def assert_tables_match_egraph(s, generators, equations=(), fuel=8,
         return
     assert [tables.find(node) for node in range(len(tables.parent))] == _partition(graph)
     assert _outcome(tables.literals) == _outcome(lambda: egraph_literals(graph))
-    assert tables.applications == egraph_applications(graph)
+    assert tables.applications() == egraph_applications(graph)
 
 
 def assert_chase_matches_oracles(s, generators, equations=(), fuel=8,
@@ -624,18 +625,18 @@ def _stopped_sigma(text: str, fuel: int) -> tuple[str, int, int]:
     ids the chase made and the tuples it visited."""
     elab = elaborate(parse(text))
     tables = []
-    run = chase.Tables.run
+    run = equality.EGraph.run
 
-    def recording(self, rounds):
+    def recording(self, *args):
         tables.append(self)
-        return run(self, rounds)
+        return run(self, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chase.Tables, "run", recording)
+        patch.setattr(equality.EGraph, "run", recording)
         with pytest.raises(FuelExhausted) as caught:
             sigma(elab.mappings["M"], elab.instances["I"], fuel=fuel)
     [stopped] = tables
-    return str(caught.value), len(stopped.parent), chase.CHASE_TUPLES - stopped.budget.left
+    return str(caught.value), len(stopped.parent), chase.CHASE_TUPLES - stopped.tuples_left
 
 
 def test_sigma_stops_at_the_same_tuple_and_id_under_both_caps():

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import random
+from pathlib import Path
 
 import pytest
 
-from qinl.chase import FuelExhausted
+import digest
+from qinl import chase, mapping
+from qinl.chase import FuelExhausted, saturate
+from qinl.cli import main
 from qinl.equality import (
     EGraph,
     Equation,
@@ -40,8 +47,11 @@ from qinl.schema import UNIT_CELL, FqlSchema, Instance, eval_column
 
 from conftest import company_schema
 from oracles import (
+    EGraph as HashConsed,
     add_by_walk,
     check_egraph_indexes,
+    check_tables,
+    egraph_decide_equal,
     egraph_chase,
     find_countermodel,
     match_every_root,
@@ -335,22 +345,27 @@ def test_fuel_monotonicity_on_random_theories():
 
 
 def test_indexes_match_a_full_sweep_after_every_round(monkeypatch):
-    """After every round of the prover and of the e-graph chase (the
-    reference the chase on tables is tested against), the class index,
-    the root lists and the hash-cons table equal what a sweep over the
-    union-find recomputes: on the random theories of the fuel test, on
-    goals with pairs, projections and unit, which the graph holds in base
-    normal form, and on one that folds builtins."""
-    rebuild = EGraph.rebuild
+    """After every round of the prover and of the chase, the tables are
+    keyed by roots and the root and literal indexes equal what a sweep over
+    the union-find recomputes; so do the class index, the root lists and
+    the hash-cons table of the hash-consed e-graph that both are tested
+    against: on the random theories of the fuel test, on goals with pairs,
+    projections and unit, which the graph holds in base normal form, and
+    on one that folds builtins."""
     rounds = []
 
-    def checked(graph):
-        changed = rebuild(graph)
-        check_egraph_indexes(graph)
-        rounds.append(graph.node_count())
-        return changed
+    def checking(graph_type, check):
+        rebuild = graph_type.rebuild
 
-    monkeypatch.setattr(EGraph, "rebuild", checked)
+        def checked(graph):
+            changed = rebuild(graph)
+            check(graph)
+            rounds.append(graph_type)
+            return changed
+        monkeypatch.setattr(graph_type, "rebuild", checked)
+
+    checking(EGraph, check_tables)
+    checking(HashConsed, check_egraph_indexes)
     rng = random.Random(41)
     for _ in range(80):
         th = _random_theory(rng)
@@ -359,24 +374,27 @@ def test_indexes_match_a_full_sweep_after_every_round(monkeypatch):
         b = _random_chain(rng, th.sig, t, rng.randint(0, 3))
         if a is None or b is None or a[1] != b[1]:
             continue
-        decide_equal(th, Context.of(("v", Base(t))), a[0], b[0], 6)
+        for prove in (decide_equal, egraph_decide_equal):
+            prove(th, Context.of(("v", Base(t))), a[0], b[0], 6)
         schema = FqlSchema(th, frozenset(th.sig.base_types), frozenset())
-        try:
-            egraph_chase(schema, {"g": t, "h": t}, [(Var("g"), Var("h"))], 6)
-        except FuelExhausted:
-            pass
+        for run in (saturate, egraph_chase):
+            try:
+                run(schema, {"g": t, "h": t}, [(Var("g"), Var("h"))], 6)
+            except FuelExhausted:
+                pass
     sig = Signature.of({"T1", "T2"}, {})
     pairs = Context.of(("e", Prod(Base("T1"), Base("T2"))),
                        ("x1", Base("T1")), ("x2", Base("T2")), ("u", UNIT))
-    for a, b in ((Var("e"), Pair(Proj1(Var("e")), Proj2(Var("e")))),
-                 (Proj2(Pair(Var("x1"), Var("x2"))), Var("x2")),
-                 (Var("u"), UNIT_TERM)):
-        decide_equal(Theory.of(sig), pairs, a, b, 4)
     company = company_schema()
     word = Lit("String", "abc")
-    decide_equal(company.theory, Context(), App("length", rev(rev(word))),
-                 Lit("Int", 3), 8, company.builtin_ops())
-    assert len(rounds) > 300
+    for prove in (decide_equal, egraph_decide_equal):
+        for a, b in ((Var("e"), Pair(Proj1(Var("e")), Proj2(Var("e")))),
+                     (Proj2(Pair(Var("x1"), Var("x2"))), Var("x2")),
+                     (Var("u"), UNIT_TERM)):
+            prove(Theory.of(sig), pairs, a, b, 4)
+        prove(company.theory, Context(), App("length", rev(rev(word))),
+              Lit("Int", 3), 8, company.builtin_ops())
+    assert rounds.count(EGraph) > 300 and rounds.count(HashConsed) > 300
 
 
 # --------------------------------------------------------------------------
@@ -515,11 +533,11 @@ def _random_problem(rng: random.Random):
 
 
 def _prove_recording(monkeypatch, th, ctx, a, b, fuel):
-    """The verdict of `decide_equal`, its graph's node keys and partition,
+    """The verdict of `decide_equal`, its graph's entries and partition,
     and every union that merged two classes, in order; then the number of
     `union` calls."""
     graphs, merges, calls = [], [], [0]
-    union, run_rounds = EGraph.union, EGraph.run_rounds
+    union, run = EGraph.union, EGraph.run
 
     def recording_union(self, x, y, reason=""):
         calls[0] += 1
@@ -530,39 +548,45 @@ def _prove_recording(monkeypatch, th, ctx, a, b, fuel):
 
     def capturing(self, *args):
         graphs.append(self)
-        return run_rounds(self, *args)
+        return run(self, *args)
 
     monkeypatch.setattr(EGraph, "union", recording_union)
-    monkeypatch.setattr(EGraph, "run_rounds", capturing)
+    monkeypatch.setattr(EGraph, "run", capturing)
     verdict = decide_equal(th, ctx, a, b, fuel, builtin_ops=BUILTINS)
     graph = graphs[0]
-    return (verdict, graph._nodes,
+    return (verdict, graph.tables, graph.literal_ids,
             [graph.find(n) for n in range(graph.node_count())], merges), calls[0]
+
+
+@functools.cache
+def _random_problems():
+    """The 900 problems of `_random_problem` at seed 13."""
+    rng, problems = random.Random(13), []
+    while len(problems) < 900:
+        problem = _random_problem(rng)
+        if problem is not None:
+            problems.append(problem)
+    return problems
 
 
 def test_semi_naive_matching_equals_every_match_on_random_problems(monkeypatch):
     """Pairs, projections, literals, builtins, two-variable contexts and
-    nonlinear patterns: the semi-naive pass ends with the verdict, node
-    keys, partition and union log of instantiating every match each round.
+    nonlinear patterns: the semi-naive pass ends with the verdict, entries,
+    partition and union log of instantiating every match each round.
     It skips matches, and it also meets stale keys after the first round,
-    where unions of classes with parents precede a match."""
-    rng = random.Random(13)
-    union_sides = EGraph._union_sides
+    where unions of classes with entries precede a match."""
+    add = EGraph.add
     stale = [0]
 
-    def counting(self, instantiation, bound, since, reason, root=-1):
-        if self._round > 1 and root >= 0 and self._pending:
+    def counting(self, side, env):
+        if self.round > 1 and self.stale:
             stale[0] += 1
-        return union_sides(self, instantiation, bound, since, reason, root)
+        return add(self, side, env)
 
-    problems = proved = calls = every_calls = 0
-    while problems < 900:
-        problem = _random_problem(rng)
-        if problem is None:
-            continue
-        problems += 1
+    proved = calls = every_calls = 0
+    for problem in _random_problems():
         with monkeypatch.context() as patch:
-            patch.setattr(EGraph, "_union_sides", counting)
+            patch.setattr(EGraph, "add", counting)
             got, n = _prove_recording(patch, *problem)
         with monkeypatch.context() as patch:
             patch.setattr(EGraph, "apply_equations_matched", match_every_root)
@@ -573,6 +597,39 @@ def test_semi_naive_matching_equals_every_match_on_random_problems(monkeypatch):
     assert proved >= 150
     assert stale[0] >= 1000
     assert calls < every_calls
+
+
+def test_no_goal_the_reference_proves_is_unknown(monkeypatch, tmp_path):
+    """On the random problems, on every preservation goal of
+    `tests/test_mapping.py` and on every goal of the `read` corpus at seed
+    1, `decide_equal` proves each goal that the hash-consed e-graph of
+    `tests/oracles.py` proves; on most, with the same trace."""
+    goals = [((th, ctx, a, b, fuel), {"builtin_ops": BUILTINS},
+              decide_equal(th, ctx, a, b, fuel, builtin_ops=BUILTINS))
+             for th, ctx, a, b, fuel in _random_problems()]
+    recorded = len(goals)
+    with monkeypatch.context() as patch:
+        def recording(*args, **kwargs):
+            goals.append((args, kwargs, decide_equal(*args, **kwargs)))
+            return goals[-1][2]
+
+        patch.setattr(mapping, "decide_equal", recording)
+        assert pytest.main(["-q", "-p", "no:cacheprovider",
+                            str(Path(__file__).with_name("test_mapping.py"))]) == 0
+        preservation = len(goals) - recorded
+        patch.setattr(chase, "decide_equal", recording)
+        patch.chdir(tmp_path)
+        for case in digest.gen.make_cases("read", 1, 100):
+            Path(f"{case.name}.qinl").write_text(case.text, encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                main([case.command, f"{case.name}.qinl", *case.args])
+    assert preservation >= 150 and len(goals) - recorded - preservation >= 200
+    same = 0
+    for args, kwargs, got in goals:
+        want = egraph_decide_equal(*args, **kwargs)
+        assert isinstance(got, Proved) or not isinstance(want, Proved), args
+        same += got == want
+    assert same >= 0.9 * len(goals)
 
 
 def test_semi_naive_matching_skips_old_matches(company_theory, monkeypatch):
@@ -676,7 +733,7 @@ def _add_pairs(sig, ctx, pairs, images, compiled: bool):
     its sides, twice, with builtins and a rebuild after each pass: by
     builders compiled once, or by the recursive walk.  The node of each
     side, the node keys, the partition and the union log."""
-    graph = EGraph(sig, BUILTINS)
+    graph = HashConsed(sig, BUILTINS)
     env = [graph.add_node(("var", v), t) for v, t in ctx]
     binding = dict(zip(ctx.names(), env))
     slots = {v: k for k, v in enumerate(ctx.names())}

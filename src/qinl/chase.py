@@ -59,9 +59,9 @@ def initial_model(s: FqlSchema, generators: Mapping[str, str],
     (see `conflict` and `identities`)."""
     chase = saturate(s, generators, equations, fuel, images)
     model, _, known = materialize(s, chase)
-    clash = conflict(s, chase.applications(), known, identities(s, fuel))
-    if clash is not None:
-        raise UnstatedNull(*clash)
+    clashes = conflict(s, chase.applications(), known, identities(s, fuel))
+    if clashes:
+        raise UnstatedNull(*clashes[0])
     return model
 
 
@@ -126,12 +126,12 @@ def saturate(s: FqlSchema, generators: Mapping[str, str],
 
 
 def materialize(s: FqlSchema, chase: EGraph
-                ) -> tuple[Instance, list[tuple[str, str, int]], dict[int, Cell]]:
+                ) -> tuple[Instance, list[tuple[str, str, int]], dict[int, list[Cell]]]:
     """The instance of a saturated chase, its attribute cells as (op, row,
-    class) in table order and each attribute class's value.  A row is its
-    root's least path (`e.manager`, see `EGraph.extract`).  A cell holds
-    its literal, a value carried from another cell's null along the
-    builtins, or a fresh null, numbered in table order (see `fill`)."""
+    class) in table order and each attribute class's value, a column of one
+    row.  A row is its root's least path (`e.manager`, see `EGraph.extract`).
+    A cell holds its literal, a value carried from another cell's null along
+    the builtins, or a fresh null, numbered in table order (see `fill`)."""
     find, parent, entity = chase.find, chase.parent, s.entity_types
     rows = chase.extract(entity)
     if len(rows) < sum(len(chase.roots[t]) for t in entity):
@@ -148,23 +148,25 @@ def materialize(s: FqlSchema, chase: EGraph
         functions[op] = (dict(zip(carriers[dom], map(rows.__getitem__, results)))
                          if cod in entity else {})
         cells += [] if cod in entity else zip(repeat(op), carriers[dom], results)
-    known: dict[int, Cell] = chase.literals()
+    known = {root: [value] for root, value in chase.literals().items()}
     nulls = count()
     fill(s, chase.applications(), known, [root for _, _, root in cells],
-         lambda _: LabelledNull(str(next(nulls))))
+         lambda _: [LabelledNull(str(next(nulls)))])
     for op, row, root in cells:
-        functions[op][row] = known[root]
+        functions[op][row] = known[root][0]
     return Instance(carriers, functions), cells, known
 
 
 def fill(s: FqlSchema, applications: list[tuple[int, str, int]],
-         known: dict[int, Cell], cells: list[int],
-         fresh: Callable[[int], Cell]) -> None:
-    """Give values to classes in `known`, in place.  The values already
-    there are carried along `applications` (class, op, argument class);
-    then each class of `cells` still without a value gets `fresh(class)`,
-    first those that are no builtin application, then the rest, each in
-    order and carried at once.  A class keeps its first value."""
+         known: dict[int, list[Cell]], cells: list[int],
+         fresh: Callable[[int], list[Cell]]) -> None:
+    """Give values to classes in `known`, in place, a column each, one value
+    per row: every row has values for the same classes (one row in
+    `materialize`, a join run of homomorphisms in `pi`), so one carry order
+    serves all rows.  The columns there are carried along `applications`
+    (class, op, argument class); then each class of `cells` still without
+    one gets `fresh(class)`, first those that are no builtin application,
+    then the rest, each in order and carried at once."""
     uses: dict[int, list[tuple[int, str]]] = {}
     for root, op, arg in applications:
         uses.setdefault(arg, []).append((root, op))
@@ -175,7 +177,7 @@ def fill(s: FqlSchema, applications: list[tuple[int, str, int]],
             arg = todo.pop()
             for root, op in uses.get(arg, ()):
                 if root not in known:
-                    known[root] = s.builtins.apply(op, known[arg])
+                    known[root] = list(map(s.builtins.apply, repeat(op), known[arg]))
                     todo.append(root)
 
     carry([arg for arg in uses if arg in known])
@@ -187,17 +189,20 @@ def fill(s: FqlSchema, applications: list[tuple[int, str, int]],
 
 
 def conflict(s: FqlSchema, applications: list[tuple[int, str, int]],
-             known: dict[int, Cell], same: Callable[[Cell, Cell], bool]
-             ) -> tuple[Cell, Cell] | None:
-    """The first of `applications` whose op computes another value at its
-    argument's value than its class holds, as (computed, held), unless
-    `same` proves the two equal; None when there is none."""
+             known: dict[int, list[Cell]], same: Callable[[Cell, Cell], bool]
+             ) -> dict[int, tuple[Cell, Cell]]:
+    """A row mask over the columns of `known` (see `fill`): each row at
+    which one of `applications` computes another value at its argument's
+    value than its class holds, unless `same` proves the two equal, with
+    the first such as (computed, held)."""
+    clashes: dict[int, tuple[Cell, Cell]] = {}
     for root, op, arg in applications:
         if arg in known:
-            value = s.builtins.apply(op, known[arg])
-            if value != known[root] and not same(known[root], value):
-                return value, known[root]
-    return None
+            computed = map(s.builtins.apply, repeat(op), known[arg])
+            for p, (value, held) in enumerate(zip(computed, known[root])):
+                if value != held and p not in clashes and not same(held, value):
+                    clashes[p] = value, held
+    return clashes
 
 
 def identities(s: FqlSchema, fuel: int) -> Callable[[Cell, Cell], bool]:

@@ -175,9 +175,10 @@ def format_literal(v: object) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{escaped}"'
+        if "\\" in v or '"' in v or "\n" in v or "\t" in v:
+            v = v.replace("\\", "\\\\").replace('"', '\\"')
+            v = v.replace("\n", "\\n").replace("\t", "\\t")
+        return f'"{v}"'
     return str(v)
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import starmap
 
 from .chase import (
     FuelExhausted,
@@ -38,8 +39,11 @@ from .schema import (
     NodeBudget,
     OpApplied,
     TooLarge,
+    _hom_query,
+    _join_homs,
     count_homs,
     eval_column,
+    null_under,
     search_homs,
     unstated_builtin,
 )
@@ -189,10 +193,11 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     reads each row of u's representable at its image under the homomorphism
     of representables that sends x to f(x).  Attribute values come from the
     representable's saturated chase, searched with one null per
-    undetermined class: each class takes its literal or the source value
-    the homomorphism binds its null to, and `chase.fill` carries these
-    along the builtin applications the target's equations put there and
-    gives each open class a fresh null.  A homomorphism is dropped when an
+    undetermined class, a join run of homomorphisms at a time (`_Limit`):
+    each class takes a column of its literal or of the source values the
+    homomorphisms bind its null to, and `chase.fill` carries these along
+    the builtin applications the target's equations put there and gives
+    each open class a fresh null.  A homomorphism is dropped when an
     application then computes another value than its class holds (two
     forms of one null count as one only if the target theory proves them
     equal), so a row is kept only if its images under target operations
@@ -205,7 +210,6 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
     same = identities(tgt, fuel)
     limits = {t: _Limit.of(mapping, i, t, fuel, same)
               for t in sorted(tgt.entity_types)}
-    carriers = {t: sorted(limit.names.values()) for t, limit in limits.items()}
 
     functions: dict[str, dict[str, Cell]] = {}
     nulls: dict[tuple[str, str, str], LabelledNull] = {}
@@ -213,7 +217,6 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
                  if null.label.isdecimal()), default=0)
     for op, (dom, cod) in tgt.tables.items():
         limit = limits[dom]
-        table: dict[str, Cell] = {}
         if cod in tgt.entity_types:
             # The homomorphism of representables that sends x to f(x) is
             # fixed by it (Yoneda): a row `x.op1.op2`, a least path, goes to
@@ -222,34 +225,38 @@ def pi(mapping: SchemaMapping, i: Instance, *, fuel: int = 32,
             positions = [limit.slots.index((s, reduce(
                 lambda row, step: rep[step][row], path.split(".")[1:],
                 rep[op]["x"]))) for s, path in image.slots]
-            for key, name in limit.names.items():
-                moved = tuple(key[p] for p in positions)
-                if moved not in image.names:
-                    raise FuelExhausted(
-                        f"image row under '{op}' escaped the computed limit",
-                        len(limit.names))
-                table[name] = image.names[moved]
+            moved = list(zip(*[limit.images[p] for p in positions])) or [()] * len(limit.rows)
+            table = dict(zip(limit.rows, map(image.names.get, moved)))
+            if None in table.values():
+                raise FuelExhausted(f"image row under '{op}' escaped the computed limit",
+                                    len(limit.rows))
         else:
-            for name in sorted(limit.names.values()):
-                table[name] = _restate(limit.values[name][op], (dom, name),
-                                       nulls, first)
+            column = limit.values[op]
+            table = dict(zip(limit.rows, column))
+            # A class takes its value the same way at every row, so a
+            # column holds a `_Fresh` null at each row or at none.
+            if column and isinstance(null_under(column[0]), _Fresh):
+                for name in sorted(table):
+                    table[name] = _restate(table[name], (dom, name), nulls, first)
         functions[op] = table
-    return Instance.make(carriers, functions)
+    return Instance.make({t: limit.rows for t, limit in limits.items()}, functions)
 
 
 @dataclass(frozen=True)
 class _Limit:
     """pi at one target entity type t.  `rep` is t's representable with one
     null per undetermined class, labelled by the class, and `slots` are the
-    rows (source entity, row of rep) of its pullback.  `names` maps each
-    kept homomorphism, as the tuple of its images of the slots, to its row
-    name; `values` holds each row's attribute cells at x, where a `_Fresh`
-    null stands for an open class."""
+    rows (source entity, row of rep) of its pullback.  Each kept
+    homomorphism is a row: its name in `rows`, its images of the slots in
+    `images` and its attribute cells at x in `values`, a column each (a
+    `_Fresh` null stands for an open class); `names` maps images to names."""
 
     rep: Instance
     slots: list[tuple[str, str]]
+    rows: list[str]
+    images: list[list[str]]
+    values: dict[str, list[Cell]]
     names: dict[tuple[str, ...], str]
-    values: dict[str, dict[str, Cell]]
 
     @classmethod
     def of(cls, mapping: SchemaMapping, i: Instance, t: str, fuel: int,
@@ -268,21 +275,32 @@ class _Limit:
         applications = chase.applications()
         classes = [root for _, _, root in cells]
         at_x = {op: root for op, row, root in cells if row == "x"}
+        variables, atoms, slot_vars, value = _hom_query(src, pulled, i)
+        template = "(" + ", ".join(f"{row}:{s}=".replace("{", "{{").replace("}", "}}")
+                                   + "{}" for s, row in slots) + ")"
 
-        names: dict[tuple[str, ...], str] = {}
-        values: dict[str, dict[str, Cell]] = {}
-        for maps, binding in search_homs(src, pulled, i):
-            known = dict(literals)
-            known.update((int(label), v) for label, v in binding.items())
-            fill(tgt, applications, known, classes, lambda root: _Fresh(str(root)))
-            if conflict(tgt, applications, known, same) is not None:
-                continue
-            key = tuple(maps[s][row] for s, row in slots)
-            name = "(" + ", ".join(
-                f"{row}:{s}={image}" for (s, row), image in zip(slots, key)) + ")"
-            names[key] = name
-            values[name] = {op: known[root] for op, root in at_x.items()}
-        return cls(rep, slots, names, values)
+        # The homomorphisms of one join run bind the same nulls, so one fill
+        # and one check serve the run, a column per class.
+        kept: list[list] = [[] for _ in range(len(slots) + len(at_x))]  # images, then values
+        count = 0
+        for columns, n in _join_homs(src, i, variables, atoms, NodeBudget(None)):
+            known = {root: [v] * n for root, v in literals.items()}
+            known.update((int(label), eval_column(src, i, columns, n, term))
+                         for label, term in value.items())
+            fill(tgt, applications, known, classes, lambda root: [_Fresh(str(root))] * n)
+            clashes = conflict(tgt, applications, known, same)
+            run = ([columns[slot_vars[slot].name] for slot in slots]
+                   + [known[root] for root in at_x.values()])
+            if clashes:
+                picks = [p for p in range(n) if p not in clashes]
+                run = [list(map(column.__getitem__, picks)) for column in run]
+            for whole, column in zip(kept, run):
+                whole += column
+            count += n - len(clashes)
+        images, values = kept[:len(slots)], dict(zip(at_x, kept[len(slots):]))
+        keys = list(zip(*images)) or [()] * count  # with no slots, one key ()
+        rows = list(starmap(template.format, keys))
+        return cls(rep, slots, rows, images, values, dict(zip(keys, rows)))
 
 
 @dataclass(frozen=True)

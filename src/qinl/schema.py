@@ -341,13 +341,10 @@ class Instance:
         return sum(len(rows) for rows in self.carriers.values())
 
     def nulls(self) -> list[LabelledNull]:
-        seen = {}
-        for op in sorted(self.functions):
-            for row in sorted(self.functions[op]):
-                null = null_under(self.functions[op][row])
-                if null is not None:
-                    seen.setdefault(null.label, null)
-        return [seen[k] for k in sorted(seen)]
+        """The nulls of the cells, bare or under builtins, in label order."""
+        seen = {null.label: null for table in self.functions.values()
+                for null in map(null_under, table.values()) if null is not None}
+        return [seen[label] for label in sorted(seen)]
 
 
 def null_under(v: Cell) -> LabelledNull | None:

@@ -109,6 +109,7 @@ _ENTRY = re.compile(
     re.DOTALL)
 _IDENT_TEXT = re.compile(_IDENT)
 _IDENT_LINES = re.compile(rf"(?:{_IDENT}\n)*{_IDENT}")
+_IDENT_LINE = re.compile(rf"\n{_IDENT}\n")
 _BOOLS = frozenset({"true", "false"})
 _BAD_ESCAPE = re.compile(r'"(?:[^"\\\n]|\\["\\nt])*\\([^"\\nt])')
 _ESCAPE = re.compile(r"\\(.)")
@@ -1352,13 +1353,15 @@ def instance_to_decl(name: str, schema_name: str, schema: FqlSchema,
     def row_texts(rows: Sequence[str]) -> Sequence[str]:
         """The column itself when every id is an identifier and no keyword,
         as one match over its lines tells (an id holding a newline makes a
-        line more); else each distinct id rendered once, by `_row_text`."""
+        line more); else each distinct id rendered once, by `_row_text`, or
+        quoted by `format_literal` when no line is an identifier (`pi`'s
+        rows)."""
         lines = "\n".join(rows)
         if (_IDENT_LINES.fullmatch(lines) and lines.count("\n") == len(rows) - 1
                 and KEYWORDS.isdisjoint(rows)):
             return rows
-        return [rendered.get(row) or rendered.setdefault(row, _row_text(row))
-                for row in rows]
+        show = _row_text if _IDENT_LINE.search(f"\n{lines}\n") else format_literal
+        return [rendered.get(row) or rendered.setdefault(row, show(row)) for row in rows]
 
     items = []
     for t in sorted(schema.entity_types):

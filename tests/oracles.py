@@ -21,9 +21,11 @@ compiled builders, the tokenizer oracle steps through the text one
 character at a time instead of matching a regular expression, and the
 instance-table oracle reads every entry token by token into a located value
 and resolves each cell on its own instead of converting whole columns of
-entry texts, and homomorphisms are found by backtracking over the rows one
+entry texts, homomorphisms are found by backtracking over the rows one
 candidate at a time (`backtracking_homs`) rather than by the engine's
-level-by-level join.  Two helpers build what the engine never builds:
+level-by-level join, and `pi` fills, checks and names one homomorphism at a
+time, a value per class (`hom_by_hom_pi`), rather than a join run at a time,
+a column per class.  Two helpers build what the engine never builds:
 `translate` writes a term out along a mapping as a tree, and `isomorphism`
 filters the backtracking search for bijections (it is checked against the
 brute-force `brute_force_iso`).
@@ -36,9 +38,10 @@ import random
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from math import inf
 
-from qinl import chase
+from qinl import chase, migration
 from qinl.chase import FuelExhausted, UnstatedNull
 from qinl.equality import (
     LOG_LIMIT, Equation, IllTyped, Images, InconsistentConstants, Proved, Theory, Unknown,
@@ -85,6 +88,7 @@ from qinl.schema import (
     format_cell,
     make_set,
     render_cell,
+    search_homs,
     validate_instance,
 )
 from qinl.surface import (
@@ -678,6 +682,121 @@ def _unify(vi, vj, binding, bijective) -> bool:
         return (isinstance(vj, OpApplied) and vi.op == vj.op
                 and _unify(vi.arg, vj.arg, binding, bijective))
     return type(vi) is type(vj) and vi == vj
+
+
+def hom_by_hom_pi(mapping, i, *, fuel: int = 32, allow_unverified: bool = False):
+    """`migration.pi` one homomorphism at a time, as a dict of carrier maps
+    and null binding from `search_homs`, each filled and checked by value
+    (`fill_by_value`, `conflict_by_value`) and named by its own join;
+    `migration.pi` computes, checks and names a join run at a time."""
+    migration.require_verified(mapping, fuel, allow_unverified)
+    tgt = mapping.target
+    same = chase.identities(tgt, fuel)
+    limits = {t: _hom_by_hom_limit(mapping, i, t, fuel, same)
+              for t in sorted(tgt.entity_types)}
+    carriers = {t: sorted(names.values()) for t, (_, _, names, _) in limits.items()}
+
+    functions: dict[str, dict] = {}
+    nulls: dict = {}
+    first = max((int(null.label) + 1 for null in i.nulls()
+                 if null.label.isdecimal()), default=0)
+    for op, (dom, cod) in tgt.tables.items():
+        rep_of, slots, names, values = limits[dom]
+        table: dict = {}
+        if cod in tgt.entity_types:
+            _, image_slots, image_names, _ = limits[cod]
+            rep = rep_of.functions
+            positions = [slots.index((s, reduce(
+                lambda row, step: rep[step][row], path.split(".")[1:],
+                rep[op]["x"]))) for s, path in image_slots]
+            for key, name in names.items():
+                moved = tuple(key[p] for p in positions)
+                if moved not in image_names:
+                    raise FuelExhausted(
+                        f"image row under '{op}' escaped the computed limit",
+                        len(names))
+                table[name] = image_names[moved]
+        else:
+            for name in sorted(names.values()):
+                table[name] = migration._restate(values[name][op], (dom, name),
+                                                 nulls, first)
+        functions[op] = table
+    return Instance.make(carriers, functions)
+
+
+def _hom_by_hom_limit(mapping, i, t: str, fuel: int, same):
+    """pi at one target entity type: the representable, the slots, each
+    kept homomorphism's row name by its images of the slots, and each row's
+    attribute cells at x."""
+    src, tgt = mapping.source, mapping.target
+    chased = chase.saturate(tgt, {"x": t}, (), fuel)
+    stated, cells, _ = chase.materialize(tgt, chased)
+    literals = chased.literals()
+    functions = {op: dict(table) for op, table in stated.functions.items()}
+    for op, row, root in cells:
+        functions[op][row] = literals.get(root, LabelledNull(str(root)))
+    rep = Instance.make(stated.carriers, functions)
+    pulled = migration._pull(mapping, rep)
+    slots = [(s, row) for s in sorted(src.entity_types)
+             for row in pulled.rows(s)]
+    applications = chased.applications()
+    classes = [root for _, _, root in cells]
+    at_x = {op: root for op, row, root in cells if row == "x"}
+
+    names: dict = {}
+    values: dict = {}
+    for maps, binding in search_homs(src, pulled, i):
+        known = dict(literals)
+        known.update((int(label), v) for label, v in binding.items())
+        fill_by_value(tgt, applications, known, classes,
+                      lambda root: migration._Fresh(str(root)))
+        if conflict_by_value(tgt, applications, known, same) is not None:
+            continue
+        key = tuple(maps[s][row] for s, row in slots)
+        name = "(" + ", ".join(
+            f"{row}:{s}={image}" for (s, row), image in zip(slots, key)) + ")"
+        names[key] = name
+        values[name] = {op: known[root] for op, root in at_x.items()}
+    return rep, slots, names, values
+
+
+def fill_by_value(s, applications, known: dict, cells, fresh) -> None:
+    """`chase.fill` with one value per class instead of a column: the values
+    in `known` are carried along `applications` (class, op, argument
+    class), then each class of `cells` still without one gets
+    `fresh(class)`, first those that are no builtin application, then the
+    rest, each in order and carried at once."""
+    uses: dict = {}
+    for root, op, arg in applications:
+        uses.setdefault(arg, []).append((root, op))
+    applied = {root for root, _, _ in applications}
+
+    def carry(todo: list) -> None:
+        while todo:
+            arg = todo.pop()
+            for root, op in uses.get(arg, ()):
+                if root not in known:
+                    known[root] = s.builtins.apply(op, known[arg])
+                    todo.append(root)
+
+    carry([arg for arg in uses if arg in known])
+    for leaves_only in (True, False):
+        for root in cells:
+            if root not in known and not (leaves_only and root in applied):
+                known[root] = fresh(root)
+                carry([root])
+
+
+def conflict_by_value(s, applications, known: dict, same):
+    """`chase.conflict` at one value per class: the first of `applications`
+    whose op computes another value than its class holds, as (computed,
+    held), unless `same` proves the two equal; None when there is none."""
+    for root, op, arg in applications:
+        if arg in known:
+            value = s.builtins.apply(op, known[arg])
+            if value != known[root] and not same(known[root], value):
+                return value, known[root]
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -1789,8 +1908,8 @@ def egraph_materialize(graph, s):
         functions[op] = table
     known = egraph_literals(graph)
     nulls = itertools.count()
-    chase.fill(s, egraph_applications(graph), known, [root for _, _, root in cells],
-               lambda _: LabelledNull(str(next(nulls))))
+    fill_by_value(s, egraph_applications(graph), known, [root for _, _, root in cells],
+                  lambda _: LabelledNull(str(next(nulls))))
     for op, row, root in cells:
         functions[op][row] = known[root]
     return Instance.make(carriers, functions), cells, known
@@ -1798,7 +1917,7 @@ def egraph_materialize(graph, s):
 
 def _egraph_model(s, graph, fuel: int):
     model, _, known = egraph_materialize(graph, s)
-    clash = chase.conflict(s, egraph_applications(graph), known, chase.identities(s, fuel))
+    clash = conflict_by_value(s, egraph_applications(graph), known, chase.identities(s, fuel))
     if clash is not None:
         raise UnstatedNull(*clash)
     return model

@@ -630,6 +630,119 @@ def test_delta_refuses_a_builtin_its_source_does_not_declare():
     assert kept[0] == kept[1]
 
 
+# The length identity comes with reverse's: alone, its chase never saturates.
+_PI_EQUATIONS = ("forall s: String . reverse(reverse(s)) = s; "
+                 "forall s: String . length(reverse(s)) = length(s);",
+                 "forall s: String . reverse(reverse(s)) = s;",
+                 "forall x: U . length(w(x)) = k(x);",
+                 "forall x: U . n(x) = length(w(x));",
+                 "forall x: U . w(x) = reverse(w2(x));",
+                 "forall x: U . c(f(x)) = w2(x);",
+                 "forall x: U . w(x) = reverse(w(x));")
+
+
+def _pi_case(rng: random.Random) -> str:
+    """Schemas S and T, a mapping M : S -> T and an instance I on S as text.
+    T states a random subset of `_PI_EQUATIONS`; M sends S's key g : A -> B
+    to f : U -> V, or A and B both to U.  A and B are S's types in either
+    name order, so the search, which takes a key's source first, lists the
+    rows in name order or not.  I has up to five A rows and three B rows
+    (possibly none), and its cells are constants, nulls that several rows
+    share, or builtins of them."""
+    equations = " ".join(e for e in _PI_EQUATIONS if rng.random() < 0.3)
+    a, b = rng.choice([("A", "B"), ("B", "A")])
+    ops = (f"g : {a} -> {b}, u : {a} -> String, v : {a} -> Int, b : {b} -> String, "
+           "length : String -> Int, reverse : String -> String")
+    text = (f"schema S = {{ entities A, B; attributes String, Int; operations {ops}; }}\n"
+            "schema T = { entities U, V; attributes String, Int;\n"
+            "  operations f : U -> V, w : U -> String, w2 : U -> String, k : U -> Int,\n"
+            "    n : U -> Int, c : V -> String, length : String -> Int,\n"
+            f"    reverse : String -> String;\n  equations {equations} }}\n")
+    u = rng.choice(["w(x)", "w(x)", "w2(x)", "reverse(w(x))", "c(f(x))"])
+    v = rng.choice(["k(x)", "n(x)", "length(w(x))", "length(w(x))", "length(w2(x))"])
+    if rng.random() < 0.4:
+        image = rng.choice(["w(x)", "w2(x)", "reverse(w2(x))"])
+        images = f"{a} -> U; {b} -> U; g -> (x => x); b -> (x => {image});"
+    else:
+        images = f"{a} -> U; {b} -> V; g -> (x => f(x)); b -> (x => c(x));"
+    text += f"mapping M : S -> T = {{ {images} u -> (x => {u}); v -> (x => {v}); }}\n"
+    bs = [f"b{k}" for k in range(rng.randint(0, 3))]
+    as_ = [f"a{k}" for k in range(rng.randint(0, 5))] if bs else []
+
+    def string() -> str:
+        roll, null = rng.random(), rng.choice(["?0", "?p"])
+        if roll < 0.3:
+            return null
+        return f"reverse({null})" if roll < 0.4 else rng.choice(['"ab"', '"ba"', '"aba"'])
+
+    def length(cell: str) -> str:
+        return str(len(cell) - 2) if cell.startswith('"') else f"length({cell})"
+
+    tables = {"b": {r: string() for r in bs}, "g": {a: rng.choice(bs) for a in as_}}
+    tables["u"] = {a: tables["b"][tables["g"][a]] if rng.random() < 0.5 else string()
+                   for a in as_}
+    tables["v"] = {a: length(tables["u"][a]) if rng.random() < 0.6
+                   else rng.choice(["2", "3", "?1", "?i"]) for a in as_}
+    body = f"{a} = {{ {', '.join(as_)} }}; {b} = {{ {', '.join(bs)} }}; " + " ".join(
+        f"{op} = {{ {', '.join(f'{r} -> {c}' for r, c in table.items())} }};"
+        for op, table in tables.items())
+    return text + f"instance I : S = {{ {body} }}\n"
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_pi_matches_the_hom_by_hom_reference(monkeypatch, chunk):
+    """pi computes, checks and names a join run of homomorphisms at a time;
+    the reference does each homomorphism on its own.  With every join level
+    of more than `chunk` tuples built from each half of the level before,
+    one search yields several runs, and pi still gives the same carriers,
+    tables and null numbering."""
+    import qinl.schema
+    from qinl import migration
+
+    from oracles import hom_by_hom_pi
+
+    monkeypatch.setattr(qinl.schema, "JOIN_CHUNK", chunk)
+    seen = {"several": 0, "dropped": 0, "proved": 0, "fresh": 0, "empty": 0}
+    join_homs, conflict, identities = (
+        migration._join_homs, migration.conflict, migration.identities)
+
+    def counted_join_homs(*args):
+        runs = list(join_homs(*args))
+        seen["several"] += len(runs) > 1
+        return iter(runs)
+
+    def counted_conflict(s, applications, known, same):
+        clashes = conflict(s, applications, known, same)
+        seen["dropped"] += len(clashes)
+        return clashes
+
+    def counted_identities(s, fuel):
+        same = identities(s, fuel)
+
+        def counted(a, b):
+            proved = same(a, b)
+            seen["proved"] += proved
+            return proved
+        return counted
+
+    monkeypatch.setattr(migration, "_join_homs", counted_join_homs)
+    monkeypatch.setattr(migration, "conflict", counted_conflict)
+    monkeypatch.setattr(migration, "identities", counted_identities)
+    rng = random.Random(40)
+    for _ in range(200):
+        text = _pi_case(rng)
+        elab = elaborate(parse(text))
+        assert not elab.diagnostics, text
+        mapping, i = elab.mappings["M"], elab.instances["I"]
+        got = pi(mapping, i, fuel=8)
+        assert got == hom_by_hom_pi(mapping, i, fuel=8), text
+        labels = {null.label for null in i.nulls()}
+        seen["fresh"] += any(null.label not in labels for null in got.nulls())
+        seen["empty"] += not all(got.carriers.values())
+    assert seen["several"] > 10 and seen["dropped"] > 20 and seen["proved"] > 5, seen
+    assert seen["fresh"] > 20 and seen["empty"] > 10, seen
+
+
 # --------------------------------------------------------------------------
 # homomorphism enumeration
 

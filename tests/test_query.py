@@ -395,16 +395,18 @@ def test_unconstrained_query_stops_at_its_tuple_guard_before_building_a_level(
 
 def test_pi_along_a_renaming_visits_a_few_nodes_per_output_row(monkeypatch):
     """pi along org -> people at n = 200 and 400, with each of its hom
-    searches capped at twice the output rows: the representable of Person
-    assigns its Emp slot first, which forces the Dept slot.  With Dept
-    first, every Dept row would be tried against every Emp row."""
+    searches (`_join_homs`) capped at twice the output rows: the
+    representable of Person joins its Emp and Dept slots along worksIn, a
+    probe of one slot's rows by the other's, so either slot order builds
+    about one tuple per output row.  Without the probe, every Dept row
+    would be tried against every Emp row."""
     import qinl.migration
     from qinl.surface import elaborate, parse
 
     cap = [0]
-    real = qinl.migration.search_homs
-    monkeypatch.setattr(qinl.migration, "search_homs", lambda *args, **kw: real(
-        *args, budget=qinl.schema.NodeBudget(cap[0]), **kw))
+    real = qinl.migration._join_homs
+    monkeypatch.setattr(qinl.migration, "_join_homs", lambda *args: real(
+        *args[:-1], qinl.schema.NodeBudget(cap[0])))
     schemas = """
 schema org = { entities Emp, Dept; attributes String;
   operations worksIn : Emp -> Dept, dname : Dept -> String; }

@@ -11,11 +11,12 @@ than truncating silently.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import starmap
+from itertools import chain, product, starmap
 
 from .chase import (
     FuelExhausted,
@@ -39,12 +40,11 @@ from .schema import (
     NodeBudget,
     OpApplied,
     TooLarge,
+    _hom_components,
     _hom_query,
     _join_homs,
-    count_homs,
     eval_column,
     null_under,
-    search_homs,
     unstated_builtin,
 )
 
@@ -345,23 +345,33 @@ class Homomorphism:
 
 
 def enumerate_homs(s: FqlSchema, i: Instance, j: Instance) -> HomSet:
-    """The instance homomorphisms from i to j, counted component by
-    component (`schema.count_homs`) within one budget of HOM_SEARCH_NODES
-    tuples, past which TooLarge is raised.  The hom-set builds its
-    homomorphisms only when it is listed.
-    """
-    return HomSet(s, i, j, count_homs(s, i, j, NodeBudget(HOM_SEARCH_NODES)))
+    """The instance homomorphisms from i to j: each connected component of
+    i (`schema._hom_components`) joined once, in the order of their first
+    rows, until one has none, all within one budget of HOM_SEARCH_NODES
+    tuples, past which TooLarge is raised.  The hom-set keeps the runs."""
+    budget = NodeBudget(HOM_SEARCH_NODES)
+    parts, slots = _hom_components(s, i, j)
+    joined = []
+    for variables, atoms, value in parts:
+        joined.append((value, list(_join_homs(s, j, variables, atoms, budget))))
+        if not joined[-1][1]:
+            break
+    return HomSet(s, i, j, slots, joined)
 
 
 class HomSet:
-    """The homomorphisms from i to j: `size` is their number (and `len()`,
-    below 2**63), and iterating or indexing lists them, complete and
-    duplicate-free, in lexicographic order of the images of i's rows (types
-    sorted, then rows; candidates in j's order).  The first listing searches
-    i again; TooLarge when there are more than HOM_SEARCH_NODES."""
+    """The homomorphisms from i to j, from the join runs of each component
+    of i and its nulls' terms: `size` is the product of the components'
+    tuples (and `len()`, below 2**63), and iterating or indexing lists
+    them, complete and duplicate-free, in lexicographic order of the images
+    of i's rows (types sorted, then rows; candidates in j's order).  The
+    first listing takes the product of the runs, evaluates the nulls' terms
+    and sorts once; TooLarge when there are more than HOM_SEARCH_NODES."""
 
-    def __init__(self, s: FqlSchema, i: Instance, j: Instance, size: int):
-        self.s, self.i, self.j, self.size = s, i, j, size
+    def __init__(self, s: FqlSchema, i: Instance, j: Instance, slots: dict[tuple[str, str], Var],
+                 joined: list[tuple[dict[str, Term], list[tuple[dict[str, list[Cell]], int]]]]):
+        self.s, self.i, self.j, self._slots, self._joined = s, i, j, slots, joined
+        self.size = math.prod(sum(n for _, n in runs) for _, runs in joined)
         self._homs: list[Homomorphism] | None = None
 
     def __len__(self) -> int:
@@ -381,20 +391,31 @@ class HomSet:
             if self.size > HOM_SEARCH_NODES:
                 raise TooLarge(f"{self.size} homomorphisms are more than the "
                                f"{HOM_SEARCH_NODES} that are listed")
-            self._homs = self._search() if self.size else []
+            self._homs = self._read() if self.size else []
         return self._homs
 
-    def _search(self) -> list[Homomorphism]:
+    def _read(self) -> list[Homomorphism]:
         s, i, j = self.s, self.i, self.j
+        # Each component's tuples, a field per variable and then per null
+        # (`?label`, the name of a null's own variable if it has one); the
+        # runs of one join hold their variables in the same order.
+        fields: list[str] = []
+        choices: list[list[tuple]] = []
+        for value, runs in self._joined:
+            columns = [{**run, **{f"?{label}": eval_column(s, j, run, n, term)
+                                  for label, term in value.items()}}
+                       for run, n in runs]
+            fields += columns[0]
+            choices.append([found for run in columns for found in zip(*run.values())])
+        at = {name: k for k, name in enumerate(fields)}
         types = sorted(s.entity_types)
-        homs = [Homomorphism(tuple((t, tuple(maps[t].items())) for t in types),
-                             tuple(sorted(binding.items())))
-                for maps, binding in search_homs(s, i, j)]
-        # The search finds them in the order of its slots, which is the
-        # documented order only when the slot order is the types sorted.
-        if s.slot_order != types:
-            position = {t: {row: k for k, row in enumerate(j.rows(t))}
-                        for t in types}
-            homs.sort(key=lambda h: tuple(position[t][image] for t, pairs in h.maps
-                                          for _, image in pairs))
-        return homs
+        images = [(t, i.rows(t), [at[self._slots[t, r].name] for r in i.rows(t)]) for t in types]
+        nulls = sorted((label, at[f"?{label}"]) for value, _ in self._joined for label in value)
+        position = {t: {row: k for k, row in enumerate(j.rows(t))} for t in types}
+        order = [(position[t], p) for t, _, ps in images for p in ps]
+        homs = [tuple(chain.from_iterable(found)) for found in product(*choices)]
+        homs.sort(key=lambda h: [where[h[p]] for where, p in order])
+        return [Homomorphism(tuple((t, tuple(zip(rows, map(h.__getitem__, ps))))
+                                   for t, rows, ps in images),
+                             tuple((label, h[p]) for label, p in nulls))
+                for h in homs]

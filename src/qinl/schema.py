@@ -398,22 +398,28 @@ def validate_instance(s: FqlSchema, i: Instance) -> list[str]:
 
 
 def unstated_builtin(s: FqlSchema, op: str, row: str, v: Cell) -> str | None:
-    """Why instance text of `s` cannot state `v` as the cell op(row): a
-    symbolic cell applies only builtins `s` declares, each at the type it
-    gives.  None when it can, and for every cell that is not symbolic."""
-    cod, inner = Base(s.tables[op][1]), v
+    """Why instance text of `s` cannot state `v` as the cell op(row), by
+    `unstated_application` at each builtin of a symbolic cell.  None when
+    it can, and for every cell that is not symbolic."""
+    cod, inner = s.tables[op][1], v
     while isinstance(inner, OpApplied):
-        if inner.op not in s.sig.operations or inner.op in s.tables:
-            problem = f"'{inner.op}' is not a builtin operation of the schema"
-            break
-        dom, op_cod = s.sig.op_type(inner.op)
-        if op_cod != cod:
-            problem = f"'{inner.op}' gives {format_type(op_cod)}, not {cod.name}"
-            break
-        cod, inner = dom, inner.arg
-    else:
-        return None
-    return f"{op}({row}) = {render_cell(v)}: {problem}"
+        problem = unstated_application(s, inner.op, cod)
+        if problem is not None:
+            return f"{op}({row}) = {render_cell(v)}: {problem}"
+        cod, inner = s.sig.op_type(inner.op)[0].name, inner.arg
+    return None
+
+
+def unstated_application(s: FqlSchema, op: str, cod: str) -> str | None:
+    """Why a symbolic cell of type `cod` cannot apply `op`: it applies only
+    a builtin that `s` declares, at the type that builtin gives.  None when
+    it can."""
+    if op not in s.sig.operations or op in s.tables:
+        return f"'{op}' is not a builtin operation of the schema"
+    op_cod = s.sig.op_type(op)[1]
+    if op_cod != Base(cod):
+        return f"'{op}' gives {format_type(op_cod)}, not {cod}"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -720,43 +726,19 @@ def _keep(columns: dict[str, list[Cell]], picks: Iterable[int]) -> dict[str, lis
     return {v: list(map(col.__getitem__, picks)) for v, col in columns.items()}
 
 
-def search_homs(s: FqlSchema, i: Instance, j: Instance, *,
-                budget: NodeBudget | None = None,
-                ) -> Iterator[tuple[dict[str, dict[str, str]], dict[str, Cell]]]:
-    """Yield every homomorphism from i to j as carrier maps plus the binding
-    of i's labelled nulls, in lexicographic order of the images of i's rows
-    with the types in `s.slot_order`, rows in i's order and candidates in j's
-    order.
+def _hom_components(s: FqlSchema, i: Instance, j: Instance,
+                    ) -> tuple[list[tuple[list, list, dict[str, Term]]], dict[tuple[str, str], Var]]:
+    """i's canonical query over j (`_hom_query`) split into the queries of
+    i's connected components, in the order of their first rows (types
+    sorted, then rows): each its variables, its atoms and the term that
+    gives each of its nulls' values; with the variable of each row of i.
 
-    A homomorphism commutes with every operation table and fixes builtin
-    constants.  A null of i maps to one value of j at all its occurrences;
-    a symbolic cell matches by computing once its null is bound to a
-    constant, or else structurally.  The search spends its tuples from
-    `budget`, which searches may share.
-    """
+    i is the coproduct of its components, its rows joined by the atoms of
+    its query that name them: a foreign-key cell, or a labelled null they
+    share, also under a builtin.  So a homomorphism out of i is one out of
+    each component (Spivak and Wisnesky, "Relational Foundations for
+    Functorial Data Migration")."""
     variables, atoms, slots, value = _hom_query(s, i, j)
-    for columns, n in _join_homs(s, j, variables, atoms, budget or NodeBudget(None)):
-        images = {t: list(zip(*(columns[slots[t, r].name] for r in i.rows(t))))
-                  for t in s.slot_order}
-        bound = list(zip(*(eval_column(s, j, columns, n, term) for term in value.values())))
-        for p in range(n):
-            yield ({t: dict(zip(i.rows(t), found[p])) if found else {}
-                    for t, found in images.items()},
-                   dict(zip(value, bound[p])) if value else {})
-
-
-def count_homs(s: FqlSchema, i: Instance, j: Instance, budget: NodeBudget) -> int:
-    """The number of homomorphisms that `search_homs` yields, none built.
-
-    i is the coproduct of its connected components, its rows joined by the
-    atoms of its query that name them: a foreign-key cell, or a labelled
-    null they share, also under a builtin.  So a homomorphism out of i is
-    one out of each component, and their number is the product of the
-    components' counts (Spivak and Wisnesky, "Relational Foundations for
-    Functorial Data Migration").  Each component is counted by its own
-    join, in the order of their first rows (types sorted, then rows), all
-    spending `budget`, until one counts none."""
-    variables, atoms, slots, _ = _hom_query(s, i, j)
     parent = {var: var for var, _ in variables}
 
     def find(var: str) -> str:
@@ -769,20 +751,17 @@ def count_homs(s: FqlSchema, i: Instance, j: Instance, budget: NodeBudget) -> in
     for names in named:
         for name in names[1:]:
             parent[find(name)] = find(names[0])
-    parts: dict[str, tuple[list, list]] = {}
+    parts: dict[str, tuple[list, list, dict[str, Term]]] = {}
     for t in sorted(s.entity_types):
         for r in i.rows(t):
-            parts.setdefault(find(slots[t, r].name), ([], []))
+            parts.setdefault(find(slots[t, r].name), ([], [], {}))
     for variable in variables:
         parts[find(variable[0])][0].append(variable)
     for atom, names in zip(atoms, named):
         parts[find(names[0])][1].append(atom)
-    size = 1
-    for part_variables, part_atoms in parts.values():
-        size *= sum(n for _, n in _join_homs(s, j, part_variables, part_atoms, budget))
-        if not size:
-            break
-    return size
+    for label, term in value.items():  # x_r's cell, or the null's own variable
+        parts[find(term.arg.name if isinstance(term, App) else term.name)][2][label] = term
+    return list(parts.values()), slots
 
 
 def _join_homs(s: FqlSchema, j: Instance, variables: Sequence[tuple[str, Sequence[Cell]]],

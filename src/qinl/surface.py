@@ -71,6 +71,7 @@ from .schema import (
     OpApplied,
     default_builtins,
     format_cell,
+    unstated_application,
     validate_instance,
 )
 
@@ -1235,12 +1236,10 @@ def _application(schema: FqlSchema, cod: str, text: str, depth: int):
     """A builtin of the schema applied to a null or to another such
     application, giving type `cod`."""
     op, arg = text[:-1].split("(", 1)
-    if op not in schema.sig.operations or op in schema.tables:
-        raise _BadEntry(f"'{op}' is not a builtin operation of the schema",
-                        depth)
-    dom, op_cod = schema.sig.op_type(op)
-    if op_cod != Base(cod):
-        raise _BadEntry(f"'{op}' gives {format_type(op_cod)}, not {cod}", depth)
+    problem = unstated_application(schema, op, cod)
+    if problem is not None:
+        raise _BadEntry(problem, depth)
+    dom = schema.sig.op_type(op)[0]
     if _kind(arg) not in ("null", "app"):
         raise _BadEntry(f"the argument of '{op}' must be a null or a builtin "
                         f"application of one", depth + 1)

@@ -88,7 +88,6 @@ from qinl.schema import (
     format_cell,
     make_set,
     render_cell,
-    search_homs,
     validate_instance,
 )
 from qinl.surface import (
@@ -513,8 +512,9 @@ def isomorphism(s, i, j) -> dict | None:
 
 def backtracking_homs(s, i, j):
     """Yield every homomorphism from i to j as (carrier maps, null binding),
-    in `search_homs`'s order, lazily: a depth-first search over i's rows
-    in `s.slot_order`, trying j's rows in order.  Assigning a row forces the
+    in lexicographic order of the images of i's rows with the types in
+    `s.slot_order`, lazily: a depth-first search over i's rows in that
+    order, trying j's rows in order.  Assigning a row forces the
     images of its foreign-key images and checks its other cells at once;
     symbolic cells are matched last, by computing once their null is bound
     to a constant, or else structurally.  The yielded dicts are reused:
@@ -686,7 +686,7 @@ def _unify(vi, vj, binding, bijective) -> bool:
 
 def hom_by_hom_pi(mapping, i, *, fuel: int = 32, allow_unverified: bool = False):
     """`migration.pi` one homomorphism at a time, as a dict of carrier maps
-    and null binding from `search_homs`, each filled and checked by value
+    and null binding from `backtracking_homs`, each filled and checked by value
     (`fill_by_value`, `conflict_by_value`) and named by its own join;
     `migration.pi` computes, checks and names a join run at a time."""
     migration.require_verified(mapping, fuel, allow_unverified)
@@ -745,7 +745,7 @@ def _hom_by_hom_limit(mapping, i, t: str, fuel: int, same):
 
     names: dict = {}
     values: dict = {}
-    for maps, binding in search_homs(src, pulled, i):
+    for maps, binding in backtracking_homs(src, pulled, i):
         known = dict(literals)
         known.update((int(label), v) for label, v in binding.items())
         fill_by_value(tgt, applications, known, classes,

@@ -26,7 +26,6 @@ from qinl.schema import (
     LabelledNull,
     OpApplied,
     check_instance,
-    search_homs,
 )
 from qinl.surface import SourceUnit, elaborate, instance_to_decl, parse, print_unit
 
@@ -1170,15 +1169,21 @@ def _image(s: FqlSchema, i: Instance, rng, prefix: str) -> Instance:
         for op, (dom, cod) in s.tables.items()})
 
 
-def _check_homs_against_backtracking(trials: int) -> tuple[int, int, int]:
+def _check_homs_against_backtracking(monkeypatch, trials: int) -> tuple[int, int, int]:
     """On sources of 5-12 rows, too many for `brute_force_homs`, with shared
     nulls, symbolic cells, a null only under `reverse`, empty carriers and
     (a third of the time) two interleaved parts, into a small random
-    instance or two interleaved images of the source, `search_homs` yields
-    the backtracking reference's (maps, binding) pairs in the same order.
+    instance or two interleaved images of the source, `enumerate_homs`
+    lists the backtracking reference's (maps, binding) pairs in the same
+    order (its slot order, A before B, is the types sorted).
     Gives the trials with several homomorphisms, with an empty carrier, and
-    the homomorphisms that bind the null only under `reverse`."""
+    the homomorphisms that bind the null only under `reverse`.  Some
+    trials count more than HOM_SEARCH_NODES, so it is raised here."""
+    from qinl import migration
+
     from oracles import backtracking_homs
+
+    monkeypatch.setattr(migration, "HOM_SEARCH_NODES", 10**7)
 
     s = _hom_oracle_schema()
     rng = random.Random(38)
@@ -1193,8 +1198,8 @@ def _check_homs_against_backtracking(trials: int) -> tuple[int, int, int]:
             i = _large_oracle_instance(rng, "i", size)
         j = (_large_oracle_instance(rng, "j", rng.randint(2, 6)) if trial % 4 == 0
              else _disjoint_union(s, [_image(s, i, rng, "j"), _image(s, i, rng, "k")], rng))
-        got = [({t: dict(m) for t, m in maps.items()}, dict(binding))
-               for maps, binding in search_homs(s, i, j)]
+        got = [({t: dict(pairs) for t, pairs in h.maps}, dict(h.null_map))
+               for h in enumerate_homs(s, i, j)]
         expected = [({t: dict(m) for t, m in maps.items()}, dict(binding))
                     for maps, binding in backtracking_homs(s, i, j)]
         assert got == expected
@@ -1204,8 +1209,8 @@ def _check_homs_against_backtracking(trials: int) -> tuple[int, int, int]:
     return several, empty, under
 
 
-def test_hom_join_matches_the_backtracking_search():
-    several, empty, under = _check_homs_against_backtracking(200)
+def test_hom_join_matches_the_backtracking_search(monkeypatch):
+    several, empty, under = _check_homs_against_backtracking(monkeypatch, 200)
     assert several > 30 and empty > 5 and under > 100
 
 
@@ -1216,7 +1221,7 @@ def test_hom_join_in_halves_matches_the_backtracking_search(monkeypatch):
     import qinl.schema
 
     monkeypatch.setattr(qinl.schema, "JOIN_CHUNK", 3)
-    several, _, _ = _check_homs_against_backtracking(60)
+    several, _, _ = _check_homs_against_backtracking(monkeypatch, 60)
     assert several > 10
 
 
@@ -1244,6 +1249,7 @@ def test_forced_rows_read_each_target_column_once(monkeypatch):
         return real(s, i, columns, n, e)
 
     monkeypatch.setattr(qinl.schema, "eval_column", counted)
+    monkeypatch.setattr(qinl.migration, "eval_column", counted)
 
     s = _string_schema({"A"}, {"next": ("A", "A"), "name": ("A", "String"),
                                "age": ("A", "Int")}, builtins=())
@@ -1260,10 +1266,62 @@ def test_forced_rows_read_each_target_column_once(monkeypatch):
         "name": {r: LabelledNull(str(k)) if k else f"n{(n - 40) % 30}"
                  for k, r in enumerate(rs)},
         "age": {r: 1 for r in rs}})
-    homs = list(search_homs(s, i, j))
-    assert [maps["A"]["r00"] for maps, _ in homs] == [
+    homs = list(enumerate_homs(s, i, j))
+    assert [h.apply("A", "r00") for h in homs] == [
         ys[k] for k in range(n - length, n) if k % 30 == (n - 40) % 30]
     assert reads[0] <= 40_000
+
+
+def _loops_and_star(loops: int) -> tuple[FqlSchema, Instance, Instance]:
+    """`loops` self-loop rows a1.. and a star of as many keys m1.. into a
+    hub z, into ten fixpoints: 10**(loops + 1) homomorphisms.  A join over
+    the whole source would try every fixpoint for each of a1.. and m1..
+    before z forces the m's, 10**(2 * loops) tuples."""
+    s = entity_schema({"V"}, {"next": ("V", "V")})
+    loop = [f"a{k}" for k in range(1, loops + 1)]
+    keys = [f"m{k}" for k in range(1, loops + 1)]
+    i = Instance.make({"V": [*loop, *keys, "z"]},
+                      {"next": {**{r: r for r in loop}, **{r: "z" for r in keys}, "z": "z"}})
+    fixpoints = [f"b{k}" for k in range(10)]
+    j = Instance.make({"V": fixpoints}, {"next": {r: r for r in fixpoints}})
+    return s, i, j
+
+
+def test_listing_reads_the_runs_that_counting_joined(monkeypatch):
+    """enumerate_homs joins each component of the source once, the three
+    loops and the star, and listing the hom-set joins nothing again (a
+    join by either module's name is counted)."""
+    import qinl.schema
+    from qinl import migration
+
+    calls = [0]
+    real = migration._join_homs
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for module in (migration, qinl.schema):
+        monkeypatch.setattr(module, "_join_homs", counted)
+    homs = enumerate_homs(*_loops_and_star(3))
+    assert calls[0] == 4
+    assert len(list(homs)) == homs.size == 10**4
+    assert calls[0] == 4
+
+
+def test_homs_of_loops_and_a_star_come_in_lexicographic_order():
+    """The 10,000 homomorphisms of the 3 + 3-row probe are listed in the
+    documented order: the backtracking reference's, sorted by the
+    positions in j of the images of i's rows."""
+    from oracles import backtracking_homs
+
+    s, i, j = _loops_and_star(3)
+    rows, position = i.rows("V"), {r: k for k, r in enumerate(j.rows("V"))}
+    expected = sorted((tuple(maps["V"][r] for r in rows)
+                       for maps, _ in backtracking_homs(s, i, j)),
+                      key=lambda images: [position[r] for r in images])
+    assert len(expected) == 10**4
+    assert [tuple(h.apply("V", r) for r in rows) for h in enumerate_homs(s, i, j)] == expected
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,14 @@ forward through the tables; the chase (see `chase`) instantiates each
 equation at every tuple of roots.  A `Proved` verdict is sound; absence of
 proof within fuel yields `Unknown`, never a refutation.
 
+Before it saturates, the prover tries rewriting.  In a path theory, where
+every equation equates two paths from its one variable, a goal between two
+paths from one variable is a word problem of string rewriting (Knuth and
+Bendix; AQL runs completion beside congruence closure for the same reason,
+Schultz and Wisnesky, "Algebraic Data Integration").  `Theory.completion`
+completes the equations once per theory, within a budget, and where it
+finishes such a goal costs two normal-form walks and no fuel.
+
 Matching is semi-naive.  Each id records the tick at which it was last
 created, re-keyed by a rebuild, or moved into another class by a union.
 After a rule's first pass, a match is instantiated only if an id it met was
@@ -28,11 +36,11 @@ trace.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from math import inf
 
 from .kernel import (
@@ -164,6 +172,31 @@ class Theory:
         return tuple(out)
 
     @cached_property
+    def completion(self) -> Completion | None:
+        """The equations as a complete string-rewriting system (see
+        `Completion`), if this is a path theory: one where each equation in
+        base normal form has one context variable and equates two paths
+        from it of one type, with no literal (a bare variable is a path).
+        None for any other theory, or where completion passes its budget.
+        Raises IllTyped as `normal` does."""
+        pairs = []
+        for _, part in self.normal:
+            if len(part.ctx) != 1:
+                return None
+            (var, t), = part.ctx
+            words = []
+            for leaf, ops in map(_path, (part.lhs, part.rhs)):
+                if leaf != Var(var):
+                    return None
+                words.append((tuple(ops), self.cods[ops[-1]] if ops else t.name))
+            (left, cod), (right, other) = words
+            if cod != other:
+                return None
+            pairs.append((left, right))
+        rules = _complete(pairs)
+        return None if rules is None else Completion.of(self.sig, rules)
+
+    @cached_property
     def rules(self) -> tuple[Rule, ...]:
         """The equations in base normal form as the prover applies them, in
         order.  Each side not written as a bare variable is an anchor, even
@@ -279,8 +312,11 @@ def _operations(e: Term) -> set[str]:
 def _path(e: Term) -> tuple[Term, list[str]]:
     """`e`, in base normal form, as its leaf (a variable or a literal) and
     the operations applied to it, innermost first."""
-    *apps, leaf = subterms(e)
-    return leaf, [app.op for app in reversed(apps)]
+    ops = []
+    while isinstance(e, App):
+        ops.append(e.op)
+        e = e.arg
+    return e, ops[::-1]
 
 
 def _side(leaf: Term, ops: Sequence[str], slots: Mapping[str, int]) -> Side:
@@ -324,8 +360,12 @@ class EGraph:
         self.log: list[str] = []
         self.version = self.round = self.tick = 0
         self.cap, self.tuples_left = inf, CHASE_TUPLES
-        for node, t in enumerate(types):
-            self.roots[t][node] = None
+        end = 0
+        for t, run in groupby(types):  # each run of one type's ids at once
+            start, end = end, end + len(list(run))
+            ids = dict.fromkeys(range(start, end))
+            if self.roots.setdefault(t, ids) is not ids:
+                self.roots[t].update(ids)
 
     # -- ids ------------------------------------------------------------------
 
@@ -698,6 +738,160 @@ def _tuples_since(pools: list[list[int]], since: int,
 
 
 # --------------------------------------------------------------------------
+# Path theories by rewriting.
+
+# A path as a word: the operations applied to its variable, innermost first.
+Word = tuple[str, ...]
+
+# Completion's budget: the most rules it may keep, and the most critical
+# pairs it may meet over all its passes.
+COMPLETION_RULES = 32
+COMPLETION_PAIRS = 500
+
+# The most rewrites one normal form may take.
+REWRITE_STEPS = 10_000
+
+
+@dataclass(frozen=True, eq=False)
+class Completion:
+    """A path theory as a complete string-rewriting system (Knuth and
+    Bendix, "Simple Word Problems in Universal Algebras", 1970; Book and
+    Otto, "String-Rewriting Systems", 1993).  Each rule `lhs -> rhs` is a
+    pair of words of one domain type, `lhs` the greater in shortlex
+    (length, then the operation names in order); no left side is a factor
+    of another, and each right side is irreducible.  Every critical pair is
+    joinable and shortlex is well founded, so each word has one normal
+    form, and two paths from one variable are equal in the theory exactly
+    when their normal forms are.  `reasons` renders each rule; `index`
+    lists the rules by the last operation of their left side."""
+    rules: tuple[tuple[Word, Word], ...]
+    reasons: tuple[str, ...]
+    index: Mapping[str, list[tuple[int, int, list[str], Word]]]
+
+    @classmethod
+    def of(cls, sig: Signature, rules: Sequence[tuple[Word, Word]]) -> Completion:
+        reasons = tuple(f"forall x: {format_type(sig.operations[lhs[0]][0])} . "
+                        f"{_spelled('x', lhs)} -> {_spelled('x', rhs)}" for lhs, rhs in rules)
+        return cls(tuple(rules), reasons, _index(rules))
+
+    def normal_form(self, word: Sequence[str]) -> tuple[Word, list[int]] | None:
+        """`word`'s normal form and the rules that rewrote it, by number,
+        in order; None past REWRITE_STEPS rewrites."""
+        return _rewrite(word, self.index)
+
+
+def _spelled(var: str, word: Sequence[str]) -> str:
+    """The path `word` from `var`, as a term is formatted."""
+    for op in word:
+        var = f"{op}({var})"
+    return var
+
+
+def _index(rules: Iterable[tuple[Word, Word]],
+           ) -> dict[str, list[tuple[int, int, list[str], Word]]]:
+    """Each rule, numbered, with the length of its left side, under the
+    last operation of its left side."""
+    index: dict[str, list[tuple[int, int, list[str], Word]]] = defaultdict(list)
+    for k, (lhs, rhs) in enumerate(rules):
+        index[lhs[-1]].append((k, len(lhs), list(lhs), rhs))
+    return index
+
+
+def _rewrite(word: Sequence[str], index: Mapping[str, list[tuple[int, int, list[str], Word]]],
+             ) -> tuple[Word, list[int]] | None:
+    """The normal form of `word` under the rules of `index`, and the
+    numbers of the rules applied; None past REWRITE_STEPS rewrites.  The
+    word is read left to right onto a stack that holds no redex, so a redex
+    can only end at its top: a rewrite pops it and puts its right side back
+    in front of what is left to read."""
+    out: list[str] = []
+    todo, applied = list(reversed(word)), []
+    while todo:
+        op = todo.pop()
+        out.append(op)
+        for k, n, lhs, rhs in index.get(op, ()):
+            if out[-n:] == lhs:
+                del out[-n:]
+                todo += reversed(rhs)
+                applied.append(k)
+                if len(applied) > REWRITE_STEPS:
+                    return None
+                break
+    return tuple(out), applied
+
+
+def _factor(part: Word, word: Word) -> bool:
+    n = len(part)
+    return any(word[i:i + n] == part for i in range(len(word) - n + 1))
+
+
+def _overlaps(one: tuple[Word, Word], two: tuple[Word, Word]) -> Iterator[tuple[Word, Word]]:
+    """The critical pairs of a proper overlap of `one`'s left side, a
+    suffix of it, with a prefix of `two`'s: the two ways to rewrite the
+    word they make."""
+    (l1, r1), (l2, r2) = one, two
+    for k in range(1, min(len(l1), len(l2))):
+        if l1[-k:] == l2[:k]:
+            yield r1 + l2[k:], l1[:-k] + r2
+
+
+def _complete(equations: Iterable[tuple[Word, Word]]) -> list[tuple[Word, Word]] | None:
+    """Knuth–Bendix completion of `equations` under shortlex: the rules of
+    a complete, inter-reduced system, in the order they were made; None
+    past COMPLETION_RULES rules or COMPLETION_PAIRS critical pairs, or
+    where a normal form passes REWRITE_STEPS.  Each equation is rewritten
+    to normal forms on both sides; unequal forms become a rule, the greater
+    on the left.  A rule whose left side the new one rewrites goes back to
+    be oriented again, and a right side it rewrites is put in normal form.
+    Once no equation is left, the critical pairs of every two rules that
+    have no common normal form become equations; completion ends when
+    there are none, so every critical pair is joinable."""
+    rules: dict[Word, Word] = {}
+    index = _index(())
+    todo, met = deque(equations), 0
+    while True:
+        while todo:
+            sides = [_rewrite(side, index) for side in todo.popleft()]
+            if None in sides:
+                return None
+            u, v = (form for form, _ in sides)
+            if u == v:
+                continue
+            lhs, rhs = (u, v) if (len(v), v) < (len(u), u) else (v, u)  # shortlex
+            collapsed = [old for old in rules if _factor(lhs, old)]
+            for old in collapsed:
+                todo.append((old, rules.pop(old)))
+            rules[lhs] = rhs
+            if len(rules) > COMPLETION_RULES:
+                return None
+            if collapsed:
+                index = _index(rules.items())
+            else:
+                index[lhs[-1]].append((len(rules) - 1, len(lhs), list(lhs), rhs))
+            reducible = [old for old, right in rules.items() if _factor(lhs, right)]
+            for old in reducible:
+                form = _rewrite(rules[old], index)
+                if form is None:
+                    return None
+                rules[old] = form[0]
+            if reducible:
+                index = _index(rules.items())
+        for one in rules.items():
+            for two in rules.items():
+                for u, v in _overlaps(one, two):
+                    met += 1
+                    if met > COMPLETION_PAIRS:
+                        return None
+                    forms = _rewrite(u, index), _rewrite(v, index)
+                    if None in forms:
+                        return None
+                    if forms[0][0] != forms[1][0]:
+                        todo.append((u, v))
+        if not todo:
+            return list(rules.items())
+
+
+# --------------------------------------------------------------------------
 # The decision procedure.
 
 def normal_images(images: Images) -> Images:
@@ -735,22 +929,57 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
                  ) -> Verdict:
     """Prove two terms equal modulo a theory whose operations run between
     base types: the components of the goal's base normal form (see
-    `Equation.normal`), together, in one graph.
+    `Equation.normal`), together.
 
-    Context variables act as fresh constants.  Saturation runs for at most
-    `fuel` rounds over a universe capped at `node_cap(fuel)` ids;
-    exceeding either cap yields `Unknown`, which is not a refutation.
+    Where `th` is a path theory that completes (`Theory.completion`) and
+    each component equates two paths from one variable, the components are
+    equal exactly when their sides have one normal form: equal forms give
+    `Proved`, whose first trace line is `proved <goal> in 0 round(s) by
+    rewriting both sides to <normal forms>`, followed by the rules applied
+    (at most LOG_LIMIT).  Any other goal, and one whose forms differ, is
+    left to `decide_by_saturation`, with the same arguments, which gives
+    `Unknown` past its caps.
 
     With `images`, in base normal form (`normal_images`), `a` and `b` are
     terms of another signature, to be proved equal translated along the
     images (see `_spliced`), which is never built as a term; `ctx` types
     them in `th`, and the caller guarantees that the translations are well
-    typed at one type.  The first `Proved` trace line is `proved <goal> in
-    N round(s) over M node(s)`, the goal defaulting to `a = b` as written;
-    union reasons follow.  Raises IllTyped when a goal term or a side of
-    an equation of `th` does not typecheck, or an operation of `th` does
-    not run between base types.
+    typed at one type.  The goal defaults to `a = b` as written.  Raises
+    IllTyped when a goal term or a side of an equation of `th` does not
+    typecheck, or an operation of `th` does not run between base types.
     """
+    parts, paths = _goal(th, ctx, a, b, fuel, images)
+    proof = _rewritten(th, paths)
+    if proof is None:
+        return _saturate(th, ctx, a, b, parts, paths, fuel, builtin_ops, images, goal)
+    forms, reasons = proof
+    goal = goal or f"{format_term(a)} = {format_term(b)}"
+    return Proved((f"proved {goal} in 0 round(s) by rewriting both sides to {forms}",
+                   *reasons))
+
+
+def decide_by_saturation(th: Theory, ctx: Context, a: Term, b: Term,
+                         fuel: int = 32,
+                         builtin_ops: Mapping[str, Callable[[object], object]] | None = None,
+                         images: Images | None = None,
+                         goal: str | None = None,
+                         ) -> Verdict:
+    """`decide_equal` by saturation alone: the components of the goal, in
+    one graph, matched against the rules of `th` round by round (see
+    `EGraph.apply_equations_matched`).  Context variables act as fresh
+    constants.  Saturation runs for at most `fuel` rounds over a universe
+    capped at `node_cap(fuel)` ids; exceeding either cap yields `Unknown`,
+    which is not a refutation.  The first `Proved` trace line is `proved
+    <goal> in N round(s) over M node(s)`; union reasons follow."""
+    parts, paths = _goal(th, ctx, a, b, fuel, images)
+    return _saturate(th, ctx, a, b, parts, paths, fuel, builtin_ops, images, goal)
+
+
+def _goal(th: Theory, ctx: Context, a: Term, b: Term, fuel: int, images: Images | None,
+          ) -> tuple[tuple[Equation, ...], list[tuple[Term, list[str]]]]:
+    """The components of `a = b` in base normal form and their sides as
+    spliced paths (`_spliced`), two per component, once the fuel, the
+    goal's types (without `images`) and the theory are checked."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     if images is None:
@@ -762,17 +991,45 @@ def decide_equal(th: Theory, ctx: Context, a: Term, b: Term,
         if ta != tb:
             raise IllTyped(
                 f"terms have different types: {format_type(ta)} vs {format_type(tb)}")
-    th.rules  # types the theory, or raises IllTyped, before any work
-    written = Equation(ctx, a, b)
-    parts = written.normal()
-    terms = [side for part in parts for side in (part.lhs, part.rhs)]
-    if parts != (written,):
+    th.normal  # types the theory, or raises IllTyped, before any work
+    parts = Equation(ctx, a, b).normal()
+    return parts, [_spliced(side, images) for part in parts for side in (part.lhs, part.rhs)]
+
+
+def _rewritten(th: Theory, paths: Sequence[tuple[Term, list[str]]],
+               ) -> tuple[str, list[str]] | None:
+    """Where `th` completes and there are pairs of `paths`, each starting
+    at one variable: the normal forms, joined by ', ', and the first
+    LOG_LIMIT rules that rewrote the sides to them, if each pair has one;
+    else None."""
+    pairs = list(zip(paths[::2], paths[1::2]))
+    if not pairs or not all(isinstance(one, Var) and one == two
+                            for (one, _), (two, _) in pairs):
+        return None
+    completion = th.completion
+    if completion is None:
+        return None
+    forms, applied = [], []
+    for (leaf, left), (_, right) in pairs:
+        one, two = completion.normal_form(left), completion.normal_form(right)
+        if one is None or two is None or one[0] != two[0]:
+            return None
+        forms.append(_spelled(leaf.name, one[0]))
+        applied += one[1] + two[1]
+    return ", ".join(forms), [completion.reasons[k] for k in applied[:LOG_LIMIT]]
+
+
+def _saturate(th: Theory, ctx: Context, a: Term, b: Term, parts: tuple[Equation, ...],
+              paths: list[tuple[Term, list[str]]], fuel: int,
+              builtin_ops: Mapping[str, Callable[[object], object]] | None,
+              images: Images | None, goal: str | None) -> Verdict:
+    """`decide_by_saturation` of the components `parts`, whose sides are
+    spliced (`_spliced`) as `paths`."""
+    if parts != (Equation(ctx, a, b),):
         # Keep every subterm's components, such as one that a projection
         # drops or an unused component of a variable: each can anchor a rule.
-        terms += dict.fromkeys(part for side in (a, b) for sub in subterms(side)
-                               for part in normalise(ctx, sub)[1])
-
-    paths = [_spliced(t, images) for t in terms]
+        paths = paths + [_spliced(t, images) for t in dict.fromkeys(
+            part for side in (a, b) for sub in subterms(side) for part in normalise(ctx, sub)[1])]
     var_types = dict(normalise(ctx, a)[0].bindings)
     names = list(dict.fromkeys(leaf.name for leaf, _ in paths if isinstance(leaf, Var)))
     slots = {name: k for k, name in enumerate(names)}

@@ -189,8 +189,9 @@ def test_translated_equation_within_its_nesting_limit_checks(capsys, tmp_path):
 def test_image_using_its_variable_twice_is_proved_with_a_short_trace(
         capsys, tmp_path):
     """f -> (x => (f(x), f(x)).1) doubles the translated tree at every
-    level, 2^40 leaves at k = 40; the e-graph holds each level once, and
-    the trace names the source equation, not the translation."""
+    level, 2^40 leaves at k = 40; the image's base normal form is f(x), so
+    each side is a path of 40 levels, which the rewriting walk reads once,
+    and the trace names the source equation, not the translation."""
     path, equation = _mapped_file(tmp_path, 40, "(f(x), f(x)).1")
     code, out, err = run(capsys, "check", str(path), "--format", "json")
     assert (code, err) == (0, "")
@@ -199,7 +200,7 @@ def test_image_using_its_variable_twice_is_proved_with_a_short_trace(
     [entry] = mapping["preservation"]
     assert entry["verdict"] == "proved"
     first = entry["trace"][0]
-    assert first.startswith(f"proved {equation} in 0 round(s) over ")
+    assert first.startswith(f"proved {equation} in 0 round(s) by rewriting both sides to ")
     assert len(first.encode("utf-8")) < 1024
 
 

@@ -7,7 +7,8 @@ import pytest
 from qinl import equality
 from qinl import mapping as mapping_module
 from qinl.equality import (
-    Equation, IllTyped, Proved, Theory, Unknown, check_theory, decide_equal, normal_images)
+    Equation, IllTyped, Proved, Theory, Unknown, check_theory, decide_by_saturation,
+    decide_equal, normal_images)
 from qinl.kernel import (
     MAX_NESTING,
     App,
@@ -192,11 +193,11 @@ def _related(rng: random.Random, sig: Signature, ctx: Context, lhs, want):
 def _reference(mapping: SchemaMapping, eq: Equation, fuel: int):
     """Preservation the way it was first written: translate both sides into
     terms, along the images in base normal form as `decide_equal` takes
-    them, and prove them equal."""
+    them, and prove them equal by saturation."""
     builtin_ops = mapping.target.builtin_ops()
     normal = SchemaMapping(mapping.source, mapping.target, mapping.type_map,
                            normal_images(mapping.op_map))
-    return decide_equal(
+    return decide_by_saturation(
         mapping.target.theory, apply_to_context(mapping, eq.ctx),
         translate(normal, eq.lhs), translate(normal, eq.rhs), fuel,
         builtin_ops=builtin_ops)
@@ -222,9 +223,10 @@ def test_image_ignoring_its_variable_adds_neither_argument_nor_variable(company)
 
 def test_preservation_agrees_with_translated_terms():
     """On random company mappings whose images reuse their variable, and on
-    random source equations, adding images at argument classes gives the
-    verdict, round count, node count and union log that proving the
-    translated terms gives."""
+    random source equations, saturating with images added at argument
+    classes gives the verdict, round count, node count and union log that
+    saturating the translated terms gives; and `check_preservation` proves
+    each obligation that saturation proves."""
     rng = random.Random(20260601)
     company = company_schema()
     sig = company.sig
@@ -243,7 +245,12 @@ def test_preservation_agrees_with_translated_terms():
             op: ("y", _random_image(rng, sig, sig.op_type(op)[1], 3))
             for op in source.tables})
         assert mapping.validate() == []
-        for eq, verdict in check_preservation(mapping, fuel=4):
+        images = normal_images(mapping.op_map)
+        for eq, checked in check_preservation(mapping, fuel=4):
+            verdict = decide_by_saturation(
+                company.theory, apply_to_context(mapping, eq.ctx), eq.lhs, eq.rhs, 4,
+                builtin_ops=company.builtin_ops(), images=images, goal=eq.render())
+            assert isinstance(checked, Proved) or not isinstance(verdict, Proved)
             want = _reference(mapping, eq, 4)
             if isinstance(want, Proved):
                 proved += 1
